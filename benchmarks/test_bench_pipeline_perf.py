@@ -8,6 +8,7 @@ stages an operator would run daily at 39.6M-device scale.
 
 import pytest
 
+from repro.columnar import from_record_streams
 from repro.core.catalog import CatalogBuilder
 from repro.core.classifier import DeviceClassifier
 from repro.core.roaming import RoamingLabeler
@@ -20,9 +21,10 @@ def test_catalog_build_throughput(benchmark, eco, mno_dataset):
         mno_dataset.tac_db, mno_dataset.sector_catalog, labeler,
         compute_mobility=False,
     )
-    day_records, summaries = benchmark(
-        builder.build, mno_dataset.radio_events, mno_dataset.service_records
+    events, records = from_record_streams(
+        mno_dataset.radio_events, mno_dataset.service_records
     )
+    day_records, summaries = benchmark(builder.build_from_columns, events, records)
     assert len(summaries) == mno_dataset.n_devices
 
 

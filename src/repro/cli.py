@@ -72,9 +72,7 @@ def _build_pipeline(args: argparse.Namespace):
     dataset = simulate_mno_dataset(
         eco, MNOConfig(n_devices=args.devices, seed=args.seed)
     )
-    return eco, dataset, run_pipeline(
-        dataset, eco, n_workers=args.jobs, columnar=args.columnar
-    )
+    return eco, dataset, run_pipeline(dataset, eco, n_workers=args.jobs)
 
 
 # -- commands -------------------------------------------------------------------
@@ -221,9 +219,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
                 dataset = simulate_mno_dataset(
                     eco, MNOConfig(n_devices=args.devices, seed=args.seed)
                 )
-                result = run_pipeline(
-                    dataset, eco, n_workers=args.jobs, columnar=args.columnar
-                )
+                result = run_pipeline(dataset, eco, n_workers=args.jobs)
             _print_mno_figure(name, eco, result, plot=getattr(args, "plot", False))
         else:
             print(f"unknown figure {name!r}", file=sys.stderr)
@@ -258,7 +254,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         eco,
         lenient=args.lenient,
         n_workers=args.jobs,
-        columnar=args.columnar,
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
         out_of_core=args.out_of_core,
@@ -405,21 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the pipeline's sharded stages "
         "(an integer, or 'auto' to pick from the machine and input size; "
         "1 = serial; output is identical at any value)",
-    )
-    parser.add_argument(
-        "--columnar",
-        action="store_true",
-        default=None,
-        dest="columnar",
-        help="run the catalog stage on the columnar (struct-of-arrays) "
-        "data plane; byte-identical output, different execution plan "
-        "(default: the REPRO_COLUMNAR environment flag)",
-    )
-    parser.add_argument(
-        "--no-columnar",
-        action="store_false",
-        dest="columnar",
-        help="force the row-oriented data plane",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,10 +1,10 @@
 """Struct-of-arrays event storage with string interning (stdlib only).
 
-The row-oriented data plane allocates one frozen dataclass per record and
-re-hashes the same handful of strings (device IDs, PLMNs, APNs) millions
-of times.  This module is the columnar alternative: each record stream
-becomes a bundle of parallel ``array`` columns — numeric fields stored
-unboxed, string fields dictionary-encoded as integer ids into a shared
+Record rows are frozen dataclasses, one per event, that re-hash the same
+handful of strings (device IDs, PLMNs, APNs) millions of times.  This
+module is the pipeline's data plane instead: each record stream becomes
+a bundle of parallel ``array`` columns — numeric fields stored unboxed,
+string fields dictionary-encoded as integer ids into a shared
 :class:`StringPool`.  Scans touch flat C buffers and compare small ints;
 the catalog kernel (:meth:`repro.core.catalog.CatalogBuilder.
 build_from_columns`) runs on these columns directly.
@@ -21,10 +21,11 @@ Layout notes:
   ``MESSAGE_TYPES``, ``RESULT_CODES``, ``SERVICE_TYPES``).
 - TACs are already numeric in the row schema and need no interning; they
   are stored as a plain integer column.
-- ``from_rows``/``to_rows`` round-trip exactly, so every existing
-  row-oriented consumer keeps working; ``select`` slices a store by row
-  index while sharing the pools, which is how the sharded executor
-  exchanges interned column blocks instead of row lists.
+- ``from_rows``/``to_rows`` round-trip exactly, so row-oriented
+  boundaries (simulators, codecs, query responses) convert losslessly;
+  ``select`` slices a store by row index while sharing the pools, which
+  is how the sharded executor exchanges interned column blocks and the
+  lenient path isolates one device's rows.
 """
 
 from __future__ import annotations

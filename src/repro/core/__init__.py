@@ -31,7 +31,7 @@ from repro.core.catalog import (
     DeviceSummary,
 )
 from repro.core.classifier import ClassLabel, ClassifierConfig, DeviceClassifier
-from repro.core.mobility import daily_mobility, MobilityMetrics
+from repro.core.mobility import daily_mobility_from_pairs, MobilityMetrics
 from repro.core.roaming import RoamingLabel, RoamingLabeler, SimOrigin, VisitedSide
 from repro.core.validation import ValidationReport, validate_classification
 
@@ -52,7 +52,7 @@ __all__ = [
     "ValidationReport",
     "VisitedSide",
     "classify_apn",
-    "daily_mobility",
+    "daily_mobility_from_pairs",
     "default_keyword_inventory",
     "parse_apn",
     "validate_classification",

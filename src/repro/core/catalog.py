@@ -7,35 +7,32 @@ events, calls, bytes seen, SIM MCC/MNC, list of visited MCC-MNC, list of
 APN strings, device manufacturer, device model, device OS", radio-flags
 and mobility metrics.
 
-:class:`CatalogBuilder` streams radio events and CDR/xDR records into
-per-(device, day) accumulators, joins the TAC catalog for device
-properties and the sector catalog for mobility, and emits
+:class:`CatalogBuilder` scans radio events and CDR/xDR records, interned
+as columns (:mod:`repro.columnar`), into per-(device, day) accumulators,
+joins the TAC catalog for device properties and the sector catalog for
+mobility, and emits
 :class:`DeviceDayRecord` rows plus whole-window :class:`DeviceSummary`
 aggregates (the unit most of the paper's figures are computed over).
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.cellular.rats import RadioFlags
 from repro.cellular.sectors import SectorCatalog
 from repro.cellular.tac_db import DeviceModel, TACDatabase
-from repro.columnar.store import (
-    NULL_ID,
-    ColumnPools,
-    ColumnarRadioEvents,
-    ColumnarServiceRecords,
-)
-from repro.core.mobility import MobilityMetrics, daily_mobility, daily_mobility_from_pairs
+from repro.columnar.store import NULL_ID, ColumnarRadioEvents, ColumnarServiceRecords
+from repro.core.mobility import MobilityMetrics, daily_mobility_from_pairs
 from repro.core.roaming import RoamingLabel, RoamingLabeler
-from repro.signaling.cdr import SERVICE_TYPES, ServiceRecord, ServiceType
-from repro.signaling.events import RADIO_INTERFACES, RadioEvent
+from repro.signaling.cdr import SERVICE_TYPES, ServiceType
+from repro.signaling.events import RADIO_INTERFACES
 from repro.signaling.procedures import RESULT_CODES
 
-#: Columnar scan tables, indexed by the canonical enum orders the stores
+#: Scan tables, indexed by the canonical enum orders the stores
 #: encode against: per-result success bit, per-interface voice bit and
 #: RAT mask.  Tuple indexing replaces per-row property chains and enum
 #: dict lookups in the hot kernel.
@@ -173,39 +170,15 @@ class CatalogUpdate:
         return len(self.changed_devices)
 
 
-class _DayAccumulator:
-    """Mutable per-(device, day) aggregation state."""
-
-    __slots__ = (
-        "radio_events",
-        "n_calls",
-        "voice_minutes",
-        "n_data_sessions",
-        "bytes_total",
-        "apns",
-        "visited_plmns",
-        "on_home_network",
-    )
-
-    def __init__(self) -> None:
-        self.radio_events: List[RadioEvent] = []
-        self.n_calls = 0
-        self.voice_minutes = 0.0
-        self.n_data_sessions = 0
-        self.bytes_total = 0
-        self.apns: Set[str] = set()
-        self.visited_plmns: Set[str] = set()
-        self.on_home_network = False
-
-
 class _ColAcc:
-    """Mutable per-(device, day) state for the columnar kernel.
+    """Mutable per-(device, day) state for the catalog kernel.
 
-    Unlike :class:`_DayAccumulator` it never buffers event objects:
-    radio flags fold into plain int masks during the scan (one
-    :class:`RadioFlags` is constructed per cell at finalization, not per
-    event), strings stay interned ids, and mobility keeps only the
-    ``(timestamp, sector_id)`` pairs the dwell estimator needs.
+    It never buffers event objects: radio flags fold into plain int
+    masks during the scan (one :class:`RadioFlags` is constructed per
+    cell at finalization, not per event), strings stay interned ids, and
+    mobility keeps only the radio row indices; the ``(timestamp,
+    sector_id)`` pairs the dwell estimator needs are gathered from the
+    columns when the cell is finalized.
     """
 
     __slots__ = (
@@ -214,7 +187,7 @@ class _ColAcc:
         "radio_mask",
         "voice_mask",
         "data_mask",
-        "pairs",
+        "radio_rows",
         "n_calls",
         "voice_minutes",
         "n_data_sessions",
@@ -233,7 +206,7 @@ class _ColAcc:
         self.radio_mask = 0
         self.voice_mask = 0
         self.data_mask = 0
-        self.pairs: List[Tuple[float, int]] = []
+        self.radio_rows = array("q")
         self.n_calls = 0
         self.voice_minutes = 0.0
         self.n_data_sessions = 0
@@ -270,111 +243,12 @@ class CatalogBuilder:
         # Incremental-engine state (see `update`/`snapshot`): per-day
         # cell maps, the day set each device was seen on, and the cached
         # records/summaries the last update left valid.
-        self._inc_pools: Optional[ColumnPools] = None
         self._inc_cells: Dict[int, Dict[str, _DayCell]] = {}
         self._inc_device_days: Dict[str, Set[int]] = {}
         self._inc_records: Dict[Tuple[str, int], DeviceDayRecord] = {}
         self._inc_summaries: Dict[str, DeviceSummary] = {}
 
-    # -- streaming ingestion ------------------------------------------------
-
-    def _accumulate(
-        self,
-        radio_events: Iterable[RadioEvent],
-        service_records: Iterable[ServiceRecord],
-    ) -> Tuple[Dict[Tuple[str, int], _DayAccumulator], Dict[str, str], Dict[str, int]]:
-        days: Dict[Tuple[str, int], _DayAccumulator] = defaultdict(_DayAccumulator)
-        sim_plmn_of: Dict[str, str] = {}
-        tac_of: Dict[str, int] = {}
-        observer_plmn = self._observer_plmn
-
-        for event in radio_events:
-            device_id = event.device_id
-            acc = days[(device_id, event.day)]
-            if not acc.radio_events:
-                # First radio event of this (device, day): every radio
-                # event is by definition on the observer's network, so
-                # the home flag and the observer PLMN are set once here
-                # rather than per record.
-                acc.on_home_network = True
-                acc.visited_plmns.add(observer_plmn)
-            acc.radio_events.append(event)
-            if device_id not in sim_plmn_of:
-                sim_plmn_of[device_id] = event.sim_plmn
-                tac_of[device_id] = event.tac
-
-        for record in service_records:
-            acc = days[(record.device_id, record.day)]
-            acc.visited_plmns.add(record.visited_plmn)
-            if record.visited_plmn == self._observer_plmn:
-                acc.on_home_network = True
-            if record.is_voice:
-                acc.n_calls += 1
-                acc.voice_minutes += record.duration_s / 60.0
-            else:
-                acc.n_data_sessions += 1
-                acc.bytes_total += record.bytes_total
-                if record.apn:
-                    acc.apns.add(record.apn)
-            sim_plmn_of.setdefault(record.device_id, record.sim_plmn)
-
-        return days, sim_plmn_of, tac_of
-
-    def _day_record(
-        self, device_id: str, day: int, sim_plmn: str, acc: _DayAccumulator
-    ) -> DeviceDayRecord:
-        flags = RadioFlags()
-        voice_flags = RadioFlags()
-        data_flags = RadioFlags()
-        n_failed = 0
-        for event in acc.radio_events:
-            if event.is_success:
-                flags = flags.with_rat(event.rat)
-                if event.interface.is_voice:
-                    voice_flags = voice_flags.with_rat(event.rat)
-                else:
-                    data_flags = data_flags.with_rat(event.rat)
-            else:
-                n_failed += 1
-        mobility = (
-            daily_mobility(acc.radio_events, self._sectors)
-            if self._compute_mobility and acc.radio_events
-            else None
-        )
-        return DeviceDayRecord(
-            device_id=device_id,
-            day=day,
-            sim_plmn=sim_plmn,
-            visited_plmns=frozenset(acc.visited_plmns),
-            n_events=len(acc.radio_events),
-            n_failed_events=n_failed,
-            n_calls=acc.n_calls,
-            voice_minutes=acc.voice_minutes,
-            n_data_sessions=acc.n_data_sessions,
-            bytes_total=acc.bytes_total,
-            apns=frozenset(acc.apns),
-            radio_flags=flags,
-            voice_flags=voice_flags,
-            data_flags=data_flags,
-            mobility=mobility,
-            on_home_network=acc.on_home_network,
-        )
-
     # -- public API ----------------------------------------------------------
-
-    def build_day_records(
-        self,
-        radio_events: Iterable[RadioEvent],
-        service_records: Iterable[ServiceRecord],
-    ) -> List[DeviceDayRecord]:
-        """Emit the daily devices-catalog, sorted by (device, day)."""
-        days, sim_plmn_of, _ = self._accumulate(radio_events, service_records)
-        records = [
-            self._day_record(device_id, day, sim_plmn_of[device_id], acc)
-            for (device_id, day), acc in days.items()
-        ]
-        records.sort(key=lambda r: (r.device_id, r.day))
-        return records
 
     def summarize(
         self, day_records: Iterable[DeviceDayRecord], tac_of: Dict[str, int]
@@ -461,21 +335,7 @@ class CatalogBuilder:
             )
         return summaries
 
-    def build(
-        self,
-        radio_events: Iterable[RadioEvent],
-        service_records: Iterable[ServiceRecord],
-    ) -> Tuple[List[DeviceDayRecord], Dict[str, DeviceSummary]]:
-        """One-shot: daily records plus per-device summaries."""
-        days, sim_plmn_of, tac_of = self._accumulate(radio_events, service_records)
-        records = [
-            self._day_record(device_id, day, sim_plmn_of[device_id], acc)
-            for (device_id, day), acc in days.items()
-        ]
-        records.sort(key=lambda r: (r.device_id, r.day))
-        return records, self.summarize(records, tac_of)
-
-    # -- columnar kernel ------------------------------------------------------
+    # -- catalog kernel -------------------------------------------------------
 
     def _accumulate_columns(
         self,
@@ -485,11 +345,16 @@ class CatalogBuilder:
         """Single-pass scan over interned int columns.
 
         Returns accumulators keyed ``(day << 32) | device_id`` (pool ids
-        are dense and far below 2**32, so the packed int replaces the row
-        path's (str, int) tuple key) plus, per device id, the row index
-        of its first radio event and first service record — the same
-        stream-order identity resolution ``_accumulate`` performs.
+        are dense and far below 2**32, so one packed int replaces a
+        (device, day) tuple key) plus, per device id, the row index of
+        its first radio event and first service record: a device's SIM
+        and TAC come from its first radio event in stream order, or from
+        its first service record when it has no radio events.  Both
+        stores must share one :class:`ColumnPools` so device/PLMN ids
+        agree across streams.
         """
+        if radio_events.pools is not service_records.pools:
+            raise ValueError("columnar streams must share one ColumnPools")
         accs: Dict[int, _ColAcc] = {}
         first_radio: Dict[int, int] = {}
         first_service: Dict[int, int] = {}
@@ -499,10 +364,8 @@ class CatalogBuilder:
         rat_bit_of = _INTERFACE_RAT_BIT
         pools = radio_events.pools
         observer_id = pools.plmns.intern(self._observer_plmn)
-        track_pairs = self._compute_mobility
+        track_mobility = self._compute_mobility
 
-        timestamps = radio_events.timestamps
-        sectors = radio_events.sector_ids
         sims = radio_events.sim_plmns
         tacs = radio_events.tacs
         rows = zip(
@@ -516,11 +379,12 @@ class CatalogBuilder:
             acc = get(key)
             if acc is None:
                 acc = accs[key] = _ColAcc()
-                # First radio event of this (device, day) — mirrors the
-                # row path: home flag + observer PLMN set once, and the
-                # per-day identity candidates captured here.  The radio
-                # scan runs first, so a cell that exists here was
-                # created by a radio event.
+                # First radio event of this (device, day): every radio
+                # event is on the observer's network, so the home flag
+                # and the observer PLMN are set once, and the per-day
+                # identity candidates are captured here.  The radio scan
+                # runs first, so a cell that exists here was created by
+                # a radio event.
                 acc.on_home = True
                 acc.visited_ids.add(observer_id)
                 acc.sim_radio_id = sims[i]
@@ -537,8 +401,8 @@ class CatalogBuilder:
             else:
                 acc.n_failed += 1
             acc.n_events += 1
-            if track_pairs:
-                acc.pairs.append((timestamps[i], sectors[i]))
+            if track_mobility:
+                acc.radio_rows.append(i)
 
         svc_voice_of = _SERVICE_IS_VOICE
         durations = service_records.durations
@@ -575,20 +439,30 @@ class CatalogBuilder:
 
         return accs, first_radio, first_service
 
+    def _mobility(
+        self, acc: _ColAcc, radio_events: ColumnarRadioEvents
+    ) -> Optional[MobilityMetrics]:
+        """The cell's mobility, from its radio rows' (timestamp, sector)."""
+        if not acc.radio_rows:
+            return None
+        timestamps = radio_events.timestamps
+        sectors = radio_events.sector_ids
+        return daily_mobility_from_pairs(
+            [(timestamps[i], sectors[i]) for i in acc.radio_rows], self._sectors
+        )
+
     def _record_from_acc(
         self,
         device_id: str,
         day: int,
         sim_plmn: str,
         acc: _ColAcc,
-        pools: ColumnPools,
+        radio_events: ColumnarRadioEvents,
     ) -> DeviceDayRecord:
-        """Finalize one columnar accumulator into a catalog row."""
+        """Finalize one accumulator into a catalog row."""
+        pools = radio_events.pools
         plmn_lookup = pools.plmns.lookup
         apn_lookup = pools.apns.lookup
-        mobility = (
-            daily_mobility_from_pairs(acc.pairs, self._sectors) if acc.pairs else None
-        )
         return DeviceDayRecord(
             device_id=device_id,
             day=day,
@@ -604,25 +478,16 @@ class CatalogBuilder:
             radio_flags=RadioFlags(acc.radio_mask),
             voice_flags=RadioFlags(acc.voice_mask),
             data_flags=RadioFlags(acc.data_mask),
-            mobility=mobility,
+            mobility=self._mobility(acc, radio_events),
             on_home_network=acc.on_home,
         )
 
-    def build_from_columns(
+    def _day_records(
         self,
         radio_events: ColumnarRadioEvents,
         service_records: ColumnarServiceRecords,
-    ) -> Tuple[List[DeviceDayRecord], Dict[str, DeviceSummary]]:
-        """Columnar twin of :meth:`build`: byte-identical output.
-
-        Scans interned int columns instead of dataclass rows — no
-        per-event property calls, no (str, int) key hashing, and one
-        :class:`RadioFlags` per (device, day) cell instead of one per
-        successful event.  Both stores must share one
-        :class:`ColumnPools` so device/PLMN ids agree across streams.
-        """
-        if radio_events.pools is not service_records.pools:
-            raise ValueError("columnar streams must share one ColumnPools")
+    ) -> Tuple[List[DeviceDayRecord], Dict[str, int]]:
+        """Daily records sorted by (device, day), plus each device's TAC."""
         accs, first_radio, first_service = self._accumulate_columns(
             radio_events, service_records
         )
@@ -643,18 +508,52 @@ class CatalogBuilder:
 
         records: List[DeviceDayRecord] = []
         record_from_acc = self._record_from_acc
-        for key, acc in accs.items():
+        # Popping frees each accumulator as soon as its record exists, so
+        # the two never sit in memory side by side for the whole window.
+        while accs:
+            key, acc = accs.popitem()
             device_id = device_lookup(key & 0xFFFFFFFF)
             records.append(
-                record_from_acc(device_id, key >> 32, sim_plmn_of[device_id], acc, pools)
+                record_from_acc(
+                    device_id, key >> 32, sim_plmn_of[device_id], acc, radio_events
+                )
             )
         records.sort(key=lambda r: (r.device_id, r.day))
+        return records, tac_of
+
+    def build_day_records(
+        self,
+        radio_events: ColumnarRadioEvents,
+        service_records: ColumnarServiceRecords,
+    ) -> List[DeviceDayRecord]:
+        """Emit the daily devices-catalog, sorted by (device, day)."""
+        return self._day_records(radio_events, service_records)[0]
+
+    def build_from_columns(
+        self,
+        radio_events: ColumnarRadioEvents,
+        service_records: ColumnarServiceRecords,
+    ) -> Tuple[List[DeviceDayRecord], Dict[str, DeviceSummary]]:
+        """One-shot: daily records plus per-device summaries.
+
+        Scans interned int columns: no per-event property calls, no
+        string key hashing, and one :class:`RadioFlags` per (device,
+        day) cell instead of one per successful event.
+        """
+        records, tac_of = self._day_records(radio_events, service_records)
         return records, self.summarize(records, tac_of)
+
+    #: The one-shot build under its short name, which ``bench/trace.py``
+    #: also times.
+    build = build_from_columns
 
     # -- incremental engine ---------------------------------------------------
 
-    def _cell_from_acc(self, acc: _ColAcc, pools: ColumnPools) -> _DayCell:
-        """Freeze a columnar accumulator into pool-independent state."""
+    def _cell_from_acc(
+        self, acc: _ColAcc, radio_events: ColumnarRadioEvents
+    ) -> _DayCell:
+        """Freeze an accumulator into pool-independent state."""
+        pools = radio_events.pools
         plmn_lookup = pools.plmns.lookup
         apn_lookup = pools.apns.lookup
         return _DayCell(
@@ -670,11 +569,7 @@ class CatalogBuilder:
             apns=frozenset(apn_lookup(a) for a in acc.apn_ids),
             visited_plmns=frozenset(plmn_lookup(v) for v in acc.visited_ids),
             on_home_network=acc.on_home,
-            mobility=(
-                daily_mobility_from_pairs(acc.pairs, self._sectors)
-                if acc.pairs
-                else None
-            ),
+            mobility=self._mobility(acc, radio_events),
             sim_radio=(
                 plmn_lookup(acc.sim_radio_id) if acc.sim_radio_id >= 0 else None
             ),
@@ -712,10 +607,10 @@ class CatalogBuilder:
         """Resolve (SIM, TAC) from the device's cells, ascending by day.
 
         The first day with radio activity wins — with days fed in
-        ascending order this is exactly the row path's "first radio
-        event in the stream".  A device with no radio on any day falls
-        back to its earliest service SIM (and no TAC), again matching
-        ``_accumulate``'s setdefault semantics.
+        ascending order this is exactly the one-shot build's "first
+        radio event in the stream".  A device with no radio on any day
+        falls back to its earliest service SIM (and no TAC), again as
+        the one-shot build resolves it.
         """
         cells = self._inc_cells
         fallback: Optional[str] = None
@@ -732,8 +627,8 @@ class CatalogBuilder:
     def update(
         self,
         day: int,
-        radio_events: Union[ColumnarRadioEvents, Iterable[RadioEvent]],
-        service_records: Union[ColumnarServiceRecords, Iterable[ServiceRecord]],
+        radio_events: ColumnarRadioEvents,
+        service_records: ColumnarServiceRecords,
     ) -> CatalogUpdate:
         """Fold one day's record slice into the incremental catalog.
 
@@ -742,39 +637,24 @@ class CatalogBuilder:
         records/summaries for *changed devices only* — unchanged devices
         keep their cached rows untouched.  Feeding day partitions in
         ascending day order makes :meth:`snapshot` equal to
-        :meth:`build` over the concatenated streams (identity resolution
-        depends on day order; see ``_resolve_incremental_identity``).
+        :meth:`build_from_columns` over the concatenated streams
+        (identity resolution depends on day order; see
+        ``_resolve_incremental_identity``).
 
         Re-sending a day replaces that day's slice (idempotent for an
         identical slice: zero devices change).  Rows for any other day
         in the slice raise ``ValueError``.
         """
-        if isinstance(radio_events, ColumnarRadioEvents):
-            if not isinstance(service_records, ColumnarServiceRecords):
-                raise TypeError("mixed columnar/row update inputs")
-            if radio_events.pools is not service_records.pools:
-                raise ValueError("columnar streams must share one ColumnPools")
-            events_c, records_c = radio_events, service_records
-        else:
-            if isinstance(service_records, ColumnarServiceRecords):
-                raise TypeError("mixed columnar/row update inputs")
-            if self._inc_pools is None:
-                self._inc_pools = ColumnPools()
-            events_c = ColumnarRadioEvents.from_rows(radio_events, self._inc_pools)
-            records_c = ColumnarServiceRecords.from_rows(
-                service_records, self._inc_pools
-            )
-        for store_days in (events_c.days, records_c.days):
+        for store_days in (radio_events.days, service_records.days):
             if len(store_days) and (
                 min(store_days) != day or max(store_days) != day
             ):
                 raise ValueError(f"update({day}) received rows for other days")
 
-        accs, _, _ = self._accumulate_columns(events_c, records_c)
-        pools = events_c.pools
-        device_lookup = pools.devices.lookup
+        accs, _, _ = self._accumulate_columns(radio_events, service_records)
+        device_lookup = radio_events.pools.devices.lookup
         new_cells = {
-            device_lookup(key & 0xFFFFFFFF): self._cell_from_acc(acc, pools)
+            device_lookup(key & 0xFFFFFFFF): self._cell_from_acc(acc, radio_events)
             for key, acc in accs.items()
         }
 
@@ -836,7 +716,7 @@ class CatalogBuilder:
     def snapshot(self) -> Tuple[List[DeviceDayRecord], Dict[str, DeviceSummary]]:
         """The incremental catalog as of the last :meth:`update` —
         records sorted by (device, day), summaries in sorted device
-        order, exactly as :meth:`build` emits them."""
+        order, exactly as :meth:`build_from_columns` emits them."""
         records = sorted(
             self._inc_records.values(), key=lambda r: (r.device_id, r.day)
         )

@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cellular.geo import GeoPoint, radius_of_gyration_km, weighted_centroid
 from repro.cellular.sectors import SectorCatalog
-from repro.signaling.events import RadioEvent
 
 
 @dataclass(frozen=True)
@@ -42,10 +41,9 @@ def sector_dwell_weights_from_pairs(
     max_gap_s: float = 3600.0,
     min_dwell_s: float = 60.0,
 ) -> Dict[int, float]:
-    """Estimate per-sector dwell seconds from ``(timestamp, sector_id)``
-    pairs — the columnar pipeline's entry point, which never materializes
-    :class:`RadioEvent` objects.  The sort is stable, so ties keep their
-    input (stream) order exactly as the row path does."""
+    """Estimate per-sector dwell seconds from one device-day's
+    ``(timestamp, sector_id)`` pairs.  The sort is stable, so events with
+    equal timestamps keep their input (stream) order."""
     if not pairs:
         return {}
     ordered = sorted(pairs, key=lambda pair: pair[0])
@@ -57,27 +55,18 @@ def sector_dwell_weights_from_pairs(
     return dict(dwell)
 
 
-def sector_dwell_weights(
-    events: Sequence[RadioEvent],
-    max_gap_s: float = 3600.0,
-    min_dwell_s: float = 60.0,
-) -> Dict[int, float]:
-    """Estimate per-sector dwell seconds from one device-day's events."""
-    return sector_dwell_weights_from_pairs(
-        [(event.timestamp, event.sector_id) for event in events],
-        max_gap_s=max_gap_s,
-        min_dwell_s=min_dwell_s,
-    )
-
-
 def daily_mobility_from_pairs(
     pairs: Sequence[Tuple[float, int]],
     catalog: SectorCatalog,
     max_gap_s: float = 3600.0,
     min_dwell_s: float = 60.0,
 ) -> Optional[MobilityMetrics]:
-    """Columnar twin of :func:`daily_mobility` over ``(timestamp,
-    sector_id)`` pairs; bitwise-identical metrics for the same stream."""
+    """One device-day's mobility metrics from its ``(timestamp,
+    sector_id)`` pairs, or None without pairs.
+
+    Pairs pointing at sectors unknown to the catalog are skipped (real
+    pipelines see these too — sector churn outpaces catalog refreshes).
+    """
     dwell = sector_dwell_weights_from_pairs(
         pairs, max_gap_s=max_gap_s, min_dwell_s=min_dwell_s
     )
@@ -96,25 +85,6 @@ def daily_mobility_from_pairs(
         centroid=weighted_centroid(points, weights),
         gyration_km=radius_of_gyration_km(points, weights),
         n_sectors=len(points),
-    )
-
-
-def daily_mobility(
-    events: Sequence[RadioEvent],
-    catalog: SectorCatalog,
-    max_gap_s: float = 3600.0,
-    min_dwell_s: float = 60.0,
-) -> Optional[MobilityMetrics]:
-    """Compute one device-day's mobility metrics, or None without events.
-
-    Events pointing at sectors unknown to the catalog are skipped (real
-    pipelines see these too — sector churn outpaces catalog refreshes).
-    """
-    return daily_mobility_from_pairs(
-        [(event.timestamp, event.sector_id) for event in events],
-        catalog,
-        max_gap_s=max_gap_s,
-        min_dwell_s=min_dwell_s,
     )
 
 

@@ -1,7 +1,7 @@
 """DET001 — unordered iteration feeding a serialized or merged output.
 
 Every correctness claim in this reproduction rests on byte-identical
-outputs across the serial/sharded, row/columnar, and kill/resume paths.
+outputs across the serial/sharded, in-memory/out-of-core, and kill/resume paths.
 A ``for`` loop (or list/dict comprehension) over a **set** — or over a
 directory listing — visits elements in hash/filesystem order, which
 differs between processes (string hashing is randomized) and between

@@ -27,19 +27,19 @@ with :meth:`~repro.pipeline.DegradationReport.merge`; the classification
 stage then runs over the merged summaries in the parent so the batch
 poisoning/fallback semantics stay exactly the serial ones.
 
-Columnar runs that actually fan out exchange shards through
-:mod:`repro.parallel.transport`: shards are parked as shared-memory
-column segments (or self-contained RPCK blocks on the fallback
-transport), workers attach via tiny descriptors, and results come back
-as packed column/summary blocks — no per-row pickling in either
-direction.  The in-process paths (``n_workers == 1`` or a single shard)
-skip the exchange entirely, and the row plane keeps its original
-row-list payloads as the designated fallback seam.
+The dataset is dictionary-encoded once in the parent and sharded as
+interned column blocks.  Runs that actually fan out exchange them
+through :mod:`repro.parallel.transport`: shards are parked as
+shared-memory column segments (or self-contained RPCK blocks on the
+fallback transport), workers attach via tiny descriptors, and results
+come back as packed column/summary blocks — no per-row pickling in
+either direction.  The in-process paths (``n_workers == 1`` or a single
+shard) skip the exchange and hand the column blocks over directly.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.columnar.store import (
     ColumnarRadioEvents,
@@ -52,7 +52,7 @@ from repro.datasets.containers import MNODataset
 from repro.faults.retry import RetryPolicy
 from repro.parallel.health import RunHealth
 from repro.parallel.pool import DEFAULT_SHARD_DEADLINE_S, get_context, map_shards
-from repro.parallel.sharding import shard_columnar_records, shard_mno_records
+from repro.parallel.sharding import shard_columnar_records
 from repro.parallel.transport import (
     ShardDescriptor,
     attach_shard,
@@ -70,16 +70,10 @@ from repro.pipeline import (
     DegradationReport,
     _lenient_catalog_stage,
     _lenient_classify_stage,
-    _records_by_device_columnar,
 )
-from repro.signaling.cdr import ServiceRecord
-from repro.signaling.events import RadioEvent
 
-#: A shard payload: (radio events, service records) for one device subset.
-ShardPayload = Tuple[List[RadioEvent], List[ServiceRecord]]
-
-#: Columnar shard payload: the same device subset as interned columns.
-ColumnarPayload = Tuple[ColumnarRadioEvents, ColumnarServiceRecords]
+#: A shard payload: one device subset's interned column blocks.
+ShardPayload = Tuple[ColumnarRadioEvents, ColumnarServiceRecords]
 
 
 # -- worker tasks (module-level so they pickle by name) ----------------------
@@ -90,7 +84,7 @@ def _build_shard(
     """Strict-mode worker: catalog + summaries + step-1 evidence."""
     builder, classifier = get_context()
     events, services = payload
-    records, summaries = builder.build(events, services)
+    records, summaries = builder.build_from_columns(events, services)
     _, m2m_keys = classifier.collect_m2m_evidence(summaries)
     return records, summaries, m2m_keys
 
@@ -110,42 +104,7 @@ def _lenient_shard(
     """Lenient-mode worker: quarantining catalog stage over one shard."""
     builder, _ = get_context()
     events, services = payload
-    by_dev_events: Dict[str, List[RadioEvent]] = {}
-    by_dev_services: Dict[str, List[ServiceRecord]] = {}
-    tac_of: Dict[str, int] = {}
-    for event in events:
-        by_dev_events.setdefault(event.device_id, []).append(event)
-        tac_of.setdefault(event.device_id, event.tac)
-    for record in services:
-        by_dev_services.setdefault(record.device_id, []).append(record)
-    device_ids = sorted(set(by_dev_events) | set(by_dev_services))
-    return _lenient_catalog_stage(
-        device_ids, by_dev_events, by_dev_services, tac_of, builder
-    )
-
-
-def _build_shard_columnar(
-    payload: ColumnarPayload,
-) -> Tuple[List[DeviceDayRecord], Dict[str, DeviceSummary], Set[Tuple[str, str]]]:
-    """Strict-mode worker over one shard's interned column block."""
-    builder, classifier = get_context()
-    events, services = payload
-    records, summaries = builder.build_from_columns(events, services)
-    _, m2m_keys = classifier.collect_m2m_evidence(summaries)
-    return records, summaries, m2m_keys
-
-
-def _lenient_shard_columnar(
-    payload: ColumnarPayload,
-) -> Tuple[List[DeviceDayRecord], Dict[str, DeviceSummary], DegradationReport]:
-    """Lenient-mode worker over one shard's interned column block."""
-    builder, _ = get_context()
-    events, services = payload
-    by_dev_events, by_dev_services, tac_of = _records_by_device_columnar(events, services)
-    device_ids = sorted(set(by_dev_events) | set(by_dev_services))
-    return _lenient_catalog_stage(
-        device_ids, by_dev_events, by_dev_services, tac_of, builder
-    )
+    return _lenient_catalog_stage(builder, events, services)
 
 
 # -- zero-copy exchange workers (descriptor in, packed block out) ------------
@@ -172,12 +131,7 @@ def _lenient_shard_block(descriptor: ShardDescriptor) -> bytes:
     """Lenient-mode worker: attach, quarantine-build, pack the result."""
     builder, _ = get_context()
     events, services = attach_shard(descriptor)
-    by_dev_events, by_dev_services, tac_of = _records_by_device_columnar(events, services)
-    device_ids = sorted(set(by_dev_events) | set(by_dev_services))
-    records, summaries, report = _lenient_catalog_stage(
-        device_ids, by_dev_events, by_dev_services, tac_of, builder
-    )
-    return pack_lenient_result(records, summaries, report)
+    return pack_lenient_result(*_lenient_catalog_stage(builder, events, services))
 
 
 # -- merge helpers -----------------------------------------------------------
@@ -227,7 +181,6 @@ def run_stages_sharded(
     n_workers: int,
     lenient: bool = False,
     n_shards: Optional[int] = None,
-    columnar: bool = False,
     shard_deadline_s: Optional[float] = DEFAULT_SHARD_DEADLINE_S,
     retry_policy: Optional[RetryPolicy] = None,
     health: Optional[RunHealth] = None,
@@ -245,13 +198,11 @@ def run_stages_sharded(
     it.  ``n_shards`` defaults to ``n_workers``; any value produces the
     same output because the merge normalizes order completely.
 
-    ``columnar=True`` dictionary-encodes the dataset once in the parent
-    and ships each worker an interned column block
-    (:func:`~repro.parallel.sharding.shard_columnar_records`) instead of
-    row lists; workers run the columnar catalog kernel.  Shard
-    assignment, merge, and output are unchanged.  When the pool is
-    actually used (``n_workers > 1`` with multiple shards), the blocks
-    travel through the zero-copy exchange
+    The dataset is dictionary-encoded once in the parent and each worker
+    gets an interned column block
+    (:func:`~repro.parallel.sharding.shard_columnar_records`).  When the
+    pool is actually used (``n_workers > 1`` with multiple shards), the
+    blocks travel through the zero-copy exchange
     (:func:`~repro.parallel.transport.publish_shards`): workers receive
     small segment descriptors and return packed column/summary blocks.
     ``transport`` picks the exchange transport explicitly (``"shm"`` /
@@ -267,25 +218,17 @@ def run_stages_sharded(
     """
     if n_shards is None:
         n_shards = n_workers
-    # Row and columnar payloads share shard assignment and merge; only
-    # the payload encoding and the worker entry point differ, so the
-    # two planes are erased to Any at the map_shards seam.
-    shards: Sequence[Any]
-    if columnar:
-        events_c, records_c = from_record_streams(
-            dataset.radio_events, dataset.service_records
-        )
-        shards = shard_columnar_records(events_c, records_c, n_shards)
-    else:
-        shards = shard_mno_records(
-            dataset.radio_events, dataset.service_records, n_shards
-        )
+    events, records = from_record_streams(
+        dataset.radio_events, dataset.service_records
+    )
+    shards = shard_columnar_records(events, records, n_shards)
+    del events, records
     context = (builder, classifier)
     # The exchange pays off only when the pool is actually used; the
     # map_shards seam runs in-process for one worker or a single shard,
     # where packing blocks would be pure overhead.
     exchange = None
-    if columnar and n_workers > 1 and len(shards) > 1:
+    if n_workers > 1 and len(shards) > 1:
         exchange = publish_shards(shards, transport=transport)
 
     if lenient:
@@ -304,12 +247,8 @@ def run_stages_sharded(
                 exchange.close()
             parts = [unpack_lenient_result(block) for block in blocks]
         else:
-            lenient_worker: Callable[
-                [Any],
-                Tuple[List[DeviceDayRecord], Dict[str, DeviceSummary], DegradationReport],
-            ] = (_lenient_shard_columnar if columnar else _lenient_shard)
             parts = map_shards(
-                lenient_worker,
+                _lenient_shard,
                 shards,
                 n_workers,
                 context=context,
@@ -345,12 +284,8 @@ def run_stages_sharded(
             exchange.close()
         built = [unpack_build_result(block) for block in built_blocks]
     else:
-        build_worker: Callable[
-            [Any],
-            Tuple[List[DeviceDayRecord], Dict[str, DeviceSummary], Set[Tuple[str, str]]],
-        ] = (_build_shard_columnar if columnar else _build_shard)
         built = map_shards(
-            build_worker,
+            _build_shard,
             shards,
             n_workers,
             context=context,

@@ -16,8 +16,10 @@ the historical all-or-nothing behavior so programming errors stay loud.
 from __future__ import annotations
 
 import os
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
@@ -37,8 +39,6 @@ from repro.core.roaming import RoamingLabeler
 from repro.datasets.containers import MNODataset
 from repro.datasets.io import IngestReport
 from repro.ecosystem import Ecosystem
-from repro.signaling.cdr import ServiceRecord
-from repro.signaling.events import RadioEvent
 
 #: How many per-device failures a DegradationReport keeps verbatim.
 MAX_EXEMPLAR_FAILURES = 10
@@ -49,12 +49,6 @@ MAX_EXEMPLAR_FAILURES = 10
 #: serial on the 1k-device bench).
 AUTO_PARALLEL_MIN_ROWS = 250_000
 
-#: Environment flag flipping ``run_pipeline``'s default data plane to
-#: columnar — how CI runs the whole tier-1 suite over the columnar path
-#: without touching call sites.
-COLUMNAR_ENV_FLAG = "REPRO_COLUMNAR"
-
-
 @dataclass(frozen=True)
 class StageFailure:
     """One quarantined device: which stage crashed, and how."""
@@ -62,6 +56,10 @@ class StageFailure:
     device_id: str
     stage: str
     error: str
+
+    @classmethod
+    def of(cls, device_id: str, stage: str, error: Exception) -> "StageFailure":
+        return cls(device_id, stage, f"{type(error).__name__}: {error}")
 
     def __str__(self) -> str:
         return f"{self.device_id}@{self.stage}: {self.error}"
@@ -101,15 +99,13 @@ class DegradationReport:
         return self.n_devices_failed == 0 and not self.classifier_fallback
 
     def record_failure(self, device_id: str, stage: str, error: Exception) -> None:
-        self.n_failed_by_stage[stage] += 1
+        self.add(StageFailure.of(device_id, stage, error))
+
+    def add(self, failure: StageFailure) -> None:
+        """Count one failure, keeping it verbatim while exemplars last."""
+        self.n_failed_by_stage[failure.stage] += 1
         if len(self.exemplars) < MAX_EXEMPLAR_FAILURES:
-            self.exemplars.append(
-                StageFailure(
-                    device_id=device_id,
-                    stage=stage,
-                    error=f"{type(error).__name__}: {error}",
-                )
-            )
+            self.exemplars.append(failure)
 
     def merge(self, other: "DegradationReport") -> "DegradationReport":
         """Combine two per-shard reports into one whole-run report.
@@ -154,83 +150,74 @@ class PipelineResult:
     health: Optional["RunHealth"] = None
 
 
-def _records_by_device(
-    dataset: MNODataset,
-) -> Tuple[Dict[str, List[RadioEvent]], Dict[str, List[ServiceRecord]], Dict[str, int]]:
-    """Split the dataset's record streams per device (lenient mode)."""
-    events: Dict[str, List[RadioEvent]] = defaultdict(list)
-    services: Dict[str, List[ServiceRecord]] = defaultdict(list)
-    tac_of: Dict[str, int] = {}
-    for event in dataset.radio_events:
-        events[event.device_id].append(event)
-        tac_of.setdefault(event.device_id, event.tac)
-    for record in dataset.service_records:
-        services[record.device_id].append(record)
-    return events, services, tac_of
-
-
-def _records_by_device_columnar(
+def quarantine_devices(
+    builder: CatalogBuilder,
     radio_events: ColumnarRadioEvents,
     service_records: ColumnarServiceRecords,
-) -> Tuple[Dict[str, List[RadioEvent]], Dict[str, List[ServiceRecord]], Dict[str, int]]:
-    """Columnar twin of :func:`_records_by_device`.
+) -> Tuple[List[DeviceDayRecord], Dict[str, DeviceSummary], List[StageFailure], int]:
+    """Per-device catalog + summary, quarantining the devices that fail.
 
-    Grouping scans the interned device-id columns (int comparisons);
-    rows are materialized per device only afterwards — via the batched
-    ``rows_at`` gather, one hoisted-locals pass per device — because the
-    lenient stage needs real dataclasses to exercise — and quarantine —
-    exactly the per-device failures the row path sees.
+    Row indices are grouped per device id straight from the interned
+    columns; each device's rows are ``select``-ed into their own stores
+    and run through :meth:`CatalogBuilder.build_day_records` (stage
+    ``"catalog"``) and :meth:`CatalogBuilder.summarize` (stage
+    ``"summary"``) in sorted device order.  Returns the survivors' day
+    records (sorted by device, day) and summaries, every failure, and
+    the number of devices seen.  The serial, sharded and durable lenient
+    paths all quarantine through this one function.
     """
-    radio_indices: Dict[int, List[int]] = defaultdict(list)
-    tac_by_id: Dict[int, int] = {}
-    tacs = radio_events.tacs
+    radio_rows: Dict[int, array] = defaultdict(partial(array, "q"))
     for i, dev in enumerate(radio_events.device_ids):
-        radio_indices[dev].append(i)
-        if dev not in tac_by_id:
-            tac_by_id[dev] = tacs[i]
-    service_indices: Dict[int, List[int]] = defaultdict(list)
+        radio_rows[dev].append(i)
+    service_rows: Dict[int, array] = defaultdict(partial(array, "q"))
     for i, dev in enumerate(service_records.device_ids):
-        service_indices[dev].append(i)
+        service_rows[dev].append(i)
     lookup = radio_events.pools.devices.lookup
-    events = {lookup(dev): radio_events.rows_at(idx) for dev, idx in radio_indices.items()}
-    services = {
-        lookup(dev): service_records.rows_at(idx) for dev, idx in service_indices.items()
-    }
-    tac_of = {lookup(dev): tac for dev, tac in tac_by_id.items()}
-    return events, services, tac_of
+    ids_by_name = {lookup(dev): dev for dev in radio_rows.keys() | service_rows.keys()}
+    tacs = radio_events.tacs
 
-
-def _lenient_catalog_stage(
-    device_ids: List[str],
-    events: Dict[str, List[RadioEvent]],
-    services: Dict[str, List[ServiceRecord]],
-    tac_of: Dict[str, int],
-    builder: CatalogBuilder,
-) -> Tuple[List[DeviceDayRecord], Dict[str, DeviceSummary], DegradationReport]:
-    """Per-device catalog + summary with quarantine, over ``device_ids``.
-
-    The unit the shard layer (:mod:`repro.parallel`) fans out: each
-    worker runs this over its shard's devices and the partial results —
-    including the :class:`DegradationReport` — merge into exactly what a
-    serial pass over all devices produces.
-    """
-    report = DegradationReport(n_devices_total=len(device_ids))
     day_records: List[DeviceDayRecord] = []
     summaries: Dict[str, DeviceSummary] = {}
-    for device_id in device_ids:
+    failures: List[StageFailure] = []
+    for device_id in sorted(ids_by_name):
+        dev = ids_by_name[device_id]
+        radio = radio_rows.get(dev, ())
         try:
             records = builder.build_day_records(
-                events.get(device_id, []), services.get(device_id, [])
+                radio_events.select(radio),
+                service_records.select(service_rows.get(dev, ())),
             )
         except Exception as exc:
-            report.record_failure(device_id, "catalog", exc)
+            failures.append(StageFailure.of(device_id, "catalog", exc))
             continue
+        tac_of = {device_id: tacs[radio[0]]} if radio else {}
         try:
             summaries.update(builder.summarize(records, tac_of))
         except Exception as exc:
-            report.record_failure(device_id, "summary", exc)
+            failures.append(StageFailure.of(device_id, "summary", exc))
             continue
         day_records.extend(records)
+    return day_records, summaries, failures, len(ids_by_name)
+
+
+def _lenient_catalog_stage(
+    builder: CatalogBuilder,
+    radio_events: ColumnarRadioEvents,
+    service_records: ColumnarServiceRecords,
+) -> Tuple[List[DeviceDayRecord], Dict[str, DeviceSummary], DegradationReport]:
+    """:func:`quarantine_devices` with its failures in a report.
+
+    The unit the shard layer (:mod:`repro.parallel`) fans out: each
+    worker runs this over its shard's columns and the partial results —
+    including the :class:`DegradationReport` — merge into exactly what a
+    serial pass over all devices produces.
+    """
+    day_records, summaries, failures, n_devices = quarantine_devices(
+        builder, radio_events, service_records
+    )
+    report = DegradationReport(n_devices_total=n_devices)
+    for failure in failures:
+        report.add(failure)
     return day_records, summaries, report
 
 
@@ -260,34 +247,6 @@ def _lenient_classify_stage(
     return classifications
 
 
-def _run_lenient(
-    dataset: MNODataset,
-    builder: CatalogBuilder,
-    classifier: DeviceClassifier,
-    columnar: bool = False,
-) -> Tuple[
-    List[DeviceDayRecord],
-    Dict[str, DeviceSummary],
-    Dict[str, Classification],
-    DegradationReport,
-]:
-    if columnar:
-        events_c, records_c = from_record_streams(
-            dataset.radio_events, dataset.service_records
-        )
-        events, services, tac_of = _records_by_device_columnar(events_c, records_c)
-    else:
-        events, services, tac_of = _records_by_device(dataset)
-    device_ids = sorted(set(events) | set(services))
-    day_records, summaries, report = _lenient_catalog_stage(
-        device_ids, events, services, tac_of, builder
-    )
-    day_records.sort(key=lambda r: (r.device_id, r.day))
-    classifications = _lenient_classify_stage(summaries, classifier, report)
-    report.n_devices_ok = len(classifications)
-    return day_records, summaries, classifications, report
-
-
 def resolve_workers(
     n_workers: Union[int, str], n_rows: Optional[int] = None
 ) -> int:
@@ -314,16 +273,6 @@ def resolve_workers(
     return n_workers
 
 
-def _columnar_default() -> bool:
-    """The :data:`COLUMNAR_ENV_FLAG` shim: 1/true/yes/on enable."""
-    return os.environ.get(COLUMNAR_ENV_FLAG, "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
-
 def run_pipeline(
     dataset: MNODataset,
     ecosystem: Ecosystem,
@@ -331,7 +280,6 @@ def run_pipeline(
     compute_mobility: bool = True,
     lenient: bool = False,
     n_workers: Union[int, str] = "auto",
-    columnar: Optional[bool] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
     out_of_core: bool = False,
@@ -351,13 +299,10 @@ def run_pipeline(
     (:func:`resolve_workers`), staying serial whenever the committed
     benches say the pool would lose.
 
-    ``columnar=True`` runs the catalog stage on the struct-of-arrays
-    data plane (:mod:`repro.columnar`): record streams are
-    dictionary-encoded once and the catalog kernel scans interned int
-    columns instead of dataclass rows.  Output is byte-identical to the
-    row path in every mode; only the execution plan changes.  The
-    default (``None``) reads the ``REPRO_COLUMNAR`` environment flag,
-    which is how CI sweeps the whole suite over the columnar plane.
+    The record streams are dictionary-encoded once per run
+    (:func:`~repro.columnar.store.from_record_streams`), and every
+    path — strict or lenient, serial or sharded — runs the catalog
+    kernel over those interned columns.
 
     ``checkpoint_dir`` makes the run *durable*: the pipeline executes
     day by day through :mod:`repro.runtime`, checkpointing each
@@ -375,8 +320,6 @@ def run_pipeline(
     n_workers = resolve_workers(
         n_workers, len(dataset.radio_events) + len(dataset.service_records)
     )
-    if columnar is None:
-        columnar = _columnar_default()
     if checkpoint_dir is not None or out_of_core:
         # Imported lazily: repro.runtime sits on top of repro.parallel,
         # which imports this module.
@@ -391,7 +334,6 @@ def run_pipeline(
             compute_mobility=compute_mobility,
             lenient=lenient,
             n_workers=n_workers,
-            columnar=columnar,
             out_of_core=out_of_core,
         )
     if resume:
@@ -419,24 +361,23 @@ def run_pipeline(
             classifier,
             n_workers=n_workers,
             lenient=lenient,
-            columnar=columnar,
             health=health,
         )
-    elif lenient:
-        day_records, summaries, classifications, degradation = _run_lenient(
-            dataset, builder, classifier, columnar=columnar
-        )
-    elif columnar:
-        events_c, records_c = from_record_streams(
-            dataset.radio_events, dataset.service_records
-        )
-        day_records, summaries = builder.build_from_columns(events_c, records_c)
-        classifications = classifier.classify(summaries)
     else:
-        day_records, summaries = builder.build(
+        events, records = from_record_streams(
             dataset.radio_events, dataset.service_records
         )
-        classifications = classifier.classify(summaries)
+        if lenient:
+            day_records, summaries, degradation = _lenient_catalog_stage(
+                builder, events, records
+            )
+            classifications = _lenient_classify_stage(
+                summaries, classifier, degradation
+            )
+            degradation.n_devices_ok = len(classifications)
+        else:
+            day_records, summaries = builder.build_from_columns(events, records)
+            classifications = classifier.classify(summaries)
     return PipelineResult(
         dataset=dataset,
         day_records=day_records,

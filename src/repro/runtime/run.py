@@ -9,13 +9,13 @@ units are persisted and journaled by the
 :class:`~repro.runtime.checkpoint.CheckpointStore`; the catalog itself
 is reconstructed by replaying the blocks through the incremental engine
 (:meth:`repro.core.catalog.CatalogBuilder.update`), whose snapshot over
-ascending days equals a one-shot :meth:`build`.
+ascending days equals a one-shot
+:meth:`~repro.core.catalog.CatalogBuilder.build_from_columns`.
 
 The durability contract: killing the run at **any** instant and
 resuming with ``resume=True`` yields day records, summaries and
 classifications byte-identical to an uninterrupted run — in strict and
-lenient modes, at any worker count, on the row or columnar update
-plane.  Three properties carry the proof: units are pure; the journal
+lenient modes, at any worker count.  Three properties carry the proof: units are pure; the journal
 plus per-block CRCs make "complete" an all-or-nothing predicate; and
 the update feed concatenates shards in fixed shard order while every
 catalog output is order-normalized per device.
@@ -41,6 +41,7 @@ from repro.columnar.store import (
     ColumnPools,
     ColumnarRadioEvents,
     ColumnarServiceRecords,
+    from_record_streams,
 )
 from repro.core.catalog import CatalogBuilder
 from repro.core.classifier import ClassifierConfig, DeviceClassifier
@@ -60,11 +61,11 @@ from repro.parallel.health import (
 from repro.parallel.pool import DEFAULT_SHARD_DEADLINE_S, get_context, map_shards
 from repro.parallel.sharding import shard_mno_records
 from repro.pipeline import (
-    MAX_EXEMPLAR_FAILURES,
     DegradationReport,
     PipelineResult,
     StageFailure,
     _lenient_classify_stage,
+    quarantine_devices,
 )
 from repro.runtime.checkpoint import (
     BeforeReplace,
@@ -134,39 +135,17 @@ def _validate_day_slice(
 ) -> Tuple[List[RadioEvent], List[ServiceRecord], List[QuarantineEntry]]:
     """Lenient-unit validation: quarantine devices whose day slice fails.
 
-    Mirrors :func:`repro.pipeline._lenient_catalog_stage` per device
-    (catalog stage, then summary stage) over the unit's slice; error
-    text uses the same ``TypeName: message`` form so durable and serial
-    degradation reports agree.
+    Runs :func:`repro.pipeline.quarantine_devices` — the serial and
+    sharded lenient paths' per-device catalog and summary stages — over
+    the unit's slice, so durable and serial degradation reports agree.
     """
-    by_dev_radio: Dict[str, List[RadioEvent]] = defaultdict(list)
-    by_dev_service: Dict[str, List[ServiceRecord]] = defaultdict(list)
-    tac_of: Dict[str, int] = {}
-    for event in radio:
-        by_dev_radio[event.device_id].append(event)
-        tac_of.setdefault(event.device_id, event.tac)
-    for record in service:
-        by_dev_service[record.device_id].append(record)
-    quarantine: List[QuarantineEntry] = []
-    bad: Set[str] = set()
-    for device_id in sorted(set(by_dev_radio) | set(by_dev_service)):
-        try:
-            records = builder.build_day_records(
-                by_dev_radio.get(device_id, []), by_dev_service.get(device_id, [])
-            )
-        except Exception as exc:
-            quarantine.append((device_id, "catalog", f"{type(exc).__name__}: {exc}"))
-            bad.add(device_id)
-            continue
-        try:
-            builder.summarize(records, tac_of)
-        except Exception as exc:
-            quarantine.append((device_id, "summary", f"{type(exc).__name__}: {exc}"))
-            bad.add(device_id)
-    if bad:
+    events, records = from_record_streams(radio, service)
+    _, _, failures, _ = quarantine_devices(builder, events, records)
+    if failures:
+        bad = {failure.device_id for failure in failures}
         radio = [event for event in radio if event.device_id not in bad]
         service = [record for record in service if record.device_id not in bad]
-    return radio, service, quarantine
+    return radio, service, [(f.device_id, f.stage, f.error) for f in failures]
 
 
 def _encode_block(
@@ -343,7 +322,6 @@ def run_durable_pipeline(
     lenient: bool = False,
     n_workers: int = 1,
     n_shards: Optional[int] = None,
-    columnar: bool = False,
     out_of_core: bool = False,
     max_resident_shards: Optional[int] = None,
     max_resident_bytes: Optional[int] = None,
@@ -414,7 +392,6 @@ def run_durable_pipeline(
         "window_days": dataset.window_days,
         "days": list(day_list),
         "lenient": bool(lenient),
-        "columnar": bool(columnar),
         "compute_mobility": bool(compute_mobility),
     }
     store: Optional[CheckpointStore] = None
@@ -578,7 +555,7 @@ def run_durable_pipeline(
 
             # Fold the day's shards straight onto a shared-pool columnar
             # accumulator (shard order, in-shard order preserved) — the
-            # builder accepts columnar input, so no row round-trip.
+            # builder's update takes column stores, so no row round-trip.
             day_pools = ColumnPools()
             events_day = ColumnarRadioEvents(day_pools)
             records_day = ColumnarServiceRecords(day_pools)
@@ -674,12 +651,7 @@ def run_durable_pipeline(
     if lenient:
         degradation = DegradationReport(n_devices_total=len(observed))
         for device_id in sorted(quarantined):
-            _, stage, error = quarantined[device_id]
-            degradation.n_failed_by_stage[stage] += 1
-            if len(degradation.exemplars) < MAX_EXEMPLAR_FAILURES:
-                degradation.exemplars.append(
-                    StageFailure(device_id=device_id, stage=stage, error=error)
-                )
+            degradation.add(StageFailure(*quarantined[device_id]))
         degradation.ingest = ingest
         classifications = _lenient_classify_stage(summaries, classifier, degradation)
         degradation.n_devices_ok = len(classifications)

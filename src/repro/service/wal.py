@@ -58,7 +58,7 @@ class ReplayedBatch:
     The batch stays dictionary-encoded: ``radio_events`` /
     ``service_records`` are the unit's decoded columnar stores (shared
     per-batch pools), which the daemon folds into the catalog directly —
-    :meth:`CatalogBuilder.update` accepts columnar input, so replay
+    :meth:`CatalogBuilder.update` takes column stores, so replay
     never materializes row dataclasses.  Call ``.to_rows()`` on either
     store if rows are genuinely needed.
     """

@@ -55,8 +55,8 @@ from repro.runtime import run_durable_pipeline
 from repro.signaling.cdr import ServiceRecord, ServiceType
 
 (
-    point, day, shard, ckpt, devices, seed, workers, lenient, columnar, ooc,
-) = sys.argv[1:11]
+    point, day, shard, ckpt, devices, seed, workers, lenient, ooc,
+) = sys.argv[1:10]
 eco = build_default_ecosystem(EcosystemConfig(uk_sites={uk_sites}, seed=11))
 dataset = simulate_mno_dataset(
     eco, MNOConfig(n_devices=int(devices), seed=int(seed))
@@ -80,7 +80,6 @@ run_durable_pipeline(
     checkpoint_dir=ckpt,
     n_workers=int(workers),
     lenient=lenient == "1",
-    columnar=columnar == "1",
     out_of_core=ooc == "1",
     on_unit=switch.on_unit,
     on_day=switch.on_day,
@@ -134,7 +133,7 @@ def _baseline(seed, lenient):
 
 
 def _run_child_until_killed(
-    ckpt, point, day, shard, seed, workers, lenient, columnar, out_of_core=False
+    ckpt, point, day, shard, seed, workers, lenient, out_of_core=False
 ):
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     # Redirect to files rather than pipes: the child's orphaned pool
@@ -146,8 +145,7 @@ def _run_child_until_killed(
             [
                 sys.executable, "-c", CHILD_SCRIPT,
                 point, str(day), str(shard), str(ckpt), str(DEVICES), str(seed),
-                str(workers), "1" if lenient else "0", "1" if columnar else "0",
-                "1" if out_of_core else "0",
+                str(workers), "1" if lenient else "0", "1" if out_of_core else "0",
             ],
             env=env,
             stdout=subprocess.DEVNULL,
@@ -163,7 +161,7 @@ def _run_child_until_killed(
 
 def _assert_no_stale_exchange_segments():
     """The killed child published zero-copy exchange segments when it
-    ran columnar with workers; none of them may survive it.  The child's
+    ran with workers; none of them may survive it.  The child's
     resource tracker unlinks them asynchronously after the SIGKILL, so
     poll briefly, then fall back to the stale sweep before failing."""
     if not os.path.isdir(SHM_DIR):  # pragma: no cover - POSIX CI
@@ -186,7 +184,7 @@ def _assert_no_stale_exchange_segments():
     raise AssertionError(f"stale exchange segments survived the kill: {stale}")
 
 
-def _resume_and_check(ckpt, seed, lenient, columnar, out_of_core=False):
+def _resume_and_check(ckpt, seed, lenient, out_of_core=False):
     result = run_durable_pipeline(
         _dataset(seed, lenient),
         _eco(),
@@ -194,7 +192,6 @@ def _resume_and_check(ckpt, seed, lenient, columnar, out_of_core=False):
         resume=True,
         n_workers=1,
         lenient=lenient,
-        columnar=columnar,
         out_of_core=out_of_core,
     )
     baseline = _baseline(seed, lenient)
@@ -242,10 +239,8 @@ KILL_SPECS = [
 @pytest.mark.parametrize("point,day,shard", KILL_SPECS)
 def test_kill_matrix_resume_is_byte_identical(tmp_path, point, day, shard, seed):
     ckpt = tmp_path / "ckpt"
-    _run_child_until_killed(
-        ckpt, point, day, shard, seed, workers=2, lenient=False, columnar=False
-    )
-    _resume_and_check(ckpt, seed, lenient=False, columnar=False)
+    _run_child_until_killed(ckpt, point, day, shard, seed, workers=2, lenient=False)
+    _resume_and_check(ckpt, seed, lenient=False)
     by_attempt = _journal_attempt_sets(ckpt)
     # Units completed before the kill are never re-executed on resume.
     assert not by_attempt.get(0, set()) & by_attempt.get(1, set())
@@ -253,14 +248,12 @@ def test_kill_matrix_resume_is_byte_identical(tmp_path, point, day, shard, seed)
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 @pytest.mark.parametrize("lenient", [False, True])
-@pytest.mark.parametrize("columnar", [False, True])
-def test_kill_sweep_modes_and_workers(tmp_path, workers, lenient, columnar):
+def test_kill_sweep_modes_and_workers(tmp_path, workers, lenient):
     ckpt = tmp_path / "ckpt"
     _run_child_until_killed(
-        ckpt, KILL_AT_UNIT, 2, 0, seed=3,
-        workers=workers, lenient=lenient, columnar=columnar,
+        ckpt, KILL_AT_UNIT, 2, 0, seed=3, workers=workers, lenient=lenient
     )
-    _resume_and_check(ckpt, seed=3, lenient=lenient, columnar=columnar)
+    _resume_and_check(ckpt, seed=3, lenient=lenient)
 
 
 @pytest.mark.parametrize("point,day,shard", KILL_SPECS)
@@ -279,9 +272,9 @@ def test_kill_matrix_out_of_core(tmp_path, point, day, shard):
     ckpt = tmp_path / "ckpt"
     _run_child_until_killed(
         ckpt, point, day, shard, seed=3,
-        workers=2, lenient=False, columnar=False, out_of_core=True,
+        workers=2, lenient=False, out_of_core=True,
     )
-    _resume_and_check(ckpt, seed=3, lenient=False, columnar=False, out_of_core=True)
+    _resume_and_check(ckpt, seed=3, lenient=False, out_of_core=True)
     assert open_reader_count() == 0
     stale = list(Path(ckpt).rglob("*.tmp"))
     assert stale == [], f"stale spill staging files survived resume: {stale}"
@@ -295,6 +288,6 @@ def test_kill_out_of_core_lenient_resumes_in_memory(tmp_path):
     ckpt = tmp_path / "ckpt"
     _run_child_until_killed(
         ckpt, KILL_AT_UNIT, 2, 0, seed=3,
-        workers=2, lenient=True, columnar=False, out_of_core=True,
+        workers=2, lenient=True, out_of_core=True,
     )
-    _resume_and_check(ckpt, seed=3, lenient=True, columnar=False, out_of_core=False)
+    _resume_and_check(ckpt, seed=3, lenient=True, out_of_core=False)

@@ -28,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.columnar import from_record_streams
 from repro.core.catalog import CatalogBuilder
 from repro.core.roaming import RoamingLabeler
 from repro.ecosystem import EcosystemConfig, build_default_ecosystem
@@ -128,7 +129,9 @@ def _reference_digest(seed):
             eco.tac_db, eco.uk_sectors, RoamingLabeler(eco.operators, eco.uk_mno)
         )
         _CACHE[key] = catalog_digest(
-            *builder.build(dataset.radio_events, dataset.service_records)
+            *builder.build_from_columns(
+                *from_record_streams(dataset.radio_events, dataset.service_records)
+            )
         )
     return _CACHE[key]
 

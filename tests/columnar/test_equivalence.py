@@ -1,81 +1,14 @@
-"""Columnar pipeline output must be byte-identical to the row path."""
+"""Column-store contracts of the catalog kernel and the shard layer.
 
-import dataclasses
+Output equality across execution modes is pinned by the golden digests
+in ``tests/test_golden_catalog.py``.
+"""
 
 import pytest
 
 from repro.columnar import from_record_streams
 from repro.core.catalog import CatalogBuilder
 from repro.core.roaming import RoamingLabeler
-from repro.faults import FaultPlan, inject_radio_events, inject_service_records
-from repro.pipeline import run_pipeline
-
-from tests.parallel.test_executor_equivalence import (
-    assert_identical_results,
-    poison_record,
-)
-
-
-@pytest.fixture(scope="module")
-def faulted_dataset(mno_dataset):
-    """Stream faults plus poison devices, as in the sharded-equivalence suite."""
-    plan = FaultPlan(seed=3, drop_rate=0.02, duplicate_rate=0.01, reorder_rate=0.02)
-    events, _ = inject_radio_events(mno_dataset.radio_events, plan)
-    records, _ = inject_service_records(mno_dataset.service_records, plan)
-    extra = [poison_record(f"poison-{i:02d}", 1000.0 + i) for i in range(14)]
-    return dataclasses.replace(
-        mno_dataset, radio_events=events, service_records=list(records) + extra
-    )
-
-
-@pytest.fixture(scope="module")
-def lenient_row_result(eco, faulted_dataset):
-    return run_pipeline(faulted_dataset, eco, lenient=True, n_workers=1)
-
-
-@pytest.mark.parametrize("n_workers", [1, 2, 4])
-def test_strict_columnar_equals_row(eco, mno_dataset, pipeline, n_workers):
-    columnar = run_pipeline(
-        mno_dataset, eco, columnar=True, n_workers=n_workers
-    )
-    assert_identical_results(pipeline, columnar)
-    assert columnar.degradation is None
-
-
-@pytest.mark.parametrize("n_workers", [1, 2, 4])
-def test_lenient_columnar_equals_row(
-    eco, faulted_dataset, lenient_row_result, n_workers
-):
-    columnar = run_pipeline(
-        faulted_dataset, eco, lenient=True, columnar=True, n_workers=n_workers
-    )
-    assert_identical_results(lenient_row_result, columnar)
-    cd, rd = columnar.degradation, lenient_row_result.degradation
-    assert cd.n_devices_total == rd.n_devices_total
-    assert cd.n_devices_ok == rd.n_devices_ok
-    assert cd.n_failed_by_stage == rd.n_failed_by_stage
-    assert cd.exemplars == rd.exemplars
-    assert cd.classifier_fallback == rd.classifier_fallback
-
-
-def test_build_from_columns_equals_build(eco, mno_dataset):
-    def builder():
-        return CatalogBuilder(
-            mno_dataset.tac_db,
-            mno_dataset.sector_catalog,
-            RoamingLabeler(eco.operators, mno_dataset.observer),
-        )
-
-    row_records, row_summaries = builder().build(
-        mno_dataset.radio_events, mno_dataset.service_records
-    )
-    events_c, records_c = from_record_streams(
-        mno_dataset.radio_events, mno_dataset.service_records
-    )
-    col_records, col_summaries = builder().build_from_columns(events_c, records_c)
-    assert col_records == row_records
-    assert list(col_summaries) == list(row_summaries)
-    assert col_summaries == row_summaries
 
 
 def test_build_from_columns_rejects_mismatched_pools(eco, mno_dataset):
@@ -90,15 +23,6 @@ def test_build_from_columns_rejects_mismatched_pools(eco, mno_dataset):
     )
     with pytest.raises(ValueError):
         builder.build_from_columns(events, records)
-
-
-def test_env_flag_selects_columnar_plane(eco, mno_dataset, pipeline, monkeypatch):
-    monkeypatch.setenv("REPRO_COLUMNAR", "1")
-    flagged = run_pipeline(mno_dataset, eco, n_workers=1)
-    assert_identical_results(pipeline, flagged)
-    monkeypatch.setenv("REPRO_COLUMNAR", "off")
-    row = run_pipeline(mno_dataset, eco, n_workers=1)
-    assert_identical_results(pipeline, row)
 
 
 def test_shard_columnar_records_partitions_by_device(mno_dataset):

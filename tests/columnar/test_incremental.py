@@ -4,7 +4,7 @@ from collections import defaultdict
 
 import pytest
 
-from repro.columnar import from_record_streams
+from repro.columnar import ColumnPools, from_record_streams
 from repro.core.catalog import CatalogBuilder, CatalogUpdate
 from repro.core.roaming import RoamingLabeler
 from repro.ecosystem import EcosystemConfig, build_default_ecosystem
@@ -42,10 +42,20 @@ def make_builder(small_eco, small_dataset, compute_mobility=True):
     )
 
 
+def build(builder, events, records):
+    return builder.build_from_columns(*from_record_streams(events, records))
+
+
+def update(builder, day, events, records):
+    return builder.update(day, *from_record_streams(events, records))
+
+
 @pytest.fixture(scope="module")
 def full_build(small_eco, small_dataset):
-    return make_builder(small_eco, small_dataset).build(
-        small_dataset.radio_events, small_dataset.service_records
+    return build(
+        make_builder(small_eco, small_dataset),
+        small_dataset.radio_events,
+        small_dataset.service_records,
     )
 
 
@@ -55,10 +65,10 @@ def test_ascending_replay_converges_to_full_build(
     days, events, records = by_day
     builder = make_builder(small_eco, small_dataset)
     for day in days:
-        update = builder.update(day, events[day], records[day])
-        assert isinstance(update, CatalogUpdate)
-        assert update.day == day
-        assert update.n_changed == len(update.changed_devices)
+        result = update(builder, day, events[day], records[day])
+        assert isinstance(result, CatalogUpdate)
+        assert result.day == day
+        assert result.n_changed == len(result.changed_devices)
     day_records, summaries = builder.snapshot()
     assert day_records == full_build[0]
     assert list(summaries) == list(full_build[1])
@@ -71,11 +81,11 @@ def test_resending_identical_day_changes_nothing(
     days, events, records = by_day
     builder = make_builder(small_eco, small_dataset)
     for day in days:
-        builder.update(day, events[day], records[day])
+        update(builder, day, events[day], records[day])
     last = days[-1]
-    update = builder.update(last, events[last], records[last])
-    assert update.n_changed == 0
-    assert update.changed_devices == ()
+    result = update(builder, last, events[last], records[last])
+    assert result.n_changed == 0
+    assert result.changed_devices == ()
     assert builder.snapshot()[0] == full_build[0]
 
 
@@ -85,23 +95,21 @@ def test_modified_day_recomputes_only_changed_devices(
     days, events, records = by_day
     builder = make_builder(small_eco, small_dataset)
     for day in days:
-        builder.update(day, events[day], records[day])
+        update(builder, day, events[day], records[day])
     last = days[-1]
     mutated = [e for i, e in enumerate(events[last]) if i % 7]
     touched = {e.device_id for e in events[last]} | {
         e.device_id for e in mutated
     }
-    update = builder.update(last, mutated, records[last])
-    assert 0 < update.n_changed <= len(touched)
-    assert set(update.changed_devices) <= touched
+    result = update(builder, last, mutated, records[last])
+    assert 0 < result.n_changed <= len(touched)
+    assert set(result.changed_devices) <= touched
 
     # The incremental state now matches a from-scratch build of the
     # mutated streams, records and summaries alike.
     full_events = [e for d in days for e in (mutated if d == last else events[d])]
     full_records = [r for d in days for r in records[d]]
-    expected = make_builder(small_eco, small_dataset).build(
-        full_events, full_records
-    )
+    expected = build(make_builder(small_eco, small_dataset), full_events, full_records)
     day_records, summaries = builder.snapshot()
     assert day_records == expected[0]
     assert summaries == expected[1]
@@ -110,10 +118,12 @@ def test_modified_day_recomputes_only_changed_devices(
 def test_update_accepts_columnar_day_slices(
     small_eco, small_dataset, by_day, full_build
 ):
+    """Day slices interned onto one pool set shared across updates."""
     days, events, records = by_day
     builder = make_builder(small_eco, small_dataset)
+    pools = ColumnPools()
     for day in days:
-        events_c, records_c = from_record_streams(events[day], records[day])
+        events_c, records_c = from_record_streams(events[day], records[day], pools)
         builder.update(day, events_c, records_c)
     day_records, summaries = builder.snapshot()
     assert day_records == full_build[0]
@@ -124,18 +134,7 @@ def test_update_rejects_rows_from_another_day(small_eco, small_dataset, by_day):
     days, events, records = by_day
     builder = make_builder(small_eco, small_dataset)
     with pytest.raises(ValueError):
-        builder.update(days[0] + 1, events[days[0]], records[days[0]])
-
-
-def test_update_rejects_mixed_row_and_columnar_input(
-    small_eco, small_dataset, by_day
-):
-    days, events, records = by_day
-    day = days[0]
-    events_c, _ = from_record_streams(events[day], records[day])
-    builder = make_builder(small_eco, small_dataset)
-    with pytest.raises(TypeError):
-        builder.update(day, events_c, records[day])
+        update(builder, days[0] + 1, events[days[0]], records[days[0]])
 
 
 def test_update_rejects_columnar_slices_with_split_pools(
@@ -155,11 +154,12 @@ def test_empty_day_update_removes_devices(small_eco, small_dataset, by_day):
     days, events, records = by_day
     builder = make_builder(small_eco, small_dataset)
     for day in days:
-        builder.update(day, events[day], records[day])
+        update(builder, day, events[day], records[day])
     last = days[-1]
-    update = builder.update(last, [], [])
-    assert update.n_changed > 0
-    expected = make_builder(small_eco, small_dataset).build(
+    result = update(builder, last, [], [])
+    assert result.n_changed > 0
+    expected = build(
+        make_builder(small_eco, small_dataset),
         [e for d in days[:-1] for e in events[d]],
         [r for d in days[:-1] for r in records[d]],
     )

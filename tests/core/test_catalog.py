@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cellular.rats import RAT
+from repro.columnar import from_record_streams
 from repro.core.catalog import CatalogBuilder
 from repro.core.roaming import RoamingLabeler
 from repro.ecosystem import EcosystemConfig, build_default_ecosystem
@@ -39,13 +40,21 @@ def _event(eco, device_id="d1", day=0, hour=1.0, interface=RadioInterface.GB,
     )
 
 
+def _day_records(builder, events, services):
+    return builder.build_day_records(*from_record_streams(events, services))
+
+
+def _summaries(builder, events, services):
+    return builder.build_from_columns(*from_record_streams(events, services))[1]
+
+
 class TestDayRecords:
     def test_counts_split_by_day(self, world):
         eco, builder = world
         events = [
             _event(eco, day=0), _event(eco, day=0, hour=2.0), _event(eco, day=1)
         ]
-        records = builder.build_day_records(events, [])
+        records = _day_records(builder, events, [])
         assert [r.day for r in records] == [0, 1]
         assert records[0].n_events == 2
         assert records[1].n_events == 1
@@ -56,7 +65,7 @@ class TestDayRecords:
             _event(eco, interface=RadioInterface.GB),
             _event(eco, interface=RadioInterface.S1, result=ResultCode.SYSTEM_FAILURE),
         ]
-        records = builder.build_day_records(events, [])
+        records = _day_records(builder, events, [])
         flags = records[0].radio_flags
         assert flags.has(RAT.GSM)
         assert not flags.has(RAT.LTE)
@@ -68,7 +77,7 @@ class TestDayRecords:
             _event(eco, interface=RadioInterface.A),      # 2G voice
             _event(eco, interface=RadioInterface.IU_PS),  # 3G data
         ]
-        records = builder.build_day_records(events, [])
+        records = _day_records(builder, events, [])
         record = records[0]
         assert record.voice_flags.rats == {RAT.GSM}
         assert record.data_flags.rats == {RAT.UMTS}
@@ -82,7 +91,7 @@ class TestDayRecords:
             data_xdr("d1", 200.0, plmn, plmn, 5000, "internet.op.com"),
             data_xdr("d1", 300.0, plmn, plmn, 3000, "web.op.net"),
         ]
-        records = builder.build_day_records([], services)
+        records = _day_records(builder, [], services)
         record = records[0]
         assert record.n_calls == 1
         assert record.voice_minutes == pytest.approx(1.0)
@@ -94,12 +103,13 @@ class TestDayRecords:
 class TestSummaries:
     def test_label_home_native(self, world):
         eco, builder = world
-        _, summaries = builder.build([_event(eco)], [])
+        summaries = _summaries(builder, [_event(eco)], [])
         assert str(summaries["d1"].label) == "H:H"
 
     def test_label_inbound_roamer(self, world):
         eco, builder = world
-        _, summaries = builder.build(
+        summaries = _summaries(
+            builder,
             [_event(eco, sim_plmn=str(eco.nl_iot_operator.plmn))], []
         )
         assert str(summaries["d1"].label) == "I:H"
@@ -109,26 +119,26 @@ class TestSummaries:
         home = str(eco.uk_mno.plmn)
         abroad = "21410"
         services = [voice_cdr("out1", 100.0, home, abroad, 30.0)]
-        _, summaries = builder.build([], services)
+        summaries = _summaries(builder, [], services)
         assert str(summaries["out1"].label) == "H:A"
         assert summaries["out1"].model is None  # no radio events -> no TAC
 
     def test_tac_join(self, world):
         eco, builder = world
         model = next(iter(eco.tac_db))
-        _, summaries = builder.build([_event(eco, tac=model.tac)], [])
+        summaries = _summaries(builder, [_event(eco, tac=model.tac)], [])
         assert summaries["d1"].model is model
         assert summaries["d1"].manufacturer == model.manufacturer
 
     def test_unknown_tac_gives_no_model(self, world):
         eco, builder = world
-        _, summaries = builder.build([_event(eco, tac=99999999)], [])
+        summaries = _summaries(builder, [_event(eco, tac=99999999)], [])
         assert summaries["d1"].model is None
 
     def test_active_days_counted(self, world):
         eco, builder = world
         events = [_event(eco, day=d) for d in (0, 3, 7)]
-        _, summaries = builder.build(events, [])
+        summaries = _summaries(builder, events, [])
         assert summaries["d1"].active_days == 3
 
     def test_mobility_computed_for_radio_devices(self, world):
@@ -138,7 +148,7 @@ class TestSummaries:
             _event(eco, hour=1.0, sector=sectors[0]),
             _event(eco, hour=2.0, sector=sectors[1]),
         ]
-        _, summaries = builder.build(events, [])
+        summaries = _summaries(builder, events, [])
         assert summaries["d1"].mean_gyration_km is not None
 
     def test_mobility_skipped_when_disabled(self, world):
@@ -147,7 +157,7 @@ class TestSummaries:
         builder = CatalogBuilder(
             eco.tac_db, eco.uk_sectors, labeler, compute_mobility=False
         )
-        _, summaries = builder.build([_event(eco)], [])
+        summaries = _summaries(builder, [_event(eco)], [])
         assert summaries["d1"].mean_gyration_km is None
 
     def test_summary_unions_flags_across_days(self, world):
@@ -156,11 +166,11 @@ class TestSummaries:
             _event(eco, day=0, interface=RadioInterface.GB),
             _event(eco, day=1, interface=RadioInterface.S1),
         ]
-        _, summaries = builder.build(events, [])
+        summaries = _summaries(builder, events, [])
         assert summaries["d1"].radio_flags.rats == {RAT.GSM, RAT.LTE}
 
     def test_signaling_per_day(self, world):
         eco, builder = world
         events = [_event(eco, day=0), _event(eco, day=0, hour=3.0), _event(eco, day=1)]
-        _, summaries = builder.build(events, [])
+        summaries = _summaries(builder, events, [])
         assert summaries["d1"].signaling_per_day() == pytest.approx(1.5)

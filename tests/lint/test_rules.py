@@ -24,7 +24,6 @@ BAD_FIXTURES = {
     "perf/bad_process_pool.py": {"PERF001": 4},
     "durability/bad_torn_writes.py": {"DUR001": 4},
     "durability/bad_wrapper_write.py": {"DUR001": 3},
-    "core/bad_row_loop.py": {"PERF002": 4},
     "noqa/unused.py": {"NOQA001": 2},
     "broken/bad_syntax.py": {"SYNTAX001": 1},
     "det/bad_set_iteration.py": {"DET001": 4},
@@ -33,8 +32,6 @@ BAD_FIXTURES = {
     "seam/bad_seam_capture.py": {"SEAM001": 3},
     "seam/bad_worker_global.py": {"SEAM002": 2},
     "service/bad_async_hygiene.py": {"SVC001": 7, "FS001": 1},
-    "transport/bad_row_payload.py": {"PERF003": 3},
-    "runtime/bad_row_replay.py": {"PERF004": 3},
     "runtime/bad_unrouted_writes.py": {"FS001": 5},
 }
 
@@ -48,7 +45,6 @@ GOOD_FIXTURES = [
     "parallel/good_pool_seam.py",
     "durability/good_atomic_writes.py",
     "durability/good_atomic_wrapper.py",
-    "core/good_columnar_scan.py",
     "noqa/suppressed.py",
     "det/good_sorted_iteration.py",
     "det/good_stable_order.py",
@@ -58,8 +54,6 @@ GOOD_FIXTURES = [
     "seam/good_worker_global.py",
     "seam/noqa_worker_global.py",
     "service/good_async_hygiene.py",
-    "transport/good_columnar_payload.py",
-    "runtime/good_columnar_replay.py",
     "runtime/good_storage_writes.py",
 ]
 

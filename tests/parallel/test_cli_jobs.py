@@ -1,4 +1,4 @@
-"""The CLI's --jobs/--columnar flags route through the sharded pipeline."""
+"""The CLI's --jobs flag routes through the sharded pipeline."""
 
 import argparse
 
@@ -21,7 +21,6 @@ def test_classify_with_jobs_matches_serial(capsys):
 def test_jobs_flag_default_is_auto():
     args = build_parser().parse_args(["classify"])
     assert args.jobs == "auto"
-    assert args.columnar is None  # defer to the REPRO_COLUMNAR env flag
 
 
 def test_jobs_arg_parsing():
@@ -29,21 +28,6 @@ def test_jobs_arg_parsing():
     assert _jobs_arg("auto") == "auto"
     with pytest.raises(argparse.ArgumentTypeError):
         _jobs_arg("fast")
-
-
-def test_columnar_flags_parse():
-    parser = build_parser()
-    assert parser.parse_args(["--columnar", "classify"]).columnar is True
-    assert parser.parse_args(["--no-columnar", "classify"]).columnar is False
-
-
-def test_classify_columnar_output_matches_row(capsys):
-    args = ["classify", "--devices", "60", "--seed", "7"]
-    assert main(["--columnar"] + args) == 0
-    columnar_out = capsys.readouterr().out
-    assert main(["--no-columnar"] + args) == 0
-    row_out = capsys.readouterr().out
-    assert columnar_out == row_out
 
 
 # -- resolve_workers ---------------------------------------------------------

@@ -234,7 +234,7 @@ def test_pipeline_equality_with_forced_rpck(eco, mno_dataset, pipeline, monkeypa
     """REPRO_TRANSPORT=rpck must produce the same bytes as serial — the
     fallback transport honours the same contract as shm."""
     monkeypatch.setenv(TRANSPORT_ENV_FLAG, TRANSPORT_RPCK)
-    sharded = run_pipeline(mno_dataset, eco, n_workers=2, columnar=True)
+    sharded = run_pipeline(mno_dataset, eco, n_workers=2)
     assert sharded.day_records == pipeline.day_records
     assert list(sharded.summaries) == list(pipeline.summaries)
     assert sharded.summaries == pipeline.summaries

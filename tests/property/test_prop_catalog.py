@@ -14,6 +14,7 @@ from collections import defaultdict
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.columnar import from_record_streams
 from repro.core.catalog import CatalogBuilder
 from repro.core.roaming import RoamingLabeler
 from repro.ecosystem import EcosystemConfig, build_default_ecosystem
@@ -67,10 +68,11 @@ def service_records(draw):
     )
 
 
-def _builder():
+def _build(events, services):
     labeler = RoamingLabeler(_ECO.operators, _ECO.uk_mno)
-    return CatalogBuilder(_ECO.tac_db, _ECO.uk_sectors, labeler,
-                          compute_mobility=False)
+    builder = CatalogBuilder(_ECO.tac_db, _ECO.uk_sectors, labeler,
+                             compute_mobility=False)
+    return builder.build_from_columns(*from_record_streams(events, services))
 
 
 class TestCatalogConservation:
@@ -80,7 +82,7 @@ class TestCatalogConservation:
     )
     @settings(max_examples=60, deadline=None)
     def test_event_and_byte_conservation(self, events, services):
-        day_records, summaries = _builder().build(events, services)
+        day_records, summaries = _build(events, services)
 
         # Per-device event counts conserve.
         expected_events = defaultdict(int)
@@ -113,7 +115,7 @@ class TestCatalogConservation:
     @given(events=st.lists(radio_events(), min_size=1, max_size=40))
     @settings(max_examples=60, deadline=None)
     def test_radio_flags_are_successful_rat_union(self, events):
-        _, summaries = _builder().build(events, [])
+        _, summaries = _build(events, [])
         expected = defaultdict(set)
         for event in events:
             if event.is_success:
@@ -127,14 +129,14 @@ class TestCatalogConservation:
     )
     @settings(max_examples=60, deadline=None)
     def test_every_device_summarized_once(self, events, services):
-        _, summaries = _builder().build(events, services)
+        _, summaries = _build(events, services)
         ids = {e.device_id for e in events} | {r.device_id for r in services}
         assert set(summaries) == ids
 
     @given(events=st.lists(radio_events(), min_size=1, max_size=30))
     @settings(max_examples=60, deadline=None)
     def test_active_days_bounded_by_distinct_days(self, events):
-        _, summaries = _builder().build(events, [])
+        _, summaries = _build(events, [])
         days = defaultdict(set)
         for event in events:
             days[event.device_id].add(event.day)

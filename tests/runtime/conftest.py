@@ -1,7 +1,7 @@
 """Runtime-suite fixtures: one small world, datasets sized for sweeps.
 
 The durable-execution tests run the pipeline many times (equality
-sweeps across worker counts × data planes × strict/lenient), so the
+sweeps across worker counts × in-memory/out-of-core × strict/lenient), so the
 dataset here is deliberately smaller than the session-wide one.
 """
 

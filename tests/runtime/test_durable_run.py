@@ -30,16 +30,16 @@ def plain_lenient(small_eco, poisoned_dataset):
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
-@pytest.mark.parametrize("columnar", [False, True])
+@pytest.mark.parametrize("out_of_core", [False, True])
 def test_durable_equals_plain_strict(
-    tmp_path, small_eco, small_dataset, plain_result, n_workers, columnar
+    tmp_path, small_eco, small_dataset, plain_result, n_workers, out_of_core
 ):
     result = run_durable_pipeline(
         small_dataset,
         small_eco,
         checkpoint_dir=tmp_path / "ckpt",
         n_workers=n_workers,
-        columnar=columnar,
+        out_of_core=out_of_core,
     )
     assert_same_result(result, plain_result)
     assert result.health is not None and result.health.ok
@@ -63,9 +63,9 @@ def test_checkpoint_layout_on_disk(tmp_path, small_eco, small_dataset):
     assert len(units) == n_days * 2  # n_shards follows n_workers
 
 
-@pytest.mark.parametrize("columnar", [False, True])
+@pytest.mark.parametrize("out_of_core", [False, True])
 def test_lenient_durable_equals_serial(
-    tmp_path, small_eco, poisoned_dataset, plain_lenient, columnar
+    tmp_path, small_eco, poisoned_dataset, plain_lenient, out_of_core
 ):
     result = run_durable_pipeline(
         poisoned_dataset,
@@ -73,7 +73,7 @@ def test_lenient_durable_equals_serial(
         checkpoint_dir=tmp_path / "ckpt",
         lenient=True,
         n_workers=2,
-        columnar=columnar,
+        out_of_core=out_of_core,
     )
     assert_same_result(result, plain_lenient)
     assert "poison-runtime" not in result.summaries

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.columnar import from_record_streams
 from repro.core.catalog import CatalogBuilder
 from repro.core.roaming import RoamingLabeler
 from repro.service import CatalogDaemon, ServiceConfig, catalog_digest
@@ -24,8 +25,8 @@ FAST_CONFIG = dict(snapshot_interval_s=0.1)
 def reference_digest(eco, dataset):
     labeler = RoamingLabeler(eco.operators, eco.uk_mno)
     builder = CatalogBuilder(eco.tac_db, eco.uk_sectors, labeler)
-    records, summaries = builder.build(
-        dataset.radio_events, dataset.service_records
+    records, summaries = builder.build_from_columns(
+        *from_record_streams(dataset.radio_events, dataset.service_records)
     )
     return catalog_digest(records, summaries)
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.columnar import from_record_streams
 from repro.core.catalog import CatalogBuilder
 from repro.core.roaming import RoamingLabeler
 from repro.datasets.io import read_radio_events, read_transactions, write_jsonl
@@ -61,6 +62,10 @@ class TestCorruptFiles:
             read_transactions(path)
 
 
+def _summaries(builder, events):
+    return builder.build_from_columns(*from_record_streams(events, []))[1]
+
+
 class TestPartialVisibility:
     def _event(self, eco, sector_id, device="d"):
         return RadioEvent(
@@ -73,7 +78,7 @@ class TestPartialVisibility:
         eco, builder = world
         good = next(s.sector_id for s in eco.uk_sectors)
         events = [self._event(eco, good), self._event(eco, 10**7)]
-        _, summaries = builder.build(events, [])
+        summaries = _summaries(builder, events)
         summary = summaries["d"]
         assert summary.n_events == 2           # counting survives
         assert summary.mean_gyration_km is not None  # mobility from the known one
@@ -81,7 +86,7 @@ class TestPartialVisibility:
     def test_all_unknown_sectors_drop_mobility_only(self, world):
         eco, builder = world
         events = [self._event(eco, 10**7)]
-        _, summaries = builder.build(events, [])
+        summaries = _summaries(builder, events)
         assert summaries["d"].n_events == 1
         assert summaries["d"].mean_gyration_km is None
 
@@ -96,7 +101,7 @@ class TestPartialVisibility:
             sector_id=good, interface=RadioInterface.GB,
             event_type=MessageType.ATTACH, result=ResultCode.OK,
         )
-        _, summaries = builder.build([first, second], [])
+        summaries = _summaries(builder, [first, second])
         assert summaries["d"].sim_plmn == str(eco.uk_mno.plmn)
 
 

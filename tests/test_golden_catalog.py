@@ -113,12 +113,11 @@ def datasets(golden_eco):
     }
 
 
-@pytest.mark.parametrize("columnar", [False, True], ids=["row", "columnar"])
 @pytest.mark.parametrize("mode", sorted(MODES))
 @pytest.mark.parametrize("profile", PROFILES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_mode_matches_golden_digests(
-    tmp_path, monkeypatch, golden, golden_eco, datasets, seed, profile, mode, columnar
+    tmp_path, monkeypatch, golden, golden_eco, datasets, seed, profile, mode
 ):
     kwargs, transport = MODES[mode]
     kwargs = dict(kwargs)
@@ -130,7 +129,6 @@ def test_mode_matches_golden_digests(
         datasets[(seed, profile)],
         golden_eco,
         lenient=profile == "lenient",
-        columnar=columnar,
         **kwargs,
     )
     assert observe(result) == golden[f"{profile}-{seed}"]

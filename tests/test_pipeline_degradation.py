@@ -83,3 +83,53 @@ def test_degradation_accounting_sums(eco, mno_dataset):
     report = result.degradation
     assert report.n_devices_ok + report.n_devices_failed == report.n_devices_total
     assert report.n_devices_ok == len(result.classifications)
+
+
+# -- the "catalog" quarantine stage -------------------------------------------
+
+#: mode -> run_pipeline keyword arguments (durable: a checkpoint directory).
+CATALOG_STAGE_MODES = {
+    "serial": {"n_workers": 1},
+    "sharded": {"n_workers": 2},
+    "durable": {"n_workers": 2, "checkpoint_dir": True},
+}
+
+
+@pytest.mark.parametrize("mode", sorted(CATALOG_STAGE_MODES))
+def test_catalog_stage_failure_quarantines_one_device(
+    tmp_path, monkeypatch, eco, mno_dataset, mode
+):
+    """``build_day_records`` raising for one device quarantines exactly
+    that device at the "catalog" stage, with the same exemplar in every
+    lenient mode."""
+    import multiprocessing
+
+    from repro.core.catalog import CatalogBuilder
+
+    kwargs = dict(CATALOG_STAGE_MODES[mode])
+    if kwargs["n_workers"] > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers see the patched builder only when forked")
+    if kwargs.pop("checkpoint_dir", False):
+        kwargs["checkpoint_dir"] = tmp_path / "ckpt"
+    victim = sorted({event.device_id for event in mno_dataset.radio_events})[3]
+    original = CatalogBuilder.build_day_records
+
+    def failing_for_victim(self, radio_events, service_records):
+        names = {
+            radio_events.pools.devices.lookup(dev)
+            for dev in (*radio_events.device_ids, *service_records.device_ids)
+        }
+        if victim in names:
+            raise RuntimeError(f"catalog stage down for {victim}")
+        return original(self, radio_events, service_records)
+
+    monkeypatch.setattr(CatalogBuilder, "build_day_records", failing_for_victim)
+    result = run_pipeline(mno_dataset, eco, lenient=True, **kwargs)
+    report = result.degradation
+    assert dict(report.n_failed_by_stage) == {"catalog": 1}
+    assert [(f.device_id, f.stage, f.error) for f in report.exemplars] == [
+        (victim, "catalog", f"RuntimeError: catalog stage down for {victim}")
+    ]
+    assert victim not in result.summaries
+    assert victim not in result.classifications
+    assert all(r.device_id != victim for r in result.day_records)
