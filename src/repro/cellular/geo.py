@@ -32,6 +32,19 @@ class GeoPoint:
             raise ValueError(f"longitude out of range: {self.lon}")
 
 
+def sequential_sum(values: Iterable[float]) -> float:
+    """Left-to-right float sum.
+
+    CPython 3.12 made ``sum()`` of floats compensated, so its last bits
+    depend on the interpreter; this loop rounds after every addition on
+    every version (bit-identical to ``sum()`` before 3.12).
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance between two points, in kilometres."""
     lat1, lon1 = math.radians(a.lat), math.radians(a.lon)
@@ -68,7 +81,7 @@ def weighted_centroid(
         raise ValueError("centroid of empty point set")
     if len(points) != len(weights):
         raise ValueError("points and weights must have equal length")
-    total = float(sum(weights))
+    total = sequential_sum(weights)
     if total <= 0:
         raise ValueError("weights must sum to a positive value")
 
@@ -103,7 +116,7 @@ def radius_of_gyration_km(
     if not points:
         raise ValueError("gyration of empty point set")
     centroid = weighted_centroid(points, weights)
-    total = float(sum(weights))
+    total = sequential_sum(weights)
     acc = 0.0
     for point, weight in zip(points, weights):
         distance = haversine_km(point, centroid)

@@ -26,7 +26,6 @@ from repro.core.apn import (
 )
 from repro.core.catalog import (
     CatalogBuilder,
-    CatalogUpdate,
     DeviceDayRecord,
     DeviceSummary,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "APN",
     "APNKind",
     "CatalogBuilder",
-    "CatalogUpdate",
     "ClassLabel",
     "ClassifierConfig",
     "DeviceClassifier",

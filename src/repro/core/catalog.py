@@ -17,9 +17,11 @@ aggregates (the unit most of the paper's figures are computed over).
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.cellular.rats import RadioFlags
@@ -30,7 +32,7 @@ from repro.core.mobility import MobilityMetrics, daily_mobility_from_pairs
 from repro.core.roaming import RoamingLabel, RoamingLabeler
 from repro.signaling.cdr import SERVICE_TYPES, ServiceType
 from repro.signaling.events import RADIO_INTERFACES
-from repro.signaling.procedures import RESULT_CODES
+from repro.signaling.procedures import MESSAGE_TYPES, RESULT_CODES
 
 #: Scan tables, indexed by the canonical enum orders the stores
 #: encode against: per-result success bit, per-interface voice bit and
@@ -124,61 +126,32 @@ class DeviceSummary:
         return self.n_events / self.active_days if self.active_days else 0.0
 
 
-@dataclass(frozen=True)
-class _DayCell:
-    """Immutable, pool-independent (device, day) state for the
-    incremental engine.
+#: Wire value per enum index, so identity keys compare the strings the
+#: row schema carries and break ties the same way under any pool.
+_INTERFACE_VALUES: Tuple[str, ...] = tuple(member.value for member in RADIO_INTERFACES)
+_MESSAGE_VALUES: Tuple[str, ...] = tuple(member.value for member in MESSAGE_TYPES)
+_RESULT_VALUES: Tuple[str, ...] = tuple(member.value for member in RESULT_CODES)
+_SERVICE_VALUES: Tuple[str, ...] = tuple(member.value for member in SERVICE_TYPES)
 
-    A cell captures everything :class:`DeviceDayRecord` needs *except*
-    the resolved SIM identity (which depends on other days), plus the
-    per-day identity candidates used to re-resolve it.  Cells compare by
-    value, which is what lets :meth:`CatalogBuilder.update` skip devices
-    whose day slice re-accumulated to the same state.
-    """
-
-    n_events: int
-    n_failed_events: int
-    radio_mask: int
-    voice_mask: int
-    data_mask: int
-    n_calls: int
-    voice_minutes: float
-    n_data_sessions: int
-    bytes_total: int
-    apns: FrozenSet[str]
-    visited_plmns: FrozenSet[str]
-    on_home_network: bool
-    mobility: Optional[MobilityMetrics]
-    #: SIM/TAC of this day's first radio event (None: no radio this day).
-    sim_radio: Optional[str]
-    tac: Optional[int]
-    #: SIM of this day's first service record (identity fallback for
-    #: devices that never touch the home radio network).
-    sim_service: Optional[str]
+#: ``(timestamp, sector_id, interface, event_type, result, tac, sim_plmn)``
+#: of a radio event: a device's SIM and TAC come from its minimum.
+RadioKey = Tuple[float, int, str, str, str, int, str]
+#: ``(timestamp, service, duration_s, bytes_total, visited_plmn, apn or
+#: "", sim_plmn)`` of a service record: the SIM of a device without radio
+#: events comes from its minimum.
+ServiceKey = Tuple[float, str, float, int, str, str, str]
 
 
-@dataclass(frozen=True)
-class CatalogUpdate:
-    """What one :meth:`CatalogBuilder.update` call actually changed."""
+class _Cell:
+    """Order-free state of one (device, day).
 
-    day: int
-    changed_devices: Tuple[str, ...]
-    n_devices: int
-
-    @property
-    def n_changed(self) -> int:
-        return len(self.changed_devices)
-
-
-class _ColAcc:
-    """Mutable per-(device, day) state for the catalog kernel.
-
-    It never buffers event objects: radio flags fold into plain int
-    masks during the scan (one :class:`RadioFlags` is constructed per
-    cell at finalization, not per event), strings stay interned ids, and
-    mobility keeps only the radio row indices; the ``(timestamp,
-    sector_id)`` pairs the dwell estimator needs are gathered from the
-    columns when the cell is finalized.
+    Counts add, RAT masks OR and string sets union, so these merge as
+    they come.  The order-sensitive parts keep their values instead:
+    mobility its ``(timestamp, sector_id)`` pairs and voice minutes its
+    ``(timestamp, duration)`` pairs, sorted once when the cell is
+    finalized.  Any grouping and order of the same rows therefore gives
+    the same cell and the same record.  Strings are stored as strings,
+    so a cell outlives the pools of the columns it was scanned from.
     """
 
     __slots__ = (
@@ -187,17 +160,19 @@ class _ColAcc:
         "radio_mask",
         "voice_mask",
         "data_mask",
-        "radio_rows",
+        "timestamps",
+        "sectors",
         "n_calls",
-        "voice_minutes",
+        "voice",
         "n_data_sessions",
         "bytes_total",
-        "apn_ids",
-        "visited_ids",
-        "on_home",
-        "sim_radio_id",
-        "tac",
-        "sim_service_id",
+        "apns",
+        "visited",
+        "home_service",
+        "radio_ts",
+        "radio_row",
+        "service_ts",
+        "service_row",
     )
 
     def __init__(self) -> None:
@@ -206,18 +181,85 @@ class _ColAcc:
         self.radio_mask = 0
         self.voice_mask = 0
         self.data_mask = 0
-        self.radio_rows = array("q")
+        self.timestamps = array("d")
+        self.sectors = array("q")
         self.n_calls = 0
-        self.voice_minutes = 0.0
+        #: Flattened ``(timestamp, duration)`` pairs of the voice rows.
+        self.voice = array("d")
         self.n_data_sessions = 0
         self.bytes_total = 0
-        self.apn_ids: Set[int] = set()
-        self.visited_ids: Set[int] = set()
-        self.on_home = False
-        # -1 = unset; SIM pool ids are always >= 0 when present.
-        self.sim_radio_id = -1
-        self.tac = -1
-        self.sim_service_id = -1
+        self.apns: Set[str] = set()
+        #: Visited PLMNs of service rows; finalization adds the observer
+        #: to a cell with radio events.
+        self.visited: Set[str] = set()
+        #: A service row was on the observer's network.
+        self.home_service = False
+        # Scan only: the row (and its timestamp) holding this cell's
+        # minimum identity key so far, so a key tuple is built only for
+        # a row that ties on timestamp.
+        self.radio_ts = math.inf
+        self.radio_row = -1
+        self.service_ts = math.inf
+        self.service_row = -1
+
+    def merge(self, other: "_Cell") -> None:
+        """Fold ``other`` (the same device and day) into this cell."""
+        self.n_events += other.n_events
+        self.n_failed += other.n_failed
+        self.radio_mask |= other.radio_mask
+        self.voice_mask |= other.voice_mask
+        self.data_mask |= other.data_mask
+        self.timestamps.extend(other.timestamps)
+        self.sectors.extend(other.sectors)
+        self.n_calls += other.n_calls
+        self.voice.extend(other.voice)
+        self.n_data_sessions += other.n_data_sessions
+        self.bytes_total += other.bytes_total
+        self.apns |= other.apns
+        self.visited |= other.visited
+        self.home_service = self.home_service or other.home_service
+
+
+_RADIO_TS = attrgetter("radio_ts")
+_SERVICE_TS = attrgetter("service_ts")
+
+
+class _Device:
+    """A device's cells by day, plus its identity: the minimum radio and
+    service keys over all its rows."""
+
+    __slots__ = ("cells", "radio_key", "service_key")
+
+    def __init__(self) -> None:
+        self.cells: Dict[int, _Cell] = {}
+        self.radio_key: Optional[RadioKey] = None
+        self.service_key: Optional[ServiceKey] = None
+
+    def merge(self, other: "_Device") -> None:
+        """Fold ``other`` (the same device) into this device."""
+        for day, cell in other.cells.items():
+            current = self.cells.get(day)
+            if current is None:
+                self.cells[day] = cell
+            else:
+                current.merge(cell)
+        if other.radio_key is not None and (
+            self.radio_key is None or other.radio_key < self.radio_key
+        ):
+            self.radio_key = other.radio_key
+        if other.service_key is not None and (
+            self.service_key is None or other.service_key < self.service_key
+        ):
+            self.service_key = other.service_key
+
+    def identity(self) -> Tuple[str, Optional[int]]:
+        """(SIM, TAC) from the minimum radio key, else the SIM of the
+        minimum service key and no TAC."""
+        if self.radio_key is not None:
+            return self.radio_key[6], self.radio_key[5]
+        if self.service_key is None:  # unreachable: every device has a row
+            raise RuntimeError("device has cells but no SIM")
+        return self.service_key[6], None
 
 
 class CatalogBuilder:
@@ -240,13 +282,18 @@ class CatalogBuilder:
         # (possibly None) result reused across devices and `summarize`
         # calls.  Lookup is deterministic; the memo cannot change a join.
         self._model_cache: Dict[int, Optional[DeviceModel]] = {}
-        # Incremental-engine state (see `update`/`snapshot`): per-day
-        # cell maps, the day set each device was seen on, and the cached
-        # records/summaries the last update left valid.
-        self._inc_cells: Dict[int, Dict[str, _DayCell]] = {}
-        self._inc_device_days: Dict[str, Set[int]] = {}
-        self._inc_records: Dict[Tuple[str, int], DeviceDayRecord] = {}
-        self._inc_summaries: Dict[str, DeviceSummary] = {}
+        # Incremental state (see `update`/`snapshot`): every device's
+        # cells and identity, the days folded into since the last
+        # snapshot, and the records and summaries that snapshot left
+        # valid.
+        self._devices: Dict[str, _Device] = {}
+        self._dirty: Dict[str, Set[int]] = {}
+        self._records: Dict[str, List[DeviceDayRecord]] = {}
+        self._summaries: Dict[str, DeviceSummary] = {}
+        #: Devices a lenient snapshot left out because their summary
+        #: raised, with the error; a device leaves when a later snapshot
+        #: summarizes it.
+        self.quarantined: Dict[str, Exception] = {}
 
     # -- public API ----------------------------------------------------------
 
@@ -337,197 +384,223 @@ class CatalogBuilder:
 
     # -- catalog kernel -------------------------------------------------------
 
-    def _accumulate_columns(
+    def _scan(
         self,
         radio_events: ColumnarRadioEvents,
         service_records: ColumnarServiceRecords,
-    ) -> Tuple[Dict[int, _ColAcc], Dict[int, int], Dict[int, int]]:
-        """Single-pass scan over interned int columns.
+    ) -> Dict[str, _Device]:
+        """Single-pass scan over interned int columns into per-device
+        cells by day, with each device's identity keys.
 
-        Returns accumulators keyed ``(day << 32) | device_id`` (pool ids
-        are dense and far below 2**32, so one packed int replaces a
-        (device, day) tuple key) plus, per device id, the row index of
-        its first radio event and first service record: a device's SIM
-        and TAC come from its first radio event in stream order, or from
-        its first service record when it has no radio events.  Both
-        stores must share one :class:`ColumnPools` so device/PLMN ids
-        agree across streams.
+        Cells are keyed ``(day << 32) | device_id`` during the scan (pool
+        ids are dense and far below 2**32, so one packed int replaces a
+        (device, day) tuple key).  Both stores must share one
+        :class:`ColumnPools` so device/PLMN ids agree across streams;
+        the pools are only read, never extended.
         """
-        if radio_events.pools is not service_records.pools:
+        pools = radio_events.pools
+        if pools is not service_records.pools:
             raise ValueError("columnar streams must share one ColumnPools")
-        accs: Dict[int, _ColAcc] = {}
-        first_radio: Dict[int, int] = {}
-        first_service: Dict[int, int] = {}
-        get = accs.get
+        cells: Dict[int, _Cell] = {}
+        get = cells.get
         success_of = _RESULT_IS_SUCCESS
         voice_of = _INTERFACE_IS_VOICE
         rat_bit_of = _INTERFACE_RAT_BIT
-        pools = radio_events.pools
-        observer_id = pools.plmns.intern(self._observer_plmn)
+        plmns = pools.plmns.strings
         track_mobility = self._compute_mobility
 
-        sims = radio_events.sim_plmns
+        timestamps = radio_events.timestamps
+        sector_ids = radio_events.sector_ids
+        interfaces = radio_events.interfaces
+        event_types = radio_events.event_types
+        results = radio_events.results
         tacs = radio_events.tacs
+        sims = radio_events.sim_plmns
         rows = zip(
             radio_events.device_ids,
             radio_events.days,
-            radio_events.results,
-            radio_events.interfaces,
+            timestamps,
+            results,
+            interfaces,
+            sector_ids,
         )
-        for i, (dev, day, result, interface) in enumerate(rows):
+
+        def radio_key(i: int) -> RadioKey:
+            return (
+                timestamps[i], sector_ids[i], _INTERFACE_VALUES[interfaces[i]],
+                _MESSAGE_VALUES[event_types[i]], _RESULT_VALUES[results[i]],
+                tacs[i], plmns[sims[i]],
+            )
+
+        for i, (dev, day, ts, result, interface, sector) in enumerate(rows):
             key = (day << 32) | dev
-            acc = get(key)
-            if acc is None:
-                acc = accs[key] = _ColAcc()
-                # First radio event of this (device, day): every radio
-                # event is on the observer's network, so the home flag
-                # and the observer PLMN are set once, and the per-day
-                # identity candidates are captured here.  The radio scan
-                # runs first, so a cell that exists here was created by
-                # a radio event.
-                acc.on_home = True
-                acc.visited_ids.add(observer_id)
-                acc.sim_radio_id = sims[i]
-                acc.tac = tacs[i]
-                if dev not in first_radio:
-                    first_radio[dev] = i
+            cell = get(key)
+            if cell is None:
+                cell = cells[key] = _Cell()
+            if ts <= cell.radio_ts and (
+                ts < cell.radio_ts or radio_key(i) < radio_key(cell.radio_row)
+            ):
+                cell.radio_ts, cell.radio_row = ts, i
             if success_of[result]:
                 bit = rat_bit_of[interface]
-                acc.radio_mask |= bit
+                cell.radio_mask |= bit
                 if voice_of[interface]:
-                    acc.voice_mask |= bit
+                    cell.voice_mask |= bit
                 else:
-                    acc.data_mask |= bit
+                    cell.data_mask |= bit
             else:
-                acc.n_failed += 1
-            acc.n_events += 1
+                cell.n_failed += 1
+            cell.n_events += 1
             if track_mobility:
-                acc.radio_rows.append(i)
+                cell.timestamps.append(ts)
+                cell.sectors.append(sector)
 
         svc_voice_of = _SERVICE_IS_VOICE
+        plmn_pool = pools.plmns
+        # Looked up, not interned: no service row is on the home network
+        # when the observer is absent from the pool.
+        observer_id = (
+            plmn_pool.id_of(self._observer_plmn)
+            if self._observer_plmn in plmn_pool
+            else NULL_ID
+        )
+        apn_strings = pools.apns.strings
+        svc_timestamps = service_records.timestamps
         durations = service_records.durations
         byte_counts = service_records.bytes_totals
         apn_ids = service_records.apns
         svc_sims = service_records.sim_plmns
+        services = service_records.services
+        visited_plmns = service_records.visited_plmns
         svc_rows = zip(
             service_records.device_ids,
             service_records.days,
-            service_records.services,
-            service_records.visited_plmns,
+            svc_timestamps,
+            services,
+            visited_plmns,
         )
-        for i, (dev, day, service, visited) in enumerate(svc_rows):
+
+        def service_key(i: int) -> ServiceKey:
+            apn = apn_ids[i]
+            return (
+                svc_timestamps[i], _SERVICE_VALUES[services[i]], durations[i],
+                byte_counts[i], plmns[visited_plmns[i]],
+                "" if apn == NULL_ID else apn_strings[apn], plmns[svc_sims[i]],
+            )
+
+        for i, (dev, day, ts, service, visited) in enumerate(svc_rows):
             key = (day << 32) | dev
-            acc = get(key)
-            if acc is None:
-                acc = accs[key] = _ColAcc()
-            acc.visited_ids.add(visited)
+            cell = get(key)
+            if cell is None:
+                cell = cells[key] = _Cell()
+            if ts <= cell.service_ts and (
+                ts < cell.service_ts or service_key(i) < service_key(cell.service_row)
+            ):
+                cell.service_ts, cell.service_row = ts, i
+            cell.visited.add(plmns[visited])
             if visited == observer_id:
-                acc.on_home = True
+                cell.home_service = True
             if svc_voice_of[service]:
-                acc.n_calls += 1
-                acc.voice_minutes += durations[i] / 60.0
+                cell.n_calls += 1
+                cell.voice.append(ts)
+                cell.voice.append(durations[i])
             else:
-                acc.n_data_sessions += 1
-                acc.bytes_total += byte_counts[i]
+                cell.n_data_sessions += 1
+                cell.bytes_total += byte_counts[i]
                 apn = apn_ids[i]
                 if apn != NULL_ID:
-                    acc.apn_ids.add(apn)
-            if acc.sim_service_id < 0:
-                acc.sim_service_id = svc_sims[i]
-            if dev not in first_service:
-                first_service[dev] = i
+                    cell.apns.add(apn_strings[apn])
 
-        return accs, first_radio, first_service
+        device_of = pools.devices.lookup
+        devices: Dict[str, _Device] = {}
+        for key, cell in cells.items():
+            device_id = device_of(key & 0xFFFFFFFF)
+            device = devices.get(device_id)
+            if device is None:
+                device = devices[device_id] = _Device()
+            device.cells[key >> 32] = cell
+        # A device's cells are distinct days, so their candidate rows
+        # never tie on timestamp: the earliest one holds its minimum key.
+        for device in devices.values():
+            day_cells = device.cells.values()
+            radio = min(
+                (c for c in day_cells if c.radio_row >= 0), key=_RADIO_TS, default=None
+            )
+            service = min(
+                (c for c in day_cells if c.service_row >= 0),
+                key=_SERVICE_TS,
+                default=None,
+            )
+            if radio is not None:
+                device.radio_key = radio_key(radio.radio_row)
+            if service is not None:
+                device.service_key = service_key(service.service_row)
+        return devices
 
-    def _mobility(
-        self, acc: _ColAcc, radio_events: ColumnarRadioEvents
-    ) -> Optional[MobilityMetrics]:
-        """The cell's mobility, from its radio rows' (timestamp, sector)."""
-        if not acc.radio_rows:
-            return None
-        timestamps = radio_events.timestamps
-        sectors = radio_events.sector_ids
-        return daily_mobility_from_pairs(
-            [(timestamps[i], sectors[i]) for i in acc.radio_rows], self._sectors
-        )
-
-    def _record_from_acc(
-        self,
-        device_id: str,
-        day: int,
-        sim_plmn: str,
-        acc: _ColAcc,
-        radio_events: ColumnarRadioEvents,
+    def _record(
+        self, device_id: str, day: int, sim_plmn: str, cell: _Cell
     ) -> DeviceDayRecord:
-        """Finalize one accumulator into a catalog row."""
-        pools = radio_events.pools
-        plmn_lookup = pools.plmns.lookup
-        apn_lookup = pools.apns.lookup
+        """Finalize one cell into a catalog row.
+
+        Voice minutes add ``duration / 60`` left to right over the voice
+        rows sorted by ``(timestamp, duration)``; mobility sorts its
+        ``(timestamp, sector_id)`` pairs (in the dwell estimator).
+        """
+        voice_minutes = 0.0
+        if cell.n_calls:
+            pairs = iter(cell.voice)
+            for _, duration in sorted(zip(pairs, pairs)):
+                voice_minutes += duration / 60.0
+        if cell.n_events:
+            # Every radio event is on the observer's network.
+            cell.visited.add(self._observer_plmn)
         return DeviceDayRecord(
             device_id=device_id,
             day=day,
             sim_plmn=sim_plmn,
-            visited_plmns=frozenset(plmn_lookup(v) for v in acc.visited_ids),
-            n_events=acc.n_events,
-            n_failed_events=acc.n_failed,
-            n_calls=acc.n_calls,
-            voice_minutes=acc.voice_minutes,
-            n_data_sessions=acc.n_data_sessions,
-            bytes_total=acc.bytes_total,
-            apns=frozenset(apn_lookup(a) for a in acc.apn_ids),
-            radio_flags=RadioFlags(acc.radio_mask),
-            voice_flags=RadioFlags(acc.voice_mask),
-            data_flags=RadioFlags(acc.data_mask),
-            mobility=self._mobility(acc, radio_events),
-            on_home_network=acc.on_home,
-        )
-
-    def _day_records(
-        self,
-        radio_events: ColumnarRadioEvents,
-        service_records: ColumnarServiceRecords,
-    ) -> Tuple[List[DeviceDayRecord], Dict[str, int]]:
-        """Daily records sorted by (device, day), plus each device's TAC."""
-        accs, first_radio, first_service = self._accumulate_columns(
-            radio_events, service_records
-        )
-        pools = radio_events.pools
-        device_lookup = pools.devices.lookup
-        plmn_lookup = pools.plmns.lookup
-
-        sim_plmn_of: Dict[str, str] = {}
-        tac_of: Dict[str, int] = {}
-        for dev, i in first_radio.items():
-            device_id = device_lookup(dev)
-            sim_plmn_of[device_id] = plmn_lookup(radio_events.sim_plmns[i])
-            tac_of[device_id] = radio_events.tacs[i]
-        for dev, i in first_service.items():
-            device_id = device_lookup(dev)
-            if device_id not in sim_plmn_of:
-                sim_plmn_of[device_id] = plmn_lookup(service_records.sim_plmns[i])
-
-        records: List[DeviceDayRecord] = []
-        record_from_acc = self._record_from_acc
-        # Popping frees each accumulator as soon as its record exists, so
-        # the two never sit in memory side by side for the whole window.
-        while accs:
-            key, acc = accs.popitem()
-            device_id = device_lookup(key & 0xFFFFFFFF)
-            records.append(
-                record_from_acc(
-                    device_id, key >> 32, sim_plmn_of[device_id], acc, radio_events
+            visited_plmns=frozenset(cell.visited),
+            n_events=cell.n_events,
+            n_failed_events=cell.n_failed,
+            n_calls=cell.n_calls,
+            voice_minutes=voice_minutes,
+            n_data_sessions=cell.n_data_sessions,
+            bytes_total=cell.bytes_total,
+            apns=frozenset(cell.apns),
+            radio_flags=RadioFlags(cell.radio_mask),
+            voice_flags=RadioFlags(cell.voice_mask),
+            data_flags=RadioFlags(cell.data_mask),
+            mobility=(
+                daily_mobility_from_pairs(
+                    zip(cell.timestamps, cell.sectors), self._sectors
                 )
-            )
-        records.sort(key=lambda r: (r.device_id, r.day))
-        return records, tac_of
+                if cell.timestamps
+                else None
+            ),
+            on_home_network=bool(cell.n_events) or cell.home_service,
+        )
 
     def build_day_records(
         self,
         radio_events: ColumnarRadioEvents,
         service_records: ColumnarServiceRecords,
-    ) -> List[DeviceDayRecord]:
-        """Emit the daily devices-catalog, sorted by (device, day)."""
-        return self._day_records(radio_events, service_records)[0]
+    ) -> Tuple[List[DeviceDayRecord], Dict[str, int]]:
+        """The daily devices-catalog, sorted by (device, day), plus each
+        device's TAC (devices seen only in CDR/xDRs have none)."""
+        devices = self._scan(radio_events, service_records)
+        records: List[DeviceDayRecord] = []
+        tac_of: Dict[str, int] = {}
+        record = self._record
+        for device_id in sorted(devices):
+            # Popping frees each device's cells as soon as its records
+            # exist, so the two never sit in memory side by side.
+            device = devices.pop(device_id)
+            sim_plmn, tac = device.identity()
+            if tac is not None:
+                tac_of[device_id] = tac
+            cells = device.cells
+            for day in sorted(cells):
+                records.append(record(device_id, day, sim_plmn, cells[day]))
+        return records, tac_of
 
     def build_from_columns(
         self,
@@ -538,9 +611,10 @@ class CatalogBuilder:
 
         Scans interned int columns: no per-event property calls, no
         string key hashing, and one :class:`RadioFlags` per (device,
-        day) cell instead of one per successful event.
+        day) cell instead of one per successful event.  The result is a
+        function of the multiset of input rows, not of their order.
         """
-        records, tac_of = self._day_records(radio_events, service_records)
+        records, tac_of = self.build_day_records(radio_events, service_records)
         return records, self.summarize(records, tac_of)
 
     #: The one-shot build under its short name, which ``bench/trace.py``
@@ -549,179 +623,108 @@ class CatalogBuilder:
 
     # -- incremental engine ---------------------------------------------------
 
-    def _cell_from_acc(
-        self, acc: _ColAcc, radio_events: ColumnarRadioEvents
-    ) -> _DayCell:
-        """Freeze an accumulator into pool-independent state."""
-        pools = radio_events.pools
-        plmn_lookup = pools.plmns.lookup
-        apn_lookup = pools.apns.lookup
-        return _DayCell(
-            n_events=acc.n_events,
-            n_failed_events=acc.n_failed,
-            radio_mask=acc.radio_mask,
-            voice_mask=acc.voice_mask,
-            data_mask=acc.data_mask,
-            n_calls=acc.n_calls,
-            voice_minutes=acc.voice_minutes,
-            n_data_sessions=acc.n_data_sessions,
-            bytes_total=acc.bytes_total,
-            apns=frozenset(apn_lookup(a) for a in acc.apn_ids),
-            visited_plmns=frozenset(plmn_lookup(v) for v in acc.visited_ids),
-            on_home_network=acc.on_home,
-            mobility=self._mobility(acc, radio_events),
-            sim_radio=(
-                plmn_lookup(acc.sim_radio_id) if acc.sim_radio_id >= 0 else None
-            ),
-            tac=acc.tac if acc.sim_radio_id >= 0 else None,
-            sim_service=(
-                plmn_lookup(acc.sim_service_id) if acc.sim_service_id >= 0 else None
-            ),
-        )
-
-    def _record_from_cell(
-        self, device_id: str, day: int, sim_plmn: str, cell: _DayCell
-    ) -> DeviceDayRecord:
-        return DeviceDayRecord(
-            device_id=device_id,
-            day=day,
-            sim_plmn=sim_plmn,
-            visited_plmns=cell.visited_plmns,
-            n_events=cell.n_events,
-            n_failed_events=cell.n_failed_events,
-            n_calls=cell.n_calls,
-            voice_minutes=cell.voice_minutes,
-            n_data_sessions=cell.n_data_sessions,
-            bytes_total=cell.bytes_total,
-            apns=cell.apns,
-            radio_flags=RadioFlags(cell.radio_mask),
-            voice_flags=RadioFlags(cell.voice_mask),
-            data_flags=RadioFlags(cell.data_mask),
-            mobility=cell.mobility,
-            on_home_network=cell.on_home_network,
-        )
-
-    def _resolve_incremental_identity(
-        self, device_id: str
-    ) -> Tuple[str, Optional[int]]:
-        """Resolve (SIM, TAC) from the device's cells, ascending by day.
-
-        The first day with radio activity wins — with days fed in
-        ascending order this is exactly the one-shot build's "first
-        radio event in the stream".  A device with no radio on any day
-        falls back to its earliest service SIM (and no TAC), again as
-        the one-shot build resolves it.
-        """
-        cells = self._inc_cells
-        fallback: Optional[str] = None
-        for day in sorted(self._inc_device_days[device_id]):
-            cell = cells[day][device_id]
-            if cell.sim_radio is not None:
-                return cell.sim_radio, cell.tac
-            if fallback is None and cell.sim_service is not None:
-                fallback = cell.sim_service
-        if fallback is None:  # unreachable: every cell has >= 1 record
-            raise RuntimeError(f"device {device_id!r} has cells but no SIM")
-        return fallback, None
-
     def update(
         self,
         day: int,
         radio_events: ColumnarRadioEvents,
         service_records: ColumnarServiceRecords,
-    ) -> CatalogUpdate:
-        """Fold one day's record slice into the incremental catalog.
+    ) -> None:
+        """Fold one day's delta into the incremental catalog, in
+        O(delta).
 
-        Re-accumulates only the given day, diffs the resulting
-        (device, day) cells against the previous state, and recomputes
-        records/summaries for *changed devices only* — unchanged devices
-        keep their cached rows untouched.  Feeding day partitions in
-        ascending day order makes :meth:`snapshot` equal to
-        :meth:`build_from_columns` over the concatenated streams
-        (identity resolution depends on day order; see
-        ``_resolve_incremental_identity``).
-
-        Re-sending a day replaces that day's slice (idempotent for an
-        identical slice: zero devices change).  Rows for any other day
-        in the slice raise ``ValueError``.
+        The delta's cells merge into the day's existing cells (a cell
+        first seen here is adopted as scanned) and are marked for the
+        next :meth:`snapshot`; nothing is finalized or summarized here.
+        Because cells are order-free, any split of the rows into deltas,
+        fed in any order, snapshots to :meth:`build_from_columns` over
+        all of them.  Rows for any other day raise ``ValueError``.
         """
         for store_days in (radio_events.days, service_records.days):
             if len(store_days) and (
                 min(store_days) != day or max(store_days) != day
             ):
                 raise ValueError(f"update({day}) received rows for other days")
-
-        accs, _, _ = self._accumulate_columns(radio_events, service_records)
-        device_lookup = radio_events.pools.devices.lookup
-        new_cells = {
-            device_lookup(key & 0xFFFFFFFF): self._cell_from_acc(acc, radio_events)
-            for key, acc in accs.items()
-        }
-
-        old_cells = self._inc_cells.get(day, {})
-        changed = sorted(
-            device_id
-            for device_id in set(old_cells) | set(new_cells)
-            if old_cells.get(device_id) != new_cells.get(device_id)
-        )
-        if new_cells:
-            self._inc_cells[day] = new_cells
-        else:
-            self._inc_cells.pop(day, None)
-        if not changed:
-            return CatalogUpdate(
-                day=day, changed_devices=(), n_devices=len(self._inc_device_days)
-            )
-
-        for device_id in changed:
-            device_days = self._inc_device_days.setdefault(device_id, set())
-            if device_id in new_cells:
-                device_days.add(day)
+        devices = self._devices
+        dirty = self._dirty
+        for device_id, delta in self._scan(radio_events, service_records).items():
+            device = devices.get(device_id)
+            if device is None:
+                devices[device_id] = delta
             else:
-                device_days.discard(day)
-                self._inc_records.pop((device_id, day), None)
-                if not device_days:
-                    del self._inc_device_days[device_id]
-                    self._inc_summaries.pop(device_id, None)
+                device.merge(delta)
+            dirty.setdefault(device_id, set()).add(day)
 
-        refold: List[DeviceDayRecord] = []
+    def _refresh(self, lenient: bool) -> None:
+        """Finalize the dirty cells and re-summarize their devices.
+
+        Identity is re-resolved per dirty device; a day record is rebuilt
+        when its cell is dirty, or when the device's SIM moved.  State
+        changes only after every summary exists, so a raise leaves the
+        builder as it was and the next snapshot retries.
+        """
+        fresh: Dict[str, List[DeviceDayRecord]] = {}
         tac_of: Dict[str, int] = {}
-        for device_id in changed:
-            device_days = self._inc_device_days.get(device_id, set())
-            if not device_days:
-                continue
-            sim_plmn, tac = self._resolve_incremental_identity(device_id)
+        for device_id in sorted(self._dirty):
+            device = self._devices[device_id]
+            cells = device.cells
+            sim_plmn, tac = device.identity()
             if tac is not None:
                 tac_of[device_id] = tac
-            for d in sorted(device_days):
-                cache_key = (device_id, d)
-                cached = self._inc_records.get(cache_key)
-                # Rebuild the updated day's row, any missing row, and —
-                # when the resolved SIM moved (e.g. the first radio day
-                # was replaced) — every row carrying the stale SIM.
-                if d == day or cached is None or cached.sim_plmn != sim_plmn:
-                    cached = self._record_from_cell(
-                        device_id, d, sim_plmn, self._inc_cells[d][device_id]
-                    )
-                    self._inc_records[cache_key] = cached
-                refold.append(cached)
-        if refold:
-            self._inc_summaries.update(self.summarize(refold, tac_of))
-        return CatalogUpdate(
-            day=day,
-            changed_devices=tuple(changed),
-            n_devices=len(self._inc_device_days),
-        )
+            dirty_days = self._dirty[device_id]
+            cached = {r.day: r for r in self._records.get(device_id, ())}
+            device_records: List[DeviceDayRecord] = []
+            for day in sorted(cells):
+                record = cached.get(day)
+                if record is None or day in dirty_days or record.sim_plmn != sim_plmn:
+                    record = self._record(device_id, day, sim_plmn, cells[day])
+                device_records.append(record)
+            fresh[device_id] = device_records
 
-    def snapshot(self) -> Tuple[List[DeviceDayRecord], Dict[str, DeviceSummary]]:
+        failures: Dict[str, Exception] = {}
+        try:
+            summaries = self.summarize(
+                [r for device_records in fresh.values() for r in device_records],
+                tac_of,
+            )
+        except Exception:
+            if not lenient:
+                raise
+            summaries = {}
+            for device_id, device_records in fresh.items():
+                try:
+                    summaries.update(self.summarize(device_records, tac_of))
+                except Exception as exc:
+                    # Kept without its traceback, whose frames would pin
+                    # the device's records for as long as it stays here.
+                    failures[device_id] = exc.with_traceback(None)
+
+        for device_id, device_records in fresh.items():
+            self.quarantined.pop(device_id, None)
+            if device_id in failures:
+                self.quarantined[device_id] = failures[device_id]
+                self._records.pop(device_id, None)
+                self._summaries.pop(device_id, None)
+            else:
+                self._records[device_id] = device_records
+                self._summaries[device_id] = summaries[device_id]
+        self._dirty = {}
+
+    def snapshot(
+        self, lenient: bool = False
+    ) -> Tuple[List[DeviceDayRecord], Dict[str, DeviceSummary]]:
         """The incremental catalog as of the last :meth:`update` —
         records sorted by (device, day), summaries in sorted device
-        order, exactly as :meth:`build_from_columns` emits them."""
-        records = sorted(
-            self._inc_records.values(), key=lambda r: (r.device_id, r.day)
+        order, exactly as :meth:`build_from_columns` emits them.
+
+        Only the cells touched since the last snapshot are finalized.  A
+        summary that raises propagates; with ``lenient=True`` its device
+        is left out instead and listed in :attr:`quarantined`.
+        """
+        if self._dirty:
+            self._refresh(lenient)
+        records = self._records
+        summaries = self._summaries
+        return (
+            [r for device_id in sorted(records) for r in records[device_id]],
+            {device_id: summaries[device_id] for device_id in sorted(summaries)},
         )
-        summaries = {
-            device_id: self._inc_summaries[device_id]
-            for device_id in sorted(self._inc_summaries)
-        }
-        return records, summaries

@@ -15,9 +15,14 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.cellular.geo import GeoPoint, radius_of_gyration_km, weighted_centroid
+from repro.cellular.geo import (
+    GeoPoint,
+    radius_of_gyration_km,
+    sequential_sum,
+    weighted_centroid,
+)
 from repro.cellular.sectors import SectorCatalog
 
 
@@ -37,16 +42,17 @@ class MobilityMetrics:
 
 
 def sector_dwell_weights_from_pairs(
-    pairs: Sequence[Tuple[float, int]],
+    pairs: Iterable[Tuple[float, int]],
     max_gap_s: float = 3600.0,
     min_dwell_s: float = 60.0,
 ) -> Dict[int, float]:
     """Estimate per-sector dwell seconds from one device-day's
-    ``(timestamp, sector_id)`` pairs.  The sort is stable, so events with
-    equal timestamps keep their input (stream) order."""
-    if not pairs:
+    ``(timestamp, sector_id)`` pairs.  The pairs are sorted whole, so
+    events with equal timestamps order by sector and any input order of
+    the same pairs gives the same weights."""
+    ordered = sorted(pairs)
+    if not ordered:
         return {}
-    ordered = sorted(pairs, key=lambda pair: pair[0])
     dwell: Dict[int, float] = defaultdict(float)
     for (timestamp, sector_id), (next_timestamp, _) in zip(ordered, ordered[1:]):
         gap = max(min_dwell_s, min(max_gap_s, next_timestamp - timestamp))
@@ -56,7 +62,7 @@ def sector_dwell_weights_from_pairs(
 
 
 def daily_mobility_from_pairs(
-    pairs: Sequence[Tuple[float, int]],
+    pairs: Iterable[Tuple[float, int]],
     catalog: SectorCatalog,
     max_gap_s: float = 3600.0,
     min_dwell_s: float = 60.0,
@@ -92,4 +98,4 @@ def average_gyration(metrics: Sequence[MobilityMetrics]) -> Optional[float]:
     """Across-days average gyration, as presented in Fig. 8."""
     if not metrics:
         return None
-    return sum(m.gyration_km for m in metrics) / len(metrics)
+    return sequential_sum(m.gyration_km for m in metrics) / len(metrics)

@@ -36,6 +36,9 @@ TASK_RESTART = "task-restart"
 #: A durable snapshot/sync cycle failed (detail carries the error); routine
 #: successful snapshots are gauges on ``ServiceHealth``, not incidents.
 SNAPSHOT = "snapshot"
+#: A daemon snapshot left a device out of the catalog because its
+#: summary raised (e.g. an unlabelable SIM/network pair).
+DEVICE_QUARANTINED = "device-quarantined"
 
 INCIDENT_KINDS = (
     DEADLINE,
@@ -48,6 +51,7 @@ INCIDENT_KINDS = (
     OVERLOAD_SHED,
     TASK_RESTART,
     SNAPSHOT,
+    DEVICE_QUARANTINED,
 )
 
 #: A storage operation failed (ENOSPC/EIO/fsync/rename); detail carries
@@ -144,6 +148,7 @@ class RunHealth:
     shed_batches: int = 0
     task_restarts: int = 0
     snapshots: int = 0
+    devices_quarantined: int = 0
     storage_faults: int = 0
     units_quarantined: int = 0
     disk_pressure_events: int = 0
@@ -176,6 +181,8 @@ class RunHealth:
             self.task_restarts += 1
         elif incident.kind == SNAPSHOT:
             self.snapshots += 1
+        elif incident.kind == DEVICE_QUARANTINED:
+            self.devices_quarantined += 1
 
     def record_storage(self, incident: StorageIncident) -> None:
         """Append one storage incident and fold it into the counters."""
@@ -221,6 +228,8 @@ class RunHealth:
             parts.append(f"{self.task_restarts} task restart(s)")
         if self.snapshots:
             parts.append(f"{self.snapshots} snapshot failure(s)")
+        if self.devices_quarantined:
+            parts.append(f"{self.devices_quarantined} device(s) quarantined")
         if self.storage_faults:
             parts.append(f"{self.storage_faults} storage fault(s)")
         if self.units_quarantined:

@@ -36,7 +36,7 @@ never silent.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
@@ -185,23 +185,30 @@ def map_shards(
             initargs=(context,),
         )
         try:
-            futures = {index: pool.submit(fn, shards[index]) for index in pending}
+            futures: Dict[int, "Future[R]"] = {}
             for index in pending:
+                try:
+                    futures[index] = pool.submit(fn, shards[index])
+                except BrokenProcessPool as exc:
+                    # A worker died before every shard was submitted.
+                    failed = (index, BROKEN_POOL, f"{type(exc).__name__}: {exc}")
+                    break
+            for index in pending:
+                if failed is not None:
+                    break
                 try:
                     results[index] = futures[index].result(timeout=deadline_s)
                 except FuturesTimeout:
                     failed = (index, DEADLINE, f"no result within {deadline_s}s")
-                    break
                 except BrokenProcessPool as exc:
                     failed = (index, BROKEN_POOL, f"{type(exc).__name__}: {exc}")
-                    break
             if failed is not None:
                 # Harvest shards that *did* finish cleanly before the
                 # failure so their work is never repeated.
                 for other in pending:
-                    if other in results:
+                    future = futures.get(other)
+                    if other in results or future is None:
                         continue
-                    future = futures[other]
                     if (
                         future.done()
                         and not future.cancelled()

@@ -174,23 +174,20 @@ def quarantine_devices(
         service_rows[dev].append(i)
     lookup = radio_events.pools.devices.lookup
     ids_by_name = {lookup(dev): dev for dev in radio_rows.keys() | service_rows.keys()}
-    tacs = radio_events.tacs
 
     day_records: List[DeviceDayRecord] = []
     summaries: Dict[str, DeviceSummary] = {}
     failures: List[StageFailure] = []
     for device_id in sorted(ids_by_name):
         dev = ids_by_name[device_id]
-        radio = radio_rows.get(dev, ())
         try:
-            records = builder.build_day_records(
-                radio_events.select(radio),
+            records, tac_of = builder.build_day_records(
+                radio_events.select(radio_rows.get(dev, ())),
                 service_records.select(service_rows.get(dev, ())),
             )
         except Exception as exc:
             failures.append(StageFailure.of(device_id, "catalog", exc))
             continue
-        tac_of = {device_id: tacs[radio[0]]} if radio else {}
         try:
             summaries.update(builder.summarize(records, tac_of))
         except Exception as exc:

@@ -7,18 +7,19 @@ self-contained block (:mod:`repro.runtime.serialize`) — so a unit can
 be re-executed any number of times with the same result.  Completed
 units are persisted and journaled by the
 :class:`~repro.runtime.checkpoint.CheckpointStore`; the catalog itself
-is reconstructed by replaying the blocks through the incremental engine
-(:meth:`repro.core.catalog.CatalogBuilder.update`), whose snapshot over
-ascending days equals a one-shot
-:meth:`~repro.core.catalog.CatalogBuilder.build_from_columns`.
+is reconstructed by folding the blocks into the incremental engine
+(:meth:`repro.core.catalog.CatalogBuilder.update`), whose snapshot
+equals a one-shot
+:meth:`~repro.core.catalog.CatalogBuilder.build_from_columns` over the
+same rows.
 
 The durability contract: killing the run at **any** instant and
 resuming with ``resume=True`` yields day records, summaries and
 classifications byte-identical to an uninterrupted run — in strict and
 lenient modes, at any worker count.  Three properties carry the proof: units are pure; the journal
 plus per-block CRCs make "complete" an all-or-nothing predicate; and
-the update feed concatenates shards in fixed shard order while every
-catalog output is order-normalized per device.
+the catalog is a function of the multiset of folded rows, whatever the
+shard or fold order.
 
 Lenient note: durable lenient mode validates devices against each
 *day slice* (the unit boundary) rather than the whole window at once,
@@ -37,12 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from repro.columnar.store import (
-    ColumnPools,
-    ColumnarRadioEvents,
-    ColumnarServiceRecords,
-    from_record_streams,
-)
+from repro.columnar.store import from_record_streams
 from repro.core.catalog import CatalogBuilder
 from repro.core.classifier import ClassifierConfig, DeviceClassifier
 from repro.core.roaming import RoamingLabeler
@@ -553,12 +549,8 @@ def run_durable_pipeline(
             if store is not None:
                 _sync_store(store, day, lenient, storage_policy, storage_rng, health)
 
-            # Fold the day's shards straight onto a shared-pool columnar
-            # accumulator (shard order, in-shard order preserved) — the
-            # builder's update takes column stores, so no row round-trip.
-            day_pools = ColumnPools()
-            events_day = ColumnarRadioEvents(day_pools)
-            records_day = ColumnarServiceRecords(day_pools)
+            # Each shard's block is one delta of the day: update merges
+            # it as decoded, in any shard order.
             for shard in range(n_shards):
                 block = blocks[shard]
                 if block is _UNIT_QUARANTINED:
@@ -606,8 +598,6 @@ def run_durable_pipeline(
                 for entry in unit_quarantine:
                     observed.add(entry[0])
                     quarantined.setdefault(entry[0], entry)
-                radio_keep: Optional[List[int]] = None
-                service_keep: Optional[List[int]] = None
                 if quarantined:
                     bad_ids = {
                         index
@@ -615,19 +605,17 @@ def run_durable_pipeline(
                         if name in quarantined
                     }
                     if bad_ids:
-                        radio_keep = [
+                        events_c = events_c.select([
                             index
                             for index, dev in enumerate(events_c.device_ids)
                             if dev not in bad_ids
-                        ]
-                        service_keep = [
+                        ])
+                        records_c = records_c.select([
                             index
                             for index, dev in enumerate(records_c.device_ids)
                             if dev not in bad_ids
-                        ]
-                events_day.extend_from(events_c, radio_keep)
-                records_day.extend_from(records_c, service_keep)
-            builder.update(day, events_day, records_day)
+                        ])
+                builder.update(day, events_c, records_c)
             if on_day is not None:
                 on_day(day)
     finally:

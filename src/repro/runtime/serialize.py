@@ -41,9 +41,9 @@ from repro.columnar.blocks import (
     read_block_view,
 )
 from repro.columnar.store import (
-    ColumnPools,
     ColumnarRadioEvents,
     ColumnarServiceRecords,
+    from_record_streams,
 )
 from repro.signaling.cdr import ServiceRecord
 from repro.signaling.events import RadioEvent
@@ -58,6 +58,7 @@ __all__ = [
     "QuarantineEntry",
     "StaleManifestError",
     "attach_day_block",
+    "pack_columns",
     "pack_day_block",
     "unpack_day_block",
 ]
@@ -70,27 +71,41 @@ class StaleManifestError(CheckpointError):
     """A checkpoint directory's manifest does not match this run."""
 
 
+def pack_columns(
+    events: ColumnarRadioEvents,
+    records: ColumnarServiceRecords,
+    quarantine: Sequence[QuarantineEntry] = (),
+) -> bytes:
+    """Frame two stores sharing one pool set as a checksummed block.
+
+    The pools ride in the header whole, so the stores should own them:
+    :func:`pack_day_block` of the same rows gives the same bytes when
+    the pools hold exactly the strings those rows interned, in order.
+    """
+    if events.pools is not records.pools:
+        raise ValueError("columnar streams must share one ColumnPools")
+    radio_spec, radio_chunks = column_chunks(events, RADIO_COLUMNS)
+    service_spec, service_chunks = column_chunks(records, SERVICE_COLUMNS)
+    # Header key order is part of the on-disk byte format (version 1
+    # blocks predate the shared codec); keep it stable.
+    header = {
+        "pools": pools_header(events.pools),
+        "radio": radio_spec,
+        "service": service_spec,
+        "quarantine": [list(entry) for entry in quarantine],
+    }
+    return build_block(header, [*radio_chunks, *service_chunks])
+
+
 def pack_day_block(
     radio_events: Sequence[RadioEvent],
     service_records: Sequence[ServiceRecord],
     quarantine: Sequence[QuarantineEntry] = (),
 ) -> bytes:
     """Encode one unit's row slice into a framed, checksummed block."""
-    pools = ColumnPools()
-    events = ColumnarRadioEvents.from_rows(radio_events, pools)
-    records = ColumnarServiceRecords.from_rows(service_records, pools)
-
-    radio_spec, radio_chunks = column_chunks(events, RADIO_COLUMNS)
-    service_spec, service_chunks = column_chunks(records, SERVICE_COLUMNS)
-    # Header key order is part of the on-disk byte format (version 1
-    # blocks predate the shared codec); keep it stable.
-    header = {
-        "pools": pools_header(pools),
-        "radio": radio_spec,
-        "service": service_spec,
-        "quarantine": [list(entry) for entry in quarantine],
-    }
-    return build_block(header, [*radio_chunks, *service_chunks])
+    return pack_columns(
+        *from_record_streams(radio_events, service_records), quarantine
+    )
 
 
 def unpack_day_block(

@@ -7,6 +7,7 @@ socket API (see :mod:`repro.service.protocol`).  The data path is::
     client ──ingest──▶ parse (lenient) ──▶ BoundedIngestQueue
                                                │ (watermarks; shed)
                                    drain loop (supervised)
+                                               │ intern once
                                                │ WAL append  ◀─ ack here
                                                ▼
                                    CatalogBuilder.update(day, columns)
@@ -18,12 +19,18 @@ under their batch id (idempotent).  On restart the WAL replays into a
 fresh builder, reproducing byte-for-byte the catalog state every ack
 ever promised.
 
-Catalog state is columnar end to end: each day accumulates as a pair of
-dictionary-encoded stores sharing one daemon-wide
-:class:`repro.columnar.store.ColumnPools`, live batches append parsed
-rows onto the columns, and WAL replay folds the decoded blocks in with
-:meth:`~repro.columnar.store.ColumnarRadioEvents.extend_from` — no
-dataclass materialization on either path.
+Each batch is interned once into its own column stores
+(:func:`~repro.columnar.store.from_record_streams`, fresh pools): the
+WAL packs those stores and the fold scans them, and WAL replay folds
+the decoded blocks the same way.  The fold splits a batch by its
+``days`` column and merges each day's delta into the builder's
+order-free cells, so it costs O(batch) and ingest is commutative: any
+arrival order of the same rows — concurrent clients, retried sheds,
+out-of-order re-sends — yields the value-identical catalog.  Queries
+snapshot the builder, which finalizes only the cells touched since the
+last query; a device whose summary fails there (say, an unlabelable
+SIM/network pair) is quarantined with a ``device-quarantined``
+incident instead of taking the daemon down.
 
 Blocking work (WAL file I/O) runs via ``asyncio.to_thread``; catalog
 folds are pure CPU on in-memory state and run inline on the loop.  All
@@ -38,21 +45,21 @@ import hashlib
 import json
 import shutil
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Set
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set, TypeVar
 
 import numpy as np
 
 from repro.columnar.store import (
-    NULL_ID,
     ColumnarRadioEvents,
     ColumnarServiceRecords,
-    ColumnPools,
+    from_record_streams,
 )
 from repro.core.catalog import CatalogBuilder, DeviceDayRecord, DeviceSummary
 from repro.core.classifier import Classification, DeviceClassifier
 from repro.core.roaming import RoamingLabeler
 from repro.ecosystem import Ecosystem
 from repro.faults.retry import RetryPolicy
+from repro.pipeline import StageFailure
 from repro.runtime.checkpoint import BeforeReplace
 from repro.runtime.scrub import scrub_store
 from repro.service.config import ServiceConfig
@@ -61,9 +68,8 @@ from repro.service.protocol import parse_batch_rows, report_payload
 from repro.service.queue import BoundedIngestQueue, OverloadShed
 from repro.service.supervisor import TaskSupervisor
 from repro.service.wal import BatchLog
-from repro.signaling.cdr import SERVICE_TYPES, ServiceRecord
-from repro.signaling.events import RADIO_INTERFACES, RadioEvent
-from repro.signaling.procedures import MESSAGE_TYPES, RESULT_CODES
+from repro.signaling.cdr import ServiceRecord
+from repro.signaling.events import RadioEvent
 
 #: Seam invoked with (batch_id, seq) just before a batch's WAL append —
 #: chaos tests hang a KillSwitch here to die mid-publication.
@@ -72,82 +78,21 @@ OnBatch = Optional[Callable[[str, int], None]]
 _HTTP_PATHS = {"/healthz": "healthz", "/readyz": "readyz"}
 
 
-def _radio_sort_key(event: RadioEvent) -> Any:
-    """Canonical within-day order: per-device chronological, total."""
-    return (
-        event.device_id, event.timestamp, event.sector_id,
-        event.interface.value, event.event_type.value, event.result.value,
-        event.tac, event.sim_plmn,
-    )
+#: Either column store: a batch splits both by day the same way.
+_Store = TypeVar("_Store", ColumnarRadioEvents, ColumnarServiceRecords)
 
 
-def _service_sort_key(record: ServiceRecord) -> Any:
-    return (
-        record.device_id, record.timestamp, record.service.value,
-        record.duration_s, record.bytes_total, record.visited_plmn,
-        record.apn or "",
-    )
-
-
-#: Enum-index → wire-value scan tables, so the columnar sort keys below
-#: compare the exact strings the row keys compare (all enum values in
-#: this schema are strings, so tuple comparison semantics are identical).
-_INTERFACE_VALUES = tuple(member.value for member in RADIO_INTERFACES)
-_MESSAGE_VALUES = tuple(member.value for member in MESSAGE_TYPES)
-_RESULT_VALUES = tuple(member.value for member in RESULT_CODES)
-_SERVICE_VALUES = tuple(member.value for member in SERVICE_TYPES)
-
-
-def _radio_sort_permutation(store: ColumnarRadioEvents) -> List[int]:
-    """Stable sort permutation matching :func:`_radio_sort_key`.
-
-    Builds the same key tuples the row sort would — pool strings and
-    enum ``.value``s, not integer ids — so ``store.select(perm)`` is
-    byte-identical to sorting materialized rows, without materializing
-    any.
-    """
-    devices = store.pools.devices.strings
-    plmns = store.pools.plmns.strings
-    device_ids = store.device_ids
-    timestamps = store.timestamps
-    sector_ids = store.sector_ids
-    interfaces = store.interfaces
-    event_types = store.event_types
-    results = store.results
-    tacs = store.tacs
-    sim_plmns = store.sim_plmns
-    keys = [
-        (
-            devices[device_ids[i]], timestamps[i], sector_ids[i],
-            _INTERFACE_VALUES[interfaces[i]], _MESSAGE_VALUES[event_types[i]],
-            _RESULT_VALUES[results[i]], tacs[i], plmns[sim_plmns[i]],
-        )
-        for i in range(len(store))
-    ]
-    return sorted(range(len(keys)), key=keys.__getitem__)
-
-
-def _service_sort_permutation(store: ColumnarServiceRecords) -> List[int]:
-    """Stable sort permutation matching :func:`_service_sort_key`."""
-    devices = store.pools.devices.strings
-    plmns = store.pools.plmns.strings
-    apn_strings = store.pools.apns.strings
-    device_ids = store.device_ids
-    timestamps = store.timestamps
-    services = store.services
-    durations = store.durations
-    bytes_totals = store.bytes_totals
-    visited_plmns = store.visited_plmns
-    apns = store.apns
-    keys = [
-        (
-            devices[device_ids[i]], timestamps[i], _SERVICE_VALUES[services[i]],
-            durations[i], bytes_totals[i], plmns[visited_plmns[i]],
-            apn_strings[apns[i]] if apns[i] != NULL_ID else "",
-        )
-        for i in range(len(store))
-    ]
-    return sorted(range(len(keys)), key=keys.__getitem__)
+def _by_day(store: _Store) -> Dict[int, _Store]:
+    """The store's rows per day; the store itself when it holds one day."""
+    days = store.days
+    if not len(days):
+        return {}
+    if min(days) == max(days):
+        return {days[0]: store}
+    rows: Dict[int, List[int]] = {}
+    for index, day in enumerate(days):
+        rows.setdefault(day, []).append(index)
+    return {day: store.select(indices) for day, indices in rows.items()}
 
 
 def catalog_digest(
@@ -263,15 +208,6 @@ class CatalogDaemon:
         #: a concurrent re-send awaits the in-flight ack instead of
         #: double-applying the rows.
         self._pending: Dict[str, "asyncio.Future[int]"] = {}
-        #: Per-day columnar accumulators: ``CatalogBuilder.update``
-        #: replaces a day's whole slice, so each fold re-sends the full
-        #: day.  Every day store shares ``_pools`` — the builder's
-        #: columnar path requires one pool set across both streams, and
-        #: a daemon-wide vocabulary means live appends and WAL replay
-        #: extend the same dictionaries.
-        self._pools = ColumnPools()
-        self._events_by_day: Dict[int, ColumnarRadioEvents] = {}
-        self._records_by_day: Dict[int, ColumnarServiceRecords] = {}
         #: Query caches, invalidated by every applied batch.
         self._dirty = True
         self._cached_records: List[DeviceDayRecord] = []
@@ -361,98 +297,41 @@ class CatalogDaemon:
 
     # -- catalog state ---------------------------------------------------------
 
-    def _day_events(self, day: int) -> ColumnarRadioEvents:
-        store = self._events_by_day.get(day)
-        if store is None:
-            store = self._events_by_day[day] = ColumnarRadioEvents(self._pools)
-        return store
-
-    def _day_records(self, day: int) -> ColumnarServiceRecords:
-        store = self._records_by_day.get(day)
-        if store is None:
-            store = self._records_by_day[day] = ColumnarServiceRecords(self._pools)
-        return store
-
-    def _apply_rows(
-        self,
-        radio_events: List[RadioEvent],
-        service_records: List[ServiceRecord],
-    ) -> None:
-        """Fold one live batch's parsed rows into the incremental catalog.
-
-        Rows are encoded straight onto the day's columns (``append``
-        derives the same ``timestamp // 86400`` day as the row's
-        ``.day`` property); the fold itself is shared with the replay
-        path in :meth:`_fold_days`.
-        """
-        days: Set[int] = set()
-        for event in radio_events:
-            day = event.day
-            self._day_events(day).append(event)
-            days.add(day)
-        for record in service_records:
-            day = record.day
-            self._day_records(day).append(record)
-            days.add(day)
-        self._fold_days(days)
-
     def _apply_columns(
         self,
         radio_events: ColumnarRadioEvents,
         service_records: ColumnarServiceRecords,
     ) -> None:
-        """Fold one replayed batch's columnar block into the catalog.
+        """Fold one batch's column stores into the catalog, day by day.
 
-        The WAL replays each batch as the decoded stores themselves;
-        partitioning scans the cached ``days`` column into per-day index
-        lists and ``extend_from`` re-encodes each slice against the
-        daemon-wide pools — no row dataclass is ever built.
+        Live batches and WAL replay both land here.  Each day's rows go
+        to :meth:`CatalogBuilder.update` as one delta; a single-day
+        batch (the usual case) is passed whole, without a copy.
         """
-        radio_slices: Dict[int, List[int]] = {}
-        for index, day in enumerate(radio_events.days):
-            radio_slices.setdefault(day, []).append(index)
-        service_slices: Dict[int, List[int]] = {}
-        for index, day in enumerate(service_records.days):
-            service_slices.setdefault(day, []).append(index)
-        for day, indices in radio_slices.items():
-            self._day_events(day).extend_from(radio_events, indices)
-        for day, indices in service_slices.items():
-            self._day_records(day).extend_from(service_records, indices)
-        self._fold_days(set(radio_slices) | set(service_slices))
-
-    def _fold_days(self, days: Set[int]) -> None:
-        """Re-sort and re-fold every touched day's accumulated slice.
-
-        Each day is permuted into the canonical per-device chronological
-        order before the fold, so ingest is *commutative*: any arrival
-        order of (micro-)batches — concurrent clients, retried sheds,
-        out-of-order re-sends — yields the value-identical catalog,
-        because the fold itself is order-sensitive (float accumulation,
-        mobility sequences, first-seen identity).  The permutation keys
-        are the pool strings and enum values the row sort compared, so
-        the folded order is byte-identical to the row path's.
-        """
-        # Ascending day order keeps identity resolution equal to the
-        # batch pipeline's stream order (see CatalogBuilder.update).
-        for day in sorted(days):
-            day_events = self._day_events(day)
-            day_records = self._day_records(day)
-            perm = _radio_sort_permutation(day_events)
-            if perm != list(range(len(perm))):
-                day_events = day_events.select(perm)
-                self._events_by_day[day] = day_events
-            perm = _service_sort_permutation(day_records)
-            if perm != list(range(len(perm))):
-                day_records = day_records.select(perm)
-                self._records_by_day[day] = day_records
-            self._builder.update(day, day_events, day_records)
-        if days:
+        radio = _by_day(radio_events)
+        service = _by_day(service_records)
+        pools = radio_events.pools
+        for day in sorted(radio.keys() | service.keys()):
+            self._builder.update(
+                day,
+                radio[day] if day in radio else ColumnarRadioEvents(pools),
+                service[day] if day in service else ColumnarServiceRecords(pools),
+            )
             self._dirty = True
 
     def _refresh_caches(self) -> None:
         if not self._dirty:
             return
-        self._cached_records, self._cached_summaries = self._builder.snapshot()
+        quarantined = self._builder.quarantined
+        before = set(quarantined)
+        self._cached_records, self._cached_summaries = self._builder.snapshot(
+            lenient=True
+        )
+        for device_id, error in quarantined.items():
+            if device_id not in before:
+                self.health.note_device_quarantined(
+                    str(StageFailure.of(device_id, "summary", error))
+                )
         # Classification is population-wide (property propagation), so
         # the point query's class comes from one full, cached pass.
         self._cached_classes = self._classifier.classify(self._cached_summaries)
@@ -465,14 +344,15 @@ class CatalogDaemon:
         assert self.wal is not None
         while True:
             pending = await self.queue.get()
+            # Interned once: the WAL packs these stores, the fold scans them.
+            radio, service = from_record_streams(
+                pending.radio_events, pending.service_records
+            )
             try:
                 if self._on_batch is not None:
                     self._on_batch(pending.batch_id, self.wal.next_seq)
                 seq = await asyncio.to_thread(
-                    self.wal.append,
-                    pending.batch_id,
-                    pending.radio_events,
-                    pending.service_records,
+                    self.wal.append, pending.batch_id, radio, service
                 )
             except Exception as exc:
                 if isinstance(exc, OSError):
@@ -487,7 +367,7 @@ class CatalogDaemon:
                 if not pending.ack.done():
                     pending.ack.set_exception(exc)
                 raise
-            self._apply_rows(pending.radio_events, pending.service_records)
+            self._apply_columns(radio, service)
             self.health.note_ack(
                 len(pending.radio_events) + len(pending.service_records)
             )
@@ -768,6 +648,13 @@ class CatalogDaemon:
         self._refresh_caches()
         summary = self._cached_summaries.get(device_id)
         if summary is None:
+            error = self._builder.quarantined.get(device_id)
+            if error is not None:
+                return {
+                    "status": "quarantined",
+                    "device_id": device_id,
+                    "error": StageFailure.of(device_id, "summary", error).error,
+                }
             return {"status": "not_found", "device_id": device_id}
         classification = self._cached_classes[device_id]
         return {

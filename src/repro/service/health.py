@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional
 
 from repro.parallel.health import (
+    DEVICE_QUARANTINED,
     DISK_PRESSURE,
     OVERLOAD_SHED,
     QUEUE_SATURATION,
@@ -78,6 +79,9 @@ class ServiceHealth:
 
     def note_torn_wal(self, detail: str) -> None:
         self._record(TORN_CHECKPOINT, detail)
+
+    def note_device_quarantined(self, detail: str) -> None:
+        self._record(DEVICE_QUARANTINED, detail)
 
     # -- storage incidents (StorageIncident kinds) ----------------------------
 
@@ -139,6 +143,7 @@ class ServiceHealth:
             "shed_batches": rh.shed_batches,
             "task_restarts": rh.task_restarts,
             "snapshot_failures": rh.snapshots,
+            "devices_quarantined": rh.devices_quarantined,
             "torn_checkpoints": rh.torn_checkpoints,
             "storage_faults": rh.storage_faults,
             "disk_pressure_events": rh.disk_pressure_events,

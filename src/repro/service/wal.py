@@ -1,8 +1,8 @@
 """The daemon's write-ahead batch log, built on CheckpointStore.
 
 "No lost acknowledged batch" reduces to a classic WAL discipline: a
-batch's rows are packed into the runtime's CRC-framed columnar block
-format (:func:`repro.runtime.serialize.pack_day_block`), written
+batch's interned columns are packed into the runtime's CRC-framed block
+format (:func:`repro.runtime.serialize.pack_columns`), written
 atomically as checkpoint unit ``(seq, 0)``, and journaled — and only
 then is the client's ack released.  On restart :meth:`BatchLog.replay`
 walks the journal in sequence order and re-yields every acknowledged
@@ -26,17 +26,15 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Set, Tuple, Union
 
 from repro.columnar.store import ColumnarRadioEvents, ColumnarServiceRecords
 from repro.runtime.checkpoint import BeforeReplace, CheckpointStore
 from repro.runtime.serialize import (
     CheckpointCorruption,
-    pack_day_block,
+    pack_columns,
     unpack_day_block,
 )
-from repro.signaling.cdr import ServiceRecord
-from repro.signaling.events import RadioEvent
 
 PathLike = Union[str, Path]
 
@@ -57,10 +55,10 @@ class ReplayedBatch:
 
     The batch stays dictionary-encoded: ``radio_events`` /
     ``service_records`` are the unit's decoded columnar stores (shared
-    per-batch pools), which the daemon folds into the catalog directly —
-    :meth:`CatalogBuilder.update` takes column stores, so replay
-    never materializes row dataclasses.  Call ``.to_rows()`` on either
-    store if rows are genuinely needed.
+    per-batch pools), which the daemon folds into the catalog exactly
+    as it folds a live batch — :meth:`CatalogBuilder.update` takes
+    column stores, so replay never materializes row dataclasses.  Call
+    ``.to_rows()`` on either store if rows are genuinely needed.
     """
 
     seq: int
@@ -131,16 +129,21 @@ class BatchLog:
     def append(
         self,
         batch_id: str,
-        radio_events: Sequence[RadioEvent],
-        service_records: Sequence[ServiceRecord],
+        radio_events: ColumnarRadioEvents,
+        service_records: ColumnarServiceRecords,
     ) -> int:
-        """Persist one batch durably; returns its sequence number.
+        """Persist one batch's interned columns durably; returns its
+        sequence number.
 
+        The stores must own their pools (as
+        :func:`~repro.columnar.store.from_record_streams` with fresh
+        pools leaves them): the block is byte-identical to
+        :func:`~repro.runtime.serialize.pack_day_block` of the same rows.
         Blocking (file I/O): the daemon calls this via a worker thread,
         never directly on the event loop.
         """
         seq = self.next_seq
-        block = pack_day_block(radio_events, service_records)
+        block = pack_columns(radio_events, service_records)
         self._store.save_unit(seq, _WAL_SHARD, _encode_envelope(batch_id, seq, block))
         self._store.mark_complete(seq, _WAL_SHARD)
         self.applied_batch_ids.add(batch_id)

@@ -1,5 +1,6 @@
 """Unit tests for geographic primitives."""
 
+import math
 
 import pytest
 
@@ -125,3 +126,53 @@ class TestPairwiseMax:
     def test_empty_and_single(self):
         assert pairwise_max_distance_km([]) == 0.0
         assert pairwise_max_distance_km([MADRID]) == 0.0
+
+
+class TestInterpreterIndependentSums:
+    """Weight totals add left to right on every Python version.
+
+    CPython 3.12 made ``sum()`` of floats compensated; on these weights
+    a compensated total (``math.fsum``) and a left-to-right one differ,
+    so a centroid or gyration built on ``sum()`` would change its last
+    bits with the interpreter.
+    """
+
+    POINTS = [MADRID, LONDON, GeoPoint(48.8566, 2.3522)]
+    WEIGHTS = [45.50093747657347, 1800.7028919024044, 3600.0]
+
+    @staticmethod
+    def left_to_right(values):
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+
+    def reference_centroid(self):
+        total = self.left_to_right(self.WEIGHTS)
+        x = y = z = 0.0
+        for point, weight in zip(self.POINTS, self.WEIGHTS):
+            lat, lon = math.radians(point.lat), math.radians(point.lon)
+            w = weight / total
+            x += w * math.cos(lat) * math.cos(lon)
+            y += w * math.cos(lat) * math.sin(lon)
+            z += w * math.sin(lat)
+        norm = math.sqrt(x * x + y * y + z * z)
+        return GeoPoint(
+            lat=math.degrees(math.asin(max(-1.0, min(1.0, z / norm)))),
+            lon=math.degrees(math.atan2(y, x)),
+        )
+
+    def test_weights_expose_the_difference(self):
+        assert math.fsum(self.WEIGHTS) != self.left_to_right(self.WEIGHTS)
+
+    def test_centroid_is_left_to_right(self):
+        assert weighted_centroid(self.POINTS, self.WEIGHTS) == self.reference_centroid()
+
+    def test_gyration_is_left_to_right(self):
+        centroid = self.reference_centroid()
+        total = self.left_to_right(self.WEIGHTS)
+        acc = 0.0
+        for point, weight in zip(self.POINTS, self.WEIGHTS):
+            distance = haversine_km(point, centroid)
+            acc += (weight / total) * distance * distance
+        assert radius_of_gyration_km(self.POINTS, self.WEIGHTS) == math.sqrt(acc)

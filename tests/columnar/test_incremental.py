@@ -1,11 +1,11 @@
-"""Incremental day-update engine: converges to the full rebuild exactly."""
+"""Incremental engine: additive day deltas converge to the full build exactly."""
 
 from collections import defaultdict
 
 import pytest
 
 from repro.columnar import ColumnPools, from_record_streams
-from repro.core.catalog import CatalogBuilder, CatalogUpdate
+from repro.core.catalog import CatalogBuilder
 from repro.core.roaming import RoamingLabeler
 from repro.ecosystem import EcosystemConfig, build_default_ecosystem
 from repro.mno import MNOConfig, simulate_mno_dataset
@@ -65,54 +65,48 @@ def test_ascending_replay_converges_to_full_build(
     days, events, records = by_day
     builder = make_builder(small_eco, small_dataset)
     for day in days:
-        result = update(builder, day, events[day], records[day])
-        assert isinstance(result, CatalogUpdate)
-        assert result.day == day
-        assert result.n_changed == len(result.changed_devices)
+        assert update(builder, day, events[day], records[day]) is None
     day_records, summaries = builder.snapshot()
     assert day_records == full_build[0]
     assert list(summaries) == list(full_build[1])
     assert summaries == full_build[1]
 
 
-def test_resending_identical_day_changes_nothing(
+def test_second_snapshot_without_update_is_equal(
     small_eco, small_dataset, by_day, full_build
 ):
     days, events, records = by_day
     builder = make_builder(small_eco, small_dataset)
     for day in days:
         update(builder, day, events[day], records[day])
-    last = days[-1]
-    result = update(builder, last, events[last], records[last])
-    assert result.n_changed == 0
-    assert result.changed_devices == ()
-    assert builder.snapshot()[0] == full_build[0]
+    first = builder.snapshot()
+    second = builder.snapshot()
+    assert first == second
+    assert list(second[1]) == list(first[1])
+    assert second[0] == full_build[0]
 
 
-def test_modified_day_recomputes_only_changed_devices(
-    small_eco, small_dataset, by_day
+def test_day_split_into_two_deltas_equals_whole_day(
+    small_eco, small_dataset, by_day, full_build
 ):
+    """Either half of a day may arrive first; the snapshot (taken in
+    between, too) ends equal to the full build."""
     days, events, records = by_day
-    builder = make_builder(small_eco, small_dataset)
-    for day in days:
-        update(builder, day, events[day], records[day])
     last = days[-1]
-    mutated = [e for i, e in enumerate(events[last]) if i % 7]
-    touched = {e.device_id for e in events[last]} | {
-        e.device_id for e in mutated
-    }
-    result = update(builder, last, mutated, records[last])
-    assert 0 < result.n_changed <= len(touched)
-    assert set(result.changed_devices) <= touched
-
-    # The incremental state now matches a from-scratch build of the
-    # mutated streams, records and summaries alike.
-    full_events = [e for d in days for e in (mutated if d == last else events[d])]
-    full_records = [r for d in days for r in records[d]]
-    expected = build(make_builder(small_eco, small_dataset), full_events, full_records)
-    day_records, summaries = builder.snapshot()
-    assert day_records == expected[0]
-    assert summaries == expected[1]
+    halves = [
+        (events[last][0::2], records[last][1::2]),
+        (events[last][1::2], records[last][0::2]),
+    ]
+    for order in (halves, halves[::-1]):
+        builder = make_builder(small_eco, small_dataset)
+        for day in days[:-1]:
+            update(builder, day, events[day], records[day])
+        update(builder, last, *order[0])
+        builder.snapshot()
+        update(builder, last, *order[1])
+        day_records, summaries = builder.snapshot()
+        assert day_records == full_build[0]
+        assert summaries == full_build[1]
 
 
 def test_update_accepts_columnar_day_slices(
@@ -149,20 +143,14 @@ def test_update_rejects_columnar_slices_with_split_pools(
         builder.update(day, events_c, records_c)
 
 
-def test_empty_day_update_removes_devices(small_eco, small_dataset, by_day):
-    """Re-sending a day as empty retracts that day's contribution."""
+def test_empty_delta_changes_nothing(small_eco, small_dataset, by_day, full_build):
     days, events, records = by_day
     builder = make_builder(small_eco, small_dataset)
     for day in days:
         update(builder, day, events[day], records[day])
-    last = days[-1]
-    result = update(builder, last, [], [])
-    assert result.n_changed > 0
-    expected = build(
-        make_builder(small_eco, small_dataset),
-        [e for d in days[:-1] for e in events[d]],
-        [r for d in days[:-1] for r in records[d]],
-    )
-    day_records, summaries = builder.snapshot()
-    assert day_records == expected[0]
-    assert summaries == expected[1]
+    before = builder.snapshot()
+    update(builder, days[-1], [], [])
+    update(builder, days[0] - 1, [], [])
+    assert builder.snapshot() == before
+    assert before[0] == full_build[0]
+    assert before[1] == full_build[1]

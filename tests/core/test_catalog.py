@@ -41,7 +41,7 @@ def _event(eco, device_id="d1", day=0, hour=1.0, interface=RadioInterface.GB,
 
 
 def _day_records(builder, events, services):
-    return builder.build_day_records(*from_record_streams(events, services))
+    return builder.build_day_records(*from_record_streams(events, services))[0]
 
 
 def _summaries(builder, events, services):

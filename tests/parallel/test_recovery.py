@@ -180,3 +180,30 @@ def test_recovered_run_matches_serial():
         health=RunHealth(),
     )
     assert recovered == serial
+
+
+def test_pool_broken_during_submit_recovers(monkeypatch):
+    """A worker that dies while shards are still being submitted breaks
+    the pool at ``submit``; that is a pool failure like any other."""
+    import concurrent.futures
+    from concurrent.futures.process import BrokenProcessPool
+
+    import repro.parallel.pool as pool_module
+
+    calls = []
+
+    class BreaksOnSecondSubmit(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise BrokenProcessPool("worker died during submission")
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(pool_module, "ProcessPoolExecutor", BreaksOnSecondSubmit)
+    health = RunHealth()
+    results = map_shards(
+        square, [1, 2, 3], n_workers=2, context=os.getpid(),
+        deadline_s=30.0, retry_policy=ONE_SHOT, health=health,
+    )
+    assert results == [1, 4, 9]
+    assert health.broken_pools == 1

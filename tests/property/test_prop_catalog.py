@@ -6,7 +6,9 @@ conservation laws regardless of the stream's shape:
 * every input record is attributed to exactly one (device, day) row;
 * sums over daily rows equal the per-device summary totals;
 * radio flags are exactly the union of successful events' RATs;
-* failed-event counts equal the failures in the stream.
+* failed-event counts equal the failures in the stream;
+* the catalog is a function of the multiset of rows: any order, and
+  any split into single-day deltas folded in any order, digest equal.
 """
 
 from collections import defaultdict
@@ -18,6 +20,7 @@ from repro.columnar import from_record_streams
 from repro.core.catalog import CatalogBuilder
 from repro.core.roaming import RoamingLabeler
 from repro.ecosystem import EcosystemConfig, build_default_ecosystem
+from repro.service.daemon import catalog_digest
 from repro.signaling.cdr import ServiceRecord, ServiceType
 from repro.signaling.events import RadioEvent, RadioInterface
 from repro.signaling.procedures import MessageType, ResultCode
@@ -142,3 +145,91 @@ class TestCatalogConservation:
             days[event.device_id].add(event.day)
         for device_id, summary in summaries.items():
             assert summary.active_days == len(days[device_id])
+
+
+# -- order-freedom -------------------------------------------------------------
+
+#: Few distinct values, so rows tie on timestamp (and more) often: the
+#: ties are where an order-dependent fold would show.
+tied_timestamps = st.sampled_from(
+    [10.0, 10.0, 70.0, 4000.0, 86400.0 + 10.0, 86400.0 + 10.0, 2 * 86400.0 + 5.0]
+)
+sims = st.sampled_from([_OBSERVER, "26202", "20801"])
+
+
+@st.composite
+def tied_radio_events(draw):
+    return RadioEvent(
+        device_id=draw(st.sampled_from(["d1", "d2"])),
+        timestamp=draw(tied_timestamps),
+        sim_plmn=draw(sims),
+        tac=draw(st.sampled_from([35000000, 35000001])),
+        sector_id=draw(st.sampled_from(_SECTOR_IDS)),
+        interface=draw(interfaces),
+        event_type=draw(st.sampled_from([MessageType.ATTACH, MessageType.DETACH])),
+        result=draw(results),
+    )
+
+
+@st.composite
+def tied_service_records(draw):
+    is_voice = draw(st.booleans())
+    return ServiceRecord(
+        device_id=draw(st.sampled_from(["d1", "d2", "d3"])),
+        timestamp=draw(tied_timestamps),
+        sim_plmn=draw(sims),
+        visited_plmn=_OBSERVER,
+        service=ServiceType.VOICE if is_voice else ServiceType.DATA,
+        duration_s=draw(st.sampled_from([0.1, 0.2, 0.3, 59.9])) if is_voice else 0.0,
+        bytes_total=0 if is_voice else draw(st.integers(0, 10**6)),
+        apn=None if is_voice else draw(st.sampled_from([None, "a.b", "c.d"])),
+    )
+
+
+def _mobility_builder():
+    return CatalogBuilder(
+        _ECO.tac_db, _ECO.uk_sectors, RoamingLabeler(_ECO.operators, _ECO.uk_mno)
+    )
+
+
+def _digest(events, services):
+    return catalog_digest(
+        *_mobility_builder().build_from_columns(*from_record_streams(events, services))
+    )
+
+
+class TestCatalogOrderFreedom:
+    @given(
+        events=st.lists(tied_radio_events(), max_size=30),
+        services=st.lists(tied_service_records(), max_size=20),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_permutation_gives_the_same_catalog(self, events, services, data):
+        shuffled_events = data.draw(st.permutations(events))
+        shuffled_services = data.draw(st.permutations(services))
+        assert _digest(shuffled_events, shuffled_services) == _digest(events, services)
+
+    @given(
+        events=st.lists(tied_radio_events(), max_size=30),
+        services=st.lists(tied_service_records(), max_size=20),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_split_into_day_deltas_gives_the_same_catalog(
+        self, events, services, data
+    ):
+        # Each row lands in one of up to three deltas of its day; the
+        # deltas are folded in a drawn order, each interned on its own
+        # pools, with snapshots drawn in between.
+        deltas = {}
+        for kind, rows in ((0, events), (1, services)):
+            for row in rows:
+                part = data.draw(st.integers(0, 2))
+                deltas.setdefault((row.day, part), ([], []))[kind].append(row)
+        builder = _mobility_builder()
+        for day, part in data.draw(st.permutations(sorted(deltas))):
+            builder.update(day, *from_record_streams(*deltas[(day, part)]))
+            if data.draw(st.booleans()):
+                builder.snapshot()
+        assert catalog_digest(*builder.snapshot()) == _digest(events, services)

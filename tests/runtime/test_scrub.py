@@ -5,6 +5,7 @@ import shutil
 
 import pytest
 
+from repro.columnar import from_record_streams
 from repro.faults.fsfault import EIO_READ, FsFault, FsFaultPlan, install
 from repro.pipeline import run_pipeline
 from repro.runtime import run_durable_pipeline
@@ -195,7 +196,7 @@ def test_wal_store_scrubs_through_the_envelope(tmp_path, small_dataset):
     radio = small_dataset.radio_events[:40]
     service = small_dataset.service_records[:40]
     for i in range(3):
-        log.append(f"batch-{i}", radio, service)
+        log.append(f"batch-{i}", *from_record_streams(radio, service))
     log.close()
     assert scrub_store(wal_dir).n_verified_ok == 3
 

@@ -8,6 +8,7 @@ coverage in the chaos suite where the daemon lives in a subprocess.
 """
 
 import asyncio
+import dataclasses
 import json
 
 import pytest
@@ -15,7 +16,12 @@ import pytest
 from repro.columnar import from_record_streams
 from repro.core.catalog import CatalogBuilder
 from repro.core.roaming import RoamingLabeler
+from repro.pipeline import run_pipeline
+from repro.runtime.checkpoint import UNITS_DIRNAME
+from repro.runtime.serialize import pack_day_block
 from repro.service import CatalogDaemon, ServiceConfig, catalog_digest
+from repro.service.protocol import parse_batch_rows
+from repro.service.wal import _encode_envelope
 
 from tests.service.test_protocol import GOOD_RADIO, GOOD_SERVICE
 
@@ -452,3 +458,196 @@ def test_snapshot_loop_advances_watermark(tmp_path, svc_eco, svc_batches):
             await daemon.stop()
 
     asyncio.run(scenario())
+
+
+#: A foreign SIM seen only on a foreign network: no roaming label fits,
+#: so the device's summary raises (the lenient benchmark's poison row).
+POISON_SERVICE = dict(
+    GOOD_SERVICE, device_id="poison", sim_plmn="26202", visited_plmn="20801"
+)
+
+
+def lenient_reference_digest(eco, dataset, rows):
+    events, records, report = parse_batch_rows(rows)
+    assert report.n_quarantined == 0
+    result = run_pipeline(
+        dataclasses.replace(dataset, radio_events=events, service_records=records),
+        eco,
+        lenient=True,
+        n_workers=1,
+    )
+    return catalog_digest(result.day_records, result.summaries)
+
+
+def test_unlabelable_device_is_quarantined_not_fatal(
+    tmp_path, svc_eco, svc_dataset
+):
+    """One unlabelable device is quarantined at snapshot: the ack is ok,
+    the device gets one typed incident, and a restart replays cleanly."""
+    wal_dir = str(tmp_path / "wal")
+    rows = [GOOD_RADIO, POISON_SERVICE]
+    config = ServiceConfig(batch_deadline_s=2.0, **FAST_CONFIG)
+
+    async def first_life():
+        daemon = CatalogDaemon(svc_eco, wal_dir, config)
+        await daemon.start()
+        try:
+            response = await ingest(daemon.port, "b-poison", rows)
+            assert response["status"] == "ok", response
+            digest = await request(daemon.port, {"op": "digest"})
+            answer = await request(daemon.port, {"op": "query", "device_id": "poison"})
+            assert answer["status"] == "quarantined"
+            assert "unobservable" in answer["error"]
+            good = await request(daemon.port, {"op": "query", "device_id": "d0"})
+            assert good["status"] == "ok"
+            health = (await request(daemon.port, {"op": "healthz"}))["healthz"]
+            assert health["devices_quarantined"] == 1
+            assert health["task_restarts"] == 0
+            kinds = [i.kind for i in daemon.health.run_health.incidents]
+            assert kinds == ["device-quarantined"]
+            return digest
+        finally:
+            await daemon.stop()
+
+    async def second_life():
+        daemon = CatalogDaemon(svc_eco, wal_dir, config, resume=True)
+        await daemon.start()
+        try:
+            assert daemon.health.batches_replayed == 1
+            replayed = await request(daemon.port, {"op": "digest"})
+            # A home-network radio event makes the device labelable (an
+            # inbound roamer); it leaves quarantine at the next snapshot.
+            cured = dict(GOOD_RADIO, device_id="poison", sim_plmn="26202", ts=12.0)
+            response = await ingest(daemon.port, "b-cure", [cured])
+            assert response["status"] == "ok"
+            answer = await request(daemon.port, {"op": "query", "device_id": "poison"})
+            assert answer["status"] == "ok"
+            final = await request(daemon.port, {"op": "digest"})
+            return replayed, final
+        finally:
+            await daemon.stop()
+
+    digest = asyncio.run(first_life())
+    assert digest["digest"] == lenient_reference_digest(svc_eco, svc_dataset, rows)
+    assert digest["n_devices"] == 1
+    replayed, final = asyncio.run(second_life())
+    assert replayed == digest
+    assert final["n_devices"] == 2
+    cured = dict(GOOD_RADIO, device_id="poison", sim_plmn="26202", ts=12.0)
+    assert final["digest"] == lenient_reference_digest(
+        svc_eco, svc_dataset, rows + [cured]
+    )
+
+
+def test_fold_is_o_batch(tmp_path, svc_eco, svc_batches):
+    """Each row reaches ``CatalogBuilder.update`` once, and ``summarize``
+    runs only inside ``snapshot``: the fold never re-reads a day."""
+    update_rows = []
+    summarize_outside_snapshot = []
+
+    async def scenario():
+        daemon = CatalogDaemon(
+            svc_eco, str(tmp_path / "wal"), ServiceConfig(**FAST_CONFIG)
+        )
+        builder = daemon._builder
+        update, snapshot, summarize = (
+            builder.update, builder.snapshot, builder.summarize
+        )
+        in_snapshot = []
+
+        def counting_update(day, radio_events, service_records):
+            update_rows.append(len(radio_events) + len(service_records))
+            return update(day, radio_events, service_records)
+
+        def marked_snapshot(*args, **kwargs):
+            in_snapshot.append(True)
+            try:
+                return snapshot(*args, **kwargs)
+            finally:
+                in_snapshot.pop()
+
+        def checked_summarize(*args, **kwargs):
+            summarize_outside_snapshot.append(not in_snapshot)
+            return summarize(*args, **kwargs)
+
+        builder.update = counting_update
+        builder.snapshot = marked_snapshot
+        builder.summarize = checked_summarize
+        await daemon.start()
+        try:
+            for batch_id, rows in svc_batches:
+                # Halve each day so a day arrives as several batches.
+                for half, part in enumerate((rows[0::2], rows[1::2])):
+                    response = await ingest(daemon.port, f"{batch_id}-{half}", part)
+                    assert response["status"] == "ok"
+                await request(daemon.port, {"op": "query", "device_id": "d0"})
+            await request(daemon.port, {"op": "digest"})
+            return daemon.health.rows_ingested
+        finally:
+            await daemon.stop()
+
+    rows_acked = asyncio.run(scenario())
+    assert sum(update_rows) == rows_acked
+    assert summarize_outside_snapshot and not any(summarize_outside_snapshot)
+
+
+def test_wal_unit_matches_pack_day_block(tmp_path, svc_eco, svc_batches):
+    """A live batch is interned once; the WAL packs those stores into
+    the same bytes ``pack_day_block`` writes for its rows, folded or not."""
+    wal_dir = tmp_path / "wal"
+    batch_id, rows = svc_batches[0]
+
+    async def scenario():
+        daemon = CatalogDaemon(svc_eco, str(wal_dir), ServiceConfig(**FAST_CONFIG))
+        await daemon.start()
+        try:
+            assert (await ingest(daemon.port, batch_id, rows))["status"] == "ok"
+            # Snapshotting after the fold must not touch the packed pools.
+            await request(daemon.port, {"op": "digest"})
+        finally:
+            await daemon.stop()
+
+    asyncio.run(scenario())
+    events, records, _ = parse_batch_rows(rows, source=batch_id)
+    unit = wal_dir / UNITS_DIRNAME / "day_000.shard_000.ckpt"
+    assert unit.read_bytes() == _encode_envelope(
+        batch_id, 0, pack_day_block(events, records)
+    )
+
+
+def test_wal_of_row_packed_blocks_replays(
+    tmp_path, monkeypatch, svc_eco, svc_dataset, svc_batches
+):
+    """A WAL whose blocks were packed from rows (``pack_day_block``)
+    replays to the uninterrupted catalog."""
+    wal_dir = str(tmp_path / "wal")
+
+    async def write_life():
+        daemon = CatalogDaemon(svc_eco, wal_dir, ServiceConfig(**FAST_CONFIG))
+        await daemon.start()
+        try:
+            for batch_id, rows in svc_batches:
+                assert (await ingest(daemon.port, batch_id, rows))["status"] == "ok"
+        finally:
+            await daemon.stop()
+
+    async def replay_life():
+        daemon = CatalogDaemon(
+            svc_eco, wal_dir, ServiceConfig(**FAST_CONFIG), resume=True
+        )
+        await daemon.start()
+        try:
+            assert daemon.health.batches_replayed == len(svc_batches)
+            return (await request(daemon.port, {"op": "digest"}))["digest"]
+        finally:
+            await daemon.stop()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            "repro.service.wal.pack_columns",
+            lambda events, records: pack_day_block(
+                events.to_rows(), records.to_rows()
+            ),
+        )
+        asyncio.run(write_life())
+    assert asyncio.run(replay_life()) == reference_digest(svc_eco, svc_dataset)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.columnar import from_record_streams
 from repro.runtime.checkpoint import UNITS_DIRNAME, StaleManifestError
 from repro.service import BatchLog
 from repro.service.protocol import parse_batch_rows
@@ -20,12 +21,17 @@ def typed_rows(n_radio=2, n_service=1, day_offset=0):
     return events, records
 
 
+def append(log, batch_id, events, records):
+    """Append rows the way the daemon does: interned once, fresh pools."""
+    return log.append(batch_id, *from_record_streams(events, records))
+
+
 def test_append_then_replay_round_trips(tmp_path):
     log = BatchLog(tmp_path)
     events_a, records_a = typed_rows(day_offset=0)
     events_b, records_b = typed_rows(day_offset=1)
-    assert log.append("b-0", events_a, records_a) == 0
-    assert log.append("b-1", events_b, records_b) == 1
+    assert append(log, "b-0", events_a, records_a) == 0
+    assert append(log, "b-1", events_b, records_b) == 1
     assert log.applied_batch_ids == {"b-0", "b-1"}
     log.sync()
     log.close()
@@ -41,7 +47,7 @@ def test_append_then_replay_round_trips(tmp_path):
     assert resumed.applied_batch_ids == {"b-0", "b-1"}
     # New appends continue the sequence, they never reuse a slot.
     events_c, records_c = typed_rows(day_offset=2)
-    assert resumed.append("b-2", events_c, records_c) == 2
+    assert append(resumed, "b-2", events_c, records_c) == 2
     resumed.close()
 
 
@@ -57,7 +63,7 @@ def test_torn_unit_is_counted_and_skipped(tmp_path):
     log = BatchLog(tmp_path)
     for seq in range(3):
         events, records = typed_rows(day_offset=seq)
-        log.append(f"b-{seq}", events, records)
+        append(log, f"b-{seq}", events, records)
     log.sync()
     log.close()
 
@@ -89,7 +95,7 @@ def test_wal_directory_is_role_pinned(tmp_path):
 def test_manifest_summary_counters(tmp_path):
     log = BatchLog(tmp_path)
     events, records = typed_rows()
-    log.append("b-0", events, records)
+    append(log, "b-0", events, records)
     summary = log.manifest_summary()
     assert summary["next_seq"] == 1
     assert summary["n_torn_units"] == 0

@@ -4,9 +4,10 @@
 the catalog (``catalog_digest`` over day records and summaries), the
 SHA-256 of the sorted ``(device, label, step)`` classification tuples
 and, for lenient runs, the quarantine taxonomy.  Each mode — serial,
-sharded over both shard transports, durable, out-of-core — must match
-the pinned digests, so removing or rewriting a code path is safe exactly
-when this table stays green.
+sharded over both shard transports, durable, out-of-core, and a live
+daemon fed the rows in shuffled batches — must match the pinned
+digests, so removing or rewriting a code path is safe exactly when this
+table stays green.
 
 Regenerate (only when the catalog is meant to change) with::
 
@@ -15,20 +16,26 @@ Regenerate (only when the catalog is meant to change) with::
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 import hashlib
 import json
 from pathlib import Path
 from typing import Any, Dict
 
+import numpy as np
 import pytest
 
+from repro.datasets.io import radio_event_to_dict, service_record_to_dict
 from repro.ecosystem import EcosystemConfig, build_default_ecosystem
 from repro.faults import FaultPlan, inject_radio_events, inject_service_records
 from repro.mno import MNOConfig, simulate_mno_dataset
 from repro.pipeline import run_pipeline
+from repro.service import CatalogDaemon, ServiceConfig
 from repro.service.daemon import catalog_digest
 from repro.signaling.cdr import ServiceRecord, ServiceType
+
+from tests.service.test_daemon import ingest, request
 
 GOLDEN_PATH = Path(__file__).with_name("golden_catalog.json")
 SEEDS = (3, 9)
@@ -37,14 +44,18 @@ N_DEVICES = 60
 N_POISON = 3
 ECO_CONFIG = EcosystemConfig(uk_sites=30, seed=11)
 
-#: mode -> (run_pipeline keyword arguments, REPRO_TRANSPORT or None).
+#: mode -> (run_pipeline keyword arguments, REPRO_TRANSPORT or None);
+#: None runs the dataset through a live daemon instead.
 MODES: Dict[str, Any] = {
     "serial": ({"n_workers": 1}, None),
     "sharded-shm": ({"n_workers": 2}, "shm"),
     "sharded-rpck": ({"n_workers": 2}, "rpck"),
     "durable": ({"n_workers": 2, "checkpoint_dir": True}, None),
     "out-of-core": ({"n_workers": 1, "out_of_core": True}, None),
+    "daemon-shuffled": None,
 }
+#: Rows per ingest batch in the daemon-shuffled mode.
+DAEMON_BATCH_ROWS = 200
 
 
 def _poison(device_id: str, timestamp: float) -> ServiceRecord:
@@ -94,6 +105,43 @@ def observe(result) -> Dict[str, Any]:
     return observed
 
 
+def observe_daemon(eco, dataset, seed: int, wal_dir: Path) -> Dict[str, Any]:
+    """Catalog and class digests of an in-process daemon fed the dataset
+    as seeded-shuffled batches, rows mixed across days.  A lenient
+    dataset's poison devices are quarantined at snapshot; the daemon
+    keeps no degradation report, so only the digests are pinned."""
+    rows = [
+        dict(radio_event_to_dict(event), kind="radio")
+        for event in dataset.radio_events
+    ] + [
+        dict(service_record_to_dict(record), kind="service")
+        for record in dataset.service_records
+    ]
+    rows = [rows[i] for i in np.random.default_rng(seed).permutation(len(rows))]
+
+    async def scenario() -> Dict[str, Any]:
+        daemon = CatalogDaemon(eco, str(wal_dir))
+        await daemon.start()
+        try:
+            for start in range(0, len(rows), DAEMON_BATCH_ROWS):
+                batch = rows[start:start + DAEMON_BATCH_ROWS]
+                response = await ingest(daemon.port, f"b-{start}", batch)
+                assert response["status"] == "ok", response
+            answer = await request(daemon.port, {"op": "digest"})
+            classes = sorted(
+                (device_id, c.label.value, c.step.value)
+                for device_id, c in daemon._cached_classes.items()
+            )
+        finally:
+            await daemon.stop()
+        return {
+            "catalog": answer["digest"],
+            "classes": hashlib.sha256(repr(classes).encode("utf-8")).hexdigest(),
+        }
+
+    return asyncio.run(scenario())
+
+
 @pytest.fixture(scope="module")
 def golden() -> Dict[str, Any]:
     return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
@@ -119,6 +167,13 @@ def datasets(golden_eco):
 def test_mode_matches_golden_digests(
     tmp_path, monkeypatch, golden, golden_eco, datasets, seed, profile, mode
 ):
+    expected = golden[f"{profile}-{seed}"]
+    if MODES[mode] is None:
+        observed = observe_daemon(
+            golden_eco, datasets[(seed, profile)], seed, tmp_path / "wal"
+        )
+        assert observed == {key: expected[key] for key in observed}
+        return
     kwargs, transport = MODES[mode]
     kwargs = dict(kwargs)
     if kwargs.get("checkpoint_dir"):
@@ -131,7 +186,7 @@ def test_mode_matches_golden_digests(
         lenient=profile == "lenient",
         **kwargs,
     )
-    assert observe(result) == golden[f"{profile}-{seed}"]
+    assert observe(result) == expected
 
 
 def _generate() -> Dict[str, Any]:

@@ -371,11 +371,10 @@ def run_benches(devices: int, seed: int, repeats: int) -> Dict[str, Dict[str, fl
     )
     rows_per_op["intern_pool"] = n_rows
 
-    # Incremental day-update: replay the window once, then alternate the
-    # last day between its original slice and a mutated one (every 7th
-    # radio row dropped) so every timed update crosses the change
-    # detector and does real recompute work — repeating an identical
-    # slice would short-circuit to a no-op and flatter the number.
+    # Incremental day-update: each timed call folds the last day into
+    # its own builder, primed untimed with (and snapshotted after) the
+    # other days, then snapshots — so it pays exactly for merging one
+    # day's delta and finalizing the cells and devices it touched.
     by_day_events = defaultdict(list)
     by_day_services = defaultdict(list)
     for event in dataset.radio_events:
@@ -383,23 +382,22 @@ def run_benches(devices: int, seed: int, repeats: int) -> Dict[str, Dict[str, fl
     for record in dataset.service_records:
         by_day_services[record.day].append(record)
     days = sorted(set(by_day_events) | set(by_day_services))
-    inc_builder = fresh_builder()
-    for day in days:
-        inc_builder.update(
-            day, *from_record_streams(by_day_events[day], by_day_services[day])
-        )
     last_day = days[-1]
     slice_full = (by_day_events[last_day], by_day_services[last_day])
-    slice_mutated = (
-        [e for i, e in enumerate(by_day_events[last_day]) if i % 7],
-        by_day_services[last_day],
-    )
-    toggle: List[bool] = [False]
+    primed: List[CatalogBuilder] = []
+    for _ in range(repeats):
+        inc_builder = fresh_builder()
+        for day in days[:-1]:
+            inc_builder.update(
+                day, *from_record_streams(by_day_events[day], by_day_services[day])
+            )
+        inc_builder.snapshot()
+        primed.append(inc_builder)
 
     def incremental_day() -> None:
-        toggle[0] = not toggle[0]
-        day_events, day_services = slice_mutated if toggle[0] else slice_full
-        inc_builder.update(last_day, *from_record_streams(day_events, day_services))
+        inc_builder = primed.pop()
+        inc_builder.update(last_day, *from_record_streams(*slice_full))
+        inc_builder.snapshot()
 
     benches["catalog_incremental_day"] = incremental_day
     rows_per_op["catalog_incremental_day"] = len(slice_full[0]) + len(slice_full[1])
