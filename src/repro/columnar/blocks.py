@@ -1,12 +1,15 @@
-"""CRC-framed column-block primitives shared by checkpoints and transport.
+"""CRC-framed column blocks: the one codec for columns at rest and in flight.
 
-Both the durable checkpoint store (:mod:`repro.runtime.serialize`) and
-the zero-copy shard exchange (:mod:`repro.parallel.transport`) move
-columnar stores as a single framed byte block: a JSON header describing
+Durable checkpoint units, spill files and WAL entries
+(:mod:`repro.runtime.serialize`) and the shards the sharded executor
+sends to pool workers (:mod:`repro.parallel.transport`) all move
+columnar stores as one framed byte block: a JSON header holding the
 pool vocabularies and column layout, followed by each column's raw
-``array`` buffer.  This module owns the shared primitives — framing,
-column chunking, pool encode/decode — so the two consumers cannot drift
-apart on the wire format.
+``array`` buffer.  This module owns that format — framing, column
+chunking, pool encode/decode and the self-contained
+:func:`pack_columns` / :func:`unpack_day_block` pair — so no consumer
+can drift from it.  It imports nothing above :mod:`repro.columnar`, so
+the pool seam can use it without pulling in :mod:`repro.runtime`.
 
 Framing (format version |BLOCK_VERSION|)::
 
@@ -16,9 +19,6 @@ Framing (format version |BLOCK_VERSION|)::
 The CRC covers the whole body, so a torn write (truncated file, partial
 rename source) or bit rot is detected before a single row is decoded —
 :class:`CheckpointCorruption` is raised, never a silently-wrong block.
-Shared-memory segments may be page-padded past the block's end, so
-:func:`block_length` recovers the exact framed length for consumers
-that read from a buffer larger than the block itself.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import json
 import struct
 import zlib
 from array import array
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from repro.columnar.store import (
     ColumnPools,
@@ -100,16 +100,6 @@ def _validate_frame(data: Union[bytes, memoryview]) -> Tuple[int, int]:
             f"block version {version} != supported {BLOCK_VERSION}"
         )
     return int(crc), int(body_len)
-
-
-def block_length(data: Union[bytes, memoryview]) -> int:
-    """Exact framed length of the block at the start of ``data``.
-
-    Lets a consumer slice a block out of an oversized buffer (a
-    page-padded shared-memory segment) before strict decoding.
-    """
-    _, body_len = _validate_frame(data)
-    return _FRAME.size + body_len
 
 
 def read_block(data: bytes) -> Tuple[Dict[str, Any], bytes, int]:
@@ -251,63 +241,52 @@ def pools_from_header(header: Dict[str, List[str]]) -> ColumnPools:
     )
 
 
-def pack_pools(pools: ColumnPools) -> bytes:
-    """A framed block holding only pool vocabularies (no columns)."""
-    return build_block({"kind": "pools", "pools": pools_header(pools)}, ())
+# -- self-contained column blocks --------------------------------------------
+
+#: One lenient-mode quarantine decision: (device_id, stage, error text).
+QuarantineEntry = Tuple[str, str, str]
 
 
-def unpack_pools(data: bytes) -> ColumnPools:
-    """Decode a :func:`pack_pools` block."""
-    header, _, _ = read_block(data)
-    if header.get("kind") != "pools":
-        raise CheckpointCorruption(
-            f"expected a pools block, got kind {header.get('kind')!r}"
-        )
-    return pools_from_header(header["pools"])
-
-
-# -- shard column blocks -----------------------------------------------------
-
-def pack_shard_block(
+def pack_columns(
     events: ColumnarRadioEvents,
     records: ColumnarServiceRecords,
-    include_pools: bool,
+    quarantine: Sequence[QuarantineEntry] = (),
 ) -> bytes:
-    """Frame one shard's columns, optionally self-contained.
+    """Frame two stores sharing one pool set as a checksummed block.
 
-    With ``include_pools=True`` the pool vocabularies ride in the
-    header (self-contained fallback transport); with ``False`` the
-    block holds columns only and decoding requires the exchange's
-    shared pools block.
+    The pools ride in the header whole, so the block decodes with
+    nothing else at hand.  Stores that own their pools (a checkpoint
+    unit) give the same bytes as ``pack_day_block`` of the same rows; a
+    shard ``select``-ed from a larger store carries the whole parent
+    vocabulary.
     """
+    if events.pools is not records.pools:
+        raise ValueError("columnar streams must share one ColumnPools")
     radio_spec, radio_chunks = column_chunks(events, RADIO_COLUMNS)
     service_spec, service_chunks = column_chunks(records, SERVICE_COLUMNS)
-    header: Dict[str, Any] = {"kind": "shard"}
-    if include_pools:
-        header["pools"] = pools_header(events.pools)
-    header["radio"] = radio_spec
-    header["service"] = service_spec
+    # Header key order is part of the on-disk byte format (version 1
+    # blocks predate the shared codec); keep it stable.
+    header = {
+        "pools": pools_header(events.pools),
+        "radio": radio_spec,
+        "service": service_spec,
+        "quarantine": [list(entry) for entry in quarantine],
+    }
     return build_block(header, [*radio_chunks, *service_chunks])
 
 
-def unpack_shard_block(
+def unpack_day_block(
     data: bytes,
-    pools: Optional[ColumnPools] = None,
-) -> Tuple[ColumnarRadioEvents, ColumnarServiceRecords]:
-    """Decode a shard block against ``pools`` (or its embedded pools)."""
+) -> Tuple[ColumnarRadioEvents, ColumnarServiceRecords, List[QuarantineEntry]]:
+    """Decode a framed block, validating checksum and version first."""
     header, body, offset = read_block(data)
-    if header.get("kind") != "shard":
-        raise CheckpointCorruption(
-            f"expected a shard block, got kind {header.get('kind')!r}"
-        )
-    if pools is None:
-        if "pools" not in header:
-            raise CheckpointCorruption(
-                "shard block has no embedded pools and none were supplied"
-            )
-        pools = pools_from_header(header["pools"])
+    pools = pools_from_header(header["pools"])
     events = ColumnarRadioEvents(pools)
     offset = load_column_chunks(events, header["radio"], body, offset)
     records = ColumnarServiceRecords(pools)
     load_column_chunks(records, header["service"], body, offset)
-    return events, records
+    quarantine = [
+        (str(device_id), str(stage), str(error))
+        for device_id, stage, error in header["quarantine"]
+    ]
+    return events, records, quarantine

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.cellular.tac_db import GSMALabel
 from repro.core.apn import (
@@ -181,50 +181,14 @@ class DeviceClassifier:
                 return True
         return False
 
-    def collect_m2m_evidence(
-        self, summaries: Mapping[str, DeviceSummary]
-    ) -> Tuple[Dict[str, Tuple[str, IoTVertical]], Set[Tuple[str, str]]]:
-        """Step-1 evidence: validated APNs plus step-1 device property keys.
-
-        Because :func:`classify_apn` is a pure per-APN function, evidence
-        collected over a *shard* of devices union-merges into exactly the
-        evidence a whole-population pass would produce — this is what
-        makes sharded classification (``repro.parallel``) byte-identical
-        to the serial run.  Returns ``({apn: (keyword, vertical)},
-        {(manufacturer, model), ...})``; both empty when APN keywords are
-        disabled.
-        """
-        if not self.config.use_apn_keywords:
-            return {}, set()
-        validated = self.validated_apns(summaries)
-        keys: Set[Tuple[str, str]] = set()
-        for summary in summaries.values():
-            if summary.property_key is None:
-                continue
-            if any(apn in validated for apn in summary.apns):
-                keys.add(summary.property_key)
-        return validated, keys
-
     # -- the full pipeline ----------------------------------------------------
 
     def classify(
-        self,
-        summaries: Mapping[str, DeviceSummary],
-        extra_m2m_property_keys: Optional[AbstractSet[Tuple[str, str]]] = None,
+        self, summaries: Mapping[str, DeviceSummary]
     ) -> Dict[str, Classification]:
-        """Classify every device; returns device_id -> Classification.
-
-        ``extra_m2m_property_keys`` feeds step 2 additional (manufacturer,
-        model) keys collected *outside* ``summaries`` — the shard-merge
-        layer passes the globally merged step-1 evidence here so that
-        property propagation still crosses shard boundaries.  Passing the
-        global key set makes per-shard calls equal the whole-population
-        call restricted to the shard's devices.
-        """
+        """Classify every device; returns device_id -> Classification."""
         result: Dict[str, Classification] = {}
         m2m_property_keys: Set[Tuple[str, str]] = set()
-        if extra_m2m_property_keys:
-            m2m_property_keys.update(extra_m2m_property_keys)
 
         # Step 1: validated M2M APNs.  The APN set is iterated sorted so
         # the matched keyword for a multi-APN device never depends on

@@ -115,6 +115,18 @@ def _run_in_process(
         _install_context(previous)
 
 
+def _kill_workers(pool: ProcessPoolExecutor) -> None:
+    """SIGKILL an abandoned pool's worker processes.
+
+    ``shutdown(wait=False)`` only stops feeding the workers: one stuck
+    in a shard (the deadline case) would run on, and the interpreter
+    joins it at exit, so the run could never end.  There is no public
+    kill before Python 3.14, hence the private process table.
+    """
+    for process in list((pool._processes or {}).values()):
+        process.kill()
+
+
 def map_shards(
     fn: Callable[[S], R],
     shards: Sequence[S],
@@ -179,6 +191,7 @@ def map_shards(
             break
 
         failed: Optional[Tuple[int, str, str]] = None
+        finished = False
         pool = ProcessPoolExecutor(
             max_workers=min(n_workers, len(pending)),
             initializer=_install_context,
@@ -215,7 +228,11 @@ def map_shards(
                         and future.exception() is None
                     ):
                         results[other] = future.result()
+            else:
+                finished = True
         finally:
+            if not finished:
+                _kill_workers(pool)
             pool.shutdown(wait=False, cancel_futures=True)
 
         if failed is None:

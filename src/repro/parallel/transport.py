@@ -1,342 +1,68 @@
-"""Zero-copy columnar shard exchange across the process-pool seam.
+"""Shards out as column blocks, results back as packed blocks.
 
-Shipping shards as pickled row lists made the parallel plane *slower*
-than serial: every ``RadioEvent``/``ServiceRecord`` dataclass was
-serialized, copied through a pipe, and re-validated per row.  This
-module replaces that with bulk column transport:
+The sharded executor (:mod:`repro.parallel.executor`) crosses the
+process-pool seam one way in each direction:
 
-- **shm** (POSIX default): the parent lays each shard's interned column
-  block into a ``multiprocessing.shared_memory`` segment — one *pools*
-  segment holding the shared vocabularies plus one small *data* segment
-  per shard — and ships workers a tiny :class:`ShmShardDescriptor`
-  (two segment names).  A worker attaches, bulk-copies the framed block
-  out in one ``memcpy``, and rebuilds the ``array`` columns with zero
-  per-row work; the vocabulary is decoded once per worker and cached.
-- **rpck** (fallback): each shard rides the pool pipe as one
-  self-contained CRC-framed byte block (:mod:`repro.columnar.blocks`,
-  the durable-checkpoint codec) inside a :class:`RpckShardDescriptor`.
-  Chosen automatically on Windows, where the POSIX unlink-based segment
-  lifecycle does not hold, or via ``REPRO_TRANSPORT=rpck``.
-
-Results come back the same way in spirit: workers return **packed
-column/summary blocks** (:func:`pack_build_result` and friends), never
-row-by-row pickled dataclasses.
-
-Segment lifecycle: names are deterministic —
-``rsx{pid:x}-{seq:x}-{role}`` with ``seq`` a per-process counter — so a
-crashed run's leftovers are attributable to their owner pid and
-:func:`cleanup_stale_segments` can sweep them.  The owning
-:class:`ShardExchange` unlinks every segment in ``close()`` (callers
-hold it in a ``finally``); if the parent is SIGKILLed first, its
-``multiprocessing`` resource tracker — shared by the pool workers —
-unlinks anything still registered at process teardown.  A SIGKILLed
-*worker* leaks nothing: segments belong to the parent.
+- **Out.**  :func:`publish_shards` packs each device shard into one
+  self-contained framed column block with
+  :func:`~repro.columnar.blocks.pack_columns`, the codec checkpoints,
+  spill files and the daemon's WAL already use.  The shard's pool
+  vocabularies ride in the block header, so a worker decodes it with
+  :func:`~repro.columnar.blocks.unpack_day_block` and nothing else.  The
+  block rides the pool pipe as plain bytes: no OS resource is created,
+  so nothing needs closing or sweeping after a crash.
+- **Back.**  Workers return day records and summaries as packed column
+  blocks (:func:`pack_build_result`, :func:`pack_lenient_result`), never
+  row-by-row pickled dataclasses.
 """
 
 from __future__ import annotations
 
-import contextlib
-import itertools
-import os
-import sys
 from array import array
-from collections import OrderedDict
-from dataclasses import dataclass
-from multiprocessing import shared_memory
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cellular.geo import GeoPoint
 from repro.cellular.rats import RAT, RadioFlags
 from repro.cellular.tac_db import DeviceModel, DeviceOS, GSMALabel
 from repro.columnar.blocks import (
     CheckpointCorruption,
-    block_length,
     build_block,
-    pack_pools,
-    pack_shard_block,
+    pack_columns,
     read_block,
-    unpack_pools,
-    unpack_shard_block,
 )
 from repro.columnar.store import (
-    ColumnPools,
     ColumnarRadioEvents,
     ColumnarServiceRecords,
     StringPool,
 )
 from repro.core.catalog import DeviceDayRecord, DeviceSummary
-from repro.core.classifier import Classification, ClassificationStep, ClassLabel
 from repro.core.mobility import MobilityMetrics
 from repro.core.roaming import RoamingLabel, SimOrigin, VisitedSide
-from repro.devices.device import IoTVertical
 from repro.pipeline import DegradationReport, StageFailure
-
-#: Environment override for transport selection (``shm`` or ``rpck``).
-TRANSPORT_ENV_FLAG = "REPRO_TRANSPORT"
-TRANSPORT_SHM = "shm"
-TRANSPORT_RPCK = "rpck"
-TRANSPORTS = (TRANSPORT_SHM, TRANSPORT_RPCK)
-
-#: Shared-memory segment name prefix ("repro shard exchange").
-SEGMENT_PREFIX = "rsx"
-
-#: Where POSIX shared-memory segments appear as files (leak checks).
-SHM_DIR = "/dev/shm"
-
-_EXCHANGE_SEQ = itertools.count()
-
-#: Worker-side cache of decoded pool vocabularies, keyed by segment
-#: name.  Names are unique per exchange, so an entry can never go
-#: stale; the cache only saves re-decoding the (large) vocabulary for
-#: every shard a worker processes within one exchange.
-_POOL_CACHE: "OrderedDict[str, ColumnPools]" = OrderedDict()
-_POOL_CACHE_MAX = 4
 
 # -- enum index tables (definition order is the wire order) ------------------
 
 _SIM_ORIGINS = tuple(SimOrigin)
 _VISITED_SIDES = tuple(VisitedSide)
-_CLASS_LABELS = tuple(ClassLabel)
-_CLASS_STEPS = tuple(ClassificationStep)
-_VERTICALS = tuple(IoTVertical)
 _DEVICE_OSES = tuple(DeviceOS)
 _GSMA_LABELS = tuple(GSMALabel)
 _RATS = tuple(RAT)
 
 _SIM_ORIGIN_INDEX = {member: index for index, member in enumerate(_SIM_ORIGINS)}
 _VISITED_SIDE_INDEX = {member: index for index, member in enumerate(_VISITED_SIDES)}
-_CLASS_LABEL_INDEX = {member: index for index, member in enumerate(_CLASS_LABELS)}
-_CLASS_STEP_INDEX = {member: index for index, member in enumerate(_CLASS_STEPS)}
-_VERTICAL_INDEX = {member: index for index, member in enumerate(_VERTICALS)}
 _DEVICE_OS_INDEX = {member: index for index, member in enumerate(_DEVICE_OSES)}
 _GSMA_LABEL_INDEX = {member: index for index, member in enumerate(_GSMA_LABELS)}
 
-#: A sentinel for "no value" in id/index columns (tac, model, vertical…).
+#: A sentinel for "no value" in id/index columns (tac, model…).
 _NONE = -1
-
-
-# -- transport selection -----------------------------------------------------
-
-def select_transport(transport: Optional[str] = None) -> str:
-    """Resolve the effective transport: explicit > env > platform auto.
-
-    Windows always resolves to ``rpck``: the exchange's segment
-    lifecycle (create → attach → unlink, with ``/dev/shm`` sweeps for
-    crashed owners) is POSIX semantics, so even an explicit ``shm``
-    request falls back there.
-    """
-    mode = transport
-    if mode is None:
-        mode = os.environ.get(TRANSPORT_ENV_FLAG, "").strip().lower() or None
-    if mode is None:
-        mode = TRANSPORT_SHM
-    if mode not in TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {mode!r}: expected one of {TRANSPORTS}"
-        )
-    if mode == TRANSPORT_SHM and sys.platform == "win32":
-        return TRANSPORT_RPCK
-    return mode
-
-
-# -- descriptors and the owning exchange -------------------------------------
-
-@dataclass(frozen=True)
-class ShmShardDescriptor:
-    """A shard parked in shared memory: (pools segment, data segment)."""
-
-    pools_segment: str
-    data_segment: str
-
-
-@dataclass(frozen=True)
-class RpckShardDescriptor:
-    """A self-contained RPCK-framed shard block riding the pool pipe."""
-
-    payload: bytes
-
-
-ShardDescriptor = Union[ShmShardDescriptor, RpckShardDescriptor]
 
 #: One shard of the columnar plane: (radio events, service records).
 ColumnarShard = Tuple[ColumnarRadioEvents, ColumnarServiceRecords]
 
 
-class ShardExchange:
-    """Owns every segment published for one sharded fan-out.
-
-    Create via :func:`publish_shards`; submit ``descriptors`` through
-    ``map_shards``; call :meth:`close` (in a ``finally``) once results
-    are in to unlink all owned segments.  Safe to close twice.
-    """
-
-    def __init__(self, transport: str) -> None:
-        self.transport = transport
-        self.descriptors: List[ShardDescriptor] = []
-        self._segments: List[shared_memory.SharedMemory] = []
-        #: Bytes parked in shared-memory segments (shm transport).
-        self.segment_nbytes = 0
-        #: Bytes crossing the pool pipe inside descriptors (rpck).
-        self.payload_nbytes = 0
-
-    def _create_segment(self, role: str, seq: int, block: bytes) -> str:
-        name = f"{SEGMENT_PREFIX}{os.getpid():x}-{seq:x}-{role}"
-        try:
-            segment = shared_memory.SharedMemory(
-                name=name, create=True, size=len(block)
-            )
-        except FileExistsError:
-            # A recycled pid's crashed run left a stale segment behind
-            # under our deterministic name; it provably is not ours
-            # (the per-process counter never repeats), so reclaim it.
-            stale = shared_memory.SharedMemory(name=name)
-            stale.close()
-            stale.unlink()
-            segment = shared_memory.SharedMemory(
-                name=name, create=True, size=len(block)
-            )
-        segment.buf[:len(block)] = block
-        self._segments.append(segment)
-        self.segment_nbytes += len(block)
-        return name
-
-    def close(self) -> None:
-        """Unlink every owned segment (idempotent)."""
-        for segment in self._segments:
-            # Best-effort teardown: a racing stale-sweep may already
-            # have removed the file, and close cannot fail usefully.
-            with contextlib.suppress(OSError):
-                segment.close()
-            with contextlib.suppress(FileNotFoundError):
-                segment.unlink()
-        self._segments.clear()
-
-    def __enter__(self) -> "ShardExchange":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-def publish_shards(
-    shards: Sequence[ColumnarShard],
-    transport: Optional[str] = None,
-) -> ShardExchange:
-    """Park ``shards`` for worker attachment; returns the owning exchange.
-
-    With the shm transport the shared pool vocabularies are packed once
-    into a pools segment and each shard's columns into a per-shard data
-    segment; descriptors carry only the two segment names.  With rpck,
-    each descriptor carries the self-contained framed block itself.
-    """
-    mode = select_transport(transport)
-    exchange = ShardExchange(mode)
-    try:
-        if mode == TRANSPORT_SHM and shards:
-            seq = next(_EXCHANGE_SEQ)
-            pools_segment = exchange._create_segment(
-                "p", seq, pack_pools(shards[0][0].pools)
-            )
-            for index, (events, records) in enumerate(shards):
-                data_segment = exchange._create_segment(
-                    f"s{index:x}",
-                    seq,
-                    pack_shard_block(events, records, include_pools=False),
-                )
-                exchange.descriptors.append(
-                    ShmShardDescriptor(pools_segment, data_segment)
-                )
-        else:
-            for events, records in shards:
-                block = pack_shard_block(events, records, include_pools=True)
-                exchange.payload_nbytes += len(block)
-                exchange.descriptors.append(RpckShardDescriptor(block))
-    except BaseException:
-        exchange.close()
-        raise
-    return exchange
-
-
-def _read_segment(name: str) -> bytes:
-    """Bulk-copy the framed block out of a segment (one memcpy)."""
-    segment = shared_memory.SharedMemory(name=name)
-    try:
-        # Segments may be page-padded past the block's end; the frame
-        # records the exact length.
-        return bytes(segment.buf[: block_length(segment.buf)])
-    finally:
-        segment.close()
-
-
-def _attached_pools(name: str) -> ColumnPools:
-    pools = _POOL_CACHE.get(name)
-    if pools is None:
-        pools = unpack_pools(_read_segment(name))
-        _POOL_CACHE[name] = pools
-        while len(_POOL_CACHE) > _POOL_CACHE_MAX:
-            _POOL_CACHE.popitem(last=False)
-    else:
-        _POOL_CACHE.move_to_end(name)
-    return pools
-
-
-def attach_shard(descriptor: ShardDescriptor) -> ColumnarShard:
-    """Worker side: rebuild a shard's columnar stores from a descriptor."""
-    if isinstance(descriptor, RpckShardDescriptor):
-        return unpack_shard_block(descriptor.payload)
-    pools = _attached_pools(descriptor.pools_segment)
-    return unpack_shard_block(_read_segment(descriptor.data_segment), pools)
-
-
-# -- crash-leak sweep --------------------------------------------------------
-
-def _pid_alive(pid: int) -> bool:
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - alive, other user
-        return True
-    return True
-
-
-def owner_pid(segment_name: str) -> Optional[int]:
-    """The owning pid encoded in an exchange segment name, if valid."""
-    if not segment_name.startswith(SEGMENT_PREFIX):
-        return None
-    pid_hex = segment_name[len(SEGMENT_PREFIX):].split("-", 1)[0]
-    try:
-        return int(pid_hex, 16)
-    except ValueError:
-        return None
-
-
-def cleanup_stale_segments(shm_dir: str = SHM_DIR) -> List[str]:
-    """Unlink exchange segments whose owning process is dead.
-
-    Normal cleanup is :meth:`ShardExchange.close` (or, on parent crash,
-    the shared resource tracker).  This sweep is the belt-and-braces
-    path for the remaining corner — e.g. a tracker itself SIGKILLed —
-    and for tests asserting the leak contract.  Returns the unlinked
-    segment names.
-    """
-    removed: List[str] = []
-    try:
-        names = sorted(os.listdir(shm_dir))
-    except OSError:
-        return removed
-    for name in names:
-        pid = owner_pid(name)
-        if pid is None or _pid_alive(pid):
-            continue
-        try:
-            os.unlink(os.path.join(shm_dir, name))
-        except OSError:
-            continue
-        removed.append(name)
-    return removed
+def publish_shards(shards: Sequence[ColumnarShard]) -> List[bytes]:
+    """Pack each shard into one self-contained column block, in order."""
+    return [pack_columns(events, records) for events, records in shards]
 
 
 # -- packed result blocks ----------------------------------------------------
@@ -758,24 +484,17 @@ def _unpack_catalog_block(
 def pack_build_result(
     records: Sequence[DeviceDayRecord],
     summaries: Dict[str, DeviceSummary],
-    m2m_keys: Set[Tuple[str, str]],
 ) -> bytes:
-    """Strict-mode worker result: catalog + summaries + step-1 keys."""
-    return _pack_catalog_block(
-        "build_result",
-        records,
-        summaries,
-        {"m2m_keys": [list(key) for key in sorted(m2m_keys)]},
-    )
+    """Strict-mode worker result: catalog + summaries."""
+    return _pack_catalog_block("build_result", records, summaries, {})
 
 
 def unpack_build_result(
     data: bytes,
-) -> Tuple[List[DeviceDayRecord], Dict[str, DeviceSummary], Set[Tuple[str, str]]]:
+) -> Tuple[List[DeviceDayRecord], Dict[str, DeviceSummary]]:
     """Decode a :func:`pack_build_result` block."""
-    header, records, summaries = _unpack_catalog_block(data, "build_result")
-    m2m_keys = {(key[0], key[1]) for key in header["m2m_keys"]}
-    return records, summaries, m2m_keys
+    _, records, summaries = _unpack_catalog_block(data, "build_result")
+    return records, summaries
 
 
 def pack_lenient_result(
@@ -795,85 +514,3 @@ def unpack_lenient_result(
     """Decode a :func:`pack_lenient_result` block."""
     header, records, summaries = _unpack_catalog_block(data, "lenient_result")
     return records, summaries, _report_from(header["report"])
-
-
-def pack_classify_payload(
-    summaries: Dict[str, DeviceSummary],
-    global_keys: Set[Tuple[str, str]],
-) -> bytes:
-    """Classify-stage payload: one shard's summaries + global evidence."""
-    return _pack_catalog_block(
-        "classify_payload",
-        (),
-        summaries,
-        {"global_keys": [list(key) for key in sorted(global_keys)]},
-    )
-
-
-def unpack_classify_payload(
-    data: bytes,
-) -> Tuple[Dict[str, DeviceSummary], Set[Tuple[str, str]]]:
-    """Decode a :func:`pack_classify_payload` block."""
-    header, _, summaries = _unpack_catalog_block(data, "classify_payload")
-    global_keys = {(key[0], key[1]) for key in header["global_keys"]}
-    return summaries, global_keys
-
-
-def pack_classifications(classifications: Dict[str, Classification]) -> bytes:
-    """Classify-stage worker result, preserving dict insertion order."""
-    strings = StringPool()
-    dev = array("q")
-    labels = array("b")
-    steps = array("b")
-    verticals = array("b")
-    keywords = array("q")
-    intern = strings.intern
-    for device_id, cls in classifications.items():
-        dev.append(intern(device_id))
-        labels.append(_CLASS_LABEL_INDEX[cls.label])
-        steps.append(_CLASS_STEP_INDEX[cls.step])
-        verticals.append(
-            _NONE if cls.vertical is None else _VERTICAL_INDEX[cls.vertical]
-        )
-        keywords.append(
-            _NONE if cls.matched_keyword is None else intern(cls.matched_keyword)
-        )
-    specs, chunks = _array_chunks(
-        [
-            ("c_dev", dev),
-            ("c_label", labels),
-            ("c_step", steps),
-            ("c_vertical", verticals),
-            ("c_keyword", keywords),
-        ]
-    )
-    header = {
-        "kind": "classifications",
-        "columns": specs,
-        "strings": list(strings.strings),
-    }
-    return build_block(header, chunks)
-
-
-def unpack_classifications(data: bytes) -> Dict[str, Classification]:
-    """Decode a :func:`pack_classifications` block."""
-    header, body, offset = read_block(data)
-    if header.get("kind") != "classifications":
-        raise CheckpointCorruption(
-            f"expected a classifications block, got kind {header.get('kind')!r}"
-        )
-    columns, _ = _arrays_from(header["columns"], body, offset)
-    strings = header["strings"]
-    classifications: Dict[str, Classification] = {}
-    verticals = columns["c_vertical"]
-    keywords = columns["c_keyword"]
-    for i in range(len(columns["c_dev"])):
-        vertical_id = verticals[i]
-        keyword_id = keywords[i]
-        classifications[strings[columns["c_dev"][i]]] = Classification(
-            label=_CLASS_LABELS[columns["c_label"][i]],
-            step=_CLASS_STEPS[columns["c_step"][i]],
-            vertical=None if vertical_id == _NONE else _VERTICALS[vertical_id],
-            matched_keyword=None if keyword_id == _NONE else strings[keyword_id],
-        )
-    return classifications

@@ -44,9 +44,9 @@ from repro.ecosystem import Ecosystem
 MAX_EXEMPLAR_FAILURES = 10
 
 #: Below this many total rows, ``n_workers="auto"`` stays serial: the
-#: committed bench (benchmarks/BENCH_baseline.json) shows pool spawn +
-#: shard pickling dominating at small scale (workers=2 ran at 0.28x
-#: serial on the 1k-device bench).
+#: committed bench (benchmarks/BENCH_baseline.json) shows pool spawn and
+#: packing shards and results dominating at small scale (workers=2 ran
+#: at 0.28x serial on the 1k-device bench, on a 1-CPU runner).
 AUTO_PARALLEL_MIN_ROWS = 250_000
 
 @dataclass(frozen=True)
@@ -249,9 +249,10 @@ def resolve_workers(
 ) -> int:
     """Resolve an ``n_workers`` argument (int or ``"auto"``) to a count.
 
-    ``"auto"`` stays serial on boxes with ``os.cpu_count() <= 2`` (the
-    committed bench shows 2 workers running at 0.28x serial — pool spawn
-    and pickling swamp the win) and on small inputs
+    ``"auto"`` stays serial on boxes with ``os.cpu_count() <= 2`` (on a
+    2-vCPU VM two workers were no faster than serial at 288k or 915k
+    rows, see docs/PERFORMANCE.md — pool spawn and block packing swamp
+    the win) and on small inputs
     (< :data:`AUTO_PARALLEL_MIN_ROWS` rows when ``n_rows`` is known);
     otherwise it uses up to four workers, past which the shard merge is
     the bottleneck.

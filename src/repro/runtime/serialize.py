@@ -9,8 +9,11 @@ in the header.  Self-containment is what makes resume trivial: a block
 can be decoded years later with nothing but this module, no shared pool
 state to reconstruct.
 
-The framing and column chunking live in :mod:`repro.columnar.blocks`
-(shared with the zero-copy shard transport)::
+The codec itself — framing, column chunking, :func:`pack_columns` and
+:func:`unpack_day_block` — lives in :mod:`repro.columnar.blocks`, which
+the sharded executor uses for the shards it sends to pool workers;
+this module re-exports it so checkpoint, spill and WAL bytes have one
+home::
 
     MAGIC (4) | version u32 | crc32(body) u32 | len(body) u64 | body
     body = header_len u32 | header JSON (utf-8) | column buffers
@@ -31,14 +34,12 @@ from repro.columnar.blocks import (
     SERVICE_COLUMNS,
     CheckpointCorruption,
     CheckpointError,
-    build_block,
-    column_chunks,
-    load_column_chunks,
+    QuarantineEntry,
     load_column_views,
+    pack_columns,
     pools_from_header,
-    pools_header,
-    read_block,
     read_block_view,
+    unpack_day_block,
 )
 from repro.columnar.store import (
     ColumnarRadioEvents,
@@ -63,38 +64,9 @@ __all__ = [
     "unpack_day_block",
 ]
 
-#: One lenient-mode quarantine decision: (device_id, stage, error text).
-QuarantineEntry = Tuple[str, str, str]
-
 
 class StaleManifestError(CheckpointError):
     """A checkpoint directory's manifest does not match this run."""
-
-
-def pack_columns(
-    events: ColumnarRadioEvents,
-    records: ColumnarServiceRecords,
-    quarantine: Sequence[QuarantineEntry] = (),
-) -> bytes:
-    """Frame two stores sharing one pool set as a checksummed block.
-
-    The pools ride in the header whole, so the stores should own them:
-    :func:`pack_day_block` of the same rows gives the same bytes when
-    the pools hold exactly the strings those rows interned, in order.
-    """
-    if events.pools is not records.pools:
-        raise ValueError("columnar streams must share one ColumnPools")
-    radio_spec, radio_chunks = column_chunks(events, RADIO_COLUMNS)
-    service_spec, service_chunks = column_chunks(records, SERVICE_COLUMNS)
-    # Header key order is part of the on-disk byte format (version 1
-    # blocks predate the shared codec); keep it stable.
-    header = {
-        "pools": pools_header(events.pools),
-        "radio": radio_spec,
-        "service": service_spec,
-        "quarantine": [list(entry) for entry in quarantine],
-    }
-    return build_block(header, [*radio_chunks, *service_chunks])
 
 
 def pack_day_block(
@@ -106,23 +78,6 @@ def pack_day_block(
     return pack_columns(
         *from_record_streams(radio_events, service_records), quarantine
     )
-
-
-def unpack_day_block(
-    data: bytes,
-) -> Tuple[ColumnarRadioEvents, ColumnarServiceRecords, List[QuarantineEntry]]:
-    """Decode a framed block, validating checksum and version first."""
-    header, body, offset = read_block(data)
-    pools = pools_from_header(header["pools"])
-    events = ColumnarRadioEvents(pools)
-    offset = load_column_chunks(events, header["radio"], body, offset)
-    records = ColumnarServiceRecords(pools)
-    load_column_chunks(records, header["service"], body, offset)
-    quarantine = [
-        (str(device_id), str(stage), str(error))
-        for device_id, stage, error in header["quarantine"]
-    ]
-    return events, records, quarantine
 
 
 def attach_day_block(

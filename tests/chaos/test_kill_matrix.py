@@ -19,7 +19,6 @@ import os
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -27,12 +26,6 @@ import pytest
 from repro.ecosystem import EcosystemConfig, build_default_ecosystem
 from repro.faults.crash import KILL_AT_DAY, KILL_AT_RENAME, KILL_AT_UNIT
 from repro.mno import MNOConfig, simulate_mno_dataset
-from repro.parallel.transport import (
-    SHM_DIR,
-    _pid_alive,
-    cleanup_stale_segments,
-    owner_pid,
-)
 from repro.pipeline import run_pipeline
 from repro.runtime import run_durable_pipeline
 from repro.runtime.checkpoint import MANIFEST_NAME
@@ -156,32 +149,6 @@ def _run_child_until_killed(
         f"child exited {returncode}, expected SIGKILL; "
         f"stderr:\n{stderr_path.read_text(encoding='utf-8')}"
     )
-    _assert_no_stale_exchange_segments()
-
-
-def _assert_no_stale_exchange_segments():
-    """The killed child published zero-copy exchange segments when it
-    ran with workers; none of them may survive it.  The child's
-    resource tracker unlinks them asynchronously after the SIGKILL, so
-    poll briefly, then fall back to the stale sweep before failing."""
-    if not os.path.isdir(SHM_DIR):  # pragma: no cover - POSIX CI
-        return
-    deadline = time.monotonic() + 10.0
-    while True:
-        stale = [
-            name
-            for name in os.listdir(SHM_DIR)
-            if (pid := owner_pid(name)) is not None
-            and pid != os.getpid()
-            and not _pid_alive(pid)
-        ]
-        if not stale:
-            return
-        if time.monotonic() >= deadline:
-            break
-        time.sleep(0.2)
-        cleanup_stale_segments()
-    raise AssertionError(f"stale exchange segments survived the kill: {stale}")
 
 
 def _resume_and_check(ckpt, seed, lenient, out_of_core=False):

@@ -8,8 +8,13 @@ recovery happened, it was recorded, and the results are still exactly
 right.
 """
 
+import json
 import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +28,8 @@ from repro.parallel.health import (
     ShardIncident,
 )
 from repro.parallel.pool import get_context, map_shards
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: A jitter-free policy whose single attempt sends a failing shard
 #: straight to the in-process fallback — keeps recovery tests fast.
@@ -38,6 +45,13 @@ def _in_worker() -> bool:
 def square_or_hang(x: int) -> int:
     if _in_worker():
         time.sleep(30.0)
+    return x * x
+
+
+def square_or_never_return(x: int) -> int:
+    if _in_worker():
+        while True:
+            time.sleep(60.0)
     return x * x
 
 
@@ -101,6 +115,63 @@ def test_hung_worker_hits_deadline_and_recovers():
     assert health.deadline_hits >= 1
     assert len(health.in_process_shards) >= 1
     assert not health.ok
+
+
+_NEVER_RETURNING_SCRIPT = """
+import json
+import os
+
+from repro.parallel.health import RunHealth
+from repro.parallel.pool import map_shards
+from tests.parallel.test_recovery import ONE_SHOT, square_or_never_return
+
+health = RunHealth()
+results = map_shards(
+    square_or_never_return,
+    [1, 2, 3],
+    n_workers=2,
+    context=os.getpid(),
+    deadline_s=0.5,
+    retry_policy=ONE_SHOT,
+    health=health,
+)
+print(json.dumps({
+    "results": results,
+    "deadline_hits": health.deadline_hits,
+    "in_process": health.in_process_shards,
+}))
+"""
+
+
+def test_abandoned_workers_do_not_outlive_map_shards():
+    """A worker that never returns is killed with its abandoned pool, so
+    the process exits as soon as map_shards has its results instead of
+    joining the hung worker at interpreter exit."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT)]),
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _NEVER_RETURNING_SCRIPT],
+        cwd=REPO_ROOT,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        stdout, stderr = proc.communicate(timeout=30.0)
+    except subprocess.TimeoutExpired:
+        # Take the leftover pool workers down with the child.
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("map_shards left hung pool workers behind: no exit in 30s")
+    assert proc.returncode == 0, stderr
+    report = json.loads(stdout)
+    assert report["results"] == [1, 4, 9]
+    assert report["deadline_hits"] == 3
+    assert sorted(report["in_process"]) == [0, 1, 2]
 
 
 def test_dead_worker_breaks_pool_and_recovers():

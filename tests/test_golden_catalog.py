@@ -4,10 +4,10 @@
 the catalog (``catalog_digest`` over day records and summaries), the
 SHA-256 of the sorted ``(device, label, step)`` classification tuples
 and, for lenient runs, the quarantine taxonomy.  Each mode — serial,
-sharded over both shard transports, durable, out-of-core, and a live
-daemon fed the rows in shuffled batches — must match the pinned
-digests, so removing or rewriting a code path is safe exactly when this
-table stays green.
+sharded, durable, a durable run interrupted after its first day and
+resumed at another worker count, out-of-core, and a live daemon fed the
+rows in shuffled batches — must match the pinned digests, so removing
+or rewriting a code path is safe exactly when this table stays green.
 
 Regenerate (only when the catalog is meant to change) with::
 
@@ -31,6 +31,8 @@ from repro.ecosystem import EcosystemConfig, build_default_ecosystem
 from repro.faults import FaultPlan, inject_radio_events, inject_service_records
 from repro.mno import MNOConfig, simulate_mno_dataset
 from repro.pipeline import run_pipeline
+from repro.runtime import run_durable_pipeline
+from repro.runtime.checkpoint import JOURNAL_NAME
 from repro.service import CatalogDaemon, ServiceConfig
 from repro.service.daemon import catalog_digest
 from repro.signaling.cdr import ServiceRecord, ServiceType
@@ -44,14 +46,14 @@ N_DEVICES = 60
 N_POISON = 3
 ECO_CONFIG = EcosystemConfig(uk_sites=30, seed=11)
 
-#: mode -> (run_pipeline keyword arguments, REPRO_TRANSPORT or None);
-#: None runs the dataset through a live daemon instead.
+#: mode -> run_pipeline keyword arguments; None marks a mode with its
+#: own runner (a live daemon, an interrupted and resumed durable run).
 MODES: Dict[str, Any] = {
-    "serial": ({"n_workers": 1}, None),
-    "sharded-shm": ({"n_workers": 2}, "shm"),
-    "sharded-rpck": ({"n_workers": 2}, "rpck"),
-    "durable": ({"n_workers": 2, "checkpoint_dir": True}, None),
-    "out-of-core": ({"n_workers": 1, "out_of_core": True}, None),
+    "serial": {"n_workers": 1},
+    "sharded": {"n_workers": 2},
+    "durable": {"n_workers": 2, "checkpoint_dir": True},
+    "durable-resumed": None,
+    "out-of-core": {"n_workers": 1, "out_of_core": True},
     "daemon-shuffled": None,
 }
 #: Rows per ingest batch in the daemon-shuffled mode.
@@ -142,6 +144,30 @@ def observe_daemon(eco, dataset, seed: int, wal_dir: Path) -> Dict[str, Any]:
     return asyncio.run(scenario())
 
 
+class _Interrupted(Exception):
+    """Raised from ``on_day`` to stop a durable run after its first day."""
+
+
+def observe_resumed(eco, dataset, lenient: bool, ckpt: Path) -> Dict[str, Any]:
+    """A durable run stopped by an exception after its first folded day,
+    then resumed at a different worker count."""
+
+    def interrupt(day: int) -> None:
+        raise _Interrupted(day)
+
+    with pytest.raises(_Interrupted):
+        run_durable_pipeline(
+            dataset, eco, ckpt, lenient=lenient, n_workers=2, on_day=interrupt
+        )
+    journal = (ckpt / JOURNAL_NAME).read_text(encoding="utf-8").splitlines()
+    assert len({json.loads(line)["day"] for line in journal}) == 1
+    return observe(
+        run_durable_pipeline(
+            dataset, eco, ckpt, resume=True, lenient=lenient, n_workers=1
+        )
+    )
+
+
 @pytest.fixture(scope="module")
 def golden() -> Dict[str, Any]:
     return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
@@ -165,27 +191,23 @@ def datasets(golden_eco):
 @pytest.mark.parametrize("profile", PROFILES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_mode_matches_golden_digests(
-    tmp_path, monkeypatch, golden, golden_eco, datasets, seed, profile, mode
+    tmp_path, golden, golden_eco, datasets, seed, profile, mode
 ):
     expected = golden[f"{profile}-{seed}"]
-    if MODES[mode] is None:
-        observed = observe_daemon(
-            golden_eco, datasets[(seed, profile)], seed, tmp_path / "wal"
-        )
+    dataset = datasets[(seed, profile)]
+    lenient = profile == "lenient"
+    if mode == "daemon-shuffled":
+        observed = observe_daemon(golden_eco, dataset, seed, tmp_path / "wal")
         assert observed == {key: expected[key] for key in observed}
         return
-    kwargs, transport = MODES[mode]
-    kwargs = dict(kwargs)
+    if mode == "durable-resumed":
+        observed = observe_resumed(golden_eco, dataset, lenient, tmp_path / "ckpt")
+        assert observed == expected
+        return
+    kwargs = dict(MODES[mode])
     if kwargs.get("checkpoint_dir"):
         kwargs["checkpoint_dir"] = tmp_path / "ckpt"
-    if transport is not None:
-        monkeypatch.setenv("REPRO_TRANSPORT", transport)
-    result = run_pipeline(
-        datasets[(seed, profile)],
-        golden_eco,
-        lenient=profile == "lenient",
-        **kwargs,
-    )
+    result = run_pipeline(dataset, golden_eco, lenient=lenient, **kwargs)
     assert observe(result) == expected
 
 

@@ -74,15 +74,13 @@ from repro.parallel.sharding import (  # noqa: E402
     shard_columnar_records,
     shard_mno_records,
 )
-from repro.parallel.transport import (  # noqa: E402
-    TRANSPORT_RPCK,
-    TRANSPORT_SHM,
-    attach_shard,
-    publish_shards,
-    select_transport,
-)
+from repro.parallel.transport import publish_shards  # noqa: E402
 from repro.pipeline import run_pipeline  # noqa: E402
-from repro.runtime import atomic_write_text, run_durable_pipeline  # noqa: E402
+from repro.runtime import (  # noqa: E402
+    atomic_write_text,
+    run_durable_pipeline,
+    unpack_day_block,
+)
 from repro.service import CatalogClient, ServiceConfig  # noqa: E402
 from repro.service.daemon import run_daemon  # noqa: E402
 
@@ -96,12 +94,13 @@ WORKER_SWEEP = (1, 2, 4)
 #: labeling_cached): one pass is too noisy to gate CI on.
 FAST_BENCH_BATCH = 10
 
-#: Hard acceptance floors on derived speedups, enforced by ``--check``
-#: at full (non-smoke) scale: the incremental day-update must be at
-#: least 5x a full catalog build.
+#: Hard acceptance floors on derived speedups, enforced by ``--check``:
+#: the incremental day-update must be at least 5x a full catalog build,
+#: and a worker must decode a shard block at least 10x faster than the
+#: same shard as pickled rows.
 SPEEDUP_FLOORS = {
     "incremental_day_speedup": 5.0,
-    "shard_payload_reduction": 10.0,
+    "shard_attach_speedup": 10.0,
 }
 
 #: Worker-sweep speedup floors.  Unlike :data:`SPEEDUP_FLOORS` these
@@ -489,12 +488,11 @@ def run_benches(devices: int, seed: int, repeats: int) -> Dict[str, Dict[str, fl
             f"{results[name]['rows_per_sec']:,.0f} rows/s, "
             f"rss +{results[name]['rss_delta_kb']} KiB)"
         )
-    # Zero-copy exchange: what actually crosses the pool seam, per
-    # transport, for the same device-sharded dataset.  Byte counts are
-    # deterministic (they gate `shard_payload_reduction`); attach times
-    # are best-of-N over a full all-shards pass.  The pickle-rows
-    # figure serializes the legacy row-shard payload with the same
-    # protocol the pool pipe uses.
+    # Shard exchange: what crosses the pool seam for the same
+    # device-sharded dataset, as pickled row lists (the legacy payload,
+    # serialized with the protocol the pool pipe uses) and as the column
+    # blocks the executor actually sends.  Attach times are best-of-N
+    # over a full all-shards decode.
     col_shards = shard_columnar_records(events_c, records_c, EXCHANGE_SHARDS)
     row_shards = shard_mno_records(
         dataset.radio_events, dataset.service_records, EXCHANGE_SHARDS
@@ -510,66 +508,36 @@ def run_benches(devices: int, seed: int, repeats: int) -> Dict[str, Dict[str, fl
     )
     del pickled_rows, row_shards
 
-    with publish_shards(col_shards, transport=TRANSPORT_RPCK) as rpck_exchange:
-        rpck_payload_bytes = rpck_exchange.payload_nbytes
-        rpck_descriptors = list(rpck_exchange.descriptors)
-        rpck_attach_s = _time_best(
-            lambda: [attach_shard(d) for d in rpck_descriptors], repeats
-        )
-
-    if select_transport(TRANSPORT_SHM) == TRANSPORT_SHM:
-        with publish_shards(col_shards, transport=TRANSPORT_SHM) as shm_exchange:
-            # With shm the pool pipe carries only the pickled
-            # descriptors (two segment names each); the column bytes
-            # are parked in segments and never re-copied per worker.
-            shm_descriptor_bytes = sum(
-                len(pickle.dumps(d, protocol=pickle.HIGHEST_PROTOCOL))
-                for d in shm_exchange.descriptors
-            )
-            shm_segment_bytes = shm_exchange.segment_nbytes
-            shm_descriptors = list(shm_exchange.descriptors)
-            shm_attach_s = _time_best(
-                lambda: [attach_shard(d) for d in shm_descriptors], repeats
-            )
-    else:  # win32: shm requests resolve to rpck; report that honestly
-        shm_descriptor_bytes = rpck_payload_bytes
-        shm_segment_bytes = 0
-        shm_attach_s = rpck_attach_s
+    blocks = publish_shards(col_shards)
+    block_payload_bytes = sum(len(block) for block in blocks)
+    block_attach_s = _time_best(
+        lambda: [unpack_day_block(block) for block in blocks], repeats
+    )
+    del blocks
     rss_after = _peak_rss_kb()
 
     n_shards = len(col_shards)
-    selected = select_transport(None)
-    pipe_payload_bytes = (
-        shm_descriptor_bytes if selected == TRANSPORT_SHM else rpck_payload_bytes
-    )
     results["shard_exchange"] = {
-        "transport": selected,
-        "pipe_payload_bytes": pipe_payload_bytes,
-        "seconds": round(shm_attach_s, 6),
+        "pipe_payload_bytes": block_payload_bytes,
+        "seconds": round(block_attach_s, 6),
         "ops_per_sec": (
-            round(n_shards / shm_attach_s, 4) if shm_attach_s > 0 else float("inf")
+            round(n_shards / block_attach_s, 4) if block_attach_s > 0 else float("inf")
         ),
         "rows_per_sec": (
-            round(n_rows / shm_attach_s, 1) if shm_attach_s > 0 else float("inf")
+            round(n_rows / block_attach_s, 1) if block_attach_s > 0 else float("inf")
         ),
         "n_shards": n_shards,
         "pickle_payload_bytes": pickle_payload_bytes,
-        "rpck_payload_bytes": rpck_payload_bytes,
-        "shm_descriptor_bytes": shm_descriptor_bytes,
-        "shm_segment_bytes": shm_segment_bytes,
         "pickle_attach_ms_per_shard": round(pickle_attach_s * 1000.0 / n_shards, 3),
-        "rpck_attach_ms_per_shard": round(rpck_attach_s * 1000.0 / n_shards, 3),
-        "shm_attach_ms_per_shard": round(shm_attach_s * 1000.0 / n_shards, 3),
+        "block_attach_ms_per_shard": round(block_attach_s * 1000.0 / n_shards, 3),
         "peak_rss_kb": rss_after,
         "rss_delta_kb": rss_after - rss_before,
     }
     print(
-        f"  {'shard_exchange':<24} {shm_attach_s:8.4f}s  "
-        f"(pickle {pickle_payload_bytes:,}B / rpck {rpck_payload_bytes:,}B / "
-        f"shm pipe {shm_descriptor_bytes:,}B; attach "
-        f"{results['shard_exchange']['pickle_attach_ms_per_shard']:.2f}/"
-        f"{results['shard_exchange']['rpck_attach_ms_per_shard']:.2f}/"
-        f"{results['shard_exchange']['shm_attach_ms_per_shard']:.2f} ms/shard)"
+        f"  {'shard_exchange':<24} {block_attach_s:8.4f}s  "
+        f"(pickle {pickle_payload_bytes:,}B / blocks {block_payload_bytes:,}B; "
+        f"attach {results['shard_exchange']['pickle_attach_ms_per_shard']:.2f}/"
+        f"{results['shard_exchange']['block_attach_ms_per_shard']:.2f} ms/shard)"
     )
 
     # The durable trio is timed *interleaved* rather than through the
@@ -725,25 +693,12 @@ def derive_ratios(benches: Dict[str, Dict[str, float]]) -> Dict[str, float]:
         / benches["catalog_incremental_day"]["seconds"],
         3,
     )
-    # Exchange acceptance: bytes the legacy pickled-row payload would
-    # ship across the pool pipe vs what the selected transport actually
-    # ships (shm: only the tiny descriptors; rpck fallback: the framed
-    # column blocks, which at small scale barely beat pickle because
-    # each self-contained block replicates the string pools).  The
-    # floor is asserted where the perf job runs — a POSIX multi-core
-    # runner, where shm is the selected transport.
-    ratios["shard_payload_reduction"] = round(
-        benches["shard_exchange"]["pickle_payload_bytes"]
-        / max(benches["shard_exchange"]["pipe_payload_bytes"], 1),
-        3,
-    )
-    # Worker-side deserialization: unpickling row dataclasses vs
-    # attaching the selected transport's column buffers.  Recorded for
-    # the trajectory, not gated — it is a timing, and the payload gate
-    # above already pins the mechanism.
+    # Exchange acceptance: worker-side decode of pickled row dataclasses
+    # vs decoding the column blocks the executor sends.  Gated, so a
+    # change that ships shards as row pickles again fails the check.
     ratios["shard_attach_speedup"] = round(
         benches["shard_exchange"]["pickle_attach_ms_per_shard"]
-        / max(benches["shard_exchange"]["shm_attach_ms_per_shard"], 1e-6),
+        / max(benches["shard_exchange"]["block_attach_ms_per_shard"], 1e-6),
         3,
     )
     # Durability acceptance: persistence cost relative to the identical
