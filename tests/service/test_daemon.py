@@ -448,8 +448,10 @@ def test_snapshot_loop_advances_watermark(tmp_path, svc_eco, svc_batches):
         await daemon.start()
         try:
             await ingest(daemon.port, *svc_batches[0])
+            # A cycle that ran before the ack reports watermark -1; wait
+            # for one that covers the acked batch.
             for _ in range(100):
-                if daemon.health.snapshots_completed > 0:
+                if daemon.health.last_snapshot_seq >= 0:
                     break
                 await asyncio.sleep(0.05)
             assert daemon.health.snapshots_completed > 0

@@ -50,7 +50,8 @@ ECO_CONFIG = EcosystemConfig(uk_sites=30, seed=11)
 #: own runner (a live daemon, an interrupted and resumed durable run).
 MODES: Dict[str, Any] = {
     "serial": {"n_workers": 1},
-    "sharded": {"n_workers": 2},
+    # Shards cross the pool seam as RPCK column blocks.
+    "sharded-rpck": {"n_workers": 2},
     "durable": {"n_workers": 2, "checkpoint_dir": True},
     "durable-resumed": None,
     "out-of-core": {"n_workers": 1, "out_of_core": True},
