@@ -256,7 +256,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         n_workers=args.jobs,
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
-        out_of_core=args.out_of_core,
     )
     print(
         f"classified {len(result.classifications)} devices "
@@ -399,7 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="worker processes for the pipeline's sharded stages "
         "(an integer, or 'auto' to pick from the machine and input size; "
-        "1 = serial; output is identical at any value)",
+        "1 = serial; output is identical at any value; a checkpointed run "
+        "builds its units in process, and there this sets only a fresh "
+        "checkpoint store's shards per day)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -453,14 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume",
         action="store_true",
         help="resume from an existing checkpoint directory (skips journaled units)",
-    )
-    p.add_argument(
-        "--out-of-core",
-        action="store_true",
-        help=(
-            "spill column blocks to disk and replay them through an "
-            "mmap-backed LRU window (bounded RSS; byte-identical output)"
-        ),
     )
     p.add_argument("--out", type=str, default=None, help="CSV export directory")
     p.set_defaults(func=cmd_run)

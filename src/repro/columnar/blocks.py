@@ -1,6 +1,6 @@
 """CRC-framed column blocks: the one codec for columns at rest and in flight.
 
-Durable checkpoint units, spill files and WAL entries
+Durable checkpoint units and WAL entries
 (:mod:`repro.runtime.serialize`) and the shards the sharded executor
 sends to pool workers (:mod:`repro.parallel.transport`) all move
 columnar stores as one framed byte block: a JSON header holding the
@@ -86,8 +86,13 @@ def build_block(header: Dict[str, Any], chunks: Sequence[bytes]) -> bytes:
     return frame + body
 
 
-def _validate_frame(data: Union[bytes, memoryview]) -> Tuple[int, int]:
-    """Validate magic/version; return the recorded (crc, body length)."""
+def read_block(data: bytes) -> Tuple[Dict[str, Any], bytes, int]:
+    """Validate a framed block; return (header, body, buffers offset).
+
+    Strict about length: trailing bytes beyond the recorded body length
+    are corruption (a torn or concatenated write), exactly as the
+    durable checkpoint store requires.
+    """
     if len(data) < _FRAME.size:
         raise CheckpointCorruption(
             f"block too short for frame ({len(data)} bytes)"
@@ -99,17 +104,6 @@ def _validate_frame(data: Union[bytes, memoryview]) -> Tuple[int, int]:
         raise CheckpointCorruption(
             f"block version {version} != supported {BLOCK_VERSION}"
         )
-    return int(crc), int(body_len)
-
-
-def read_block(data: bytes) -> Tuple[Dict[str, Any], bytes, int]:
-    """Validate a framed block; return (header, body, buffers offset).
-
-    Strict about length: trailing bytes beyond the recorded body length
-    are corruption (a torn or concatenated write), exactly as the
-    durable checkpoint store requires.
-    """
-    crc, body_len = _validate_frame(data)
     body = data[_FRAME.size:]
     if len(body) != body_len:
         raise CheckpointCorruption(
@@ -120,39 +114,6 @@ def read_block(data: bytes) -> Tuple[Dict[str, Any], bytes, int]:
     (header_len,) = _HEADER_LEN.unpack_from(body)
     offset = _HEADER_LEN.size
     header = json.loads(body[offset:offset + header_len].decode("utf-8"))
-    return header, body, offset + header_len
-
-
-def read_block_view(data: memoryview) -> Tuple[Dict[str, Any], memoryview, int]:
-    """:func:`read_block` over a borrowed buffer, without copying the body.
-
-    Same validation (magic, version, strict length, CRC over the whole
-    body) but the returned body is a ``memoryview`` slice of ``data`` —
-    typically an ``mmap`` — so column buffers can be attached zero-copy.
-    The caller owns the buffer's lifetime: every view derived from the
-    returned body must be released before the backing mmap is closed.
-    """
-    crc, body_len = _validate_frame(data)
-    if len(data) - _FRAME.size != body_len:
-        raise CheckpointCorruption(
-            f"torn block: body holds {len(data) - _FRAME.size} of {body_len} bytes"
-        )
-    body = data[_FRAME.size:]
-    try:
-        if zlib.crc32(body) != crc:
-            raise CheckpointCorruption("block checksum mismatch")
-        (header_len,) = _HEADER_LEN.unpack_from(body)
-        offset = _HEADER_LEN.size
-        header_view = body[offset:offset + header_len]
-        try:
-            header = json.loads(bytes(header_view).decode("utf-8"))
-        finally:
-            header_view.release()
-    except BaseException:
-        # The raised exception's traceback would otherwise keep this
-        # view alive past the caller's cleanup, blocking mmap.close().
-        body.release()
-        raise
     return header, body, offset + header_len
 
 
@@ -188,36 +149,6 @@ def load_column_chunks(
         column.frombytes(body[offset:offset + nbytes])
         offset += nbytes
         setattr(store, name, column)
-    return offset
-
-
-def load_column_views(
-    store: Union[ColumnarRadioEvents, ColumnarServiceRecords],
-    specs: Sequence[ColumnSpec],
-    body: memoryview,
-    offset: int,
-) -> int:
-    """Attach columns as typed views over ``body``; return new offset.
-
-    The zero-copy twin of :func:`load_column_chunks`: each column
-    becomes ``body[off:off+nbytes].cast(typecode)`` — a typed
-    ``memoryview`` over the caller's buffer (typically an mmap'd spill
-    file) instead of a materialized ``array``.  Attached stores support
-    the read path (``len``, indexing/``zip`` scans, ``nbytes``,
-    ``rows_at``/``to_rows``); mutation requires copying out first (see
-    ``extend_from`` on the stores).  Every attached view must be
-    released before the backing buffer is closed.
-    """
-    for name, typecode, nbytes in specs:
-        chunk = body[offset:offset + nbytes]
-        offset += nbytes
-        try:
-            setattr(store, name, chunk.cast(typecode))
-        except BaseException:
-            # Don't let the traceback pin the un-cast slice: the caller
-            # must be able to close the backing mmap after cleanup.
-            chunk.release()
-            raise
     return offset
 
 

@@ -41,9 +41,8 @@ from repro.signaling.procedures import MESSAGE_TYPES, RESULT_CODES
 #: Sentinel id for a NULL string (e.g. a voice CDR's absent APN).
 NULL_ID = -1
 
-#: A column buffer: a materialized ``array``, or (on a zero-copy
-#: attached store) a typed ``memoryview`` over an mmap'd block.
-Column = Union["array[int]", "array[float]", memoryview]
+#: A column buffer.
+Column = Union["array[int]", "array[float]"]
 
 _INTERFACE_INDEX = {member: index for index, member in enumerate(RADIO_INTERFACES)}
 _MESSAGE_INDEX = {member: index for index, member in enumerate(MESSAGE_TYPES)}
@@ -56,8 +55,7 @@ class StringPool:
 
     Ids are assigned sequentially from 0 in interning order and are
     never reassigned, so any id handed out stays valid for the pool's
-    lifetime (including across :meth:`merge_from` calls, which only
-    append).  Interning is idempotent: the same string always returns
+    lifetime.  Interning is idempotent: the same string always returns
     the same id.
     """
 
@@ -102,17 +100,6 @@ class StringPool:
         """Every interned string, in id order."""
         return tuple(self._strings)
 
-    def merge_from(self, other: "StringPool") -> List[int]:
-        """Absorb ``other``'s vocabulary; return the id remap table.
-
-        Existing ids in ``self`` are untouched (stable across merges);
-        strings new to ``self`` get fresh ids appended.  The returned
-        list maps each of ``other``'s ids to its id in ``self``, so a
-        column encoded against ``other`` can be re-encoded with one
-        indexed pass.
-        """
-        return [self.intern(text) for text in other._strings]
-
     def __contains__(self, text: object) -> bool:
         return text in self._ids
 
@@ -140,10 +127,7 @@ class ColumnPools:
 def _select(column: Column, indices: Sequence[int]) -> array:
     # map() over the bound __getitem__ stays in C for the whole gather,
     # which is measurably faster than a generator with an index loop.
-    # Zero-copy attached stores carry memoryview columns, which spell
-    # their typecode ``format``.
-    typecode = getattr(column, "typecode", None) or column.format
-    return array(typecode, map(column.__getitem__, indices))
+    return array(column.typecode, map(column.__getitem__, indices))
 
 
 class ColumnarRadioEvents:
@@ -265,48 +249,6 @@ class ColumnarRadioEvents:
             yield self.row(i)
 
     # -- slicing -------------------------------------------------------------
-
-    def extend_from(
-        self,
-        other: "ColumnarRadioEvents",
-        indices: Optional[Sequence[int]] = None,
-    ) -> None:
-        """Append ``other``'s rows (or the rows at ``indices``) onto self.
-
-        Interned columns are re-encoded through the id remap tables from
-        :meth:`StringPool.merge_from` unless the stores already share
-        pools, so concatenating shards encoded against per-shard pools
-        is one indexed pass per column — no row materialization.
-        ``other`` may be a zero-copy attached store (memoryview columns,
-        e.g. over an mmap'd spill file): only ``self``'s columns mutate,
-        and the copied values outlive ``other``'s backing buffer.
-        """
-        if other.pools is self.pools:
-            dev_map: Optional[List[int]] = None
-            plmn_map: Optional[List[int]] = None
-        else:
-            dev_map = self.pools.devices.merge_from(other.pools.devices)
-            plmn_map = self.pools.plmns.merge_from(other.pools.plmns)
-        devices = other.device_ids if indices is None else map(
-            other.device_ids.__getitem__, indices
-        )
-        plmns = other.sim_plmns if indices is None else map(
-            other.sim_plmns.__getitem__, indices
-        )
-        self.device_ids.extend(
-            devices if dev_map is None else map(dev_map.__getitem__, devices)
-        )
-        self.sim_plmns.extend(
-            plmns if plmn_map is None else map(plmn_map.__getitem__, plmns)
-        )
-        for name in (
-            "timestamps", "days", "tacs", "sector_ids",
-            "interfaces", "event_types", "results",
-        ):
-            column = getattr(other, name)
-            getattr(self, name).extend(
-                column if indices is None else map(column.__getitem__, indices)
-            )
 
     def select(self, indices: Sequence[int]) -> "ColumnarRadioEvents":
         """A new store holding the rows at ``indices``, sharing pools."""
@@ -465,51 +407,6 @@ class ColumnarServiceRecords:
             yield self.row(i)
 
     # -- slicing -------------------------------------------------------------
-
-    def extend_from(
-        self,
-        other: "ColumnarServiceRecords",
-        indices: Optional[Sequence[int]] = None,
-    ) -> None:
-        """Append ``other``'s rows (or the rows at ``indices``) onto self.
-
-        Columnar twin of :meth:`ColumnarRadioEvents.extend_from`; the
-        APN column remaps through :data:`NULL_ID` unchanged (a voice
-        CDR's absent APN is null in every vocabulary).
-        """
-        if other.pools is self.pools:
-            dev_map: Optional[List[int]] = None
-            plmn_map: Optional[List[int]] = None
-            apn_map: Optional[List[int]] = None
-        else:
-            dev_map = self.pools.devices.merge_from(other.pools.devices)
-            plmn_map = self.pools.plmns.merge_from(other.pools.plmns)
-            apn_map = self.pools.apns.merge_from(other.pools.apns)
-        row_range: Sequence[int] = (
-            range(len(other)) if indices is None else indices
-        )
-        devices = map(other.device_ids.__getitem__, row_range)
-        sims = map(other.sim_plmns.__getitem__, row_range)
-        visited = map(other.visited_plmns.__getitem__, row_range)
-        apns = map(other.apns.__getitem__, row_range)
-        if dev_map is None:
-            self.device_ids.extend(devices)
-            self.sim_plmns.extend(sims)
-            self.visited_plmns.extend(visited)
-            self.apns.extend(apns)
-        else:
-            assert plmn_map is not None and apn_map is not None
-            self.device_ids.extend(map(dev_map.__getitem__, devices))
-            self.sim_plmns.extend(map(plmn_map.__getitem__, sims))
-            self.visited_plmns.extend(map(plmn_map.__getitem__, visited))
-            self.apns.extend(
-                apn_map[apn] if apn != NULL_ID else NULL_ID for apn in apns
-            )
-        for name in ("timestamps", "days", "services", "durations", "bytes_totals"):
-            column = getattr(other, name)
-            getattr(self, name).extend(
-                column if indices is None else map(column.__getitem__, indices)
-            )
 
     def select(self, indices: Sequence[int]) -> "ColumnarServiceRecords":
         """A new store holding the rows at ``indices``, sharing pools."""

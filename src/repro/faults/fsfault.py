@@ -19,8 +19,8 @@ consumer without patching any of them.
 Activation is ambient: :func:`install` arms an injector for the current
 process (a context manager, so tests cannot leak faults), and the
 ``REPRO_FSFAULT_PLAN`` environment variable carries a JSON plan into
-subprocesses — pool workers and kill-matrix children see the same
-faults their parent armed.  With nothing armed, :func:`active` returns
+subprocesses — kill-matrix children see the same faults their parent
+armed.  With nothing armed, :func:`active` returns
 ``None`` and the storage hot path pays a single attribute check.
 
 Determinism: which byte positions bit rot flips is drawn from a
@@ -47,7 +47,7 @@ PathLike = Union[str, "os.PathLike[str]"]
 ENOSPC = "enospc"
 #: ``write`` fails with ``EIO`` before any byte reaches the file.
 EIO_WRITE = "eio-write"
-#: ``read`` (or the mmap open probe) fails with ``EIO``.
+#: ``read`` fails with ``EIO``.
 EIO_READ = "eio-read"
 #: ``fsync`` fails with ``EIO``; the file's durability is unknown.
 FSYNC_FAIL = "fsync-fail"
@@ -84,7 +84,7 @@ _ERRNO_OF = {
 }
 
 #: Environment variable carrying a JSON :class:`FsFaultPlan` into child
-#: processes (pool workers, kill-matrix subprocesses).
+#: processes (e.g. kill-matrix subprocesses).
 FSFAULT_PLAN_ENV = "REPRO_FSFAULT_PLAN"
 
 

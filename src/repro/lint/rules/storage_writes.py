@@ -19,10 +19,9 @@ module itself excepted — it *is* the seam):
 - ``open(...)`` with a write-capable (or non-literal) mode;
 - ``Path.write_bytes`` / ``Path.write_text`` method calls.
 
-Read-only ``open()`` and ``os.open(..., O_RDONLY)`` (the mmap path) are
-out of scope: reads route through :func:`repro.runtime.fsio.read_file_bytes`
-or probe :func:`~repro.runtime.fsio.check_read` where fault coverage is
-needed, but a raw read cannot tear state.
+Read-only ``open()`` and ``os.open(..., O_RDONLY)`` are out of scope:
+reads route through :func:`repro.runtime.fsio.read_file_bytes` where
+fault coverage is needed, but a raw read cannot tear state.
 """
 
 from __future__ import annotations

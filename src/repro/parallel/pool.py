@@ -36,6 +36,11 @@ never silent.
 
 from __future__ import annotations
 
+import ctypes
+import multiprocessing
+import os
+import signal
+import sys
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
@@ -78,6 +83,18 @@ DEFAULT_POOL_RETRY = RetryPolicy(
 #: in-process runs, around the map_shards call).  Read via get_context().
 _CONTEXT: Optional[Any] = None
 
+_ON_LINUX = sys.platform.startswith("linux")
+
+#: ``prctl`` option that asks the kernel to signal the caller when its
+#: parent dies (``<linux/prctl.h>``).
+_PR_SET_PDEATHSIG = 1
+
+#: Workers fork on Linux (its default start method before Python 3.14),
+#: so each one is a direct child of the process calling map_shards, which
+#: the parent-death check in :func:`_init_worker` relies on; a forkserver
+#: worker's parent is the server.  Elsewhere the platform default holds.
+_MP_CONTEXT = multiprocessing.get_context("fork" if _ON_LINUX else None)
+
 
 def get_context() -> Any:
     """The shared read-only context installed for the current worker.
@@ -93,9 +110,39 @@ def get_context() -> Any:
 
 
 def _install_context(context: Any) -> None:
-    """Pool initializer: stash the shared context in this process."""
+    """Stash the shared context in this process."""
     global _CONTEXT
     _CONTEXT = context
+
+
+def _init_worker(parent_pid: int, context: Any) -> None:
+    """Pool initializer: die with the parent, then install the context.
+
+    An idle worker blocks on the call queue forever, so a parent killed
+    outright (an OOM kill, SIGKILL) would leave it running with no one
+    to feed it.  On Linux the worker asks for SIGKILL when its parent
+    dies; if the parent died before that request, ``getppid`` no longer
+    names it and the worker exits at once.  The kernel sends the signal
+    when the *thread* that forked the worker exits: :func:`map_shards`
+    creates and shuts down its pool inside one call on one thread, so
+    that thread lives as long as the pool is in use.
+    """
+    if _ON_LINUX:
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes = [
+            ctypes.c_int,
+            ctypes.c_ulong,
+            ctypes.c_ulong,
+            ctypes.c_ulong,
+            ctypes.c_ulong,
+        ]
+        prctl.restype = ctypes.c_int
+        if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0) != 0:
+            errno = ctypes.get_errno()
+            raise OSError(errno, os.strerror(errno))
+        if os.getppid() != parent_pid:
+            os._exit(1)
+    _install_context(context)
 
 
 def _note(health: Optional[RunHealth], incident: ShardIncident) -> None:
@@ -194,8 +241,9 @@ def map_shards(
         finished = False
         pool = ProcessPoolExecutor(
             max_workers=min(n_workers, len(pending)),
-            initializer=_install_context,
-            initargs=(context,),
+            mp_context=_MP_CONTEXT,
+            initializer=_init_worker,
+            initargs=(os.getpid(), context),
         )
         try:
             futures: Dict[int, "Future[R]"] = {}

@@ -5,8 +5,8 @@ process-pool seam one way in each direction:
 
 - **Out.**  :func:`publish_shards` packs each device shard into one
   self-contained framed column block with
-  :func:`~repro.columnar.blocks.pack_columns`, the codec checkpoints,
-  spill files and the daemon's WAL already use.  The shard's pool
+  :func:`~repro.columnar.blocks.pack_columns`, the codec checkpoints
+  and the daemon's WAL already use.  The shard's pool
   vocabularies ride in the block header, so a worker decodes it with
   :func:`~repro.columnar.blocks.unpack_day_block` and nothing else.  The
   block rides the pool pipe as plain bytes: no OS resource is created,

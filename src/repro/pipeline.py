@@ -280,7 +280,6 @@ def run_pipeline(
     n_workers: Union[int, str] = "auto",
     checkpoint_dir: Optional[Union[str, Path]] = None,
     resume: bool = False,
-    out_of_core: bool = False,
 ) -> PipelineResult:
     """Run catalog building, labeling and classification end to end.
 
@@ -303,22 +302,17 @@ def run_pipeline(
     kernel over those interned columns.
 
     ``checkpoint_dir`` makes the run *durable*: the pipeline executes
-    day by day through :mod:`repro.runtime`, checkpointing each
-    ``(day, shard)`` unit atomically so a killed run can be continued
-    with ``resume=True`` to a byte-identical result.  ``resume`` is
-    only meaningful with a checkpoint directory.
-
-    ``out_of_core=True`` runs the same day-by-day execution with spilled
-    column blocks replayed through an mmap-backed LRU window
-    (:mod:`repro.runtime.spill`) so peak RSS is bounded by the shard
-    window instead of the population; without a ``checkpoint_dir`` the
-    spill store is an ephemeral directory removed with the run.  Output
-    stays byte-identical to the in-memory path.
+    day by day, in this process, through :mod:`repro.runtime`,
+    checkpointing each ``(day, shard)`` unit atomically so a killed run
+    can be continued with ``resume=True`` to a byte-identical result.
+    There ``n_workers`` only sets a fresh store's shards per day; a
+    store resumes at any worker count.  ``resume`` is only meaningful
+    with a checkpoint directory.
     """
     n_workers = resolve_workers(
         n_workers, len(dataset.radio_events) + len(dataset.service_records)
     )
-    if checkpoint_dir is not None or out_of_core:
+    if checkpoint_dir is not None:
         # Imported lazily: repro.runtime sits on top of repro.parallel,
         # which imports this module.
         from repro.runtime.run import run_durable_pipeline
@@ -332,7 +326,6 @@ def run_pipeline(
             compute_mobility=compute_mobility,
             lenient=lenient,
             n_workers=n_workers,
-            out_of_core=out_of_core,
         )
     if resume:
         raise ValueError("resume=True requires a checkpoint_dir")

@@ -7,14 +7,10 @@ Three layers, lowest first:
 - :mod:`repro.runtime.checkpoint` — the atomic
   :class:`CheckpointStore`: write-temp → fsync → rename publication,
   versioned run manifest, append-only completion journal;
-- :mod:`repro.runtime.spill` — out-of-core replay: mmap-backed
-  :class:`BlockReader` attach of spilled blocks plus the LRU
-  :class:`ReplayWindow` that bounds resident column memory;
-- :mod:`repro.runtime.run` — :func:`run_durable_pipeline`, the driver
-  that executes units through the resilient pool seam, persists them,
-  and replays the incremental catalog engine on resume (optionally
-  out-of-core, attaching blocks through the window instead of loading
-  them).
+- :mod:`repro.runtime.run` — :func:`run_durable_pipeline`, the
+  in-process day loop that builds each day's pending units, persists
+  them, and folds them (and, on resume, the units already journaled)
+  into the incremental catalog engine.
 
 The contract the chaos kill-matrix enforces: kill the run at any
 instant, resume it, and the catalogs, summaries and classifier output
@@ -36,27 +32,17 @@ from repro.runtime.serialize import (
     CheckpointCorruption,
     CheckpointError,
     StaleManifestError,
-    attach_day_block,
     pack_day_block,
     unpack_day_block,
 )
-from repro.runtime.spill import (
-    BlockReader,
-    ReplayWindow,
-    open_reader_count,
-)
 
 __all__ = [
-    "BlockReader",
     "CheckpointCorruption",
     "CheckpointError",
     "CheckpointStore",
-    "ReplayWindow",
     "StaleManifestError",
     "atomic_write_bytes",
     "atomic_write_text",
-    "attach_day_block",
-    "open_reader_count",
     "pack_day_block",
     "run_durable_pipeline",
     "unpack_day_block",

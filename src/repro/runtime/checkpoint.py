@@ -349,27 +349,6 @@ class CheckpointStore:
             self.unit_path(day, shard), data, before_replace=self.before_replace
         )
 
-    def adopt_unit(self, day: int, shard: int, source: PathLike) -> Path:
-        """Publish an already-written (fsynced) block file as a unit.
-
-        The spill path writes each block once in the worker (to a
-        ``.tmp``-suffixed file inside ``units/``) and the parent merely
-        renames it into place — the same publish discipline as
-        :func:`atomic_write_bytes` minus the redundant data copy.  The
-        caller guarantees ``source`` is durable (written + fsynced);
-        crash mid-adopt leaves either the old unit or the new one, and
-        the orphaned source is swept by :meth:`_clean_temp_files` on the
-        next resume.  If the rename itself fails, the staged source is
-        unlinked (see :func:`repro.runtime.fsio.replace_file`) so a
-        failed adoption cannot strand staging files.
-        """
-        target = self.unit_path(day, shard)
-        if self.before_replace is not None:
-            self.before_replace(target)
-        fsio.replace_file(source, target)
-        fsio.fsync_dir(target.parent)
-        return target
-
     def load_unit(self, day: int, shard: int) -> bytes:
         path = self.unit_path(day, shard)
         try:

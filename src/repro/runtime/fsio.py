@@ -15,7 +15,7 @@ buys two things:
   on live here once, not per call site: a failed staging write unlinks
   its partial file before the ``OSError`` propagates (no torn ``*.tmp``
   survives a write fault), and a failed publish rename unlinks the
-  staged source so a failed adoption can never strand staging files.
+  staged source so a failed publish can never strand staging files.
 
 With no injector armed each helper is the raw operation plus one
 ``None`` check — the ``checkpoint_overhead`` bench gate holds with this
@@ -86,23 +86,11 @@ def read_file_bytes(path: PathLike) -> bytes:
     return target.read_bytes()
 
 
-def check_read(path: PathLike) -> None:
-    """Raise any armed read fault for ``path`` without reading it.
-
-    The probe for readers that bypass ``read`` syscalls entirely — the
-    mmap attach path consults this before mapping, so injected read-EIO
-    reaches zero-copy consumers too.
-    """
-    injector = active()
-    if injector is not None:
-        injector.read_fault(Path(path))
-
-
 def replace_file(source: PathLike, target: PathLike) -> None:
     """Atomic publish rename; the staged source never outlives a failure.
 
     On rename failure (injected or real) the staged ``source`` is
-    unlinked before the ``OSError`` propagates: a failed adoption must
+    unlinked before the ``OSError`` propagates: a failed publish must
     not strand staging files for the resume-time sweep to miscount, and
     the caller's retry re-stages from data it still holds.
     """

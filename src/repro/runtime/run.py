@@ -1,17 +1,18 @@
 """Durable execution of the day-by-day pipeline: kill → resume → same bytes.
 
 The driver folds the window into the catalog one ``(day, shard)`` unit
-at a time.  Each unit is pure — a shard-by-device slice of one day's
-records, encoded (and in lenient mode validated) by a worker into a
-self-contained block (:mod:`repro.runtime.serialize`) — so a unit can
-be re-executed any number of times with the same result.  Completed
-units are persisted and journaled by the
-:class:`~repro.runtime.checkpoint.CheckpointStore`; the catalog itself
-is reconstructed by folding the blocks into the incremental engine
+at a time, in this process.  For each day it loads the units the
+journal already holds, builds the pending ones — a shard-by-device
+slice of the day's records, interned (and in lenient mode validated)
+into column stores — persists each one as a self-contained block
+(:mod:`repro.runtime.serialize`) when there is a store, and folds them
+into the incremental engine
 (:meth:`repro.core.catalog.CatalogBuilder.update`), whose snapshot
 equals a one-shot
 :meth:`~repro.core.catalog.CatalogBuilder.build_from_columns` over the
-same rows.
+same rows.  Only one day of column stores is ever held.  Each unit is
+pure, so it can be re-executed any number of times with the same
+result.
 
 The durability contract: killing the run at **any** instant and
 resuming with ``resume=True`` yields day records, summaries and
@@ -31,14 +32,16 @@ it is recorded.
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.columnar.store import from_record_streams
+from repro.columnar.store import (
+    ColumnarRadioEvents,
+    ColumnarServiceRecords,
+    from_record_streams,
+)
 from repro.core.catalog import CatalogBuilder
 from repro.core.classifier import ClassifierConfig, DeviceClassifier
 from repro.core.roaming import RoamingLabeler
@@ -54,7 +57,7 @@ from repro.parallel.health import (
     ShardIncident,
     StorageIncident,
 )
-from repro.parallel.pool import DEFAULT_SHARD_DEADLINE_S, get_context, map_shards
+from repro.parallel.pool import get_context, map_shards
 from repro.parallel.sharding import shard_mno_records
 from repro.pipeline import (
     DegradationReport,
@@ -72,14 +75,8 @@ from repro.runtime.checkpoint import (
 from repro.runtime.serialize import (
     CheckpointCorruption,
     QuarantineEntry,
-    pack_day_block,
+    pack_columns,
     unpack_day_block,
-)
-from repro.runtime.spill import (
-    ReplayWindow,
-    SpillDescriptor,
-    spill_tmp_path,
-    write_spill_blob,
 )
 from repro.signaling.cdr import ServiceRecord
 from repro.signaling.events import RadioEvent
@@ -92,20 +89,18 @@ DaySlice = Tuple[List[RadioEvent], List[ServiceRecord], Optional[IngestReport]]
 #: runs plug ``load_day_batch_with_retry`` into.
 DaySource = Callable[[int], DaySlice]
 
-#: Unit worker payload: (day, shard index, radio slice, service slice).
+#: Unit payload: (day, shard index, radio slice, service slice).
 UnitPayload = Tuple[int, int, List[RadioEvent], List[ServiceRecord]]
 
-#: Default policy for transient storage faults (staging writes, unit
-#: publishes, journal appends/fsyncs).  Delays are drawn, never slept —
-#: the same convention as the pool's shard retries.
+#: One built unit: its interned stores plus its quarantine decisions.
+Unit = Tuple[ColumnarRadioEvents, ColumnarServiceRecords, List[QuarantineEntry]]
+
+#: Default policy for transient storage faults (unit publishes, journal
+#: appends/fsyncs).  Delays are drawn, never slept — the same
+#: convention as the pool's shard retries.
 STORAGE_RETRY_POLICY = RetryPolicy(
     base_delay_s=0.05, multiplier=2.0, max_delay_s=1.0, jitter=0.5, max_attempts=3
 )
-
-#: Fold-skip sentinel for a unit whose persistence was exhausted in
-#: lenient mode: the unit is absent from this run's catalog (a typed
-#: ``unit-quarantined`` incident) and re-executes on the next resume.
-_UNIT_QUARANTINED: Tuple = ()
 
 
 def _day_slices(
@@ -124,24 +119,33 @@ def _day_slices(
     }
 
 
-def _validate_day_slice(
+def _build_unit(
     builder: CatalogBuilder,
+    lenient: bool,
     radio: List[RadioEvent],
     service: List[ServiceRecord],
-) -> Tuple[List[RadioEvent], List[ServiceRecord], List[QuarantineEntry]]:
-    """Lenient-unit validation: quarantine devices whose day slice fails.
+) -> Unit:
+    """Intern one unit slice; in lenient mode, quarantine its bad devices.
 
-    Runs :func:`repro.pipeline.quarantine_devices` — the serial and
-    sharded lenient paths' per-device catalog and summary stages — over
-    the unit's slice, so durable and serial degradation reports agree.
+    Lenient validation runs :func:`repro.pipeline.quarantine_devices` —
+    the serial and sharded lenient paths' per-device catalog and summary
+    stages — over the interned slice, so durable and serial degradation
+    reports agree.  Only when a device was quarantined are the survivors
+    interned again, so the unit's vocabulary holds exactly the devices
+    its rows name.
     """
     events, records = from_record_streams(radio, service)
+    if not lenient:
+        return events, records, []
     _, _, failures, _ = quarantine_devices(builder, events, records)
-    if failures:
-        bad = {failure.device_id for failure in failures}
-        radio = [event for event in radio if event.device_id not in bad]
-        service = [record for record in service if record.device_id not in bad]
-    return radio, service, [(f.device_id, f.stage, f.error) for f in failures]
+    if not failures:
+        return events, records, []
+    bad = {failure.device_id for failure in failures}
+    events, records = from_record_streams(
+        [event for event in radio if event.device_id not in bad],
+        [record for record in service if record.device_id not in bad],
+    )
+    return events, records, [(f.device_id, f.stage, f.error) for f in failures]
 
 
 def _encode_block(
@@ -150,93 +154,42 @@ def _encode_block(
     radio: List[RadioEvent],
     service: List[ServiceRecord],
 ) -> bytes:
-    """Encode one unit slice into its framed block (lenient-validated).
+    """The persisted bytes of one unit slice (lenient-validated).
 
-    Deterministic for a given slice: the parent can re-encode a unit
-    whose staged spill file was lost to a write fault and publish bytes
-    identical to the worker's.
+    Deterministic for a given slice, which is what lets the scrubber
+    (:func:`repro.runtime.scrub.recompute_from_dataset`) rebuild a
+    damaged unit byte for byte.
     """
-    if not lenient:
-        return pack_day_block(radio, service)
-    radio, service, quarantine = _validate_day_slice(builder, radio, service)
-    return pack_day_block(radio, service, quarantine)
+    return pack_columns(*_build_unit(builder, lenient, radio, service))
 
 
-def _encode_unit(payload: UnitPayload) -> bytes:
-    """Worker: turn one (day, shard) slice into its checkpoint block."""
-    builder, lenient, _ = get_context()
+def _encode_unit(payload: UnitPayload) -> Unit:
+    """Build one (day, shard) unit under the installed run context."""
+    builder, lenient = get_context()
     _, _, radio, service = payload
-    return _encode_block(builder, lenient, radio, service)
-
-
-def _encode_unit_spill(payload: UnitPayload) -> Union[bytes, SpillDescriptor]:
-    """Worker: encode one slice and spill it, returning a descriptor.
-
-    The out-of-core twin of :func:`_encode_unit`: the framed block is
-    written (and fsynced) to a staging file inside the store's units
-    directory instead of crossing the pool seam as a blob; the parent
-    publishes it with one rename (:meth:`CheckpointStore.adopt_unit`).
-
-    Staging writes retry transient faults under the storage policy
-    (each failed attempt removed its partial file); if the retries are
-    exhausted the worker degrades to shipping the blob itself across
-    the pool seam — the parent publishes it with ``save_unit`` and
-    records the degradation, so a sick spill volume slows the run
-    instead of crashing it.
-    """
-    builder, lenient, spill_dir = get_context()
-    day, shard, radio, service = payload
-    blob = _encode_block(builder, lenient, radio, service)
-    staged = spill_tmp_path(spill_dir, day, shard)
-    try:
-        call_with_retry(
-            lambda: write_spill_blob(staged, blob),
-            STORAGE_RETRY_POLICY,
-            np.random.default_rng(0),
-            retry_on=(OSError,),
-        )
-    except RetryError:
-        return blob
-    return SpillDescriptor(day=day, shard=shard, path=str(staged), nbytes=len(blob))
+    return _build_unit(builder, lenient, radio, service)
 
 
 def _persist_unit(
     store: CheckpointStore,
     day: int,
     shard: int,
-    result: Union[bytes, SpillDescriptor],
-    builder: CatalogBuilder,
-    payload: UnitPayload,
+    blob: bytes,
     lenient: bool,
-    policy: RetryPolicy,
     rng: np.random.Generator,
     health: RunHealth,
 ) -> bool:
-    """Publish one unit (block file + journal line) under the retry policy.
+    """Publish one unit (block file + journal line) under the storage policy.
 
-    Every failed attempt is a typed ``storage-fault`` incident.  A
-    staged spill file consumed by a failed adoption (the rename unlinks
-    its source on failure) is replaced by re-encoding the slice in the
-    parent — byte-identical, units are pure.  On exhaustion: lenient
-    quarantines the unit (``False``; it re-executes on resume), strict
-    raises :class:`StorageAbort` with the store still consistent.
+    Every failed attempt is a typed ``storage-fault`` incident.  On
+    exhaustion: lenient quarantines the unit (``False``; it is left out
+    of this run's fold and re-executes on resume), strict raises
+    :class:`StorageAbort` with the store still consistent.
     """
     unit_path = str(store.unit_path(day, shard))
-    state: Dict[str, Optional[bytes]] = {
-        "blob": result if isinstance(result, bytes) else None
-    }
-    staged: List[str] = [result.path] if isinstance(result, SpillDescriptor) else []
 
     def publish_once() -> None:
-        if staged:
-            source = staged.pop()
-            store.adopt_unit(day, shard, source)
-        else:
-            blob = state["blob"]
-            if blob is None:
-                _, _, radio, service = payload
-                blob = state["blob"] = _encode_block(builder, lenient, radio, service)
-            store.save_unit(day, shard, blob)
+        store.save_unit(day, shard, blob)
         store.mark_complete(day, shard)
 
     def on_retry(attempt: int, delay: float, exc: Exception) -> None:
@@ -252,7 +205,11 @@ def _persist_unit(
 
     try:
         call_with_retry(
-            publish_once, policy, rng, retry_on=(OSError,), on_retry=on_retry
+            publish_once,
+            STORAGE_RETRY_POLICY,
+            rng,
+            retry_on=(OSError,),
+            on_retry=on_retry,
         )
         return True
     except RetryError as exc:
@@ -271,17 +228,14 @@ def _persist_unit(
             )
             return False
         raise StorageAbort(day, shard, exc.attempts, exc.last_error) from exc
-
-
 def _sync_store(
     store: CheckpointStore,
     day: int,
     lenient: bool,
-    policy: RetryPolicy,
     rng: np.random.Generator,
     health: RunHealth,
 ) -> None:
-    """Day-boundary journal fsync under the retry policy.
+    """Day-boundary journal fsync under the storage policy.
 
     On exhaustion lenient continues (completions are flushed, merely
     not power-loss durable yet — the incident trail says so); strict
@@ -301,7 +255,11 @@ def _sync_store(
 
     try:
         call_with_retry(
-            store.sync, policy, rng, retry_on=(OSError,), on_retry=on_retry
+            store.sync,
+            STORAGE_RETRY_POLICY,
+            rng,
+            retry_on=(OSError,),
+            on_retry=on_retry,
         )
     except RetryError as exc:
         if not lenient:
@@ -317,12 +275,6 @@ def run_durable_pipeline(
     compute_mobility: bool = True,
     lenient: bool = False,
     n_workers: int = 1,
-    n_shards: Optional[int] = None,
-    out_of_core: bool = False,
-    max_resident_shards: Optional[int] = None,
-    max_resident_bytes: Optional[int] = None,
-    shard_deadline_s: Optional[float] = DEFAULT_SHARD_DEADLINE_S,
-    retry_policy: Optional[RetryPolicy] = None,
     day_source: Optional[DaySource] = None,
     days: Optional[Sequence[int]] = None,
     before_replace: BeforeReplace = None,
@@ -342,25 +294,18 @@ def run_durable_pipeline(
     :func:`repro.mno.streaming.load_day_batch_with_retry`); any ingest
     reports it yields are merged into ``result.degradation.ingest``.
 
-    ``out_of_core=True`` spills every unit block to disk in the worker
-    (a descriptor, not the blob, crosses the pool seam) and folds days
-    by attaching blocks back through an mmap-backed
-    :class:`~repro.runtime.spill.ReplayWindow` bounded by
-    ``max_resident_shards`` / ``max_resident_bytes`` — peak RSS then
-    scales with the shard window, not the population.  With
-    ``checkpoint_dir`` set, the checkpoint store doubles as the spill
-    store (durable runs get out-of-core for free, and the on-disk
-    format is identical, so a checkpoint written in either mode resumes
-    in the other); without one, an ephemeral spill directory is created
-    and removed with the run.  The result is byte-identical to the
-    in-memory path in every mode combination.
+    Units are built in this process.  ``n_workers`` only sets how many
+    shards per day a fresh store is cut into, so ``--jobs N``
+    checkpoints keep their on-disk layout; a resumed store keeps its
+    recorded shard count, so it resumes at any worker count.
 
     ``on_unit(day, shard)`` and ``on_day(day)`` are crash-injection
     seams (see :mod:`repro.faults.crash`), called just before a unit is
     published and after a day is folded, respectively.
     """
-    if n_shards is None:
-        n_shards = max(n_workers, 1)
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+    n_shards = n_workers
     labeler = RoamingLabeler(ecosystem.operators, dataset.observer)
     builder = CatalogBuilder(
         dataset.tac_db,
@@ -391,13 +336,6 @@ def run_durable_pipeline(
         "compute_mobility": bool(compute_mobility),
     }
     store: Optional[CheckpointStore] = None
-    ephemeral_spill: Optional[str] = None
-    if checkpoint_dir is None and out_of_core:
-        # Out-of-core needs a spill store; without a checkpoint
-        # directory it lives (and dies) with this run.
-        ephemeral_spill = tempfile.mkdtemp(prefix="repro_spill_")
-        checkpoint_dir = ephemeral_spill
-        resume = False
     if checkpoint_dir is not None:
         try:
             store = CheckpointStore(
@@ -429,39 +367,22 @@ def run_durable_pipeline(
                 )
             )
 
-    window: Optional[ReplayWindow] = None
-    if out_of_core:
-        assert store is not None
-        window = ReplayWindow(
-            max_resident_shards=(
-                max_resident_shards if max_resident_shards is not None else 4
-            ),
-            max_resident_bytes=max_resident_bytes,
-        )
-
     quarantined: Dict[str, QuarantineEntry] = {}
     observed: Set[str] = set()
     ingest: Optional[IngestReport] = None
-    storage_policy = retry_policy if retry_policy is not None else STORAGE_RETRY_POLICY
     storage_rng = np.random.default_rng(0)
     try:
         for day in day_list:
-            #: shard -> decoded block, or None when the block stays on
-            #: disk and the fold attaches it through the window.
-            blocks: Dict[int, Optional[Tuple]] = {}
+            #: shard -> built or loaded unit; a unit whose persistence
+            #: was exhausted in lenient mode is left out of this fold
+            #: (a typed ``unit-quarantined`` incident) and re-executes
+            #: on the next resume.
+            units: Dict[int, Unit] = {}
             pending: List[int] = []
             for shard in range(n_shards):
                 if store is not None and store.is_journaled(day, shard):
                     try:
-                        if window is not None:
-                            # CRC-validate in place; the block stays
-                            # mapped, never copied into the heap.
-                            window.attach(store.unit_path(day, shard), day, shard)
-                            blocks[shard] = None
-                        else:
-                            blocks[shard] = unpack_day_block(
-                                store.load_unit(day, shard)
-                            )
+                        units[shard] = unpack_day_block(store.load_unit(day, shard))
                         continue
                     except CheckpointCorruption as exc:
                         health.record(
@@ -494,105 +415,34 @@ def run_durable_pipeline(
                     for shard in pending
                 ]
                 del radio_day, service_day, shard_slices
-                spill_dir = None if store is None else store.units_dir
-                results: Sequence[Union[bytes, SpillDescriptor]] = map_shards(
-                    _encode_unit_spill if window is not None else _encode_unit,
-                    payloads,
-                    n_workers,
-                    context=(builder, lenient, spill_dir),
-                    deadline_s=shard_deadline_s,
-                    retry_policy=retry_policy,
-                    health=health,
+                built = map_shards(
+                    _encode_unit, payloads, 1, context=(builder, lenient)
                 )
-                for unit_payload, result in zip(payloads, results):
-                    _, shard, _, _ = unit_payload
+                # Hold one day of rows and units at most: drop this day's
+                # references before the next day's source is read.
+                del payloads
+                for shard, unit in zip(pending, built):
                     if on_unit is not None:
                         on_unit(day, shard)
-                    if store is None:
-                        assert isinstance(result, bytes)
-                        blocks[shard] = unpack_day_block(result)
-                        continue
-                    if window is not None and isinstance(result, bytes):
-                        # The worker's spill staging exhausted its
-                        # retries and shipped the blob instead; the
-                        # parent publishes it atomically below.
-                        health.record_storage(
-                            StorageIncident(
-                                kind=STORAGE_FAULT,
-                                op="write",
-                                path=str(store.unit_path(day, shard)),
-                                detail=(
-                                    f"day {day} shard {shard}: worker spill "
-                                    "staging failed; block shipped to parent"
-                                ),
-                            )
-                        )
-                    published = _persist_unit(
+                    if store is None or _persist_unit(
                         store,
                         day,
                         shard,
-                        result,
-                        builder,
-                        unit_payload,
+                        pack_columns(*unit),
                         lenient,
-                        storage_policy,
                         storage_rng,
                         health,
-                    )
-                    if not published:
-                        blocks[shard] = _UNIT_QUARANTINED
-                    elif window is not None:
-                        blocks[shard] = None
-                    else:
-                        assert isinstance(result, bytes)
-                        blocks[shard] = unpack_day_block(result)
+                    ):
+                        units[shard] = unit
+                del built
             if store is not None:
-                _sync_store(store, day, lenient, storage_policy, storage_rng, health)
+                _sync_store(store, day, lenient, storage_rng, health)
 
-            # Each shard's block is one delta of the day: update merges
-            # it as decoded, in any shard order.
-            for shard in range(n_shards):
-                block = blocks[shard]
-                if block is _UNIT_QUARANTINED:
-                    continue
-                if block is None:
-                    assert window is not None and store is not None
-                    try:
-                        events_c, records_c, unit_quarantine = window.attach(
-                            store.unit_path(day, shard), day, shard
-                        )
-                    except CheckpointCorruption as exc:
-                        # The published block fails validation at fold
-                        # time (bit rot, read EIO).  The unit is
-                        # journaled, so the next resume detects the
-                        # damage and re-executes it — lenient runs
-                        # quarantine it from this fold, strict runs
-                        # abort typed.
-                        health.record_storage(
-                            StorageIncident(
-                                kind=STORAGE_FAULT,
-                                op="read",
-                                path=str(store.unit_path(day, shard)),
-                                detail=f"day {day} shard {shard}: {exc}",
-                            )
-                        )
-                        if not lenient:
-                            raise
-                        health.record_storage(
-                            StorageIncident(
-                                kind=UNIT_QUARANTINED,
-                                op="read",
-                                path=str(store.unit_path(day, shard)),
-                                detail=(
-                                    f"day {day} shard {shard} quarantined "
-                                    f"from the fold: {exc}"
-                                ),
-                            )
-                        )
-                        continue
-                else:
-                    events_c, records_c, unit_quarantine = block
-                # Quarantined devices' rows were scrubbed from the block,
+            # Each shard's unit is one delta of the day: update merges
+            # it as built or decoded, in any shard order.
+            for shard in sorted(units):
+                events_c, records_c, unit_quarantine = units[shard]
+                # Quarantined devices' rows were scrubbed from the unit,
                 # so they count as observed only via their entries.
                 observed.update(events_c.pools.devices.strings)
                 for entry in unit_quarantine:
@@ -619,12 +469,8 @@ def run_durable_pipeline(
             if on_day is not None:
                 on_day(day)
     finally:
-        if window is not None:
-            window.close()
         if store is not None:
             store.close()
-        if ephemeral_spill is not None:
-            shutil.rmtree(ephemeral_spill, ignore_errors=True)
 
     day_records, summaries = builder.snapshot()
     if quarantined:

@@ -48,8 +48,8 @@ from repro.runtime import run_durable_pipeline
 from repro.signaling.cdr import ServiceRecord, ServiceType
 
 (
-    point, day, shard, ckpt, devices, seed, workers, lenient, ooc,
-) = sys.argv[1:10]
+    point, day, shard, ckpt, devices, seed, workers, lenient,
+) = sys.argv[1:9]
 eco = build_default_ecosystem(EcosystemConfig(uk_sites={uk_sites}, seed=11))
 dataset = simulate_mno_dataset(
     eco, MNOConfig(n_devices=int(devices), seed=int(seed))
@@ -73,7 +73,6 @@ run_durable_pipeline(
     checkpoint_dir=ckpt,
     n_workers=int(workers),
     lenient=lenient == "1",
-    out_of_core=ooc == "1",
     on_unit=switch.on_unit,
     on_day=switch.on_day,
     before_replace=switch.before_replace,
@@ -125,20 +124,15 @@ def _baseline(seed, lenient):
     return _BASELINE_CACHE[key]
 
 
-def _run_child_until_killed(
-    ckpt, point, day, shard, seed, workers, lenient, out_of_core=False
-):
+def _run_child_until_killed(ckpt, point, day, shard, seed, workers, lenient):
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    # Redirect to files rather than pipes: the child's orphaned pool
-    # workers inherit the output fds and would keep a pipe open long
-    # after the SIGKILL, stalling any read-until-EOF wait.
     stderr_path = Path(ckpt).parent / "child_stderr.log"
     with open(stderr_path, "w", encoding="utf-8") as stderr:
         proc = subprocess.Popen(
             [
                 sys.executable, "-c", CHILD_SCRIPT,
                 point, str(day), str(shard), str(ckpt), str(DEVICES), str(seed),
-                str(workers), "1" if lenient else "0", "1" if out_of_core else "0",
+                str(workers), "1" if lenient else "0",
             ],
             env=env,
             stdout=subprocess.DEVNULL,
@@ -151,7 +145,7 @@ def _run_child_until_killed(
     )
 
 
-def _resume_and_check(ckpt, seed, lenient, out_of_core=False):
+def _resume_and_check(ckpt, seed, lenient):
     result = run_durable_pipeline(
         _dataset(seed, lenient),
         _eco(),
@@ -159,7 +153,6 @@ def _resume_and_check(ckpt, seed, lenient, out_of_core=False):
         resume=True,
         n_workers=1,
         lenient=lenient,
-        out_of_core=out_of_core,
     )
     baseline = _baseline(seed, lenient)
     assert result.day_records == baseline.day_records
@@ -208,6 +201,8 @@ def test_kill_matrix_resume_is_byte_identical(tmp_path, point, day, shard, seed)
     ckpt = tmp_path / "ckpt"
     _run_child_until_killed(ckpt, point, day, shard, seed, workers=2, lenient=False)
     _resume_and_check(ckpt, seed, lenient=False)
+    # Resume swept the staging file a kill in the rename window strands.
+    assert list(ckpt.rglob("*.tmp")) == []
     by_attempt = _journal_attempt_sets(ckpt)
     # Units completed before the kill are never re-executed on resume.
     assert not by_attempt.get(0, set()) & by_attempt.get(1, set())
@@ -221,40 +216,3 @@ def test_kill_sweep_modes_and_workers(tmp_path, workers, lenient):
         ckpt, KILL_AT_UNIT, 2, 0, seed=3, workers=workers, lenient=lenient
     )
     _resume_and_check(ckpt, seed=3, lenient=lenient)
-
-
-@pytest.mark.parametrize("point,day,shard", KILL_SPECS)
-def test_kill_matrix_out_of_core(tmp_path, point, day, shard):
-    """Out-of-core kill coverage at the spill seams.
-
-    ``KILL_AT_UNIT`` dies between the worker's spill-write and the
-    parent's adopt (the staged ``*.tmp`` exists, unpublished);
-    ``KILL_AT_RENAME`` dies inside the adopt's rename window itself.
-    Resume must sweep every stale staging file, re-execute exactly the
-    unpublished units, close every mmap reader, and produce the same
-    bytes.
-    """
-    from repro.runtime.spill import open_reader_count
-
-    ckpt = tmp_path / "ckpt"
-    _run_child_until_killed(
-        ckpt, point, day, shard, seed=3,
-        workers=2, lenient=False, out_of_core=True,
-    )
-    _resume_and_check(ckpt, seed=3, lenient=False, out_of_core=True)
-    assert open_reader_count() == 0
-    stale = list(Path(ckpt).rglob("*.tmp"))
-    assert stale == [], f"stale spill staging files survived resume: {stale}"
-    by_attempt = _journal_attempt_sets(ckpt)
-    assert not by_attempt.get(0, set()) & by_attempt.get(1, set())
-
-
-def test_kill_out_of_core_lenient_resumes_in_memory(tmp_path):
-    """Cross-mode recovery: an out-of-core run killed mid-flight resumes
-    on the in-memory path (and vice-versa block format is identical)."""
-    ckpt = tmp_path / "ckpt"
-    _run_child_until_killed(
-        ckpt, KILL_AT_UNIT, 2, 0, seed=3,
-        workers=2, lenient=True, out_of_core=True,
-    )
-    _resume_and_check(ckpt, seed=3, lenient=True, out_of_core=False)

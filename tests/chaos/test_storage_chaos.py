@@ -3,7 +3,7 @@
 The acceptance bar for the storage-fault layer: for each fault class
 (``enospc``/``eio-write``/``short-write``/``fsync-fail``/``rename-fail``
 at the write/publish/journal seams, ``bit-rot`` at rest, ``eio-read``
-at the fold seam) and three plan seeds, a strict run either absorbs the
+at the resume seam) and three plan seeds, a strict run either absorbs the
 fault under its retry budget or aborts typed with a consistent store —
 and resume-then-scrub always converges to the **byte-identical**
 catalog digest of an uninterrupted run.  Lenient runs never crash: they
@@ -37,9 +37,8 @@ from repro.mno import MNOConfig, simulate_mno_dataset
 from repro.parallel.health import STORAGE_FAULT, UNIT_QUARANTINED
 from repro.pipeline import run_pipeline
 from repro.runtime import run_durable_pipeline
-from repro.runtime.checkpoint import StorageAbort
+from repro.runtime.checkpoint import JOURNAL_NAME, StorageAbort, parse_journal_lines
 from repro.runtime.scrub import recompute_from_dataset, scrub_store
-from repro.runtime.serialize import CheckpointCorruption
 from repro.service import catalog_digest
 
 pytestmark = pytest.mark.storage_chaos
@@ -169,66 +168,35 @@ def test_bit_rot_at_rest_is_scrubbed_back_to_identical_bytes(
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_read_eio_at_the_fold_seam(
-    tmp_path, eco, dataset, baseline_digest, seed
+@pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+def test_read_eio_at_the_resume_seam(
+    tmp_path, eco, dataset, baseline_digest, lenient, seed
 ):
-    """Out-of-core folds hit the read seam: strict aborts, lenient degrades."""
-    strict = tmp_path / "strict"
+    """A journaled unit that cannot be read on resume is re-executed."""
+    ckpt = tmp_path / "ckpt"
+    run_durable_pipeline(
+        dataset, eco, checkpoint_dir=ckpt, n_workers=1, lenient=lenient
+    )
     plan = FsFaultPlan(
         seed=seed,
         faults=(FsFault(EIO_READ, match="day_001.shard_000", times=-1),),
     )
     with install(plan):
-        with pytest.raises(CheckpointCorruption):
-            run_durable_pipeline(
-                dataset, eco, checkpoint_dir=strict, n_workers=1,
-                out_of_core=True,
-            )
-    resumed = run_durable_pipeline(
-        dataset, eco, checkpoint_dir=strict, resume=True, n_workers=1,
-        out_of_core=True,
-    )
+        resumed = run_durable_pipeline(
+            dataset, eco, checkpoint_dir=ckpt, resume=True, n_workers=1,
+            lenient=lenient,
+        )
     assert digest(resumed) == baseline_digest
-
-    lenient = tmp_path / "lenient"
-    with install(plan):
-        degraded = run_durable_pipeline(
-            dataset, eco, checkpoint_dir=lenient, n_workers=1,
-            out_of_core=True, lenient=True,
-        )
-    kinds = {i.kind for i in degraded.health.storage_incidents}
-    assert kinds == {STORAGE_FAULT, UNIT_QUARANTINED}
-    converged = run_durable_pipeline(
-        dataset, eco, checkpoint_dir=lenient, resume=True, n_workers=1,
-        out_of_core=True, lenient=True,
-    )
-    assert digest(converged) == baseline_digest
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_worker_staging_fault_degrades_to_blob_shipping(
-    tmp_path, eco, dataset, baseline_digest, seed
-):
-    """A sick spill volume slows the run instead of crashing it."""
-    # Worker staging names carry the writer's pid; matching on it spares
-    # the parent's own ``.ckpt.tmp`` publishes (n_workers=1 runs the
-    # worker in-process, so the pid is ours).
-    plan = FsFaultPlan(
-        seed=seed,
-        faults=(FsFault(EIO_WRITE, match=f".ckpt.{os.getpid()}", times=-1),),
-    )
-    with install(plan):
-        result = run_durable_pipeline(
-            dataset, eco, checkpoint_dir=tmp_path / "ckpt", n_workers=1,
-            out_of_core=True,
-        )
-    assert digest(result) == baseline_digest
-    shipped = [
-        i for i in result.health.storage_incidents
-        if "shipped to parent" in i.detail
+    assert resumed.health.torn_checkpoints == 1
+    assert [(i.kind, i.op) for i in resumed.health.storage_incidents] == [
+        (STORAGE_FAULT, "read")
     ]
-    assert shipped, "expected the blob-shipping degradation to be recorded"
-    assert scrub_store(tmp_path / "ckpt").ok
+    lines = (ckpt / JOURNAL_NAME).read_text(encoding="utf-8").splitlines()
+    entries, _ = parse_journal_lines(lines)
+    assert {(e["day"], e["shard"]) for e in entries if e["attempt"] == 1} == {
+        (1, 0)
+    }
+    assert scrub_store(ckpt).ok
 
 
 CHILD_SCRIPT = """
@@ -237,7 +205,7 @@ import sys
 from repro.ecosystem import EcosystemConfig, build_default_ecosystem
 from repro.mno import MNOConfig, simulate_mno_dataset
 from repro.runtime import run_durable_pipeline
-from repro.runtime.checkpoint import StorageAbort
+from repro.runtime.checkpoint import JOURNAL_NAME, StorageAbort, parse_journal_lines
 
 eco = build_default_ecosystem(EcosystemConfig(uk_sites=30, seed=11))
 dataset = simulate_mno_dataset(eco, MNOConfig(n_devices=int(sys.argv[2]), seed=3))

@@ -41,30 +41,6 @@ def test_lookup_round_trips_every_id():
     assert pool.strings == tuple(vocab)
 
 
-def test_merge_from_keeps_existing_ids_stable():
-    left = StringPool(["26202", "20801"])
-    right = StringPool(["20801", "90128", "26202"])
-    remap = left.merge_from(right)
-    # Existing entries keep their ids; only the novel string gets a new one.
-    assert left.id_of("26202") == 0
-    assert left.id_of("20801") == 1
-    assert left.id_of("90128") == 2
-    # remap translates right-pool ids into left-pool ids.
-    assert [left.lookup(remap[right.id_of(s)]) for s in right.strings] == list(
-        right.strings
-    )
-
-
-def test_merge_from_is_idempotent():
-    left = StringPool(["a", "b"])
-    right = StringPool(["b", "c"])
-    first = left.merge_from(right)
-    size_after = len(left)
-    second = left.merge_from(right)
-    assert first == second
-    assert len(left) == size_after
-
-
 # -- adapters ----------------------------------------------------------------
 
 def test_radio_round_trip(mno_dataset):

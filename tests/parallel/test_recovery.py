@@ -8,11 +8,13 @@ recovery happened, it was recorded, and the results are still exactly
 right.
 """
 
+import contextlib
 import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -67,6 +69,13 @@ def square(x: int) -> int:
 
 def always_raise(x: int) -> int:
     raise ValueError(f"task bug on {x}")
+
+
+def report_pid_and_sleep(seconds: float) -> float:
+    # One write per line, so two workers' lines never interleave.
+    os.write(1, f"{os.getpid()}\n".encode())
+    time.sleep(seconds)
+    return seconds
 
 
 # -- RunHealth bookkeeping ----------------------------------------------------
@@ -278,3 +287,64 @@ def test_pool_broken_during_submit_recovers(monkeypatch):
     )
     assert results == [1, 4, 9]
     assert health.broken_pools == 1
+
+
+_KILLED_PARENT_SCRIPT = """
+from repro.parallel.pool import map_shards
+from tests.parallel.test_recovery import report_pid_and_sleep
+
+map_shards(report_pid_and_sleep, [20.0, 20.0], n_workers=2)
+"""
+
+
+def _gone_or_zombie(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    # The state letter follows the parenthesised command name.
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="parent-death signal is Linux-only"
+)
+def test_workers_die_with_a_sigkilled_parent():
+    """Workers busy in a shard when their parent is SIGKILLed die with it
+    instead of living on as orphans."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT)]),
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_PARENT_SCRIPT],
+        cwd=REPO_ROOT,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        start_new_session=True,
+    )
+    # A child that never reports its workers must not hang the test.
+    watchdog = threading.Timer(30.0, os.killpg, (proc.pid, signal.SIGKILL))
+    watchdog.start()
+    pids = []
+    try:
+        for _ in range(2):
+            line = proc.stdout.readline()
+            assert line, "the child exited before both workers reported"
+            pids.append(int(line))
+        proc.kill()
+        proc.wait(timeout=10.0)
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and not all(map(_gone_or_zombie, pids)):
+            time.sleep(0.1)
+        survivors = [pid for pid in pids if not _gone_or_zombie(pid)]
+        assert survivors == [], f"workers outlived their killed parent: {survivors}"
+    finally:
+        watchdog.cancel()
+        # The workers share the child's process group.
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=10.0)
+        proc.stdout.close()

@@ -1,8 +1,8 @@
 """Runtime-suite fixtures: one small world, datasets sized for sweeps.
 
 The durable-execution tests run the pipeline many times (equality
-sweeps across worker counts × in-memory/out-of-core × strict/lenient), so the
-dataset here is deliberately smaller than the session-wide one.
+sweeps across worker counts × strict/lenient), so the dataset here is
+deliberately smaller than the session-wide one.
 """
 
 from __future__ import annotations

@@ -152,23 +152,20 @@ def test_stray_temp_files_cleaned_on_open(tmp_path):
     store.close()
 
 
-def test_adopt_unit_rename_failure_unlinks_staged_tmp(tmp_path):
+def test_save_unit_rename_failure_unlinks_staged_tmp(tmp_path):
     from repro.faults.fsfault import RENAME_FAIL, FsFault, FsFaultPlan, install
 
     with CheckpointStore(tmp_path, FP, n_shards=1) as store:
-        staged = store.unit_path(0, 0).with_name("day_000.shard_000.ckpt.tmp")
-        staged.write_bytes(b"worker-written block")
         with install(FsFaultPlan(faults=(FsFault(RENAME_FAIL),))):
             with pytest.raises(OSError):
-                store.adopt_unit(0, 0, staged)
-        # The failed adoption strands neither the staged temp nor a
+                store.save_unit(0, 0, b"unit block")
+        # The failed publish strands neither the staged temp nor a
         # half-published target.
-        assert not staged.exists()
+        assert list(tmp_path.rglob("*.tmp")) == []
         assert not store.unit_path(0, 0).exists()
-        # A retried adoption from re-staged bytes then succeeds.
-        staged.write_bytes(b"worker-written block")
-        store.adopt_unit(0, 0, staged)
-        assert store.load_unit(0, 0) == b"worker-written block"
+        # A retried publish then succeeds.
+        store.save_unit(0, 0, b"unit block")
+        assert store.load_unit(0, 0) == b"unit block"
 
 
 def test_save_unit_write_fault_leaves_no_torn_state(tmp_path):

@@ -2,11 +2,15 @@
 
 import pytest
 
+from repro.columnar.store import from_record_streams
+from repro.core.catalog import CatalogBuilder
+from repro.core.roaming import RoamingLabeler
 from repro.datasets.io import IngestReport
 from repro.faults.crash import tear_day_checkpoint, tear_journal_tail
 from repro.parallel.health import TORN_CHECKPOINT
-from repro.pipeline import run_pipeline
-from repro.runtime import run_durable_pipeline
+from repro.parallel.sharding import shard_mno_records
+from repro.pipeline import quarantine_devices, run_pipeline
+from repro.runtime import pack_day_block, run_durable_pipeline
 from repro.runtime.checkpoint import JOURNAL_NAME, MANIFEST_NAME, UNITS_DIRNAME
 from repro.runtime.run import _day_slices
 
@@ -30,16 +34,14 @@ def plain_lenient(small_eco, poisoned_dataset):
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
-@pytest.mark.parametrize("out_of_core", [False, True])
 def test_durable_equals_plain_strict(
-    tmp_path, small_eco, small_dataset, plain_result, n_workers, out_of_core
+    tmp_path, small_eco, small_dataset, plain_result, n_workers
 ):
     result = run_durable_pipeline(
         small_dataset,
         small_eco,
         checkpoint_dir=tmp_path / "ckpt",
         n_workers=n_workers,
-        out_of_core=out_of_core,
     )
     assert_same_result(result, plain_result)
     assert result.health is not None and result.health.ok
@@ -63,9 +65,8 @@ def test_checkpoint_layout_on_disk(tmp_path, small_eco, small_dataset):
     assert len(units) == n_days * 2  # n_shards follows n_workers
 
 
-@pytest.mark.parametrize("out_of_core", [False, True])
 def test_lenient_durable_equals_serial(
-    tmp_path, small_eco, poisoned_dataset, plain_lenient, out_of_core
+    tmp_path, small_eco, poisoned_dataset, plain_lenient
 ):
     result = run_durable_pipeline(
         poisoned_dataset,
@@ -73,7 +74,6 @@ def test_lenient_durable_equals_serial(
         checkpoint_dir=tmp_path / "ckpt",
         lenient=True,
         n_workers=2,
-        out_of_core=out_of_core,
     )
     assert_same_result(result, plain_lenient)
     assert "poison-runtime" not in result.summaries
@@ -84,6 +84,49 @@ def test_lenient_durable_equals_serial(
     assert [
         (f.device_id, f.stage, f.error) for f in ours.exemplars
     ] == [(f.device_id, f.stage, f.error) for f in theirs.exemplars]
+
+
+def _unit_bytes(builder, radio, service, lenient):
+    """``pack_day_block`` of one unit slice, validated when lenient."""
+    if not lenient:
+        return pack_day_block(radio, service), 0
+    _, _, failures, _ = quarantine_devices(
+        builder, *from_record_streams(radio, service)
+    )
+    bad = {failure.device_id for failure in failures}
+    blob = pack_day_block(
+        [event for event in radio if event.device_id not in bad],
+        [record for record in service if record.device_id not in bad],
+        [(f.device_id, f.stage, f.error) for f in failures],
+    )
+    return blob, len(failures)
+
+
+@pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+def test_persisted_units_equal_pack_day_block_of_their_slice(
+    tmp_path, small_eco, small_dataset, poisoned_dataset, lenient
+):
+    dataset = poisoned_dataset if lenient else small_dataset
+    run_durable_pipeline(
+        dataset, small_eco, checkpoint_dir=tmp_path, lenient=lenient, n_workers=2
+    )
+    builder = CatalogBuilder(
+        dataset.tac_db,
+        dataset.sector_catalog,
+        RoamingLabeler(small_eco.operators, dataset.observer),
+    )
+    n_units = n_quarantined = 0
+    for day, (radio, service) in _day_slices(dataset).items():
+        for shard, (radio_s, service_s) in enumerate(
+            shard_mno_records(radio, service, 2)
+        ):
+            expected, n_failed = _unit_bytes(builder, radio_s, service_s, lenient)
+            unit = tmp_path / UNITS_DIRNAME / f"day_{day:03d}.shard_{shard:03d}.ckpt"
+            assert unit.read_bytes() == expected, (day, shard)
+            n_units += 1
+            n_quarantined += n_failed
+    assert n_units == len(list((tmp_path / UNITS_DIRNAME).glob("*.ckpt")))
+    assert n_quarantined == (1 if lenient else 0)
 
 
 def test_interrupt_then_resume_is_identical(

@@ -82,15 +82,6 @@ def test_read_fault_raises_after_clean_write(tmp_path):
     assert fsio.read_file_bytes(path) == b"payload"
 
 
-def test_check_read_probe_covers_mmap_path(tmp_path):
-    path = tmp_path / "blob.bin"
-    fsio.write_file_bytes(path, b"payload")
-    fsio.check_read(path)  # no fault: silent
-    with install(FsFaultPlan(faults=(FsFault(EIO_READ),))):
-        with pytest.raises(OSError):
-            fsio.check_read(path)
-
-
 def test_replace_file_unlinks_source_on_rename_fault(tmp_path):
     source = tmp_path / "unit.ckpt.tmp"
     target = tmp_path / "unit.ckpt"
@@ -98,7 +89,7 @@ def test_replace_file_unlinks_source_on_rename_fault(tmp_path):
     with install(FsFaultPlan(faults=(FsFault(RENAME_FAIL),))):
         with pytest.raises(OSError):
             fsio.replace_file(source, target)
-    # The staged temp never outlives the failed adoption.
+    # The staged temp never outlives the failed publish.
     assert not source.exists()
     assert not target.exists()
 

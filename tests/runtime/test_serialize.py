@@ -53,8 +53,10 @@ def test_pack_is_deterministic(small_dataset):
 def test_truncation_detected(small_dataset):
     radio, service = _day_zero_rows(small_dataset)
     blob = pack_day_block(radio, service)
-    with pytest.raises(CheckpointCorruption):
-        unpack_day_block(blob[: len(blob) // 2])
+    # Cut mid-body, and shorter than the 20-byte frame itself.
+    for length in (len(blob) // 2, 11, 3, 0):
+        with pytest.raises(CheckpointCorruption):
+            unpack_day_block(blob[:length])
 
 
 def test_single_flipped_byte_detected(small_dataset):

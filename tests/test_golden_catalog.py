@@ -5,8 +5,8 @@ the catalog (``catalog_digest`` over day records and summaries), the
 SHA-256 of the sorted ``(device, label, step)`` classification tuples
 and, for lenient runs, the quarantine taxonomy.  Each mode — serial,
 sharded, durable, a durable run interrupted after its first day and
-resumed at another worker count, out-of-core, and a live daemon fed the
-rows in shuffled batches — must match the pinned digests, so removing
+resumed at another worker count, and a live daemon fed the rows in
+shuffled batches — must match the pinned digests, so removing
 or rewriting a code path is safe exactly when this table stays green.
 
 Regenerate (only when the catalog is meant to change) with::
@@ -54,7 +54,6 @@ MODES: Dict[str, Any] = {
     "sharded-rpck": {"n_workers": 2},
     "durable": {"n_workers": 2, "checkpoint_dir": True},
     "durable-resumed": None,
-    "out-of-core": {"n_workers": 1, "out_of_core": True},
     "daemon-shuffled": None,
 }
 #: Rows per ingest batch in the daemon-shuffled mode.

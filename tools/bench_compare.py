@@ -2,23 +2,24 @@
 
 Times the pipeline's hot stages — catalog build, classification, the
 sharded worker sweep (1/2/4), the cached vs uncached roaming-labeler
-path, the out-of-core spill pipeline, and the live catalog daemon
-(micro-batch ingest throughput and point-query p99) — and writes the
+path, the durable day fold with and without checkpoints, and the live
+catalog daemon (micro-batch ingest throughput and point-query p99) —
+and writes the
 results as ``BENCH_pipeline.json``.  With ``--check`` it compares each
 bench's ops/sec against a committed baseline, enforces the derived
 speedup floors / overhead ceilings, and gates ``service_query_p99`` on
 a hard latency SLO; any failure exits non-zero beyond ``--tolerance``
 (default 20%), which is how CI's perf job gates merges.
 
-``--scale`` sweeps the out-of-core pipeline across device counts, one
+``--scale`` sweeps the durable day fold across device counts, one
 subprocess per point (each child's ``ru_maxrss`` is then a clean
 per-scale watermark, not this process's accumulated high-water mark),
 generating input day by day through the streaming simulator so peak
 RSS measures the execution engine, not dataset materialization.  Under
 ``--check``, every exact 10x device step must grow peak RSS by less
 than :data:`SCALE_RSS_CEILING` (3x) — the sublinear-memory acceptance
-criterion for out-of-core execution.  ``--scale-only`` skips the main
-benches; CI's scale_smoke job runs exactly that.
+criterion for the day fold.  ``--scale-only`` skips the main benches;
+CI's scale_smoke job runs exactly that.
 
 Usage::
 
@@ -119,14 +120,11 @@ MIN_CORES_FOR_WORKER_GATES = 4
 #: Shards used by the ``shard_exchange`` payload/attach bench.
 EXCHANGE_SHARDS = 4
 
-#: Hard acceptance ceilings on derived overhead ratios, enforced by
+#: Hard acceptance ceiling on the derived overhead ratio, enforced by
 #: ``--check`` at full scale: checkpointing every (day, shard) unit may
-#: cost at most 10% over the identical un-persisted run, and the
-#: out-of-core spill path (per-unit write + fsync, mmap-backed replay)
-#: at most 25% — the price of bounded RSS.
+#: cost at most 10% over the identical un-persisted run.
 OVERHEAD_CEILINGS = {
     "checkpoint_overhead": 1.10,
-    "out_of_core_overhead": 1.25,
 }
 
 #: The smoke run uses looser ceilings: per-unit persistence costs
@@ -136,7 +134,6 @@ OVERHEAD_CEILINGS = {
 #: regressions; the full-scale contracts are asserted by the perf job.
 SMOKE_OVERHEAD_CEILINGS = {
     "checkpoint_overhead": 1.25,
-    "out_of_core_overhead": 1.40,
 }
 
 #: Device counts swept by ``--scale`` when none are given.  The pair is
@@ -145,10 +142,10 @@ SMOKE_OVERHEAD_CEILINGS = {
 DEFAULT_SCALE_POINTS = (300, 3000)
 
 #: Peak-RSS growth ceiling across an exact 10x device step, enforced by
-#: ``--check`` on the ``--scale`` sweep.  Out-of-core execution keeps
-#: the *working set* bounded by the replay window, but the catalog's
-#: own output (day records + summaries, ~1.5 KiB per device-day) is
-#: live state the caller asked for and grows linearly — so the honest
+#: ``--check`` on the ``--scale`` sweep.  The day fold keeps the
+#: *working set* to one day of column blocks, but the catalog's own
+#: output (day records + summaries, ~1.5 KiB per device-day) is live
+#: state the caller asked for and grows linearly — so the honest
 #: criterion is strongly sublinear growth (< 3x per 10x devices), not a
 #: flat line.
 SCALE_RSS_CEILING = 3.0
@@ -156,8 +153,8 @@ SCALE_RSS_CEILING = 3.0
 #: One ``--scale`` point, run in a child process so ``ru_maxrss`` is a
 #: clean per-scale watermark.  Input is generated day by day through
 #: the streaming simulator and fed via ``day_source`` — the dataset is
-#: never materialized whole — and the pipeline runs out-of-core with a
-#: single-shard replay window, the configuration whose RSS the sweep is
+#: never materialized whole — and folded one day at a time with no
+#: checkpoint store, the configuration whose RSS the sweep is
 #: certifying.  Prints one JSON line on stdout.
 _SCALE_CHILD = """
 import json
@@ -199,8 +196,6 @@ result = run_durable_pipeline(
     checkpoint_dir=None,
     compute_mobility=False,
     n_workers=1,
-    out_of_core=True,
-    max_resident_shards=1,
     day_source=day_source,
     days=range(config.window_days),
 )
@@ -458,16 +453,6 @@ def run_benches(devices: int, seed: int, repeats: int) -> Dict[str, Dict[str, fl
             dataset, eco, checkpoint_dir=None, compute_mobility=False, n_workers=1
         )
 
-    def durable_out_of_core() -> None:
-        # checkpoint_dir=None + out_of_core spills to an ephemeral
-        # directory created and removed inside the run: every unit block
-        # is written + fsynced once and replayed through the mmap-backed
-        # window, the full price of bounded RSS.
-        run_durable_pipeline(
-            dataset, eco, checkpoint_dir=None,
-            compute_mobility=False, n_workers=1, out_of_core=True,
-        )
-
     results: Dict[str, Dict[str, float]] = {}
     for name, fn in benches.items():
         rss_before = _peak_rss_kb()
@@ -540,17 +525,16 @@ def run_benches(devices: int, seed: int, repeats: int) -> Dict[str, Dict[str, fl
         f"{results['shard_exchange']['block_attach_ms_per_shard']:.2f} ms/shard)"
     )
 
-    # The durable trio is timed *interleaved* rather than through the
-    # best-of-N loop above: the overhead gates read ratios of these
+    # The durable pair is timed *interleaved* rather than through the
+    # best-of-N loop above: the overhead gate reads the ratio of these
     # timings, and independent best-of-N measurements taken minutes
     # apart pick up machine drift as fake overhead (or fake speedup).
-    # Alternating checkpointed/baseline/out-of-core runs and gating on
-    # the *minimum* per-pair ratio means a single noisy iteration cannot
-    # trip a ceiling — only a consistently slower path can.
+    # Alternating checkpointed/baseline runs and gating on the *minimum*
+    # per-pair ratio means a single noisy iteration cannot trip the
+    # ceiling — only a consistently slower path can.
     pair_repeats = max(repeats, 3)
     ckpt_times: list = []
     base_times: list = []
-    ooc_times: list = []
     rss_before = _peak_rss_kb()
     for _ in range(pair_repeats):
         start = time.perf_counter()
@@ -559,14 +543,10 @@ def run_benches(devices: int, seed: int, repeats: int) -> Dict[str, Dict[str, fl
         start = time.perf_counter()
         durable_baseline()
         base_times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        durable_out_of_core()
-        ooc_times.append(time.perf_counter() - start)
     rss_after = _peak_rss_kb()
     for name, times in (
         ("durable_checkpointed", ckpt_times),
         ("durable_baseline", base_times),
-        ("pipeline_out_of_core", ooc_times),
     ):
         seconds = min(times)
         results[name] = {
@@ -588,9 +568,6 @@ def run_benches(devices: int, seed: int, repeats: int) -> Dict[str, Dict[str, fl
         )
     results["durable_checkpointed"]["overhead_vs_baseline"] = round(
         min(c / b for c, b in zip(ckpt_times, base_times)), 3
-    )
-    results["pipeline_out_of_core"]["overhead_vs_baseline"] = round(
-        min(o / b for o, b in zip(ooc_times, base_times)), 3
     )
 
     # Live-daemon benches: stream the dataset as micro-batches through
@@ -714,23 +691,11 @@ def derive_ratios(benches: Dict[str, Dict[str, float]]) -> Dict[str, float]:
             3,
         ),
     )
-    # Out-of-core acceptance: the spill-everything run (per-unit write +
-    # fsync, mmap-windowed replay) relative to the identical in-memory
-    # execution (1.0 = free, ceiling 1.25).  Same interleaved-pair
-    # sourcing as checkpoint_overhead.
-    ratios["out_of_core_overhead"] = benches["pipeline_out_of_core"].get(
-        "overhead_vs_baseline",
-        round(
-            benches["pipeline_out_of_core"]["seconds"]
-            / benches["durable_baseline"]["seconds"],
-            3,
-        ),
-    )
     return ratios
 
 
 def run_scale_sweep(points: List[int], seed: int) -> Dict[str, Any]:
-    """Run the out-of-core pipeline at each device count, in children.
+    """Run the durable day fold at each device count, in children.
 
     Each point gets its own subprocess so its ``ru_maxrss`` is a clean
     watermark for that scale alone — in-process, the monotone watermark
@@ -937,7 +902,7 @@ def main(argv: Optional[list] = None) -> int:
         type=str,
         default=None,
         help=(
-            "comma-separated device counts for the out-of-core RSS sweep "
+            "comma-separated device counts for the day-fold RSS sweep "
             f"(e.g. {','.join(str(p) for p in DEFAULT_SCALE_POINTS)})"
         ),
     )
@@ -971,7 +936,7 @@ def main(argv: Optional[list] = None) -> int:
     }
 
     if args.scale_only:
-        print(f"scale sweep {scale_points} devices (out-of-core) ...")
+        print(f"scale sweep {scale_points} devices (day fold) ...")
         scale = run_scale_sweep(scale_points or [], args.seed)
         report: Dict[str, Any] = {"meta": meta, "scale": scale}
         out_path = Path(args.out)
@@ -993,7 +958,7 @@ def main(argv: Optional[list] = None) -> int:
         "derived": derive_ratios(benches),
     }
     if scale_points:
-        print(f"scale sweep {scale_points} devices (out-of-core) ...")
+        print(f"scale sweep {scale_points} devices (day fold) ...")
         report["scale"] = run_scale_sweep(scale_points, args.seed)
     out_path = Path(args.out)
     atomic_write_text(out_path, json.dumps(report, indent=2) + "\n")
