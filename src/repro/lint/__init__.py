@@ -6,7 +6,8 @@ ordinary linters do not know about: every random draw must flow from a
 seeded ``numpy`` Generator, simulators must never read the wall clock, and
 identifier parsing must go through :mod:`repro.cellular.identifiers` rather
 than ad-hoc string slicing.  This package checks those invariants (plus a
-few general hygiene rules) over the source tree::
+few general hygiene rules) over the source tree, as one cold
+whole-program pass per run::
 
     python -m repro.lint src                 # exit code = number of findings
     python -m repro.lint src --format json   # machine-readable output
@@ -18,11 +19,11 @@ Findings on a line can be suppressed with an inline comment::
     mccs = imsi[:3]  # repro: noqa[ID001]
 
 A suppression that never fires is itself reported (``NOQA001``) so stale
-exemptions cannot accumulate.  See ``docs/STATIC_ANALYSIS.md`` for the
-full rule catalog.
+exemptions cannot accumulate.  There is no finding budget: a new rule
+lands together with the fixes (or single-line suppressions) for its
+findings.  See ``docs/STATIC_ANALYSIS.md`` for the full rule catalog.
 """
 
-from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
 from repro.lint.dataflow import ScopeDataflow
 from repro.lint.engine import (
     FileContext,
@@ -35,7 +36,6 @@ from repro.lint.engine import (
     lint_source,
 )
 from repro.lint.project import (
-    IndexCache,
     ModuleIndex,
     ProjectIndex,
     build_module_index,
@@ -47,7 +47,6 @@ from repro.lint.sarif import render_sarif
 __all__ = [
     "FileContext",
     "Finding",
-    "IndexCache",
     "LintResult",
     "ModuleIndex",
     "ProjectIndex",
@@ -55,15 +54,12 @@ __all__ = [
     "ScopeDataflow",
     "Severity",
     "all_rules",
-    "apply_baseline",
     "build_module_index",
     "get_rule",
     "lint_file",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "module_name_for",
     "register_rule",
     "render_sarif",
-    "write_baseline",
 ]

@@ -1,14 +1,10 @@
 """Command-line front end: ``python -m repro.lint [paths] [options]``.
 
-The exit code is the number of (unbaselined) findings capped at 100, so
-shell pipelines and CI can gate on it directly; ``--format json`` emits
-a schema-stable document for tooling and ``--format sarif`` (alias:
-``--output sarif``) emits SARIF 2.1.0 for GitHub PR annotations.
-
-Whole-program flags: ``--cache DIR`` keeps content-hash keyed index
-shards and findings between runs so CI re-analyzes only changed modules;
-``--baseline FILE`` subtracts the checked-in finding budget and
-``--update-baseline`` rewrites it (the ratchet).
+Every run lints the given paths cold, as one program.  The exit code is
+the number of findings capped at 100, so shell pipelines and CI can gate
+on it directly; ``--format json`` emits a schema-stable document for
+tooling and ``--format sarif`` (alias: ``--output sarif``) emits SARIF
+2.1.0 for GitHub PR annotations.
 """
 
 from __future__ import annotations
@@ -18,7 +14,6 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
 from repro.lint.engine import LintResult, lint_paths
 from repro.lint.registry import all_rules
 from repro.lint.sarif import render_sarif
@@ -64,36 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to skip",
     )
     parser.add_argument(
-        "--cache",
-        metavar="DIR",
-        help=(
-            "incremental cache directory: index shards and findings are "
-            "keyed on content hashes, so warm runs re-analyze only "
-            "changed modules"
-        ),
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help=(
-            "baseline/ratchet file: accepted findings are subtracted "
-            "from the report and the exit code"
-        ),
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help=(
-            "rewrite --baseline FILE to accept exactly the current "
-            "findings, then exit 0"
-        ),
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="append cache/index statistics to text output",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog and exit",
@@ -107,7 +72,7 @@ def _split_ids(raw: Optional[str]) -> Optional[List[str]]:
     return [token.strip() for token in raw.split(",") if token.strip()]
 
 
-def render_text(result: LintResult, suppressed: int = 0, stats: bool = False) -> str:
+def render_text(result: LintResult) -> str:
     """Human-readable report: one block per finding plus a summary line."""
     blocks = [finding.render_text() for finding in result.findings]
     summary = (
@@ -119,15 +84,7 @@ def render_text(result: LintResult, suppressed: int = 0, stats: bool = False) ->
             for rule_id, count in result.counts_by_rule.items()
         )
         summary += f" [{by_rule}]"
-    if suppressed:
-        summary += f" ({suppressed} baselined)"
     blocks.append(summary)
-    if stats:
-        blocks.append(
-            f"index: {len(result.indexed_modules)} module(s) rebuilt, "
-            f"{len(result.cached_modules)} from cache; "
-            f"{result.files_reanalyzed} file(s) re-analyzed"
-        )
     return "\n".join(blocks)
 
 
@@ -167,43 +124,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(render_rule_catalog())
         return 0
 
-    if args.update_baseline and not args.baseline:
-        parser.error("--update-baseline requires --baseline FILE")
-
     try:
         result = lint_paths(
             args.paths,
             select=_split_ids(args.select),
             ignore=_split_ids(args.ignore),
-            cache_dir=args.cache,
         )
     except ValueError as exc:
         parser.error(str(exc))
     except OSError as exc:
         parser.error(f"cannot read {exc.filename or ''}: {exc.strerror or exc}")
 
-    if args.update_baseline:
-        write_baseline(result.findings, args.baseline)
-        print(
-            f"baseline updated: {args.baseline} accepts "
-            f"{len(result.findings)} finding(s)"
-        )
-        return 0
-
-    suppressed = 0
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except ValueError as exc:
-            parser.error(str(exc))
-        result.findings, suppressed = apply_baseline(result.findings, baseline)
-
     if args.format == "json":
         print(render_json(result))
     elif args.format == "sarif":
         print(render_sarif(result))
     else:
-        print(render_text(result, suppressed=suppressed, stats=args.stats))
+        print(render_text(result))
     return min(len(result.findings), MAX_EXIT_CODE)
 
 

@@ -6,30 +6,26 @@ single walk.  Rules that need whole-file context (e.g. the public-API
 drift check) override :meth:`Rule.check_file` instead.
 
 Whole-program analysis: every lint entry point carries a
-:class:`repro.lint.project.ProjectIndex` — :func:`lint_paths` builds one
-over all files it is given (so rules can reason interprocedurally across
-the repository), while :func:`lint_source`/:func:`lint_file` build a
-single-module index on the fly so the same rules degrade to intra-module
-resolution.  Rules reach the index and per-scope dataflow facts through
-:class:`FileContext` (``ctx.project``, ``ctx.dataflow_for``,
-``ctx.in_serialized_reachable``, …).
-
-With ``cache_dir`` set, :func:`lint_paths` keys per-module index shards
-and findings on content hashes (see :class:`repro.lint.project.IndexCache`):
-a warm run re-parses only the modules whose bytes changed, and re-lints
-only those plus any file whose *cross-module* inputs (the project
-fingerprint) moved.
+:class:`repro.lint.project.ProjectIndex` — :func:`lint_paths` reads and
+parses each file once, indexes all of them, and only then runs the rules
+(so rules can reason interprocedurally across the repository), while
+:func:`lint_source`/:func:`lint_file` build a single-module index on the
+fly so the same rules degrade to intra-module resolution.  Rules reach
+the index and per-scope dataflow facts through :class:`FileContext`
+(``ctx.project``, ``ctx.dataflow_for``, ``ctx.in_serialized_reachable``,
+…).  Every run is cold: nothing is cached between runs, so a finding
+always reflects the current rules and every file they read.
 
 Suppression: a ``# repro: noqa[RULE-ID]`` comment silences that rule on
 its line (comma-separate several ids; bare ``# repro: noqa`` silences
-every rule on the line).  Suppressions that silence nothing are reported
-as ``NOQA001`` warnings so stale exemptions surface.
+every rule on the line; an empty ``noqa[]`` names no rule and silences
+nothing).  Suppressions that silence nothing are reported as ``NOQA001``
+warnings so stale exemptions surface.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import re
 import tokenize
@@ -52,11 +48,9 @@ from typing import (
 
 from repro.lint.dataflow import ScopeDataflow, ScopeNode
 from repro.lint.project import (
-    IndexCache,
     ModuleIndex,
     ProjectIndex,
     build_module_index,
-    content_hash,
     module_name_for,
     resolve_call,
 )
@@ -114,25 +108,13 @@ class Finding:
             "fix_hint": self.fix_hint,
         }
 
-    @classmethod
-    def from_json(cls, doc: Dict[str, object]) -> "Finding":
-        return cls(
-            path=str(doc["path"]),
-            line=int(doc["line"]),  # type: ignore[arg-type]
-            col=int(doc["col"]),  # type: ignore[arg-type]
-            rule_id=str(doc["rule"]),
-            severity=Severity(str(doc["severity"])),
-            message=str(doc["message"]),
-            fix_hint=str(doc.get("fix_hint", "")),
-        )
-
 
 @dataclass
 class _Suppression:
     """One noqa directive: which rules it silences and whether it fired."""
 
     line: int
-    rule_ids: Optional[Set[str]]  # None = every rule
+    rule_ids: Optional[Set[str]]  # None = every rule; empty (noqa[]) = none
     used: bool = False
 
     def covers(self, rule_id: str) -> bool:
@@ -227,7 +209,7 @@ class FileContext:
         """This file's shard of the project index (built lazily)."""
         if self._module_index is None:
             self._module_index = build_module_index(
-                self.path, self.source, self.tree, self.module_name
+                self.path, self.tree, self.module_name
             )
         return self._module_index
 
@@ -405,12 +387,6 @@ class LintResult:
 
     findings: List[Finding] = field(default_factory=list)
     files_checked: int = 0
-    #: modules whose index shard was (re)built this run
-    indexed_modules: List[str] = field(default_factory=list)
-    #: modules whose index shard was served from the cache
-    cached_modules: List[str] = field(default_factory=list)
-    #: files whose findings were recomputed (vs served from cache)
-    files_reanalyzed: int = 0
 
     @property
     def counts_by_rule(self) -> Dict[str, int]:
@@ -447,7 +423,7 @@ def _parse_suppressions(source: str) -> List[_Suppression]:
                 for token in match.group(1).split(",")
                 if token.strip()
             }
-            suppressions.append(_Suppression(line=lineno, rule_ids=ids or None))
+            suppressions.append(_Suppression(line=lineno, rule_ids=ids))
         elif _NOQA_ALL.search(comment):
             suppressions.append(_Suppression(line=lineno, rule_ids=None))
     return suppressions
@@ -545,9 +521,12 @@ def _lint_tree(
         for sup in suppressions:
             if sup.used:
                 continue
-            described = (
-                ", ".join(sorted(sup.rule_ids)) if sup.rule_ids else "all rules"
-            )
+            if sup.rule_ids is None:
+                described = "all rules"
+            elif sup.rule_ids:
+                described = ", ".join(sorted(sup.rule_ids))
+            else:
+                described = "empty rule list"
             kept.append(
                 Finding(
                     path=posix,
@@ -598,19 +577,28 @@ def lint_file(
 
 
 def _iter_python_files(paths: Iterable[PathLike]) -> Iterator[Path]:
+    """Each ``*.py`` file named in or found under ``paths``, once.
+
+    A named file is always linted.  Under a named directory, hidden
+    (dot-prefixed) and ``__pycache__`` entries are skipped — judged only
+    by the components *below* that directory, so a tree that itself
+    lives under a dot-directory is still checked.
+    """
     seen: Set[Path] = set()
     for raw_path in paths:
         path = Path(raw_path)
         if path.is_dir():
-            candidates: Iterable[Path] = sorted(path.rglob("*.py"))
+            candidates = [
+                found
+                for found in sorted(path.rglob("*.py"))
+                if not any(
+                    part.startswith(".") or part == "__pycache__"
+                    for part in found.relative_to(path).parts
+                )
+            ]
         else:
             candidates = [path]
         for candidate in candidates:
-            if "__pycache__" in candidate.parts:
-                continue
-            if any(part.startswith(".") and part not in (".", "..")
-                   for part in candidate.parts):
-                continue
             resolved = candidate.resolve()
             if resolved in seen:
                 continue
@@ -618,114 +606,39 @@ def _iter_python_files(paths: Iterable[PathLike]) -> Iterator[Path]:
             yield candidate
 
 
-def _rules_signature(rule_classes: List[Type[Rule]]) -> str:
-    joined = ",".join(sorted(rule.rule_id for rule in rule_classes))
-    return hashlib.sha256(joined.encode("utf-8")).hexdigest()
-
-
 def lint_paths(
     paths: Sequence[PathLike],
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
-    cache_dir: Optional[PathLike] = None,
 ) -> LintResult:
     """Lint every ``*.py`` file under ``paths`` as one program.
 
-    All files are indexed into a shared :class:`ProjectIndex` first, so
-    interprocedural rules (DET*, SEAM*, DUR001) resolve calls across
-    module boundaries.  With ``cache_dir``, index shards and findings
-    are reused for unchanged files (see the module docstring).
+    Each file is read and parsed once and indexed into a shared
+    :class:`ProjectIndex` before any rule runs, so interprocedural rules
+    (DET*, SEAM*, DUR001) resolve calls across module boundaries.
     """
     rule_classes = _select_rules(select, ignore)
     active_ids = {rule.rule_id for rule in rule_classes}
-    rules_sig = _rules_signature(rule_classes)
-    cache = IndexCache(cache_dir) if cache_dir is not None else None
     result = LintResult()
-
-    @dataclass
-    class _Entry:
-        path: Path
-        posix: str
-        module: str
-        source: str
-        source_hash: str
-        tree: Optional[ast.Module] = None
-        shard: Optional[ModuleIndex] = None
-        syntax_error: Optional[SyntaxError] = None
-
-    entries: List[_Entry] = []
+    parsed: List[Tuple[Path, str, ast.Module, ModuleIndex]] = []
     for path in _iter_python_files(paths):
-        source = Path(path).read_text(encoding="utf-8")
-        entry = _Entry(
-            path=Path(path),
-            posix=Path(path).as_posix(),
-            module=module_name_for(path),
-            source=source,
-            source_hash=content_hash(source),
-        )
-        entry.shard = (
-            cache.load_shard(entry.module, entry.source_hash) if cache else None
-        )
-        if entry.shard is None:
-            try:
-                entry.tree = ast.parse(source, filename=entry.posix)
-            except SyntaxError as exc:
-                entry.syntax_error = exc
-            else:
-                entry.shard = build_module_index(
-                    entry.path, source, entry.tree, entry.module
-                )
-                if cache:
-                    cache.store_shard(entry.shard)
-            result.indexed_modules.append(entry.module)
-        else:
-            result.cached_modules.append(entry.module)
-        entries.append(entry)
-
-    project = ProjectIndex([e.shard for e in entries if e.shard is not None])
-    project_fp = project.fingerprint()
-
-    for entry in entries:
         result.files_checked += 1
-        if entry.syntax_error is not None:
-            result.files_reanalyzed += 1
-            result.findings.extend(
-                _syntax_finding(entry.posix, entry.syntax_error, active_ids)
-            )
+        source = path.read_text(encoding="utf-8")
+        posix = path.as_posix()
+        try:
+            tree = ast.parse(source, filename=posix)
+        except SyntaxError as exc:
+            result.findings.extend(_syntax_finding(posix, exc, active_ids))
             continue
-        if cache is not None:
-            cached = cache.load_findings(
-                entry.module, entry.source_hash, project_fp, rules_sig
-            )
-            if cached is not None:
-                result.findings.extend(Finding.from_json(doc) for doc in cached)
-                continue
-        if entry.tree is None:
-            try:
-                entry.tree = ast.parse(entry.source, filename=entry.posix)
-            except SyntaxError as exc:  # pragma: no cover - hash-stable reparse
-                result.files_reanalyzed += 1
-                result.findings.extend(_syntax_finding(entry.posix, exc, active_ids))
-                continue
-        result.files_reanalyzed += 1
-        findings = _lint_tree(
-            entry.source,
-            entry.path,
-            entry.tree,
-            rule_classes,
-            project=project,
-            module_index=entry.shard,
-        )
-        if cache is not None:
-            cache.store_findings(
-                entry.module,
-                entry.source_hash,
-                project_fp,
-                rules_sig,
-                [f.render_json() for f in findings],
-            )
-        result.findings.extend(findings)
+        parsed.append((path, source, tree, build_module_index(path, tree)))
 
+    project = ProjectIndex([shard for _, _, _, shard in parsed])
+    for path, source, tree, shard in parsed:
+        result.findings.extend(
+            _lint_tree(
+                source, path, tree, rule_classes, project=project, module_index=shard
+            )
+        )
     result.findings.sort()
     return result
 

@@ -21,20 +21,16 @@ the interprocedural facts rules query:
 * ``mutable_globals`` / ``mutated_globals`` — module-level mutable
   containers and whether anything in the project mutates them.
 
-Because a shard depends only on its own module's source, shards are
-cached on disk keyed by content hash (see :class:`IndexCache`): a warm
-run re-parses only the modules whose bytes changed.  The single-file
-entry points (``lint_source``/``lint_file``) build a one-module index on
-the fly, so every rule degrades gracefully to intra-module resolution —
+The index is rebuilt from source on every run.  The single-file entry
+points (``lint_source``/``lint_file``) build a one-module index on the
+fly, so every rule degrades gracefully to intra-module resolution —
 fixture tests exercise the same code path as the whole-program pass.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -111,11 +107,6 @@ def module_name_for(path: "Path | str") -> str:
     return p.as_posix().replace("/", ".").removesuffix(".py")
 
 
-def content_hash(source: str) -> str:
-    """Stable content key for the incremental cache."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
 @dataclass(frozen=True)
 class FunctionInfo:
     """Per-function summary: enough for call-graph and flow queries."""
@@ -137,11 +128,10 @@ class FunctionInfo:
 
 @dataclass
 class ModuleIndex:
-    """The cacheable per-module shard of the project index."""
+    """One module's shard of the project index."""
 
     module: str
     path: str
-    content_hash: str
     imports: Dict[str, str] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     #: module-level names bound to mutable containers -> def lineno
@@ -151,42 +141,6 @@ class ModuleIndex:
     #: fully-qualified names of functions this module ships across the
     #: process-pool seam
     seam_workers: Tuple[str, ...] = ()
-
-    def to_json(self) -> Dict[str, object]:
-        doc = asdict(self)
-        doc["functions"] = {q: asdict(fn) for q, fn in self.functions.items()}
-        return doc
-
-    @classmethod
-    def from_json(cls, doc: Mapping[str, object]) -> "ModuleIndex":
-        functions = {
-            qualname: FunctionInfo(
-                qualname=raw["qualname"],
-                lineno=raw["lineno"],
-                params=tuple(raw["params"]),
-                calls=tuple(raw["calls"]),
-                is_sink=raw["is_sink"],
-                raw_write_params=tuple(raw["raw_write_params"]),
-                param_flows=tuple(
-                    (callee, int(src), int(dst))
-                    for callee, src, dst in raw["param_flows"]
-                ),
-            )
-            for qualname, raw in dict(doc["functions"]).items()  # type: ignore[arg-type]
-        }
-        return cls(
-            module=str(doc["module"]),
-            path=str(doc["path"]),
-            content_hash=str(doc["content_hash"]),
-            imports=dict(doc["imports"]),  # type: ignore[arg-type]
-            functions=functions,
-            mutable_globals={
-                k: int(v)
-                for k, v in dict(doc["mutable_globals"]).items()  # type: ignore[arg-type]
-            },
-            mutated_globals=tuple(doc["mutated_globals"]),  # type: ignore[arg-type]
-            seam_workers=tuple(doc["seam_workers"]),  # type: ignore[arg-type]
-        )
 
 
 class _ImportTable:
@@ -272,14 +226,13 @@ def _param_names(func: "ast.FunctionDef | ast.AsyncFunctionDef") -> Tuple[str, .
 class _ModuleExtractor:
     """One pass over a parsed module producing its :class:`ModuleIndex`."""
 
-    def __init__(self, module: str, path: str, source: str, tree: ast.Module) -> None:
+    def __init__(self, module: str, path: str, tree: ast.Module) -> None:
         self.tree = tree
         self.imports = _ImportTable(tree).names
         self.module = module
         self.index = ModuleIndex(
             module=module,
             path=Path(path).as_posix(),
-            content_hash=content_hash(source),
             imports=dict(self.imports),
         )
         self._top_level: Set[str] = {
@@ -452,11 +405,11 @@ class _ModuleExtractor:
 
 
 def build_module_index(
-    path: "Path | str", source: str, tree: ast.Module, module: Optional[str] = None
+    path: "Path | str", tree: ast.Module, module: Optional[str] = None
 ) -> ModuleIndex:
     """Extract one module's shard of the project index."""
     name = module if module is not None else module_name_for(path)
-    return _ModuleExtractor(name, str(path), source, tree).run()
+    return _ModuleExtractor(name, str(path), tree).run()
 
 
 class ProjectIndex:
@@ -573,113 +526,3 @@ class ProjectIndex:
     def is_atomic_writer(self, dotted: str) -> bool:
         """True when a resolved call target is a sanctioned atomic writer."""
         return dotted.startswith("repro.runtime") and _ATOMIC_MARKER in dotted
-
-    def fingerprint(self) -> str:
-        """Digest of the interprocedural facts rules consume.
-
-        Findings for an *unchanged* file may be reused from cache only
-        while this fingerprint is stable: it covers exactly the derived
-        sets that cross module boundaries, so touching one module only
-        invalidates other modules' findings when the cross-module facts
-        actually moved.
-        """
-        summary = {
-            "reachable": sorted(self.serialized_reachable),
-            "workers": sorted(self.worker_functions),
-            "raw_writers": {
-                full: sorted(params)
-                for full, params in sorted(self.raw_writer_params.items())
-                if params
-            },
-            "mutable_globals": dict(sorted(self.mutable_globals.items())),
-            "mutated_globals": sorted(self.mutated_globals),
-        }
-        canonical = json.dumps(summary, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-class IndexCache:
-    """Content-hash keyed, per-module shard + findings cache.
-
-    Layout under the cache directory::
-
-        shards/<module>.json     {"hash": ..., "index": <ModuleIndex>}
-        findings/<module>.json   {"hash": ..., "project": ..., "rules": ...,
-                                  "findings": [...]}
-
-    A shard is valid whenever its source hash matches — shards depend on
-    nothing else.  Cached findings additionally key on the project
-    fingerprint and the active rule selection, because interprocedural
-    rules read cross-module facts.
-    """
-
-    def __init__(self, root: "Path | str") -> None:
-        self.root = Path(root)
-        self.shard_dir = self.root / "shards"
-        self.findings_dir = self.root / "findings"
-        self.shard_dir.mkdir(parents=True, exist_ok=True)
-        self.findings_dir.mkdir(parents=True, exist_ok=True)
-
-    @staticmethod
-    def _safe(module: str) -> str:
-        return module.replace("/", "_").replace("\\", "_")
-
-    # -- shards ---------------------------------------------------------------
-
-    def load_shard(self, module: str, source_hash: str) -> Optional[ModuleIndex]:
-        path = self.shard_dir / f"{self._safe(module)}.json"
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        if doc.get("hash") != source_hash:
-            return None
-        try:
-            return ModuleIndex.from_json(doc["index"])
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def store_shard(self, shard: ModuleIndex) -> None:
-        path = self.shard_dir / f"{self._safe(shard.module)}.json"
-        doc = {"hash": shard.content_hash, "index": shard.to_json()}
-        path.write_text(
-            json.dumps(doc, sort_keys=True, separators=(",", ":")), encoding="utf-8"
-        )
-
-    # -- findings -------------------------------------------------------------
-
-    def load_findings(
-        self, module: str, source_hash: str, project_fp: str, rules_sig: str
-    ) -> Optional[List[Dict[str, object]]]:
-        path = self.findings_dir / f"{self._safe(module)}.json"
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        if (
-            doc.get("hash") != source_hash
-            or doc.get("project") != project_fp
-            or doc.get("rules") != rules_sig
-        ):
-            return None
-        findings = doc.get("findings")
-        return findings if isinstance(findings, list) else None
-
-    def store_findings(
-        self,
-        module: str,
-        source_hash: str,
-        project_fp: str,
-        rules_sig: str,
-        findings: List[Dict[str, object]],
-    ) -> None:
-        path = self.findings_dir / f"{self._safe(module)}.json"
-        doc = {
-            "hash": source_hash,
-            "project": project_fp,
-            "rules": rules_sig,
-            "findings": findings,
-        }
-        path.write_text(
-            json.dumps(doc, sort_keys=True, separators=(",", ":")), encoding="utf-8"
-        )

@@ -1,6 +1,9 @@
 """CLI behavior: exit codes, output formats, and the repo-tree gate."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from repro.lint.cli import JSON_SCHEMA_VERSION, MAX_EXIT_CODE, main
@@ -98,3 +101,37 @@ def test_text_output_carries_fix_hints(capsys):
     output = capsys.readouterr().out
     assert "hint:" in output
     assert "ID001" in output
+
+
+def test_tree_under_a_dot_directory_is_linted(tmp_path, capsys):
+    """Only the components below a directory argument can hide a file."""
+    work = tmp_path / ".work"
+    bad = work / "bad.py"
+    for path in (bad, work / ".venv" / "vendored.py", work / "__pycache__" / "x.py"):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("import random\n", encoding="utf-8")
+    for target in (work, bad):
+        assert main([str(target), "--format", "json"]) == 1
+        document = json.loads(capsys.readouterr().out)
+        assert [(f["path"], f["rule"]) for f in document["findings"]] == [
+            (bad.as_posix(), "RNG001")
+        ]
+
+
+def test_cli_import_leaves_the_checked_runtime_unloaded():
+    """The linter must not import numpy or the runtime it checks."""
+    script = (
+        "import sys, repro.lint.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'"
+        " or m == 'repro.runtime' or m.startswith('repro.runtime.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -21,10 +21,14 @@ class TestSuppression:
         assert findings == []
 
     def test_noqa_for_the_wrong_rule_does_not_silence(self):
-        findings = _lint(SLICE.format(comment="  # repro: noqa[RNG001]"))
-        rule_ids = sorted(f.rule_id for f in findings)
-        # The slice still fires and the mismatched suppression is stale.
-        assert rule_ids == ["ID001", "NOQA001"]
+        # An empty id list names no rule, so it silences nothing either.
+        for comment in ("  # repro: noqa[RNG001]", "  # repro: noqa[]"):
+            findings = _lint(SLICE.format(comment=comment))
+            rule_ids = sorted(f.rule_id for f in findings)
+            # The slice still fires and the mismatched suppression is stale.
+            assert rule_ids == ["ID001", "NOQA001"], comment
+            (stale,) = [f for f in findings if f.rule_id == "NOQA001"]
+            assert "all rules" not in stale.message
 
     def test_comma_separated_ids(self):
         findings = _lint(SLICE.format(comment="  # repro: noqa[RNG001, ID001]"))

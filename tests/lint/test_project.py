@@ -1,7 +1,6 @@
-"""Whole-program index: call graph, seams, writer fixpoint, and cache."""
+"""Whole-program index: call graph, seams, and the writer fixpoint."""
 
 import ast
-import json
 from pathlib import Path
 
 from repro.lint import (
@@ -19,7 +18,7 @@ def _shard(root: Path, name: str, source: str) -> ModuleIndex:
     path = root / "repro" / f"{name}.py"
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(source, encoding="utf-8")
-    return build_module_index(path, source, ast.parse(source))
+    return build_module_index(path, ast.parse(source))
 
 
 class TestModuleNames:
@@ -107,33 +106,6 @@ class TestCallGraph:
         assert "repro.alpha._CACHE" in project.mutated_globals
 
 
-class TestShardSerialization:
-    SOURCE = (
-        "import json\n"
-        "_TABLE = {}\n"
-        "\n"
-        "def merge(a, b):\n"
-        "    _TABLE.update(a)\n"
-        "    return json.dumps([a, b])\n"
-    )
-
-    def test_round_trips_through_json(self, tmp_path):
-        shard = _shard(tmp_path, "alpha", self.SOURCE)
-        wire = json.loads(json.dumps(shard.to_json()))
-        assert ModuleIndex.from_json(wire) == shard
-
-    def test_fingerprint_is_stable_and_fact_sensitive(self, tmp_path):
-        before = ProjectIndex([_shard(tmp_path, "alpha", self.SOURCE)]).fingerprint()
-        again = ProjectIndex(
-            [_shard(tmp_path / "copy", "alpha", self.SOURCE)]
-        ).fingerprint()
-        assert before == again
-        moved = ProjectIndex(
-            [_shard(tmp_path / "new", "alpha", self.SOURCE + "\ndef to_json(x):\n    return x\n")]
-        ).fingerprint()
-        assert moved != before
-
-
 class TestInterproceduralLint:
     def test_det001_needs_the_whole_program(self, tmp_path):
         """The helper alone is clean; with its caller it is a finding."""
@@ -184,86 +156,3 @@ class TestInterproceduralLint:
         assert [(f.rule_id, Path(f.path).name) for f in result.findings] == [
             ("SEAM002", "alpha.py")
         ]
-
-
-class TestIncrementalCache:
-    def _tree(self, tmp_path):
-        src = tmp_path / "repro"
-        src.mkdir()
-        (src / "alpha.py").write_text(
-            "def helper(items):\n    return sorted(items)\n", encoding="utf-8"
-        )
-        (src / "omega.py").write_text(
-            "import json\n"
-            "\n"
-            "def render_json(items):\n"
-            "    return json.dumps(items)\n",
-            encoding="utf-8",
-        )
-        return src
-
-    def test_warm_run_rebuilds_nothing(self, tmp_path):
-        src = self._tree(tmp_path)
-        cache = tmp_path / "cache"
-        cold = lint_paths([src], cache_dir=cache)
-        assert sorted(cold.indexed_modules) == ["repro.alpha", "repro.omega"]
-        assert cold.cached_modules == []
-        assert cold.files_reanalyzed == 2
-
-        warm = lint_paths([src], cache_dir=cache)
-        assert warm.indexed_modules == []
-        assert sorted(warm.cached_modules) == ["repro.alpha", "repro.omega"]
-        assert warm.files_reanalyzed == 0
-        assert warm.findings == cold.findings
-        assert warm.files_checked == cold.files_checked
-
-    def test_touching_one_file_rebuilds_only_its_shard(self, tmp_path):
-        src = self._tree(tmp_path)
-        cache = tmp_path / "cache"
-        lint_paths([src], cache_dir=cache)
-
-        # Comment-only edit: the shard must rebuild (content hash moved)
-        # but the derived cross-module facts — hence every *other*
-        # module's findings — stay cached.
-        alpha = src / "alpha.py"
-        alpha.write_text("# touched\n" + alpha.read_text(encoding="utf-8"),
-                         encoding="utf-8")
-        third = lint_paths([src], cache_dir=cache)
-        assert third.indexed_modules == ["repro.alpha"]
-        assert third.cached_modules == ["repro.omega"]
-        assert third.files_reanalyzed == 1
-
-    def test_cross_module_fact_change_invalidates_cached_findings(self, tmp_path):
-        src = self._tree(tmp_path)
-        cache = tmp_path / "cache"
-        lint_paths([src], cache_dir=cache)
-
-        # Adding a sink to alpha moves the project fingerprint, so
-        # omega's findings must be recomputed even though its bytes are
-        # unchanged.
-        alpha = src / "alpha.py"
-        alpha.write_text(
-            alpha.read_text(encoding="utf-8") + "\ndef merge(a, b):\n    return a + b\n",
-            encoding="utf-8",
-        )
-        moved = lint_paths([src], cache_dir=cache)
-        assert moved.indexed_modules == ["repro.alpha"]
-        assert moved.cached_modules == ["repro.omega"]
-        assert moved.files_reanalyzed == 2
-
-    def test_cached_findings_are_still_reported(self, tmp_path):
-        src = tmp_path / "repro"
-        src.mkdir()
-        (src / "alpha.py").write_text(
-            "import json\n"
-            "\n"
-            "def render_json(items):\n"
-            "    return json.dumps(list(set(items)))\n",
-            encoding="utf-8",
-        )
-        cache = tmp_path / "cache"
-        cold = lint_paths([src], cache_dir=cache)
-        warm = lint_paths([src], cache_dir=cache)
-        assert [f.rule_id for f in cold.findings] == ["DET002"]
-        assert warm.findings == cold.findings
-        assert warm.files_reanalyzed == 0
