@@ -47,11 +47,15 @@ class SectorCatalog:
         self._by_rat: Dict[RAT, List[Sector]] = {rat: [] for rat in RAT}
         for sector in self._sectors:
             self._by_rat[sector.rat].append(sector)
-        # Flat arrays for fast vectorized nearest-sector lookups.
+        # Flat per-RAT arrays for vectorized nearest-sector lookups.
         self._positions: Dict[RAT, np.ndarray] = {
             rat: np.array([[s.position.lat, s.position.lon] for s in sectors_])
             if sectors_
             else np.empty((0, 2))
+            for rat, sectors_ in self._by_rat.items()
+        }
+        self._ids: Dict[RAT, np.ndarray] = {
+            rat: np.array([s.sector_id for s in sectors_], dtype=np.int64)
             for rat, sectors_ in self._by_rat.items()
         }
 
@@ -72,18 +76,41 @@ class SectorCatalog:
     def sectors_for(self, rat: RAT) -> List[Sector]:
         return list(self._by_rat[rat])
 
+    def _nearest_indices(
+        self, lats: np.ndarray, lons: np.ndarray, rat: RAT
+    ) -> np.ndarray:
+        """Index into the ``rat`` sectors of the nearest one to each point."""
+        coords = self._positions[rat]
+        # Equirectangular approximation is fine for ranking nearby sites.
+        dlat = coords[:, 0] - lats[:, None]
+        dlon = (coords[:, 1] - lons[:, None]) * np.cos(np.radians(lats))[:, None]
+        indices: np.ndarray = np.argmin(dlat * dlat + dlon * dlon, axis=1)
+        return indices
+
+    def nearest_ids(
+        self, lats: np.ndarray, lons: np.ndarray, rat: RAT
+    ) -> Optional[np.ndarray]:
+        """Sector ID of the nearest ``rat`` sector to each (lat, lon)
+        point, or None if the operator has no sectors of that generation.
+
+        One broadcast ``argmin`` over all points; :meth:`nearest` is its
+        one-point case.
+        """
+        if not self._by_rat[rat]:
+            return None
+        ids: np.ndarray = self._ids[rat][self._nearest_indices(lats, lons, rat)]
+        return ids
+
     def nearest(self, point: GeoPoint, rat: RAT) -> Optional[Sector]:
         """Return the nearest sector of the given RAT, or None if the
         operator has no sectors of that generation."""
         candidates = self._by_rat[rat]
         if not candidates:
             return None
-        coords = self._positions[rat]
-        # Equirectangular approximation is fine for ranking nearby sites.
-        dlat = coords[:, 0] - point.lat
-        dlon = (coords[:, 1] - point.lon) * np.cos(np.radians(point.lat))
-        index = int(np.argmin(dlat * dlat + dlon * dlon))
-        return candidates[index]
+        index = self._nearest_indices(
+            np.array([point.lat]), np.array([point.lon]), rat
+        )[0]
+        return candidates[int(index)]
 
     def position_of(self, sector_id: int) -> GeoPoint:
         return self.by_id(sector_id).position

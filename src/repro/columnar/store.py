@@ -22,17 +22,33 @@ Layout notes:
 - TACs are already numeric in the row schema and need no interning; they
   are stored as a plain integer column.
 - ``from_rows``/``to_rows`` round-trip exactly, so row-oriented
-  boundaries (simulators, codecs, query responses) convert losslessly;
-  ``select`` slices a store by row index while sharing the pools, which
-  is how the sharded executor exchanges interned column blocks and the
-  lenient path isolates one device's rows.
+  boundaries (file ingest, fault injection, codecs, query responses)
+  convert losslessly; ``select`` slices a store by row index while
+  sharing the pools, which is how the sharded executor exchanges
+  interned column blocks and the lenient path isolates one device's
+  rows.
+- The MNO simulator emits stores directly, not rows.  Its dataset hands
+  them to row consumers as :class:`RowSequence` views: counting rows
+  reads the columns, and the rows are built once, on first access.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+    overload,
+)
 
 from repro.signaling.cdr import SERVICE_TYPES, ServiceRecord
 from repro.signaling.events import RADIO_INTERFACES, RadioEvent
@@ -457,3 +473,69 @@ def from_record_streams(
     events = ColumnarRadioEvents.from_rows(radio_events, shared)
     records = ColumnarServiceRecords.from_rows(service_records, shared)
     return events, records
+
+
+Row = TypeVar("Row", RadioEvent, ServiceRecord)
+
+
+class RowSequence(Sequence[Row]):
+    """Read-only row view over one column store.
+
+    ``len`` reads the store and builds no row.  The first element
+    access materializes every row with ``store.to_rows()`` and caches
+    the list, so indexing, slicing (a list), iteration, ``==`` against
+    another row list and ``+`` with a list behave as on that list, and
+    a second pass yields the same row objects.
+    """
+
+    __slots__ = ("store", "_rows")
+
+    def __init__(self, store: Any) -> None:
+        self.store = store
+        self._rows: Optional[List[Row]] = None
+
+    @property
+    def rows(self) -> List[Row]:
+        """Every row, in storage order (built on first call, then cached)."""
+        if self._rows is None:
+            self._rows = self.store.to_rows()
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self.store)
+
+    @overload
+    def __getitem__(self, index: int) -> Row:
+        ...
+
+    @overload
+    def __getitem__(self, index: slice) -> List[Row]:
+        ...
+
+    def __getitem__(self, index: Union[int, slice]) -> Union[Row, List[Row]]:
+        return self.rows[index]
+
+    def __iter__(self) -> Iterator[Row]:
+        return iter(self.rows)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RowSequence):
+            other = other.rows
+        if isinstance(other, list):
+            return self.rows == other
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __add__(self, other: object) -> List[Row]:
+        if isinstance(other, list):
+            return self.rows + other
+        return NotImplemented
+
+    def __radd__(self, other: object) -> List[Row]:
+        if isinstance(other, list):
+            return other + self.rows
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"RowSequence({self.store!r})"

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cellular.operators import Operator
 from repro.cellular.sectors import SectorCatalog
 from repro.cellular.tac_db import TACDatabase
+from repro.columnar.store import (
+    ColumnarRadioEvents,
+    ColumnarServiceRecords,
+    RowSequence,
+)
 from repro.devices.device import DeviceClass, IoTVertical, SimProvenance
 from repro.signaling.cdr import ServiceRecord
 from repro.signaling.events import RadioEvent
@@ -76,11 +81,19 @@ class MNODataset:
     cover outbound roamers.  ``sector_catalog`` maps sector IDs to
     coordinates; ``tac_db`` is the GSMA-style catalog; ``observer`` is
     the MNO under study.
+
+    The two streams are row sequences.  A simulated dataset holds them
+    as :class:`~repro.columnar.store.RowSequence` views over interned
+    column stores that share one pool set: :attr:`columns` hands those
+    stores to the pipeline, which then interns nothing, and the rows are
+    built once, on first access.  Datasets from file ingest, fault
+    injection or ``dataclasses.replace`` with a list hold plain row
+    lists, and :attr:`columns` is None.
     """
 
     observer: Operator
-    radio_events: List[RadioEvent]
-    service_records: List[ServiceRecord]
+    radio_events: Sequence[RadioEvent]
+    service_records: Sequence[ServiceRecord]
     tac_db: TACDatabase
     sector_catalog: SectorCatalog
     window_days: int
@@ -91,7 +104,28 @@ class MNODataset:
             raise ValueError("window_days must be positive")
 
     @property
+    def columns(self) -> Optional[Tuple[ColumnarRadioEvents, ColumnarServiceRecords]]:
+        """The interned stores behind both streams, or None.
+
+        Present only when both streams are row views over stores that
+        share one :class:`~repro.columnar.store.ColumnPools`; replacing
+        either stream with a list drops them.
+        """
+        radio, service = self.radio_events, self.service_records
+        if (
+            isinstance(radio, RowSequence)
+            and isinstance(service, RowSequence)
+            and radio.store.pools is service.store.pools
+        ):
+            return radio.store, service.store
+        return None
+
+    @property
     def device_ids(self) -> Set[str]:
+        columns = self.columns
+        if columns is not None:
+            # The simulator interns exactly the devices its rows name.
+            return set(columns[0].pools.devices.strings)
         ids = {e.device_id for e in self.radio_events}
         ids.update(r.device_id for r in self.service_records)
         return ids

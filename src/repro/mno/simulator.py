@@ -2,33 +2,60 @@
 
 For every planned device and every day it is active, the simulator:
 
-1. rolls the device's mobility model to get the day's sector visits,
+1. rolls the device's mobility model to get the day's sector visits and
+   resolves each visit to its nearest sector of every RAT the device
+   uses,
 2. draws the day's radio events (attach / routing-area-update / detach /
    authentication), splitting them between voice- and data-plane
-   interfaces per the device's service propensities, snapping each to
-   the nearest sector of the event's RAT,
+   interfaces per the device's service propensities, each at the
+   sector of its visit on its RAT,
 3. draws voice CDRs and data xDRs (with the device's APN) for the
    service-usage side,
 
 and, for outbound roamers, emits only CDR/xDRs from the visited network
 (radio signaling for outbound roamers stays in the visited country,
 §4.1).
+
+No row object is built here.  :class:`ColumnEmitter` turns each
+device-day's draws straight into columns — radio fields as numpy
+arrays indexed from the vectorized draws, service fields as plain lists
+— and :meth:`ColumnEmitter.finish` orders each stream by timestamp and
+interns devices, PLMNs and APNs in first-seen order.  The resulting
+stores equal :func:`~repro.columnar.store.from_record_streams` of the
+rows those draws describe, column for column and pool for pool, and the
+checks :class:`~repro.signaling.events.RadioEvent` and
+:class:`~repro.signaling.cdr.ServiceRecord` make on construction run
+over the columns instead: per device for the per-device constants,
+vectorized for the per-row values.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from array import array
+from typing import Dict, List, NamedTuple, Optional, Tuple, TypeVar
 
 import numpy as np
 
 from repro.cellular.rats import RAT
+from repro.columnar.store import (
+    NULL_ID,
+    ColumnarRadioEvents,
+    ColumnarServiceRecords,
+    ColumnPools,
+    RowSequence,
+)
 from repro.datasets.containers import GroundTruthEntry, MNODataset
 from repro.ecosystem import Ecosystem
 from repro.mno.config import MNOConfig
 from repro.mno.population import PlannedDevice, PopulationBuilder
-from repro.signaling.cdr import ServiceRecord, ServiceType
-from repro.signaling.events import RadioEvent, RadioInterface
-from repro.signaling.procedures import MessageType, ResultCode
+from repro.signaling.cdr import SERVICE_TYPES, ServiceType
+from repro.signaling.events import RADIO_INTERFACES, RadioInterface
+from repro.signaling.procedures import (
+    MESSAGE_TYPES,
+    RESULT_CODES,
+    MessageType,
+    ResultCode,
+)
 
 #: Mid-session event-type mix (§7.1 monitors Attach, Routing Area Update
 #: and Detach; authentications ride along).  Day sessions are structured:
@@ -42,15 +69,347 @@ _MID_EVENT_TYPES = (
 )
 _MID_EVENT_CUM = np.cumsum([0.70, 0.14, 0.08, 0.08])
 
+# Enum values as the column stores encode them.
+_MID_EVENT_CODES = np.array(
+    [MESSAGE_TYPES.index(kind) for kind in _MID_EVENT_TYPES], dtype=np.int8
+)
+_ATTACH = MESSAGE_TYPES.index(MessageType.ATTACH)
+_DETACH = MESSAGE_TYPES.index(MessageType.DETACH)
+#: Result code by failure flag: [OK, SYSTEM_FAILURE].
+_RESULT_BY_FAILURE = np.array(
+    [RESULT_CODES.index(ResultCode.OK), RESULT_CODES.index(ResultCode.SYSTEM_FAILURE)],
+    dtype=np.int8,
+)
+_VOICE = SERVICE_TYPES.index(ServiceType.VOICE)
+_DATA = SERVICE_TYPES.index(ServiceType.DATA)
 
-def _event_type_for(index: int, count: int, pick: float) -> MessageType:
-    """Session-structured event type: attach first, detach last, mixed
-    procedures in between."""
-    if index == 0:
-        return MessageType.ATTACH
-    if index == count - 1 and count > 1:
-        return MessageType.DETACH
-    return _MID_EVENT_TYPES[int(np.searchsorted(_MID_EVENT_CUM, pick))]
+#: numpy dtype of each store column typecode.
+_DTYPES = {"q": np.int64, "d": np.float64, "b": np.int8}
+
+
+_Store = TypeVar("_Store", ColumnarRadioEvents, ColumnarServiceRecords)
+
+
+def _zeroed(store: _Store, n_rows: int) -> _Store:
+    """``store`` with every column ``n_rows`` zeros long."""
+    for name in type(store).__slots__:
+        if name != "pools":
+            column = getattr(store, name)
+            setattr(store, name, array(column.typecode, [0]) * n_rows)
+    return store
+
+
+def _fill(column: array, values: np.ndarray) -> None:
+    """Write ``values`` over a store column of the same length."""
+    np.frombuffer(column, dtype=_DTYPES[column.typecode])[:] = values
+
+
+def _first_seen(ids: np.ndarray) -> np.ndarray:
+    """The distinct values of ``ids``, in order of first occurrence."""
+    unique, first = np.unique(ids, return_index=True)
+    return unique[np.argsort(first)]
+
+
+def _check_plmn(label: str, plmn: str) -> None:
+    if not plmn.isdigit() or len(plmn) not in (5, 6):
+        raise ValueError(f"{label} PLMN must be 5-6 digits, got {plmn!r}")
+
+
+def _check_non_negative(values: np.ndarray, message: str) -> None:
+    bad = np.flatnonzero(values < 0)
+    if len(bad):
+        raise ValueError(f"{message} {values[bad[0]].item()}")
+
+
+class _Device(NamedTuple):
+    """Per-device tables the radio draws index into."""
+
+    index: int
+    #: Every RAT the device uses, in generation order (the data RATs).
+    rats: Tuple[RAT, ...]
+    #: Positions in ``rats`` of the voice-capable RATs.
+    voice_rats: np.ndarray
+    #: Interface code by [position in ``rats``, voice plane].
+    interfaces: np.ndarray
+
+
+class ColumnEmitter:
+    """Turns device-days of simulator draws into interned column stores.
+
+    :meth:`emit` makes one device-day's draws, in the order they have
+    always been made, and keeps their results as columns;
+    :meth:`finish` orders and interns them into stores.  The batch
+    simulator emits every device-day of the window into one emitter;
+    the streaming simulator uses one per day and shard.
+    """
+
+    def __init__(self, ecosystem: Ecosystem) -> None:
+        self._sectors = ecosystem.uk_sectors
+        self._observer_plmn = str(ecosystem.uk_mno.plmn)
+        self._devices: Dict[str, _Device] = {}
+        # Per-device constants, by local device index.
+        self._device_ids: List[str] = []
+        self._sim_plmns: List[str] = []
+        self._visited_plmns: List[str] = []
+        self._tacs: List[int] = []
+        self._apns: Dict[str, int] = {}
+        # Row values go straight into flat buffers, with one (device, row
+        # count) chunk per device-day: per-chunk arrays or Python floats
+        # would take several times the memory of the columns.
+        self._radio_chunks = array("q")
+        self._radio_ts = array("d")
+        self._radio_sectors = array("q")
+        self._radio_interfaces = array("b")
+        self._radio_types = array("b")
+        self._radio_results = array("b")
+        # Service chunks are (device, service, apn, row count); durations
+        # are per voice row, bytes per data row.
+        self._service_chunks = array("q")
+        self._service_ts = array("d")
+        self._durations = array("d")
+        self._bytes = array("q")
+
+    def _device(self, plan: PlannedDevice) -> _Device:
+        device = self._devices.get(plan.device_id)
+        if device is not None:
+            return device
+        rats = plan.data_rats
+        voice = plan.voice_rats
+        self._device_ids.append(plan.device_id)
+        self._sim_plmns.append(plan.device.sim_plmn)
+        self._visited_plmns.append(plan.outbound_visited_plmn or self._observer_plmn)
+        self._tacs.append(plan.device.tac)
+        device = _Device(
+            index=len(self._devices),
+            rats=rats,
+            voice_rats=np.array([rats.index(rat) for rat in voice], dtype=np.intp),
+            interfaces=np.array(
+                [
+                    [
+                        RADIO_INTERFACES.index(RadioInterface.for_plane(rat, False)),
+                        RADIO_INTERFACES.index(RadioInterface.for_plane(rat, True))
+                        if rat in voice
+                        else -1,
+                    ]
+                    for rat in rats
+                ],
+                dtype=np.int8,
+            ),
+        )
+        self._devices[plan.device_id] = device
+        return device
+
+    def emit(self, plan: PlannedDevice, day: int, rng: np.random.Generator) -> None:
+        """Draw one device-day: radio events (none for outbound roamers),
+        then service records."""
+        device = self._device(plan)
+        if not plan.segment.outbound:
+            self._radio_day(plan, device, day, rng)
+        self._service_day(plan, device, day, rng)
+
+    def _radio_day(
+        self, plan: PlannedDevice, device: _Device, day: int, rng: np.random.Generator
+    ) -> None:
+        n = plan.traffic.draw_signaling_count(rng)
+        if n <= 0 or plan.mobility is None:
+            return
+        visits = plan.mobility.visits_for_day(day, rng)
+        weights = np.array([w for _, w in visits], dtype=float)
+        visit_cum = np.cumsum(weights / weights.sum())
+        lats = np.array([position.lat for position, _ in visits])
+        lons = np.array([position.lon for position, _ in visits])
+        by_rat = []
+        for rat in device.rats:
+            ids = self._sectors.nearest_ids(lats, lons, rat)
+            # The observer supports all three RATs, so lookup cannot
+            # miss for RATs the device actually uses.
+            assert ids is not None
+            by_rat.append(ids)
+        sectors = np.array(by_rat)
+        timestamps = plan.traffic.event_timestamps(day, n, rng)
+
+        plane_draws = rng.random(n)
+        visit_picks = np.searchsorted(visit_cum, rng.random(n))
+        type_picks = rng.random(n)
+        fail_draws = rng.random(n) < plan.segment.event_failure_prob
+        rat_picks = rng.random(n)
+
+        rat_index = (rat_picks * len(device.rats)).astype(np.intp)
+        voice_rats = device.voice_rats
+        if len(voice_rats) and plan.voice_event_fraction > 0.0:
+            voice = plane_draws < plan.voice_event_fraction
+            voice_index = voice_rats[(rat_picks * len(voice_rats)).astype(np.intp)]
+            rat_index = np.where(voice, voice_index, rat_index)
+        else:
+            voice = np.zeros(n, dtype=bool)
+        types = _MID_EVENT_CODES[np.searchsorted(_MID_EVENT_CUM, type_picks)]
+        types[0] = _ATTACH
+        if n > 1:
+            types[-1] = _DETACH
+
+        self._radio_chunks.extend((device.index, n))
+        self._radio_ts.frombytes(timestamps.tobytes())
+        self._radio_sectors.frombytes(sectors[rat_index, visit_picks].tobytes())
+        self._radio_interfaces.frombytes(
+            device.interfaces[rat_index, voice.astype(np.intp)].tobytes()
+        )
+        self._radio_types.frombytes(types.tobytes())
+        self._radio_results.frombytes(
+            _RESULT_BY_FAILURE[fail_draws.astype(np.intp)].tobytes()
+        )
+
+    def _service_day(
+        self, plan: PlannedDevice, device: _Device, day: int, rng: np.random.Generator
+    ) -> None:
+        # Each row's uniform draw interleaves with a variable-length
+        # exponential or normal draw, so these stay scalar and in order.
+        traffic = plan.traffic
+        base = day * 86400.0
+        timestamps = self._service_ts
+        if plan.uses_voice:
+            calls = traffic.draw_call_count(rng)
+            durations = self._durations
+            for _ in range(calls):
+                timestamps.append(base + float(rng.random()) * 86400.0)
+                durations.append(traffic.draw_call_duration_s(rng))
+            if calls > 0:
+                self._service_chunks.extend((device.index, _VOICE, NULL_ID, calls))
+        if plan.uses_data and plan.apns:
+            sessions = traffic.draw_data_sessions(rng)
+            if sessions <= 0:
+                return
+            apn = plan.apns[int(rng.integers(len(plan.apns)))]
+            apn_id = self._apns.setdefault(apn, len(self._apns))
+            sizes = self._bytes
+            for _ in range(sessions):
+                timestamps.append(base + float(rng.random()) * 86400.0)
+                sizes.append(traffic.draw_session_bytes(rng))
+            self._service_chunks.extend((device.index, _DATA, apn_id, sessions))
+
+    def finish(self) -> Tuple[ColumnarRadioEvents, ColumnarServiceRecords]:
+        """Validate, order by timestamp and intern everything emitted.
+
+        Each stream is stably sorted by timestamp, then devices, PLMNs
+        and APNs are interned in first-seen order over the sorted radio
+        rows and then the sorted service rows (SIM before visited PLMN):
+        the order :func:`~repro.columnar.store.from_record_streams`
+        interns the same rows in.
+        """
+        # The stores' columns are allocated before the temporaries that
+        # fill them, so that freeing those lets the heap shrink again.
+        pools = ColumnPools()
+        events = _zeroed(ColumnarRadioEvents(pools), len(self._radio_ts))
+        records = _zeroed(ColumnarServiceRecords(pools), len(self._service_ts))
+
+        chunks = np.frombuffer(self._radio_chunks, dtype=np.int64).reshape(-1, 2)
+        radio_dev = np.repeat(chunks[:, 0], chunks[:, 1])
+        radio_ts = np.frombuffer(self._radio_ts, dtype=np.float64)
+        chunks = np.frombuffer(self._service_chunks, dtype=np.int64).reshape(-1, 4)
+        service_dev, services, apns = (
+            np.repeat(chunks[:, i], chunks[:, 3]) for i in range(3)
+        )
+        service_ts = np.frombuffer(self._service_ts, dtype=np.float64)
+        durations = np.zeros(len(service_ts))
+        durations[services == _VOICE] = np.frombuffer(self._durations, dtype=np.float64)
+        sizes = np.zeros(len(service_ts), dtype=np.int64)
+        sizes[services == _DATA] = np.frombuffer(self._bytes, dtype=np.int64)
+        self._validate(radio_dev, radio_ts, service_dev, service_ts, services, apns,
+                       durations, sizes)
+
+        radio_order = np.argsort(radio_ts, kind="stable")
+        radio_dev = radio_dev[radio_order]
+        order = np.argsort(service_ts, kind="stable")
+        service_dev, service_ts, services, apns, durations, sizes = (
+            column[order]
+            for column in (service_dev, service_ts, services, apns, durations, sizes)
+        )
+
+        # The per-device strings enter the pools in the order their
+        # devices first appear: the PLMNs' own first-seen order, since a
+        # device's PLMNs are the same on all its rows.
+        n_local = len(self._device_ids)
+        device_ids = np.zeros(n_local, dtype=np.int64)
+        sim_ids = np.zeros(n_local, dtype=np.int64)
+        visited_ids = np.zeros(n_local, dtype=np.int64)
+        for dev in _first_seen(radio_dev):
+            device_ids[dev] = pools.devices.intern(self._device_ids[dev])
+            sim_ids[dev] = pools.plmns.intern(self._sim_plmns[dev])
+        for dev in _first_seen(service_dev):
+            device_ids[dev] = pools.devices.intern(self._device_ids[dev])
+            sim_ids[dev] = pools.plmns.intern(self._sim_plmns[dev])
+            visited_ids[dev] = pools.plmns.intern(self._visited_plmns[dev])
+        # The extra last slot maps NULL_ID (-1) to itself.
+        apn_ids = np.full(len(self._apns) + 1, NULL_ID, dtype=np.int64)
+        apn_strings = list(self._apns)
+        for apn in _first_seen(apns[apns != NULL_ID]):
+            apn_ids[apn] = pools.apns.intern(apn_strings[apn])
+
+        radio_ts = radio_ts[radio_order]
+        _fill(events.device_ids, device_ids[radio_dev])
+        _fill(events.timestamps, radio_ts)
+        _fill(events.days, radio_ts // 86400.0)
+        _fill(events.sim_plmns, sim_ids[radio_dev])
+        _fill(events.tacs, np.array(self._tacs, dtype=np.int64)[radio_dev])
+        _fill(events.sector_ids, np.frombuffer(self._radio_sectors, np.int64)[radio_order])
+        _fill(events.interfaces, np.frombuffer(self._radio_interfaces, np.int8)[radio_order])
+        _fill(events.event_types, np.frombuffer(self._radio_types, np.int8)[radio_order])
+        _fill(events.results, np.frombuffer(self._radio_results, np.int8)[radio_order])
+
+        _fill(records.device_ids, device_ids[service_dev])
+        _fill(records.timestamps, service_ts)
+        _fill(records.days, service_ts // 86400.0)
+        _fill(records.sim_plmns, sim_ids[service_dev])
+        _fill(records.visited_plmns, visited_ids[service_dev])
+        _fill(records.services, services)
+        _fill(records.durations, durations)
+        _fill(records.bytes_totals, sizes)
+        _fill(records.apns, apn_ids[apns])
+        return events, records
+
+    def _validate(
+        self,
+        radio_dev: np.ndarray,
+        radio_ts: np.ndarray,
+        service_dev: np.ndarray,
+        service_ts: np.ndarray,
+        services: np.ndarray,
+        apns: np.ndarray,
+        durations: np.ndarray,
+        sizes: np.ndarray,
+    ) -> None:
+        """The checks ``RadioEvent``/``ServiceRecord`` make on construction,
+        per device for per-device constants, vectorized for row values."""
+        for dev in np.unique(radio_dev):
+            _check_plmn("SIM", self._sim_plmns[dev])
+            tac = self._tacs[dev]
+            if not 0 <= tac < 10**8:
+                raise ValueError(f"TAC must be 8 digits, got {tac}")
+        for dev in np.unique(service_dev):
+            _check_plmn("sim", self._sim_plmns[dev])
+            _check_plmn("visited", self._visited_plmns[dev])
+        _check_non_negative(radio_ts, "negative timestamp")
+        _check_non_negative(service_ts, "negative timestamp")
+        _check_non_negative(durations, "negative duration")
+        _check_non_negative(sizes, "negative byte count")
+        if np.any((services == _VOICE) & (apns != NULL_ID)):
+            raise ValueError("voice CDRs carry no APN")
+        if np.any((services == _DATA) & (durations != 0)):
+            # Data usage is accounted in bytes; duration belongs to voice.
+            raise ValueError("data xDRs carry bytes, not call duration")
+
+
+def ground_truth_entry(plan: PlannedDevice) -> GroundTruthEntry:
+    """The simulator-side truth for one planned device."""
+    return GroundTruthEntry(
+        device_id=plan.device_id,
+        device_class=plan.device.device_class,
+        provenance=plan.device.provenance,
+        vertical=plan.device.vertical,
+        profile=plan.segment.name,
+        home_country_iso=plan.device.home_operator.country.iso,
+        smip_native=plan.segment.smip_native,
+        smip_roaming=plan.segment.smip_roaming,
+    )
 
 
 class MNOSimulator:
@@ -60,179 +419,30 @@ class MNOSimulator:
         self.ecosystem = ecosystem
         self.config = config or MNOConfig()
         self._rng = np.random.default_rng(self.config.seed + 1)
-        self._observer_plmn = str(ecosystem.uk_mno.plmn)
-
-    # -- per-day helpers ----------------------------------------------------
-
-    def _day_sectors(
-        self,
-        plan: PlannedDevice,
-        day: int,
-        rng: Optional[np.random.Generator] = None,
-    ) -> Optional[Tuple[Dict[RAT, List[int]], np.ndarray]]:
-        """Resolve the day's visits to per-RAT nearest sectors.
-
-        Returns ({rat: [sector_id per visit]}, cumulative visit weights)
-        or None when the mobility model is absent (outbound devices).
-        ``rng`` overrides the simulator's shared stream — the streaming
-        layer passes per-(device, day) substreams so generation is
-        independent of iteration and worker order.
-        """
-        if plan.mobility is None:
-            return None
-        if rng is None:
-            rng = self._rng
-        visits = plan.mobility.visits_for_day(day, rng)
-        weights = np.array([w for _, w in visits], dtype=float)
-        cum = np.cumsum(weights / weights.sum())
-        catalog = self.ecosystem.uk_sectors
-        sectors: Dict[RAT, List[int]] = {}
-        for rat in plan.rats_used:
-            per_visit: List[int] = []
-            for position, _ in visits:
-                sector = catalog.nearest(position, rat)
-                # The observer supports all three RATs, so lookup cannot
-                # miss for RATs the device actually uses.
-                assert sector is not None
-                per_visit.append(sector.sector_id)
-            sectors[rat] = per_visit
-        return sectors, cum
-
-    def _emit_radio_day(
-        self,
-        plan: PlannedDevice,
-        day: int,
-        out: List[RadioEvent],
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        if rng is None:
-            rng = self._rng
-        n = plan.traffic.draw_signaling_count(rng)
-        if n <= 0:
-            return
-        resolved = self._day_sectors(plan, day, rng=rng)
-        if resolved is None:
-            return
-        sectors_by_rat, visit_cum = resolved
-        timestamps = plan.traffic.event_timestamps(day, n, rng)
-
-        voice_rats = plan.voice_rats
-        data_rats = plan.data_rats
-        plane_draws = rng.random(n)
-        visit_picks = np.searchsorted(visit_cum, rng.random(n))
-        type_picks = rng.random(n)
-        fail_draws = rng.random(n) < plan.segment.event_failure_prob
-        rat_picks = rng.random(n)
-
-        sim_plmn = plan.device.sim_plmn
-        tac = plan.device.tac
-        device_id = plan.device_id
-        for i in range(n):
-            voice = bool(
-                voice_rats
-                and plan.voice_event_fraction > 0.0
-                and plane_draws[i] < plan.voice_event_fraction
-            )
-            rats = voice_rats if voice else data_rats
-            rat = rats[int(rat_picks[i] * len(rats))]
-            interface = RadioInterface.for_plane(rat, voice)
-            sector_id = sectors_by_rat[rat][int(visit_picks[i])]
-            result = (
-                ResultCode.SYSTEM_FAILURE if fail_draws[i] else ResultCode.OK
-            )
-            out.append(
-                RadioEvent(
-                    device_id=device_id,
-                    timestamp=float(timestamps[i]),
-                    sim_plmn=sim_plmn,
-                    tac=tac,
-                    sector_id=sector_id,
-                    interface=interface,
-                    event_type=_event_type_for(i, n, float(type_picks[i])),
-                    result=result,
-                )
-            )
-
-    def _emit_service_day(
-        self,
-        plan: PlannedDevice,
-        day: int,
-        out: List[ServiceRecord],
-        rng: Optional[np.random.Generator] = None,
-    ) -> None:
-        if rng is None:
-            rng = self._rng
-        visited = plan.outbound_visited_plmn or self._observer_plmn
-        sim_plmn = plan.device.sim_plmn
-        device_id = plan.device_id
-        base = day * 86400.0
-
-        if plan.uses_voice:
-            for _ in range(plan.traffic.draw_call_count(rng)):
-                out.append(
-                    ServiceRecord(
-                        device_id=device_id,
-                        timestamp=base + float(rng.random()) * 86400.0,
-                        sim_plmn=sim_plmn,
-                        visited_plmn=visited,
-                        service=ServiceType.VOICE,
-                        duration_s=plan.traffic.draw_call_duration_s(rng),
-                    )
-                )
-        if plan.uses_data and plan.apns:
-            sessions = plan.traffic.draw_data_sessions(rng)
-            if sessions <= 0:
-                return
-            apn = plan.apns[int(rng.integers(len(plan.apns)))]
-            for _ in range(sessions):
-                out.append(
-                    ServiceRecord(
-                        device_id=device_id,
-                        timestamp=base + float(rng.random()) * 86400.0,
-                        sim_plmn=sim_plmn,
-                        visited_plmn=visited,
-                        service=ServiceType.DATA,
-                        bytes_total=plan.traffic.draw_session_bytes(rng),
-                        apn=apn,
-                    )
-                )
-
-    # -- public API ---------------------------------------------------------------
 
     def simulate(
         self, population: Optional[List[PlannedDevice]] = None
     ) -> MNODataset:
-        """Generate the full dataset (deterministic per config seed)."""
+        """Generate the full dataset (deterministic per config seed).
+
+        Every device-day draws from the simulator's one stream, device by
+        device.  The dataset's streams are row views over the emitted
+        stores (:attr:`MNODataset.columns`).
+        """
         if population is None:
             population = PopulationBuilder(self.ecosystem, self.config).build()
 
-        radio_events: List[RadioEvent] = []
-        service_records: List[ServiceRecord] = []
+        emitter = ColumnEmitter(self.ecosystem)
         ground_truth: Dict[str, GroundTruthEntry] = {}
-
         for plan in population:
             for day in plan.active_days:
-                day = int(day)
-                if not plan.segment.outbound:
-                    self._emit_radio_day(plan, day, radio_events)
-                self._emit_service_day(plan, day, service_records)
-            ground_truth[plan.device_id] = GroundTruthEntry(
-                device_id=plan.device_id,
-                device_class=plan.device.device_class,
-                provenance=plan.device.provenance,
-                vertical=plan.device.vertical,
-                profile=plan.segment.name,
-                home_country_iso=plan.device.home_operator.country.iso,
-                smip_native=plan.segment.smip_native,
-                smip_roaming=plan.segment.smip_roaming,
-            )
-
-        radio_events.sort(key=lambda e: e.timestamp)
-        service_records.sort(key=lambda r: r.timestamp)
+                emitter.emit(plan, int(day), self._rng)
+            ground_truth[plan.device_id] = ground_truth_entry(plan)
+        events, records = emitter.finish()
         return MNODataset(
             observer=self.ecosystem.uk_mno,
-            radio_events=radio_events,
-            service_records=service_records,
+            radio_events=RowSequence(events),
+            service_records=RowSequence(records),
             tac_db=self.ecosystem.tac_db,
             sector_catalog=self.ecosystem.uk_sectors,
             window_days=self.config.window_days,

@@ -3,15 +3,21 @@
 The in-memory :class:`~repro.mno.simulator.MNOSimulator` materializes
 the whole 22-day record set at once — fine at bench scale, hopeless at
 the paper's 39.6M devices.  :class:`StreamingMNOSimulator` generates the
-same records *day by day*: each yielded :class:`DayBatch` holds only one
-day's events, so memory stays O(devices + one day) and batches can be
-written straight to JSONL partitions.
+same record model *day by day*: each yielded :class:`DayBatch` holds
+only one day's events, so memory stays O(devices + one day) and batches
+can be written straight to JSONL partitions.
 
-Determinism note: because the streaming generator draws per-day rather
-than per-device, its RNG consumption order differs from the batch
-simulator's; the two produce statistically identical but not bitwise
-identical datasets for the same seed.  Within the streaming simulator,
-the same config always reproduces the same batches.
+Each day's stores come from the batch simulator's column emitter
+(:class:`~repro.mno.simulator.ColumnEmitter`) and are handed out as
+plain row lists.
+
+Determinism note: every device draws each day from its own
+per-(device, day) RNG substream (:func:`_device_day_rng`), so a day's
+batch depends only on the config — not on which days were generated
+before, how often, or on how many workers.  The batch simulator draws
+every device-day from one shared stream instead, so the two produce
+statistically identical but not bitwise identical datasets for the same
+seed.
 """
 
 from __future__ import annotations
@@ -23,12 +29,6 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from repro.columnar.store import (
-    ColumnPools,
-    ColumnarRadioEvents,
-    ColumnarServiceRecords,
-    from_record_streams,
-)
 from repro.datasets.containers import GroundTruthEntry
 from repro.datasets.io import (
     IngestReport,
@@ -41,7 +41,7 @@ from repro.ecosystem import Ecosystem
 from repro.faults.retry import RetryPolicy, call_with_retry
 from repro.mno.config import MNOConfig
 from repro.mno.population import PlannedDevice, PopulationBuilder
-from repro.mno.simulator import MNOSimulator
+from repro.mno.simulator import ColumnEmitter, ground_truth_entry
 from repro.parallel.pool import get_context, map_shards
 from repro.parallel.sharding import shard_of
 from repro.signaling.cdr import ServiceRecord
@@ -74,16 +74,12 @@ def _generate_day_shard(
     sim: StreamingMNOSimulator = get_context()
     day, shard_index, n_shards = payload
     _ = sim.population  # ensure the per-day index exists in this process
-    radio: List[RadioEvent] = []
-    service: List[ServiceRecord] = []
+    emitter = ColumnEmitter(sim.ecosystem)
     for plan in sim._by_day.get(day, []):
-        if shard_of(plan.device_id, n_shards) != shard_index:
-            continue
-        rng = _device_day_rng(sim.config.seed, day, plan.device_id)
-        if not plan.segment.outbound:
-            sim._inner._emit_radio_day(plan, day, radio, rng=rng)
-        sim._inner._emit_service_day(plan, day, service, rng=rng)
-    return radio, service
+        if shard_of(plan.device_id, n_shards) == shard_index:
+            emitter.emit(plan, day, _device_day_rng(sim.config.seed, day, plan.device_id))
+    events, records = emitter.finish()
+    return events.to_rows(), records.to_rows()
 
 
 @dataclass
@@ -97,19 +93,6 @@ class DayBatch:
     @property
     def n_records(self) -> int:
         return len(self.radio_events) + len(self.service_records)
-
-    def to_columns(
-        self, pools: Optional[ColumnPools] = None
-    ) -> Tuple[ColumnarRadioEvents, ColumnarServiceRecords]:
-        """Dictionary-encode this batch onto columnar stores.
-
-        Passing the same ``pools`` across a window's batches keeps the
-        interning dictionaries shared, which is the intended feed for
-        the incremental catalog engine
-        (:meth:`repro.core.catalog.CatalogBuilder.update`): one day's
-        column block per call, bounded memory across a 22-day replay.
-        """
-        return from_record_streams(self.radio_events, self.service_records, pools)
 
 
 class StreamingMNOSimulator:
@@ -125,9 +108,6 @@ class StreamingMNOSimulator:
     def __init__(self, ecosystem: Ecosystem, config: Optional[MNOConfig] = None):
         self.ecosystem = ecosystem
         self.config = config or MNOConfig()
-        # Reuse the batch simulator's per-day emitters; only the
-        # iteration order differs.
-        self._inner = MNOSimulator(ecosystem, self.config)
         self._population: Optional[List[PlannedDevice]] = None
         self._by_day: Dict[int, List[PlannedDevice]] = {}
 
@@ -142,46 +122,26 @@ class StreamingMNOSimulator:
 
     def ground_truth(self) -> Dict[str, GroundTruthEntry]:
         """Ground truth for the full population (small; kept resident)."""
-        truth: Dict[str, GroundTruthEntry] = {}
-        for plan in self.population:
-            truth[plan.device_id] = GroundTruthEntry(
-                device_id=plan.device_id,
-                device_class=plan.device.device_class,
-                provenance=plan.device.provenance,
-                vertical=plan.device.vertical,
-                profile=plan.segment.name,
-                home_country_iso=plan.device.home_operator.country.iso,
-                smip_native=plan.segment.smip_native,
-                smip_roaming=plan.segment.smip_roaming,
-            )
-        return truth
+        return {plan.device_id: ground_truth_entry(plan) for plan in self.population}
 
     def generate_day(self, day: int) -> DayBatch:
-        """Generate one day's records for every device active that day."""
-        if not 0 <= day < self.config.window_days:
-            raise ValueError(f"day {day} outside the {self.config.window_days}-day window")
-        _ = self.population  # ensure the per-day index exists
-        radio: List[RadioEvent] = []
-        service: List[ServiceRecord] = []
-        for plan in self._by_day.get(day, []):
-            if not plan.segment.outbound:
-                self._inner._emit_radio_day(plan, day, radio)
-            self._inner._emit_service_day(plan, day, service)
-        radio.sort(key=lambda e: e.timestamp)
-        service.sort(key=lambda r: r.timestamp)
-        return DayBatch(day=day, radio_events=radio, service_records=service)
+        """Generate one day's records for every device active that day.
+
+        The in-process case of :meth:`generate_day_sharded`: it starts
+        no pool and returns the batch every worker count returns.
+        """
+        return self.generate_day_sharded(day, n_workers=1)
 
     def generate_day_sharded(self, day: int, n_workers: int = 1) -> DayBatch:
         """Generate one day's records sharded by device across workers.
 
         Every device draws from its own per-(device, day) RNG substream
         (:func:`_device_day_rng`), so the batch is **worker-count
-        invariant**: any ``n_workers`` — including 1 — yields the exact
-        same records.  It is *not* bitwise-equal to :meth:`generate_day`,
-        whose devices share one sequential stream; this mirrors the
-        existing batch-vs-streaming determinism caveat (see the module
-        docstring).  Records are sorted by ``(timestamp, device_id)`` so
-        even tie order is shard-independent.
+        invariant**: any ``n_workers`` — including 1, which runs in
+        process — yields the exact same records, however often and in
+        whatever order days are generated.  Records are sorted by
+        ``(timestamp, device_id)`` so even tie order is
+        shard-independent.
         """
         if not 0 <= day < self.config.window_days:
             raise ValueError(f"day {day} outside the {self.config.window_days}-day window")
@@ -198,15 +158,12 @@ class StreamingMNOSimulator:
     def days(self, n_workers: int = 1) -> Iterator[DayBatch]:
         """Iterate the whole window, one bounded batch at a time.
 
-        ``n_workers > 1`` generates each day via
-        :meth:`generate_day_sharded` (worker-count-invariant substream
-        RNG); the default keeps the historical single-stream path.
+        ``n_workers > 1`` spreads each day's devices across a pool
+        (:meth:`generate_day_sharded`); the batches are the same at
+        every worker count.
         """
         for day in range(self.config.window_days):
-            if n_workers > 1:
-                yield self.generate_day_sharded(day, n_workers=n_workers)
-            else:
-                yield self.generate_day(day)
+            yield self.generate_day_sharded(day, n_workers=n_workers)
 
     def active_devices_on(self, day: int) -> Set[str]:
         """Device IDs scheduled to be active on ``day``."""

@@ -21,8 +21,9 @@ Lenient mode also merges the per-shard
 batch classification, so the poisoned-batch fallback stays exactly
 serial.
 
-The dataset is dictionary-encoded once in the parent, sharded, and each
-shard crosses the pool pipe as one self-contained column block
+The parent takes the dataset's interned columns (a simulated dataset
+carries them; any other is dictionary-encoded once), shards them, and
+each shard crosses the pool pipe as one self-contained column block
 (:func:`~repro.parallel.transport.publish_shards`); workers return
 packed day-record/summary blocks.  Nothing is pickled per row in
 either direction.
@@ -111,7 +112,7 @@ def run_stages_sharded(
     Recovery never changes output — a recovered shard re-executes the
     same pure function over the same block.
     """
-    events, records = from_record_streams(
+    events, records = dataset.columns or from_record_streams(
         dataset.radio_events, dataset.service_records
     )
     shards = shard_columnar_records(events, records, n_workers)

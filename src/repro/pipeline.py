@@ -296,10 +296,12 @@ def run_pipeline(
     (:func:`resolve_workers`), staying serial whenever the committed
     benches say the pool would lose.
 
-    The record streams are dictionary-encoded once per run
-    (:func:`~repro.columnar.store.from_record_streams`), and every
-    path — strict or lenient, serial or sharded — runs the catalog
-    kernel over those interned columns.
+    Every path — strict or lenient, serial or sharded — runs the
+    catalog kernel over interned columns.  A simulated dataset already
+    holds them (:attr:`~repro.datasets.containers.MNODataset.columns`)
+    and is not interned at all; any other dataset's row streams are
+    dictionary-encoded once per run
+    (:func:`~repro.columnar.store.from_record_streams`).
 
     ``checkpoint_dir`` makes the run *durable*: the pipeline executes
     day by day, in this process, through :mod:`repro.runtime`,
@@ -355,7 +357,7 @@ def run_pipeline(
             health=health,
         )
     else:
-        events, records = from_record_streams(
+        events, records = dataset.columns or from_record_streams(
             dataset.radio_events, dataset.service_records
         )
         if lenient:

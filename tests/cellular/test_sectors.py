@@ -1,5 +1,6 @@
 """Unit tests for sector catalogs."""
 
+import numpy as np
 import pytest
 
 from repro.cellular.countries import default_countries
@@ -84,11 +85,24 @@ class TestSectorCatalogQueries:
         )
         assert nearest.sector_id == best.sector_id
 
+    def test_batched_lookup_matches_nearest_point_by_point(self, catalog):
+        # Points inside the UK footprint and far beyond it.
+        rng = np.random.default_rng(2024)
+        lats = GB.lat + rng.uniform(-15.0, 15.0, 1000)
+        lons = GB.lon + rng.uniform(-25.0, 25.0, 1000)
+        for rat in RAT:
+            expected = [
+                catalog.nearest(GeoPoint(lat, lon), rat).sector_id
+                for lat, lon in zip(lats.tolist(), lons.tolist())
+            ]
+            assert catalog.nearest_ids(lats, lons, rat).tolist() == expected
+
     def test_nearest_none_for_unsupported_rat(self, rng):
         catalog = build_sector_catalog(
             _operator(rats=frozenset({RAT.GSM})), sites=3, rng=rng
         )
         assert catalog.nearest(GeoPoint(GB.lat, GB.lon), RAT.LTE) is None
+        assert catalog.nearest_ids(np.array([GB.lat]), np.array([GB.lon]), RAT.LTE) is None
 
     def test_duplicate_ids_rejected(self):
         op = _operator()

@@ -2,9 +2,12 @@
 
 from collections import defaultdict
 
+import pytest
 
 from repro.cellular.rats import RAT
-from repro.mno import MNOConfig, simulate_mno_dataset
+from repro.devices.device import Device
+from repro.devices.traffic_models import TrafficModel
+from repro.mno import MNOConfig, MNOSimulator, PopulationBuilder, simulate_mno_dataset
 from repro.signaling.probes import ProbeArray
 
 
@@ -135,3 +138,36 @@ class TestSessionStructure:
 
         counter = Counter(e.event_type for e in mno_dataset.radio_events)
         assert counter[MessageType.ROUTING_AREA_UPDATE] > counter[MessageType.AUTHENTICATION]
+
+
+class TestRowChecks:
+    """The checks row construction makes hold on the emitted columns."""
+
+    CONFIG = MNOConfig(n_devices=40, seed=5)
+
+    @pytest.fixture()
+    def population(self, eco):
+        return PopulationBuilder(eco, self.CONFIG).build()
+
+    def _simulate(self, eco, population):
+        return MNOSimulator(eco, self.CONFIG).simulate(population)
+
+    def test_bad_sim_plmn_rejected(self, eco, population, monkeypatch):
+        monkeypatch.setattr(Device, "sim_plmn", property(lambda self: "ABCDE"))
+        with pytest.raises(ValueError, match="PLMN must be 5-6 digits"):
+            self._simulate(eco, population)
+
+    def test_out_of_range_tac_rejected(self, eco, population, monkeypatch):
+        monkeypatch.setattr(Device, "tac", property(lambda self: 10**8))
+        with pytest.raises(ValueError, match="TAC must be 8 digits"):
+            self._simulate(eco, population)
+
+    def test_negative_call_duration_rejected(self, eco, population, monkeypatch):
+        monkeypatch.setattr(TrafficModel, "draw_call_duration_s", lambda self, rng: -1.0)
+        with pytest.raises(ValueError, match="negative duration"):
+            self._simulate(eco, population)
+
+    def test_negative_byte_count_rejected(self, eco, population, monkeypatch):
+        monkeypatch.setattr(TrafficModel, "draw_session_bytes", lambda self, rng: -1)
+        with pytest.raises(ValueError, match="negative byte count"):
+            self._simulate(eco, population)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.ecosystem import EcosystemConfig, build_default_ecosystem
 from repro.mno import MNOConfig
 from repro.mno.streaming import StreamingMNOSimulator
 
@@ -61,6 +62,17 @@ class TestStreaming:
         batch_ds = simulate_mno_dataset(eco, config)
         batch = len(batch_ds.radio_events) + len(batch_ds.service_records)
         assert streamed == pytest.approx(batch, rel=0.25)
+
+    def test_day_independent_of_call_history_and_workers(self):
+        eco = build_default_ecosystem(EcosystemConfig(uk_sites=30, seed=11))
+        config = MNOConfig(n_devices=60, seed=3)
+        fresh = StreamingMNOSimulator(eco, config).generate_day(5)
+        assert fresh.n_records > 0
+        sim = StreamingMNOSimulator(eco, config)
+        assert list(sim.days())[5] == fresh
+        assert sim.generate_day(5) == fresh
+        assert sim.generate_day(5) == fresh
+        assert sim.generate_day_sharded(5, n_workers=2) == fresh
 
     def test_streaming_is_self_deterministic(self, request):
         eco = request.getfixturevalue("eco")

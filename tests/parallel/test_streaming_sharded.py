@@ -47,8 +47,8 @@ def test_days_dispatches_to_sharded_path(sim):
 
 
 def test_sharded_covers_same_planned_devices_as_legacy(sim):
-    """Draws differ between the legacy shared stream and per-device
-    substreams, but both paths iterate the same planned population."""
+    """A sharded batch holds only devices the population plans for
+    that day."""
     day = 2
     planned = sim.active_devices_on(day)
     batch = sim.generate_day_sharded(day, n_workers=2)
