@@ -174,7 +174,10 @@ def pools_from_header(header: Dict[str, List[str]]) -> ColumnPools:
 
 # -- self-contained column blocks --------------------------------------------
 
-#: One lenient-mode quarantine decision: (device_id, stage, error text).
+#: One device a unit leaves out: (device_id, stage, error text).  Units
+#: are written with none; the list is kept so blocks from an older
+#: per-unit lenient validator, which left such devices' rows out, stay
+#: readable and recognizable.
 QuarantineEntry = Tuple[str, str, str]
 
 

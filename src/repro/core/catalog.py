@@ -13,6 +13,12 @@ joins the TAC catalog for device properties and the sector catalog for
 mobility, and emits
 :class:`DeviceDayRecord` rows plus whole-window :class:`DeviceSummary`
 aggregates (the unit most of the paper's figures are computed over).
+
+A summary and its roaming label aggregate a device over the whole
+window, so whether a device can be finalized is decided here, once per
+device, in every execution mode: in lenient mode a device whose day
+records or summary raise is left out and kept as a
+:class:`StageFailure` in :attr:`CatalogBuilder.quarantined`.
 """
 
 from __future__ import annotations
@@ -21,8 +27,9 @@ import math
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from operator import attrgetter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.cellular.rats import RadioFlags
 from repro.cellular.sectors import SectorCatalog
@@ -48,6 +55,22 @@ _INTERFACE_RAT_BIT: Tuple[int, ...] = tuple(
 _SERVICE_IS_VOICE: Tuple[bool, ...] = tuple(
     service is ServiceType.VOICE for service in SERVICE_TYPES
 )
+
+
+@dataclass(frozen=True)
+class StageFailure:
+    """One quarantined device: which stage crashed, and how."""
+
+    device_id: str
+    stage: str
+    error: str
+
+    @classmethod
+    def of(cls, device_id: str, stage: str, error: Exception) -> "StageFailure":
+        return cls(device_id, stage, f"{type(error).__name__}: {error}")
+
+    def __str__(self) -> str:
+        return f"{self.device_id}@{self.stage}: {self.error}"
 
 
 @dataclass(frozen=True)
@@ -290,10 +313,11 @@ class CatalogBuilder:
         self._dirty: Dict[str, Set[int]] = {}
         self._records: Dict[str, List[DeviceDayRecord]] = {}
         self._summaries: Dict[str, DeviceSummary] = {}
-        #: Devices a lenient snapshot left out because their summary
-        #: raised, with the error; a device leaves when a later snapshot
-        #: summarizes it.
-        self.quarantined: Dict[str, Exception] = {}
+        #: Devices the last lenient finalization left out, each with the
+        #: stage that raised.  A lenient one-shot build replaces it; a
+        #: lenient snapshot updates the devices it finalizes, so a device
+        #: leaves once a later snapshot builds it.
+        self.quarantined: Dict[str, StageFailure] = {}
 
     # -- public API ----------------------------------------------------------
 
@@ -579,6 +603,100 @@ class CatalogBuilder:
             on_home_network=bool(cell.n_events) or cell.home_service,
         )
 
+    def _device_records(
+        self,
+        device_id: str,
+        device: _Device,
+        clean: Mapping[int, DeviceDayRecord],
+    ) -> Tuple[List[DeviceDayRecord], Optional[int]]:
+        """One device's day records, sorted by day, and its TAC.
+
+        A record in ``clean`` (day -> record of a cell untouched since it
+        was built) is reused while the device's SIM is unchanged; every
+        other cell is finalized.
+        """
+        sim_plmn, tac = device.identity()
+        cells = device.cells
+        records: List[DeviceDayRecord] = []
+        for day in sorted(cells):
+            record = clean.get(day)
+            if record is None or record.sim_plmn != sim_plmn:
+                record = self._record(device_id, day, sim_plmn, cells[day])
+            records.append(record)
+        return records, tac
+
+    def _day_records(
+        self,
+        devices: Dict[str, _Device],
+        clean: Mapping[str, Mapping[int, DeviceDayRecord]],
+        failures: Optional[Dict[str, StageFailure]],
+    ) -> Tuple[Dict[str, List[DeviceDayRecord]], Dict[str, int]]:
+        """Each device's day records, in sorted device order, plus the
+        TACs.
+
+        ``devices`` is consumed: popping each device as its records are
+        built frees its cells (when nothing else holds them), so cells
+        and records never sit in memory side by side.  A raise
+        propagates, unless ``failures`` is given: then the device is
+        left out and recorded there at the ``"catalog"`` stage.
+        """
+        by_device: Dict[str, List[DeviceDayRecord]] = {}
+        tac_of: Dict[str, int] = {}
+        no_records: Dict[int, DeviceDayRecord] = {}
+        for device_id in sorted(devices):
+            device = devices.pop(device_id)
+            try:
+                records, tac = self._device_records(
+                    device_id, device, clean.get(device_id, no_records)
+                )
+            except Exception as exc:
+                if failures is None:
+                    raise
+                failures[device_id] = StageFailure.of(device_id, "catalog", exc)
+                continue
+            by_device[device_id] = records
+            if tac is not None:
+                tac_of[device_id] = tac
+        return by_device, tac_of
+
+    def _finalize(
+        self,
+        devices: Dict[str, _Device],
+        clean: Mapping[str, Mapping[int, DeviceDayRecord]],
+        lenient: bool,
+    ) -> Tuple[
+        Dict[str, List[DeviceDayRecord]],
+        Dict[str, DeviceSummary],
+        Dict[str, StageFailure],
+    ]:
+        """Day records and summaries of ``devices`` (consumed), and the
+        devices lenient mode left out.
+
+        The one finalization both the one-shot build and
+        :meth:`snapshot` run.  Each device's day records are built (stage
+        ``"catalog"``), then one batch :meth:`summarize` runs; if it
+        raises in lenient mode, devices are summarized one at a time and
+        each that raises is left out at stage ``"summary"``.  In strict
+        mode every raise propagates.
+        """
+        failures: Dict[str, StageFailure] = {}
+        by_device, tac_of = self._day_records(
+            devices, clean, failures if lenient else None
+        )
+        try:
+            summaries = self.summarize(chain.from_iterable(by_device.values()), tac_of)
+        except Exception:
+            if not lenient:
+                raise
+            summaries = {}
+            for device_id in list(by_device):
+                try:
+                    summaries.update(self.summarize(by_device[device_id], tac_of))
+                except Exception as exc:
+                    failures[device_id] = StageFailure.of(device_id, "summary", exc)
+                    del by_device[device_id]
+        return by_device, summaries, failures
+
     def build_day_records(
         self,
         radio_events: ColumnarRadioEvents,
@@ -586,26 +704,16 @@ class CatalogBuilder:
     ) -> Tuple[List[DeviceDayRecord], Dict[str, int]]:
         """The daily devices-catalog, sorted by (device, day), plus each
         device's TAC (devices seen only in CDR/xDRs have none)."""
-        devices = self._scan(radio_events, service_records)
-        records: List[DeviceDayRecord] = []
-        tac_of: Dict[str, int] = {}
-        record = self._record
-        for device_id in sorted(devices):
-            # Popping frees each device's cells as soon as its records
-            # exist, so the two never sit in memory side by side.
-            device = devices.pop(device_id)
-            sim_plmn, tac = device.identity()
-            if tac is not None:
-                tac_of[device_id] = tac
-            cells = device.cells
-            for day in sorted(cells):
-                records.append(record(device_id, day, sim_plmn, cells[day]))
-        return records, tac_of
+        by_device, tac_of = self._day_records(
+            self._scan(radio_events, service_records), {}, None
+        )
+        return list(chain.from_iterable(by_device.values())), tac_of
 
     def build_from_columns(
         self,
         radio_events: ColumnarRadioEvents,
         service_records: ColumnarServiceRecords,
+        lenient: bool = False,
     ) -> Tuple[List[DeviceDayRecord], Dict[str, DeviceSummary]]:
         """One-shot: daily records plus per-device summaries.
 
@@ -613,9 +721,17 @@ class CatalogBuilder:
         string key hashing, and one :class:`RadioFlags` per (device,
         day) cell instead of one per successful event.  The result is a
         function of the multiset of input rows, not of their order.
+
+        A device whose day records or summary raise propagates the
+        error; with ``lenient=True`` it is left out instead, and
+        :attr:`quarantined` becomes this build's failures.
         """
-        records, tac_of = self.build_day_records(radio_events, service_records)
-        return records, self.summarize(records, tac_of)
+        by_device, summaries, failures = self._finalize(
+            self._scan(radio_events, service_records), {}, lenient
+        )
+        if lenient:
+            self.quarantined = failures
+        return list(chain.from_iterable(by_device.values())), summaries
 
     #: The one-shot build under its short name, which ``bench/trace.py``
     #: also times.
@@ -655,58 +771,35 @@ class CatalogBuilder:
             dirty.setdefault(device_id, set()).add(day)
 
     def _refresh(self, lenient: bool) -> None:
-        """Finalize the dirty cells and re-summarize their devices.
+        """Finalize the dirty devices and re-summarize them.
 
         Identity is re-resolved per dirty device; a day record is rebuilt
         when its cell is dirty, or when the device's SIM moved.  State
         changes only after every summary exists, so a raise leaves the
         builder as it was and the next snapshot retries.
         """
-        fresh: Dict[str, List[DeviceDayRecord]] = {}
-        tac_of: Dict[str, int] = {}
-        for device_id in sorted(self._dirty):
-            device = self._devices[device_id]
-            cells = device.cells
-            sim_plmn, tac = device.identity()
-            if tac is not None:
-                tac_of[device_id] = tac
-            dirty_days = self._dirty[device_id]
-            cached = {r.day: r for r in self._records.get(device_id, ())}
-            device_records: List[DeviceDayRecord] = []
-            for day in sorted(cells):
-                record = cached.get(day)
-                if record is None or day in dirty_days or record.sim_plmn != sim_plmn:
-                    record = self._record(device_id, day, sim_plmn, cells[day])
-                device_records.append(record)
-            fresh[device_id] = device_records
-
-        failures: Dict[str, Exception] = {}
-        try:
-            summaries = self.summarize(
-                [r for device_records in fresh.values() for r in device_records],
-                tac_of,
-            )
-        except Exception:
-            if not lenient:
-                raise
-            summaries = {}
-            for device_id, device_records in fresh.items():
-                try:
-                    summaries.update(self.summarize(device_records, tac_of))
-                except Exception as exc:
-                    # Kept without its traceback, whose frames would pin
-                    # the device's records for as long as it stays here.
-                    failures[device_id] = exc.with_traceback(None)
-
-        for device_id, device_records in fresh.items():
-            self.quarantined.pop(device_id, None)
-            if device_id in failures:
-                self.quarantined[device_id] = failures[device_id]
+        dirty = self._dirty
+        clean = {
+            device_id: {
+                r.day: r for r in self._records.get(device_id, ()) if r.day not in days
+            }
+            for device_id, days in dirty.items()
+        }
+        fresh, summaries, failures = self._finalize(
+            {device_id: self._devices[device_id] for device_id in dirty},
+            clean,
+            lenient,
+        )
+        for device_id in dirty:
+            failure = failures.get(device_id)
+            if failure is None:
+                self.quarantined.pop(device_id, None)
+                self._records[device_id] = fresh[device_id]
+                self._summaries[device_id] = summaries[device_id]
+            else:
+                self.quarantined[device_id] = failure
                 self._records.pop(device_id, None)
                 self._summaries.pop(device_id, None)
-            else:
-                self._records[device_id] = device_records
-                self._summaries[device_id] = summaries[device_id]
         self._dirty = {}
 
     def snapshot(
@@ -717,8 +810,9 @@ class CatalogBuilder:
         order, exactly as :meth:`build_from_columns` emits them.
 
         Only the cells touched since the last snapshot are finalized.  A
-        summary that raises propagates; with ``lenient=True`` its device
-        is left out instead and listed in :attr:`quarantined`.
+        device whose day records or summary raise propagates the error;
+        with ``lenient=True`` it is left out instead and listed in
+        :attr:`quarantined`.
         """
         if self._dirty:
             self._refresh(lenient)

@@ -13,7 +13,7 @@ order.
 
 The rule is interprocedural: "reaches a serialized output" is answered
 by the :class:`~repro.lint.project.ProjectIndex` (transitive callees of
-sink functions), so a helper three calls below ``DegradationReport.merge``
+sink functions), so a helper three calls below ``IngestReport.merge``
 is checked even though it never serializes anything itself.  Iterations
 whose body is order-insensitive (pure membership tests, counting,
 ``.add`` into another set) are not flagged; wrap the iterable in

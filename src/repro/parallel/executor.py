@@ -15,18 +15,18 @@ any worker count:
    summaries: the very call the serial pipeline makes, so even the
    classification dict's insertion order matches by construction.
 
-Lenient mode also merges the per-shard
-:class:`~repro.pipeline.DegradationReport` partials with
-:meth:`~repro.pipeline.DegradationReport.merge` before the parent's
-batch classification, so the poisoned-batch fallback stays exactly
-serial.
+In lenient mode each worker's builder quarantines its shard's failing
+devices (:attr:`~repro.core.catalog.CatalogBuilder.quarantined`); the
+parent concatenates every shard's failures and builds the
+:class:`~repro.pipeline.DegradationReport` once, beside the batch
+classification, exactly as the serial run does.
 
 The parent takes the dataset's interned columns (a simulated dataset
 carries them; any other is dictionary-encoded once), shards them, and
 each shard crosses the pool pipe as one self-contained column block
 (:func:`~repro.parallel.transport.publish_shards`); workers return
-packed day-record/summary blocks.  Nothing is pickled per row in
-either direction.
+packed day-record/summary blocks that also list the shard's
+failures.  Nothing is pickled per row in either direction.
 """
 
 from __future__ import annotations
@@ -35,7 +35,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.columnar.blocks import unpack_day_block
 from repro.columnar.store import from_record_streams
-from repro.core.catalog import CatalogBuilder, DeviceDayRecord, DeviceSummary
+from repro.core.catalog import (
+    CatalogBuilder,
+    DeviceDayRecord,
+    DeviceSummary,
+    StageFailure,
+)
 from repro.core.classifier import Classification, DeviceClassifier
 from repro.datasets.containers import MNODataset
 from repro.parallel.health import RunHealth
@@ -43,44 +48,26 @@ from repro.parallel.pool import DEFAULT_SHARD_DEADLINE_S, get_context, map_shard
 from repro.parallel.sharding import shard_columnar_records
 from repro.parallel.transport import (
     pack_build_result,
-    pack_lenient_result,
     publish_shards,
     unpack_build_result,
-    unpack_lenient_result,
 )
-from repro.pipeline import (
-    DegradationReport,
-    _lenient_catalog_stage,
-    _lenient_classify_stage,
-)
+from repro.pipeline import DegradationReport, _lenient_classify
 
 
-# -- worker tasks (module-level so they pickle by name) ----------------------
+# -- worker task (module-level so it pickles by name) ------------------------
 
 def _build_shard_block(block: bytes) -> bytes:
-    """Strict-mode worker: decode a shard block, build, pack the result."""
-    builder = get_context()
+    """Decode a shard block, build it, pack the result and its failures.
+
+    The failures are read right after this build, which replaces the
+    builder's :attr:`~repro.core.catalog.CatalogBuilder.quarantined`,
+    so shards run in process on one builder never see each other's.
+    """
+    builder, lenient = get_context()
     events, services, _ = unpack_day_block(block)
-    return pack_build_result(*builder.build_from_columns(events, services))
-
-
-def _lenient_shard_block(block: bytes) -> bytes:
-    """Lenient-mode worker: decode, quarantine-build, pack the result."""
-    builder = get_context()
-    events, services, _ = unpack_day_block(block)
-    return pack_lenient_result(*_lenient_catalog_stage(builder, events, services))
-
-
-# -- merge helpers -----------------------------------------------------------
-
-def _merge_summaries(
-    parts: List[Dict[str, DeviceSummary]],
-) -> Dict[str, DeviceSummary]:
-    """Union the per-shard summary dicts in serial (device-ID) order."""
-    merged: Dict[str, DeviceSummary] = {}
-    for part in parts:
-        merged.update(part)
-    return {device_id: merged[device_id] for device_id in sorted(merged)}
+    records, summaries = builder.build_from_columns(events, services, lenient=lenient)
+    failures = list(builder.quarantined.values()) if lenient else []
+    return pack_build_result(records, summaries, failures)
 
 
 # -- entry point -------------------------------------------------------------
@@ -119,33 +106,28 @@ def run_stages_sharded(
     del events, records
     blocks = publish_shards(shards)
     del shards
-    worker = _lenient_shard_block if lenient else _build_shard_block
     results = map_shards(
-        worker,
+        _build_shard_block,
         blocks,
         n_workers,
-        context=builder,
+        context=(builder, lenient),
         deadline_s=DEFAULT_SHARD_DEADLINE_S,
         health=health,
     )
     del blocks
-    if not lenient:
-        parts = [unpack_build_result(result) for result in results]
-        day_records = [record for part, _ in parts for record in part]
-        day_records.sort(key=lambda r: (r.device_id, r.day))
-        summaries = _merge_summaries([part for _, part in parts])
-        return day_records, summaries, classifier.classify(summaries), None
-
-    lenient_parts = [unpack_lenient_result(result) for result in results]
-    day_records = [record for part, _, _ in lenient_parts for record in part]
+    day_records: List[DeviceDayRecord] = []
+    merged: Dict[str, DeviceSummary] = {}
+    failures: List[StageFailure] = []
+    for result in results:
+        part_records, part_summaries, part_failures = unpack_build_result(result)
+        day_records.extend(part_records)
+        merged.update(part_summaries)
+        failures.extend(part_failures)
     day_records.sort(key=lambda r: (r.device_id, r.day))
-    summaries = _merge_summaries([part for _, part, _ in lenient_parts])
-    report = DegradationReport()
-    for _, _, partial in lenient_parts:
-        report = report.merge(partial)
-    # Batch classification with fallback runs over the merged summaries
-    # so the poisoned-batch semantics stay exactly serial (a poisoned
-    # shard must degrade the whole batch, not just its shard).
-    classifications = _lenient_classify_stage(summaries, classifier, report)
-    report.n_devices_ok = len(classifications)
+    summaries = {device_id: merged[device_id] for device_id in sorted(merged)}
+    if not lenient:
+        return day_records, summaries, classifier.classify(summaries), None
+    # Classification runs once over the merged summaries, so a poisoned
+    # batch degrades the whole run, not just its shard, as in serial.
+    classifications, report = _lenient_classify(summaries, failures, classifier)
     return day_records, summaries, classifications, report

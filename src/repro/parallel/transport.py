@@ -11,9 +11,9 @@ process-pool seam one way in each direction:
   :func:`~repro.columnar.blocks.unpack_day_block` and nothing else.  The
   block rides the pool pipe as plain bytes: no OS resource is created,
   so nothing needs closing or sweeping after a crash.
-- **Back.**  Workers return day records and summaries as packed column
-  blocks (:func:`pack_build_result`, :func:`pack_lenient_result`), never
-  row-by-row pickled dataclasses.
+- **Back.**  Workers return day records and summaries as one packed
+  column block (:func:`pack_build_result`), never row-by-row pickled
+  dataclasses; the devices a lenient build left out ride in its header.
 """
 
 from __future__ import annotations
@@ -35,10 +35,9 @@ from repro.columnar.store import (
     ColumnarServiceRecords,
     StringPool,
 )
-from repro.core.catalog import DeviceDayRecord, DeviceSummary
+from repro.core.catalog import DeviceDayRecord, DeviceSummary, StageFailure
 from repro.core.mobility import MobilityMetrics
 from repro.core.roaming import RoamingLabel, SimOrigin, VisitedSide
-from repro.pipeline import DegradationReport, StageFailure
 
 # -- enum index tables (definition order is the wire order) ------------------
 
@@ -411,106 +410,46 @@ def _summaries_from(
     return summaries
 
 
-def _report_header(report: DegradationReport) -> Dict[str, Any]:
-    if report.ingest is not None:
-        raise ValueError(
-            "shard-level DegradationReports never carry an ingest report"
-        )
-    return {
-        "total": report.n_devices_total,
-        "ok": report.n_devices_ok,
-        "stages": [
-            [stage, int(count)]
-            for stage, count in report.n_failed_by_stage.items()
-        ],
-        "exemplars": [
-            [failure.device_id, failure.stage, failure.error]
-            for failure in report.exemplars
-        ],
-        "fallback": bool(report.classifier_fallback),
-    }
-
-
-def _report_from(header: Dict[str, Any]) -> DegradationReport:
-    report = DegradationReport(
-        n_devices_total=header["total"],
-        n_devices_ok=header["ok"],
-        classifier_fallback=header["fallback"],
-    )
-    for stage, count in header["stages"]:
-        report.n_failed_by_stage[stage] = count
-    report.exemplars.extend(
-        StageFailure(device_id=device_id, stage=stage, error=error)
-        for device_id, stage, error in header["exemplars"]
-    )
-    return report
-
-
-def _pack_catalog_block(
-    kind: str,
+def pack_build_result(
     records: Sequence[DeviceDayRecord],
     summaries: Dict[str, DeviceSummary],
-    extra_header: Dict[str, Any],
+    failures: Iterable[StageFailure],
 ) -> bytes:
+    """A worker's result: catalog, summaries and the devices it left out."""
     strings = StringPool()
     models: List[DeviceModel] = []
     model_index: Dict[DeviceModel, int] = {}
     named = _record_arrays(records, strings)
     named += _summary_arrays(summaries.values(), strings, models, model_index)
     specs, chunks = _array_chunks(named)
-    header: Dict[str, Any] = {"kind": kind, "columns": specs}
-    header.update(extra_header)
-    header["models"] = [_encode_model(model) for model in models]
-    header["strings"] = list(strings.strings)
+    header: Dict[str, Any] = {
+        "kind": "build_result",
+        "columns": specs,
+        "failures": [[f.device_id, f.stage, f.error] for f in failures],
+        "models": [_encode_model(model) for model in models],
+        "strings": list(strings.strings),
+    }
     return build_block(header, chunks)
-
-
-def _unpack_catalog_block(
-    data: bytes, kind: str
-) -> Tuple[Dict[str, Any], List[DeviceDayRecord], Dict[str, DeviceSummary]]:
-    header, body, offset = read_block(data)
-    if header.get("kind") != kind:
-        raise CheckpointCorruption(
-            f"expected a {kind} block, got kind {header.get('kind')!r}"
-        )
-    columns, _ = _arrays_from(header["columns"], body, offset)
-    strings = header["strings"]
-    models = [_decode_model(entry) for entry in header["models"]]
-    records = _day_records_from(columns, strings)
-    summaries = _summaries_from(columns, strings, models)
-    return header, records, summaries
-
-
-def pack_build_result(
-    records: Sequence[DeviceDayRecord],
-    summaries: Dict[str, DeviceSummary],
-) -> bytes:
-    """Strict-mode worker result: catalog + summaries."""
-    return _pack_catalog_block("build_result", records, summaries, {})
 
 
 def unpack_build_result(
     data: bytes,
-) -> Tuple[List[DeviceDayRecord], Dict[str, DeviceSummary]]:
+) -> Tuple[List[DeviceDayRecord], Dict[str, DeviceSummary], List[StageFailure]]:
     """Decode a :func:`pack_build_result` block."""
-    _, records, summaries = _unpack_catalog_block(data, "build_result")
-    return records, summaries
-
-
-def pack_lenient_result(
-    records: Sequence[DeviceDayRecord],
-    summaries: Dict[str, DeviceSummary],
-    report: DegradationReport,
-) -> bytes:
-    """Lenient-mode worker result: catalog + summaries + degradation."""
-    return _pack_catalog_block(
-        "lenient_result", records, summaries, {"report": _report_header(report)}
+    header, body, offset = read_block(data)
+    if header.get("kind") != "build_result":
+        raise CheckpointCorruption(
+            f"expected a build_result block, got kind {header.get('kind')!r}"
+        )
+    columns, _ = _arrays_from(header["columns"], body, offset)
+    strings = header["strings"]
+    models = [_decode_model(entry) for entry in header["models"]]
+    failures = [
+        StageFailure(device_id, stage, error)
+        for device_id, stage, error in header["failures"]
+    ]
+    return (
+        _day_records_from(columns, strings),
+        _summaries_from(columns, strings, models),
+        failures,
     )
-
-
-def unpack_lenient_result(
-    data: bytes,
-) -> Tuple[List[DeviceDayRecord], Dict[str, DeviceSummary], DegradationReport]:
-    """Decode a :func:`pack_lenient_result` block."""
-    header, records, summaries = _unpack_catalog_block(data, "lenient_result")
-    return records, summaries, _report_from(header["report"])

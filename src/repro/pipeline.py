@@ -7,33 +7,36 @@ object every analysis module and bench consumes.
 Graceful degradation (``lenient=True``): real probe feeds contain rows
 the pipeline cannot interpret (see :mod:`repro.faults`), and one
 poisoned device must not take the whole day's catalog down.  In lenient
-mode each stage runs per device; a device whose records crash a stage is
-quarantined and the run completes over the survivors, reporting what was
-lost in a :class:`DegradationReport`.  Strict mode (the default) keeps
-the historical all-or-nothing behavior so programming errors stay loud.
+mode the catalog builder quarantines a device whose records crash its
+catalog or summary stage (:attr:`CatalogBuilder.quarantined`, decided
+over the device's whole window in every execution mode), classification
+falls back to one device at a time when the batch crashes, and the run
+completes over the survivors, reporting what was lost in a
+:class:`DegradationReport`.  Strict mode (the default) keeps the
+historical all-or-nothing behavior so programming errors stay loud.
 """
 
 from __future__ import annotations
 
 import os
-from array import array
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
+from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 if TYPE_CHECKING:
     # Imported lazily at runtime: repro.parallel.health sits behind the
     # repro.parallel package, whose executor imports this module.
     from repro.parallel.health import RunHealth
 
-from repro.columnar.store import (
-    ColumnarRadioEvents,
-    ColumnarServiceRecords,
-    from_record_streams,
+from repro.columnar.store import from_record_streams
+from repro.core.catalog import (
+    CatalogBuilder,
+    DeviceDayRecord,
+    DeviceSummary,
+    StageFailure,
 )
-from repro.core.catalog import CatalogBuilder, DeviceDayRecord, DeviceSummary
 from repro.core.classifier import Classification, ClassifierConfig, DeviceClassifier
 from repro.core.roaming import RoamingLabeler
 from repro.datasets.containers import MNODataset
@@ -48,21 +51,6 @@ MAX_EXEMPLAR_FAILURES = 10
 #: packing shards and results dominating at small scale (workers=2 ran
 #: at 0.28x serial on the 1k-device bench, on a 1-CPU runner).
 AUTO_PARALLEL_MIN_ROWS = 250_000
-
-@dataclass(frozen=True)
-class StageFailure:
-    """One quarantined device: which stage crashed, and how."""
-
-    device_id: str
-    stage: str
-    error: str
-
-    @classmethod
-    def of(cls, device_id: str, stage: str, error: Exception) -> "StageFailure":
-        return cls(device_id, stage, f"{type(error).__name__}: {error}")
-
-    def __str__(self) -> str:
-        return f"{self.device_id}@{self.stage}: {self.error}"
 
 
 @dataclass
@@ -107,33 +95,6 @@ class DegradationReport:
         if len(self.exemplars) < MAX_EXEMPLAR_FAILURES:
             self.exemplars.append(failure)
 
-    def merge(self, other: "DegradationReport") -> "DegradationReport":
-        """Combine two per-shard reports into one whole-run report.
-
-        Totals and per-stage counters sum; ``classifier_fallback`` ORs.
-        Exemplars are re-sorted by device ID and re-capped so the merged
-        report keeps the same exemplars a serial run (which visits
-        devices in sorted order) would have kept, regardless of how
-        devices were sharded.  The inputs are left untouched.
-        """
-        exemplars = sorted(
-            self.exemplars + other.exemplars, key=lambda f: f.device_id
-        )[:MAX_EXEMPLAR_FAILURES]
-        if self.ingest is None:
-            ingest = other.ingest
-        elif other.ingest is None:
-            ingest = self.ingest
-        else:
-            ingest = self.ingest.merge(other.ingest)
-        return DegradationReport(
-            n_devices_total=self.n_devices_total + other.n_devices_total,
-            n_devices_ok=self.n_devices_ok + other.n_devices_ok,
-            n_failed_by_stage=self.n_failed_by_stage + other.n_failed_by_stage,
-            exemplars=exemplars,
-            classifier_fallback=self.classifier_fallback or other.classifier_fallback,
-            ingest=ingest,
-        )
-
 
 @dataclass
 class PipelineResult:
@@ -150,86 +111,24 @@ class PipelineResult:
     health: Optional["RunHealth"] = None
 
 
-def quarantine_devices(
-    builder: CatalogBuilder,
-    radio_events: ColumnarRadioEvents,
-    service_records: ColumnarServiceRecords,
-) -> Tuple[List[DeviceDayRecord], Dict[str, DeviceSummary], List[StageFailure], int]:
-    """Per-device catalog + summary, quarantining the devices that fail.
-
-    Row indices are grouped per device id straight from the interned
-    columns; each device's rows are ``select``-ed into their own stores
-    and run through :meth:`CatalogBuilder.build_day_records` (stage
-    ``"catalog"``) and :meth:`CatalogBuilder.summarize` (stage
-    ``"summary"``) in sorted device order.  Returns the survivors' day
-    records (sorted by device, day) and summaries, every failure, and
-    the number of devices seen.  The serial, sharded and durable lenient
-    paths all quarantine through this one function.
-    """
-    radio_rows: Dict[int, array] = defaultdict(partial(array, "q"))
-    for i, dev in enumerate(radio_events.device_ids):
-        radio_rows[dev].append(i)
-    service_rows: Dict[int, array] = defaultdict(partial(array, "q"))
-    for i, dev in enumerate(service_records.device_ids):
-        service_rows[dev].append(i)
-    lookup = radio_events.pools.devices.lookup
-    ids_by_name = {lookup(dev): dev for dev in radio_rows.keys() | service_rows.keys()}
-
-    day_records: List[DeviceDayRecord] = []
-    summaries: Dict[str, DeviceSummary] = {}
-    failures: List[StageFailure] = []
-    for device_id in sorted(ids_by_name):
-        dev = ids_by_name[device_id]
-        try:
-            records, tac_of = builder.build_day_records(
-                radio_events.select(radio_rows.get(dev, ())),
-                service_records.select(service_rows.get(dev, ())),
-            )
-        except Exception as exc:
-            failures.append(StageFailure.of(device_id, "catalog", exc))
-            continue
-        try:
-            summaries.update(builder.summarize(records, tac_of))
-        except Exception as exc:
-            failures.append(StageFailure.of(device_id, "summary", exc))
-            continue
-        day_records.extend(records)
-    return day_records, summaries, failures, len(ids_by_name)
-
-
-def _lenient_catalog_stage(
-    builder: CatalogBuilder,
-    radio_events: ColumnarRadioEvents,
-    service_records: ColumnarServiceRecords,
-) -> Tuple[List[DeviceDayRecord], Dict[str, DeviceSummary], DegradationReport]:
-    """:func:`quarantine_devices` with its failures in a report.
-
-    The unit the shard layer (:mod:`repro.parallel`) fans out: each
-    worker runs this over its shard's columns and the partial results —
-    including the :class:`DegradationReport` — merge into exactly what a
-    serial pass over all devices produces.
-    """
-    day_records, summaries, failures, n_devices = quarantine_devices(
-        builder, radio_events, service_records
-    )
-    report = DegradationReport(n_devices_total=n_devices)
-    for failure in failures:
-        report.add(failure)
-    return day_records, summaries, report
-
-
-def _lenient_classify_stage(
+def _lenient_classify(
     summaries: Dict[str, DeviceSummary],
+    failures: Iterable[StageFailure],
     classifier: DeviceClassifier,
-    report: DegradationReport,
-) -> Dict[str, Classification]:
-    """Batch classification with per-device fallback (lenient mode).
+) -> Tuple[Dict[str, Classification], DegradationReport]:
+    """Classify a lenient run's surviving summaries and report its losses.
 
-    Classification propagates properties *across* devices sharing a
-    (manufacturer, model), so the batch call is the real thing; if one
-    device poisons the batch, degrade to per-device classification —
-    weaker (no propagation) but isolating.
+    ``failures`` are the devices the catalog builder quarantined.  They
+    are counted in device-id order, so every execution mode keeps the
+    same exemplars.  Classification propagates properties *across*
+    devices sharing a (manufacturer, model), so the batch call is the
+    real thing; if one device poisons the batch, degrade to per-device
+    classification — weaker (no propagation) but isolating.
     """
+    ordered = sorted(failures, key=attrgetter("device_id"))
+    report = DegradationReport(n_devices_total=len(summaries) + len(ordered))
+    for failure in ordered:
+        report.add(failure)
     classifications: Dict[str, Classification]
     try:
         classifications = classifier.classify(summaries)
@@ -241,7 +140,8 @@ def _lenient_classify_stage(
                 classifications.update(classifier.classify({device_id: summary}))
             except Exception as exc:
                 report.record_failure(device_id, "classify", exc)
-    return classifications
+    report.n_devices_ok = len(classifications)
+    return classifications, report
 
 
 def resolve_workers(
@@ -360,16 +260,14 @@ def run_pipeline(
         events, records = dataset.columns or from_record_streams(
             dataset.radio_events, dataset.service_records
         )
+        day_records, summaries = builder.build_from_columns(
+            events, records, lenient=lenient
+        )
         if lenient:
-            day_records, summaries, degradation = _lenient_catalog_stage(
-                builder, events, records
+            classifications, degradation = _lenient_classify(
+                summaries, builder.quarantined.values(), classifier
             )
-            classifications = _lenient_classify_stage(
-                summaries, classifier, degradation
-            )
-            degradation.n_devices_ok = len(classifications)
         else:
-            day_records, summaries = builder.build_from_columns(events, records)
             classifications = classifier.classify(summaries)
     return PipelineResult(
         dataset=dataset,

@@ -3,10 +3,9 @@
 The driver folds the window into the catalog one ``(day, shard)`` unit
 at a time, in this process.  For each day it loads the units the
 journal already holds, builds the pending ones — a shard-by-device
-slice of the day's records, interned (and in lenient mode validated)
-into column stores — persists each one as a self-contained block
-(:mod:`repro.runtime.serialize`) when there is a store, and folds them
-into the incremental engine
+slice of the day's records, interned into column stores — persists
+each one as a self-contained block (:mod:`repro.runtime.serialize`)
+when there is a store, and folds them into the incremental engine
 (:meth:`repro.core.catalog.CatalogBuilder.update`), whose snapshot
 equals a one-shot
 :meth:`~repro.core.catalog.CatalogBuilder.build_from_columns` over the
@@ -22,18 +21,17 @@ plus per-block CRCs make "complete" an all-or-nothing predicate; and
 the catalog is a function of the multiset of folded rows, whatever the
 shard or fold order.
 
-Lenient note: durable lenient mode validates devices against each
-*day slice* (the unit boundary) rather than the whole window at once,
-so quarantine decisions are day-granular; a device is quarantined from
-its first failing day and scrubbed from the final snapshot entirely,
-matching the serial policy for any failure that manifests on the day
-it is recorded.
+Lenient mode changes no unit: the final snapshot quarantines a device
+over its whole window, as every other mode does.  A journaled unit that
+lists quarantined devices was written by an older per-unit validator
+and leaves their rows out, so it is rebuilt from the source like a torn
+one.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,15 +55,9 @@ from repro.parallel.health import (
     ShardIncident,
     StorageIncident,
 )
-from repro.parallel.pool import get_context, map_shards
+from repro.parallel.pool import map_shards
 from repro.parallel.sharding import shard_mno_records
-from repro.pipeline import (
-    DegradationReport,
-    PipelineResult,
-    StageFailure,
-    _lenient_classify_stage,
-    quarantine_devices,
-)
+from repro.pipeline import DegradationReport, PipelineResult, _lenient_classify
 from repro.runtime.checkpoint import (
     BeforeReplace,
     CheckpointStore,
@@ -74,7 +66,6 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.serialize import (
     CheckpointCorruption,
-    QuarantineEntry,
     pack_columns,
     unpack_day_block,
 )
@@ -92,8 +83,8 @@ DaySource = Callable[[int], DaySlice]
 #: Unit payload: (day, shard index, radio slice, service slice).
 UnitPayload = Tuple[int, int, List[RadioEvent], List[ServiceRecord]]
 
-#: One built unit: its interned stores plus its quarantine decisions.
-Unit = Tuple[ColumnarRadioEvents, ColumnarServiceRecords, List[QuarantineEntry]]
+#: One built unit: its slice interned into column stores.
+Unit = Tuple[ColumnarRadioEvents, ColumnarServiceRecords]
 
 #: Default policy for transient storage faults (unit publishes, journal
 #: appends/fsyncs).  Delays are drawn, never slept — the same
@@ -119,55 +110,10 @@ def _day_slices(
     }
 
 
-def _build_unit(
-    builder: CatalogBuilder,
-    lenient: bool,
-    radio: List[RadioEvent],
-    service: List[ServiceRecord],
-) -> Unit:
-    """Intern one unit slice; in lenient mode, quarantine its bad devices.
-
-    Lenient validation runs :func:`repro.pipeline.quarantine_devices` —
-    the serial and sharded lenient paths' per-device catalog and summary
-    stages — over the interned slice, so durable and serial degradation
-    reports agree.  Only when a device was quarantined are the survivors
-    interned again, so the unit's vocabulary holds exactly the devices
-    its rows name.
-    """
-    events, records = from_record_streams(radio, service)
-    if not lenient:
-        return events, records, []
-    _, _, failures, _ = quarantine_devices(builder, events, records)
-    if not failures:
-        return events, records, []
-    bad = {failure.device_id for failure in failures}
-    events, records = from_record_streams(
-        [event for event in radio if event.device_id not in bad],
-        [record for record in service if record.device_id not in bad],
-    )
-    return events, records, [(f.device_id, f.stage, f.error) for f in failures]
-
-
-def _encode_block(
-    builder: CatalogBuilder,
-    lenient: bool,
-    radio: List[RadioEvent],
-    service: List[ServiceRecord],
-) -> bytes:
-    """The persisted bytes of one unit slice (lenient-validated).
-
-    Deterministic for a given slice, which is what lets the scrubber
-    (:func:`repro.runtime.scrub.recompute_from_dataset`) rebuild a
-    damaged unit byte for byte.
-    """
-    return pack_columns(*_build_unit(builder, lenient, radio, service))
-
-
 def _encode_unit(payload: UnitPayload) -> Unit:
-    """Build one (day, shard) unit under the installed run context."""
-    builder, lenient = get_context()
+    """Build one (day, shard) unit: its slice, interned."""
     _, _, radio, service = payload
-    return _build_unit(builder, lenient, radio, service)
+    return from_record_streams(radio, service)
 
 
 def _persist_unit(
@@ -367,8 +313,6 @@ def run_durable_pipeline(
                 )
             )
 
-    quarantined: Dict[str, QuarantineEntry] = {}
-    observed: Set[str] = set()
     ingest: Optional[IngestReport] = None
     storage_rng = np.random.default_rng(0)
     try:
@@ -382,8 +326,9 @@ def run_durable_pipeline(
             for shard in range(n_shards):
                 if store is not None and store.is_journaled(day, shard):
                     try:
-                        units[shard] = unpack_day_block(store.load_unit(day, shard))
-                        continue
+                        events_c, records_c, left_out = unpack_day_block(
+                            store.load_unit(day, shard)
+                        )
                     except CheckpointCorruption as exc:
                         health.record(
                             ShardIncident(
@@ -399,6 +344,22 @@ def run_durable_pipeline(
                                     detail=f"day {day} shard {shard}: {exc}",
                                 )
                             )
+                    else:
+                        if not left_out:
+                            units[shard] = (events_c, records_c)
+                            continue
+                        # Written by a per-unit lenient validator: its
+                        # rows leave out the devices it quarantined.
+                        health.record(
+                            ShardIncident(
+                                shard,
+                                TORN_CHECKPOINT,
+                                0,
+                                f"day {day}: unit leaves out the rows of "
+                                f"{len(left_out)} quarantined device(s); "
+                                "rebuilt from the source",
+                            )
+                        )
                 pending.append(shard)
             if pending:
                 if day_source is not None:
@@ -415,9 +376,7 @@ def run_durable_pipeline(
                     for shard in pending
                 ]
                 del radio_day, service_day, shard_slices
-                built = map_shards(
-                    _encode_unit, payloads, 1, context=(builder, lenient)
-                )
+                built = map_shards(_encode_unit, payloads, 1)
                 # Hold one day of rows and units at most: drop this day's
                 # references before the next day's source is read.
                 del payloads
@@ -441,54 +400,20 @@ def run_durable_pipeline(
             # Each shard's unit is one delta of the day: update merges
             # it as built or decoded, in any shard order.
             for shard in sorted(units):
-                events_c, records_c, unit_quarantine = units[shard]
-                # Quarantined devices' rows were scrubbed from the unit,
-                # so they count as observed only via their entries.
-                observed.update(events_c.pools.devices.strings)
-                for entry in unit_quarantine:
-                    observed.add(entry[0])
-                    quarantined.setdefault(entry[0], entry)
-                if quarantined:
-                    bad_ids = {
-                        index
-                        for index, name in enumerate(events_c.pools.devices.strings)
-                        if name in quarantined
-                    }
-                    if bad_ids:
-                        events_c = events_c.select([
-                            index
-                            for index, dev in enumerate(events_c.device_ids)
-                            if dev not in bad_ids
-                        ])
-                        records_c = records_c.select([
-                            index
-                            for index, dev in enumerate(records_c.device_ids)
-                            if dev not in bad_ids
-                        ])
-                builder.update(day, events_c, records_c)
+                builder.update(day, *units[shard])
             if on_day is not None:
                 on_day(day)
     finally:
         if store is not None:
             store.close()
 
-    day_records, summaries = builder.snapshot()
-    if quarantined:
-        day_records = [r for r in day_records if r.device_id not in quarantined]
-        summaries = {
-            device_id: summary
-            for device_id, summary in summaries.items()
-            if device_id not in quarantined
-        }
-
+    day_records, summaries = builder.snapshot(lenient=lenient)
     degradation: Optional[DegradationReport] = None
     if lenient:
-        degradation = DegradationReport(n_devices_total=len(observed))
-        for device_id in sorted(quarantined):
-            degradation.add(StageFailure(*quarantined[device_id]))
+        classifications, degradation = _lenient_classify(
+            summaries, builder.quarantined.values(), classifier
+        )
         degradation.ingest = ingest
-        classifications = _lenient_classify_stage(summaries, classifier, degradation)
-        degradation.n_devices_ok = len(classifications)
     else:
         classifications = classifier.classify(summaries)
 

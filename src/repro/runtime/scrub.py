@@ -55,7 +55,7 @@ from repro.runtime.checkpoint import (
     load_manifest,
     parse_journal_lines,
 )
-from repro.runtime.serialize import unpack_day_block
+from repro.runtime.serialize import pack_day_block, unpack_day_block
 
 __all__ = [
     "DAMAGE_BIT_ROT",
@@ -376,20 +376,16 @@ def scrub_store(
     return report
 
 
-def recompute_from_dataset(
-    dataset: Any,
-    lenient: bool = False,
-    builder: Optional[Any] = None,
-) -> Recompute:
+def recompute_from_dataset(dataset: Any) -> Recompute:
     """Build a :data:`Recompute` that re-derives units from a dataset.
 
-    Units are pure functions of (day slice, shard count), so the
-    returned callback rebuilds byte-identical blocks from the same
-    in-memory dataset the original run consumed.  ``lenient`` runs need
-    the run's ``builder`` (for per-unit validation); strict runs don't.
+    Units are pure functions of (day slice, shard count) in strict and
+    lenient stores alike, so the returned callback rebuilds
+    byte-identical blocks from the same in-memory dataset the original
+    run consumed.
     """
     from repro.parallel.sharding import shard_mno_records
-    from repro.runtime.run import _day_slices, _encode_block
+    from repro.runtime.run import _day_slices
 
     slices = _day_slices(dataset)
 
@@ -397,10 +393,7 @@ def recompute_from_dataset(
         if n_shards < 1 or shard >= n_shards:
             return None
         radio_day, service_day = slices.get(day, ([], []))
-        shard_slices = shard_mno_records(radio_day, service_day, n_shards)
-        radio, service = shard_slices[shard]
-        if lenient and builder is None:
-            return None
-        return _encode_block(builder, lenient, radio, service)
+        radio, service = shard_mno_records(radio_day, service_day, n_shards)[shard]
+        return pack_day_block(radio, service)
 
     return recompute

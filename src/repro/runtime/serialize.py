@@ -4,8 +4,10 @@ A durable run's unit of work is one shard of one day's records.  Each
 unit is persisted as a **self-contained** byte block: the shard slice
 dictionary-encoded onto its own :class:`~repro.columnar.store.ColumnPools`
 (pool vocabularies embedded), every column written as its raw ``array``
-buffer, and — in lenient mode — the unit's quarantine decisions riding
-in the header.  Self-containment is what makes resume trivial: a block
+buffer, and a header ``quarantine`` list that units now always write
+empty (lenient runs quarantine at the final snapshot; a unit from the
+older per-unit validator lists its left-out devices there, and a resume
+rebuilds it).  Self-containment is what makes resume trivial: a block
 can be decoded years later with nothing but this module, no shared pool
 state to reconstruct.
 

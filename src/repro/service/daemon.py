@@ -28,9 +28,9 @@ order-free cells, so it costs O(batch) and ingest is commutative: any
 arrival order of the same rows — concurrent clients, retried sheds,
 out-of-order re-sends — yields the value-identical catalog.  Queries
 snapshot the builder, which finalizes only the cells touched since the
-last query; a device whose summary fails there (say, an unlabelable
-SIM/network pair) is quarantined with a ``device-quarantined``
-incident instead of taking the daemon down.
+last query; a device whose day records or summary fail there (say, an
+unlabelable SIM/network pair) is quarantined with a
+``device-quarantined`` incident instead of taking the daemon down.
 
 Blocking work (WAL file I/O) runs via ``asyncio.to_thread``; catalog
 folds are pure CPU on in-memory state and run inline on the loop.  All
@@ -59,7 +59,6 @@ from repro.core.classifier import Classification, DeviceClassifier
 from repro.core.roaming import RoamingLabeler
 from repro.ecosystem import Ecosystem
 from repro.faults.retry import RetryPolicy
-from repro.pipeline import StageFailure
 from repro.runtime.checkpoint import BeforeReplace
 from repro.runtime.scrub import scrub_store
 from repro.service.config import ServiceConfig
@@ -322,16 +321,13 @@ class CatalogDaemon:
     def _refresh_caches(self) -> None:
         if not self._dirty:
             return
-        quarantined = self._builder.quarantined
-        before = set(quarantined)
+        before = set(self._builder.quarantined)
         self._cached_records, self._cached_summaries = self._builder.snapshot(
             lenient=True
         )
-        for device_id, error in quarantined.items():
+        for device_id, failure in self._builder.quarantined.items():
             if device_id not in before:
-                self.health.note_device_quarantined(
-                    str(StageFailure.of(device_id, "summary", error))
-                )
+                self.health.note_device_quarantined(str(failure))
         # Classification is population-wide (property propagation), so
         # the point query's class comes from one full, cached pass.
         self._cached_classes = self._classifier.classify(self._cached_summaries)
@@ -648,12 +644,12 @@ class CatalogDaemon:
         self._refresh_caches()
         summary = self._cached_summaries.get(device_id)
         if summary is None:
-            error = self._builder.quarantined.get(device_id)
-            if error is not None:
+            failure = self._builder.quarantined.get(device_id)
+            if failure is not None:
                 return {
                     "status": "quarantined",
                     "device_id": device_id,
-                    "error": StageFailure.of(device_id, "summary", error).error,
+                    "error": failure.error,
                 }
             return {"status": "not_found", "device_id": device_id}
         classification = self._cached_classes[device_id]

@@ -174,3 +174,59 @@ class TestSummaries:
         events = [_event(eco, day=0), _event(eco, day=0, hour=3.0), _event(eco, day=1)]
         summaries = _summaries(builder, events, [])
         assert summaries["d1"].signaling_per_day() == pytest.approx(1.5)
+
+
+class TestLenientFinalization:
+    """The one place lenient mode leaves a device out: finalization."""
+
+    @staticmethod
+    def _fresh_builder(eco):
+        return CatalogBuilder(
+            eco.tac_db, eco.uk_sectors, RoamingLabeler(eco.operators, eco.uk_mno)
+        )
+
+    @staticmethod
+    def _rows(eco):
+        # A foreign SIM seen only on a foreign network labels I:A, which
+        # no MNO trace can contain: its summary raises.
+        poison = voice_cdr("poison", 100.0, "26202", "20801", 30.0)
+        return [_event(eco), _event(eco, day=1)], [poison]
+
+    def test_lenient_build_replaces_quarantined(self, world):
+        """Shards run in process on one builder read their own failures
+        right after their own build, so a build replaces the list."""
+        eco, _ = world
+        builder = self._fresh_builder(eco)
+        events, services = self._rows(eco)
+        records, summaries = builder.build_from_columns(
+            *from_record_streams(events, services), lenient=True
+        )
+        assert list(summaries) == ["d1"]
+        assert {r.device_id for r in records} == {"d1"}
+        (failure,) = builder.quarantined.values()
+        assert (failure.device_id, failure.stage) == ("poison", "summary")
+        assert "I:A" in failure.error
+
+        builder.build_from_columns(*from_record_streams(events, []), lenient=True)
+        assert builder.quarantined == {}
+
+    def test_snapshot_quarantines_like_the_one_shot_build(self, world):
+        eco, _ = world
+        events, services = self._rows(eco)
+        one_shot = self._fresh_builder(eco)
+        expected = one_shot.build_from_columns(
+            *from_record_streams(events, services), lenient=True
+        )
+        folded = self._fresh_builder(eco)
+        for day in (0, 1):
+            folded.update(
+                day,
+                *from_record_streams(
+                    [e for e in events if int(e.timestamp // 86400) == day],
+                    [s for s in services if int(s.timestamp // 86400) == day],
+                ),
+            )
+        with pytest.raises(ValueError):
+            folded.snapshot()
+        assert folded.snapshot(lenient=True) == expected
+        assert folded.quarantined == one_shot.quarantined

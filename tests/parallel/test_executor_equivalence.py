@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.faults import FaultPlan, inject_radio_events, inject_service_records
-from repro.pipeline import DegradationReport, MAX_EXEMPLAR_FAILURES, StageFailure, run_pipeline
+from repro.pipeline import MAX_EXEMPLAR_FAILURES, run_pipeline
 from repro.signaling.cdr import ServiceRecord, ServiceType
 
 
@@ -70,44 +70,3 @@ def test_lenient_sharded_equals_serial(eco, faulted_dataset, n_workers):
 def test_n_workers_validation(eco, mno_dataset):
     with pytest.raises(ValueError):
         run_pipeline(mno_dataset, eco, n_workers=0)
-
-
-# -- DegradationReport.merge units -------------------------------------------
-
-def _failure(device_id, stage="summary"):
-    return StageFailure(device_id=device_id, stage=stage, error="ValueError: x")
-
-
-def test_degradation_merge_sums_counts_and_ors_fallback():
-    a = DegradationReport(n_devices_total=5, n_devices_ok=3)
-    a.n_failed_by_stage["summary"] += 2
-    b = DegradationReport(n_devices_total=4, n_devices_ok=4, classifier_fallback=True)
-    b.n_failed_by_stage["catalog"] += 1
-    b.n_failed_by_stage["summary"] += 1
-    merged = a.merge(b)
-    assert merged.n_devices_total == 9
-    assert merged.n_devices_ok == 7
-    assert merged.n_failed_by_stage == {"summary": 3, "catalog": 1}
-    assert merged.n_devices_failed == 4
-    assert merged.classifier_fallback is True
-    # Inputs untouched.
-    assert a.n_failed_by_stage == {"summary": 2}
-    assert b.classifier_fallback is True and not a.classifier_fallback
-
-
-def test_degradation_merge_sorts_and_caps_exemplars():
-    a = DegradationReport(exemplars=[_failure(f"dev-{i:02d}") for i in range(0, 14, 2)])
-    b = DegradationReport(exemplars=[_failure(f"dev-{i:02d}") for i in range(1, 14, 2)])
-    merged = a.merge(b)
-    assert len(merged.exemplars) == MAX_EXEMPLAR_FAILURES
-    # Exactly what a serial pass in sorted device order would have kept.
-    assert [f.device_id for f in merged.exemplars] == [
-        f"dev-{i:02d}" for i in range(MAX_EXEMPLAR_FAILURES)
-    ]
-
-
-def test_degradation_merge_identity():
-    report = DegradationReport(n_devices_total=3, n_devices_ok=3)
-    merged = report.merge(DegradationReport())
-    assert merged.n_devices_total == 3
-    assert merged.ok

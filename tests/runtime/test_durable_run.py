@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.columnar.store import from_record_streams
-from repro.core.catalog import CatalogBuilder
-from repro.core.roaming import RoamingLabeler
 from repro.datasets.io import IngestReport
 from repro.faults.crash import tear_day_checkpoint, tear_journal_tail
 from repro.parallel.health import TORN_CHECKPOINT
-from repro.parallel.sharding import shard_mno_records
-from repro.pipeline import quarantine_devices, run_pipeline
+from repro.parallel.sharding import shard_mno_records, shard_of
+from repro.pipeline import run_pipeline
 from repro.runtime import pack_day_block, run_durable_pipeline
 from repro.runtime.checkpoint import JOURNAL_NAME, MANIFEST_NAME, UNITS_DIRNAME
 from repro.runtime.run import _day_slices
@@ -21,6 +18,16 @@ def assert_same_result(result, baseline):
     assert list(result.summaries) == list(baseline.summaries)
     assert result.classifications == baseline.classifications
     assert list(result.classifications) == list(baseline.classifications)
+
+
+def assert_same_degradation(result, baseline):
+    ours, theirs = result.degradation, baseline.degradation
+    assert ours.n_devices_total == theirs.n_devices_total
+    assert ours.n_devices_ok == theirs.n_devices_ok
+    assert dict(ours.n_failed_by_stage) == dict(theirs.n_failed_by_stage)
+    assert [
+        (f.device_id, f.stage, f.error) for f in ours.exemplars
+    ] == [(f.device_id, f.stage, f.error) for f in theirs.exemplars]
 
 
 @pytest.fixture(scope="module")
@@ -77,56 +84,79 @@ def test_lenient_durable_equals_serial(
     )
     assert_same_result(result, plain_lenient)
     assert "poison-runtime" not in result.summaries
-    ours, theirs = result.degradation, plain_lenient.degradation
-    assert ours.n_devices_total == theirs.n_devices_total
-    assert ours.n_devices_ok == theirs.n_devices_ok
-    assert dict(ours.n_failed_by_stage) == dict(theirs.n_failed_by_stage)
-    assert [
-        (f.device_id, f.stage, f.error) for f in ours.exemplars
-    ] == [(f.device_id, f.stage, f.error) for f in theirs.exemplars]
-
-
-def _unit_bytes(builder, radio, service, lenient):
-    """``pack_day_block`` of one unit slice, validated when lenient."""
-    if not lenient:
-        return pack_day_block(radio, service), 0
-    _, _, failures, _ = quarantine_devices(
-        builder, *from_record_streams(radio, service)
-    )
-    bad = {failure.device_id for failure in failures}
-    blob = pack_day_block(
-        [event for event in radio if event.device_id not in bad],
-        [record for record in service if record.device_id not in bad],
-        [(f.device_id, f.stage, f.error) for f in failures],
-    )
-    return blob, len(failures)
+    assert_same_degradation(result, plain_lenient)
 
 
 @pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
 def test_persisted_units_equal_pack_day_block_of_their_slice(
     tmp_path, small_eco, small_dataset, poisoned_dataset, lenient
 ):
+    """Units are the same pure slices in both modes: lenient mode
+    quarantines at the final snapshot, so its units keep every row and
+    carry an empty quarantine list."""
     dataset = poisoned_dataset if lenient else small_dataset
     run_durable_pipeline(
         dataset, small_eco, checkpoint_dir=tmp_path, lenient=lenient, n_workers=2
     )
-    builder = CatalogBuilder(
-        dataset.tac_db,
-        dataset.sector_catalog,
-        RoamingLabeler(small_eco.operators, dataset.observer),
-    )
-    n_units = n_quarantined = 0
+    n_units = 0
     for day, (radio, service) in _day_slices(dataset).items():
         for shard, (radio_s, service_s) in enumerate(
             shard_mno_records(radio, service, 2)
         ):
-            expected, n_failed = _unit_bytes(builder, radio_s, service_s, lenient)
             unit = tmp_path / UNITS_DIRNAME / f"day_{day:03d}.shard_{shard:03d}.ckpt"
-            assert unit.read_bytes() == expected, (day, shard)
+            assert unit.read_bytes() == pack_day_block(radio_s, service_s), (day, shard)
             n_units += 1
-            n_quarantined += n_failed
     assert n_units == len(list((tmp_path / UNITS_DIRNAME).glob("*.ckpt")))
-    assert n_quarantined == (1 if lenient else 0)
+
+
+def test_unit_left_by_the_per_unit_validator_is_rebuilt(
+    tmp_path, small_eco, poisoned_dataset, plain_lenient
+):
+    """A journaled unit that lists a quarantined device and leaves out
+    its rows (what per-unit lenient validation used to write) is rebuilt
+    from the source on resume, with one torn-checkpoint incident."""
+    run_durable_pipeline(
+        poisoned_dataset, small_eco, checkpoint_dir=tmp_path, lenient=True, n_workers=2
+    )
+    poison = "poison-runtime"
+    shard = shard_of(poison, 2)
+    radio, service = shard_mno_records(*_day_slices(poisoned_dataset)[0], 2)[shard]
+    (failure,) = plain_lenient.degradation.exemplars
+    unit = tmp_path / UNITS_DIRNAME / f"day_000.shard_{shard:03d}.ckpt"
+    unit.write_bytes(
+        pack_day_block(
+            [event for event in radio if event.device_id != poison],
+            [record for record in service if record.device_id != poison],
+            [(poison, failure.stage, failure.error)],
+        )
+    )
+
+    result = run_durable_pipeline(
+        poisoned_dataset,
+        small_eco,
+        checkpoint_dir=tmp_path,
+        resume=True,
+        lenient=True,
+        n_workers=2,
+    )
+    assert_same_result(result, plain_lenient)
+    assert_same_degradation(result, plain_lenient)
+    assert result.health.torn_checkpoints == 1
+    torn = [i for i in result.health.incidents if i.kind == TORN_CHECKPOINT]
+    assert len(torn) == 1 and "quarantined" in torn[0].detail
+
+    from repro.runtime.checkpoint import CheckpointStore
+
+    store = CheckpointStore(
+        tmp_path, _recorded_fingerprint(tmp_path), n_shards=2, resume=True
+    )
+    redone = {
+        (e["day"], e["shard"])
+        for e in store.journal_entries()
+        if e["attempt"] == 1
+    }
+    store.close()
+    assert redone == {(0, shard)}
 
 
 def test_interrupt_then_resume_is_identical(

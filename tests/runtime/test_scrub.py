@@ -7,6 +7,7 @@ import pytest
 
 from repro.columnar import from_record_streams
 from repro.faults.fsfault import EIO_READ, FsFault, FsFaultPlan, install
+from repro.parallel.sharding import shard_of
 from repro.pipeline import run_pipeline
 from repro.runtime import run_durable_pipeline
 from repro.runtime.checkpoint import (
@@ -25,6 +26,7 @@ from repro.runtime.scrub import (
 )
 from repro.service.wal import BatchLog
 from tests.runtime.test_durable_run import assert_same_result
+from tests.test_golden_catalog import observe
 
 N_SHARDS = 2
 
@@ -186,8 +188,38 @@ def test_recompute_from_dataset_bounds(small_dataset):
     assert recompute(0, 5, 2) is None  # shard out of range
     assert recompute(0, 0, 0) is None  # no shard count recorded
     assert recompute(0, 0, N_SHARDS) is not None
-    # Lenient stores need the run's builder for per-unit validation.
-    assert recompute_from_dataset(small_dataset, lenient=True)(0, 0, 2) is None
+
+
+def test_repaired_lenient_store_resumes_to_the_uninterrupted_run(
+    tmp_path, small_eco, poisoned_dataset
+):
+    """Lenient units are the same pure slices as strict ones, so the
+    recompute that ``repro scrub --repair --recompute`` runs heals a
+    lenient store too."""
+    ckpt = tmp_path / "ckpt"
+    uninterrupted = run_durable_pipeline(
+        poisoned_dataset,
+        small_eco,
+        checkpoint_dir=ckpt,
+        lenient=True,
+        n_workers=N_SHARDS,
+    )
+    assert dict(uninterrupted.degradation.n_failed_by_stage) == {"summary": 1}
+    shard = shard_of("poison-runtime", N_SHARDS)
+    flip_byte(ckpt / UNITS_DIRNAME / f"day_000.shard_{shard:03d}.ckpt")
+    report = scrub_store(
+        ckpt, repair=True, recompute=recompute_from_dataset(poisoned_dataset)
+    )
+    assert report.n_recomputed == 1 and report.healthy_after_scrub
+    resumed = run_durable_pipeline(
+        poisoned_dataset,
+        small_eco,
+        checkpoint_dir=ckpt,
+        resume=True,
+        lenient=True,
+        n_workers=N_SHARDS,
+    )
+    assert observe(resumed) == observe(uninterrupted)
 
 
 def test_wal_store_scrubs_through_the_envelope(tmp_path, small_dataset):

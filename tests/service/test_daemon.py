@@ -541,6 +541,45 @@ def test_unlabelable_device_is_quarantined_not_fatal(
     )
 
 
+def test_device_whose_day_records_fail_is_quarantined_not_fatal(
+    tmp_path, svc_eco, monkeypatch
+):
+    """A device whose day records cannot be built is quarantined at the
+    catalog stage at snapshot; every other device still answers."""
+    original = CatalogBuilder._device_records
+
+    def failing_for_victim(self, device_id, *args):
+        if device_id == "victim":
+            raise RuntimeError("catalog stage down for victim")
+        return original(self, device_id, *args)
+
+    monkeypatch.setattr(CatalogBuilder, "_device_records", failing_for_victim)
+    rows = [GOOD_RADIO, GOOD_SERVICE, dict(GOOD_RADIO, device_id="victim")]
+
+    async def scenario():
+        daemon = CatalogDaemon(
+            svc_eco, str(tmp_path / "wal"), ServiceConfig(**FAST_CONFIG)
+        )
+        await daemon.start()
+        try:
+            response = await ingest(daemon.port, "b-victim", rows)
+            assert response["status"] == "ok", response
+            answer = await request(daemon.port, {"op": "query", "device_id": "victim"})
+            assert answer["status"] == "quarantined"
+            assert answer["error"] == "RuntimeError: catalog stage down for victim"
+            good = await request(daemon.port, {"op": "query", "device_id": "d0"})
+            assert good["status"] == "ok"
+            health = (await request(daemon.port, {"op": "healthz"}))["healthz"]
+            assert health["devices_quarantined"] == 1
+            incidents = daemon.health.run_health.incidents
+            assert [i.kind for i in incidents] == ["device-quarantined"]
+            assert "victim@catalog" in incidents[0].detail
+        finally:
+            await daemon.stop()
+
+    asyncio.run(scenario())
+
+
 def test_fold_is_o_batch(tmp_path, svc_eco, svc_batches):
     """Each row reaches ``CatalogBuilder.update`` once, and ``summarize``
     runs only inside ``snapshot``: the fold never re-reads a day."""

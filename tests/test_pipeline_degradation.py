@@ -4,7 +4,11 @@ import dataclasses
 
 import pytest
 
+from repro.ecosystem import EcosystemConfig, build_default_ecosystem
+from repro.mno import MNOConfig, simulate_mno_dataset
 from repro.pipeline import MAX_EXEMPLAR_FAILURES, run_pipeline
+from repro.runtime import run_durable_pipeline
+from repro.service import catalog_digest
 from repro.signaling.cdr import ServiceRecord, ServiceType
 
 
@@ -99,9 +103,9 @@ CATALOG_STAGE_MODES = {
 def test_catalog_stage_failure_quarantines_one_device(
     tmp_path, monkeypatch, eco, mno_dataset, mode
 ):
-    """``build_day_records`` raising for one device quarantines exactly
-    that device at the "catalog" stage, with the same exemplar in every
-    lenient mode."""
+    """The per-device record step raising for one device quarantines
+    exactly that device at the "catalog" stage, with the same exemplar
+    in every lenient mode."""
     import multiprocessing
 
     from repro.core.catalog import CatalogBuilder
@@ -112,18 +116,14 @@ def test_catalog_stage_failure_quarantines_one_device(
     if kwargs.pop("checkpoint_dir", False):
         kwargs["checkpoint_dir"] = tmp_path / "ckpt"
     victim = sorted({event.device_id for event in mno_dataset.radio_events})[3]
-    original = CatalogBuilder.build_day_records
+    original = CatalogBuilder._device_records
 
-    def failing_for_victim(self, radio_events, service_records):
-        names = {
-            radio_events.pools.devices.lookup(dev)
-            for dev in (*radio_events.device_ids, *service_records.device_ids)
-        }
-        if victim in names:
+    def failing_for_victim(self, device_id, *args):
+        if device_id == victim:
             raise RuntimeError(f"catalog stage down for {victim}")
-        return original(self, radio_events, service_records)
+        return original(self, device_id, *args)
 
-    monkeypatch.setattr(CatalogBuilder, "build_day_records", failing_for_victim)
+    monkeypatch.setattr(CatalogBuilder, "_device_records", failing_for_victim)
     result = run_pipeline(mno_dataset, eco, lenient=True, **kwargs)
     report = result.degradation
     assert dict(report.n_failed_by_stage) == {"catalog": 1}
@@ -133,3 +133,50 @@ def test_catalog_stage_failure_quarantines_one_device(
     assert victim not in result.summaries
     assert victim not in result.classifications
     assert all(r.device_id != victim for r in result.day_records)
+
+
+# -- quarantine is decided over the whole window ------------------------------
+
+@pytest.fixture(scope="module")
+def arriving_world():
+    """A small world plus ``arriving``: on day 0 it is seen only through
+    a partner CDR with a foreign SIM, which alone labels as the
+    unobservable I:A; a home-network radio event on day 1 makes it an
+    inbound roamer (I:H) over the whole window."""
+    eco = build_default_ecosystem(EcosystemConfig(uk_sites=30, seed=11))
+    dataset = simulate_mno_dataset(eco, MNOConfig(n_devices=40, seed=3))
+    arrival = dataclasses.replace(
+        dataset.radio_events[0],
+        device_id="arriving",
+        sim_plmn="26202",
+        timestamp=87400.0,
+    )
+    return eco, dataclasses.replace(
+        dataset,
+        radio_events=[*dataset.radio_events, arrival],
+        service_records=[*dataset.service_records, poison_record("arriving")],
+    )
+
+
+def run_in_mode(mode, tmp_path, dataset, eco, lenient):
+    if mode == "durable-no-store":
+        return run_durable_pipeline(dataset, eco, None, lenient=lenient)
+    kwargs = {"n_workers": 1 if mode == "serial" else 2}
+    if mode == "durable":
+        kwargs["checkpoint_dir"] = tmp_path / ("lenient" if lenient else "strict")
+    return run_pipeline(dataset, eco, lenient=lenient, **kwargs)
+
+
+@pytest.mark.parametrize("mode", ["serial", "sharded", "durable", "durable-no-store"])
+def test_device_unlabelable_on_its_first_day_is_kept(tmp_path, arriving_world, mode):
+    """Quarantine looks at a device's whole window in every mode, so a
+    device whose first day alone cannot be labelled is kept."""
+    eco, dataset = arriving_world
+    strict = run_in_mode(mode, tmp_path, dataset, eco, lenient=False)
+    lenient = run_in_mode(mode, tmp_path, dataset, eco, lenient=True)
+    for result in (strict, lenient):
+        assert str(result.summaries["arriving"].label) == "I:H"
+    assert lenient.degradation.ok
+    assert catalog_digest(lenient.day_records, lenient.summaries) == catalog_digest(
+        strict.day_records, strict.summaries
+    )
