@@ -1,4 +1,4 @@
-"""Struct-of-arrays event storage with string interning (stdlib only).
+"""Struct-of-arrays event storage with string interning.
 
 Record rows are frozen dataclasses, one per event, that re-hash the same
 handful of strings (device IDs, PLMNs, APNs) millions of times.  This
@@ -24,9 +24,14 @@ Layout notes:
 - ``from_rows``/``to_rows`` round-trip exactly, so row-oriented
   boundaries (file ingest, fault injection, codecs, query responses)
   convert losslessly; ``select`` slices a store by row index while
-  sharing the pools, which is how the sharded executor exchanges
-  interned column blocks and the lenient path isolates one device's
-  rows.
+  sharing the pools (a numpy gather over each column's buffer), which
+  is how the sharded executor exchanges interned column blocks and the
+  daemon splits a multi-day batch.
+- ``append_fields`` takes a decoded wire row (a field tuple, see
+  :func:`repro.datasets.io.decode_radio_row`), runs the record's
+  invariant check and only then interns: the catalog daemon parses each
+  ingest batch straight onto a fresh store pair this way, building no
+  row object.
 - The MNO simulator emits stores directly, not rows.  Its dataset hands
   them to row consumers as :class:`RowSequence` views: counting rows
   reads the columns, and the rows are built once, on first access.
@@ -50,8 +55,10 @@ from typing import (
     overload,
 )
 
-from repro.signaling.cdr import SERVICE_TYPES, ServiceRecord
-from repro.signaling.events import RADIO_INTERFACES, RadioEvent
+import numpy as np
+
+from repro.signaling.cdr import SERVICE_TYPES, ServiceRecord, check_service_record
+from repro.signaling.events import RADIO_INTERFACES, RadioEvent, check_radio_event
 from repro.signaling.procedures import MESSAGE_TYPES, RESULT_CODES
 
 #: Sentinel id for a NULL string (e.g. a voice CDR's absent APN).
@@ -60,10 +67,23 @@ NULL_ID = -1
 #: A column buffer.
 Column = Union["array[int]", "array[float]"]
 
-_INTERFACE_INDEX = {member: index for index, member in enumerate(RADIO_INTERFACES)}
-_MESSAGE_INDEX = {member: index for index, member in enumerate(MESSAGE_TYPES)}
-_RESULT_INDEX = {member: index for index, member in enumerate(RESULT_CODES)}
-_SERVICE_INDEX = {member: index for index, member in enumerate(SERVICE_TYPES)}
+#: Wire value -> canonical index for each enum column.  The enums are
+#: ``str`` enums, so a member looks up the same entry as its value.
+INTERFACE_INDEX = {member.value: index for index, member in enumerate(RADIO_INTERFACES)}
+MESSAGE_INDEX = {member.value: index for index, member in enumerate(MESSAGE_TYPES)}
+RESULT_INDEX = {member.value: index for index, member in enumerate(RESULT_CODES)}
+SERVICE_INDEX = {member.value: index for index, member in enumerate(SERVICE_TYPES)}
+
+#: A decoded radio row (:func:`repro.datasets.io.decode_radio_row`):
+#: :class:`RadioEvent`'s fields in order, the enums as canonical indices.
+RadioFields = Tuple[str, float, str, int, int, int, int, int]
+
+#: A decoded service row (:func:`repro.datasets.io.decode_service_row`):
+#: :class:`ServiceRecord`'s fields in order, the service as its index.
+ServiceFields = Tuple[str, float, str, str, int, float, int, Optional[str]]
+
+#: Row positions to gather: a sequence of ints or an integer ndarray.
+Indices = Union[Sequence[int], np.ndarray]
 
 
 class StringPool:
@@ -140,10 +160,14 @@ class ColumnPools:
     apns: StringPool = field(default_factory=StringPool)
 
 
-def _select(column: Column, indices: Sequence[int]) -> array:
-    # map() over the bound __getitem__ stays in C for the whole gather,
-    # which is measurably faster than a generator with an index loop.
-    return array(column.typecode, map(column.__getitem__, indices))
+def _select(column: Column, positions: "np.ndarray") -> array:
+    """``column[i]`` for each of ``positions``, gathered by numpy.
+
+    The view shares the column's buffer (no copy in), and ``take``
+    raises ``IndexError`` on an out-of-range index as indexing does.
+    """
+    gathered = np.frombuffer(column, dtype=column.typecode).take(positions)
+    return array(column.typecode, gathered.tobytes())
 
 
 class ColumnarRadioEvents:
@@ -192,9 +216,30 @@ class ColumnarRadioEvents:
         self.sim_plmns.append(pools.plmns.intern(event.sim_plmn))
         self.tacs.append(event.tac)
         self.sector_ids.append(event.sector_id)
-        self.interfaces.append(_INTERFACE_INDEX[event.interface])
-        self.event_types.append(_MESSAGE_INDEX[event.event_type])
-        self.results.append(_RESULT_INDEX[event.result])
+        self.interfaces.append(INTERFACE_INDEX[event.interface])
+        self.event_types.append(MESSAGE_INDEX[event.event_type])
+        self.results.append(RESULT_INDEX[event.result])
+
+    def append_fields(self, fields: RadioFields) -> None:
+        """Check one decoded row, then encode it onto the columns.
+
+        The check (:func:`~repro.signaling.events.check_radio_event`,
+        the one :class:`RadioEvent` runs) comes before any interning,
+        so a rejected row leaves no string in a pool and no partial
+        column.
+        """
+        device_id, timestamp, sim_plmn, tac, sector_id, interface, event_type, result = fields
+        check_radio_event(device_id, timestamp, sim_plmn, tac, sector_id)
+        pools = self.pools
+        self.device_ids.append(pools.devices.intern(device_id))
+        self.timestamps.append(timestamp)
+        self.days.append(int(timestamp // 86400.0))
+        self.sim_plmns.append(pools.plmns.intern(sim_plmn))
+        self.tacs.append(tac)
+        self.sector_ids.append(sector_id)
+        self.interfaces.append(interface)
+        self.event_types.append(event_type)
+        self.results.append(result)
 
     @classmethod
     def from_rows(
@@ -266,18 +311,19 @@ class ColumnarRadioEvents:
 
     # -- slicing -------------------------------------------------------------
 
-    def select(self, indices: Sequence[int]) -> "ColumnarRadioEvents":
+    def select(self, indices: Indices) -> "ColumnarRadioEvents":
         """A new store holding the rows at ``indices``, sharing pools."""
+        positions = np.asarray(indices, dtype=np.intp)
         out = ColumnarRadioEvents(self.pools)
-        out.device_ids = _select(self.device_ids, indices)
-        out.timestamps = _select(self.timestamps, indices)
-        out.days = _select(self.days, indices)
-        out.sim_plmns = _select(self.sim_plmns, indices)
-        out.tacs = _select(self.tacs, indices)
-        out.sector_ids = _select(self.sector_ids, indices)
-        out.interfaces = _select(self.interfaces, indices)
-        out.event_types = _select(self.event_types, indices)
-        out.results = _select(self.results, indices)
+        out.device_ids = _select(self.device_ids, positions)
+        out.timestamps = _select(self.timestamps, positions)
+        out.days = _select(self.days, positions)
+        out.sim_plmns = _select(self.sim_plmns, positions)
+        out.tacs = _select(self.tacs, positions)
+        out.sector_ids = _select(self.sector_ids, positions)
+        out.interfaces = _select(self.interfaces, positions)
+        out.event_types = _select(self.event_types, positions)
+        out.results = _select(self.results, positions)
         return out
 
     def __len__(self) -> int:
@@ -348,10 +394,32 @@ class ColumnarServiceRecords:
         self.days.append(int(timestamp // 86400.0))
         self.sim_plmns.append(pools.plmns.intern(record.sim_plmn))
         self.visited_plmns.append(pools.plmns.intern(record.visited_plmn))
-        self.services.append(_SERVICE_INDEX[record.service])
+        self.services.append(SERVICE_INDEX[record.service])
         self.durations.append(record.duration_s)
         self.bytes_totals.append(record.bytes_total)
         self.apns.append(pools.apns.intern_optional(record.apn))
+
+    def append_fields(self, fields: ServiceFields) -> None:
+        """Check one decoded row, then encode it onto the columns.
+
+        Like :meth:`ColumnarRadioEvents.append_fields`, with
+        :func:`~repro.signaling.cdr.check_service_record`.
+        """
+        device_id, timestamp, sim_plmn, visited_plmn, service, duration_s, bytes_total, apn = fields
+        check_service_record(
+            device_id, timestamp, sim_plmn, visited_plmn,
+            SERVICE_TYPES[service], duration_s, bytes_total, apn,
+        )
+        pools = self.pools
+        self.device_ids.append(pools.devices.intern(device_id))
+        self.timestamps.append(timestamp)
+        self.days.append(int(timestamp // 86400.0))
+        self.sim_plmns.append(pools.plmns.intern(sim_plmn))
+        self.visited_plmns.append(pools.plmns.intern(visited_plmn))
+        self.services.append(service)
+        self.durations.append(duration_s)
+        self.bytes_totals.append(bytes_total)
+        self.apns.append(pools.apns.intern_optional(apn))
 
     @classmethod
     def from_rows(
@@ -424,18 +492,19 @@ class ColumnarServiceRecords:
 
     # -- slicing -------------------------------------------------------------
 
-    def select(self, indices: Sequence[int]) -> "ColumnarServiceRecords":
+    def select(self, indices: Indices) -> "ColumnarServiceRecords":
         """A new store holding the rows at ``indices``, sharing pools."""
+        positions = np.asarray(indices, dtype=np.intp)
         out = ColumnarServiceRecords(self.pools)
-        out.device_ids = _select(self.device_ids, indices)
-        out.timestamps = _select(self.timestamps, indices)
-        out.days = _select(self.days, indices)
-        out.sim_plmns = _select(self.sim_plmns, indices)
-        out.visited_plmns = _select(self.visited_plmns, indices)
-        out.services = _select(self.services, indices)
-        out.durations = _select(self.durations, indices)
-        out.bytes_totals = _select(self.bytes_totals, indices)
-        out.apns = _select(self.apns, indices)
+        out.device_ids = _select(self.device_ids, positions)
+        out.timestamps = _select(self.timestamps, positions)
+        out.days = _select(self.days, positions)
+        out.sim_plmns = _select(self.sim_plmns, positions)
+        out.visited_plmns = _select(self.visited_plmns, positions)
+        out.services = _select(self.services, positions)
+        out.durations = _select(self.durations, positions)
+        out.bytes_totals = _select(self.bytes_totals, positions)
+        out.apns = _select(self.apns, positions)
         return out
 
     def __len__(self) -> int:

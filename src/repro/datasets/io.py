@@ -14,13 +14,16 @@ partially-read dataset.  **Lenient** (``ingest_*`` with
 
 * ``parse`` — the line is not JSON at all (torn writes, truncation);
 * ``schema`` — valid JSON that does not match the codec (missing field,
-  unknown enum value, uncoercible type);
+  unknown enum value, uncoercible or wrongly-typed value);
 * ``semantic`` — a well-formed row whose values violate the record
-  invariants (negative timestamp, malformed PLMN).
+  invariants (negative or non-finite timestamp, malformed PLMN, a value
+  the int64 columns cannot hold).
 
 The taxonomy mirrors :class:`repro.faults.plan.CorruptionKind`, so every
 fault the injection layer can put into a file lands in exactly one
-bucket here.
+bucket here.  File ingest and the catalog daemon's batch parser share
+each row kind's decoder and invariant check, and :func:`ingest_row`
+sorts a row's failure into the taxonomy for both.
 """
 
 from __future__ import annotations
@@ -36,18 +39,40 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
+    Optional,
     Tuple,
+    Type,
     TypeVar,
     Union,
 )
 
-from repro.signaling.cdr import ServiceRecord, ServiceType
-from repro.signaling.events import RadioEvent, RadioInterface
-from repro.signaling.procedures import MessageType, ResultCode, SignalingTransaction
+from repro.columnar.store import (
+    INTERFACE_INDEX,
+    MESSAGE_INDEX,
+    RESULT_INDEX,
+    SERVICE_INDEX,
+    RadioFields,
+    ServiceFields,
+)
+from repro.signaling.cdr import SERVICE_TYPES, ServiceRecord, ServiceType
+from repro.signaling.events import RADIO_INTERFACES, RadioEvent, RadioInterface
+from repro.signaling.procedures import (
+    MESSAGE_TYPES,
+    RESULT_CODES,
+    MessageType,
+    ResultCode,
+    SignalingTransaction,
+)
 
 PathLike = Union[str, Path]
 
 R = TypeVar("R")
+F = TypeVar("F")
+
+#: What decoding a row's fields can raise (missing key, enum lookup,
+#: type coercion, a number too large for a float): each is *schema*.
+_DECODE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
 #: How much of a bad raw line an IngestError keeps for debugging.
 _EXCERPT_CHARS = 80
@@ -194,21 +219,61 @@ def ingest_jsonl(
     return rows, report
 
 
+def ingest_row(
+    row: Any, decode: Callable[[Any], F], accept: Callable[[F], None]
+) -> Optional[Tuple[IngestErrorKind, Exception]]:
+    """Decode one row and hand its fields to ``accept``; the rejection, if any.
+
+    The two stages separate the taxonomy: ``decode`` failures are
+    *schema* errors; ``accept`` runs the record's invariant check (a
+    dataclass constructor or a column appender), where a ``ValueError``
+    is *semantic* and a ``TypeError`` or ``AttributeError`` — a
+    wrongly-typed value that slipped past coercion — is still *schema*.
+    """
+    try:
+        fields = decode(row)
+    except _DECODE_ERRORS as exc:
+        return IngestErrorKind.SCHEMA, exc
+    try:
+        accept(fields)
+    except ValueError as exc:
+        return IngestErrorKind.SEMANTIC, exc
+    except (TypeError, AttributeError) as exc:
+        return IngestErrorKind.SCHEMA, exc
+    return None
+
+
+def _enum_index(index: Mapping[str, int], enum_type: Type[Enum], value: Any) -> int:
+    """``value``'s canonical index, read from its value -> index table.
+
+    A value missing from the table (or unhashable) goes through the enum
+    constructor, whose ``ValueError`` names it (``'9G' is not a valid
+    RadioInterface``).
+    """
+    try:
+        return index[value]
+    except (KeyError, TypeError):
+        return index[enum_type(value).value]
+
+
 def _ingest(
     path: PathLike,
-    fields_of: Callable[[Dict], Dict[str, Any]],
-    construct: Callable[..., R],
+    decode: Callable[[Any], F],
+    build: Callable[[F], R],
     lenient: bool,
 ) -> Tuple[List[R], IngestReport]:
     """The shared strict/lenient codec read loop.
 
-    The two-stage build separates the taxonomy: ``fields_of`` failures
-    (missing key, enum lookup, type coercion) are *schema* errors;
-    ``construct`` failures (the record's own ``__post_init__``
-    validation) are *semantic* errors.
+    Each line is parsed as JSON (a failure is a *parse* error), then
+    classified by :func:`ingest_row`: ``decode`` extracts the fields and
+    ``build`` turns them into a record, running its invariant check.
     """
     report = IngestReport(path=str(path))
     records: List[R] = []
+
+    def accept(fields: F) -> None:
+        records.append(build(fields))
+
     for line_no, line in _iter_lines(path):
         report.n_rows += 1
         try:
@@ -226,44 +291,22 @@ def _ingest(
                 )
             )
             continue
-        try:
-            fields = fields_of(row)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            if not lenient:
-                raise _located(exc, report.path, line_no) from exc
-            report.errors.append(
-                IngestError(
-                    path=report.path,
-                    line_no=line_no,
-                    kind=IngestErrorKind.SCHEMA,
-                    message=str(exc),
-                    excerpt=line[:_EXCERPT_CHARS],
-                )
-            )
-            continue
-        try:
-            records.append(construct(**fields))
+        rejected = ingest_row(row, decode, accept)
+        if rejected is None:
             report.n_ok += 1
-        except (ValueError, TypeError, AttributeError) as exc:
-            if not lenient:
-                raise _located(exc, report.path, line_no) from exc
-            # A ValueError out of the constructor is the record's own
-            # invariant check (semantic); TypeError/AttributeError mean a
-            # wrongly-typed value slipped past coercion (still schema).
-            kind = (
-                IngestErrorKind.SEMANTIC
-                if isinstance(exc, ValueError)
-                else IngestErrorKind.SCHEMA
+            continue
+        kind, exc = rejected
+        if not lenient:
+            raise _located(exc, report.path, line_no) from exc
+        report.errors.append(
+            IngestError(
+                path=report.path,
+                line_no=line_no,
+                kind=kind,
+                message=str(exc),
+                excerpt=line[:_EXCERPT_CHARS],
             )
-            report.errors.append(
-                IngestError(
-                    path=report.path,
-                    line_no=line_no,
-                    kind=kind,
-                    message=str(exc),
-                    excerpt=line[:_EXCERPT_CHARS],
-                )
-            )
+        )
     return records, report
 
 
@@ -306,7 +349,9 @@ def ingest_transactions(
     path: PathLike, lenient: bool = False
 ) -> Tuple[List[SignalingTransaction], IngestReport]:
     """Read transactions; lenient mode quarantines bad rows."""
-    return _ingest(path, _transaction_fields, SignalingTransaction, lenient)
+    return _ingest(
+        path, _transaction_fields, lambda fields: SignalingTransaction(**fields), lenient
+    )
 
 
 def read_transactions(path: PathLike) -> List[SignalingTransaction]:
@@ -330,22 +375,36 @@ def radio_event_to_dict(event: RadioEvent) -> Dict:
     }
 
 
-def _radio_event_fields(row: Dict) -> Dict[str, Any]:
-    return {
-        "device_id": row["device_id"],
-        "timestamp": float(row["ts"]),
-        "sim_plmn": row["sim_plmn"],
-        "tac": int(row["tac"]),
-        "sector_id": int(row["sector"]),
-        "interface": RadioInterface(row["iface"]),
-        "event_type": MessageType(row["type"]),
-        "result": ResultCode(row["result"]),
-    }
+def decode_radio_row(row: Dict) -> RadioFields:
+    """A radio row's fields in :class:`RadioEvent` order, enums as indices.
+
+    Fields are read in that order, so a row with several bad fields
+    reports its first.  Every error it raises is *schema*; the values
+    are checked by :func:`repro.signaling.events.check_radio_event`.
+    """
+    return (
+        row["device_id"],
+        float(row["ts"]),
+        row["sim_plmn"],
+        int(row["tac"]),
+        int(row["sector"]),
+        _enum_index(INTERFACE_INDEX, RadioInterface, row["iface"]),
+        _enum_index(MESSAGE_INDEX, MessageType, row["type"]),
+        _enum_index(RESULT_INDEX, ResultCode, row["result"]),
+    )
+
+
+def _radio_event(fields: RadioFields) -> RadioEvent:
+    device_id, timestamp, sim_plmn, tac, sector_id, interface, event_type, result = fields
+    return RadioEvent(
+        device_id, timestamp, sim_plmn, tac, sector_id,
+        RADIO_INTERFACES[interface], MESSAGE_TYPES[event_type], RESULT_CODES[result],
+    )
 
 
 def radio_event_from_dict(row: Dict) -> RadioEvent:
     """Rebuild a RadioEvent from its dict form."""
-    return RadioEvent(**_radio_event_fields(row))
+    return _radio_event(decode_radio_row(row))
 
 
 def write_radio_events(path: PathLike, events: Iterable[RadioEvent]) -> int:
@@ -357,7 +416,7 @@ def ingest_radio_events(
     path: PathLike, lenient: bool = False
 ) -> Tuple[List[RadioEvent], IngestReport]:
     """Read radio events; lenient mode quarantines bad rows."""
-    return _ingest(path, _radio_event_fields, RadioEvent, lenient)
+    return _ingest(path, decode_radio_row, _radio_event, lenient)
 
 
 def read_radio_events(path: PathLike) -> List[RadioEvent]:
@@ -381,22 +440,35 @@ def service_record_to_dict(record: ServiceRecord) -> Dict:
     }
 
 
-def _service_record_fields(row: Dict) -> Dict[str, Any]:
-    return {
-        "device_id": row["device_id"],
-        "timestamp": float(row["ts"]),
-        "sim_plmn": row["sim_plmn"],
-        "visited_plmn": row["visited_plmn"],
-        "service": ServiceType(row["service"]),
-        "duration_s": float(row["duration_s"]),
-        "bytes_total": int(row["bytes"]),
-        "apn": row.get("apn"),
-    }
+def decode_service_row(row: Dict) -> ServiceFields:
+    """A service row's fields in :class:`ServiceRecord` order, service as index.
+
+    Like :func:`decode_radio_row`; the values are checked by
+    :func:`repro.signaling.cdr.check_service_record`.
+    """
+    return (
+        row["device_id"],
+        float(row["ts"]),
+        row["sim_plmn"],
+        row["visited_plmn"],
+        _enum_index(SERVICE_INDEX, ServiceType, row["service"]),
+        float(row["duration_s"]),
+        int(row["bytes"]),
+        row.get("apn"),
+    )
+
+
+def _service_record(fields: ServiceFields) -> ServiceRecord:
+    device_id, timestamp, sim_plmn, visited_plmn, service, duration_s, bytes_total, apn = fields
+    return ServiceRecord(
+        device_id, timestamp, sim_plmn, visited_plmn,
+        SERVICE_TYPES[service], duration_s, bytes_total, apn,
+    )
 
 
 def service_record_from_dict(row: Dict) -> ServiceRecord:
     """Rebuild a ServiceRecord from its dict form."""
-    return ServiceRecord(**_service_record_fields(row))
+    return _service_record(decode_service_row(row))
 
 
 def write_service_records(path: PathLike, records: Iterable[ServiceRecord]) -> int:
@@ -408,7 +480,7 @@ def ingest_service_records(
     path: PathLike, lenient: bool = False
 ) -> Tuple[List[ServiceRecord], IngestReport]:
     """Read service records; lenient mode quarantines bad rows."""
-    return _ingest(path, _service_record_fields, ServiceRecord, lenient)
+    return _ingest(path, decode_service_row, _service_record, lenient)
 
 
 def read_service_records(path: PathLike) -> List[ServiceRecord]:

@@ -4,13 +4,12 @@
 :class:`repro.core.catalog.CatalogBuilder` alive behind a line-JSON
 socket API (see :mod:`repro.service.protocol`).  The data path is::
 
-    client ──ingest──▶ parse (lenient) ──▶ BoundedIngestQueue
-                                               │ (watermarks; shed)
-                                   drain loop (supervised)
-                                               │ intern once
-                                               │ WAL append  ◀─ ack here
-                                               ▼
-                                   CatalogBuilder.update(day, columns)
+    client ──ingest──▶ parse into columns (lenient) ──▶ BoundedIngestQueue
+                                                          │ (watermarks; shed)
+                                              drain loop (supervised)
+                                                          │ WAL append  ◀─ ack here
+                                                          ▼
+                                              CatalogBuilder.update(day, columns)
 
 The ack is released only after the batch's rows are journaled in the
 write-ahead log (:class:`repro.service.wal.BatchLog`) — a SIGKILL at
@@ -19,11 +18,11 @@ under their batch id (idempotent).  On restart the WAL replays into a
 fresh builder, reproducing byte-for-byte the catalog state every ack
 ever promised.
 
-Each batch is interned once into its own column stores
-(:func:`~repro.columnar.store.from_record_streams`, fresh pools): the
-WAL packs those stores and the fold scans them, and WAL replay folds
-the decoded blocks the same way.  The fold splits a batch by its
-``days`` column and merges each day's delta into the builder's
+Each batch is parsed straight into its own checked column stores
+(:func:`~repro.service.protocol.parse_batch_rows`, fresh pools): the
+queue carries those stores, the WAL packs them and the fold scans them,
+and WAL replay folds the decoded blocks the same way.  The fold splits a
+batch by its ``days`` column and merges each day's delta into the builder's
 order-free cells, so it costs O(batch) and ingest is commutative: any
 arrival order of the same rows — concurrent clients, retried sheds,
 out-of-order re-sends — yields the value-identical catalog.  Queries
@@ -31,6 +30,14 @@ snapshot the builder, which finalizes only the cells touched since the
 last query; a device whose day records or summary fail there (say, an
 unlabelable SIM/network pair) is quarantined with a
 ``device-quarantined`` incident instead of taking the daemon down.
+
+Queries read the catalog as of the daemon's last reply: a fold is
+published to them just before the next reply is written (normally its
+own ack), or at once when no request waits for its ack.  A client
+holding an ack always reads its batch, and the snapshot and reclassify
+that a fold costs the next query never runs between the fold and its
+ack, so an ack's latency does not depend on when queries happen to
+arrive.
 
 Blocking work (WAL file I/O) runs via ``asyncio.to_thread``; catalog
 folds are pure CPU on in-memory state and run inline on the loop.  All
@@ -49,11 +56,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Set, TypeVar
 
 import numpy as np
 
-from repro.columnar.store import (
-    ColumnarRadioEvents,
-    ColumnarServiceRecords,
-    from_record_streams,
-)
+from repro.columnar.store import ColumnarRadioEvents, ColumnarServiceRecords
 from repro.core.catalog import CatalogBuilder, DeviceDayRecord, DeviceSummary
 from repro.core.classifier import Classification, DeviceClassifier
 from repro.core.roaming import RoamingLabeler
@@ -67,8 +70,6 @@ from repro.service.protocol import parse_batch_rows, report_payload
 from repro.service.queue import BoundedIngestQueue, OverloadShed
 from repro.service.supervisor import TaskSupervisor
 from repro.service.wal import BatchLog
-from repro.signaling.cdr import ServiceRecord
-from repro.signaling.events import RadioEvent
 
 #: Seam invoked with (batch_id, seq) just before a batch's WAL append —
 #: chaos tests hang a KillSwitch here to die mid-publication.
@@ -82,16 +83,18 @@ _Store = TypeVar("_Store", ColumnarRadioEvents, ColumnarServiceRecords)
 
 
 def _by_day(store: _Store) -> Dict[int, _Store]:
-    """The store's rows per day; the store itself when it holds one day."""
-    days = store.days
+    """The store's rows per day; the store itself when it holds one day.
+
+    A day's rows keep their batch order (a stable sort by day).
+    """
+    days = np.frombuffer(store.days, dtype=np.int64)
     if not len(days):
         return {}
-    if min(days) == max(days):
-        return {days[0]: store}
-    rows: Dict[int, List[int]] = {}
-    for index, day in enumerate(days):
-        rows.setdefault(day, []).append(index)
-    return {day: store.select(indices) for day, indices in rows.items()}
+    if days.min() == days.max():
+        return {int(days[0]): store}
+    order = np.argsort(days, kind="stable")
+    starts = np.flatnonzero(np.diff(days[order])) + 1
+    return {int(days[rows[0]]): store.select(rows) for rows in np.split(order, starts)}
 
 
 def catalog_digest(
@@ -142,9 +145,12 @@ class _PendingBatch:
     """One accepted batch waiting in the queue for its durable ack."""
 
     batch_id: str
-    radio_events: List[RadioEvent]
-    service_records: List[ServiceRecord]
+    radio_events: ColumnarRadioEvents
+    service_records: ColumnarServiceRecords
     ack: "asyncio.Future[int]" = field(repr=False)
+    #: Requests awaiting the ack; while any does, the fold is published
+    #: with the next reply instead of at once.
+    waiters: int = 0
 
 
 class CatalogDaemon:
@@ -206,9 +212,11 @@ class CatalogDaemon:
         #: Batches accepted but not yet durable, keyed by batch id —
         #: a concurrent re-send awaits the in-flight ack instead of
         #: double-applying the rows.
-        self._pending: Dict[str, "asyncio.Future[int]"] = {}
-        #: Query caches, invalidated by every applied batch.
+        self._pending: Dict[str, _PendingBatch] = {}
+        #: Query caches, invalidated by every published fold.
         self._dirty = True
+        #: A fold is waiting for the next reply to be published.
+        self._unpublished = False
         self._cached_records: List[DeviceDayRecord] = []
         self._cached_summaries: Dict[str, DeviceSummary] = {}
         self._cached_classes: Dict[str, Classification] = {}
@@ -305,7 +313,9 @@ class CatalogDaemon:
 
         Live batches and WAL replay both land here.  Each day's rows go
         to :meth:`CatalogBuilder.update` as one delta; a single-day
-        batch (the usual case) is passed whole, without a copy.
+        batch (the usual case) is passed whole, without a copy.  The
+        caller publishes the fold to queries (replay runs before the
+        first query, whose caches start stale).
         """
         radio = _by_day(radio_events)
         service = _by_day(service_records)
@@ -316,7 +326,6 @@ class CatalogDaemon:
                 radio[day] if day in radio else ColumnarRadioEvents(pools),
                 service[day] if day in service else ColumnarServiceRecords(pools),
             )
-            self._dirty = True
 
     def _refresh_caches(self) -> None:
         if not self._dirty:
@@ -340,10 +349,7 @@ class CatalogDaemon:
         assert self.wal is not None
         while True:
             pending = await self.queue.get()
-            # Interned once: the WAL packs these stores, the fold scans them.
-            radio, service = from_record_streams(
-                pending.radio_events, pending.service_records
-            )
+            radio, service = pending.radio_events, pending.service_records
             try:
                 if self._on_batch is not None:
                     self._on_batch(pending.batch_id, self.wal.next_seq)
@@ -364,9 +370,11 @@ class CatalogDaemon:
                     pending.ack.set_exception(exc)
                 raise
             self._apply_columns(radio, service)
-            self.health.note_ack(
-                len(pending.radio_events) + len(pending.service_records)
-            )
+            if pending.waiters:
+                self._unpublished = True
+            else:
+                self._dirty = True
+            self.health.note_ack(len(radio) + len(service))
             self._pending.pop(pending.batch_id, None)
             if not pending.ack.done():
                 pending.ack.set_result(seq)
@@ -488,6 +496,9 @@ class CatalogDaemon:
                         "error": "request deadline exceeded",
                         "retry_after_s": self.config.shed_retry_after_s,
                     }
+                if self._unpublished:
+                    # Publish before the reply, which may be the ack.
+                    self._dirty, self._unpublished = True, False
                 writer.write(json.dumps(response).encode("utf-8") + b"\n")
                 await writer.drain()
                 if response.get("op") == "shutdown":
@@ -579,15 +590,15 @@ class CatalogDaemon:
             return {"status": "ok", "duplicate": True}
         in_flight = self._pending.get(batch_id)
         if in_flight is not None:
-            return await self._await_ack(batch_id, in_flight, duplicate=True)
+            return await self._await_ack(in_flight, duplicate=True)
         pressure = self._check_disk_pressure()
         if pressure is not None:
             self.health.note_shed(batch_id, self.config.shed_retry_after_s)
             return pressure
 
-        events, records, report = parse_batch_rows(rows, source=batch_id)
+        radio, service, report = parse_batch_rows(rows, source=batch_id)
         ack: "asyncio.Future[int]" = asyncio.get_running_loop().create_future()
-        pending = _PendingBatch(batch_id, events, records, ack)
+        pending = _PendingBatch(batch_id, radio, service, ack)
         try:
             self.queue.put_nowait(pending)
         except OverloadShed as shed:
@@ -600,20 +611,21 @@ class CatalogDaemon:
                 "retry_after_s": shed.retry_after_s,
                 "queue_depth": shed.depth,
             }
-        self._pending[batch_id] = ack
-        response = await self._await_ack(batch_id, ack, report=report)
+        self._pending[batch_id] = pending
+        response = await self._await_ack(pending, report=report)
         return response
 
     async def _await_ack(
         self,
-        batch_id: str,
-        ack: "asyncio.Future[int]",
+        pending: _PendingBatch,
         duplicate: bool = False,
         report: Any = None,
     ) -> Dict[str, Any]:
+        batch_id = pending.batch_id
+        pending.waiters += 1
         try:
             seq = await asyncio.wait_for(
-                asyncio.shield(ack), timeout=self.config.batch_deadline_s
+                asyncio.shield(pending.ack), timeout=self.config.batch_deadline_s
             )
         except asyncio.TimeoutError:
             # The batch stays queued; the ack future stays pending, so a
@@ -629,6 +641,8 @@ class CatalogDaemon:
             # the client gets a typed error, never a dropped connection.
             self._pending.pop(batch_id, None)
             return {"status": "error", "error": repr(exc), "batch_id": batch_id}
+        finally:
+            pending.waiters -= 1
         self._pending.pop(batch_id, None)
         response: Dict[str, Any] = {"status": "ok", "seq": seq, "batch_id": batch_id}
         if duplicate:

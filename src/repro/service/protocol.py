@@ -6,31 +6,37 @@ a ``kind`` discriminator::
 
     {"op": "ingest", "batch_id": "b-1", "rows": [
         {"kind": "radio", "device_id": "d0", "ts": 10.0, "sim_plmn":
-         "234-10", "tac": 86000012, "sector": 3, "iface": "4G-data",
-         "type": "attach_request", "result": "success"},
+         "23410", "tac": 86000012, "sector": 3, "iface": "S1",
+         "type": "attach", "result": "OK"},
         {"kind": "service", "device_id": "d0", "ts": 11.0, ...}]}
 
-Parsing is *lenient* with the ingest taxonomy of
-:class:`repro.datasets.io.IngestReport`: a row that is not a dict is a
-``parse`` error, a dict that fails field extraction is ``schema``, and
-one whose values violate the record invariants is ``semantic``.  A
-hostile batch therefore degrades into quarantine counts in the ack, it
-never kills the daemon.
+:func:`parse_batch_rows` decodes a batch straight into one pair of
+column stores with fresh pools — the form the WAL packs and the catalog
+folds — without building a row object.  Parsing is *lenient* with the
+ingest taxonomy of :class:`repro.datasets.io.IngestReport`: a row that
+is not a dict is a ``parse`` error; an unknown ``kind``, a missing or
+uncoercible field, an unknown enum value or a wrongly-typed device id or
+APN is ``schema``; and values that violate the record invariants
+(negative or non-finite timestamps, malformed PLMNs, numbers the int64
+columns cannot hold) are ``semantic``.  The decoder and the invariant
+checks are the ones file ingest and the record dataclasses use.  A
+hostile batch therefore degrades into quarantine counts in the ack; it
+never kills the daemon or leaves a row the fold cannot take.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple, TypeVar
 
+from repro.columnar.store import ColumnarRadioEvents, ColumnarServiceRecords, ColumnPools
 from repro.datasets.io import (
     IngestError,
     IngestErrorKind,
     IngestReport,
-    _radio_event_fields,
-    _service_record_fields,
+    decode_radio_row,
+    decode_service_row,
+    ingest_row,
 )
-from repro.signaling.cdr import ServiceRecord
-from repro.signaling.events import RadioEvent
 
 #: How much of a bad row an IngestError keeps for debugging.
 _EXCERPT_CHARS = 80
@@ -39,92 +45,75 @@ _EXCERPT_CHARS = 80
 ROW_KIND_RADIO = "radio"
 ROW_KIND_SERVICE = "service"
 
+_Fields = TypeVar("_Fields")
+
+#: One row of a batch with its 1-based position.
+_NumberedRow = Tuple[int, Any]
+
 
 def _excerpt(row: Any) -> str:
     return repr(row)[:_EXCERPT_CHARS]
 
 
+def _append_rows(
+    numbered_rows: List[_NumberedRow],
+    decode: Callable[[Any], _Fields],
+    append: Callable[[_Fields], None],
+    source: str,
+    errors: List[IngestError],
+) -> None:
+    for line_no, row in numbered_rows:
+        rejected = ingest_row(row, decode, append)
+        if rejected is not None:
+            kind, exc = rejected
+            errors.append(IngestError(source, line_no, kind, str(exc), _excerpt(row)))
+
+
 def parse_batch_rows(
     rows: Sequence[Any], source: str = "ingest"
-) -> Tuple[List[RadioEvent], List[ServiceRecord], IngestReport]:
-    """Leniently decode one batch's rows into typed records.
+) -> Tuple[ColumnarRadioEvents, ColumnarServiceRecords, IngestReport]:
+    """Leniently decode one batch's rows into checked, interned columns.
 
-    Never raises on bad rows: every rejection is quarantined into the
-    returned :class:`IngestReport` under the parse/schema/semantic
-    taxonomy, and the good rows still ingest.
+    Returns a radio and a service store sharing one fresh
+    :class:`~repro.columnar.store.ColumnPools`, and the report.  Never
+    raises on bad rows: every rejection is quarantined into the
+    :class:`IngestReport` (in row order, ``line_no`` counting from 1)
+    under the parse/schema/semantic taxonomy, and the good rows still
+    ingest.  Every radio row is appended before any service row — the
+    order :func:`~repro.columnar.store.from_record_streams` interns in —
+    so the stores pack to the same bytes as ``pack_day_block`` of the
+    accepted rows however the batch interleaves the two kinds.
     """
-    report = IngestReport(path=source)
-    events: List[RadioEvent] = []
-    records: List[ServiceRecord] = []
-    for index, row in enumerate(rows):
-        report.n_rows += 1
-        line_no = index + 1
+    errors: List[IngestError] = []
+    radio_rows: List[_NumberedRow] = []
+    service_rows: List[_NumberedRow] = []
+    for line_no, row in enumerate(rows, start=1):
         if not isinstance(row, dict):
-            report.errors.append(
-                IngestError(
-                    path=source,
-                    line_no=line_no,
-                    kind=IngestErrorKind.PARSE,
-                    message=f"row is {type(row).__name__}, not an object",
-                    excerpt=_excerpt(row),
-                )
+            message = f"row is {type(row).__name__}, not an object"
+            errors.append(
+                IngestError(source, line_no, IngestErrorKind.PARSE, message, _excerpt(row))
             )
             continue
         kind = row.get("kind")
         if kind == ROW_KIND_RADIO:
-            fields_of, construct = _radio_event_fields, RadioEvent
+            radio_rows.append((line_no, row))
         elif kind == ROW_KIND_SERVICE:
-            fields_of, construct = _service_record_fields, ServiceRecord  # type: ignore[assignment]
+            service_rows.append((line_no, row))
         else:
-            report.errors.append(
-                IngestError(
-                    path=source,
-                    line_no=line_no,
-                    kind=IngestErrorKind.SCHEMA,
-                    message=f"unknown row kind {kind!r}",
-                    excerpt=_excerpt(row),
-                )
+            message = f"unknown row kind {kind!r}"
+            errors.append(
+                IngestError(source, line_no, IngestErrorKind.SCHEMA, message, _excerpt(row))
             )
-            continue
-        try:
-            fields = fields_of(row)
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            report.errors.append(
-                IngestError(
-                    path=source,
-                    line_no=line_no,
-                    kind=IngestErrorKind.SCHEMA,
-                    message=str(exc),
-                    excerpt=_excerpt(row),
-                )
-            )
-            continue
-        try:
-            record = construct(**fields)
-        except (ValueError, TypeError, AttributeError) as exc:
-            # Mirrors repro.datasets.io._ingest: a constructor ValueError
-            # is the record's own invariant (semantic); TypeError /
-            # AttributeError mean a wrongly-typed value (still schema).
-            report.errors.append(
-                IngestError(
-                    path=source,
-                    line_no=line_no,
-                    kind=(
-                        IngestErrorKind.SEMANTIC
-                        if isinstance(exc, ValueError)
-                        else IngestErrorKind.SCHEMA
-                    ),
-                    message=str(exc),
-                    excerpt=_excerpt(row),
-                )
-            )
-            continue
-        if kind == ROW_KIND_RADIO:
-            events.append(record)  # type: ignore[arg-type]
-        else:
-            records.append(record)  # type: ignore[arg-type]
-        report.n_ok += 1
-    return events, records, report
+    pools = ColumnPools()
+    radio = ColumnarRadioEvents(pools)
+    service = ColumnarServiceRecords(pools)
+    _append_rows(radio_rows, decode_radio_row, radio.append_fields, source, errors)
+    _append_rows(service_rows, decode_service_row, service.append_fields, source, errors)
+    errors.sort(key=lambda error: error.line_no)
+    report = IngestReport(
+        path=source, n_rows=len(rows), n_ok=len(radio) + len(service), errors=errors
+    )
+    return radio, service, report
 
 
 def report_payload(report: IngestReport) -> Dict[str, Any]:

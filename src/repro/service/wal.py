@@ -136,8 +136,8 @@ class BatchLog:
         sequence number.
 
         The stores must own their pools (as
-        :func:`~repro.columnar.store.from_record_streams` with fresh
-        pools leaves them): the block is byte-identical to
+        :func:`~repro.service.protocol.parse_batch_rows` leaves them):
+        the block is byte-identical to
         :func:`~repro.runtime.serialize.pack_day_block` of the same rows.
         Blocking (file I/O): the daemon calls this via a worker thread,
         never directly on the event loop.

@@ -13,9 +13,12 @@ network.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
+
+from repro.signaling.procedures import INT64_MAX, check_timestamp
 
 
 class ServiceType(str, Enum):
@@ -29,6 +32,47 @@ class ServiceType(str, Enum):
 #: (:mod:`repro.columnar` stores the service plane as an index into this
 #: tuple).  Append-only.
 SERVICE_TYPES: Tuple[ServiceType, ...] = tuple(ServiceType)
+
+
+def check_service_record(
+    device_id: str,
+    timestamp: float,
+    sim_plmn: str,
+    visited_plmn: str,
+    service: ServiceType,
+    duration_s: float,
+    bytes_total: int,
+    apn: Optional[str],
+) -> None:
+    """The invariants of one service record; raises on the first broken one.
+
+    Shared like :func:`repro.signaling.events.check_radio_event`; the
+    checks from the device id on keep out what the int64 and interned
+    columns cannot hold.
+    """
+    if timestamp < 0:
+        raise ValueError(f"negative timestamp {timestamp}")
+    for label, plmn in (("sim", sim_plmn), ("visited", visited_plmn)):
+        if not plmn.isdigit() or len(plmn) not in (5, 6):
+            raise ValueError(f"{label} PLMN must be 5-6 digits, got {plmn!r}")
+    if duration_s < 0:
+        raise ValueError(f"negative duration {duration_s}")
+    if bytes_total < 0:
+        raise ValueError(f"negative byte count {bytes_total}")
+    if service is ServiceType.VOICE and apn is not None:
+        raise ValueError("voice CDRs carry no APN")
+    if service is ServiceType.DATA and duration_s:
+        # Data usage is accounted in bytes; duration belongs to voice.
+        raise ValueError("data xDRs carry bytes, not call duration")
+    if not isinstance(device_id, str):
+        raise TypeError(f"device id must be a string, got {device_id!r}")
+    check_timestamp(timestamp)
+    if not math.isfinite(duration_s):
+        raise ValueError(f"non-finite duration {duration_s}")
+    if bytes_total > INT64_MAX:
+        raise ValueError(f"byte count {bytes_total} does not fit in int64")
+    if apn is not None and not isinstance(apn, str):
+        raise TypeError(f"APN must be a string or null, got {apn!r}")
 
 
 @dataclass(frozen=True)
@@ -50,20 +94,10 @@ class ServiceRecord:
     apn: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.timestamp < 0:
-            raise ValueError(f"negative timestamp {self.timestamp}")
-        for label, plmn in (("sim", self.sim_plmn), ("visited", self.visited_plmn)):
-            if not plmn.isdigit() or len(plmn) not in (5, 6):
-                raise ValueError(f"{label} PLMN must be 5-6 digits, got {plmn!r}")
-        if self.duration_s < 0:
-            raise ValueError(f"negative duration {self.duration_s}")
-        if self.bytes_total < 0:
-            raise ValueError(f"negative byte count {self.bytes_total}")
-        if self.service is ServiceType.VOICE and self.apn is not None:
-            raise ValueError("voice CDRs carry no APN")
-        if self.service is ServiceType.DATA and self.duration_s:
-            # Data usage is accounted in bytes; duration belongs to voice.
-            raise ValueError("data xDRs carry bytes, not call duration")
+        check_service_record(
+            self.device_id, self.timestamp, self.sim_plmn, self.visited_plmn,
+            self.service, self.duration_s, self.bytes_total, self.apn,
+        )
 
     @property
     def day(self) -> int:

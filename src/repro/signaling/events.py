@@ -15,7 +15,13 @@ from enum import Enum
 from typing import Tuple
 
 from repro.cellular.rats import RAT
-from repro.signaling.procedures import MessageType, ResultCode
+from repro.signaling.procedures import (
+    INT64_MAX,
+    INT64_MIN,
+    MessageType,
+    ResultCode,
+    check_timestamp,
+)
 
 
 class RadioInterface(str, Enum):
@@ -81,6 +87,32 @@ _PLANE_TABLE = {
 }
 
 
+def check_radio_event(
+    device_id: str, timestamp: float, sim_plmn: str, tac: int, sector_id: int
+) -> None:
+    """The invariants of one radio event; raises on the first broken one.
+
+    :class:`RadioEvent` and the column appender
+    (:meth:`repro.columnar.store.ColumnarRadioEvents.append_fields`) run
+    it.  A ``ValueError`` is an ingest *semantic* error; a ``TypeError``
+    or ``AttributeError``, a wrongly-typed value, is *schema*.  The
+    checks after the TAC range keep out what the int64 and interned
+    columns cannot hold; they run last, so earlier rejections keep their
+    message.
+    """
+    if timestamp < 0:
+        raise ValueError(f"negative timestamp {timestamp}")
+    if not sim_plmn.isdigit() or len(sim_plmn) not in (5, 6):
+        raise ValueError(f"SIM PLMN must be 5-6 digits, got {sim_plmn!r}")
+    if not 0 <= tac < 10**8:
+        raise ValueError(f"TAC must be 8 digits, got {tac}")
+    if not isinstance(device_id, str):
+        raise TypeError(f"device id must be a string, got {device_id!r}")
+    check_timestamp(timestamp)
+    if not INT64_MIN <= sector_id <= INT64_MAX:
+        raise ValueError(f"sector id {sector_id} does not fit in int64")
+
+
 @dataclass(frozen=True)
 class RadioEvent:
     """One radio-interface log record from the MNO's passive probes."""
@@ -95,12 +127,9 @@ class RadioEvent:
     result: ResultCode
 
     def __post_init__(self) -> None:
-        if self.timestamp < 0:
-            raise ValueError(f"negative timestamp {self.timestamp}")
-        if not self.sim_plmn.isdigit() or len(self.sim_plmn) not in (5, 6):
-            raise ValueError(f"SIM PLMN must be 5-6 digits, got {self.sim_plmn!r}")
-        if not 0 <= self.tac < 10**8:
-            raise ValueError(f"TAC must be 8 digits, got {self.tac}")
+        check_radio_event(
+            self.device_id, self.timestamp, self.sim_plmn, self.tac, self.sector_id
+        )
 
     @property
     def rat(self) -> RAT:

@@ -13,11 +13,29 @@ Detach procedures (§7.1); those share the same enums.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple
 
 from repro.cellular.identifiers import mcc_of
+
+#: Bounds of the int64 columns :mod:`repro.columnar` stores record
+#: fields in (days, sector ids, byte counts).
+INT64_MIN = -(2**63)
+INT64_MAX = 2**63 - 1
+
+
+def check_timestamp(timestamp: float) -> None:
+    """Reject a timestamp whose day the int64 ``days`` column cannot hold.
+
+    Records call it after their negative-timestamp check; it rejects NaN,
+    infinity and a day past int64.
+    """
+    if not math.isfinite(timestamp):
+        raise ValueError(f"non-finite timestamp {timestamp}")
+    if timestamp // 86400.0 > INT64_MAX:
+        raise ValueError(f"timestamp {timestamp} is past the last int64 day")
 
 
 class MessageType(str, Enum):

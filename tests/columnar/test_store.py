@@ -1,5 +1,8 @@
 """StringPool and row<->columnar adapter invariants."""
 
+from array import array
+
+import numpy as np
 import pytest
 
 from repro.columnar import (
@@ -10,6 +13,9 @@ from repro.columnar import (
     from_record_streams,
 )
 from repro.faults import FaultPlan, inject_radio_events, inject_service_records
+from repro.signaling.cdr import data_xdr, voice_cdr
+from repro.signaling.events import RADIO_INTERFACES, RadioEvent
+from repro.signaling.procedures import MESSAGE_TYPES, RESULT_CODES
 
 
 # -- StringPool --------------------------------------------------------------
@@ -89,6 +95,68 @@ def test_select_shares_pools_and_preserves_rows(mno_dataset):
     assert subset.pools is store.pools
     assert subset.to_rows() == store.rows_at(indices)
     assert len(subset) == len(indices)
+
+
+def _five_row_stores():
+    """Five rows per stream over every column typecode, voice and data."""
+    events = [
+        RadioEvent(
+            device_id=f"d{i % 3}",
+            timestamp=86400.0 * i + 0.5 * i,
+            sim_plmn="23410" if i % 2 else "21407",
+            tac=35000000 + i,
+            sector_id=-i if i % 2 else 10**12 + i,
+            interface=RADIO_INTERFACES[i % len(RADIO_INTERFACES)],
+            event_type=MESSAGE_TYPES[i % len(MESSAGE_TYPES)],
+            result=RESULT_CODES[i % len(RESULT_CODES)],
+        )
+        for i in range(5)
+    ]
+    records = [
+        voice_cdr(f"d{i}", 86400.0 * i, "21407", "23410", 3.25 * i)
+        if i % 2
+        else data_xdr(f"d{i}", 86400.0 * i, "21407", "23410", 2**40 + i, f"apn{i}")
+        for i in range(5)
+    ]
+    return from_record_streams(events, records)
+
+
+def _gather(column, indices):
+    """The element-wise reference gather."""
+    return array(column.typecode, [column[i] for i in indices])
+
+
+SELECT_INDICES = {
+    "empty": [],
+    "repeated": [2, 2, 0, 2],
+    "unsorted": [4, 0, 3, 1],
+    "negative": [-1, 0, -5],
+    "all": [0, 1, 2, 3, 4],
+}
+
+
+@pytest.mark.parametrize("as_ndarray", [False, True], ids=["list", "ndarray"])
+@pytest.mark.parametrize("name", sorted(SELECT_INDICES))
+def test_select_equals_the_elementwise_gather(name, as_ndarray):
+    indices = SELECT_INDICES[name]
+    picked = np.asarray(indices, dtype=np.int64) if as_ndarray else indices
+    radio, service = _five_row_stores()
+    assert NULL_ID in service.apns  # a voice CDR's absent APN rides along
+    for store in (radio, service):
+        subset = store.select(picked)
+        assert subset.pools is store.pools
+        columns = [name for name in type(store).__slots__ if name != "pools"]
+        for column in columns:
+            expected = _gather(getattr(store, column), indices)
+            assert getattr(subset, column) == expected, column
+            assert getattr(subset, column).typecode == expected.typecode
+
+
+@pytest.mark.parametrize("indices", [[5], [0, -6]])
+def test_select_out_of_range_raises_index_error(indices):
+    for store in _five_row_stores():
+        with pytest.raises(IndexError):
+            store.select(indices)
 
 
 def test_columnar_stores_are_smaller_than_rows(mno_dataset):

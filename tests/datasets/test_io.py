@@ -1,7 +1,13 @@
 """Round-trip tests for JSONL serialization."""
 
+import json
+
+import pytest
 
 from repro.datasets.io import (
+    IngestErrorKind,
+    ingest_radio_events,
+    ingest_service_records,
     radio_event_from_dict,
     radio_event_to_dict,
     read_jsonl,
@@ -103,3 +109,52 @@ class TestFileRoundTrips:
         sample = m2m_dataset.transactions[:500]
         write_transactions(path, sample)
         assert read_transactions(path) == sample
+
+
+class TestValuesTheColumnsCannotHold:
+    """File ingest shares the record checks the daemon's parser runs."""
+
+    def _write(self, path, good, bad_lines):
+        lines = [json.dumps(good), *bad_lines]
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+    def test_lenient_radio_ingest_quarantines_them(self, tmp_path):
+        path = tmp_path / "radio.jsonl"
+        good = radio_event_to_dict(_event())
+        self._write(path, good, [
+            json.dumps(good).replace('"tac": 35000001', '"tac": 1e400'),
+            json.dumps(dict(good, ts=float("nan"))),
+            json.dumps(dict(good, sector=10**20)),
+            json.dumps(dict(good, device_id=5)),
+        ])
+        events, report = ingest_radio_events(path, lenient=True)
+        assert events == [_event()]
+        assert [(e.line_no, e.kind) for e in report.errors] == [
+            (2, IngestErrorKind.SCHEMA),
+            (3, IngestErrorKind.SEMANTIC),
+            (4, IngestErrorKind.SEMANTIC),
+            (5, IngestErrorKind.SCHEMA),
+        ]
+
+    def test_lenient_service_ingest_quarantines_them(self, tmp_path):
+        path = tmp_path / "service.jsonl"
+        good = service_record_to_dict(data_xdr("d", 2.0, "21407", "23410", 42, "apn.x"))
+        self._write(path, good, [
+            json.dumps(dict(good, bytes=float("inf"))),
+            json.dumps(dict(good, bytes=10**20)),
+            json.dumps(dict(good, apn=7)),
+        ])
+        records, report = ingest_service_records(path, lenient=True)
+        assert len(records) == 1
+        assert [(e.line_no, e.kind) for e in report.errors] == [
+            (2, IngestErrorKind.SCHEMA),
+            (3, IngestErrorKind.SEMANTIC),
+            (4, IngestErrorKind.SCHEMA),
+        ]
+
+    def test_strict_ingest_raises_an_overflow_with_its_location(self, tmp_path):
+        path = tmp_path / "radio.jsonl"
+        good = radio_event_to_dict(_event())
+        self._write(path, good, [json.dumps(good).replace('"tac": 35000001', '"tac": 1e400')])
+        with pytest.raises(OverflowError, match=r"radio\.jsonl:2\]"):
+            ingest_radio_events(path)

@@ -20,10 +20,16 @@ from repro.pipeline import run_pipeline
 from repro.runtime.checkpoint import UNITS_DIRNAME
 from repro.runtime.serialize import pack_day_block
 from repro.service import CatalogDaemon, ServiceConfig, catalog_digest
+from repro.service.daemon import _by_day
 from repro.service.protocol import parse_batch_rows
 from repro.service.wal import _encode_envelope
 
-from tests.service.test_protocol import GOOD_RADIO, GOOD_SERVICE
+from tests.service.test_protocol import (
+    GOOD_RADIO,
+    GOOD_SERVICE,
+    MISTYPED_ROWS,
+    UNREPRESENTABLE_ROWS,
+)
 
 FAST_CONFIG = dict(snapshot_interval_s=0.1)
 
@@ -125,6 +131,59 @@ def test_hostile_batch_quarantines_and_acks(tmp_path, svc_eco):
             await daemon.stop()
 
     asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("name", sorted(UNREPRESENTABLE_ROWS))
+def test_row_the_columns_cannot_hold_is_quarantined(tmp_path, svc_eco, name):
+    """A NaN timestamp (and its kin) is a semantic quarantine, not a drain
+    crash that orphans the ack and stalls the batch id."""
+    config = ServiceConfig(batch_deadline_s=2.0, **FAST_CONFIG)
+
+    async def scenario():
+        daemon = CatalogDaemon(svc_eco, str(tmp_path / "wal"), config)
+        await daemon.start()
+        try:
+            rows = [GOOD_RADIO, UNREPRESENTABLE_ROWS[name]]
+            response = await ingest(daemon.port, "b-nan", rows)
+            assert response["status"] == "ok", response
+            assert response["ingest"]["counts_by_kind"] == {"semantic": 1}
+            answer = await request(daemon.port, {"op": "query", "device_id": "d0"})
+            assert answer["status"] == "ok", answer
+            health = (await request(daemon.port, {"op": "healthz"}))["healthz"]
+            assert health["batches_acked"] == 1
+            assert health["task_restarts"] == 0
+        finally:
+            await daemon.stop()
+
+    asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("name", sorted(MISTYPED_ROWS))
+def test_wrongly_typed_row_is_quarantined_and_queries_answer(tmp_path, svc_eco, name):
+    """A non-string device id or APN is a schema quarantine: it never
+    reaches the WAL, so queries answer before and after a restart."""
+    wal_dir = str(tmp_path / "wal")
+    config = ServiceConfig(batch_deadline_s=2.0, **FAST_CONFIG)
+
+    async def life(resume):
+        daemon = CatalogDaemon(svc_eco, wal_dir, config, resume=resume)
+        await daemon.start()
+        try:
+            if not resume:
+                rows = [GOOD_RADIO, MISTYPED_ROWS[name]]
+                response = await ingest(daemon.port, "b-typed", rows)
+                assert response["status"] == "ok", response
+                assert response["ingest"]["counts_by_kind"] == {"schema": 1}
+            digest = await request(daemon.port, {"op": "digest"})
+            answer = await request(daemon.port, {"op": "query", "device_id": "d0"})
+            assert answer["status"] == "ok", answer
+            return digest
+        finally:
+            await daemon.stop()
+
+    first = asyncio.run(life(resume=False))
+    assert first["n_devices"] == 1
+    assert asyncio.run(life(resume=True)) == first
 
 
 def test_malformed_requests_get_typed_errors(tmp_path, svc_eco):
@@ -382,6 +441,63 @@ def test_query_and_footprint_answers(tmp_path, svc_eco, svc_dataset, svc_batches
     asyncio.run(scenario())
 
 
+def test_query_during_a_fold_never_delays_its_ack(tmp_path, svc_eco, monkeypatch):
+    """A query that lands while a batch folds reads the catalog as of the
+    last reply, so the snapshot the fold costs runs after its ack is
+    written, whatever the order the event loop resumes the two; the
+    next query sees the batch."""
+    log = []
+    write = asyncio.StreamWriter.write
+
+    def logged_write(self, data):
+        if b'"seq"' in data:
+            log.append("ack")
+        return write(self, data)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "write", logged_write)
+
+    async def scenario():
+        daemon = CatalogDaemon(
+            svc_eco, str(tmp_path / "wal"), ServiceConfig(**FAST_CONFIG)
+        )
+        await daemon.start()
+        snapshot = daemon._builder.snapshot
+        fold = daemon._apply_columns
+
+        def logged_snapshot(*args, **kwargs):
+            log.append("snapshot")
+            return snapshot(*args, **kwargs)
+
+        daemon._builder.snapshot = logged_snapshot
+        try:
+            assert (await ingest(daemon.port, "b-0", [GOOD_RADIO]))["status"] == "ok"
+            first = await request(daemon.port, {"op": "query", "device_id": "d0"})
+            assert first["status"] == "ok"
+            # A connection the daemon has accepted, whose query line is
+            # sent while the next batch folds.
+            reader, writer = await asyncio.open_connection("127.0.0.1", daemon.port)
+            line = json.dumps({"op": "query", "device_id": "d1"}).encode("utf-8")
+
+            def fold_then_query(radio, service):
+                fold(radio, service)
+                log.append("fold")
+                writer.write(line + b"\n")
+
+            daemon._apply_columns = fold_then_query
+            ack = await ingest(daemon.port, "b-1", [dict(GOOD_RADIO, device_id="d1")])
+            assert ack["status"] == "ok"
+            assert json.loads(await reader.readline())["status"] in ("ok", "not_found")
+            writer.close()
+            after = await request(daemon.port, {"op": "query", "device_id": "d1"})
+            assert after["status"] == "ok"
+        finally:
+            await daemon.stop()
+
+    asyncio.run(scenario())
+    since_fold = log[log.index("fold"):]
+    assert since_fold.index("ack") < since_fold.index("snapshot"), log
+
+
 def test_shutdown_op_stops_the_daemon(tmp_path, svc_eco):
     async def scenario():
         daemon = CatalogDaemon(
@@ -470,8 +586,9 @@ POISON_SERVICE = dict(
 
 
 def lenient_reference_digest(eco, dataset, rows):
-    events, records, report = parse_batch_rows(rows)
+    radio, service, report = parse_batch_rows(rows)
     assert report.n_quarantined == 0
+    events, records = radio.to_rows(), service.to_rows()
     result = run_pipeline(
         dataclasses.replace(dataset, radio_events=events, service_records=records),
         eco,
@@ -632,6 +749,23 @@ def test_fold_is_o_batch(tmp_path, svc_eco, svc_batches):
     assert summarize_outside_snapshot and not any(summarize_outside_snapshot)
 
 
+def test_by_day_groups_rows_like_the_row_loop():
+    """The numpy grouping equals a per-row loop, batch order kept per day."""
+    rows = [dict(GOOD_RADIO, ts=86400.0 * day + i) for i, day in enumerate([2, 0, 2, 1, 0])]
+    radio, service, _ = parse_batch_rows(rows)
+    expected = {}
+    for index, day in enumerate(radio.days):
+        expected.setdefault(day, []).append(index)
+    groups = _by_day(radio)
+    assert sorted(groups) == [0, 1, 2]
+    assert all(type(day) is int for day in groups)
+    for day, indices in expected.items():
+        assert groups[day].to_rows() == radio.rows_at(indices)
+    assert _by_day(service) == {}
+    single_day = parse_batch_rows([GOOD_RADIO])[0]
+    assert _by_day(single_day) == {0: single_day}
+
+
 def test_wal_unit_matches_pack_day_block(tmp_path, svc_eco, svc_batches):
     """A live batch is interned once; the WAL packs those stores into
     the same bytes ``pack_day_block`` writes for its rows, folded or not."""
@@ -649,7 +783,8 @@ def test_wal_unit_matches_pack_day_block(tmp_path, svc_eco, svc_batches):
             await daemon.stop()
 
     asyncio.run(scenario())
-    events, records, _ = parse_batch_rows(rows, source=batch_id)
+    radio, service, _ = parse_batch_rows(rows, source=batch_id)
+    events, records = radio.to_rows(), service.to_rows()
     unit = wal_dir / UNITS_DIRNAME / "day_000.shard_000.ckpt"
     assert unit.read_bytes() == _encode_envelope(
         batch_id, 0, pack_day_block(events, records)

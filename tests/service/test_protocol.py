@@ -1,6 +1,12 @@
 """Lenient batch parsing: the parse/schema/semantic quarantine taxonomy."""
 
+import json
+
+import pytest
+
+from repro.columnar.blocks import pack_columns
 from repro.datasets.io import IngestErrorKind
+from repro.runtime.serialize import pack_day_block
 from repro.service import parse_batch_rows
 from repro.service.protocol import report_payload
 
@@ -28,13 +34,40 @@ GOOD_SERVICE = {
     "apn": None,
 }
 
+DATA_SERVICE = dict(
+    GOOD_SERVICE, service="data", duration_s=0.0, bytes=1200, apn="iot.example"
+)
+
+#: Well-typed rows whose values the int64 / float columns cannot hold:
+#: each is a semantic error (before, each passed the parser and then
+#: raised in the drain loop's interning, stalling its batch id).
+UNREPRESENTABLE_ROWS = {
+    "ts-nan": dict(GOOD_RADIO, device_id="hostile", ts=float("nan")),
+    "ts-inf": dict(GOOD_RADIO, device_id="hostile", ts=float("inf")),
+    "ts-1e300": dict(GOOD_RADIO, device_id="hostile", ts=1e300),
+    "sector-1e20": dict(GOOD_RADIO, device_id="hostile", sector=10**20),
+    "bytes-1e20": dict(DATA_SERVICE, device_id="hostile", bytes=10**20),
+}
+
+#: Wrongly-typed values: each is a schema error.  A device id or APN
+#: that is not a string used to be acked and then break every query; a
+#: number too large for a float or an int used to escape the parser.
+MISTYPED_ROWS = {
+    "device-id-int": dict(GOOD_RADIO, device_id=5),
+    "apn-int": dict(DATA_SERVICE, device_id="hostile", apn=7),
+    "tac-1e400": dict(GOOD_RADIO, device_id="hostile", tac=json.loads("1e400")),
+    "bytes-infinity": dict(DATA_SERVICE, device_id="hostile", bytes=float("inf")),
+    "ts-int-past-float": dict(GOOD_RADIO, device_id="hostile", ts=10**400),
+}
+
 
 def kinds_of(report):
     return {e.kind for e in report.errors}
 
 
 def test_good_rows_round_trip():
-    events, records, report = parse_batch_rows([GOOD_RADIO, GOOD_SERVICE])
+    radio, service, report = parse_batch_rows([GOOD_RADIO, GOOD_SERVICE])
+    events, records = radio.to_rows(), service.to_rows()
     assert len(events) == 1 and len(records) == 1
     assert events[0].device_id == "d0"
     assert records[0].duration_s == 30.0
@@ -84,7 +117,8 @@ def test_hostile_batch_degrades_not_dies():
         dict(GOOD_SERVICE, duration_s=-5.0),
         GOOD_SERVICE,
     ]
-    events, records, report = parse_batch_rows(rows, source="b-hostile")
+    radio, service, report = parse_batch_rows(rows, source="b-hostile")
+    events, records = radio.to_rows(), service.to_rows()
     assert len(events) == 1 and len(records) == 1
     assert report.n_rows == 5 and report.n_ok == 2
     assert report.n_quarantined == 3
@@ -101,3 +135,67 @@ def test_report_payload_caps_errors_at_five():
     assert payload["n_quarantined"] == 8
     assert len(payload["errors"]) == 5
     assert 0.0 < payload["coverage"] < 1.0
+
+
+def assert_only_the_good_row_ingests(radio, service, report, kind):
+    assert report.n_rows == 2 and report.n_ok == 1
+    assert kinds_of(report) == {kind}
+    assert report.errors[0].line_no == 2
+    assert radio.to_rows() == parse_batch_rows([GOOD_RADIO])[0].to_rows()
+    assert len(service) == 0
+    # The check runs before interning: the rejected row left no string.
+    assert "hostile" not in radio.pools.devices
+    assert "iot.example" not in radio.pools.apns
+    pack_columns(radio, service)
+
+
+@pytest.mark.parametrize("name", sorted(UNREPRESENTABLE_ROWS))
+def test_value_the_columns_cannot_hold_is_semantic(name):
+    radio, service, report = parse_batch_rows([GOOD_RADIO, UNREPRESENTABLE_ROWS[name]])
+    assert_only_the_good_row_ingests(radio, service, report, IngestErrorKind.SEMANTIC)
+
+
+@pytest.mark.parametrize("name", sorted(MISTYPED_ROWS))
+def test_wrongly_typed_value_is_schema(name):
+    radio, service, report = parse_batch_rows([GOOD_RADIO, MISTYPED_ROWS[name]])
+    assert_only_the_good_row_ingests(radio, service, report, IngestErrorKind.SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "row, kind, message",
+    [
+        (dict(GOOD_RADIO, device_id=5, ts=-1.0), "semantic", "negative timestamp -1.0"),
+        (dict(GOOD_RADIO, ts=float("nan"), sim_plmn="9"), "semantic", "SIM PLMN"),
+        (dict(GOOD_SERVICE, apn=7), "semantic", "voice CDRs carry no APN"),
+        (dict(DATA_SERVICE, duration_s=float("nan")), "semantic", "data xDRs carry bytes"),
+        (dict(GOOD_RADIO, sector=10**20, iface="9G"), "schema", "not a valid RadioInterface"),
+    ],
+)
+def test_rows_rejected_before_keep_their_kind_and_message(row, kind, message):
+    """The new checks run after the original ones."""
+    _, _, report = parse_batch_rows([row])
+    (error,) = report.errors
+    assert error.kind.value == kind
+    assert message in error.message
+
+
+def test_interleaved_batch_interns_radio_first_and_reports_in_row_order():
+    radio_row = dict(GOOD_RADIO, device_id="r")
+    service_row = dict(GOOD_SERVICE, device_id="s")
+    rows = [
+        service_row,
+        dict(GOOD_SERVICE, ts=-1.0),
+        radio_row,
+        dict(GOOD_RADIO, iface="9G"),
+        "garbage",
+    ]
+    radio, service, report = parse_batch_rows(rows, source="b-mixed")
+    assert radio.pools is service.pools
+    assert radio.pools.devices.strings == ("r", "s")
+    assert pack_columns(radio, service) == pack_day_block(
+        radio.to_rows(), service.to_rows()
+    )
+    assert [(e.line_no, e.kind.value) for e in report.errors] == [
+        (2, "semantic"), (4, "schema"), (5, "parse"),
+    ]
+    assert report.errors[2].excerpt == repr("garbage")

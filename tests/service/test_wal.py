@@ -16,13 +16,14 @@ def typed_rows(n_radio=2, n_service=1, day_offset=0):
         rows.append(dict(GOOD_RADIO, ts=10.0 + i + day_offset * 86400.0))
     for i in range(n_service):
         rows.append(dict(GOOD_SERVICE, ts=11.0 + i + day_offset * 86400.0))
-    events, records, report = parse_batch_rows(rows)
+    radio, service, report = parse_batch_rows(rows)
     assert report.n_quarantined == 0
-    return events, records
+    return radio.to_rows(), service.to_rows()
 
 
 def append(log, batch_id, events, records):
-    """Append rows the way the daemon does: interned once, fresh pools."""
+    """Append rows as the daemon's parser hands them over: interned
+    columns that own fresh pools."""
     return log.append(batch_id, *from_record_streams(events, records))
 
 
