@@ -115,7 +115,18 @@ def radius_of_gyration_km(
     """
     if not points:
         raise ValueError("gyration of empty point set")
-    centroid = weighted_centroid(points, weights)
+    return gyration_about_km(points, weights, weighted_centroid(points, weights))
+
+
+def gyration_about_km(
+    points: Sequence[GeoPoint], weights: Sequence[float], centroid: GeoPoint
+) -> float:
+    """Dwell-weighted radius of gyration about ``centroid``, in kilometres.
+
+    :func:`radius_of_gyration_km` is this about
+    ``weighted_centroid(points, weights)``; a caller that keeps the
+    centroid too computes it once.
+    """
     total = sequential_sum(weights)
     acc = 0.0
     for point, weight in zip(points, weights):

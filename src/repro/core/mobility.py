@@ -19,7 +19,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cellular.geo import (
     GeoPoint,
-    radius_of_gyration_km,
+    gyration_about_km,
     sequential_sum,
     weighted_centroid,
 )
@@ -87,9 +87,10 @@ def daily_mobility_from_pairs(
         weights.append(seconds)
     if not points:
         return None
+    centroid = weighted_centroid(points, weights)
     return MobilityMetrics(
-        centroid=weighted_centroid(points, weights),
-        gyration_km=radius_of_gyration_km(points, weights),
+        centroid=centroid,
+        gyration_km=gyration_about_km(points, weights, centroid),
         n_sectors=len(points),
     )
 

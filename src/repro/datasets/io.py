@@ -12,7 +12,8 @@ partially-read dataset.  **Lenient** (``ingest_*`` with
 ``lenient=True``) quarantines bad rows into a typed
 :class:`IngestReport` instead, classifying each error as
 
-* ``parse`` — the line is not JSON at all (torn writes, truncation);
+* ``parse`` — the line is not UTF-8 JSON at all (torn writes,
+  truncation, bit rot);
 * ``schema`` — valid JSON that does not match the codec (missing field,
   unknown enum value, uncoercible or wrongly-typed value);
 * ``semantic`` — a well-formed row whose values violate the record
@@ -76,6 +77,9 @@ _DECODE_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError
 
 #: How much of a bad raw line an IngestError keeps for debugging.
 _EXCERPT_CHARS = 80
+
+#: What parsing one line can raise: each is *parse*.
+_PARSE_ERRORS = (json.JSONDecodeError, UnicodeDecodeError)
 
 
 class IngestErrorKind(str, Enum):
@@ -154,19 +158,38 @@ def _located(exc: BaseException, path: str, line_no: int) -> BaseException:
     where = f"[{path}:{line_no}]"
     if isinstance(exc, json.JSONDecodeError):
         return json.JSONDecodeError(f"{exc.msg} {where}", exc.doc, exc.pos)
+    if isinstance(exc, UnicodeDecodeError):
+        return UnicodeDecodeError(
+            exc.encoding, exc.object, exc.start, exc.end, f"{exc.reason} {where}"
+        )
     if isinstance(exc, KeyError):
         missing = exc.args[0] if exc.args else "?"
         return KeyError(f"missing field {missing!r} {where}")
     return type(exc)(f"{exc} {where}")
 
 
-def _iter_lines(path: PathLike) -> Iterator[Tuple[int, str]]:
-    """(line_no, stripped line) for every non-blank line of a file."""
-    with open(path, "r", encoding="utf-8") as handle:
+def _iter_lines(path: PathLike) -> Iterator[Tuple[int, bytes]]:
+    """(line_no, stripped line) for every non-blank line of a file.
+
+    Lines stay bytes until :func:`_parse_line`, so a line that is not
+    UTF-8 fails alone, as a line that is not JSON does.
+    """
+    with open(path, "rb") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
             if line:
                 yield line_no, line
+
+
+def _parse_line(line: bytes) -> Any:
+    """One line's JSON value.  The line is decoded as UTF-8 first:
+    ``json.loads`` of bytes guesses the encoding, and would read a line
+    starting ``\\xff\\xfe`` as UTF-16."""
+    return json.loads(line.decode("utf-8"))
+
+
+def _excerpt(line: bytes) -> str:
+    return line.decode("utf-8", "replace")[:_EXCERPT_CHARS]
 
 
 def write_jsonl(path: PathLike, rows: Iterable[Dict]) -> int:
@@ -188,8 +211,8 @@ def read_jsonl(path: PathLike) -> Iterator[Dict]:
     """
     for line_no, line in _iter_lines(path):
         try:
-            yield json.loads(line)
-        except json.JSONDecodeError as exc:
+            yield _parse_line(line)
+        except _PARSE_ERRORS as exc:
             raise _located(exc, str(path), line_no) from exc
 
 
@@ -197,26 +220,11 @@ def ingest_jsonl(
     path: PathLike, lenient: bool = False
 ) -> Tuple[List[Dict], IngestReport]:
     """Read raw dict rows with a report (parse-level taxonomy only)."""
-    report = IngestReport(path=str(path))
-    rows: List[Dict] = []
-    for line_no, line in _iter_lines(path):
-        report.n_rows += 1
-        try:
-            rows.append(json.loads(line))
-            report.n_ok += 1
-        except json.JSONDecodeError as exc:
-            if not lenient:
-                raise _located(exc, report.path, line_no) from exc
-            report.errors.append(
-                IngestError(
-                    path=report.path,
-                    line_no=line_no,
-                    kind=IngestErrorKind.PARSE,
-                    message=exc.msg,
-                    excerpt=line[:_EXCERPT_CHARS],
-                )
-            )
-    return rows, report
+    return _ingest(path, _as_is, _as_is, lenient)
+
+
+def _as_is(row: Any) -> Any:
+    return row
 
 
 def ingest_row(
@@ -264,9 +272,10 @@ def _ingest(
 ) -> Tuple[List[R], IngestReport]:
     """The shared strict/lenient codec read loop.
 
-    Each line is parsed as JSON (a failure is a *parse* error), then
-    classified by :func:`ingest_row`: ``decode`` extracts the fields and
-    ``build`` turns them into a record, running its invariant check.
+    Each line is parsed as UTF-8 JSON (a failure is a *parse* error),
+    then classified by :func:`ingest_row`: ``decode`` extracts the
+    fields and ``build`` turns them into a record, running its invariant
+    check.
     """
     report = IngestReport(path=str(path))
     records: List[R] = []
@@ -277,8 +286,8 @@ def _ingest(
     for line_no, line in _iter_lines(path):
         report.n_rows += 1
         try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
+            row = _parse_line(line)
+        except _PARSE_ERRORS as exc:
             if not lenient:
                 raise _located(exc, report.path, line_no) from exc
             report.errors.append(
@@ -286,8 +295,8 @@ def _ingest(
                     path=report.path,
                     line_no=line_no,
                     kind=IngestErrorKind.PARSE,
-                    message=exc.msg,
-                    excerpt=line[:_EXCERPT_CHARS],
+                    message=exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc),
+                    excerpt=_excerpt(line),
                 )
             )
             continue
@@ -304,7 +313,7 @@ def _ingest(
                 line_no=line_no,
                 kind=kind,
                 message=str(exc),
-                excerpt=line[:_EXCERPT_CHARS],
+                excerpt=_excerpt(line),
             )
         )
     return records, report

@@ -152,10 +152,3 @@ class TrafficModel:
     def draw_call_duration_s(self, rng: np.random.Generator) -> float:
         """Call duration: exponential, 90 s mean."""
         return float(rng.exponential(90.0))
-
-    def event_timestamps(
-        self, day: int, count: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Timestamps (seconds since epoch) for ``count`` events on ``day``."""
-        hours = sample_event_hours(count, self.diurnal, rng)
-        return day * 86400.0 + np.sort(hours) * 3600.0

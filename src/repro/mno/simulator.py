@@ -16,14 +16,18 @@ and, for outbound roamers, emits only CDR/xDRs from the visited network
 (radio signaling for outbound roamers stays in the visited country,
 §4.1).
 
-No row object is built here.  :class:`ColumnEmitter` turns each
-device-day's draws straight into columns — radio fields as numpy
-arrays indexed from the vectorized draws, service fields as plain lists
-— and :meth:`ColumnEmitter.finish` orders each stream by timestamp and
-interns devices, PLMNs and APNs in first-seen order.  The resulting
-stores equal :func:`~repro.columnar.store.from_record_streams` of the
-rows those draws describe, column for column and pool for pool, and the
-checks :class:`~repro.signaling.events.RadioEvent` and
+No row object is built here, and no numpy runs per device-day.
+:class:`ColumnEmitter` makes each device-day's draws as it goes, in the
+order they have always been made: service fields go straight into flat
+columns, while radio draws are buffered and derived one block of rows
+at a time — timestamps sorted within their device-day, visit, RAT,
+plane, nearest sector, interface, event type and result, vectorized
+over every buffered device-day with the arithmetic the per-device-day
+code used.  :meth:`ColumnEmitter.finish` orders each stream by
+timestamp and interns devices, PLMNs and APNs in first-seen order.  The
+resulting stores equal :func:`~repro.columnar.store.from_record_streams`
+of the rows those draws describe, column for column and pool for pool,
+and the checks :class:`~repro.signaling.events.RadioEvent` and
 :class:`~repro.signaling.cdr.ServiceRecord` make on construction run
 over the columns instead: per device for the per-device constants,
 vectorized for the per-row values.
@@ -45,6 +49,7 @@ from repro.columnar.store import (
     RowSequence,
 )
 from repro.datasets.containers import GroundTruthEntry, MNODataset
+from repro.devices.traffic_models import sample_event_hours
 from repro.ecosystem import Ecosystem
 from repro.mno.config import MNOConfig
 from repro.mno.population import PlannedDevice, PopulationBuilder
@@ -82,6 +87,32 @@ _RESULT_BY_FAILURE = np.array(
 )
 _VOICE = SERVICE_TYPES.index(ServiceType.VOICE)
 _DATA = SERVICE_TYPES.index(ServiceType.DATA)
+
+_N_RATS = len(RAT)
+_RAT_CODES = {rat: code for code, rat in enumerate(RAT)}
+#: Interface code by [RAT code, voice plane]; 4G has no voice plane.
+_INTERFACES = np.array(
+    [
+        [
+            RADIO_INTERFACES.index(RadioInterface.for_plane(rat, False)),
+            RADIO_INTERFACES.index(RadioInterface.for_plane(rat, True))
+            if rat is not RAT.LTE
+            else -1,
+        ]
+        for rat in RAT
+    ],
+    dtype=np.int8,
+)
+
+#: Buffered radio rows that trigger a block pass, and visits per
+#: nearest-sector lookup.  They keep each of the pass's buffers and
+#: temporaries (about twenty per row, and the lookup's visits x sectors
+#: distance matrices) at about 80 KiB or less in the CLI world's 80
+#: sites, under glibc's default 128 KiB mmap threshold: 8,192-row
+#: blocks with 1,024-visit slices were as fast and read 3-5 MiB more
+#: peak RSS on ``repro run --devices 800``.
+_BLOCK_ROWS = 2048
+_NEAREST_SLICE = 128
 
 #: numpy dtype of each store column typecode.
 _DTYPES = {"q": np.int64, "d": np.float64, "b": np.int8}
@@ -121,38 +152,55 @@ def _check_non_negative(values: np.ndarray, message: str) -> None:
         raise ValueError(f"{message} {values[bad[0]].item()}")
 
 
-class _Device(NamedTuple):
-    """Per-device tables the radio draws index into."""
+class _RadioBlock(NamedTuple):
+    """Radio draws buffered until the next block pass."""
 
-    index: int
-    #: Every RAT the device uses, in generation order (the data RATs).
-    rats: Tuple[RAT, ...]
-    #: Positions in ``rats`` of the voice-capable RATs.
-    voice_rats: np.ndarray
-    #: Interface code by [position in ``rats``, voice plane].
-    interfaces: np.ndarray
+    #: (device, row count, day, visit-weights id) per device-day.
+    days: array
+    #: (lat, lon) per visit.
+    visits: array
+    #: Event hour per row, unsorted.
+    hours: array
+    #: The ``rng.random(5 * n)`` draws of each device-day.
+    draws: array
+
+    @classmethod
+    def empty(cls) -> "_RadioBlock":
+        return cls(array("q"), array("d"), array("d"), array("d"))
 
 
 class ColumnEmitter:
     """Turns device-days of simulator draws into interned column stores.
 
     :meth:`emit` makes one device-day's draws, in the order they have
-    always been made, and keeps their results as columns;
-    :meth:`finish` orders and interns them into stores.  The batch
-    simulator emits every device-day of the window into one emitter;
-    the streaming simulator uses one per day and shard.
+    always been made.  Service draws go straight into columns; radio
+    draws are buffered as they come and derived into columns one block
+    of :data:`_BLOCK_ROWS` rows at a time, with the arithmetic the
+    per-device-day code used (:meth:`_derive_block`).  :meth:`finish`
+    orders and interns the columns into stores.  The batch simulator
+    emits every device-day of the window into one emitter; the
+    streaming simulator uses one per day and shard.
     """
 
     def __init__(self, ecosystem: Ecosystem) -> None:
         self._sectors = ecosystem.uk_sectors
         self._observer_plmn = str(ecosystem.uk_mno.plmn)
-        self._devices: Dict[str, _Device] = {}
+        self._devices: Dict[str, int] = {}
         # Per-device constants, by local device index.
         self._device_ids: List[str] = []
         self._sim_plmns: List[str] = []
         self._visited_plmns: List[str] = []
         self._tacs: List[int] = []
+        # RAT codes of the data and the voice RATs, _N_RATS per device
+        # padded with -1, and the radio draws' per-device thresholds.
+        self._rats = array("b")
+        self._voice_rats = array("b")
+        self._voice_fractions = array("d")
+        self._failure_probs = array("d")
         self._apns: Dict[str, int] = {}
+        # Distinct visit-weight tuples: the mobility models have a few.
+        self._weights: Dict[Tuple[float, ...], int] = {}
+        self._block = _RadioBlock.empty()
         # Row values go straight into flat buffers, with one (device, row
         # count) chunk per device-day: per-chunk arrays or Python floats
         # would take several times the memory of the columns.
@@ -169,35 +217,20 @@ class ColumnEmitter:
         self._durations = array("d")
         self._bytes = array("q")
 
-    def _device(self, plan: PlannedDevice) -> _Device:
-        device = self._devices.get(plan.device_id)
-        if device is not None:
-            return device
-        rats = plan.data_rats
-        voice = plan.voice_rats
+    def _device(self, plan: PlannedDevice) -> int:
+        index = self._devices.get(plan.device_id)
+        if index is not None:
+            return index
+        index = self._devices[plan.device_id] = len(self._devices)
         self._device_ids.append(plan.device_id)
         self._sim_plmns.append(plan.device.sim_plmn)
         self._visited_plmns.append(plan.outbound_visited_plmn or self._observer_plmn)
         self._tacs.append(plan.device.tac)
-        device = _Device(
-            index=len(self._devices),
-            rats=rats,
-            voice_rats=np.array([rats.index(rat) for rat in voice], dtype=np.intp),
-            interfaces=np.array(
-                [
-                    [
-                        RADIO_INTERFACES.index(RadioInterface.for_plane(rat, False)),
-                        RADIO_INTERFACES.index(RadioInterface.for_plane(rat, True))
-                        if rat in voice
-                        else -1,
-                    ]
-                    for rat in rats
-                ],
-                dtype=np.int8,
-            ),
-        )
-        self._devices[plan.device_id] = device
-        return device
+        for table, rats in ((self._rats, plan.data_rats), (self._voice_rats, plan.voice_rats)):
+            table.extend([_RAT_CODES[rat] for rat in rats] + [-1] * (_N_RATS - len(rats)))
+        self._voice_fractions.append(plan.voice_event_fraction)
+        self._failure_probs.append(plan.segment.event_failure_prob)
+        return index
 
     def emit(self, plan: PlannedDevice, day: int, rng: np.random.Generator) -> None:
         """Draw one device-day: radio events (none for outbound roamers),
@@ -208,72 +241,141 @@ class ColumnEmitter:
         self._service_day(plan, device, day, rng)
 
     def _radio_day(
-        self, plan: PlannedDevice, device: _Device, day: int, rng: np.random.Generator
+        self, plan: PlannedDevice, device: int, day: int, rng: np.random.Generator
     ) -> None:
+        """Make one device-day's radio draws and buffer them."""
         n = plan.traffic.draw_signaling_count(rng)
         if n <= 0 or plan.mobility is None:
             return
         visits = plan.mobility.visits_for_day(day, rng)
-        weights = np.array([w for _, w in visits], dtype=float)
-        visit_cum = np.cumsum(weights / weights.sum())
-        lats = np.array([position.lat for position, _ in visits])
-        lons = np.array([position.lon for position, _ in visits])
-        by_rat = []
-        for rat in device.rats:
-            ids = self._sectors.nearest_ids(lats, lons, rat)
-            # The observer supports all three RATs, so lookup cannot
-            # miss for RATs the device actually uses.
-            assert ids is not None
-            by_rat.append(ids)
-        sectors = np.array(by_rat)
-        timestamps = plan.traffic.event_timestamps(day, n, rng)
+        hours = sample_event_hours(n, plan.traffic.diurnal, rng)
+        # Plane, visit, type, failure and RAT draws, n of each in turn.
+        draws = rng.random(5 * n)
+        weights = tuple(weight for _, weight in visits)
+        block = self._block
+        block.days.extend(
+            (device, n, day, self._weights.setdefault(weights, len(self._weights)))
+        )
+        for position, _ in visits:
+            block.visits.extend((position.lat, position.lon))
+        block.hours.frombytes(hours.tobytes())
+        block.draws.frombytes(draws.tobytes())
+        if len(block.hours) >= _BLOCK_ROWS:
+            self._derive_block()
 
-        plane_draws = rng.random(n)
-        visit_picks = np.searchsorted(visit_cum, rng.random(n))
-        type_picks = rng.random(n)
-        fail_draws = rng.random(n) < plan.segment.event_failure_prob
-        rat_picks = rng.random(n)
+    def _visit_cums(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Visit count and cumulative dwell shares by visit-weights id.
 
-        rat_index = (rat_picks * len(device.rats)).astype(np.intp)
-        voice_rats = device.voice_rats
-        if len(voice_rats) and plan.voice_event_fraction > 0.0:
-            voice = plane_draws < plan.voice_event_fraction
-            voice_index = voice_rats[(rat_picks * len(voice_rats)).astype(np.intp)]
-            rat_index = np.where(voice, voice_index, rat_index)
-        else:
-            voice = np.zeros(n, dtype=bool)
-        types = _MID_EVENT_CODES[np.searchsorted(_MID_EVENT_CUM, type_picks)]
-        types[0] = _ATTACH
-        if n > 1:
-            types[-1] = _DETACH
+        A visit draw ``x`` picks the number of shares ``< x`` (the
+        ``searchsorted`` of the draw).  The last share is left out, so
+        the pick stays inside the day's visits; the rest pad with +inf.
+        """
+        counts = np.array([len(weights) for weights in self._weights], dtype=np.int64)
+        cums = np.full((len(counts), int(counts.max()) - 1), np.inf)
+        for row, weights in enumerate(self._weights):
+            shares = np.array(weights, dtype=float)
+            cums[row, : len(weights) - 1] = np.cumsum(shares / shares.sum())[:-1]
+        return counts, cums
 
-        self._radio_chunks.extend((device.index, n))
+    def _derive_block(self) -> None:
+        """Derive the columns of every buffered device-day at once and
+        append them, with the per-device-day arithmetic: timestamps
+        sorted within their device-day, the visit pick, the RAT and
+        plane, the nearest sector, the interface, the event type and
+        the result."""
+        block, self._block = self._block, _RadioBlock.empty()
+        if not block.days:
+            return
+        days = np.frombuffer(block.days, dtype=np.int64).reshape(-1, 4)
+        device, counts, day, weights_id = days.T
+        # Each row's device-day, and the first row of each device-day.
+        row_day = np.repeat(np.arange(len(days)), counts)
+        starts = np.cumsum(counts) - counts
+        n = counts[row_day]
+
+        hours = np.frombuffer(block.hours, dtype=np.float64)
+        hours = hours[np.lexsort((hours, row_day))]
+        timestamps = day[row_day] * 86400.0 + hours * 3600.0
+
+        # The draws of a device-day's row i sit at i + k * n past its
+        # device-day's first draw, 5 * start.
+        draws = np.frombuffer(block.draws, dtype=np.float64)
+        first_draw = np.arange(len(row_day)) + 4 * starts[row_day]
+        plane_draws, visit_draws, type_draws, fail_draws, rat_draws = (
+            draws[first_draw + k * n] for k in range(5)
+        )
+
+        visit_counts, cums = self._visit_cums()
+        n_visits = visit_counts[weights_id]
+        row_weights = weights_id[row_day]
+        visit = (np.cumsum(n_visits) - n_visits)[row_day]
+        for column in cums.T:
+            visit += column[row_weights] < visit_draws
+
+        rats, voice_rats = (
+            np.frombuffer(table, dtype=np.int8).reshape(-1, _N_RATS)[device]
+            for table in (self._rats, self._voice_rats)
+        )
+        n_rats = (rats >= 0).sum(axis=1)[row_day]
+        n_voice = (voice_rats >= 0).sum(axis=1)[row_day]
+        row_device = device[row_day]
+        fractions = np.frombuffer(self._voice_fractions, dtype=np.float64)[row_device]
+        voice = (plane_draws < fractions) & (n_voice > 0)
+        rat = np.where(
+            voice,
+            voice_rats[row_day, (rat_draws * n_voice).astype(np.intp)],
+            rats[row_day, (rat_draws * n_rats).astype(np.intp)],
+        )
+
+        # Nearest sector of every RAT a visit's device uses, in slices
+        # that keep the (visits x sectors) distance matrix small.
+        lats, lons = np.frombuffer(block.visits, dtype=np.float64).reshape(-1, 2).T
+        visit_rats = rats[np.repeat(np.arange(len(days)), n_visits)]
+        sectors = np.full((_N_RATS, len(lats)), -1, dtype=np.int64)
+        for code, radio in enumerate(RAT):
+            wanted = np.flatnonzero((visit_rats == code).any(axis=1))
+            for start in range(0, len(wanted), _NEAREST_SLICE):
+                chunk = wanted[start : start + _NEAREST_SLICE]
+                ids = self._sectors.nearest_ids(lats[chunk], lons[chunk], radio)
+                # The observer supports all three RATs, so lookup cannot
+                # miss for RATs the device actually uses.
+                assert ids is not None
+                sectors[code, chunk] = ids
+
+        types = _MID_EVENT_CODES[np.searchsorted(_MID_EVENT_CUM, type_draws)]
+        types[starts] = _ATTACH
+        types[(starts + counts - 1)[counts > 1]] = _DETACH
+        failure_probs = np.frombuffer(self._failure_probs, dtype=np.float64)[row_device]
+
+        self._radio_chunks.frombytes(days[:, :2].tobytes())
         self._radio_ts.frombytes(timestamps.tobytes())
-        self._radio_sectors.frombytes(sectors[rat_index, visit_picks].tobytes())
+        self._radio_sectors.frombytes(sectors[rat, visit].tobytes())
         self._radio_interfaces.frombytes(
-            device.interfaces[rat_index, voice.astype(np.intp)].tobytes()
+            _INTERFACES[rat, voice.astype(np.intp)].tobytes()
         )
         self._radio_types.frombytes(types.tobytes())
         self._radio_results.frombytes(
-            _RESULT_BY_FAILURE[fail_draws.astype(np.intp)].tobytes()
+            _RESULT_BY_FAILURE[(fail_draws < failure_probs).astype(np.intp)].tobytes()
         )
 
     def _service_day(
-        self, plan: PlannedDevice, device: _Device, day: int, rng: np.random.Generator
+        self, plan: PlannedDevice, device: int, day: int, rng: np.random.Generator
     ) -> None:
         # Each row's uniform draw interleaves with a variable-length
         # exponential or normal draw, so these stay scalar and in order.
         traffic = plan.traffic
+        uniform = rng.random
         base = day * 86400.0
         timestamps = self._service_ts
         if plan.uses_voice:
             calls = traffic.draw_call_count(rng)
             durations = self._durations
+            draw_duration = traffic.draw_call_duration_s
             for _ in range(calls):
-                timestamps.append(base + float(rng.random()) * 86400.0)
-                durations.append(traffic.draw_call_duration_s(rng))
+                timestamps.append(base + uniform() * 86400.0)
+                durations.append(draw_duration(rng))
             if calls > 0:
-                self._service_chunks.extend((device.index, _VOICE, NULL_ID, calls))
+                self._service_chunks.extend((device, _VOICE, NULL_ID, calls))
         if plan.uses_data and plan.apns:
             sessions = traffic.draw_data_sessions(rng)
             if sessions <= 0:
@@ -281,10 +383,11 @@ class ColumnEmitter:
             apn = plan.apns[int(rng.integers(len(plan.apns)))]
             apn_id = self._apns.setdefault(apn, len(self._apns))
             sizes = self._bytes
+            draw_bytes = traffic.draw_session_bytes
             for _ in range(sessions):
-                timestamps.append(base + float(rng.random()) * 86400.0)
-                sizes.append(traffic.draw_session_bytes(rng))
-            self._service_chunks.extend((device.index, _DATA, apn_id, sessions))
+                timestamps.append(base + uniform() * 86400.0)
+                sizes.append(draw_bytes(rng))
+            self._service_chunks.extend((device, _DATA, apn_id, sessions))
 
     def finish(self) -> Tuple[ColumnarRadioEvents, ColumnarServiceRecords]:
         """Validate, order by timestamp and intern everything emitted.
@@ -298,8 +401,10 @@ class ColumnEmitter:
         # The stores' columns are allocated before the temporaries that
         # fill them, so that freeing those lets the heap shrink again.
         pools = ColumnPools()
-        events = _zeroed(ColumnarRadioEvents(pools), len(self._radio_ts))
+        n_radio = len(self._radio_ts) + len(self._block.hours)
+        events = _zeroed(ColumnarRadioEvents(pools), n_radio)
         records = _zeroed(ColumnarServiceRecords(pools), len(self._service_ts))
+        self._derive_block()
 
         chunks = np.frombuffer(self._radio_chunks, dtype=np.int64).reshape(-1, 2)
         radio_dev = np.repeat(chunks[:, 0], chunks[:, 1])

@@ -102,11 +102,16 @@ class SignalingTransaction:
     result: ResultCode
 
     def __post_init__(self) -> None:
+        # The checks after the PLMNs run last, as in check_radio_event, so
+        # earlier rejections keep their message.
         if self.timestamp < 0:
             raise ValueError(f"negative timestamp {self.timestamp}")
         for label, plmn in (("sim", self.sim_plmn), ("visited", self.visited_plmn)):
             if not plmn.isdigit() or len(plmn) not in (5, 6):
                 raise ValueError(f"{label} PLMN must be 5-6 digits, got {plmn!r}")
+        if not isinstance(self.device_id, str):
+            raise TypeError(f"device id must be a string, got {self.device_id!r}")
+        check_timestamp(self.timestamp)
 
     @property
     def sim_mcc(self) -> int:

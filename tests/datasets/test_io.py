@@ -8,6 +8,7 @@ from repro.datasets.io import (
     IngestErrorKind,
     ingest_radio_events,
     ingest_service_records,
+    ingest_transactions,
     radio_event_from_dict,
     radio_event_to_dict,
     read_jsonl,
@@ -158,3 +159,33 @@ class TestValuesTheColumnsCannotHold:
         self._write(path, good, [json.dumps(good).replace('"tac": 35000001', '"tac": 1e400')])
         with pytest.raises(OverflowError, match=r"radio\.jsonl:2\]"):
             ingest_radio_events(path)
+
+    def test_lenient_transaction_ingest_quarantines_them(self, tmp_path):
+        path = tmp_path / "txn.jsonl"
+        good = transaction_to_dict(_txn())
+        self._write(path, good, [
+            json.dumps(dict(good, ts=float("nan"))),
+            json.dumps(dict(good, ts=float("inf"))),
+            json.dumps(dict(good, ts=1e300)),
+            json.dumps(dict(good, device_id=5)),
+        ])
+        txns, report = ingest_transactions(path, lenient=True)
+        assert txns == [_txn()]
+        assert [(e.line_no, e.kind) for e in report.errors] == [
+            (2, IngestErrorKind.SEMANTIC),
+            (3, IngestErrorKind.SEMANTIC),
+            (4, IngestErrorKind.SEMANTIC),
+            (5, IngestErrorKind.SCHEMA),
+        ]
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [({"ts": float("nan")}, ValueError), ({"device_id": 5}, TypeError)],
+        ids=["nan-ts", "int-device-id"],
+    )
+    def test_strict_transaction_ingest_raises_with_its_location(self, tmp_path, bad, error):
+        path = tmp_path / "txn.jsonl"
+        good = transaction_to_dict(_txn())
+        self._write(path, good, [json.dumps(dict(good, **bad))])
+        with pytest.raises(error, match=r"txn\.jsonl:2\]"):
+            ingest_transactions(path)

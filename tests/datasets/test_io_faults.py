@@ -165,6 +165,48 @@ def test_clean_file_round_trips_both_modes(tmp_path, codec):
     assert strict_report.coverage == 1.0
 
 
+#: A line that is not UTF-8; ``json.loads`` of its bytes would guess UTF-16.
+NOT_UTF8 = b"\xff\xfe\x00garbage"
+
+INGESTS = {
+    **{codec: (make, to_dict, ingest) for codec, (make, to_dict, ingest, _) in CODECS.items()},
+    "jsonl": (sample_transactions, transaction_to_dict, ingest_jsonl),
+}
+
+
+def write_with_non_utf8_line(tmp_path, name):
+    make, to_dict, _ = INGESTS[name]
+    lines = [json.dumps(to_dict(r)).encode("utf-8") for r in make()]
+    lines[1] = NOT_UTF8
+    path = tmp_path / f"{name}.jsonl"
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(INGESTS))
+def test_non_utf8_line_quarantines_as_parse(tmp_path, name):
+    path = write_with_non_utf8_line(tmp_path, name)
+    make, to_dict, ingest = INGESTS[name]
+    records, report = ingest(path, lenient=True)
+    clean = make() if name != "jsonl" else [to_dict(r) for r in make()]
+    assert records == [clean[0], *clean[2:]]
+    assert report.counts_by_kind == {"parse": 1}
+    error = report.errors[0]
+    assert error.line_no == BAD_LINE_NO
+    assert error.excerpt == NOT_UTF8.decode("utf-8", "replace")
+    assert "utf-8" in error.message
+
+
+@pytest.mark.parametrize("name", sorted(INGESTS))
+def test_non_utf8_line_raises_with_location_when_strict(tmp_path, name):
+    path = write_with_non_utf8_line(tmp_path, name)
+    with pytest.raises(UnicodeDecodeError) as excinfo:
+        INGESTS[name][2](path)
+    assert f"{path}:{BAD_LINE_NO}]" in str(excinfo.value)
+    with pytest.raises(UnicodeDecodeError, match=f"{path.name}:{BAD_LINE_NO}]"):
+        list(read_jsonl(path))
+
+
 def test_read_jsonl_skips_blank_lines(tmp_path):
     path = tmp_path / "gaps.jsonl"
     path.write_text('{"a":1}\n\n   \n{"a":2}\n\n', encoding="utf-8")

@@ -87,12 +87,6 @@ class TestTrafficModel:
         model = self._model(data_mb_mu=-6.0)
         assert all(model.draw_session_bytes(rng) >= 1 for _ in range(50))
 
-    def test_event_timestamps_sorted_within_day(self, rng):
-        model = self._model()
-        ts = model.event_timestamps(day=3, count=50, rng=rng)
-        assert (np.diff(ts) >= 0).all()
-        assert (ts >= 3 * 86400).all() and (ts < 4 * 86400).all()
-
     def test_rejects_nonpositive_intensity(self):
         with pytest.raises(ValueError):
             self._model(intensity=0.0)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.cellular.geo import (
     GeoPoint,
+    gyration_about_km,
     haversine_km,
     offset_km,
     radius_of_gyration_km,
@@ -84,6 +85,13 @@ class TestGyrationProperties:
     @given(points, st.lists(weights, min_size=1, max_size=5))
     def test_identical_points_zero(self, p, ws):
         assert radius_of_gyration_km([p] * len(ws), ws) < 0.001
+
+    @given(st.lists(st.tuples(points, weights), min_size=1, max_size=8))
+    def test_about_the_weighted_centroid_is_the_gyration(self, weighted_points):
+        pts = [p for p, _ in weighted_points]
+        ws = [w for _, w in weighted_points]
+        centroid = weighted_centroid(pts, ws)
+        assert gyration_about_km(pts, ws, centroid) == radius_of_gyration_km(pts, ws)
 
 
 class TestOffsetProperties:
