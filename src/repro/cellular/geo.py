@@ -49,9 +49,20 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance between two points, in kilometres."""
     lat1, lon1 = math.radians(a.lat), math.radians(a.lon)
     lat2, lon2 = math.radians(b.lat), math.radians(b.lon)
+    return haversine_radians_km(lat1, lon1, math.cos(lat1), lat2, lon2, math.cos(lat2))
+
+
+def haversine_radians_km(
+    lat1: float, lon1: float, cos_lat1: float, lat2: float, lon2: float, cos_lat2: float
+) -> float:
+    """Great-circle distance from radians and the latitudes' cosines.
+
+    :func:`haversine_km`'s arithmetic, so the same bits: a caller that
+    meets one point many times computes its factors once.
+    """
     dlat = lat2 - lat1
     dlon = lon2 - lon1
-    h = math.sin(dlat / 2) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2) ** 2
+    h = math.sin(dlat / 2) ** 2 + cos_lat1 * cos_lat2 * math.sin(dlon / 2) ** 2
     return 2 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
 

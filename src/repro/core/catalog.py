@@ -7,12 +7,24 @@ events, calls, bytes seen, SIM MCC/MNC, list of visited MCC-MNC, list of
 APN strings, device manufacturer, device model, device OS", radio-flags
 and mobility metrics.
 
-:class:`CatalogBuilder` scans radio events and CDR/xDR records, interned
-as columns (:mod:`repro.columnar`), into per-(device, day) accumulators,
-joins the TAC catalog for device properties and the sector catalog for
-mobility, and emits
-:class:`DeviceDayRecord` rows plus whole-window :class:`DeviceSummary`
-aggregates (the unit most of the paper's figures are computed over).
+:class:`CatalogBuilder` derives the catalog from radio events and CDR/xDR
+records interned as columns (:mod:`repro.columnar`), joins the TAC
+catalog for device properties and the sector catalog for mobility, and
+emits :class:`DeviceDayRecord` rows plus whole-window
+:class:`DeviceSummary` aggregates (the unit most of the paper's figures
+are computed over).
+
+One numpy kernel derives every (device, day) cell: it sorts the rows by
+(device, day, timestamp, sector or duration) and, one block of devices
+at a time, computes each cell's counts, RAT masks, APN and visited sets,
+voice minutes and mobility with grouped numpy operations, leaving only
+the record objects to Python.  Float sums run left to right
+(``np.bincount``) in that sorted order and transcendentals are
+:mod:`math` calls, so a record is a function of the multiset of rows.
+The one-shot build runs the kernel over its input; the incremental
+engine keeps each day's rows and each device's identity keys, and a
+snapshot runs the same kernel over the device-days touched since the
+last one.
 
 A summary and its roaming label aggregate a device over the whole
 window, so whether a device can be finalized is decided here, once per
@@ -23,38 +35,68 @@ records or summary raise is left out and kept as a
 
 from __future__ import annotations
 
-import math
-from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+)
+
+import numpy as np
 
 from repro.cellular.rats import RadioFlags
 from repro.cellular.sectors import SectorCatalog
 from repro.cellular.tac_db import DeviceModel, TACDatabase
-from repro.columnar.store import NULL_ID, ColumnarRadioEvents, ColumnarServiceRecords
-from repro.core.mobility import MobilityMetrics, daily_mobility_from_pairs
+from repro.columnar.store import (
+    NULL_ID,
+    Column,
+    ColumnarRadioEvents,
+    ColumnarServiceRecords,
+    ColumnPools,
+    StringPool,
+)
+from repro.core.mobility import MobilityMetrics, SectorTable, batch_daily_mobility
 from repro.core.roaming import RoamingLabel, RoamingLabeler
 from repro.signaling.cdr import SERVICE_TYPES, ServiceType
 from repro.signaling.events import RADIO_INTERFACES
 from repro.signaling.procedures import MESSAGE_TYPES, RESULT_CODES
 
-#: Scan tables, indexed by the canonical enum orders the stores
+#: Kernel tables, indexed by the canonical enum orders the stores
 #: encode against: per-result success bit, per-interface voice bit and
-#: RAT mask.  Tuple indexing replaces per-row property chains and enum
-#: dict lookups in the hot kernel.
-_RESULT_IS_SUCCESS: Tuple[bool, ...] = tuple(code.is_success for code in RESULT_CODES)
-_INTERFACE_IS_VOICE: Tuple[bool, ...] = tuple(
-    interface.is_voice for interface in RADIO_INTERFACES
+#: RAT mask, per-service voice bit.  Indexing one with an enum column
+#: replaces per-row property chains.
+_RESULT_IS_SUCCESS = np.array([code.is_success for code in RESULT_CODES], dtype=bool)
+_INTERFACE_IS_VOICE = np.array(
+    [interface.is_voice for interface in RADIO_INTERFACES], dtype=bool
 )
-_INTERFACE_RAT_BIT: Tuple[int, ...] = tuple(
-    RadioFlags.from_rats((interface.rat,)).mask for interface in RADIO_INTERFACES
+_INTERFACE_RAT_BIT = np.array(
+    [RadioFlags.from_rats((interface.rat,)).mask for interface in RADIO_INTERFACES],
+    dtype=np.int64,
 )
-_SERVICE_IS_VOICE: Tuple[bool, ...] = tuple(
-    service is ServiceType.VOICE for service in SERVICE_TYPES
+_SERVICE_IS_VOICE = np.array(
+    [service is ServiceType.VOICE for service in SERVICE_TYPES], dtype=bool
 )
+
+#: Devices one kernel block finalizes: the block's temporaries scale
+#: with its rows, not with the input's.
+_BLOCK_DEVICES = 128
+
+#: Every radio-flags value, by mask: records share these (frozen) objects.
+_FLAGS: Tuple[RadioFlags, ...] = tuple(RadioFlags(mask) for mask in range(8))
+_NO_STRINGS: FrozenSet[str] = frozenset()
+_DAY = attrgetter("day")
 
 
 @dataclass(frozen=True)
@@ -165,124 +207,233 @@ RadioKey = Tuple[float, int, str, str, str, int, str]
 ServiceKey = Tuple[float, str, float, int, str, str, str]
 
 
-class _Cell:
-    """Order-free state of one (device, day).
+# -- identity -----------------------------------------------------------------
 
-    Counts add, RAT masks OR and string sets union, so these merge as
-    they come.  The order-sensitive parts keep their values instead:
-    mobility its ``(timestamp, sector_id)`` pairs and voice minutes its
-    ``(timestamp, duration)`` pairs, sorted once when the cell is
-    finalized.  Any grouping and order of the same rows therefore gives
-    the same cell and the same record.  Strings are stored as strings,
-    so a cell outlives the pools of the columns it was scanned from.
+#: An identity key type: :data:`RadioKey` or :data:`ServiceKey`.
+_Key = TypeVar("_Key", RadioKey, ServiceKey)
+
+
+def _keep_min(keys: Dict[str, _Key], device_id: str, key: _Key) -> None:
+    """Keep the smaller of ``key`` and the device's key in ``keys``."""
+    current = keys.get(device_id)
+    if current is None or key < current:
+        keys[device_id] = key
+
+
+def _earliest(device_ids: Column, timestamps: Column, n_devices: int) -> List[int]:
+    """Rows at their device's minimum timestamp (usually one per device)."""
+    devices = _view(device_ids)
+    times = _view(timestamps)
+    first = np.full(n_devices, np.inf)
+    np.minimum.at(first, devices, times)
+    rows: List[int] = np.flatnonzero(times == first[devices]).tolist()
+    return rows
+
+
+def _min_keys(
+    radio_events: ColumnarRadioEvents, service_records: ColumnarServiceRecords
+) -> Tuple[Dict[str, RadioKey], Dict[str, ServiceKey]]:
+    """Each device's minimum radio and service key over the stores' rows.
+
+    Key tuples are built only for the rows at a device's minimum
+    timestamp, the only rows that can hold its minimum key.
     """
+    pools = radio_events.pools
+    devices = pools.devices
+    plmns = pools.plmns
+    radio_keys: Dict[str, RadioKey] = {}
+    r = radio_events
+    for i in _earliest(r.device_ids, r.timestamps, len(devices)):
+        _keep_min(radio_keys, devices.lookup(r.device_ids[i]), (
+            r.timestamps[i], r.sector_ids[i], _INTERFACE_VALUES[r.interfaces[i]],
+            _MESSAGE_VALUES[r.event_types[i]], _RESULT_VALUES[r.results[i]],
+            r.tacs[i], plmns.lookup(r.sim_plmns[i]),
+        ))
+    service_keys: Dict[str, ServiceKey] = {}
+    s = service_records
+    for i in _earliest(s.device_ids, s.timestamps, len(devices)):
+        apn = s.apns[i]
+        _keep_min(service_keys, devices.lookup(s.device_ids[i]), (
+            s.timestamps[i], _SERVICE_VALUES[s.services[i]], s.durations[i],
+            s.bytes_totals[i], plmns.lookup(s.visited_plmns[i]),
+            "" if apn == NULL_ID else pools.apns.lookup(apn),
+            plmns.lookup(s.sim_plmns[i]),
+        ))
+    return radio_keys, service_keys
 
-    __slots__ = (
-        "n_events",
-        "n_failed",
-        "radio_mask",
-        "voice_mask",
-        "data_mask",
-        "timestamps",
-        "sectors",
-        "n_calls",
-        "voice",
-        "n_data_sessions",
-        "bytes_total",
-        "apns",
-        "visited",
-        "home_service",
-        "radio_ts",
-        "radio_row",
-        "service_ts",
-        "service_row",
+
+def _identity(
+    radio_keys: Dict[str, RadioKey],
+    service_keys: Dict[str, ServiceKey],
+    device_id: str,
+) -> Tuple[str, Optional[int]]:
+    """(SIM, TAC) from the device's minimum radio key, else the SIM of
+    its minimum service key and no TAC."""
+    radio_key = radio_keys.get(device_id)
+    if radio_key is not None:
+        return radio_key[6], radio_key[5]
+    service_key = service_keys.get(device_id)
+    if service_key is None:  # unreachable: every device has a row
+        raise RuntimeError("device has rows but no SIM")
+    return service_key[6], None
+
+
+# -- kernel input --------------------------------------------------------------
+
+class _RadioRows(NamedTuple):
+    """The radio columns the kernel reads, one entry per row."""
+
+    device: np.ndarray
+    day: np.ndarray
+    timestamp: np.ndarray
+    sector: np.ndarray
+    interface: np.ndarray
+    result: np.ndarray
+
+
+class _ServiceRows(NamedTuple):
+    """The service columns the kernel reads, one entry per row."""
+
+    device: np.ndarray
+    day: np.ndarray
+    timestamp: np.ndarray
+    service: np.ndarray
+    duration: np.ndarray
+    bytes_total: np.ndarray
+    visited: np.ndarray
+    apn: np.ndarray
+
+
+def _view(column: Column) -> np.ndarray:
+    return np.frombuffer(column, dtype=column.typecode)
+
+
+def _radio_rows(store: ColumnarRadioEvents) -> _RadioRows:
+    """Views (no copy) of the store's kernel columns."""
+    return _RadioRows(
+        _view(store.device_ids), _view(store.days), _view(store.timestamps),
+        _view(store.sector_ids), _view(store.interfaces), _view(store.results),
     )
 
-    def __init__(self) -> None:
-        self.n_events = 0
-        self.n_failed = 0
-        self.radio_mask = 0
-        self.voice_mask = 0
-        self.data_mask = 0
-        self.timestamps = array("d")
-        self.sectors = array("q")
-        self.n_calls = 0
-        #: Flattened ``(timestamp, duration)`` pairs of the voice rows.
-        self.voice = array("d")
-        self.n_data_sessions = 0
-        self.bytes_total = 0
-        self.apns: Set[str] = set()
-        #: Visited PLMNs of service rows; finalization adds the observer
-        #: to a cell with radio events.
-        self.visited: Set[str] = set()
-        #: A service row was on the observer's network.
-        self.home_service = False
-        # Scan only: the row (and its timestamp) holding this cell's
-        # minimum identity key so far, so a key tuple is built only for
-        # a row that ties on timestamp.
-        self.radio_ts = math.inf
-        self.radio_row = -1
-        self.service_ts = math.inf
-        self.service_row = -1
 
-    def merge(self, other: "_Cell") -> None:
-        """Fold ``other`` (the same device and day) into this cell."""
-        self.n_events += other.n_events
-        self.n_failed += other.n_failed
-        self.radio_mask |= other.radio_mask
-        self.voice_mask |= other.voice_mask
-        self.data_mask |= other.data_mask
-        self.timestamps.extend(other.timestamps)
-        self.sectors.extend(other.sectors)
-        self.n_calls += other.n_calls
-        self.voice.extend(other.voice)
-        self.n_data_sessions += other.n_data_sessions
-        self.bytes_total += other.bytes_total
-        self.apns |= other.apns
-        self.visited |= other.visited
-        self.home_service = self.home_service or other.home_service
+def _service_rows(store: ColumnarServiceRecords) -> _ServiceRows:
+    """Views (no copy) of the store's kernel columns."""
+    return _ServiceRows(
+        _view(store.device_ids), _view(store.days), _view(store.timestamps),
+        _view(store.services), _view(store.durations), _view(store.bytes_totals),
+        _view(store.visited_plmns), _view(store.apns),
+    )
 
 
-_RADIO_TS = attrgetter("radio_ts")
-_SERVICE_TS = attrgetter("service_ts")
+def _own_ids(ids: np.ndarray, pool: StringPool, own: StringPool) -> np.ndarray:
+    """``ids`` of ``pool`` re-interned into ``own`` (NULL_ID stays): only
+    the distinct ids present are looked up, so a delta costs its own size
+    whatever the size of its pool."""
+    unique, inverse = np.unique(ids, return_inverse=True)
+    table = np.array(
+        [
+            NULL_ID if i == NULL_ID else own.intern(pool.lookup(i))
+            for i in unique.tolist()
+        ],
+        dtype=np.int32,
+    )
+    translated: np.ndarray = table[inverse]
+    return translated
 
 
-class _Device:
-    """A device's cells by day, plus its identity: the minimum radio and
-    service keys over all its rows."""
+def _joined(chunks: List[Tuple[np.ndarray, ...]]) -> Tuple[np.ndarray, ...]:
+    if len(chunks) == 1:
+        return chunks[0]
+    return tuple(np.concatenate(columns) for columns in zip(*chunks))
 
-    __slots__ = ("cells", "radio_key", "service_key")
+
+class _DayRows:
+    """One day's rows in the builder's own pools: the kernel's columns
+    but the day, appended one chunk per delta and joined on read."""
+
+    __slots__ = ("radio", "service")
 
     def __init__(self) -> None:
-        self.cells: Dict[int, _Cell] = {}
-        self.radio_key: Optional[RadioKey] = None
-        self.service_key: Optional[ServiceKey] = None
+        self.radio: List[Tuple[np.ndarray, ...]] = []
+        self.service: List[Tuple[np.ndarray, ...]] = []
 
-    def merge(self, other: "_Device") -> None:
-        """Fold ``other`` (the same device) into this device."""
-        for day, cell in other.cells.items():
-            current = self.cells.get(day)
-            if current is None:
-                self.cells[day] = cell
-            else:
-                current.merge(cell)
-        if other.radio_key is not None and (
-            self.radio_key is None or other.radio_key < self.radio_key
-        ):
-            self.radio_key = other.radio_key
-        if other.service_key is not None and (
-            self.service_key is None or other.service_key < self.service_key
-        ):
-            self.service_key = other.service_key
+    def gather(self, day: int, dirty: np.ndarray) -> Tuple[_RadioRows, _ServiceRows]:
+        """This day's rows of the devices flagged in ``dirty`` (indexed
+        by own device id), with their day column."""
+        radio = _joined(self.radio)
+        service = _joined(self.service)
+        self.radio = [radio]
+        self.service = [service]
+        keep = dirty[radio[0]]
+        radio = tuple(column[keep] for column in radio)
+        keep = dirty[service[0]]
+        service = tuple(column[keep] for column in service)
+        return (
+            _RadioRows(radio[0], np.full(len(radio[0]), day, dtype=np.int64), *radio[1:]),
+            _ServiceRows(
+                service[0], np.full(len(service[0]), day, dtype=np.int64), *service[1:]
+            ),
+        )
 
-    def identity(self) -> Tuple[str, Optional[int]]:
-        """(SIM, TAC) from the minimum radio key, else the SIM of the
-        minimum service key and no TAC."""
-        if self.radio_key is not None:
-            return self.radio_key[6], self.radio_key[5]
-        if self.service_key is None:  # unreachable: every device has a row
-            raise RuntimeError("device has cells but no SIM")
-        return self.service_key[6], None
+
+# -- kernel --------------------------------------------------------------------
+
+#: One cell's :class:`DeviceDayRecord` fields after ``sim_plmn``, in
+#: field order.
+_CellFields = Tuple[Any, ...]
+
+
+def _heads(*keys: np.ndarray) -> np.ndarray:
+    """True where a row starts a run of equal ``keys``."""
+    head = np.zeros(len(keys[0]), dtype=bool)
+    if len(head):
+        head[0] = True
+        for key in keys:
+            head[1:] |= key[1:] != key[:-1]
+    return head
+
+
+def _string_sets(
+    cells: np.ndarray, ids: np.ndarray, strings: Sequence[str], n_cells: int
+) -> List[FrozenSet[str]]:
+    """Each cell's set of ``strings[id]`` over its ``(cell, id)`` pairs;
+    cells with the same ids share one frozenset."""
+    sets = [_NO_STRINGS] * n_cells
+    if not len(cells):
+        return sets
+    memo: Dict[Tuple[int, ...], FrozenSet[str]] = {}
+    width = len(strings)
+    pairs = np.unique(cells.astype(np.int64) * width + ids)
+    pair_cells = pairs // width
+    starts = np.flatnonzero(_heads(pair_cells))
+    cell_list = pair_cells[starts].tolist()
+    id_list = (pairs % width).tolist()
+    ends = starts[1:].tolist() + [len(pairs)]
+    for cell, start, end in zip(cell_list, starts.tolist(), ends):
+        key = tuple(id_list[start:end])
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = frozenset(strings[i] for i in key)
+        sets[cell] = found
+    return sets
+
+
+def _byte_totals(cells: np.ndarray, counts: np.ndarray, n_cells: int) -> List[int]:
+    """Each cell's byte total (``cells`` nondecreasing): int64 sums
+    while no sum can pass int64, exact Python ints otherwise (counts are
+    non-negative, as the record check holds them)."""
+    if not len(counts):
+        return [0] * n_cells
+    if int(counts.max()) * len(counts) < 2**63:
+        starts = np.flatnonzero(_heads(cells))
+        totals = np.zeros(n_cells, dtype=np.int64)
+        totals[cells[starts]] = np.add.reduceat(counts, starts)
+        exact: List[int] = totals.tolist()
+        return exact
+    big = [0] * n_cells
+    for cell, count in zip(cells.tolist(), counts.tolist()):
+        big[cell] += count
+    return big
 
 
 class CatalogBuilder:
@@ -296,21 +447,23 @@ class CatalogBuilder:
         compute_mobility: bool = True,
     ) -> None:
         self._tac_db = tac_db
-        self._sectors = sector_catalog
         self._labeler = labeler
-        self._compute_mobility = compute_mobility
+        self._sector_table = SectorTable.of(sector_catalog) if compute_mobility else None
         self._observer_plmn = str(labeler.observer.plmn)
         # TAC-join memo: the catalog has far fewer models than the
         # population has devices, so each TAC is resolved once and the
         # (possibly None) result reused across devices and `summarize`
         # calls.  Lookup is deterministic; the memo cannot change a join.
         self._model_cache: Dict[int, Optional[DeviceModel]] = {}
-        # Incremental state (see `update`/`snapshot`): every device's
-        # cells and identity, the days folded into since the last
-        # snapshot, and the records and summaries that snapshot left
-        # valid.
-        self._devices: Dict[str, _Device] = {}
-        self._dirty: Dict[str, Set[int]] = {}
+        # Incremental state (see `update`/`snapshot`): each day's rows in
+        # the builder's own pools, every device's minimum identity keys,
+        # the device ids touched per day since the last snapshot, and the
+        # records and summaries that snapshot left valid.
+        self._pools = ColumnPools()
+        self._days: Dict[int, _DayRows] = {}
+        self._radio_keys: Dict[str, RadioKey] = {}
+        self._service_keys: Dict[str, ServiceKey] = {}
+        self._dirty: Dict[int, Set[int]] = {}
         self._records: Dict[str, List[DeviceDayRecord]] = {}
         self._summaries: Dict[str, DeviceSummary] = {}
         #: Devices the last lenient finalization left out, each with the
@@ -344,9 +497,7 @@ class CatalogBuilder:
             gyration_n = 0
             apns: Set[str] = set()
             visited: Set[str] = set()
-            flags = RadioFlags()
-            voice_flags = RadioFlags()
-            data_flags = RadioFlags()
+            radio_mask = voice_mask = data_mask = 0
             for r in records:
                 ever_home = ever_home or r.on_home_network
                 if r.has_activity:
@@ -362,9 +513,9 @@ class CatalogBuilder:
                     gyration_n += 1
                 apns.update(r.apns)
                 visited.update(r.visited_plmns)
-                flags = flags.union(r.radio_flags)
-                voice_flags = voice_flags.union(r.voice_flags)
-                data_flags = data_flags.union(r.data_flags)
+                radio_mask |= r.radio_flags.mask
+                voice_mask |= r.voice_flags.mask
+                data_mask |= r.data_flags.mask
             # A device never seen on the home network was only observed
             # through CDR/xDRs from partner networks: an outbound roamer.
             # min() (not next(iter(...))) keeps the pick independent of
@@ -395,9 +546,9 @@ class CatalogBuilder:
                 bytes_total=bytes_total,
                 apns=frozenset(apns),
                 visited_plmns=frozenset(visited),
-                radio_flags=flags,
-                voice_flags=voice_flags,
-                data_flags=data_flags,
+                radio_flags=_FLAGS[radio_mask],
+                voice_flags=_FLAGS[voice_mask],
+                data_flags=_FLAGS[data_mask],
                 tac=tac,
                 model=model,
                 mean_gyration_km=(
@@ -408,294 +559,246 @@ class CatalogBuilder:
 
     # -- catalog kernel -------------------------------------------------------
 
-    def _scan(
+    def _cells(
         self,
-        radio_events: ColumnarRadioEvents,
-        service_records: ColumnarServiceRecords,
-    ) -> Dict[str, _Device]:
-        """Single-pass scan over interned int columns into per-device
-        cells by day, with each device's identity keys.
+        radio: _RadioRows,
+        radio_rows: np.ndarray,
+        service: _ServiceRows,
+        service_rows: np.ndarray,
+        rank: np.ndarray,
+        pools: ColumnPools,
+    ) -> Tuple[np.ndarray, List[int], List[_CellFields]]:
+        """The cells of one block, sorted by (device rank, day): their
+        ranks, days and record fields.  ``radio_rows``/``service_rows``
+        index the block's rows, sorted by (rank, day, timestamp, sector
+        or duration)."""
+        radio_rank = rank[radio.device[radio_rows]]
+        radio_day = radio.day[radio_rows]
+        service_rank = rank[service.device[service_rows]]
+        service_day = service.day[service_rows]
+        radio_starts = np.flatnonzero(_heads(radio_rank, radio_day))
+        service_starts = np.flatnonzero(_heads(service_rank, service_day))
 
-        Cells are keyed ``(day << 32) | device_id`` during the scan (pool
-        ids are dense and far below 2**32, so one packed int replaces a
-        (device, day) tuple key).  Both stores must share one
-        :class:`ColumnPools` so device/PLMN ids agree across streams;
-        the pools are only read, never extended.
-        """
-        pools = radio_events.pools
-        if pools is not service_records.pools:
-            raise ValueError("columnar streams must share one ColumnPools")
-        cells: Dict[int, _Cell] = {}
-        get = cells.get
-        success_of = _RESULT_IS_SUCCESS
-        voice_of = _INTERFACE_IS_VOICE
-        rat_bit_of = _INTERFACE_RAT_BIT
+        # The cells either stream touches, sorted by (rank, day); each
+        # run of either stream maps to its cell.
+        run_rank = np.concatenate((radio_rank[radio_starts], service_rank[service_starts]))
+        run_day = np.concatenate((radio_day[radio_starts], service_day[service_starts]))
+        by_cell = np.lexsort((run_day, run_rank))
+        head = _heads(run_rank[by_cell], run_day[by_cell])
+        cell_of_run = np.empty(len(by_cell), dtype=np.intp)
+        cell_of_run[by_cell] = np.cumsum(head) - 1
+        radio_cell = cell_of_run[: len(radio_starts)]
+        service_cell = cell_of_run[len(radio_starts):]
+        firsts = by_cell[head]
+        n_cells = len(firsts)
+
+        lengths = np.diff(np.append(radio_starts, len(radio_rows)))
+        success = _RESULT_IS_SUCCESS[radio.result[radio_rows]]
+        interface = radio.interface[radio_rows]
+        bits = np.where(success, _INTERFACE_RAT_BIT[interface], 0)
+        voice_bits = np.where(_INTERFACE_IS_VOICE[interface], bits, 0)
+        n_events = np.zeros(n_cells, dtype=np.int64)
+        n_events[radio_cell] = lengths
+        n_failed = np.zeros(n_cells, dtype=np.int64)
+        n_failed[radio_cell] = lengths - np.add.reduceat(
+            success, radio_starts, dtype=np.int64
+        )
+        radio_mask = np.zeros(n_cells, dtype=np.int64)
+        radio_mask[radio_cell] = np.bitwise_or.reduceat(bits, radio_starts)
+        voice_mask = np.zeros(n_cells, dtype=np.int64)
+        voice_mask[radio_cell] = np.bitwise_or.reduceat(voice_bits, radio_starts)
+        data_mask = np.zeros(n_cells, dtype=np.int64)
+        data_mask[radio_cell] = np.bitwise_or.reduceat(bits ^ voice_bits, radio_starts)
+        mobility: List[Optional[MobilityMetrics]] = [None] * n_cells
+        if self._sector_table is not None:
+            metrics = batch_daily_mobility(
+                radio_starts,
+                radio.timestamp[radio_rows],
+                radio.sector[radio_rows],
+                self._sector_table,
+            )
+            for cell, metric in zip(radio_cell.tolist(), metrics):
+                mobility[cell] = metric
+
+        row_cell = np.repeat(
+            service_cell, np.diff(np.append(service_starts, len(service_rows)))
+        )
+        is_voice = _SERVICE_IS_VOICE[service.service[service_rows]]
+        voice_cell = row_cell[is_voice]
+        n_calls = np.bincount(voice_cell, minlength=n_cells)
+        voice_minutes = np.zeros(n_cells, dtype=np.float64)
+        if len(voice_cell):
+            voice_minutes = np.bincount(
+                voice_cell,
+                weights=service.duration[service_rows[is_voice]] / 60.0,
+                minlength=n_cells,
+            )
+        data_cell = row_cell[~is_voice]
+        data_rows = service_rows[~is_voice]
+        n_data = np.bincount(data_cell, minlength=n_cells)
+        bytes_total = _byte_totals(data_cell, service.bytes_total[data_rows], n_cells)
+        apn = service.apn[data_rows]
+        named = apn != NULL_ID
+        apns = _string_sets(data_cell[named], apn[named], pools.apns.strings, n_cells)
+
         plmns = pools.plmns.strings
-        track_mobility = self._compute_mobility
-
-        timestamps = radio_events.timestamps
-        sector_ids = radio_events.sector_ids
-        interfaces = radio_events.interfaces
-        event_types = radio_events.event_types
-        results = radio_events.results
-        tacs = radio_events.tacs
-        sims = radio_events.sim_plmns
-        rows = zip(
-            radio_events.device_ids,
-            radio_events.days,
-            timestamps,
-            results,
-            interfaces,
-            sector_ids,
-        )
-
-        def radio_key(i: int) -> RadioKey:
-            return (
-                timestamps[i], sector_ids[i], _INTERFACE_VALUES[interfaces[i]],
-                _MESSAGE_VALUES[event_types[i]], _RESULT_VALUES[results[i]],
-                tacs[i], plmns[sims[i]],
-            )
-
-        for i, (dev, day, ts, result, interface, sector) in enumerate(rows):
-            key = (day << 32) | dev
-            cell = get(key)
-            if cell is None:
-                cell = cells[key] = _Cell()
-            if ts <= cell.radio_ts and (
-                ts < cell.radio_ts or radio_key(i) < radio_key(cell.radio_row)
-            ):
-                cell.radio_ts, cell.radio_row = ts, i
-            if success_of[result]:
-                bit = rat_bit_of[interface]
-                cell.radio_mask |= bit
-                if voice_of[interface]:
-                    cell.voice_mask |= bit
-                else:
-                    cell.data_mask |= bit
-            else:
-                cell.n_failed += 1
-            cell.n_events += 1
-            if track_mobility:
-                cell.timestamps.append(ts)
-                cell.sectors.append(sector)
-
-        svc_voice_of = _SERVICE_IS_VOICE
-        plmn_pool = pools.plmns
-        # Looked up, not interned: no service row is on the home network
-        # when the observer is absent from the pool.
+        observer = self._observer_plmn
+        # Looked up, not interned: no service row is on the observer's
+        # network when the observer is absent from the pool; the id
+        # past the pool stands for it then.
         observer_id = (
-            plmn_pool.id_of(self._observer_plmn)
-            if self._observer_plmn in plmn_pool
-            else NULL_ID
+            pools.plmns.id_of(observer) if observer in pools.plmns else len(plmns)
         )
-        apn_strings = pools.apns.strings
-        svc_timestamps = service_records.timestamps
-        durations = service_records.durations
-        byte_counts = service_records.bytes_totals
-        apn_ids = service_records.apns
-        svc_sims = service_records.sim_plmns
-        services = service_records.services
-        visited_plmns = service_records.visited_plmns
-        svc_rows = zip(
-            service_records.device_ids,
-            service_records.days,
-            svc_timestamps,
-            services,
-            visited_plmns,
+        visited = service.visited[service_rows]
+        home = np.zeros(n_cells, dtype=bool)
+        home[row_cell[visited == observer_id]] = True
+        # Every radio event is on the observer's network.
+        visited_sets = _string_sets(
+            np.concatenate((radio_cell, row_cell)),
+            np.concatenate((np.full(len(radio_cell), observer_id), visited)),
+            plmns + (observer,),
+            n_cells,
         )
-
-        def service_key(i: int) -> ServiceKey:
-            apn = apn_ids[i]
-            return (
-                svc_timestamps[i], _SERVICE_VALUES[services[i]], durations[i],
-                byte_counts[i], plmns[visited_plmns[i]],
-                "" if apn == NULL_ID else apn_strings[apn], plmns[svc_sims[i]],
-            )
-
-        for i, (dev, day, ts, service, visited) in enumerate(svc_rows):
-            key = (day << 32) | dev
-            cell = get(key)
-            if cell is None:
-                cell = cells[key] = _Cell()
-            if ts <= cell.service_ts and (
-                ts < cell.service_ts or service_key(i) < service_key(cell.service_row)
-            ):
-                cell.service_ts, cell.service_row = ts, i
-            cell.visited.add(plmns[visited])
-            if visited == observer_id:
-                cell.home_service = True
-            if svc_voice_of[service]:
-                cell.n_calls += 1
-                cell.voice.append(ts)
-                cell.voice.append(durations[i])
-            else:
-                cell.n_data_sessions += 1
-                cell.bytes_total += byte_counts[i]
-                apn = apn_ids[i]
-                if apn != NULL_ID:
-                    cell.apns.add(apn_strings[apn])
-
-        device_of = pools.devices.lookup
-        devices: Dict[str, _Device] = {}
-        for key, cell in cells.items():
-            device_id = device_of(key & 0xFFFFFFFF)
-            device = devices.get(device_id)
-            if device is None:
-                device = devices[device_id] = _Device()
-            device.cells[key >> 32] = cell
-        # A device's cells are distinct days, so their candidate rows
-        # never tie on timestamp: the earliest one holds its minimum key.
-        for device in devices.values():
-            day_cells = device.cells.values()
-            radio = min(
-                (c for c in day_cells if c.radio_row >= 0), key=_RADIO_TS, default=None
-            )
-            service = min(
-                (c for c in day_cells if c.service_row >= 0),
-                key=_SERVICE_TS,
-                default=None,
-            )
-            if radio is not None:
-                device.radio_key = radio_key(radio.radio_row)
-            if service is not None:
-                device.service_key = service_key(service.service_row)
-        return devices
-
-    def _record(
-        self, device_id: str, day: int, sim_plmn: str, cell: _Cell
-    ) -> DeviceDayRecord:
-        """Finalize one cell into a catalog row.
-
-        Voice minutes add ``duration / 60`` left to right over the voice
-        rows sorted by ``(timestamp, duration)``; mobility sorts its
-        ``(timestamp, sector_id)`` pairs (in the dwell estimator).
-        """
-        voice_minutes = 0.0
-        if cell.n_calls:
-            pairs = iter(cell.voice)
-            for _, duration in sorted(zip(pairs, pairs)):
-                voice_minutes += duration / 60.0
-        if cell.n_events:
-            # Every radio event is on the observer's network.
-            cell.visited.add(self._observer_plmn)
-        return DeviceDayRecord(
-            device_id=device_id,
-            day=day,
-            sim_plmn=sim_plmn,
-            visited_plmns=frozenset(cell.visited),
-            n_events=cell.n_events,
-            n_failed_events=cell.n_failed,
-            n_calls=cell.n_calls,
-            voice_minutes=voice_minutes,
-            n_data_sessions=cell.n_data_sessions,
-            bytes_total=cell.bytes_total,
-            apns=frozenset(cell.apns),
-            radio_flags=RadioFlags(cell.radio_mask),
-            voice_flags=RadioFlags(cell.voice_mask),
-            data_flags=RadioFlags(cell.data_mask),
-            mobility=(
-                daily_mobility_from_pairs(
-                    zip(cell.timestamps, cell.sectors), self._sectors
-                )
-                if cell.timestamps
-                else None
-            ),
-            on_home_network=bool(cell.n_events) or cell.home_service,
-        )
+        on_home = (n_events > 0) | home
+        flags = _FLAGS.__getitem__
+        fields: List[_CellFields] = list(zip(
+            visited_sets, n_events.tolist(), n_failed.tolist(), n_calls.tolist(),
+            voice_minutes.tolist(), n_data.tolist(), bytes_total, apns,
+            map(flags, radio_mask.tolist()), map(flags, voice_mask.tolist()),
+            map(flags, data_mask.tolist()), mobility, on_home.tolist(),
+        ))
+        return run_rank[firsts], run_day[firsts].tolist(), fields
 
     def _device_records(
         self,
         device_id: str,
-        device: _Device,
-        clean: Mapping[int, DeviceDayRecord],
-    ) -> Tuple[List[DeviceDayRecord], Optional[int]]:
-        """One device's day records, sorted by day, and its TAC.
+        days: List[int],
+        fields: List[_CellFields],
+        lo: int,
+        hi: int,
+        sim_plmn: str,
+    ) -> List[DeviceDayRecord]:
+        """One device's day records, sorted by day: cells ``lo:hi`` of a
+        kernel block."""
+        return [
+            DeviceDayRecord(device_id, days[i], sim_plmn, *fields[i])
+            for i in range(lo, hi)
+        ]
 
-        A record in ``clean`` (day -> record of a cell untouched since it
-        was built) is reused while the device's SIM is unchanged; every
-        other cell is finalized.
-        """
-        sim_plmn, tac = device.identity()
-        cells = device.cells
-        records: List[DeviceDayRecord] = []
-        for day in sorted(cells):
-            record = clean.get(day)
-            if record is None or record.sim_plmn != sim_plmn:
-                record = self._record(device_id, day, sim_plmn, cells[day])
-            records.append(record)
-        return records, tac
-
-    def _day_records(
+    def _derive(
         self,
-        devices: Dict[str, _Device],
-        clean: Mapping[str, Mapping[int, DeviceDayRecord]],
+        radio: _RadioRows,
+        service: _ServiceRows,
+        pools: ColumnPools,
+        radio_keys: Dict[str, RadioKey],
+        service_keys: Dict[str, ServiceKey],
         failures: Optional[Dict[str, StageFailure]],
-    ) -> Tuple[Dict[str, List[DeviceDayRecord]], Dict[str, int]]:
-        """Each device's day records, in sorted device order, plus the
-        TACs.
+    ) -> Iterator[Tuple[str, List[DeviceDayRecord]]]:
+        """The catalog kernel: each device's day records, in sorted
+        device order, with the SIM its minimum keys give it.
 
-        ``devices`` is consumed: popping each device as its records are
-        built frees its cells (when nothing else holds them), so cells
-        and records never sit in memory side by side.  A raise
-        propagates, unless ``failures`` is given: then the device is
+        Device ids are ranked by their strings; rows are sorted once by
+        (rank, day, timestamp, sector) and (rank, day, timestamp,
+        duration) and cut into blocks of :data:`_BLOCK_DEVICES` devices,
+        whose cells are derived together.  A device whose records raise
+        propagates the error, unless ``failures`` is given: then it is
         left out and recorded there at the ``"catalog"`` stage.
         """
-        by_device: Dict[str, List[DeviceDayRecord]] = {}
-        tac_of: Dict[str, int] = {}
-        no_records: Dict[int, DeviceDayRecord] = {}
-        for device_id in sorted(devices):
-            device = devices.pop(device_id)
-            try:
-                records, tac = self._device_records(
-                    device_id, device, clean.get(device_id, no_records)
-                )
-            except Exception as exc:
-                if failures is None:
-                    raise
-                failures[device_id] = StageFailure.of(device_id, "catalog", exc)
-                continue
-            by_device[device_id] = records
-            if tac is not None:
-                tac_of[device_id] = tac
-        return by_device, tac_of
-
-    def _finalize(
-        self,
-        devices: Dict[str, _Device],
-        clean: Mapping[str, Mapping[int, DeviceDayRecord]],
-        lenient: bool,
-    ) -> Tuple[
-        Dict[str, List[DeviceDayRecord]],
-        Dict[str, DeviceSummary],
-        Dict[str, StageFailure],
-    ]:
-        """Day records and summaries of ``devices`` (consumed), and the
-        devices lenient mode left out.
-
-        The one finalization both the one-shot build and
-        :meth:`snapshot` run.  Each device's day records are built (stage
-        ``"catalog"``), then one batch :meth:`summarize` runs; if it
-        raises in lenient mode, devices are summarized one at a time and
-        each that raises is left out at stage ``"summary"``.  In strict
-        mode every raise propagates.
-        """
-        failures: Dict[str, StageFailure] = {}
-        by_device, tac_of = self._day_records(
-            devices, clean, failures if lenient else None
+        names = pools.devices.strings
+        seen = np.zeros(len(names), dtype=bool)
+        seen[radio.device] = True
+        seen[service.device] = True
+        order: List[int] = sorted(np.flatnonzero(seen).tolist(), key=names.__getitem__)
+        rank = np.empty(len(names), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        radio_rank = rank[radio.device]
+        radio_order = np.lexsort((radio.sector, radio.timestamp, radio.day, radio_rank))
+        service_rank = rank[service.device]
+        service_order = np.lexsort(
+            (service.duration, service.timestamp, service.day, service_rank)
         )
+        block_firsts = np.arange(0, len(order) + _BLOCK_DEVICES, _BLOCK_DEVICES)
+        radio_edges = np.searchsorted(radio_rank[radio_order], block_firsts).tolist()
+        service_edges = np.searchsorted(service_rank[service_order], block_firsts).tolist()
+        del radio_rank, service_rank
+        for block, first in enumerate(range(0, len(order), _BLOCK_DEVICES)):
+            last = min(first + _BLOCK_DEVICES, len(order))
+            ranks, days, fields = self._cells(
+                radio,
+                radio_order[radio_edges[block]:radio_edges[block + 1]],
+                service,
+                service_order[service_edges[block]:service_edges[block + 1]],
+                rank,
+                pools,
+            )
+            bounds = np.searchsorted(ranks, np.arange(first, last + 1)).tolist()
+            for k in range(last - first):
+                device_id = names[order[first + k]]
+                try:
+                    records = self._device_records(
+                        device_id, days, fields, bounds[k], bounds[k + 1],
+                        _identity(radio_keys, service_keys, device_id)[0],
+                    )
+                except Exception as exc:
+                    if failures is None:
+                        raise
+                    failures[device_id] = StageFailure.of(device_id, "catalog", exc)
+                    continue
+                yield device_id, records
+
+    def _summarize_devices(
+        self,
+        by_device: Dict[str, List[DeviceDayRecord]],
+        tac_of: Dict[str, int],
+        failures: Dict[str, StageFailure],
+        lenient: bool,
+    ) -> Dict[str, DeviceSummary]:
+        """Summaries of ``by_device``: one batch :meth:`summarize`; if it
+        raises in lenient mode, one device at a time, leaving each that
+        raises out of ``by_device`` and in ``failures`` at the
+        ``"summary"`` stage.  In strict mode every raise propagates."""
         try:
-            summaries = self.summarize(chain.from_iterable(by_device.values()), tac_of)
+            return self.summarize(chain.from_iterable(by_device.values()), tac_of)
         except Exception:
             if not lenient:
                 raise
-            summaries = {}
-            for device_id in list(by_device):
-                try:
-                    summaries.update(self.summarize(by_device[device_id], tac_of))
-                except Exception as exc:
-                    failures[device_id] = StageFailure.of(device_id, "summary", exc)
-                    del by_device[device_id]
-        return by_device, summaries, failures
+        summaries: Dict[str, DeviceSummary] = {}
+        for device_id in list(by_device):
+            try:
+                summaries.update(self.summarize(by_device[device_id], tac_of))
+            except Exception as exc:
+                failures[device_id] = StageFailure.of(device_id, "summary", exc)
+                del by_device[device_id]
+        return summaries
+
+    def _day_records(
+        self,
+        radio_events: ColumnarRadioEvents,
+        service_records: ColumnarServiceRecords,
+        failures: Optional[Dict[str, StageFailure]],
+    ) -> Tuple[Dict[str, List[DeviceDayRecord]], Dict[str, int]]:
+        """The kernel over both stores: each device's day records, in
+        sorted device order, plus the TACs."""
+        pools = radio_events.pools
+        if pools is not service_records.pools:
+            raise ValueError("columnar streams must share one ColumnPools")
+        radio_keys, service_keys = _min_keys(radio_events, service_records)
+        by_device = dict(
+            self._derive(
+                _radio_rows(radio_events),
+                _service_rows(service_records),
+                pools,
+                radio_keys,
+                service_keys,
+                failures,
+            )
+        )
+        tac_of = {
+            device_id: radio_keys[device_id][5]
+            for device_id in by_device
+            if device_id in radio_keys
+        }
+        return by_device, tac_of
 
     def build_day_records(
         self,
@@ -704,9 +807,7 @@ class CatalogBuilder:
     ) -> Tuple[List[DeviceDayRecord], Dict[str, int]]:
         """The daily devices-catalog, sorted by (device, day), plus each
         device's TAC (devices seen only in CDR/xDRs have none)."""
-        by_device, tac_of = self._day_records(
-            self._scan(radio_events, service_records), {}, None
-        )
+        by_device, tac_of = self._day_records(radio_events, service_records, None)
         return list(chain.from_iterable(by_device.values())), tac_of
 
     def build_from_columns(
@@ -717,18 +818,18 @@ class CatalogBuilder:
     ) -> Tuple[List[DeviceDayRecord], Dict[str, DeviceSummary]]:
         """One-shot: daily records plus per-device summaries.
 
-        Scans interned int columns: no per-event property calls, no
-        string key hashing, and one :class:`RadioFlags` per (device,
-        day) cell instead of one per successful event.  The result is a
-        function of the multiset of input rows, not of their order.
+        Runs the catalog kernel over interned int columns.  The result
+        is a function of the multiset of input rows, not of their order.
 
         A device whose day records or summary raise propagates the
         error; with ``lenient=True`` it is left out instead, and
         :attr:`quarantined` becomes this build's failures.
         """
-        by_device, summaries, failures = self._finalize(
-            self._scan(radio_events, service_records), {}, lenient
+        failures: Dict[str, StageFailure] = {}
+        by_device, tac_of = self._day_records(
+            radio_events, service_records, failures if lenient else None
         )
+        summaries = self._summarize_devices(by_device, tac_of, failures, lenient)
         if lenient:
             self.quarantined = failures
         return list(chain.from_iterable(by_device.values())), summaries
@@ -748,53 +849,121 @@ class CatalogBuilder:
         """Fold one day's delta into the incremental catalog, in
         O(delta).
 
-        The delta's cells merge into the day's existing cells (a cell
-        first seen here is adopted as scanned) and are marked for the
-        next :meth:`snapshot`; nothing is finalized or summarized here.
-        Because cells are order-free, any split of the rows into deltas,
-        fed in any order, snapshots to :meth:`build_from_columns` over
-        all of them.  Rows for any other day raise ``ValueError``.
+        The delta's rows join the day's rows (re-interned into the
+        builder's pools, only the columns the kernel reads), its devices'
+        minimum identity keys merge into theirs, and its (device, day)
+        cells are marked for the next :meth:`snapshot`; nothing is
+        derived here.  Because the kernel is order-free, any split of
+        the rows into deltas, fed in any order, snapshots to
+        :meth:`build_from_columns` over all of them.  Rows for any other
+        day raise ``ValueError``.
         """
         for store_days in (radio_events.days, service_records.days):
-            if len(store_days) and (
-                min(store_days) != day or max(store_days) != day
-            ):
+            days = _view(store_days)
+            if len(days) and (days.min() != day or days.max() != day):
                 raise ValueError(f"update({day}) received rows for other days")
-        devices = self._devices
-        dirty = self._dirty
-        for device_id, delta in self._scan(radio_events, service_records).items():
-            device = devices.get(device_id)
-            if device is None:
-                devices[device_id] = delta
-            else:
-                device.merge(delta)
-            dirty.setdefault(device_id, set()).add(day)
+        pools = radio_events.pools
+        if pools is not service_records.pools:
+            raise ValueError("columnar streams must share one ColumnPools")
+        radio_keys, service_keys = _min_keys(radio_events, service_records)
+        own = self._pools
+        radio = _radio_rows(radio_events)
+        service = _service_rows(service_records)
+        radio_device = _own_ids(radio.device, pools.devices, own.devices)
+        service_device = _own_ids(service.device, pools.devices, own.devices)
+        radio_chunk = (
+            radio_device, radio.timestamp.copy(), radio.sector.copy(),
+            radio.interface.copy(), radio.result.copy(),
+        )
+        service_chunk = (
+            service_device, service.timestamp.copy(), service.service.copy(),
+            service.duration.copy(), service.bytes_total.copy(),
+            _own_ids(service.visited, pools.plmns, own.plmns),
+            _own_ids(service.apn, pools.apns, own.apns),
+        )
+
+        for device_id, radio_key in radio_keys.items():
+            _keep_min(self._radio_keys, device_id, radio_key)
+        for device_id, service_key in service_keys.items():
+            _keep_min(self._service_keys, device_id, service_key)
+        rows = self._days.get(day)
+        if rows is None:
+            rows = self._days[day] = _DayRows()
+        rows.radio.append(radio_chunk)
+        rows.service.append(service_chunk)
+        self._dirty.setdefault(day, set()).update(
+            np.unique(np.concatenate((radio_device, service_device))).tolist()
+        )
 
     def _refresh(self, lenient: bool) -> None:
-        """Finalize the dirty devices and re-summarize them.
+        """Re-derive the dirty device-days and re-summarize their devices.
 
-        Identity is re-resolved per dirty device; a day record is rebuilt
-        when its cell is dirty, or when the device's SIM moved.  State
-        changes only after every summary exists, so a raise leaves the
-        builder as it was and the next snapshot retries.
+        A device's days are re-derived when its cells are dirty, every
+        day when its SIM moved (its kept records carry the old one) or
+        when it was left out before (it kept no records).  State changes
+        only after every summary exists, so a raise leaves the builder
+        as it was and the next snapshot retries.
         """
-        dirty = self._dirty
-        clean = {
-            device_id: {
-                r.day: r for r in self._records.get(device_id, ()) if r.day not in days
-            }
-            for device_id, days in dirty.items()
-        }
-        fresh, summaries, failures = self._finalize(
-            {device_id: self._devices[device_id] for device_id in dirty},
-            clean,
-            lenient,
-        )
-        for device_id in dirty:
+        names = self._pools.devices.strings
+
+        def identity(device_id: str) -> Tuple[str, Optional[int]]:
+            return _identity(self._radio_keys, self._service_keys, device_id)
+
+        days_of: Dict[int, Set[int]] = defaultdict(set)
+        for day, device_ids in self._dirty.items():
+            for device in device_ids:
+                days_of[device].add(day)
+        for device, days in days_of.items():
+            kept = self._records.get(names[device])
+            if kept is None:
+                if names[device] in self.quarantined:
+                    days.update(self._days)
+            elif kept[0].sim_plmn != identity(names[device])[0]:
+                days.update(record.day for record in kept)
+        devices_of: Dict[int, List[int]] = defaultdict(list)
+        for device, days in days_of.items():
+            for day in days:
+                devices_of[day].append(device)
+
+        failures: Dict[str, StageFailure] = {}
+        fresh: Dict[str, List[DeviceDayRecord]] = defaultdict(list)
+        flags = np.zeros(len(names), dtype=bool)
+        for day in sorted(devices_of):
+            flags[devices_of[day]] = True
+            radio, service = self._days[day].gather(day, flags)
+            flags[devices_of[day]] = False
+            for device_id, records in self._derive(
+                radio,
+                service,
+                self._pools,
+                self._radio_keys,
+                self._service_keys,
+                failures if lenient else None,
+            ):
+                fresh[device_id].extend(records)
+
+        by_device: Dict[str, List[DeviceDayRecord]] = {}
+        tac_of: Dict[str, int] = {}
+        for device in sorted(days_of, key=names.__getitem__):
+            device_id = names[device]
+            if device_id in failures:
+                continue
+            days = days_of[device]
+            records = [r for r in self._records.get(device_id, ()) if r.day not in days]
+            records.extend(fresh[device_id])
+            records.sort(key=_DAY)
+            by_device[device_id] = records
+            tac = identity(device_id)[1]
+            if tac is not None:
+                tac_of[device_id] = tac
+        summaries = self._summarize_devices(by_device, tac_of, failures, lenient)
+
+        for device in days_of:
+            device_id = names[device]
             failure = failures.get(device_id)
             if failure is None:
                 self.quarantined.pop(device_id, None)
-                self._records[device_id] = fresh[device_id]
+                self._records[device_id] = by_device[device_id]
                 self._summaries[device_id] = summaries[device_id]
             else:
                 self.quarantined[device_id] = failure
@@ -809,10 +978,10 @@ class CatalogBuilder:
         records sorted by (device, day), summaries in sorted device
         order, exactly as :meth:`build_from_columns` emits them.
 
-        Only the cells touched since the last snapshot are finalized.  A
-        device whose day records or summary raise propagates the error;
-        with ``lenient=True`` it is left out instead and listed in
-        :attr:`quarantined`.
+        Only the device-days touched since the last snapshot run
+        through the kernel.  A device whose day records or summary raise
+        propagates the error; with ``lenient=True`` it is left out
+        instead and listed in :attr:`quarantined`.
         """
         if self._dirty:
             self._refresh(lenient)

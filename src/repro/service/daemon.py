@@ -22,12 +22,13 @@ Each batch is parsed straight into its own checked column stores
 (:func:`~repro.service.protocol.parse_batch_rows`, fresh pools): the
 queue carries those stores, the WAL packs them and the fold scans them,
 and WAL replay folds the decoded blocks the same way.  The fold splits a
-batch by its ``days`` column and merges each day's delta into the builder's
-order-free cells, so it costs O(batch) and ingest is commutative: any
-arrival order of the same rows — concurrent clients, retried sheds,
-out-of-order re-sends — yields the value-identical catalog.  Queries
-snapshot the builder, which finalizes only the cells touched since the
-last query; a device whose day records or summary fail there (say, an
+batch by its ``days`` column and appends each day's delta to the builder's
+rows of that day, so it costs O(batch), and ingest is commutative
+because the catalog kernel sorts what it sums: any arrival order of the
+same rows — concurrent clients, retried sheds, out-of-order re-sends —
+yields the value-identical catalog.  Queries snapshot the builder,
+which re-derives only the device-days touched since the last query; a
+device whose day records or summary fail there (say, an
 unlabelable SIM/network pair) is quarantined with a
 ``device-quarantined`` incident instead of taking the daemon down.
 

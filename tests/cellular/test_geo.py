@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.cellular.geo import (
@@ -12,6 +13,7 @@ from repro.cellular.geo import (
     pairwise_max_distance_km,
     radius_of_gyration_km,
     scatter_points,
+    sequential_sum,
     weighted_centroid,
 )
 
@@ -176,3 +178,15 @@ class TestInterpreterIndependentSums:
             distance = haversine_km(point, centroid)
             acc += (weight / total) * distance * distance
         assert radius_of_gyration_km(self.POINTS, self.WEIGHTS) == math.sqrt(acc)
+
+    def test_bincount_sums_left_to_right(self):
+        """The catalog kernel's float sums are ``np.bincount``s, which
+        must add in index order as ``sequential_sum`` does.  A pairwise
+        or vectorized sum (``np.sum``, ``np.add.reduceat``) returns 16.0
+        here; a numpy that changed ``bincount`` so would change every
+        catalog digest."""
+        values = [1e16] + [1.0] * 16 + [-1e16]
+        total = np.bincount(np.zeros(len(values), dtype=np.intp), weights=values)[0]
+        assert total == sequential_sum(values) == 0.0, (
+            f"np.bincount no longer sums left to right: {total!r}"
+        )

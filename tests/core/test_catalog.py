@@ -44,8 +44,12 @@ def _day_records(builder, events, services):
     return builder.build_day_records(*from_record_streams(events, services))[0]
 
 
+def _build(builder, events, services):
+    return builder.build_from_columns(*from_record_streams(events, services))
+
+
 def _summaries(builder, events, services):
-    return builder.build_from_columns(*from_record_streams(events, services))[1]
+    return _build(builder, events, services)[1]
 
 
 class TestDayRecords:
@@ -98,6 +102,37 @@ class TestDayRecords:
         assert record.n_data_sessions == 2
         assert record.bytes_total == 8000
         assert record.apns == {"internet.op.com", "web.op.net"}
+
+
+class TestByteTotalsPastInt64:
+    """Each row's byte count fits int64, but a device-day's total need
+    not: it stays an exact Python int."""
+
+    BYTES = (2**62, 2**62 + 1)
+
+    def _services(self, eco):
+        plmn = str(eco.uk_mno.plmn)
+        return [
+            data_xdr("big", 100.0 + i, plmn, plmn, count, "internet.op.com")
+            for i, count in enumerate(self.BYTES)
+        ]
+
+    def test_one_shot_build(self, world):
+        eco, builder = world
+        records, summaries = _build(builder, [], self._services(eco))
+        assert [r.bytes_total for r in records] == [2**63 + 1]
+        assert summaries["big"].bytes_total == 2**63 + 1
+
+    def test_update_then_snapshot(self, world):
+        eco, _ = world
+        builder = CatalogBuilder(
+            eco.tac_db, eco.uk_sectors, RoamingLabeler(eco.operators, eco.uk_mno)
+        )
+        for service in self._services(eco):
+            builder.update(0, *from_record_streams([], [service]))
+        records, summaries = builder.snapshot()
+        assert [r.bytes_total for r in records] == [2**63 + 1]
+        assert summaries["big"].bytes_total == 2**63 + 1
 
 
 class TestSummaries:
