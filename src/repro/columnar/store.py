@@ -26,7 +26,9 @@ Layout notes:
   convert losslessly; ``select`` slices a store by row index while
   sharing the pools (a numpy gather over each column's buffer), which
   is how the sharded executor exchanges interned column blocks and the
-  daemon splits a multi-day batch.
+  daemon splits a multi-day batch.  ``from_rows`` fills a store column
+  by column, one pool lookup per distinct string, and assigns ids in
+  the order a row-by-row encoding would.
 - ``append_fields`` takes a decoded wire row (a field tuple, see
   :func:`repro.datasets.io.decode_radio_row`), runs the record's
   invariant check and only then interns: the catalog daemon parses each
@@ -41,6 +43,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import (
     Any,
     Dict,
@@ -73,6 +77,13 @@ INTERFACE_INDEX = {member.value: index for index, member in enumerate(RADIO_INTE
 MESSAGE_INDEX = {member.value: index for index, member in enumerate(MESSAGE_TYPES)}
 RESULT_INDEX = {member.value: index for index, member in enumerate(RESULT_CODES)}
 SERVICE_INDEX = {member.value: index for index, member in enumerate(SERVICE_TYPES)}
+
+#: The same tables keyed by member, for encoding rows: a row's member
+#: then matches its key by identity instead of by string comparison.
+_INTERFACE_OF = {member: index for index, member in enumerate(RADIO_INTERFACES)}
+_MESSAGE_OF = {member: index for index, member in enumerate(MESSAGE_TYPES)}
+_RESULT_OF = {member: index for index, member in enumerate(RESULT_CODES)}
+_SERVICE_OF = {member: index for index, member in enumerate(SERVICE_TYPES)}
 
 #: A decoded radio row (:func:`repro.datasets.io.decode_radio_row`):
 #: :class:`RadioEvent`'s fields in order, the enums as canonical indices.
@@ -160,6 +171,37 @@ class ColumnPools:
     apns: StringPool = field(default_factory=StringPool)
 
 
+#: Row fields ``from_rows`` reads one column at a time.
+_DEVICE_ID = attrgetter("device_id")
+_TIMESTAMP = attrgetter("timestamp")
+_SIM_PLMN = attrgetter("sim_plmn")
+_VISITED_PLMN = attrgetter("visited_plmn")
+_TAC = attrgetter("tac")
+_SECTOR_ID = attrgetter("sector_id")
+_DURATION = attrgetter("duration_s")
+_BYTES_TOTAL = attrgetter("bytes_total")
+_APN = attrgetter("apn")
+
+
+def _interned(pool: StringPool, *columns: List[Optional[str]]) -> List["array[int]"]:
+    """The id columns of ``columns`` (None to :data:`NULL_ID`), one
+    lookup per distinct text: new strings get ids in order of first
+    sight, row by row, as one :meth:`StringPool.intern_optional` call
+    per field would."""
+    texts: Iterable[Optional[str]] = (
+        columns[0] if len(columns) == 1 else chain.from_iterable(zip(*columns))
+    )
+    table = {text: pool.intern_optional(text) for text in dict.fromkeys(texts)}
+    return [array("q", list(map(table.__getitem__, column))) for column in columns]
+
+
+def _days_of(timestamps: Column) -> "array[int]":
+    """The day column of ``timestamps``: numpy's float floor division
+    rounds as ``int(timestamp // 86400.0)`` does."""
+    days = np.frombuffer(timestamps, dtype=np.float64) // 86400.0
+    return array("q", days.astype(np.int64).tobytes())
+
+
 def _select(column: Column, positions: "np.ndarray") -> array:
     """``column[i]`` for each of ``positions``, gathered by numpy.
 
@@ -206,20 +248,6 @@ class ColumnarRadioEvents:
 
     # -- ingestion -----------------------------------------------------------
 
-    def append(self, event: RadioEvent) -> None:
-        """Encode one row onto the columns."""
-        pools = self.pools
-        self.device_ids.append(pools.devices.intern(event.device_id))
-        timestamp = event.timestamp
-        self.timestamps.append(timestamp)
-        self.days.append(int(timestamp // 86400.0))
-        self.sim_plmns.append(pools.plmns.intern(event.sim_plmn))
-        self.tacs.append(event.tac)
-        self.sector_ids.append(event.sector_id)
-        self.interfaces.append(INTERFACE_INDEX[event.interface])
-        self.event_types.append(MESSAGE_INDEX[event.event_type])
-        self.results.append(RESULT_INDEX[event.result])
-
     def append_fields(self, fields: RadioFields) -> None:
         """Check one decoded row, then encode it onto the columns.
 
@@ -247,11 +275,23 @@ class ColumnarRadioEvents:
         events: Iterable[RadioEvent],
         pools: Optional[ColumnPools] = None,
     ) -> "ColumnarRadioEvents":
-        """Encode a row stream (preserving order) into a new store."""
+        """Encode a row stream (preserving order) into a new store.
+
+        Filled column by column; each pool still assigns its ids in
+        order of first sight, row by row and field by field.
+        """
         store = cls(pools)
-        append = store.append
-        for event in events:
-            append(event)
+        rows = list(events)
+        pools = store.pools
+        (store.device_ids,) = _interned(pools.devices, list(map(_DEVICE_ID, rows)))
+        store.timestamps = array("d", list(map(_TIMESTAMP, rows)))
+        store.days = _days_of(store.timestamps)
+        (store.sim_plmns,) = _interned(pools.plmns, list(map(_SIM_PLMN, rows)))
+        store.tacs = array("q", list(map(_TAC, rows)))
+        store.sector_ids = array("q", list(map(_SECTOR_ID, rows)))
+        store.interfaces = array("b", [_INTERFACE_OF[e.interface] for e in rows])
+        store.event_types = array("b", [_MESSAGE_OF[e.event_type] for e in rows])
+        store.results = array("b", [_RESULT_OF[e.result] for e in rows])
         return store
 
     # -- row materialization -------------------------------------------------
@@ -385,20 +425,6 @@ class ColumnarServiceRecords:
 
     # -- ingestion -----------------------------------------------------------
 
-    def append(self, record: ServiceRecord) -> None:
-        """Encode one row onto the columns."""
-        pools = self.pools
-        self.device_ids.append(pools.devices.intern(record.device_id))
-        timestamp = record.timestamp
-        self.timestamps.append(timestamp)
-        self.days.append(int(timestamp // 86400.0))
-        self.sim_plmns.append(pools.plmns.intern(record.sim_plmn))
-        self.visited_plmns.append(pools.plmns.intern(record.visited_plmn))
-        self.services.append(SERVICE_INDEX[record.service])
-        self.durations.append(record.duration_s)
-        self.bytes_totals.append(record.bytes_total)
-        self.apns.append(pools.apns.intern_optional(record.apn))
-
     def append_fields(self, fields: ServiceFields) -> None:
         """Check one decoded row, then encode it onto the columns.
 
@@ -427,11 +453,24 @@ class ColumnarServiceRecords:
         records: Iterable[ServiceRecord],
         pools: Optional[ColumnPools] = None,
     ) -> "ColumnarServiceRecords":
-        """Encode a row stream (preserving order) into a new store."""
+        """Encode a row stream (preserving order) into a new store.
+
+        Filled column by column, like
+        :meth:`ColumnarRadioEvents.from_rows`.
+        """
         store = cls(pools)
-        append = store.append
-        for record in records:
-            append(record)
+        rows = list(records)
+        pools = store.pools
+        (store.device_ids,) = _interned(pools.devices, list(map(_DEVICE_ID, rows)))
+        store.timestamps = array("d", list(map(_TIMESTAMP, rows)))
+        store.days = _days_of(store.timestamps)
+        store.sim_plmns, store.visited_plmns = _interned(
+            pools.plmns, list(map(_SIM_PLMN, rows)), list(map(_VISITED_PLMN, rows))
+        )
+        store.services = array("b", [_SERVICE_OF[r.service] for r in rows])
+        store.durations = array("d", list(map(_DURATION, rows)))
+        store.bytes_totals = array("q", list(map(_BYTES_TOTAL, rows)))
+        (store.apns,) = _interned(pools.apns, list(map(_APN, rows)))
         return store
 
     # -- row materialization -------------------------------------------------

@@ -23,8 +23,11 @@ the record objects to Python.  Float sums run left to right
 :mod:`math` calls, so a record is a function of the multiset of rows.
 The one-shot build runs the kernel over its input; the incremental
 engine keeps each day's rows and each device's identity keys, and a
-snapshot runs the same kernel over the device-days touched since the
-last one.
+snapshot runs the same kernel, once, over the device-days touched
+since the last one.  Summaries are folds of a device's day records in
+day order (:class:`_Rollup`), and the engine keeps each device's
+rollup, so a device whose new days all follow its kept ones is
+summarized from its rollup and the new days alone.
 
 A summary and its roaming label aggregate a device over the whole
 window, so whether a device can be finalized is decided here, once per
@@ -46,12 +49,12 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     NamedTuple,
     Optional,
     Sequence,
     Set,
     Tuple,
-    TypeVar,
 )
 
 import numpy as np
@@ -209,17 +212,6 @@ ServiceKey = Tuple[float, str, float, int, str, str, str]
 
 # -- identity -----------------------------------------------------------------
 
-#: An identity key type: :data:`RadioKey` or :data:`ServiceKey`.
-_Key = TypeVar("_Key", RadioKey, ServiceKey)
-
-
-def _keep_min(keys: Dict[str, _Key], device_id: str, key: _Key) -> None:
-    """Keep the smaller of ``key`` and the device's key in ``keys``."""
-    current = keys.get(device_id)
-    if current is None or key < current:
-        keys[device_id] = key
-
-
 def _earliest(device_ids: Column, timestamps: Column, n_devices: int) -> List[int]:
     """Rows at their device's minimum timestamp (usually one per device)."""
     devices = _view(device_ids)
@@ -230,36 +222,50 @@ def _earliest(device_ids: Column, timestamps: Column, n_devices: int) -> List[in
     return rows
 
 
-def _min_keys(
-    radio_events: ColumnarRadioEvents, service_records: ColumnarServiceRecords
-) -> Tuple[Dict[str, RadioKey], Dict[str, ServiceKey]]:
-    """Each device's minimum radio and service key over the stores' rows.
+def _merge_min_keys(
+    radio_events: ColumnarRadioEvents,
+    service_records: ColumnarServiceRecords,
+    radio_keys: Dict[str, RadioKey],
+    service_keys: Dict[str, ServiceKey],
+) -> None:
+    """Lower each device's key in ``radio_keys`` and ``service_keys`` to
+    its minimum radio and service key over the stores' rows.
 
     Key tuples are built only for the rows at a device's minimum
-    timestamp, the only rows that can hold its minimum key.
+    timestamp, the only rows that can hold its minimum key, and only
+    where that timestamp does not pass the device's kept key's.
     """
     pools = radio_events.pools
     devices = pools.devices
     plmns = pools.plmns
-    radio_keys: Dict[str, RadioKey] = {}
     r = radio_events
     for i in _earliest(r.device_ids, r.timestamps, len(devices)):
-        _keep_min(radio_keys, devices.lookup(r.device_ids[i]), (
+        device_id = devices.lookup(r.device_ids[i])
+        current = radio_keys.get(device_id)
+        if current is not None and current[0] < r.timestamps[i]:
+            continue
+        radio_key: RadioKey = (
             r.timestamps[i], r.sector_ids[i], _INTERFACE_VALUES[r.interfaces[i]],
             _MESSAGE_VALUES[r.event_types[i]], _RESULT_VALUES[r.results[i]],
             r.tacs[i], plmns.lookup(r.sim_plmns[i]),
-        ))
-    service_keys: Dict[str, ServiceKey] = {}
+        )
+        if current is None or radio_key < current:
+            radio_keys[device_id] = radio_key
     s = service_records
     for i in _earliest(s.device_ids, s.timestamps, len(devices)):
+        device_id = devices.lookup(s.device_ids[i])
+        found = service_keys.get(device_id)
+        if found is not None and found[0] < s.timestamps[i]:
+            continue
         apn = s.apns[i]
-        _keep_min(service_keys, devices.lookup(s.device_ids[i]), (
+        service_key: ServiceKey = (
             s.timestamps[i], _SERVICE_VALUES[s.services[i]], s.durations[i],
             s.bytes_totals[i], plmns.lookup(s.visited_plmns[i]),
             "" if apn == NULL_ID else pools.apns.lookup(apn),
             plmns.lookup(s.sim_plmns[i]),
-        ))
-    return radio_keys, service_keys
+        )
+        if found is None or service_key < found:
+            service_keys[device_id] = service_key
 
 
 def _identity(
@@ -357,23 +363,23 @@ class _DayRows:
         self.radio: List[Tuple[np.ndarray, ...]] = []
         self.service: List[Tuple[np.ndarray, ...]] = []
 
-    def gather(self, day: int, dirty: np.ndarray) -> Tuple[_RadioRows, _ServiceRows]:
-        """This day's rows of the devices flagged in ``dirty`` (indexed
-        by own device id), with their day column."""
-        radio = _joined(self.radio)
-        service = _joined(self.service)
-        self.radio = [radio]
-        self.service = [service]
-        keep = dirty[radio[0]]
-        radio = tuple(column[keep] for column in radio)
-        keep = dirty[service[0]]
-        service = tuple(column[keep] for column in service)
-        return (
-            _RadioRows(radio[0], np.full(len(radio[0]), day, dtype=np.int64), *radio[1:]),
-            _ServiceRows(
-                service[0], np.full(len(service[0]), day, dtype=np.int64), *service[1:]
-            ),
-        )
+    def gather(
+        self, day: int, devices: List[int]
+    ) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...]]:
+        """This day's radio and service rows of ``devices`` (own ids),
+        the day column second: a mask over every row of the day, and no
+        copy when it keeps them all."""
+        gathered = []
+        for chunks in (self.radio, self.service):
+            rows = _joined(chunks)
+            chunks[:] = [rows]
+            keep = np.isin(rows[0], devices)
+            if not keep.all():
+                rows = tuple(column[keep] for column in rows)
+            gathered.append(
+                (rows[0], np.full(len(rows[0]), day, dtype=np.int32)) + rows[1:]
+            )
+        return gathered[0], gathered[1]
 
 
 # -- kernel --------------------------------------------------------------------
@@ -436,6 +442,78 @@ def _byte_totals(cells: np.ndarray, counts: np.ndarray, n_cells: int) -> List[in
     return big
 
 
+# -- summaries -----------------------------------------------------------------
+
+class _Rollup(NamedTuple):
+    """A device's whole-window aggregates over its day records, folded
+    in day order.  Folding later days onto a rollup gives what folding
+    every day at once gives, float sums included, so a fold that only
+    adds days after a device's last one re-reads none of its records."""
+
+    sim_plmn: str
+    first_visited: FrozenSet[str]
+    ever_home: bool
+    active_days: int
+    n_events: int
+    n_failed_events: int
+    n_calls: int
+    voice_minutes: float
+    n_data_sessions: int
+    bytes_total: int
+    gyration_sum: float
+    gyration_n: int
+    apns: FrozenSet[str]
+    visited: FrozenSet[str]
+    radio_mask: int
+    voice_mask: int
+    data_mask: int
+
+
+def _roll_up(
+    records: Sequence[DeviceDayRecord], base: Optional[_Rollup] = None
+) -> _Rollup:
+    """``records`` (one device's, in day order) folded onto ``base``, or
+    onto nothing: then the first record gives the SIM and the visited
+    networks a never-home device is labeled by."""
+    if base is None:
+        first = records[0]
+        base = _Rollup(
+            first.sim_plmn, first.visited_plmns, False, 0, 0, 0, 0, 0.0, 0, 0,
+            0.0, 0, _NO_STRINGS, _NO_STRINGS, 0, 0, 0,
+        )
+    (
+        sim_plmn, first_visited, ever_home, active_days, n_events,
+        n_failed_events, n_calls, voice_minutes, n_data_sessions, bytes_total,
+        gyration_sum, gyration_n, apns, visited, radio_mask, voice_mask, data_mask,
+    ) = base
+    for r in records:
+        ever_home = ever_home or r.on_home_network
+        if r.has_activity:
+            active_days += 1
+        n_events += r.n_events
+        n_failed_events += r.n_failed_events
+        n_calls += r.n_calls
+        voice_minutes += r.voice_minutes
+        n_data_sessions += r.n_data_sessions
+        bytes_total += r.bytes_total
+        if r.mobility is not None:
+            gyration_sum += r.mobility.gyration_km
+            gyration_n += 1
+        # Most days add no new string: the sets are then kept, not copied.
+        if not r.apns <= apns:
+            apns = apns | r.apns
+        if not r.visited_plmns <= visited:
+            visited = visited | r.visited_plmns
+        radio_mask |= r.radio_flags.mask
+        voice_mask |= r.voice_flags.mask
+        data_mask |= r.data_flags.mask
+    return _Rollup(
+        sim_plmn, first_visited, ever_home, active_days, n_events,
+        n_failed_events, n_calls, voice_minutes, n_data_sessions, bytes_total,
+        gyration_sum, gyration_n, apns, visited, radio_mask, voice_mask, data_mask,
+    )
+
+
 class CatalogBuilder:
     """Joins the three data sources into the devices-catalog."""
 
@@ -458,13 +536,14 @@ class CatalogBuilder:
         # Incremental state (see `update`/`snapshot`): each day's rows in
         # the builder's own pools, every device's minimum identity keys,
         # the device ids touched per day since the last snapshot, and the
-        # records and summaries that snapshot left valid.
+        # records, rollups and summaries that snapshot left valid.
         self._pools = ColumnPools()
         self._days: Dict[int, _DayRows] = {}
         self._radio_keys: Dict[str, RadioKey] = {}
         self._service_keys: Dict[str, ServiceKey] = {}
         self._dirty: Dict[int, Set[int]] = {}
         self._records: Dict[str, List[DeviceDayRecord]] = {}
+        self._rollups: Dict[str, _Rollup] = {}
         self._summaries: Dict[str, DeviceSummary] = {}
         #: Devices the last lenient finalization left out, each with the
         #: stage that raised.  A lenient one-shot build replaces it; a
@@ -481,81 +560,52 @@ class CatalogBuilder:
         by_device: Dict[str, List[DeviceDayRecord]] = defaultdict(list)
         for record in day_records:
             by_device[record.device_id].append(record)
+        return {
+            device_id: self._summary(device_id, _roll_up(records), tac_of.get(device_id))
+            for device_id, records in by_device.items()
+        }
 
-        summaries: Dict[str, DeviceSummary] = {}
+    def _summary(
+        self, device_id: str, rollup: _Rollup, tac: Optional[int]
+    ) -> DeviceSummary:
+        """The device's summary from its rollup: its roaming label and
+        its TAC's catalog join."""
+        # A device never seen on the home network was only observed
+        # through CDR/xDRs from partner networks: an outbound roamer.
+        # min() (not next(iter(...))) keeps the pick independent of
+        # frozenset iteration order, i.e. of PYTHONHASHSEED.
+        observer = self._observer_plmn
+        label = self._labeler.label(
+            rollup.sim_plmn,
+            observer if rollup.ever_home else min(rollup.first_visited, default=observer),
+        )
         model_cache = self._model_cache
-        for device_id, records in by_device.items():
-            # One pass over the device's day records accumulates every
-            # aggregate; the apns/visited frozensets are built once at
-            # the end rather than re-derived per record.
-            ever_home = False
-            active_days = 0
-            n_events = n_failed_events = n_calls = n_data_sessions = 0
-            voice_minutes = 0.0
-            bytes_total = 0
-            gyration_sum = 0.0
-            gyration_n = 0
-            apns: Set[str] = set()
-            visited: Set[str] = set()
-            radio_mask = voice_mask = data_mask = 0
-            for r in records:
-                ever_home = ever_home or r.on_home_network
-                if r.has_activity:
-                    active_days += 1
-                n_events += r.n_events
-                n_failed_events += r.n_failed_events
-                n_calls += r.n_calls
-                voice_minutes += r.voice_minutes
-                n_data_sessions += r.n_data_sessions
-                bytes_total += r.bytes_total
-                if r.mobility is not None:
-                    gyration_sum += r.mobility.gyration_km
-                    gyration_n += 1
-                apns.update(r.apns)
-                visited.update(r.visited_plmns)
-                radio_mask |= r.radio_flags.mask
-                voice_mask |= r.voice_flags.mask
-                data_mask |= r.data_flags.mask
-            # A device never seen on the home network was only observed
-            # through CDR/xDRs from partner networks: an outbound roamer.
-            # min() (not next(iter(...))) keeps the pick independent of
-            # frozenset iteration order, i.e. of PYTHONHASHSEED.
-            any_visited = min(records[0].visited_plmns, default=self._observer_plmn)
-            label = self._labeler.label(
-                records[0].sim_plmn,
-                self._observer_plmn if ever_home else any_visited,
-            )
-            tac = tac_of.get(device_id)
-            if tac is None:
-                model = None
-            elif tac in model_cache:
-                model = model_cache[tac]
-            else:
-                model = self._tac_db.lookup(tac)
-                model_cache[tac] = model
-            summaries[device_id] = DeviceSummary(
-                device_id=device_id,
-                sim_plmn=records[0].sim_plmn,
-                label=label,
-                active_days=active_days,
-                n_events=n_events,
-                n_failed_events=n_failed_events,
-                n_calls=n_calls,
-                voice_minutes=voice_minutes,
-                n_data_sessions=n_data_sessions,
-                bytes_total=bytes_total,
-                apns=frozenset(apns),
-                visited_plmns=frozenset(visited),
-                radio_flags=_FLAGS[radio_mask],
-                voice_flags=_FLAGS[voice_mask],
-                data_flags=_FLAGS[data_mask],
-                tac=tac,
-                model=model,
-                mean_gyration_km=(
-                    gyration_sum / gyration_n if gyration_n else None
-                ),
-            )
-        return summaries
+        if tac is None:
+            model = None
+        elif tac in model_cache:
+            model = model_cache[tac]
+        else:
+            model = model_cache[tac] = self._tac_db.lookup(tac)
+        return DeviceSummary(
+            device_id,
+            rollup.sim_plmn,
+            label,
+            rollup.active_days,
+            rollup.n_events,
+            rollup.n_failed_events,
+            rollup.n_calls,
+            rollup.voice_minutes,
+            rollup.n_data_sessions,
+            rollup.bytes_total,
+            rollup.apns,
+            rollup.visited,
+            _FLAGS[rollup.radio_mask],
+            _FLAGS[rollup.voice_mask],
+            _FLAGS[rollup.data_mask],
+            tac,
+            model,
+            rollup.gyration_sum / rollup.gyration_n if rollup.gyration_n else None,
+        )
 
     # -- catalog kernel -------------------------------------------------------
 
@@ -690,12 +740,11 @@ class CatalogBuilder:
         radio: _RadioRows,
         service: _ServiceRows,
         pools: ColumnPools,
-        radio_keys: Dict[str, RadioKey],
-        service_keys: Dict[str, ServiceKey],
+        sims: Dict[str, str],
         failures: Optional[Dict[str, StageFailure]],
     ) -> Iterator[Tuple[str, List[DeviceDayRecord]]]:
         """The catalog kernel: each device's day records, in sorted
-        device order, with the SIM its minimum keys give it.
+        device order, with its SIM from ``sims``.
 
         Device ids are ranked by their strings; rows are sorted once by
         (rank, day, timestamp, sector) and (rank, day, timestamp,
@@ -709,7 +758,7 @@ class CatalogBuilder:
         seen[radio.device] = True
         seen[service.device] = True
         order: List[int] = sorted(np.flatnonzero(seen).tolist(), key=names.__getitem__)
-        rank = np.empty(len(names), dtype=np.int64)
+        rank = np.empty(len(names), dtype=np.int32)
         rank[order] = np.arange(len(order))
         radio_rank = rank[radio.device]
         radio_order = np.lexsort((radio.sector, radio.timestamp, radio.day, radio_rank))
@@ -737,7 +786,7 @@ class CatalogBuilder:
                 try:
                     records = self._device_records(
                         device_id, days, fields, bounds[k], bounds[k + 1],
-                        _identity(radio_keys, service_keys, device_id)[0],
+                        sims[device_id],
                     )
                 except Exception as exc:
                     if failures is None:
@@ -748,28 +797,27 @@ class CatalogBuilder:
 
     def _summarize_devices(
         self,
-        by_device: Dict[str, List[DeviceDayRecord]],
-        tac_of: Dict[str, int],
+        folds: Iterable[Tuple[str, Optional[_Rollup], Sequence[DeviceDayRecord]]],
+        tac_of: Mapping[str, Optional[int]],
         failures: Dict[str, StageFailure],
         lenient: bool,
-    ) -> Dict[str, DeviceSummary]:
-        """Summaries of ``by_device``: one batch :meth:`summarize`; if it
-        raises in lenient mode, one device at a time, leaving each that
-        raises out of ``by_device`` and in ``failures`` at the
-        ``"summary"`` stage.  In strict mode every raise propagates."""
-        try:
-            return self.summarize(chain.from_iterable(by_device.values()), tac_of)
-        except Exception:
-            if not lenient:
-                raise
-        summaries: Dict[str, DeviceSummary] = {}
-        for device_id in list(by_device):
+    ) -> Dict[str, Tuple[_Rollup, DeviceSummary]]:
+        """Each device's rollup, its ``records`` folded onto its base,
+        and its summary.  A device that raises propagates the error, or
+        with ``lenient`` is left out and kept in ``failures`` at the
+        ``"summary"`` stage."""
+        done: Dict[str, Tuple[_Rollup, DeviceSummary]] = {}
+        for device_id, base, records in folds:
             try:
-                summaries.update(self.summarize(by_device[device_id], tac_of))
+                rollup = _roll_up(records, base)
+                done[device_id] = rollup, self._summary(
+                    device_id, rollup, tac_of.get(device_id)
+                )
             except Exception as exc:
+                if not lenient:
+                    raise
                 failures[device_id] = StageFailure.of(device_id, "summary", exc)
-                del by_device[device_id]
-        return summaries
+        return done
 
     def _day_records(
         self,
@@ -782,14 +830,17 @@ class CatalogBuilder:
         pools = radio_events.pools
         if pools is not service_records.pools:
             raise ValueError("columnar streams must share one ColumnPools")
-        radio_keys, service_keys = _min_keys(radio_events, service_records)
+        radio_keys: Dict[str, RadioKey] = {}
+        service_keys: Dict[str, ServiceKey] = {}
+        _merge_min_keys(radio_events, service_records, radio_keys, service_keys)
+        sims = {device_id: key[6] for device_id, key in service_keys.items()}
+        sims.update((device_id, key[6]) for device_id, key in radio_keys.items())
         by_device = dict(
             self._derive(
                 _radio_rows(radio_events),
                 _service_rows(service_records),
                 pools,
-                radio_keys,
-                service_keys,
+                sims,
                 failures,
             )
         )
@@ -829,10 +880,18 @@ class CatalogBuilder:
         by_device, tac_of = self._day_records(
             radio_events, service_records, failures if lenient else None
         )
-        summaries = self._summarize_devices(by_device, tac_of, failures, lenient)
+        done = self._summarize_devices(
+            ((device_id, None, records) for device_id, records in by_device.items()),
+            tac_of,
+            failures,
+            lenient,
+        )
         if lenient:
             self.quarantined = failures
-        return list(chain.from_iterable(by_device.values())), summaries
+        return (
+            [r for device_id in done for r in by_device[device_id]],
+            {device_id: summary for device_id, (_, summary) in done.items()},
+        )
 
     #: The one-shot build under its short name, which ``bench/trace.py``
     #: also times.
@@ -865,12 +924,14 @@ class CatalogBuilder:
         pools = radio_events.pools
         if pools is not service_records.pools:
             raise ValueError("columnar streams must share one ColumnPools")
-        radio_keys, service_keys = _min_keys(radio_events, service_records)
         own = self._pools
         radio = _radio_rows(radio_events)
         service = _service_rows(service_records)
-        radio_device = _own_ids(radio.device, pools.devices, own.devices)
-        service_device = _own_ids(service.device, pools.devices, own.devices)
+        devices = _own_ids(
+            np.concatenate((radio.device, service.device)), pools.devices, own.devices
+        )
+        radio_device = devices[: len(radio.device)]
+        service_device = devices[len(radio.device):]
         radio_chunk = (
             radio_device, radio.timestamp.copy(), radio.sector.copy(),
             radio.interface.copy(), radio.result.copy(),
@@ -882,92 +943,97 @@ class CatalogBuilder:
             _own_ids(service.apn, pools.apns, own.apns),
         )
 
-        for device_id, radio_key in radio_keys.items():
-            _keep_min(self._radio_keys, device_id, radio_key)
-        for device_id, service_key in service_keys.items():
-            _keep_min(self._service_keys, device_id, service_key)
+        _merge_min_keys(
+            radio_events, service_records, self._radio_keys, self._service_keys
+        )
         rows = self._days.get(day)
         if rows is None:
             rows = self._days[day] = _DayRows()
         rows.radio.append(radio_chunk)
         rows.service.append(service_chunk)
-        self._dirty.setdefault(day, set()).update(
-            np.unique(np.concatenate((radio_device, service_device))).tolist()
-        )
+        touched = np.unique(devices).tolist()
+        if touched:
+            self._dirty.setdefault(day, set()).update(touched)
 
     def _refresh(self, lenient: bool) -> None:
         """Re-derive the dirty device-days and re-summarize their devices.
 
         A device's days are re-derived when its cells are dirty, every
         day when its SIM moved (its kept records carry the old one) or
-        when it was left out before (it kept no records).  State changes
-        only after every summary exists, so a raise leaves the builder
-        as it was and the next snapshot retries.
+        when it was left out before (it kept no records).  Every dirty
+        day's rows of its dirty devices go through one kernel call.  A
+        device whose fresh days all follow its kept ones folds them onto
+        its kept rollup; any other rolls up all its records again.
+        State changes only after every summary exists, so a raise leaves
+        the builder as it was and the next snapshot retries.
         """
         names = self._pools.devices.strings
-
-        def identity(device_id: str) -> Tuple[str, Optional[int]]:
-            return _identity(self._radio_keys, self._service_keys, device_id)
-
-        days_of: Dict[int, Set[int]] = defaultdict(set)
-        for day, device_ids in self._dirty.items():
-            for device in device_ids:
-                days_of[device].add(day)
-        for device, days in days_of.items():
-            kept = self._records.get(names[device])
+        days_of: Dict[str, Set[int]] = defaultdict(set)
+        for day, devices in self._dirty.items():
+            for device in devices:
+                days_of[names[device]].add(day)
+        identities = {
+            device_id: _identity(self._radio_keys, self._service_keys, device_id)
+            for device_id in days_of
+        }
+        for device_id, days in days_of.items():
+            kept = self._records.get(device_id)
             if kept is None:
-                if names[device] in self.quarantined:
+                if device_id in self.quarantined:
                     days.update(self._days)
-            elif kept[0].sim_plmn != identity(names[device])[0]:
+            elif kept[0].sim_plmn != identities[device_id][0]:
                 days.update(record.day for record in kept)
         devices_of: Dict[int, List[int]] = defaultdict(list)
-        for device, days in days_of.items():
+        id_of = self._pools.devices.id_of
+        for device_id, days in days_of.items():
             for day in days:
-                devices_of[day].append(device)
+                devices_of[day].append(id_of(device_id))
 
+        gathered = [
+            self._days[day].gather(day, devices) for day, devices in devices_of.items()
+        ]
+        radio = _RadioRows(*_joined([rows for rows, _ in gathered]))
+        service = _ServiceRows(*_joined([rows for _, rows in gathered]))
+        del gathered
         failures: Dict[str, StageFailure] = {}
-        fresh: Dict[str, List[DeviceDayRecord]] = defaultdict(list)
-        flags = np.zeros(len(names), dtype=bool)
-        for day in sorted(devices_of):
-            flags[devices_of[day]] = True
-            radio, service = self._days[day].gather(day, flags)
-            flags[devices_of[day]] = False
-            for device_id, records in self._derive(
-                radio,
-                service,
-                self._pools,
-                self._radio_keys,
-                self._service_keys,
-                failures if lenient else None,
-            ):
-                fresh[device_id].extend(records)
-
         by_device: Dict[str, List[DeviceDayRecord]] = {}
-        tac_of: Dict[str, int] = {}
-        for device in sorted(days_of, key=names.__getitem__):
-            device_id = names[device]
-            if device_id in failures:
-                continue
-            days = days_of[device]
-            records = [r for r in self._records.get(device_id, ()) if r.day not in days]
-            records.extend(fresh[device_id])
-            records.sort(key=_DAY)
-            by_device[device_id] = records
-            tac = identity(device_id)[1]
-            if tac is not None:
-                tac_of[device_id] = tac
-        summaries = self._summarize_devices(by_device, tac_of, failures, lenient)
+        folds: List[Tuple[str, Optional[_Rollup], List[DeviceDayRecord]]] = []
+        for device_id, records in self._derive(
+            radio,
+            service,
+            self._pools,
+            {device_id: sim for device_id, (sim, _) in identities.items()},
+            failures if lenient else None,
+        ):
+            kept = self._records.get(device_id)
+            days = days_of[device_id]
+            if kept is not None and kept[-1].day < min(days):
+                by_device[device_id] = kept + records
+                folds.append((device_id, self._rollups[device_id], records))
+            else:
+                if kept is not None:
+                    records = [r for r in kept if r.day not in days] + records
+                    records.sort(key=_DAY)
+                by_device[device_id] = records
+                folds.append((device_id, None, records))
+        del radio, service
+        done = self._summarize_devices(
+            folds,
+            {device_id: tac for device_id, (_, tac) in identities.items()},
+            failures,
+            lenient,
+        )
 
-        for device in days_of:
-            device_id = names[device]
+        for device_id in identities:
             failure = failures.get(device_id)
             if failure is None:
                 self.quarantined.pop(device_id, None)
                 self._records[device_id] = by_device[device_id]
-                self._summaries[device_id] = summaries[device_id]
+                self._rollups[device_id], self._summaries[device_id] = done[device_id]
             else:
                 self.quarantined[device_id] = failure
                 self._records.pop(device_id, None)
+                self._rollups.pop(device_id, None)
                 self._summaries.pop(device_id, None)
         self._dirty = {}
 
@@ -979,7 +1045,8 @@ class CatalogBuilder:
         order, exactly as :meth:`build_from_columns` emits them.
 
         Only the device-days touched since the last snapshot run
-        through the kernel.  A device whose day records or summary raise
+        through the kernel, in one call; finding them reads every row of
+        each dirty day.  A device whose day records or summary raise
         propagates the error; with ``lenient=True`` it is left out
         instead and listed in :attr:`quarantined`.
         """

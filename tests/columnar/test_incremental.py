@@ -5,6 +5,7 @@ from collections import defaultdict
 import pytest
 
 from repro.columnar import ColumnPools, from_record_streams
+from repro.core import catalog
 from repro.core.catalog import CatalogBuilder
 from repro.core.roaming import RoamingLabeler
 from repro.ecosystem import EcosystemConfig, build_default_ecosystem
@@ -69,6 +70,31 @@ def test_ascending_replay_converges_to_full_build(
     day_records, summaries = builder.snapshot()
     assert day_records == full_build[0]
     assert list(summaries) == list(full_build[1])
+    assert summaries == full_build[1]
+
+
+def test_snapshot_after_every_day_folds_onto_kept_rollups(
+    small_eco, small_dataset, by_day, full_build, monkeypatch
+):
+    """A device whose new day follows its kept days is summarized from
+    its kept rollup and that day alone; the catalog is still the full
+    build's, summaries (labels, float sums) included."""
+    days, events, records = by_day
+    builder = make_builder(small_eco, small_dataset)
+    bases = []
+    roll_up = catalog._roll_up
+
+    def spy(day_records, base=None):
+        bases.append(base is not None)
+        return roll_up(day_records, base)
+
+    monkeypatch.setattr(catalog, "_roll_up", spy)
+    for day in days:
+        update(builder, day, events[day], records[day])
+        builder.snapshot()
+    assert any(bases) and not all(bases)
+    day_records, summaries = builder.snapshot()
+    assert day_records == full_build[0]
     assert summaries == full_build[1]
 
 

@@ -185,6 +185,25 @@ def test_day_column_matches_row_day(mno_dataset):
         assert store.days[i] == event.day
 
 
+def test_from_rows_assigns_ids_in_row_order():
+    """Filled column by column, the pools still number strings by first
+    sight, row by row: a row's SIM before its visited PLMN."""
+    records = [
+        data_xdr("dev-b", 10.0, "20801", "26202", 512, "iot.example"),
+        voice_cdr("dev-a", 20.0, "26202", "23415", 30.0),
+        data_xdr("dev-b", 30.0, "23415", "90128", 64, None),
+    ]
+    store = ColumnarServiceRecords.from_rows(records)
+    assert store.pools.devices.strings == ("dev-b", "dev-a")
+    assert store.pools.plmns.strings == ("20801", "26202", "23415", "90128")
+    assert store.pools.apns.strings == ("iot.example",)
+    assert list(store.sim_plmns) == [0, 1, 2]
+    assert list(store.visited_plmns) == [1, 2, 3]
+    assert list(store.apns) == [0, NULL_ID, NULL_ID]
+    assert list(store.days) == [0, 0, 0]
+    assert store.to_rows() == records
+
+
 def test_empty_store_is_valid():
     store = ColumnarRadioEvents.from_rows([])
     assert len(store) == 0

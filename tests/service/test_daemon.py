@@ -698,8 +698,9 @@ def test_device_whose_day_records_fail_is_quarantined_not_fatal(
 
 
 def test_fold_is_o_batch(tmp_path, svc_eco, svc_batches):
-    """Each row reaches ``CatalogBuilder.update`` once, and ``summarize``
-    runs only inside ``snapshot``: the fold never re-reads a day."""
+    """Each row reaches ``CatalogBuilder.update`` once, and summaries are
+    built (``_summarize_devices``) only inside ``snapshot``: the fold
+    never re-reads a day."""
     update_rows = []
     summarize_outside_snapshot = []
 
@@ -709,7 +710,7 @@ def test_fold_is_o_batch(tmp_path, svc_eco, svc_batches):
         )
         builder = daemon._builder
         update, snapshot, summarize = (
-            builder.update, builder.snapshot, builder.summarize
+            builder.update, builder.snapshot, builder._summarize_devices
         )
         in_snapshot = []
 
@@ -730,7 +731,7 @@ def test_fold_is_o_batch(tmp_path, svc_eco, svc_batches):
 
         builder.update = counting_update
         builder.snapshot = marked_snapshot
-        builder.summarize = checked_summarize
+        builder._summarize_devices = checked_summarize
         await daemon.start()
         try:
             for batch_id, rows in svc_batches:
