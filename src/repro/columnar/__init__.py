@@ -7,9 +7,10 @@ strings instead, which is what lets the catalog kernel scan interned int
 columns (:meth:`repro.core.catalog.CatalogBuilder.build_from_columns`)
 and the sharded executor exchange column blocks rather than row lists.
 
-Columns are stdlib ``array`` buffers (numpy only gathers over them in
-``select``); ``from_rows`` / ``to_rows`` round-trip exactly, so rows
-convert to columns and back losslessly at the pipeline's boundaries.
+Columns are stdlib ``array`` buffers (numpy gathers over them in
+``select`` and ``select_own_pools``); ``from_rows`` / ``to_rows``
+round-trip exactly, so rows convert to columns and back losslessly at
+the pipeline's boundaries.
 """
 
 from repro.columnar.store import (

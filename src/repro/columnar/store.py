@@ -26,9 +26,12 @@ Layout notes:
   convert losslessly; ``select`` slices a store by row index while
   sharing the pools (a numpy gather over each column's buffer), which
   is how the sharded executor exchanges interned column blocks and the
-  daemon splits a multi-day batch.  ``from_rows`` fills a store column
-  by column, one pool lookup per distinct string, and assigns ids in
-  the order a row-by-row encoding would.
+  daemon and the durable fold split a multi-day delta
+  (:func:`split_by_day`).  :func:`select_own_pools` gathers rows onto
+  pools of their own instead, equal to interning those rows: a durable
+  run's ``(day, shard)`` units.  ``from_rows`` fills a store column by
+  column, one pool lookup per distinct string, and assigns ids in the
+  order a row-by-row encoding would.
 - ``append_fields`` takes a decoded wire row (a field tuple, see
   :func:`repro.datasets.io.decode_radio_row`), runs the record's
   invariant check and only then interns: the catalog daemon parses each
@@ -109,11 +112,9 @@ class StringPool:
     __slots__ = ("_ids", "_strings")
 
     def __init__(self, strings: Optional[Iterable[str]] = None) -> None:
-        self._ids: Dict[str, int] = {}
-        self._strings: List[str] = []
-        if strings is not None:
-            for text in strings:
-                self.intern(text)
+        # Interning ``strings`` in turn keeps the first of any repeat.
+        self._strings: List[str] = [] if strings is None else list(dict.fromkeys(strings))
+        self._ids: Dict[str, int] = {text: i for i, text in enumerate(self._strings)}
 
     def intern(self, text: str) -> int:
         """Id for ``text``, assigning the next dense id on first sight."""
@@ -200,6 +201,12 @@ def _days_of(timestamps: Column) -> "array[int]":
     rounds as ``int(timestamp // 86400.0)`` does."""
     days = np.frombuffer(timestamps, dtype=np.float64) // 86400.0
     return array("q", days.astype(np.int64).tobytes())
+
+
+def _first_seen(ids: np.ndarray) -> np.ndarray:
+    """The distinct values of ``ids``, in order of first occurrence."""
+    unique, first = np.unique(ids, return_index=True)
+    return unique[np.argsort(first)]
 
 
 def _select(column: Column, positions: "np.ndarray") -> array:
@@ -581,6 +588,108 @@ def from_record_streams(
     events = ColumnarRadioEvents.from_rows(radio_events, shared)
     records = ColumnarServiceRecords.from_rows(service_records, shared)
     return events, records
+
+
+def _id_view(column: "array[int]") -> np.ndarray:
+    """An id column as an int64 view of its buffer."""
+    return np.frombuffer(column, dtype=np.int64)
+
+
+def _own_pool(pool: StringPool, *ids: np.ndarray) -> Tuple[StringPool, np.ndarray]:
+    """A fresh pool of the strings ``ids`` name, in order of first
+    occurrence over ``ids`` in turn, and the table that maps each of
+    ``pool``'s ids to its new id (the extra last slot maps
+    :data:`NULL_ID` to itself).  Each string is interned once."""
+    order = _first_seen(np.concatenate(ids))
+    table = np.full(len(pool) + 1, NULL_ID, dtype=np.int64)
+    table[order] = np.arange(len(order))
+    strings = pool._strings
+    return StringPool([strings[i] for i in order.tolist()]), table
+
+
+def _remapped(table: np.ndarray, column: "array[int]") -> "array[int]":
+    """The ids of ``column`` mapped through ``table``."""
+    return array("q", table[_id_view(column)].tobytes())
+
+
+def select_own_pools(
+    events: ColumnarRadioEvents,
+    records: ColumnarServiceRecords,
+    radio_rows: Indices,
+    service_rows: Indices,
+) -> Tuple[ColumnarRadioEvents, ColumnarServiceRecords]:
+    """The rows at ``radio_rows`` and ``service_rows``, on pools of their own.
+
+    Equals ``from_record_streams(events.rows_at(radio_rows),
+    records.rows_at(service_rows))`` column for column and pool for
+    pool, and builds no row.  Every column is a :meth:`select` gather;
+    each pool then holds only the strings the rows name, in the order
+    that call interns them: devices over the radio rows, then the
+    service rows; PLMNs over the radio SIMs, then each service row's
+    SIM and visited network in turn; APNs over the service rows
+    (:data:`NULL_ID` stays itself).  The id columns are mapped to the
+    new ids through one table per pool.
+    """
+    if events.pools is not records.pools:
+        raise ValueError("columnar streams must share one ColumnPools")
+    radio, service = events.select(radio_rows), records.select(service_rows)
+    pools = events.pools
+    devices, device_of = _own_pool(
+        pools.devices, _id_view(radio.device_ids), _id_view(service.device_ids)
+    )
+    plmns, plmn_of = _own_pool(
+        pools.plmns,
+        _id_view(radio.sim_plmns),
+        np.column_stack((_id_view(service.sim_plmns), _id_view(service.visited_plmns))).ravel(),
+    )
+    apns = _id_view(service.apns)
+    apn_pool, apn_of = _own_pool(pools.apns, apns[apns != NULL_ID])
+    radio.pools = service.pools = ColumnPools(devices, plmns, apn_pool)
+    radio.device_ids = _remapped(device_of, radio.device_ids)
+    radio.sim_plmns = _remapped(plmn_of, radio.sim_plmns)
+    service.device_ids = _remapped(device_of, service.device_ids)
+    service.sim_plmns = _remapped(plmn_of, service.sim_plmns)
+    service.visited_plmns = _remapped(plmn_of, service.visited_plmns)
+    service.apns = _remapped(apn_of, service.apns)
+    return radio, service
+
+
+#: Either column store: both split by day the same way.
+_Store = TypeVar("_Store", ColumnarRadioEvents, ColumnarServiceRecords)
+
+
+def _by_day(store: _Store) -> Dict[int, _Store]:
+    """The store's rows per day; the store itself when it holds one day.
+
+    A day's rows keep their order (a stable sort by day).
+    """
+    days = _id_view(store.days)
+    if not len(days):
+        return {}
+    if days.min() == days.max():
+        return {int(days[0]): store}
+    order = np.argsort(days, kind="stable")
+    starts = np.flatnonzero(np.diff(days[order])) + 1
+    return {int(days[rows[0]]): store.select(rows) for rows in np.split(order, starts)}
+
+
+def split_by_day(
+    events: ColumnarRadioEvents, records: ColumnarServiceRecords
+) -> List[Tuple[int, ColumnarRadioEvents, ColumnarServiceRecords]]:
+    """``(day, radio rows, service rows)`` for each day the stores hold.
+
+    Days ascend; a day's rows keep their order and share the input
+    pools, and a day one store has no rows for gets an empty store.
+    This is how a delta spanning several days is folded, one
+    :meth:`~repro.core.catalog.CatalogBuilder.update` per day.
+    """
+    radio, service = _by_day(events), _by_day(records)
+    no_radio = ColumnarRadioEvents(events.pools)
+    no_service = ColumnarServiceRecords(records.pools)
+    return [
+        (day, radio.get(day, no_radio), service.get(day, no_service))
+        for day in sorted(radio.keys() | service.keys())
+    ]
 
 
 Row = TypeVar("Row", RadioEvent, ServiceRecord)

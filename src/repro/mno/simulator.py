@@ -47,6 +47,7 @@ from repro.columnar.store import (
     ColumnarServiceRecords,
     ColumnPools,
     RowSequence,
+    _first_seen,
 )
 from repro.datasets.containers import GroundTruthEntry, MNODataset
 from repro.devices.traffic_models import sample_event_hours
@@ -133,12 +134,6 @@ def _zeroed(store: _Store, n_rows: int) -> _Store:
 def _fill(column: array, values: np.ndarray) -> None:
     """Write ``values`` over a store column of the same length."""
     np.frombuffer(column, dtype=_DTYPES[column.typecode])[:] = values
-
-
-def _first_seen(ids: np.ndarray) -> np.ndarray:
-    """The distinct values of ``ids``, in order of first occurrence."""
-    unique, first = np.unique(ids, return_index=True)
-    return unique[np.argsort(first)]
 
 
 def _check_plmn(label: str, plmn: str) -> None:

@@ -12,12 +12,20 @@ summaries and classifications are exactly the whole-population results
 restricted to the shard's devices, which is what makes the
 order-independent merge in :mod:`repro.parallel.executor` byte-identical
 to a serial run.
+
+Over column stores the hash runs once per device pool entry, and one
+stable numpy argsort per store groups the row indices: by shard
+(:func:`shard_rows`, the executor's shards) or by ``(day, shard)``
+(:func:`unit_rows`, a durable run's units).  Both give the partition
+:func:`shard_mno_records` gives over the same rows, in the same order.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Iterable, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, TypeVar, Union
+
+import numpy as np
 
 from repro.columnar.store import ColumnarRadioEvents, ColumnarServiceRecords
 from repro.signaling.cdr import ServiceRecord
@@ -77,6 +85,87 @@ def shard_mno_records(
     return list(zip(radio_shards, service_shards))
 
 
+#: One unit's row indices in each of two stores: (radio rows, service rows).
+UnitRows = Tuple[np.ndarray, np.ndarray]
+
+#: Either column store: both are cut the same way.
+_Store = Union[ColumnarRadioEvents, ColumnarServiceRecords]
+
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
+
+def _pool_shards(
+    events: ColumnarRadioEvents, records: ColumnarServiceRecords, n_shards: int
+) -> np.ndarray:
+    """:func:`shard_of` of every device in the stores' shared pool, by id."""
+    if events.pools is not records.pools:
+        raise ValueError("columnar streams must share one ColumnPools")
+    if n_shards < 1:
+        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+    devices = events.pools.devices.strings
+    return np.array([shard_of(device_id, n_shards) for device_id in devices], dtype=np.int64)
+
+
+def _groups(keys: np.ndarray) -> Dict[int, np.ndarray]:
+    """Row indices per distinct key, keys ascending.
+
+    The sort is stable, so each group keeps its rows in stream order.
+    """
+    order = np.argsort(keys, kind="stable")
+    distinct, starts = np.unique(keys[order], return_index=True)
+    return dict(zip(distinct.tolist(), np.split(order, starts[1:])))
+
+
+def _row_shards(store: _Store, shards: np.ndarray) -> np.ndarray:
+    """The shard of each of ``store``'s rows."""
+    return shards[np.frombuffer(store.device_ids, dtype=np.int64)]
+
+
+def shard_rows(
+    events: ColumnarRadioEvents, records: ColumnarServiceRecords, n_shards: int
+) -> List[UnitRows]:
+    """Each shard's row indices in two stores sharing one pool set.
+
+    The same partition as :func:`shard_mno_records` over the stores'
+    rows, each shard's rows in stream order, with the shard hashed once
+    per pool entry instead of once per row.
+    """
+    shards = _pool_shards(events, records, n_shards)
+    radio = _groups(_row_shards(events, shards))
+    service = _groups(_row_shards(records, shards))
+    return [
+        (radio.get(shard, _NO_ROWS), service.get(shard, _NO_ROWS))
+        for shard in range(n_shards)
+    ]
+
+
+def unit_rows(
+    events: ColumnarRadioEvents, records: ColumnarServiceRecords, n_shards: int
+) -> Dict[int, List[UnitRows]]:
+    """Each ``(day, shard)`` unit's row indices, as ``[day][shard]``.
+
+    One entry per day with rows, days ascending: the rows of that day
+    the day's :func:`shard_rows` would give, each unit's rows in stream
+    order.  One stable argsort per store over ``day * n_shards +
+    shard`` groups every unit at once.
+    """
+    shards = _pool_shards(events, records, n_shards)
+
+    def units(store: _Store) -> Dict[int, np.ndarray]:
+        days = np.frombuffer(store.days, dtype=np.int64)
+        return _groups(days * n_shards + _row_shards(store, shards))
+
+    radio, service = units(events), units(records)
+    keys = radio.keys() | service.keys()
+    return {
+        day: [
+            (radio.get(key, _NO_ROWS), service.get(key, _NO_ROWS))
+            for key in range(day * n_shards, (day + 1) * n_shards)
+        ]
+        for day in sorted({key // n_shards for key in keys})
+    }
+
+
 def shard_columnar_records(
     radio_events: ColumnarRadioEvents,
     service_records: ColumnarServiceRecords,
@@ -87,23 +176,12 @@ def shard_columnar_records(
     The shard function is the same CRC-32-of-device-ID as
     :func:`shard_items` — a device lands in the same shard whichever
     plane is in use — but it is evaluated once per *pool entry* (the
-    device vocabulary) rather than once per row, and each shard is a
-    ``select`` sharing the parent pools, so what crosses the process
-    boundary is interned column blocks, never row lists.
+    device vocabulary) rather than once per row (:func:`shard_rows`),
+    and each shard is a ``select`` sharing the parent pools, so what
+    crosses the process boundary is interned column blocks, never row
+    lists.
     """
-    if radio_events.pools is not service_records.pools:
-        raise ValueError("columnar streams must share one ColumnPools")
-    shard_by_pool_id = [
-        shard_of(device_id, n_shards)
-        for device_id in radio_events.pools.devices.strings
-    ]
-    radio_indices: List[List[int]] = [[] for _ in range(n_shards)]
-    for i, dev in enumerate(radio_events.device_ids):
-        radio_indices[shard_by_pool_id[dev]].append(i)
-    service_indices: List[List[int]] = [[] for _ in range(n_shards)]
-    for i, dev in enumerate(service_records.device_ids):
-        service_indices[shard_by_pool_id[dev]].append(i)
     return [
-        (radio_events.select(radio_idx), service_records.select(service_idx))
-        for radio_idx, service_idx in zip(radio_indices, service_indices)
+        (radio_events.select(radio), service_records.select(service))
+        for radio, service in shard_rows(radio_events, service_records, n_shards)
     ]

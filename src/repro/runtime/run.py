@@ -2,16 +2,28 @@
 
 The driver folds the window into the catalog one ``(day, shard)`` unit
 at a time, in this process.  For each day it loads the units the
-journal already holds, builds the pending ones — a shard-by-device
-slice of the day's records, interned into column stores — persists
-each one as a self-contained block (:mod:`repro.runtime.serialize`)
-when there is a store, and folds them into the incremental engine
+journal already holds, builds the pending ones, persists each one as a
+self-contained block (:mod:`repro.runtime.serialize`) when there is a
+store, and folds them into the incremental engine
 (:meth:`repro.core.catalog.CatalogBuilder.update`), whose snapshot
 equals a one-shot
 :meth:`~repro.core.catalog.CatalogBuilder.build_from_columns` over the
-same rows.  Only one day of column stores is ever held.  Each unit is
-pure, so it can be re-executed any number of times with the same
-result.
+same rows.  Each unit is pure, so it can be re-executed any number of
+times with the same result.
+
+A unit is cut from interned columns and builds no row object.  An
+in-memory dataset's stores (a simulated dataset's own, or a row-list
+dataset's rows interned once) are cut once, after the store opens, by
+:func:`repro.parallel.sharding.unit_rows`: one stable argsort per
+store over ``day * n_shards + shard``, with each device's shard hashed
+once per pool entry.  A ``day_source`` day is interned once and cut by
+shard alone (:func:`~repro.parallel.sharding.shard_rows`), so its units
+hold every row the source returned for it; a row stamped with another
+day is folded into that day.  Each unit's rows are then gathered onto
+pools of their own
+(:func:`~repro.columnar.store.select_own_pools`), which equals
+interning the unit's rows, so unit bytes do not depend on where the
+rows came from.  A ``day_source`` run holds one source day at a time.
 
 The durability contract: killing the run at **any** instant and
 resuming with ``resume=True`` yields day records, summaries and
@@ -30,7 +42,6 @@ one.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,6 +50,8 @@ from repro.columnar.store import (
     ColumnarRadioEvents,
     ColumnarServiceRecords,
     from_record_streams,
+    select_own_pools,
+    split_by_day,
 )
 from repro.core.catalog import CatalogBuilder
 from repro.core.classifier import ClassifierConfig, DeviceClassifier
@@ -56,7 +69,7 @@ from repro.parallel.health import (
     StorageIncident,
 )
 from repro.parallel.pool import map_shards
-from repro.parallel.sharding import shard_mno_records
+from repro.parallel.sharding import shard_rows, unit_rows
 from repro.pipeline import DegradationReport, PipelineResult, _lenient_classify
 from repro.runtime.checkpoint import (
     BeforeReplace,
@@ -80,11 +93,12 @@ DaySlice = Tuple[List[RadioEvent], List[ServiceRecord], Optional[IngestReport]]
 #: runs plug ``load_day_batch_with_retry`` into.
 DaySource = Callable[[int], DaySlice]
 
-#: Unit payload: (day, shard index, radio slice, service slice).
-UnitPayload = Tuple[int, int, List[RadioEvent], List[ServiceRecord]]
-
-#: One built unit: its slice interned into column stores.
+#: One built unit: its rows, interned onto pools of their own.
 Unit = Tuple[ColumnarRadioEvents, ColumnarServiceRecords]
+
+#: What a unit is cut from: two stores sharing one pool set, and the
+#: unit's radio and service row indices in them.
+UnitSource = Tuple[ColumnarRadioEvents, ColumnarServiceRecords, np.ndarray, np.ndarray]
 
 #: Default policy for transient storage faults (unit publishes, journal
 #: appends/fsyncs).  Delays are drawn, never slept — the same
@@ -94,26 +108,20 @@ STORAGE_RETRY_POLICY = RetryPolicy(
 )
 
 
-def _day_slices(
-    dataset: MNODataset,
-) -> Dict[int, Tuple[List[RadioEvent], List[ServiceRecord]]]:
-    """Group the dataset's record streams by day, stream order kept."""
-    radio: Dict[int, List[RadioEvent]] = defaultdict(list)
-    service: Dict[int, List[ServiceRecord]] = defaultdict(list)
-    for event in dataset.radio_events:
-        radio[int(event.timestamp // 86400.0)].append(event)
-    for record in dataset.service_records:
-        service[int(record.timestamp // 86400.0)].append(record)
-    return {
-        day: (radio.get(day, []), service.get(day, []))
-        for day in sorted(set(radio) | set(service))
-    }
+def _build_unit(source: UnitSource) -> Unit:
+    """Build one unit: its rows gathered onto pools of their own.
 
-
-def _encode_unit(payload: UnitPayload) -> Unit:
-    """Build one (day, shard) unit: its slice, interned."""
-    _, _, radio, service = payload
-    return from_record_streams(radio, service)
+    A unit equals interning its rows
+    (:func:`~repro.columnar.store.select_own_pools`).  The stores units
+    are cut from are themselves the interning of their rows (a source
+    day, a row-list dataset, or a simulated dataset's stores, which
+    equal it), so a unit holding every one of their rows — its indices
+    ascend — is those stores, and takes no second copy.
+    """
+    events, records, radio_rows, service_rows = source
+    if len(radio_rows) == len(events) and len(service_rows) == len(records):
+        return events, records
+    return select_own_pools(events, records, radio_rows, service_rows)
 
 
 def _persist_unit(
@@ -239,6 +247,9 @@ def run_durable_pipeline(
     partitions via
     :func:`repro.mno.streaming.load_day_batch_with_retry`); any ingest
     reports it yields are merged into ``result.degradation.ingest``.
+    A source day's units are keyed and journaled by that day, and a
+    row stamped with another day (a partition holding a late row) is
+    folded on the day it carries.
 
     Units are built in this process.  ``n_workers`` only sets how many
     shards per day a fresh store is cut into, so ``--jobs N``
@@ -262,10 +273,17 @@ def run_durable_pipeline(
     classifier = DeviceClassifier(classifier_config)
     health = RunHealth()
 
-    slices: Dict[int, Tuple[List[RadioEvent], List[ServiceRecord]]] = {}
+    columns: Optional[Unit] = None
     if day_source is None:
-        slices = _day_slices(dataset)
-        day_list = sorted(slices)
+        # A simulated dataset's stores, or a row-list dataset's rows
+        # interned once, as the serial pipeline does.
+        columns = dataset.columns or from_record_streams(
+            dataset.radio_events, dataset.service_records
+        )
+        day_list = np.union1d(
+            np.frombuffer(columns[0].days, dtype=np.int64),
+            np.frombuffer(columns[1].days, dtype=np.int64),
+        ).tolist()
     else:
         if days is None:
             raise ValueError("day_source requires an explicit days sequence")
@@ -313,6 +331,15 @@ def run_durable_pipeline(
                 )
             )
 
+    #: day -> each shard's unit source; cut with the store's shard
+    #: count, as a resumed store keeps its own.
+    cut: Dict[int, List[UnitSource]] = {}
+    if columns is not None:
+        events, records = columns
+        cut = {
+            day: [(events, records, radio, service) for radio, service in day_rows]
+            for day, day_rows in unit_rows(events, records, n_shards).items()
+        }
     ingest: Optional[IngestReport] = None
     storage_rng = np.random.default_rng(0)
     try:
@@ -368,18 +395,22 @@ def run_durable_pipeline(
                         ingest = (
                             day_report if ingest is None else ingest.merge(day_report)
                         )
+                    # The source day, interned once, is cut by shard:
+                    # its units hold every row it returned, whatever
+                    # day a row is stamped with.
+                    events, records = from_record_streams(radio_day, service_day)
+                    del radio_day, service_day
+                    day_cut = [
+                        (events, records, radio, service)
+                        for radio, service in shard_rows(events, records, n_shards)
+                    ]
+                    del events, records
                 else:
-                    radio_day, service_day = slices.get(day, ([], []))
-                shard_slices = shard_mno_records(radio_day, service_day, n_shards)
-                payloads: List[UnitPayload] = [
-                    (day, shard, shard_slices[shard][0], shard_slices[shard][1])
-                    for shard in pending
-                ]
-                del radio_day, service_day, shard_slices
-                built = map_shards(_encode_unit, payloads, 1)
-                # Hold one day of rows and units at most: drop this day's
-                # references before the next day's source is read.
-                del payloads
+                    day_cut = cut.pop(day)
+                built = map_shards(_build_unit, [day_cut[shard] for shard in pending], 1)
+                # Hold one day of stores and units at most: drop this
+                # day's references before the next day's source is read.
+                del day_cut
                 for shard, unit in zip(pending, built):
                     if on_unit is not None:
                         on_unit(day, shard)
@@ -397,10 +428,12 @@ def run_durable_pipeline(
             if store is not None:
                 _sync_store(store, day, lenient, storage_rng, health)
 
-            # Each shard's unit is one delta of the day: update merges
-            # it as built or decoded, in any shard order.
+            # Each shard's unit is one delta: update merges it as built
+            # or decoded, in any shard order, once per day its rows are
+            # stamped with (a source day can hold a late row).
             for shard in sorted(units):
-                builder.update(day, *units[shard])
+                for row_day, events_d, records_d in split_by_day(*units[shard]):
+                    builder.update(row_day, events_d, records_d)
             if on_day is not None:
                 on_day(day)
     finally:

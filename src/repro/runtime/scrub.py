@@ -42,6 +42,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.columnar.blocks import _FRAME, _HEADER_LEN
+from repro.columnar.store import from_record_streams, select_own_pools
 from repro.runtime import fsio
 from repro.runtime.checkpoint import (
     JOURNAL_NAME,
@@ -55,7 +56,7 @@ from repro.runtime.checkpoint import (
     load_manifest,
     parse_journal_lines,
 )
-from repro.runtime.serialize import pack_day_block, unpack_day_block
+from repro.runtime.serialize import pack_columns, unpack_day_block
 
 __all__ = [
     "DAMAGE_BIT_ROT",
@@ -379,21 +380,29 @@ def scrub_store(
 def recompute_from_dataset(dataset: Any) -> Recompute:
     """Build a :data:`Recompute` that re-derives units from a dataset.
 
-    Units are pure functions of (day slice, shard count) in strict and
-    lenient stores alike, so the returned callback rebuilds
-    byte-identical blocks from the same in-memory dataset the original
-    run consumed.
+    Units are pure functions of (day, shard count) in strict and lenient
+    stores alike, so the returned callback rebuilds byte-identical
+    blocks from the same in-memory dataset the original run consumed.
+    It cuts the dataset's interned stores the way the durable run does,
+    once per shard count, and gathers only the requested unit: no row
+    is built.
     """
-    from repro.parallel.sharding import shard_mno_records
-    from repro.runtime.run import _day_slices
+    from repro.parallel.sharding import UnitRows, unit_rows
 
-    slices = _day_slices(dataset)
+    events, records = dataset.columns or from_record_streams(
+        dataset.radio_events, dataset.service_records
+    )
+    cuts: Dict[int, Dict[int, List[UnitRows]]] = {}
 
     def recompute(day: int, shard: int, n_shards: int) -> Optional[bytes]:
         if n_shards < 1 or shard >= n_shards:
             return None
-        radio_day, service_day = slices.get(day, ([], []))
-        radio, service = shard_mno_records(radio_day, service_day, n_shards)[shard]
-        return pack_day_block(radio, service)
+        if n_shards not in cuts:
+            cuts[n_shards] = unit_rows(events, records, n_shards)
+        day_units = cuts[n_shards].get(day)
+        if day_units is None:
+            # A day without rows: its units are empty.
+            return pack_columns(*select_own_pools(events, records, [], []))
+        return pack_columns(*select_own_pools(events, records, *day_units[shard]))
 
     return recompute

@@ -53,11 +53,15 @@ import hashlib
 import json
 import shutil
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Set, TypeVar
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set
 
 import numpy as np
 
-from repro.columnar.store import ColumnarRadioEvents, ColumnarServiceRecords
+from repro.columnar.store import (
+    ColumnarRadioEvents,
+    ColumnarServiceRecords,
+    split_by_day,
+)
 from repro.core.catalog import CatalogBuilder, DeviceDayRecord, DeviceSummary
 from repro.core.classifier import Classification, DeviceClassifier
 from repro.core.roaming import RoamingLabeler
@@ -77,25 +81,6 @@ from repro.service.wal import BatchLog
 OnBatch = Optional[Callable[[str, int], None]]
 
 _HTTP_PATHS = {"/healthz": "healthz", "/readyz": "readyz"}
-
-
-#: Either column store: a batch splits both by day the same way.
-_Store = TypeVar("_Store", ColumnarRadioEvents, ColumnarServiceRecords)
-
-
-def _by_day(store: _Store) -> Dict[int, _Store]:
-    """The store's rows per day; the store itself when it holds one day.
-
-    A day's rows keep their batch order (a stable sort by day).
-    """
-    days = np.frombuffer(store.days, dtype=np.int64)
-    if not len(days):
-        return {}
-    if days.min() == days.max():
-        return {int(days[0]): store}
-    order = np.argsort(days, kind="stable")
-    starts = np.flatnonzero(np.diff(days[order])) + 1
-    return {int(days[rows[0]]): store.select(rows) for rows in np.split(order, starts)}
 
 
 def catalog_digest(
@@ -318,15 +303,8 @@ class CatalogDaemon:
         caller publishes the fold to queries (replay runs before the
         first query, whose caches start stale).
         """
-        radio = _by_day(radio_events)
-        service = _by_day(service_records)
-        pools = radio_events.pools
-        for day in sorted(radio.keys() | service.keys()):
-            self._builder.update(
-                day,
-                radio[day] if day in radio else ColumnarRadioEvents(pools),
-                service[day] if day in service else ColumnarServiceRecords(pools),
-            )
+        for day, radio, service in split_by_day(radio_events, service_records):
+            self._builder.update(day, radio, service)
 
     def _refresh_caches(self) -> None:
         if not self._dirty:

@@ -26,7 +26,7 @@ def test_build_from_columns_rejects_mismatched_pools(eco, mno_dataset):
 
 
 def test_shard_columnar_records_partitions_by_device(mno_dataset):
-    from repro.parallel import shard_columnar_records
+    from repro.parallel import shard_columnar_records, shard_mno_records
 
     events, records = from_record_streams(
         mno_dataset.radio_events, mno_dataset.service_records
@@ -45,3 +45,8 @@ def test_shard_columnar_records_partitions_by_device(mno_dataset):
             assert not (seen_devices[a] & seen_devices[b])
     # Shards share the parent's pools: column blocks, not re-encoded rows.
     assert all(ev.pools is events.pools for ev, _ in shards)
+    # The row partition, in stream order within each shard.
+    reference = shard_mno_records(events.to_rows(), records.to_rows(), 3)
+    for (ev, sr), (radio, service) in zip(shards, reference):
+        assert ev.to_rows() == radio
+        assert sr.to_rows() == service

@@ -4,7 +4,13 @@ import zlib
 
 import pytest
 
-from repro.parallel.sharding import shard_items, shard_mno_records, shard_of
+from repro.parallel.sharding import (
+    shard_items,
+    shard_mno_records,
+    shard_of,
+    shard_rows,
+    unit_rows,
+)
 
 
 def test_shard_of_is_stable_and_in_range():
@@ -55,3 +61,41 @@ def test_shard_mno_records_colocates_device_streams(mno_dataset):
     n_records = sum(len(records) for _, records in shards)
     assert n_events == len(mno_dataset.radio_events)
     assert n_records == len(mno_dataset.service_records)
+
+
+def _rows_by_day(rows):
+    days = {}
+    for row in rows:
+        days.setdefault(int(row.timestamp // 86400.0), []).append(row)
+    return days
+
+
+@pytest.mark.parametrize("n_shards", [1, 2, 3])
+def test_unit_rows_is_the_row_partition_by_day_and_shard(mno_dataset, n_shards):
+    """Each (day, shard) unit's indices pick the rows the row reference
+    (day slice, then ``shard_mno_records``) gives, in stream order."""
+    events, records = mno_dataset.columns
+    cut = unit_rows(events, records, n_shards)
+    radio, service = (
+        _rows_by_day(mno_dataset.radio_events),
+        _rows_by_day(mno_dataset.service_records),
+    )
+    assert list(cut) == sorted(radio.keys() | service.keys())
+    assert all(type(day) is int for day in cut)
+    for day, units in cut.items():
+        reference = shard_mno_records(radio.get(day, []), service.get(day, []), n_shards)
+        assert len(units) == n_shards
+        for (radio_rows, service_rows), (radio_ref, service_ref) in zip(units, reference):
+            assert events.rows_at(radio_rows) == radio_ref
+            assert records.rows_at(service_rows) == service_ref
+
+
+def test_cutting_needs_one_pool_set_and_a_shard():
+    from repro.columnar import ColumnarRadioEvents, ColumnarServiceRecords
+
+    events = ColumnarRadioEvents()
+    with pytest.raises(ValueError, match="share one ColumnPools"):
+        unit_rows(events, ColumnarServiceRecords(), 2)
+    with pytest.raises(ValueError, match="n_shards"):
+        shard_rows(events, ColumnarServiceRecords(events.pools), 0)
+    assert unit_rows(events, ColumnarServiceRecords(events.pools), 2) == {}

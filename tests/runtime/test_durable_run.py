@@ -1,7 +1,12 @@
 """Durable pipeline contract: kill → resume → byte-identical results."""
 
+import dataclasses
+from collections import defaultdict
+
 import pytest
 
+from repro.columnar import ColumnarRadioEvents, ColumnarServiceRecords
+from repro.columnar.store import RowSequence
 from repro.datasets.io import IngestReport
 from repro.faults.crash import tear_day_checkpoint, tear_journal_tail
 from repro.parallel.health import TORN_CHECKPOINT
@@ -9,7 +14,28 @@ from repro.parallel.sharding import shard_mno_records, shard_of
 from repro.pipeline import run_pipeline
 from repro.runtime import pack_day_block, run_durable_pipeline
 from repro.runtime.checkpoint import JOURNAL_NAME, MANIFEST_NAME, UNITS_DIRNAME
-from repro.runtime.run import _day_slices
+
+
+def _day_slices(dataset):
+    """The row reference for units: each day's rows, stream order kept."""
+    radio, service = defaultdict(list), defaultdict(list)
+    for event in dataset.radio_events:
+        radio[int(event.timestamp // 86400.0)].append(event)
+    for record in dataset.service_records:
+        service[int(record.timestamp // 86400.0)].append(record)
+    return {
+        day: (radio.get(day, []), service.get(day, []))
+        for day in sorted(set(radio) | set(service))
+    }
+
+
+def _row_list(dataset):
+    """The dataset with plain row lists, so the run interns its rows."""
+    return dataclasses.replace(
+        dataset,
+        radio_events=list(dataset.radio_events),
+        service_records=list(dataset.service_records),
+    )
 
 
 def assert_same_result(result, baseline):
@@ -87,26 +113,61 @@ def test_lenient_durable_equals_serial(
     assert_same_degradation(result, plain_lenient)
 
 
-@pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+@pytest.mark.parametrize("n_shards", [1, 2, 3])
+@pytest.mark.parametrize(
+    "source, lenient",
+    [("simulated", False), ("row-list", False), ("row-list", True)],
+    ids=["simulated-strict", "row-list-strict", "row-list-lenient"],
+)
 def test_persisted_units_equal_pack_day_block_of_their_slice(
-    tmp_path, small_eco, small_dataset, poisoned_dataset, lenient
+    tmp_path, small_eco, small_dataset, poisoned_dataset, source, lenient, n_shards
 ):
-    """Units are the same pure slices in both modes: lenient mode
-    quarantines at the final snapshot, so its units keep every row and
-    carry an empty quarantine list."""
-    dataset = poisoned_dataset if lenient else small_dataset
+    """Units are the same pure slices in both modes and from either
+    source: lenient mode quarantines at the final snapshot, so its units
+    keep every row and carry an empty quarantine list, and a unit cut
+    from a simulated dataset's stores is byte for byte the interning of
+    its rows."""
+    if lenient:
+        dataset = poisoned_dataset
+    else:
+        dataset = small_dataset if source == "simulated" else _row_list(small_dataset)
+    assert (dataset.columns is not None) == (source == "simulated")
     run_durable_pipeline(
-        dataset, small_eco, checkpoint_dir=tmp_path, lenient=lenient, n_workers=2
+        dataset, small_eco, checkpoint_dir=tmp_path, lenient=lenient, n_workers=n_shards
     )
+    slices = _day_slices(dataset)
     n_units = 0
-    for day, (radio, service) in _day_slices(dataset).items():
+    for day, (radio, service) in slices.items():
         for shard, (radio_s, service_s) in enumerate(
-            shard_mno_records(radio, service, 2)
+            shard_mno_records(radio, service, n_shards)
         ):
             unit = tmp_path / UNITS_DIRNAME / f"day_{day:03d}.shard_{shard:03d}.ckpt"
             assert unit.read_bytes() == pack_day_block(radio_s, service_s), (day, shard)
             n_units += 1
     assert n_units == len(list((tmp_path / UNITS_DIRNAME).glob("*.ckpt")))
+    assert _recorded_fingerprint(tmp_path)["days"] == list(slices)
+
+
+def test_durable_run_over_columns_builds_no_row(
+    tmp_path, small_eco, small_dataset, plain_result, monkeypatch
+):
+    """A simulated dataset's units are cut from its stores: the run
+    builds no row object, and its catalog is the serial run's."""
+    events, records = small_dataset.columns
+    dataset = dataclasses.replace(
+        small_dataset,
+        radio_events=RowSequence(events),
+        service_records=RowSequence(records),
+    )
+
+    def no_rows(self, indices):
+        raise AssertionError("a row object was built")
+
+    monkeypatch.setattr(ColumnarRadioEvents, "rows_at", no_rows)
+    monkeypatch.setattr(ColumnarServiceRecords, "rows_at", no_rows)
+    result = run_durable_pipeline(dataset, small_eco, checkpoint_dir=tmp_path, n_workers=2)
+    monkeypatch.undo()
+    assert_same_result(result, plain_result)
 
 
 def test_unit_left_by_the_per_unit_validator_is_rebuilt(
@@ -309,6 +370,52 @@ def test_day_source_feeds_and_reports(tmp_path, small_eco, small_dataset):
     assert_same_result(result, baseline)
     assert result.degradation.ingest is not None
     assert result.degradation.ingest.n_rows == 10 * len(slices)
+
+
+class _Interrupt(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+def test_day_source_rows_stamped_on_other_days_are_folded_on_them(
+    tmp_path, small_eco, small_dataset, lenient
+):
+    """A partition can hold rows of a neighbouring day: day 1's source
+    returns day 2's first radio row and day 2's source day 1's last
+    service row.  Each unit stays journaled under its source day, and
+    its rows are folded on the days they carry, so the catalog is the
+    serial run's over the same rows, also after a kill after day 1 and
+    a resume that loads day 1's unit back."""
+    slices = _day_slices(small_dataset)
+    early, late = slices[2][0][0], slices[1][1][-1]
+    moved = {
+        1: (slices[1][0] + [early], slices[1][1][:-1]),
+        2: (slices[2][0][1:], slices[2][1] + [late]),
+    }
+
+    def source(day):
+        radio, service = moved.get(day, slices[day])
+        return radio, service, None
+
+    def bomb(day):
+        if day == 1:
+            raise _Interrupt
+
+    baseline = run_pipeline(small_dataset, small_eco, lenient=lenient, n_workers=1)
+    kwargs = dict(lenient=lenient, n_workers=2, day_source=source, days=sorted(slices))
+    result = run_durable_pipeline(
+        small_dataset, small_eco, checkpoint_dir=tmp_path / "whole", **kwargs
+    )
+    assert_same_result(result, baseline)
+
+    with pytest.raises(_Interrupt):
+        run_durable_pipeline(
+            small_dataset, small_eco, checkpoint_dir=tmp_path / "killed", on_day=bomb, **kwargs
+        )
+    resumed = run_durable_pipeline(
+        small_dataset, small_eco, checkpoint_dir=tmp_path / "killed", resume=True, **kwargs
+    )
+    assert_same_result(resumed, baseline)
 
 
 def test_run_pipeline_dispatches_to_durable(

@@ -25,7 +25,8 @@ from repro.runtime.scrub import (
     scrub_store,
 )
 from repro.service.wal import BatchLog
-from tests.runtime.test_durable_run import assert_same_result
+from repro.runtime.serialize import pack_day_block
+from tests.runtime.test_durable_run import _row_list, assert_same_result
 from tests.test_golden_catalog import observe
 
 N_SHARDS = 2
@@ -140,19 +141,42 @@ def test_torn_journal_tail_counted_and_truncated_on_repair(store):
 
 
 def test_repair_recomputes_byte_identical_units(store, small_dataset):
+    """From a simulated dataset's stores or a row-list dataset's rows,
+    the recompute rebuilds what the run wrote."""
     victims = unit_paths(store)[:3]
     originals = [v.read_bytes() for v in victims]
-    flip_byte(victims[0])
-    victims[1].write_bytes(originals[1][:10])
-    victims[2].unlink()
-    report = scrub_store(
-        store, repair=True, recompute=recompute_from_dataset(small_dataset)
-    )
-    assert report.n_recomputed == 3 and report.n_marked_for_rerun == 0
-    assert report.healthy_after_scrub
-    # Units are pure: the rebuilt blocks match the originals byte for byte.
-    assert [v.read_bytes() for v in victims] == originals
-    assert scrub_store(store).ok
+    for dataset in (small_dataset, _row_list(small_dataset)):
+        flip_byte(victims[0])
+        victims[1].write_bytes(originals[1][:10])
+        victims[2].unlink()
+        report = scrub_store(
+            store, repair=True, recompute=recompute_from_dataset(dataset)
+        )
+        assert report.n_recomputed == 3 and report.n_marked_for_rerun == 0
+        assert report.healthy_after_scrub
+        # Units are pure: the rebuilt blocks match the originals byte for byte.
+        assert [v.read_bytes() for v in victims] == originals
+        assert scrub_store(store).ok
+
+
+def test_recompute_rebuilds_every_unit_at_any_shard_count(
+    tmp_path, small_eco, small_dataset
+):
+    """Each shard count is cut once; every unit of a store, empty ones
+    included, is rebuilt byte for byte."""
+    recompute = recompute_from_dataset(small_dataset)
+    for n_shards in (1, 3):
+        ckpt = tmp_path / f"ckpt-{n_shards}"
+        run_durable_pipeline(
+            small_dataset, small_eco, checkpoint_dir=ckpt, n_workers=n_shards
+        )
+        units = unit_paths(ckpt)
+        assert len(units) == n_shards * small_dataset.window_days
+        for path in units:
+            day, shard = (int(part.split("_")[1]) for part in path.stem.split("."))
+            assert recompute(day, shard, n_shards) == path.read_bytes(), path.name
+    # A day without rows is an empty unit.
+    assert recompute(10_000, 0, 3) == pack_day_block([], [])
 
 
 def test_repair_verifies_recomputed_bytes(store):
