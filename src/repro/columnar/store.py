@@ -34,9 +34,11 @@ Layout notes:
   order a row-by-row encoding would.
 - ``append_fields`` takes a decoded wire row (a field tuple, see
   :func:`repro.datasets.io.decode_radio_row`), runs the record's
-  invariant check and only then interns: the catalog daemon parses each
-  ingest batch straight onto a fresh store pair this way, building no
-  row object.
+  invariant check and only then interns; :func:`from_field_columns` is
+  its batch form, checking a whole batch's field columns at once (see
+  :func:`repro.datasets.io.decode_radio_columns`).  The catalog daemon
+  parses each ingest batch straight onto a fresh store pair these ways,
+  building no row object.
 - The MNO simulator emits stores directly, not rows.  Its dataset hands
   them to row consumers as :class:`RowSequence` views: counting rows
   reads the columns, and the rows are built once, on first access.
@@ -50,6 +52,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -64,7 +67,7 @@ from typing import (
 
 import numpy as np
 
-from repro.signaling.cdr import SERVICE_TYPES, ServiceRecord, check_service_record
+from repro.signaling.cdr import SERVICE_TYPES, ServiceRecord, ServiceType, check_service_record
 from repro.signaling.events import RADIO_INTERFACES, RadioEvent, check_radio_event
 from repro.signaling.procedures import MESSAGE_TYPES, RESULT_CODES
 
@@ -95,6 +98,20 @@ RadioFields = Tuple[str, float, str, int, int, int, int, int]
 #: A decoded service row (:func:`repro.datasets.io.decode_service_row`):
 #: :class:`ServiceRecord`'s fields in order, the service as its index.
 ServiceFields = Tuple[str, float, str, str, int, float, int, Optional[str]]
+
+#: Radio rows decoded by column (:func:`repro.datasets.io.
+#: decode_radio_columns`): :data:`RadioFields` one column each, the
+#: strings as read and the rest as typed arrays.
+RadioColumns = Tuple[
+    Sequence[Any], "array[float]", Sequence[Any], "array[int]", "array[int]",
+    "array[int]", "array[int]", "array[int]",
+]
+
+#: Service rows decoded by column, like :data:`RadioColumns`.
+ServiceColumns = Tuple[
+    Sequence[Any], "array[float]", Sequence[Any], Sequence[Any], "array[int]",
+    "array[float]", "array[int]", Sequence[Any],
+]
 
 #: Row positions to gather: a sequence of ints or an integer ndarray.
 Indices = Union[Sequence[int], np.ndarray]
@@ -184,7 +201,7 @@ _BYTES_TOTAL = attrgetter("bytes_total")
 _APN = attrgetter("apn")
 
 
-def _interned(pool: StringPool, *columns: List[Optional[str]]) -> List["array[int]"]:
+def _interned(pool: StringPool, *columns: Sequence[Optional[str]]) -> List["array[int]"]:
     """The id columns of ``columns`` (None to :data:`NULL_ID`), one
     lookup per distinct text: new strings get ids in order of first
     sight, row by row, as one :meth:`StringPool.intern_optional` call
@@ -287,19 +304,36 @@ class ColumnarRadioEvents:
         Filled column by column; each pool still assigns its ids in
         order of first sight, row by row and field by field.
         """
-        store = cls(pools)
         rows = list(events)
-        pools = store.pools
-        (store.device_ids,) = _interned(pools.devices, list(map(_DEVICE_ID, rows)))
-        store.timestamps = array("d", list(map(_TIMESTAMP, rows)))
-        store.days = _days_of(store.timestamps)
-        (store.sim_plmns,) = _interned(pools.plmns, list(map(_SIM_PLMN, rows)))
-        store.tacs = array("q", list(map(_TAC, rows)))
-        store.sector_ids = array("q", list(map(_SECTOR_ID, rows)))
-        store.interfaces = array("b", [_INTERFACE_OF[e.interface] for e in rows])
-        store.event_types = array("b", [_MESSAGE_OF[e.event_type] for e in rows])
-        store.results = array("b", [_RESULT_OF[e.result] for e in rows])
-        return store
+        return cls(pools)._filled((
+            list(map(_DEVICE_ID, rows)),
+            array("d", list(map(_TIMESTAMP, rows))),
+            list(map(_SIM_PLMN, rows)),
+            array("q", list(map(_TAC, rows))),
+            array("q", list(map(_SECTOR_ID, rows))),
+            array("b", [_INTERFACE_OF[e.interface] for e in rows]),
+            array("b", [_MESSAGE_OF[e.event_type] for e in rows]),
+            array("b", [_RESULT_OF[e.result] for e in rows]),
+        ))
+
+    def _filled(self, columns: RadioColumns) -> "ColumnarRadioEvents":
+        """This empty store holding checked field columns: the strings
+        interned in row order, the arrays taken as they are."""
+        (
+            device_ids, timestamps, sim_plmns, tacs,
+            sector_ids, interfaces, event_types, results,
+        ) = columns
+        pools = self.pools
+        (self.device_ids,) = _interned(pools.devices, device_ids)
+        self.timestamps = timestamps
+        self.days = _days_of(timestamps)
+        (self.sim_plmns,) = _interned(pools.plmns, sim_plmns)
+        self.tacs = tacs
+        self.sector_ids = sector_ids
+        self.interfaces = interfaces
+        self.event_types = event_types
+        self.results = results
+        return self
 
     # -- row materialization -------------------------------------------------
 
@@ -465,20 +499,35 @@ class ColumnarServiceRecords:
         Filled column by column, like
         :meth:`ColumnarRadioEvents.from_rows`.
         """
-        store = cls(pools)
         rows = list(records)
-        pools = store.pools
-        (store.device_ids,) = _interned(pools.devices, list(map(_DEVICE_ID, rows)))
-        store.timestamps = array("d", list(map(_TIMESTAMP, rows)))
-        store.days = _days_of(store.timestamps)
-        store.sim_plmns, store.visited_plmns = _interned(
-            pools.plmns, list(map(_SIM_PLMN, rows)), list(map(_VISITED_PLMN, rows))
-        )
-        store.services = array("b", [_SERVICE_OF[r.service] for r in rows])
-        store.durations = array("d", list(map(_DURATION, rows)))
-        store.bytes_totals = array("q", list(map(_BYTES_TOTAL, rows)))
-        (store.apns,) = _interned(pools.apns, list(map(_APN, rows)))
-        return store
+        return cls(pools)._filled((
+            list(map(_DEVICE_ID, rows)),
+            array("d", list(map(_TIMESTAMP, rows))),
+            list(map(_SIM_PLMN, rows)),
+            list(map(_VISITED_PLMN, rows)),
+            array("b", [_SERVICE_OF[r.service] for r in rows]),
+            array("d", list(map(_DURATION, rows))),
+            array("q", list(map(_BYTES_TOTAL, rows))),
+            list(map(_APN, rows)),
+        ))
+
+    def _filled(self, columns: ServiceColumns) -> "ColumnarServiceRecords":
+        """Like :meth:`ColumnarRadioEvents._filled`; each row's SIM and
+        visited network are interned in turn."""
+        (
+            device_ids, timestamps, sim_plmns, visited_plmns,
+            services, durations, bytes_totals, apns,
+        ) = columns
+        pools = self.pools
+        (self.device_ids,) = _interned(pools.devices, device_ids)
+        self.timestamps = timestamps
+        self.days = _days_of(timestamps)
+        self.sim_plmns, self.visited_plmns = _interned(pools.plmns, sim_plmns, visited_plmns)
+        self.services = services
+        self.durations = durations
+        self.bytes_totals = bytes_totals
+        (self.apns,) = _interned(pools.apns, apns)
+        return self
 
     # -- row materialization -------------------------------------------------
 
@@ -588,6 +637,97 @@ def from_record_streams(
     events = ColumnarRadioEvents.from_rows(radio_events, shared)
     records = ColumnarServiceRecords.from_rows(service_records, shared)
     return events, records
+
+
+#: A float day at or past this is beyond the int64 ``days`` column
+#: (``INT64_MAX`` itself rounds to it as a float).
+_DAY_LIMIT = 2.0**63
+
+_VOICE = _SERVICE_OF[ServiceType.VOICE]
+_DATA = _SERVICE_OF[ServiceType.DATA]
+
+
+def _timestamps_hold(timestamps: "array[float]") -> bool:
+    """Whether every timestamp is finite, not negative and on a day the
+    ``days`` column holds, as ``check_timestamp`` requires."""
+    ts = np.frombuffer(timestamps, dtype=np.float64)
+    # Finite first: floor division warns on an infinite or NaN value.
+    if not (np.isfinite(ts).all() and (ts >= 0).all()):
+        return False
+    return bool((ts // 86400.0 < _DAY_LIMIT).all())
+
+
+def _each_distinct(values: Iterable[Any], holds: Callable[[Any], bool]) -> bool:
+    """Whether ``holds`` is true of each distinct value (an unhashable
+    value fails)."""
+    try:
+        distinct = dict.fromkeys(values)
+    except TypeError:
+        return False
+    return all(map(holds, distinct))
+
+
+def _is_str(value: Any) -> bool:
+    return isinstance(value, str)
+
+
+def _is_plmn(value: Any) -> bool:
+    return isinstance(value, str) and value.isdigit() and len(value) in (5, 6)
+
+
+def _is_apn(value: Any) -> bool:
+    return value is None or isinstance(value, str)
+
+
+def _radio_columns_hold(columns: RadioColumns) -> bool:
+    """Whether every row passes :func:`check_radio_event` but its string
+    checks (the sector's int64 bound is the array's own)."""
+    tacs = np.frombuffer(columns[3], dtype=np.int64)
+    return _timestamps_hold(columns[1]) and bool(((tacs >= 0) & (tacs < 10**8)).all())
+
+
+def _service_columns_hold(columns: ServiceColumns) -> bool:
+    """Whether every row passes :func:`check_service_record` but its
+    string checks (the byte count's int64 bound is the array's own)."""
+    services = np.frombuffer(columns[4], dtype=np.int8)
+    durations = np.frombuffer(columns[5], dtype=np.float64)
+    if not (
+        _timestamps_hold(columns[1])
+        and np.isfinite(durations).all()
+        and (durations >= 0).all()
+        and (np.frombuffer(columns[6], dtype=np.int64) >= 0).all()
+        # A data row's duration is zero (a NaN one never reaches here).
+        and not np.count_nonzero(durations[services == _DATA])
+    ):
+        return False
+    apns = columns[7]
+    return all(apns[i] is None for i in np.flatnonzero(services == _VOICE).tolist())
+
+
+def from_field_columns(
+    radio: RadioColumns, service: ServiceColumns
+) -> Optional[Tuple[ColumnarRadioEvents, ColumnarServiceRecords]]:
+    """A batch's checked field columns as a store pair on fresh pools.
+
+    None when any row fails its record check.  The batch form of
+    ``append_fields``: each invariant of :func:`check_radio_event` /
+    :func:`check_service_record` is checked over a whole column, the
+    numbers in numpy and the strings once per distinct value.  It
+    reports no error: the caller takes a refused batch row by row, where
+    each rejection is named.  Interning follows only once both kinds
+    pass, in the order :func:`from_record_streams` interns, so the pair
+    equals appending every row, radio rows first.
+    """
+    if not (
+        _radio_columns_hold(radio)
+        and _service_columns_hold(service)
+        and _each_distinct(chain(radio[0], service[0]), _is_str)
+        and _each_distinct(chain(radio[2], service[2], service[3]), _is_plmn)
+        and _each_distinct(service[7], _is_apn)
+    ):
+        return None
+    pools = ColumnPools()
+    return ColumnarRadioEvents(pools)._filled(radio), ColumnarServiceRecords(pools)._filled(service)
 
 
 def _id_view(column: "array[int]") -> np.ndarray:

@@ -377,7 +377,7 @@ class _DayRows:
             if not keep.all():
                 rows = tuple(column[keep] for column in rows)
             gathered.append(
-                (rows[0], np.full(len(rows[0]), day, dtype=np.int32)) + rows[1:]
+                (rows[0], np.full(len(rows[0]), day, dtype=np.int64)) + rows[1:]
             )
         return gathered[0], gathered[1]
 

@@ -24,14 +24,18 @@ The taxonomy mirrors :class:`repro.faults.plan.CorruptionKind`, so every
 fault the injection layer can put into a file lands in exactly one
 bucket here.  File ingest and the catalog daemon's batch parser share
 each row kind's decoder and invariant check, and :func:`ingest_row`
-sorts a row's failure into the taxonomy for both.
+sorts a row's failure into the taxonomy for both.  The daemon first
+tries a clean batch by column (:func:`decode_radio_columns` /
+:func:`decode_service_columns`), and falls back to the row decoders.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 from typing import (
     Any,
@@ -42,6 +46,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
     Type,
     TypeVar,
@@ -53,7 +58,9 @@ from repro.columnar.store import (
     MESSAGE_INDEX,
     RESULT_INDEX,
     SERVICE_INDEX,
+    RadioColumns,
     RadioFields,
+    ServiceColumns,
     ServiceFields,
 )
 from repro.signaling.cdr import SERVICE_TYPES, ServiceRecord, ServiceType
@@ -403,6 +410,38 @@ def decode_radio_row(row: Dict) -> RadioFields:
     )
 
 
+_RADIO_KEYS = itemgetter(
+    "device_id", "ts", "sim_plmn", "tac", "sector", "iface", "type", "result"
+)
+
+
+def decode_radio_columns(rows: Sequence[Dict]) -> RadioColumns:
+    """The radio rows' fields by column, in :class:`RadioEvent` order.
+
+    The batch form of :func:`decode_radio_row`, for a batch that decodes
+    whole: each field of every row is read in one pass, numbers convert
+    straight into typed arrays and enums read their value -> index
+    tables (each index fits a byte).  A value that decodes decodes to
+    what the row decoder gives, but more raises: a string number, a
+    float TAC or sector, an enum value only its constructor takes.
+    Every error it raises is *schema*; the values are checked by
+    :func:`repro.columnar.store.from_field_columns`.
+    """
+    device_ids, timestamps, sim_plmns, tacs, sectors, interfaces, event_types, results = (
+        tuple(zip(*map(_RADIO_KEYS, rows))) or ((),) * 8
+    )
+    return (
+        device_ids,
+        array("d", timestamps),
+        sim_plmns,
+        array("q", tacs),
+        array("q", sectors),
+        array("b", bytes(map(INTERFACE_INDEX.__getitem__, interfaces))),
+        array("b", bytes(map(MESSAGE_INDEX.__getitem__, event_types))),
+        array("b", bytes(map(RESULT_INDEX.__getitem__, results))),
+    )
+
+
 def _radio_event(fields: RadioFields) -> RadioEvent:
     device_id, timestamp, sim_plmn, tac, sector_id, interface, event_type, result = fields
     return RadioEvent(
@@ -464,6 +503,32 @@ def decode_service_row(row: Dict) -> ServiceFields:
         float(row["duration_s"]),
         int(row["bytes"]),
         row.get("apn"),
+    )
+
+
+_SERVICE_KEYS = itemgetter(
+    "device_id", "ts", "sim_plmn", "visited_plmn", "service", "duration_s", "bytes"
+)
+
+
+def decode_service_columns(rows: Sequence[Dict]) -> ServiceColumns:
+    """The service rows' fields by column, in :class:`ServiceRecord` order.
+
+    Like :func:`decode_radio_columns`; the APN is read with
+    ``row.get``, as :func:`decode_service_row` reads it.
+    """
+    device_ids, timestamps, sim_plmns, visited_plmns, services, durations, bytes_totals = (
+        tuple(zip(*map(_SERVICE_KEYS, rows))) or ((),) * 7
+    )
+    return (
+        device_ids,
+        array("d", timestamps),
+        sim_plmns,
+        visited_plmns,
+        array("b", bytes(map(SERVICE_INDEX.__getitem__, services))),
+        array("d", durations),
+        array("q", bytes_totals),
+        [row.get("apn") for row in rows],
     )
 
 

@@ -14,7 +14,7 @@ order-independent merge in :mod:`repro.parallel.executor` byte-identical
 to a serial run.
 
 Over column stores the hash runs once per device pool entry, and one
-stable numpy argsort per store groups the row indices: by shard
+stable numpy sort per store groups the row indices: by shard
 (:func:`shard_rows`, the executor's shards) or by ``(day, shard)``
 (:func:`unit_rows`, a durable run's units).  Both give the partition
 :func:`shard_mno_records` gives over the same rows, in the same order.
@@ -106,14 +106,20 @@ def _pool_shards(
     return np.array([shard_of(device_id, n_shards) for device_id in devices], dtype=np.int64)
 
 
-def _groups(keys: np.ndarray) -> Dict[int, np.ndarray]:
-    """Row indices per distinct key, keys ascending.
+def _groups(*keys: np.ndarray) -> Dict[Tuple[int, ...], np.ndarray]:
+    """Row indices per distinct tuple of ``keys``, tuples ascending.
 
     The sort is stable, so each group keeps its rows in stream order.
     """
-    order = np.argsort(keys, kind="stable")
-    distinct, starts = np.unique(keys[order], return_index=True)
-    return dict(zip(distinct.tolist(), np.split(order, starts[1:])))
+    order = np.lexsort(keys[::-1])
+    ordered = [key[order] for key in keys]
+    head = np.zeros(len(order), dtype=bool)
+    head[:1] = True
+    for key in ordered:
+        head[1:] |= key[1:] != key[:-1]
+    starts = np.flatnonzero(head)
+    firsts = zip(*(key[starts].tolist() for key in ordered))
+    return dict(zip(firsts, np.split(order, starts[1:])))
 
 
 def _row_shards(store: _Store, shards: np.ndarray) -> np.ndarray:
@@ -134,7 +140,7 @@ def shard_rows(
     radio = _groups(_row_shards(events, shards))
     service = _groups(_row_shards(records, shards))
     return [
-        (radio.get(shard, _NO_ROWS), service.get(shard, _NO_ROWS))
+        (radio.get((shard,), _NO_ROWS), service.get((shard,), _NO_ROWS))
         for shard in range(n_shards)
     ]
 
@@ -146,23 +152,22 @@ def unit_rows(
 
     One entry per day with rows, days ascending: the rows of that day
     the day's :func:`shard_rows` would give, each unit's rows in stream
-    order.  One stable argsort per store over ``day * n_shards +
-    shard`` groups every unit at once.
+    order.  One stable sort per store by ``(day, shard)`` groups every
+    unit at once, on any int64 day.
     """
     shards = _pool_shards(events, records, n_shards)
 
-    def units(store: _Store) -> Dict[int, np.ndarray]:
+    def units(store: _Store) -> Dict[Tuple[int, ...], np.ndarray]:
         days = np.frombuffer(store.days, dtype=np.int64)
-        return _groups(days * n_shards + _row_shards(store, shards))
+        return _groups(days, _row_shards(store, shards))
 
     radio, service = units(events), units(records)
-    keys = radio.keys() | service.keys()
     return {
         day: [
-            (radio.get(key, _NO_ROWS), service.get(key, _NO_ROWS))
-            for key in range(day * n_shards, (day + 1) * n_shards)
+            (radio.get((day, shard), _NO_ROWS), service.get((day, shard), _NO_ROWS))
+            for shard in range(n_shards)
         ]
-        for day in sorted({key // n_shards for key in keys})
+        for day in sorted({day for day, _ in radio.keys() | service.keys()})
     }
 
 

@@ -12,7 +12,9 @@ a ``kind`` discriminator::
 
 :func:`parse_batch_rows` decodes a batch straight into one pair of
 column stores with fresh pools — the form the WAL packs and the catalog
-folds — without building a row object.  Parsing is *lenient* with the
+folds — without building a row object.  A batch whose rows all pass is
+decoded and checked a column at a time; any other batch row by row,
+which is where each rejection is reported.  Parsing is *lenient* with the
 ingest taxonomy of :class:`repro.datasets.io.IngestReport`: a row that
 is not a dict is a ``parse`` error; an unknown ``kind``, a missing or
 uncoercible field, an unknown enum value or a wrongly-typed device id or
@@ -26,14 +28,22 @@ never kills the daemon or leaves a row the fold cannot take.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence, Tuple, TypeVar
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.columnar.store import ColumnarRadioEvents, ColumnarServiceRecords, ColumnPools
+from repro.columnar.store import (
+    ColumnarRadioEvents,
+    ColumnarServiceRecords,
+    ColumnPools,
+    from_field_columns,
+)
 from repro.datasets.io import (
+    _DECODE_ERRORS,
     IngestError,
     IngestErrorKind,
     IngestReport,
+    decode_radio_columns,
     decode_radio_row,
+    decode_service_columns,
     decode_service_row,
     ingest_row,
 )
@@ -69,6 +79,19 @@ def _append_rows(
             errors.append(IngestError(source, line_no, kind, str(exc), _excerpt(row)))
 
 
+def _by_column(
+    radio_rows: List[_NumberedRow], service_rows: List[_NumberedRow]
+) -> Optional[Tuple[ColumnarRadioEvents, ColumnarServiceRecords]]:
+    """The rows decoded and checked a column at a time; None when a
+    column refuses a value or a row fails its check."""
+    try:
+        radio = decode_radio_columns([row for _, row in radio_rows])
+        service = decode_service_columns([row for _, row in service_rows])
+    except _DECODE_ERRORS:
+        return None
+    return from_field_columns(radio, service)
+
+
 def parse_batch_rows(
     rows: Sequence[Any], source: str = "ingest"
 ) -> Tuple[ColumnarRadioEvents, ColumnarServiceRecords, IngestReport]:
@@ -82,7 +105,10 @@ def parse_batch_rows(
     ingest.  Every radio row is appended before any service row — the
     order :func:`~repro.columnar.store.from_record_streams` interns in —
     so the stores pack to the same bytes as ``pack_day_block`` of the
-    accepted rows however the batch interleaves the two kinds.
+    accepted rows however the batch interleaves the two kinds.  A batch
+    of good rows takes the column pass, which builds the same stores in
+    a few passes per column; a batch the column pass refuses takes the
+    row loop.
     """
     errors: List[IngestError] = []
     radio_rows: List[_NumberedRow] = []
@@ -104,6 +130,11 @@ def parse_batch_rows(
             errors.append(
                 IngestError(source, line_no, IngestErrorKind.SCHEMA, message, _excerpt(row))
             )
+    if not errors:
+        stores = _by_column(radio_rows, service_rows)
+        if stores is not None:
+            report = IngestReport(path=source, n_rows=len(rows), n_ok=len(rows), errors=[])
+            return stores[0], stores[1], report
     pools = ColumnPools()
     radio = ColumnarRadioEvents(pools)
     service = ColumnarServiceRecords(pools)

@@ -135,6 +135,27 @@ class TestByteTotalsPastInt64:
         assert summaries["big"].bytes_total == 2**63 + 1
 
 
+class TestDaysPastInt32:
+    """The record check takes any day int64 holds, so the fold must too:
+    its day column was once int32, and a day past 2**31 then broke every
+    later snapshot."""
+
+    DAYS = (0, 2**31 + 5, 2_314_814_814, 8_101_851_851_851_852_800)
+
+    def test_update_then_snapshot_equals_the_one_shot_build(self, world):
+        eco, one_shot = world
+        events = [_event(eco, day=day) for day in self.DAYS]
+        assert [event.day for event in events] == list(self.DAYS)
+        builder = CatalogBuilder(
+            eco.tac_db, eco.uk_sectors, RoamingLabeler(eco.operators, eco.uk_mno)
+        )
+        for event in events:
+            builder.update(event.day, *from_record_streams([event], []))
+        records, summaries = builder.snapshot()
+        assert [r.day for r in records] == list(self.DAYS)
+        assert (records, summaries) == _build(one_shot, events, [])
+
+
 class TestSummaries:
     def test_label_home_native(self, world):
         eco, builder = world

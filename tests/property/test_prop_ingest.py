@@ -8,17 +8,29 @@ record invariant, and values the int64 / float columns cannot hold.
 rows the row codec (``radio_event_from_dict`` / ``service_record_from_dict``,
 row by row) accepts, pack them to the bytes ``pack_day_block`` writes
 for those rows, and report the same errors in row order.
+
+Clean batches take the column pass, so they are drawn on their own too:
+all good (of either kind, both or neither), all good but one damaged
+row, and good rows at the edges of what the checks accept.  The column
+pass's appender, :func:`repro.columnar.store.from_field_columns`, is
+also held directly: it returns nothing, or the reference's stores for a
+batch the reference takes whole.
 """
 
 import json
+import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.columnar.blocks import pack_columns
+from repro.columnar.store import from_field_columns
 from repro.datasets.io import (
     IngestErrorKind,
+    decode_radio_columns,
     decode_radio_row,
+    decode_service_columns,
     decode_service_row,
     radio_event_from_dict,
     service_record_from_dict,
@@ -28,6 +40,8 @@ from repro.service.protocol import parse_batch_rows
 from repro.signaling.cdr import ServiceType
 from repro.signaling.events import RadioInterface
 from repro.signaling.procedures import MessageType, ResultCode
+
+from tests.service.test_protocol import DATA_SERVICE, GOOD_RADIO, GOOD_SERVICE
 
 devices = st.sampled_from(["d0", "d1", "d2"])
 plmns = st.sampled_from(["23410", "21407", "310260"])
@@ -65,10 +79,16 @@ def good_service(draw):
     }
 
 
+#: A timestamp on day 2**63, one past the last day int64 holds.
+TS_ON_DAY_2_63 = 2.0**63 * 86400.0
+
 #: Values that break a row at one field, by the layer that rejects them.
 BAD_VALUES = {
     "device_id": [5, None, ["d0"]],
-    "ts": [-1.0, float("nan"), float("inf"), -float("inf"), 1e300, 10**400, "x", None],
+    "ts": [
+        -1.0, float("nan"), float("inf"), -float("inf"), 1e300, TS_ON_DAY_2_63,
+        10**400, "x", None,
+    ],
     "sim_plmn": ["9", "2341a", 23410, None],
     "visited_plmn": ["1234567", None],
     "tac": [-1, 10**8, json.loads("1e400"), float("nan"), "x"],
@@ -84,10 +104,10 @@ BAD_VALUES = {
 
 
 @st.composite
-def damaged(draw, good):
+def damaged(draw, good, hows=("value", "drop", "kind")):
     """A good row with one field replaced, dropped, or its kind broken."""
     row = draw(good)
-    how = draw(st.sampled_from(["value", "drop", "kind"]))
+    how = draw(st.sampled_from(hows))
     fields = sorted(key for key in row if key != "kind")
     if how == "kind":
         row["kind"] = draw(st.sampled_from(["telepathy", None, 3]))
@@ -110,6 +130,72 @@ rows = st.one_of(
     damaged(good_service()),
     not_a_dict,
 )
+
+
+#: Good values at the edges of what the checks accept, by field.
+EDGE_TIMESTAMPS = [
+    0.0,
+    86400,  # an int
+    2.0e14,  # day 2,314,814,814, past int32
+    math.nextafter(TS_ON_DAY_2_63, 0.0),  # the last day int64 holds
+]
+RADIO_EDGES = {
+    "ts": EDGE_TIMESTAMPS,
+    "tac": [True, False, 0, 10**8 - 1],
+    "sector": [2**63 - 1, -(2**63 - 1), -(2**63)],
+}
+VOICE_EDGES = {"ts": EDGE_TIMESTAMPS, "duration_s": [0.0, 0, 1e300]}
+DATA_EDGES = {"ts": EDGE_TIMESTAMPS, "bytes": [2**63 - 1, 0, True], "apn": ["", None]}
+
+
+@st.composite
+def at_the_edges(draw, good, edges):
+    """A good row with one to three fields set to edge values."""
+    row = draw(good)
+    if callable(edges):
+        edges = edges(row)
+    for field in draw(st.lists(st.sampled_from(sorted(edges)), min_size=1, max_size=3)):
+        row[field] = draw(st.sampled_from(edges[field]))
+    return row
+
+
+def _service_edges(row):
+    return VOICE_EDGES if row["service"] == ServiceType.VOICE.value else DATA_EDGES
+
+
+good_rows = st.one_of(good_radio(), good_service())
+
+good_batches = st.one_of(
+    st.just([]),
+    st.lists(good_radio(), min_size=1, max_size=30),
+    st.lists(good_service(), min_size=1, max_size=30),
+    st.lists(good_rows, min_size=1, max_size=30),
+)
+
+
+@st.composite
+def one_damaged_row(draw):
+    """A good batch with one bad row of any class at a random position."""
+    batch = draw(st.lists(good_rows, max_size=30))
+    bad = draw(st.one_of(damaged(good_radio()), damaged(good_service()), not_a_dict))
+    batch.insert(draw(st.integers(0, len(batch))), bad)
+    return batch
+
+
+edge_rows = st.one_of(
+    at_the_edges(good_radio(), RADIO_EDGES),
+    at_the_edges(good_service(), _service_edges),
+    good_rows,
+)
+
+@st.composite
+def bad_values_among_good_rows(draw):
+    """Good and edge rows with up to two rows holding a bad value."""
+    batch = draw(st.lists(edge_rows, max_size=20))
+    for _ in range(draw(st.integers(0, 2))):
+        good = draw(st.sampled_from([good_radio(), good_service()]))
+        batch.insert(draw(st.integers(0, len(batch))), draw(damaged(good, hows=("value",))))
+    return batch
 
 
 def _excerpt(row):
@@ -148,9 +234,7 @@ def reference(batch):
     return events, records, errors
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(rows, max_size=30))
-def test_column_parser_equals_the_row_codec(batch):
+def assert_parses_as_the_row_codec(batch):
     events, records, errors = reference(batch)
     radio, service, report = parse_batch_rows(batch, source="b-prop")
     assert pack_columns(radio, service) == pack_day_block(events, records)
@@ -160,3 +244,63 @@ def test_column_parser_equals_the_row_codec(batch):
     assert all(e.path == "b-prop" for e in report.errors)
     assert report.n_rows == len(batch)
     assert report.n_ok == len(events) + len(records)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rows, max_size=30))
+def test_column_parser_equals_the_row_codec(batch):
+    assert_parses_as_the_row_codec(batch)
+
+
+@settings(max_examples=200, deadline=None)
+@given(good_batches)
+def test_good_batches_parse_as_the_row_codec(batch):
+    assert_parses_as_the_row_codec(batch)
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_damaged_row())
+def test_good_batches_with_one_damaged_row_parse_as_the_row_codec(batch):
+    assert_parses_as_the_row_codec(batch)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(edge_rows, max_size=30))
+def test_edge_values_parse_as_the_row_codec(batch):
+    assert_parses_as_the_row_codec(batch)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bad_values_among_good_rows())
+def test_batch_appender_takes_only_batches_the_row_codec_takes(batch):
+    """``from_field_columns`` returns nothing, or the reference's stores
+    for a batch whose every row the reference accepts."""
+    events, records, errors = reference(batch)
+    try:
+        radio = decode_radio_columns([row for row in batch if row["kind"] == "radio"])
+        service = decode_service_columns([row for row in batch if row["kind"] == "service"])
+    except (KeyError, TypeError, OverflowError):
+        return  # a batch the columns cannot decode is the row loop's
+    stores = from_field_columns(radio, service)
+    if stores is None:
+        return
+    assert errors == []
+    assert pack_columns(*stores) == pack_day_block(events, records)
+
+
+#: Each bad value on each row kind that has its field, for the sweep.
+BAD_VALUE_CASES = [
+    pytest.param(row, field, value, id=f"{name}-{field}-{index}")
+    for name, row in (("radio", GOOD_RADIO), ("voice", GOOD_SERVICE), ("data", DATA_SERVICE))
+    for field, values in sorted(BAD_VALUES.items())
+    if field in row
+    for index, value in enumerate(values)
+]
+
+
+@pytest.mark.parametrize("row, field, value", BAD_VALUE_CASES)
+def test_each_bad_value_in_a_good_batch_parses_as_the_row_codec(row, field, value):
+    """Every bad value, one at a time, among good rows of both kinds:
+    each check of the column pass is reached, whatever hypothesis draws."""
+    batch = [GOOD_RADIO, DATA_SERVICE, dict(row, **{field: value}), GOOD_SERVICE]
+    assert_parses_as_the_row_codec(batch)

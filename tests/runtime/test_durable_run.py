@@ -9,6 +9,7 @@ from repro.columnar import ColumnarRadioEvents, ColumnarServiceRecords
 from repro.columnar.store import RowSequence
 from repro.datasets.io import IngestReport
 from repro.faults.crash import tear_day_checkpoint, tear_journal_tail
+from repro.mno import MNOConfig, simulate_mno_dataset
 from repro.parallel.health import TORN_CHECKPOINT
 from repro.parallel.sharding import shard_mno_records, shard_of
 from repro.pipeline import run_pipeline
@@ -414,6 +415,35 @@ def test_day_source_rows_stamped_on_other_days_are_folded_on_them(
         )
     resumed = run_durable_pipeline(
         small_dataset, small_eco, checkpoint_dir=tmp_path / "killed", resume=True, **kwargs
+    )
+    assert_same_result(resumed, baseline)
+
+
+def test_durable_run_over_a_day_near_the_int64_limit(tmp_path, small_eco):
+    """Units are keyed by ``(day, shard)`` without the product ``day *
+    n_shards`` (which wrapped past ``INT64_MAX // n_shards``), and the
+    fold's day column is int64: a row on day 8,101,851,851,851,852,800
+    runs, and kills after day 1 resume, to the serial run's catalog."""
+    dataset = _row_list(simulate_mno_dataset(small_eco, MNOConfig(n_devices=20, seed=3)))
+    far = dataclasses.replace(dataset.radio_events[0], timestamp=7.0e23)
+    assert far.day == 8_101_851_851_851_852_800
+    dataset.radio_events.append(far)
+
+    def bomb(day):
+        if day == 1:
+            raise _Interrupt
+
+    baseline = run_pipeline(dataset, small_eco, n_workers=1)
+    result = run_durable_pipeline(
+        dataset, small_eco, checkpoint_dir=tmp_path / "whole", n_workers=2
+    )
+    assert_same_result(result, baseline)
+    with pytest.raises(_Interrupt):
+        run_durable_pipeline(
+            dataset, small_eco, checkpoint_dir=tmp_path / "killed", n_workers=2, on_day=bomb
+        )
+    resumed = run_durable_pipeline(
+        dataset, small_eco, checkpoint_dir=tmp_path / "killed", n_workers=2, resume=True
     )
     assert_same_result(resumed, baseline)
 

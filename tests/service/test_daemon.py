@@ -186,6 +186,38 @@ def test_wrongly_typed_row_is_quarantined_and_queries_answer(tmp_path, svc_eco, 
     assert asyncio.run(life(resume=True)) == first
 
 
+def test_row_on_a_day_past_int32_folds_and_queries_answer(tmp_path, svc_eco):
+    """Any int64 day passes the wire checks, and the fold holds it: a row
+    on day 2,314,814,814 once made every later query and digest close
+    its connection unanswered (the fold's day column was int32)."""
+    far = dict(GOOD_RADIO, ts=2.0e14)
+    assert int(far["ts"] // 86400.0) == 2_314_814_814
+
+    async def scenario():
+        daemon = CatalogDaemon(
+            svc_eco, str(tmp_path / "wal"), ServiceConfig(**FAST_CONFIG)
+        )
+        await daemon.start()
+        try:
+            assert (await ingest(daemon.port, "b-near", [GOOD_RADIO]))["status"] == "ok"
+            response = await ingest(daemon.port, "b-far", [far])
+            assert response["status"] == "ok", response
+            assert response["ingest"]["n_quarantined"] == 0
+            answer = await request(daemon.port, {"op": "query", "device_id": "d0"})
+            assert answer["status"] == "ok", answer
+            digest = await request(daemon.port, {"op": "digest"})
+            assert digest["status"] == "ok", digest
+            return digest["digest"]
+        finally:
+            await daemon.stop()
+
+    digest = asyncio.run(scenario())
+    radio, service, _ = parse_batch_rows([GOOD_RADIO, far])
+    labeler = RoamingLabeler(svc_eco.operators, svc_eco.uk_mno)
+    builder = CatalogBuilder(svc_eco.tac_db, svc_eco.uk_sectors, labeler)
+    assert digest == catalog_digest(*builder.build_from_columns(radio, service))
+
+
 def test_malformed_requests_get_typed_errors(tmp_path, svc_eco):
     async def scenario():
         daemon = CatalogDaemon(

@@ -5,10 +5,11 @@ import json
 import pytest
 
 from repro.columnar.blocks import pack_columns
-from repro.datasets.io import IngestErrorKind
+from repro.datasets.io import IngestErrorKind, radio_event_from_dict, service_record_from_dict
 from repro.runtime.serialize import pack_day_block
-from repro.service import parse_batch_rows
+from repro.service import parse_batch_rows, protocol
 from repro.service.protocol import report_payload
+from repro.signaling.events import RadioInterface
 
 GOOD_RADIO = {
     "kind": "radio",
@@ -45,6 +46,9 @@ UNREPRESENTABLE_ROWS = {
     "ts-nan": dict(GOOD_RADIO, device_id="hostile", ts=float("nan")),
     "ts-inf": dict(GOOD_RADIO, device_id="hostile", ts=float("inf")),
     "ts-1e300": dict(GOOD_RADIO, device_id="hostile", ts=1e300),
+    # Day 2**63 exactly: INT64_MAX rounds to it as a float, so only a
+    # comparison against 2.0**63 itself keeps it out of the columns.
+    "ts-day-2**63": dict(GOOD_RADIO, device_id="hostile", ts=2.0**63 * 86400.0),
     "sector-1e20": dict(GOOD_RADIO, device_id="hostile", sector=10**20),
     "bytes-1e20": dict(DATA_SERVICE, device_id="hostile", bytes=10**20),
 }
@@ -199,3 +203,61 @@ def test_interleaved_batch_interns_radio_first_and_reports_in_row_order():
         (2, "semantic"), (4, "schema"), (5, "parse"),
     ]
     assert report.errors[2].excerpt == repr("garbage")
+
+
+def row_codec_block(rows):
+    """``pack_day_block`` of the rows, each built by the row codec."""
+    return pack_day_block(
+        [radio_event_from_dict(row) for row in rows if row["kind"] == "radio"],
+        [service_record_from_dict(row) for row in rows if row["kind"] == "service"],
+    )
+
+
+GOOD_BATCHES = {
+    "empty": [],
+    "radio-only": [GOOD_RADIO, dict(GOOD_RADIO, device_id="d1", ts=86400.0 * 3)],
+    "service-only": [DATA_SERVICE, GOOD_SERVICE, dict(DATA_SERVICE, apn="")],
+    "mixed": [
+        DATA_SERVICE,
+        dict(GOOD_RADIO, device_id="r", sim_plmn="310260"),
+        GOOD_SERVICE,
+        GOOD_RADIO,
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOOD_BATCHES))
+def test_good_batch_never_calls_the_row_decoders(monkeypatch, name):
+    """A batch of good rows takes the column pass only."""
+
+    def row_decoder(row):
+        raise AssertionError("a good batch reached the row decoder")
+
+    monkeypatch.setattr(protocol, "decode_radio_row", row_decoder)
+    monkeypatch.setattr(protocol, "decode_service_row", row_decoder)
+    rows = GOOD_BATCHES[name]
+    radio, service, report = parse_batch_rows(rows, source="b-good")
+    assert radio.pools is service.pools
+    assert pack_columns(radio, service) == row_codec_block(rows)
+    assert (report.path, report.n_rows, report.n_ok, report.errors) == (
+        "b-good", len(rows), len(rows), []
+    )
+
+
+#: Good rows whose values only the row decoder converts: a string
+#: number, a float where an int goes, an enum member for its value.
+ROW_DECODER_ONLY = {
+    "ts-string": dict(GOOD_RADIO, ts="10.0"),
+    "tac-float": dict(GOOD_RADIO, tac=86000012.0),
+    "sector-string": dict(GOOD_RADIO, sector="3"),
+    "iface-member": dict(GOOD_RADIO, iface=RadioInterface.GB),
+    "bytes-float": dict(DATA_SERVICE, bytes=1200.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_DECODER_ONLY))
+def test_batch_the_columns_refuse_takes_the_row_loop(name):
+    rows = [GOOD_RADIO, ROW_DECODER_ONLY[name], GOOD_SERVICE]
+    radio, service, report = parse_batch_rows(rows)
+    assert report.errors == [] and report.n_ok == 3
+    assert pack_columns(radio, service) == row_codec_block(rows)
