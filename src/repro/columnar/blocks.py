@@ -8,8 +8,11 @@ pool vocabularies and column layout, followed by each column's raw
 ``array`` buffer.  This module owns that format — framing, column
 chunking, pool encode/decode and the self-contained
 :func:`pack_columns` / :func:`unpack_day_block` pair — so no consumer
-can drift from it.  It imports nothing above :mod:`repro.columnar`, so
-the pool seam can use it without pulling in :mod:`repro.runtime`.
+can drift from it.  Columns are packed and unpacked by each store's
+schema (its ``COLUMNS``), and a block whose header lists another column
+layout, or whose chunks do not fill its body with whole rows, is
+refused.  It imports nothing above :mod:`repro.columnar`, so the pool
+seam can use it without pulling in :mod:`repro.runtime`.
 
 Framing (format version |BLOCK_VERSION|)::
 
@@ -19,6 +22,8 @@ Framing (format version |BLOCK_VERSION|)::
 The CRC covers the whole body, so a torn write (truncated file, partial
 rename source) or bit rot is detected before a single row is decoded —
 :class:`CheckpointCorruption` is raised, never a silently-wrong block.
+A CRC-valid block from another writer gets the same error when its
+columns do not match the schema.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import json
 import struct
 import zlib
 from array import array
-from typing import Any, Dict, List, Sequence, Tuple, Union
+from typing import Any, Dict, List, Sequence, Set, Tuple, Union
 
 from repro.columnar.store import (
     ColumnPools,
@@ -42,30 +47,10 @@ BLOCK_VERSION = 1
 _FRAME = struct.Struct("<4sIIQ")
 _HEADER_LEN = struct.Struct("<I")
 
-#: Column storage order, fixed per format version.  Mirrors the
-#: ``__slots__`` of the columnar stores minus ``pools``.
-RADIO_COLUMNS = (
-    "device_ids",
-    "timestamps",
-    "days",
-    "sim_plmns",
-    "tacs",
-    "sector_ids",
-    "interfaces",
-    "event_types",
-    "results",
-)
-SERVICE_COLUMNS = (
-    "device_ids",
-    "timestamps",
-    "days",
-    "sim_plmns",
-    "visited_plmns",
-    "services",
-    "durations",
-    "bytes_totals",
-    "apns",
-)
+#: Column names in block order, fixed per format version: the stores'
+#: schemas.
+RADIO_COLUMNS = tuple(name for name, _ in ColumnarRadioEvents.COLUMNS)
+SERVICE_COLUMNS = tuple(name for name, _ in ColumnarServiceRecords.COLUMNS)
 
 
 class CheckpointError(RuntimeError):
@@ -124,12 +109,11 @@ ColumnSpec = List[Any]  # [name, typecode, nbytes] in the JSON header
 
 def column_chunks(
     store: Union[ColumnarRadioEvents, ColumnarServiceRecords],
-    names: Sequence[str],
 ) -> Tuple[List[ColumnSpec], List[bytes]]:
-    """Spec rows and raw buffers for ``store``'s columns, in order."""
+    """Spec rows and raw buffers for ``store``'s columns, in schema order."""
     specs: List[ColumnSpec] = []
     chunks: List[bytes] = []
-    for name in names:
+    for name, _ in store.COLUMNS:
         column: array = getattr(store, name)
         data = column.tobytes()
         specs.append([name, column.typecode, len(data)])
@@ -139,16 +123,38 @@ def column_chunks(
 
 def load_column_chunks(
     store: Union[ColumnarRadioEvents, ColumnarServiceRecords],
-    specs: Sequence[ColumnSpec],
+    specs: Any,
     body: bytes,
     offset: int,
 ) -> int:
-    """Rehydrate columns from ``body`` at ``offset``; return new offset."""
+    """Rehydrate columns from ``body`` at ``offset``; return new offset.
+
+    Raises :class:`CheckpointCorruption` unless ``specs`` lists the
+    store's schema (names, order and typecodes), each chunk lies in the
+    body and holds whole items, and every column holds one row count.
+    """
+    kind = type(store).__name__
+    try:
+        layout = tuple((name, typecode) for name, typecode, _ in specs)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointCorruption(f"malformed {kind} column specs: {exc}") from None
+    if layout != store.COLUMNS:
+        raise CheckpointCorruption(f"{kind} column layout {list(layout)} is not its schema's")
+    n_rows: Set[int] = set()
     for name, typecode, nbytes in specs:
         column = array(typecode)
-        column.frombytes(body[offset:offset + nbytes])
+        chunk = body[offset:offset + nbytes] if isinstance(nbytes, int) else None
+        if chunk is None or len(chunk) != nbytes or nbytes % column.itemsize:
+            raise CheckpointCorruption(
+                f"{kind} column {name} spans {nbytes!r} of the body's "
+                f"{len(body) - offset} bytes left, not whole {typecode!r} items"
+            )
+        column.frombytes(chunk)
         offset += nbytes
         setattr(store, name, column)
+        n_rows.add(len(column))
+    if len(n_rows) > 1:
+        raise CheckpointCorruption(f"{kind} columns hold {sorted(n_rows)} rows")
     return offset
 
 
@@ -196,8 +202,8 @@ def pack_columns(
     """
     if events.pools is not records.pools:
         raise ValueError("columnar streams must share one ColumnPools")
-    radio_spec, radio_chunks = column_chunks(events, RADIO_COLUMNS)
-    service_spec, service_chunks = column_chunks(records, SERVICE_COLUMNS)
+    radio_spec, radio_chunks = column_chunks(events)
+    service_spec, service_chunks = column_chunks(records)
     # Header key order is part of the on-disk byte format (version 1
     # blocks predate the shared codec); keep it stable.
     header = {
@@ -212,13 +218,21 @@ def pack_columns(
 def unpack_day_block(
     data: bytes,
 ) -> Tuple[ColumnarRadioEvents, ColumnarServiceRecords, List[QuarantineEntry]]:
-    """Decode a framed block, validating checksum and version first."""
+    """Decode a framed block: its checksum and version, then its columns.
+
+    The column layout must match the stores' schemas (see
+    :func:`load_column_chunks`), and the columns must fill the body.
+    """
     header, body, offset = read_block(data)
     pools = pools_from_header(header["pools"])
     events = ColumnarRadioEvents(pools)
     offset = load_column_chunks(events, header["radio"], body, offset)
     records = ColumnarServiceRecords(pools)
-    load_column_chunks(records, header["service"], body, offset)
+    offset = load_column_chunks(records, header["service"], body, offset)
+    if offset != len(body):
+        raise CheckpointCorruption(
+            f"column chunks end at byte {offset} of a {len(body)}-byte body"
+        )
     quarantine = [
         (str(device_id), str(stage), str(error))
         for device_id, stage, error in header["quarantine"]

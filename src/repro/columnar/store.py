@@ -11,6 +11,12 @@ build_from_columns`) runs on these columns directly.
 
 Layout notes:
 
+- Each store declares its columns once, as ``(name, typecode)`` pairs in
+  block order (``COLUMNS``).  Its slots, an empty store, ``select``,
+  ``len``, ``nbytes``, ``repr``, the block codec
+  (:mod:`repro.columnar.blocks`) and the simulator's preallocation read
+  that declaration; ``from_rows``, ``_filled`` and ``rows_at`` give each
+  field its meaning.
 - ``day`` is derived from the timestamp (``ts // 86400``) but cached as
   its own column at ingest — the catalog groups by day on every scan, so
   paying the division once per row at append time removes it from every
@@ -24,21 +30,22 @@ Layout notes:
 - ``from_rows``/``to_rows`` round-trip exactly, so row-oriented
   boundaries (file ingest, fault injection, codecs, query responses)
   convert losslessly; ``select`` slices a store by row index while
-  sharing the pools (a numpy gather over each column's buffer), which
-  is how the sharded executor exchanges interned column blocks and the
-  daemon and the durable fold split a multi-day delta
-  (:func:`split_by_day`).  :func:`select_own_pools` gathers rows onto
-  pools of their own instead, equal to interning those rows: a durable
-  run's ``(day, shard)`` units.  ``from_rows`` fills a store column by
-  column, one pool lookup per distinct string, and assigns ids in the
-  order a row-by-row encoding would.
-- ``append_fields`` takes a decoded wire row (a field tuple, see
-  :func:`repro.datasets.io.decode_radio_row`), runs the record's
-  invariant check and only then interns; :func:`from_field_columns` is
-  its batch form, checking a whole batch's field columns at once (see
-  :func:`repro.datasets.io.decode_radio_columns`).  The catalog daemon
-  parses each ingest batch straight onto a fresh store pair these ways,
-  building no row object.
+  sharing the pools (one numpy gather per column), which is how the
+  sharded executor exchanges interned column blocks and the daemon and
+  the durable fold split a multi-day delta (:func:`split_by_day`).
+  :func:`select_own_pools` gathers rows onto pools of their own instead,
+  equal to interning those rows: a durable run's ``(day, shard)`` units.
+  ``from_rows`` fills a store column by column, one pool lookup per
+  distinct string, and assigns ids in the order a row-by-row encoding
+  would.
+- :func:`check_stores` holds a store pair on pools of its own to the
+  record invariants the row dataclasses check one row at a time
+  (:func:`~repro.signaling.events.check_radio_event`,
+  :func:`~repro.signaling.cdr.check_service_record`): the numbers in
+  numpy over whole columns, the strings once per pool entry.  Stores
+  built without the row checks pass it before use: the MNO simulator's,
+  and a wire batch decoded by column (:func:`from_field_columns`, see
+  :func:`repro.datasets.io.decode_radio_columns`).
 - The MNO simulator emits stores directly, not rows.  Its dataset hands
   them to row consumers as :class:`RowSequence` views: counting rows
   reads the columns, and the rows are built once, on first access.
@@ -51,9 +58,11 @@ from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
 from typing import (
+    TYPE_CHECKING,
     Any,
-    Callable,
+    ClassVar,
     Dict,
+    Generic,
     Iterable,
     Iterator,
     List,
@@ -67,8 +76,8 @@ from typing import (
 
 import numpy as np
 
-from repro.signaling.cdr import SERVICE_TYPES, ServiceRecord, ServiceType, check_service_record
-from repro.signaling.events import RADIO_INTERFACES, RadioEvent, check_radio_event
+from repro.signaling.cdr import SERVICE_TYPES, ServiceRecord, ServiceType
+from repro.signaling.events import RADIO_INTERFACES, RadioEvent
 from repro.signaling.procedures import MESSAGE_TYPES, RESULT_CODES
 
 #: Sentinel id for a NULL string (e.g. a voice CDR's absent APN).
@@ -213,11 +222,19 @@ def _interned(pool: StringPool, *columns: Sequence[Optional[str]]) -> List["arra
     return [array("q", list(map(table.__getitem__, column))) for column in columns]
 
 
+def _view(column: Column) -> np.ndarray:
+    """A column as a numpy view of its buffer (no copy)."""
+    return np.frombuffer(column, dtype=column.typecode)
+
+
 def _days_of(timestamps: Column) -> "array[int]":
     """The day column of ``timestamps``: numpy's float floor division
-    rounds as ``int(timestamp // 86400.0)`` does."""
-    days = np.frombuffer(timestamps, dtype=np.float64) // 86400.0
-    return array("q", days.astype(np.int64).tobytes())
+    rounds as ``int(timestamp // 86400.0)`` does.  A timestamp no int64
+    day holds (NaN, infinite or too late, which :func:`check_stores`
+    refuses) gets an arbitrary day, without a warning."""
+    with np.errstate(invalid="ignore"):
+        days = (_view(timestamps) // 86400.0).astype(np.int64)
+    return array("q", days.tobytes())
 
 
 def _first_seen(ids: np.ndarray) -> np.ndarray:
@@ -226,17 +243,91 @@ def _first_seen(ids: np.ndarray) -> np.ndarray:
     return unique[np.argsort(first)]
 
 
-def _select(column: Column, positions: "np.ndarray") -> array:
-    """``column[i]`` for each of ``positions``, gathered by numpy.
+def _taken(values: np.ndarray, positions: np.ndarray, typecode: str) -> array:
+    """``values[positions]`` as a new ``typecode`` column, gathered by
+    one ``take`` straight into the column's buffer.
 
-    The view shares the column's buffer (no copy in), and ``take``
-    raises ``IndexError`` on an out-of-range index as indexing does.
+    The positions must be in range; a negative one counts from the end.
+    (``take`` writes into ``out`` unbuffered only in its ``wrap`` and
+    ``clip`` modes, which wrap or clip where indexing would raise.)
     """
-    gathered = np.frombuffer(column, dtype=column.typecode).take(positions)
-    return array(column.typecode, gathered.tobytes())
+    column = array(typecode, [0]) * len(positions)
+    values.take(positions, out=np.frombuffer(column, dtype=typecode), mode="wrap")
+    return column
 
 
-class ColumnarRadioEvents:
+Row = TypeVar("Row", RadioEvent, ServiceRecord)
+
+#: Either column store.
+_Store = TypeVar("_Store", bound="_ColumnStore[Any]")
+
+
+class _ColumnStore(Generic[Row]):
+    """What a column store's schema alone decides.
+
+    A store declares :attr:`COLUMNS`, its ``(name, typecode)`` columns
+    in block order, and takes its ``__slots__`` from it; this base holds
+    the pools and reads the schema to build an empty store, ``select``,
+    count and size the rows and ``repr``.  The store itself gives each
+    field its meaning: ``from_rows``, ``_filled`` and ``rows_at``.
+    """
+
+    __slots__ = ("pools",)
+
+    #: ``(name, typecode)`` of each column, in block order.
+    COLUMNS: ClassVar[Tuple[Tuple[str, str], ...]] = ()
+
+    if TYPE_CHECKING:
+        # Each column is a slot the schema names.
+        def __getattr__(self, name: str) -> Any:
+            ...
+
+        def __setattr__(self, name: str, value: Any) -> None:
+            ...
+
+    def __init__(self, pools: Optional[ColumnPools] = None) -> None:
+        self.pools = pools if pools is not None else ColumnPools()
+        for name, typecode in self.COLUMNS:
+            setattr(self, name, array(typecode))
+
+    def rows_at(self, indices: Iterable[int]) -> List[Row]:
+        """Materialize the rows at ``indices``, in the given order."""
+        raise NotImplementedError
+
+    def to_rows(self) -> List[Row]:
+        """Materialize every row, in storage order (exact round-trip)."""
+        return self.rows_at(range(len(self)))
+
+    def select(self: _Store, indices: Indices) -> _Store:
+        """A new store holding the rows at ``indices``, sharing pools.
+
+        An index out of range raises ``IndexError``, and a negative one
+        counts from the end, as indexing does.
+        """
+        positions = np.asarray(indices, dtype=np.intp)
+        n_rows = len(self)
+        if len(positions) and not -n_rows <= positions.min() <= positions.max() < n_rows:
+            raise IndexError(f"row index out of range for {n_rows} rows")
+        out = type(self)(self.pools)
+        for name, typecode in self.COLUMNS:
+            setattr(out, name, _taken(_view(getattr(self, name)), positions, typecode))
+        return out
+
+    def __len__(self) -> int:
+        # Every column holds one entry per row.
+        return len(getattr(self, self.COLUMNS[0][0]))
+
+    @property
+    def nbytes(self) -> int:
+        """Total column buffer size in bytes (excludes the pools)."""
+        columns = [getattr(self, name) for name, _ in self.COLUMNS]
+        return sum(len(column) * column.itemsize for column in columns)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({len(self)} rows, {self.nbytes} column bytes)"
+
+
+class ColumnarRadioEvents(_ColumnStore[RadioEvent]):
     """Struct-of-arrays storage for :class:`RadioEvent` streams.
 
     Columns (parallel, one entry per event): ``device_ids`` /
@@ -245,53 +336,18 @@ class ColumnarRadioEvents:
     ``results`` enum indices.
     """
 
-    __slots__ = (
-        "pools",
-        "device_ids",
-        "timestamps",
-        "days",
-        "sim_plmns",
-        "tacs",
-        "sector_ids",
-        "interfaces",
-        "event_types",
-        "results",
+    COLUMNS = (
+        ("device_ids", "q"),
+        ("timestamps", "d"),
+        ("days", "q"),
+        ("sim_plmns", "q"),
+        ("tacs", "q"),
+        ("sector_ids", "q"),
+        ("interfaces", "b"),
+        ("event_types", "b"),
+        ("results", "b"),
     )
-
-    def __init__(self, pools: Optional[ColumnPools] = None) -> None:
-        self.pools = pools if pools is not None else ColumnPools()
-        self.device_ids = array("q")
-        self.timestamps = array("d")
-        self.days = array("q")
-        self.sim_plmns = array("q")
-        self.tacs = array("q")
-        self.sector_ids = array("q")
-        self.interfaces = array("b")
-        self.event_types = array("b")
-        self.results = array("b")
-
-    # -- ingestion -----------------------------------------------------------
-
-    def append_fields(self, fields: RadioFields) -> None:
-        """Check one decoded row, then encode it onto the columns.
-
-        The check (:func:`~repro.signaling.events.check_radio_event`,
-        the one :class:`RadioEvent` runs) comes before any interning,
-        so a rejected row leaves no string in a pool and no partial
-        column.
-        """
-        device_id, timestamp, sim_plmn, tac, sector_id, interface, event_type, result = fields
-        check_radio_event(device_id, timestamp, sim_plmn, tac, sector_id)
-        pools = self.pools
-        self.device_ids.append(pools.devices.intern(device_id))
-        self.timestamps.append(timestamp)
-        self.days.append(int(timestamp // 86400.0))
-        self.sim_plmns.append(pools.plmns.intern(sim_plmn))
-        self.tacs.append(tac)
-        self.sector_ids.append(sector_id)
-        self.interfaces.append(interface)
-        self.event_types.append(event_type)
-        self.results.append(result)
+    __slots__ = tuple(name for name, _ in COLUMNS)
 
     @classmethod
     def from_rows(
@@ -317,7 +373,7 @@ class ColumnarRadioEvents:
         ))
 
     def _filled(self, columns: RadioColumns) -> "ColumnarRadioEvents":
-        """This empty store holding checked field columns: the strings
+        """This empty store holding the field columns: the strings
         interned in row order, the arrays taken as they are."""
         (
             device_ids, timestamps, sim_plmns, tacs,
@@ -334,22 +390,6 @@ class ColumnarRadioEvents:
         self.event_types = event_types
         self.results = results
         return self
-
-    # -- row materialization -------------------------------------------------
-
-    def row(self, index: int) -> RadioEvent:
-        """Materialize one row back into its dataclass form."""
-        pools = self.pools
-        return RadioEvent(
-            device_id=pools.devices.lookup(self.device_ids[index]),
-            timestamp=self.timestamps[index],
-            sim_plmn=pools.plmns.lookup(self.sim_plmns[index]),
-            tac=self.tacs[index],
-            sector_id=self.sector_ids[index],
-            interface=RADIO_INTERFACES[self.interfaces[index]],
-            event_type=MESSAGE_TYPES[self.event_types[index]],
-            result=RESULT_CODES[self.results[index]],
-        )
 
     def rows_at(self, indices: Iterable[int]) -> List[RadioEvent]:
         """Materialize the rows at ``indices``, in the given order.
@@ -382,111 +422,26 @@ class ColumnarRadioEvents:
             for i in indices
         ]
 
-    def to_rows(self) -> List[RadioEvent]:
-        """Materialize every row, in storage order (exact round-trip)."""
-        return self.rows_at(range(len(self)))
 
-    def iter_rows(self) -> Iterator[RadioEvent]:
-        for i in range(len(self)):
-            yield self.row(i)
-
-    # -- slicing -------------------------------------------------------------
-
-    def select(self, indices: Indices) -> "ColumnarRadioEvents":
-        """A new store holding the rows at ``indices``, sharing pools."""
-        positions = np.asarray(indices, dtype=np.intp)
-        out = ColumnarRadioEvents(self.pools)
-        out.device_ids = _select(self.device_ids, positions)
-        out.timestamps = _select(self.timestamps, positions)
-        out.days = _select(self.days, positions)
-        out.sim_plmns = _select(self.sim_plmns, positions)
-        out.tacs = _select(self.tacs, positions)
-        out.sector_ids = _select(self.sector_ids, positions)
-        out.interfaces = _select(self.interfaces, positions)
-        out.event_types = _select(self.event_types, positions)
-        out.results = _select(self.results, positions)
-        return out
-
-    def __len__(self) -> int:
-        return len(self.device_ids)
-
-    @property
-    def nbytes(self) -> int:
-        """Total column buffer size in bytes (excludes the pools)."""
-        return sum(
-            len(column) * column.itemsize
-            for column in (
-                self.device_ids,
-                self.timestamps,
-                self.days,
-                self.sim_plmns,
-                self.tacs,
-                self.sector_ids,
-                self.interfaces,
-                self.event_types,
-                self.results,
-            )
-        )
-
-    def __repr__(self) -> str:
-        return f"ColumnarRadioEvents({len(self)} rows, {self.nbytes} column bytes)"
-
-
-class ColumnarServiceRecords:
+class ColumnarServiceRecords(_ColumnStore[ServiceRecord]):
     """Struct-of-arrays storage for :class:`ServiceRecord` streams.
 
     ``apns`` uses :data:`NULL_ID` for voice CDRs (which carry no APN);
     ``services`` indexes the canonical ``SERVICE_TYPES`` order.
     """
 
-    __slots__ = (
-        "pools",
-        "device_ids",
-        "timestamps",
-        "days",
-        "sim_plmns",
-        "visited_plmns",
-        "services",
-        "durations",
-        "bytes_totals",
-        "apns",
+    COLUMNS = (
+        ("device_ids", "q"),
+        ("timestamps", "d"),
+        ("days", "q"),
+        ("sim_plmns", "q"),
+        ("visited_plmns", "q"),
+        ("services", "b"),
+        ("durations", "d"),
+        ("bytes_totals", "q"),
+        ("apns", "q"),
     )
-
-    def __init__(self, pools: Optional[ColumnPools] = None) -> None:
-        self.pools = pools if pools is not None else ColumnPools()
-        self.device_ids = array("q")
-        self.timestamps = array("d")
-        self.days = array("q")
-        self.sim_plmns = array("q")
-        self.visited_plmns = array("q")
-        self.services = array("b")
-        self.durations = array("d")
-        self.bytes_totals = array("q")
-        self.apns = array("q")
-
-    # -- ingestion -----------------------------------------------------------
-
-    def append_fields(self, fields: ServiceFields) -> None:
-        """Check one decoded row, then encode it onto the columns.
-
-        Like :meth:`ColumnarRadioEvents.append_fields`, with
-        :func:`~repro.signaling.cdr.check_service_record`.
-        """
-        device_id, timestamp, sim_plmn, visited_plmn, service, duration_s, bytes_total, apn = fields
-        check_service_record(
-            device_id, timestamp, sim_plmn, visited_plmn,
-            SERVICE_TYPES[service], duration_s, bytes_total, apn,
-        )
-        pools = self.pools
-        self.device_ids.append(pools.devices.intern(device_id))
-        self.timestamps.append(timestamp)
-        self.days.append(int(timestamp // 86400.0))
-        self.sim_plmns.append(pools.plmns.intern(sim_plmn))
-        self.visited_plmns.append(pools.plmns.intern(visited_plmn))
-        self.services.append(service)
-        self.durations.append(duration_s)
-        self.bytes_totals.append(bytes_total)
-        self.apns.append(pools.apns.intern_optional(apn))
+    __slots__ = tuple(name for name, _ in COLUMNS)
 
     @classmethod
     def from_rows(
@@ -529,22 +484,6 @@ class ColumnarServiceRecords:
         (self.apns,) = _interned(pools.apns, apns)
         return self
 
-    # -- row materialization -------------------------------------------------
-
-    def row(self, index: int) -> ServiceRecord:
-        """Materialize one row back into its dataclass form."""
-        pools = self.pools
-        return ServiceRecord(
-            device_id=pools.devices.lookup(self.device_ids[index]),
-            timestamp=self.timestamps[index],
-            sim_plmn=pools.plmns.lookup(self.sim_plmns[index]),
-            visited_plmn=pools.plmns.lookup(self.visited_plmns[index]),
-            service=SERVICE_TYPES[self.services[index]],
-            duration_s=self.durations[index],
-            bytes_total=self.bytes_totals[index],
-            apn=pools.apns.lookup_optional(self.apns[index]),
-        )
-
     def rows_at(self, indices: Iterable[int]) -> List[ServiceRecord]:
         """Materialize the rows at ``indices``, in the given order.
 
@@ -577,55 +516,6 @@ class ColumnarServiceRecords:
             for i in indices
         ]
 
-    def to_rows(self) -> List[ServiceRecord]:
-        """Materialize every row, in storage order (exact round-trip)."""
-        return self.rows_at(range(len(self)))
-
-    def iter_rows(self) -> Iterator[ServiceRecord]:
-        for i in range(len(self)):
-            yield self.row(i)
-
-    # -- slicing -------------------------------------------------------------
-
-    def select(self, indices: Indices) -> "ColumnarServiceRecords":
-        """A new store holding the rows at ``indices``, sharing pools."""
-        positions = np.asarray(indices, dtype=np.intp)
-        out = ColumnarServiceRecords(self.pools)
-        out.device_ids = _select(self.device_ids, positions)
-        out.timestamps = _select(self.timestamps, positions)
-        out.days = _select(self.days, positions)
-        out.sim_plmns = _select(self.sim_plmns, positions)
-        out.visited_plmns = _select(self.visited_plmns, positions)
-        out.services = _select(self.services, positions)
-        out.durations = _select(self.durations, positions)
-        out.bytes_totals = _select(self.bytes_totals, positions)
-        out.apns = _select(self.apns, positions)
-        return out
-
-    def __len__(self) -> int:
-        return len(self.device_ids)
-
-    @property
-    def nbytes(self) -> int:
-        """Total column buffer size in bytes (excludes the pools)."""
-        return sum(
-            len(column) * column.itemsize
-            for column in (
-                self.device_ids,
-                self.timestamps,
-                self.days,
-                self.sim_plmns,
-                self.visited_plmns,
-                self.services,
-                self.durations,
-                self.bytes_totals,
-                self.apns,
-            )
-        )
-
-    def __repr__(self) -> str:
-        return f"ColumnarServiceRecords({len(self)} rows, {self.nbytes} column bytes)"
-
 
 def from_record_streams(
     radio_events: Iterable[RadioEvent],
@@ -647,92 +537,132 @@ _VOICE = _SERVICE_OF[ServiceType.VOICE]
 _DATA = _SERVICE_OF[ServiceType.DATA]
 
 
-def _timestamps_hold(timestamps: "array[float]") -> bool:
-    """Whether every timestamp is finite, not negative and on a day the
-    ``days`` column holds, as ``check_timestamp`` requires."""
-    ts = np.frombuffer(timestamps, dtype=np.float64)
-    # Finite first: floor division warns on an infinite or NaN value.
-    if not (np.isfinite(ts).all() and (ts >= 0).all()):
-        return False
-    return bool((ts // 86400.0 < _DAY_LIMIT).all())
+def _first(values: np.ndarray, where: np.ndarray) -> Any:
+    """The first of ``values`` where ``where`` holds, as a Python number."""
+    return values[where][0].item()
 
 
-def _each_distinct(values: Iterable[Any], holds: Callable[[Any], bool]) -> bool:
-    """Whether ``holds`` is true of each distinct value (an unhashable
-    value fails)."""
-    try:
-        distinct = dict.fromkeys(values)
-    except TypeError:
-        return False
-    return all(map(holds, distinct))
+def _check_not_negative(values: np.ndarray, message: str) -> None:
+    negative = values < 0
+    if negative.any():
+        raise ValueError(f"{message} {_first(values, negative)}")
 
 
-def _is_str(value: Any) -> bool:
-    return isinstance(value, str)
+def _check_timestamps(timestamps: np.ndarray) -> None:
+    """:func:`~repro.signaling.procedures.check_timestamp` over a column;
+    finiteness first, since floor division warns on NaN or infinity."""
+    finite = np.isfinite(timestamps)
+    if not finite.all():
+        raise ValueError(f"non-finite timestamp {_first(timestamps, ~finite)}")
+    late = timestamps // 86400.0 >= _DAY_LIMIT
+    if late.any():
+        raise ValueError(f"timestamp {_first(timestamps, late)} is past the last int64 day")
 
 
-def _is_plmn(value: Any) -> bool:
-    return isinstance(value, str) and value.isdigit() and len(value) in (5, 6)
+def _check_strings(pool: StringPool, message: str, *id_columns: Column) -> None:
+    """``TypeError(message.format(value))`` for the first pool entry
+    that is not a string, or for None when a row of ``id_columns`` holds
+    :data:`NULL_ID` (interning maps None to it in every column)."""
+    if any((_view(ids) == NULL_ID).any() for ids in id_columns):
+        raise TypeError(message.format(None))
+    for text in pool._strings:
+        if not isinstance(text, str):
+            raise TypeError(message.format(text))
 
 
-def _is_apn(value: Any) -> bool:
-    return value is None or isinstance(value, str)
+def _check_plmns(pool: StringPool, labeled: Sequence[Tuple[str, Column]]) -> None:
+    """Every PLMN a row names is a string of 5-6 digits, checked once
+    per pool entry; a failure names the first labeled column holding it."""
+    bad = np.array(
+        [not (isinstance(plmn, str) and plmn.isdigit() and len(plmn) in (5, 6))
+         for plmn in pool._strings],
+        dtype=bool,
+    )
+    for label, column in labeled:
+        ids = _view(column)
+        if (ids == NULL_ID).any():
+            raise TypeError(f"{label} PLMN must be a string, got None")
+        if bad.any() and bad[ids].any():
+            plmn = pool.lookup(_first(ids, bad[ids]))
+            if not isinstance(plmn, str):
+                raise TypeError(f"{label} PLMN must be a string, got {plmn!r}")
+            raise ValueError(f"{label} PLMN must be 5-6 digits, got {plmn!r}")
 
 
-def _radio_columns_hold(columns: RadioColumns) -> bool:
-    """Whether every row passes :func:`check_radio_event` but its string
-    checks (the sector's int64 bound is the array's own)."""
-    tacs = np.frombuffer(columns[3], dtype=np.int64)
-    return _timestamps_hold(columns[1]) and bool(((tacs >= 0) & (tacs < 10**8)).all())
+def check_stores(events: ColumnarRadioEvents, records: ColumnarServiceRecords) -> None:
+    """Raise what the row checks raise, over a store pair's rows.
 
-
-def _service_columns_hold(columns: ServiceColumns) -> bool:
-    """Whether every row passes :func:`check_service_record` but its
-    string checks (the byte count's int64 bound is the array's own)."""
-    services = np.frombuffer(columns[4], dtype=np.int8)
-    durations = np.frombuffer(columns[5], dtype=np.float64)
-    if not (
-        _timestamps_hold(columns[1])
-        and np.isfinite(durations).all()
-        and (durations >= 0).all()
-        and (np.frombuffer(columns[6], dtype=np.int64) >= 0).all()
-        # A data row's duration is zero (a NaN one never reaches here).
-        and not np.count_nonzero(durations[services == _DATA])
-    ):
-        return False
-    apns = columns[7]
-    return all(apns[i] is None for i in np.flatnonzero(services == _VOICE).tolist())
+    The whole-store form of
+    :func:`~repro.signaling.events.check_radio_event` and
+    :func:`~repro.signaling.cdr.check_service_record`, for stores built
+    without them: the numbers in numpy over whole columns, the strings
+    once per pool entry.  The invariants run in an order both row checks
+    keep, so a pair with one bad row raises that row's ``ValueError`` or
+    ``TypeError`` with its message (a PLMN that is not a string raises
+    ``TypeError``, where the row check's ``isdigit`` call raises
+    ``AttributeError``).  The int64 bounds of sector ids and byte counts
+    are the columns' own.  The pools must be the pair's own, as
+    interning its rows leaves them: every device id and APN entry is
+    checked, whichever rows use it.
+    """
+    pools = events.pools
+    if records.pools is not pools:
+        raise ValueError("columnar streams must share one ColumnPools")
+    timestamps = (_view(events.timestamps), _view(records.timestamps))
+    for column in timestamps:
+        _check_not_negative(column, "negative timestamp")
+    _check_plmns(pools.plmns, (
+        ("SIM", events.sim_plmns),
+        ("sim", records.sim_plmns),
+        ("visited", records.visited_plmns),
+    ))
+    tacs = _view(events.tacs)
+    wrong = (tacs < 0) | (tacs >= 10**8)
+    if wrong.any():
+        raise ValueError(f"TAC must be 8 digits, got {_first(tacs, wrong)}")
+    durations = _view(records.durations)
+    _check_not_negative(durations, "negative duration")
+    _check_not_negative(_view(records.bytes_totals), "negative byte count")
+    services = _view(records.services)
+    if (_view(records.apns)[services == _VOICE] != NULL_ID).any():
+        raise ValueError("voice CDRs carry no APN")
+    if np.count_nonzero(durations[services == _DATA]):
+        # Data usage is accounted in bytes; duration belongs to voice.
+        raise ValueError("data xDRs carry bytes, not call duration")
+    _check_strings(
+        pools.devices, "device id must be a string, got {!r}",
+        events.device_ids, records.device_ids,
+    )
+    for column in timestamps:
+        _check_timestamps(column)
+    finite = np.isfinite(durations)
+    if not finite.all():
+        raise ValueError(f"non-finite duration {_first(durations, ~finite)}")
+    _check_strings(pools.apns, "APN must be a string or null, got {!r}")
 
 
 def from_field_columns(
     radio: RadioColumns, service: ServiceColumns
 ) -> Optional[Tuple[ColumnarRadioEvents, ColumnarServiceRecords]]:
-    """A batch's checked field columns as a store pair on fresh pools.
+    """A batch's field columns as a checked store pair on fresh pools.
 
-    None when any row fails its record check.  The batch form of
-    ``append_fields``: each invariant of :func:`check_radio_event` /
-    :func:`check_service_record` is checked over a whole column, the
-    numbers in numpy and the strings once per distinct value.  It
-    reports no error: the caller takes a refused batch row by row, where
-    each rejection is named.  Interning follows only once both kinds
-    pass, in the order :func:`from_record_streams` interns, so the pair
-    equals appending every row, radio rows first.
+    The columns are interned in the order :func:`from_record_streams`
+    interns, radio rows first, then held to :func:`check_stores`.  None
+    when any row fails its check, or a string column holds a value that
+    cannot be interned (an unhashable one).  It reports no error: the
+    caller takes a refused batch row by row, where each rejection is
+    named.
     """
-    if not (
-        _radio_columns_hold(radio)
-        and _service_columns_hold(service)
-        and _each_distinct(chain(radio[0], service[0]), _is_str)
-        and _each_distinct(chain(radio[2], service[2], service[3]), _is_plmn)
-        and _each_distinct(service[7], _is_apn)
-    ):
-        return None
     pools = ColumnPools()
-    return ColumnarRadioEvents(pools)._filled(radio), ColumnarServiceRecords(pools)._filled(service)
-
-
-def _id_view(column: "array[int]") -> np.ndarray:
-    """An id column as an int64 view of its buffer."""
-    return np.frombuffer(column, dtype=np.int64)
+    try:
+        stores = (
+            ColumnarRadioEvents(pools)._filled(radio),
+            ColumnarServiceRecords(pools)._filled(service),
+        )
+        check_stores(*stores)
+    except (TypeError, ValueError):
+        return None
+    return stores
 
 
 def _own_pool(pool: StringPool, *ids: np.ndarray) -> Tuple[StringPool, np.ndarray]:
@@ -748,8 +678,9 @@ def _own_pool(pool: StringPool, *ids: np.ndarray) -> Tuple[StringPool, np.ndarra
 
 
 def _remapped(table: np.ndarray, column: "array[int]") -> "array[int]":
-    """The ids of ``column`` mapped through ``table``."""
-    return array("q", table[_id_view(column)].tobytes())
+    """The ids of ``column`` mapped through ``table`` (:data:`NULL_ID`,
+    -1, reads its last slot)."""
+    return _taken(table, _view(column), "q")
 
 
 def select_own_pools(
@@ -775,14 +706,14 @@ def select_own_pools(
     radio, service = events.select(radio_rows), records.select(service_rows)
     pools = events.pools
     devices, device_of = _own_pool(
-        pools.devices, _id_view(radio.device_ids), _id_view(service.device_ids)
+        pools.devices, _view(radio.device_ids), _view(service.device_ids)
     )
     plmns, plmn_of = _own_pool(
         pools.plmns,
-        _id_view(radio.sim_plmns),
-        np.column_stack((_id_view(service.sim_plmns), _id_view(service.visited_plmns))).ravel(),
+        _view(radio.sim_plmns),
+        np.column_stack((_view(service.sim_plmns), _view(service.visited_plmns))).ravel(),
     )
-    apns = _id_view(service.apns)
+    apns = _view(service.apns)
     apn_pool, apn_of = _own_pool(pools.apns, apns[apns != NULL_ID])
     radio.pools = service.pools = ColumnPools(devices, plmns, apn_pool)
     radio.device_ids = _remapped(device_of, radio.device_ids)
@@ -794,16 +725,12 @@ def select_own_pools(
     return radio, service
 
 
-#: Either column store: both split by day the same way.
-_Store = TypeVar("_Store", ColumnarRadioEvents, ColumnarServiceRecords)
-
-
 def _by_day(store: _Store) -> Dict[int, _Store]:
     """The store's rows per day; the store itself when it holds one day.
 
     A day's rows keep their order (a stable sort by day).
     """
-    days = _id_view(store.days)
+    days = _view(store.days)
     if not len(days):
         return {}
     if days.min() == days.max():
@@ -830,9 +757,6 @@ def split_by_day(
         (day, radio.get(day, no_radio), service.get(day, no_service))
         for day in sorted(radio.keys() | service.keys())
     ]
-
-
-Row = TypeVar("Row", RadioEvent, ServiceRecord)
 
 
 class RowSequence(Sequence[Row]):

@@ -258,6 +258,15 @@ def ingest_row(
     return None
 
 
+def _integer(value: Any) -> int:
+    """``int(value)``, refusing a float with a fraction, which ``int``
+    would truncate; an integral float and a numeric string convert."""
+    number = int(value)
+    if isinstance(value, float) and number != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return number
+
+
 def _enum_index(index: Mapping[str, int], enum_type: Type[Enum], value: Any) -> int:
     """``value``'s canonical index, read from its value -> index table.
 
@@ -395,15 +404,16 @@ def decode_radio_row(row: Dict) -> RadioFields:
     """A radio row's fields in :class:`RadioEvent` order, enums as indices.
 
     Fields are read in that order, so a row with several bad fields
-    reports its first.  Every error it raises is *schema*; the values
-    are checked by :func:`repro.signaling.events.check_radio_event`.
+    reports its first.  Every error it raises is *schema*, a fractional
+    TAC or sector among them; the values are checked by
+    :func:`repro.signaling.events.check_radio_event`.
     """
     return (
         row["device_id"],
         float(row["ts"]),
         row["sim_plmn"],
-        int(row["tac"]),
-        int(row["sector"]),
+        _integer(row["tac"]),
+        _integer(row["sector"]),
         _enum_index(INTERFACE_INDEX, RadioInterface, row["iface"]),
         _enum_index(MESSAGE_INDEX, MessageType, row["type"]),
         _enum_index(RESULT_INDEX, ResultCode, row["result"]),
@@ -425,6 +435,7 @@ def decode_radio_columns(rows: Sequence[Dict]) -> RadioColumns:
     what the row decoder gives, but more raises: a string number, a
     float TAC or sector, an enum value only its constructor takes.
     Every error it raises is *schema*; the values are checked by
+    :func:`repro.columnar.store.check_stores`, through
     :func:`repro.columnar.store.from_field_columns`.
     """
     device_ids, timestamps, sim_plmns, tacs, sectors, interfaces, event_types, results = (
@@ -491,7 +502,8 @@ def service_record_to_dict(record: ServiceRecord) -> Dict:
 def decode_service_row(row: Dict) -> ServiceFields:
     """A service row's fields in :class:`ServiceRecord` order, service as index.
 
-    Like :func:`decode_radio_row`; the values are checked by
+    Like :func:`decode_radio_row` (a fractional byte count is *schema*);
+    the values are checked by
     :func:`repro.signaling.cdr.check_service_record`.
     """
     return (
@@ -501,7 +513,7 @@ def decode_service_row(row: Dict) -> ServiceFields:
         row["visited_plmn"],
         _enum_index(SERVICE_INDEX, ServiceType, row["service"]),
         float(row["duration_s"]),
-        int(row["bytes"]),
+        _integer(row["bytes"]),
         row.get("apn"),
     )
 

@@ -29,8 +29,7 @@ resulting stores equal :func:`~repro.columnar.store.from_record_streams`
 of the rows those draws describe, column for column and pool for pool,
 and the checks :class:`~repro.signaling.events.RadioEvent` and
 :class:`~repro.signaling.cdr.ServiceRecord` make on construction run
-over the columns instead: per device for the per-device constants,
-vectorized for the per-row values.
+over the stores instead (:func:`~repro.columnar.store.check_stores`).
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from repro.columnar.store import (
     ColumnPools,
     RowSequence,
     _first_seen,
+    check_stores,
 )
 from repro.datasets.containers import GroundTruthEntry, MNODataset
 from repro.devices.traffic_models import sample_event_hours
@@ -124,27 +124,14 @@ _Store = TypeVar("_Store", ColumnarRadioEvents, ColumnarServiceRecords)
 
 def _zeroed(store: _Store, n_rows: int) -> _Store:
     """``store`` with every column ``n_rows`` zeros long."""
-    for name in type(store).__slots__:
-        if name != "pools":
-            column = getattr(store, name)
-            setattr(store, name, array(column.typecode, [0]) * n_rows)
+    for name, typecode in store.COLUMNS:
+        setattr(store, name, array(typecode, [0]) * n_rows)
     return store
 
 
 def _fill(column: array, values: np.ndarray) -> None:
     """Write ``values`` over a store column of the same length."""
     np.frombuffer(column, dtype=_DTYPES[column.typecode])[:] = values
-
-
-def _check_plmn(label: str, plmn: str) -> None:
-    if not plmn.isdigit() or len(plmn) not in (5, 6):
-        raise ValueError(f"{label} PLMN must be 5-6 digits, got {plmn!r}")
-
-
-def _check_non_negative(values: np.ndarray, message: str) -> None:
-    bad = np.flatnonzero(values < 0)
-    if len(bad):
-        raise ValueError(f"{message} {values[bad[0]].item()}")
 
 
 class _RadioBlock(NamedTuple):
@@ -385,13 +372,15 @@ class ColumnEmitter:
             self._service_chunks.extend((device, _DATA, apn_id, sessions))
 
     def finish(self) -> Tuple[ColumnarRadioEvents, ColumnarServiceRecords]:
-        """Validate, order by timestamp and intern everything emitted.
+        """Order by timestamp, intern and check everything emitted.
 
         Each stream is stably sorted by timestamp, then devices, PLMNs
         and APNs are interned in first-seen order over the sorted radio
         rows and then the sorted service rows (SIM before visited PLMN):
         the order :func:`~repro.columnar.store.from_record_streams`
-        interns the same rows in.
+        interns the same rows in.  The stores then pass
+        :func:`~repro.columnar.store.check_stores`, the checks the row
+        dataclasses make, or it raises.
         """
         # The stores' columns are allocated before the temporaries that
         # fill them, so that freeing those lets the heap shrink again.
@@ -413,8 +402,6 @@ class ColumnEmitter:
         durations[services == _VOICE] = np.frombuffer(self._durations, dtype=np.float64)
         sizes = np.zeros(len(service_ts), dtype=np.int64)
         sizes[services == _DATA] = np.frombuffer(self._bytes, dtype=np.int64)
-        self._validate(radio_dev, radio_ts, service_dev, service_ts, services, apns,
-                       durations, sizes)
 
         radio_order = np.argsort(radio_ts, kind="stable")
         radio_dev = radio_dev[radio_order]
@@ -464,38 +451,8 @@ class ColumnEmitter:
         _fill(records.durations, durations)
         _fill(records.bytes_totals, sizes)
         _fill(records.apns, apn_ids[apns])
+        check_stores(events, records)
         return events, records
-
-    def _validate(
-        self,
-        radio_dev: np.ndarray,
-        radio_ts: np.ndarray,
-        service_dev: np.ndarray,
-        service_ts: np.ndarray,
-        services: np.ndarray,
-        apns: np.ndarray,
-        durations: np.ndarray,
-        sizes: np.ndarray,
-    ) -> None:
-        """The checks ``RadioEvent``/``ServiceRecord`` make on construction,
-        per device for per-device constants, vectorized for row values."""
-        for dev in np.unique(radio_dev):
-            _check_plmn("SIM", self._sim_plmns[dev])
-            tac = self._tacs[dev]
-            if not 0 <= tac < 10**8:
-                raise ValueError(f"TAC must be 8 digits, got {tac}")
-        for dev in np.unique(service_dev):
-            _check_plmn("sim", self._sim_plmns[dev])
-            _check_plmn("visited", self._visited_plmns[dev])
-        _check_non_negative(radio_ts, "negative timestamp")
-        _check_non_negative(service_ts, "negative timestamp")
-        _check_non_negative(durations, "negative duration")
-        _check_non_negative(sizes, "negative byte count")
-        if np.any((services == _VOICE) & (apns != NULL_ID)):
-            raise ValueError("voice CDRs carry no APN")
-        if np.any((services == _DATA) & (durations != 0)):
-            # Data usage is accounted in bytes; duration belongs to voice.
-            raise ValueError("data xDRs carry bytes, not call duration")
 
 
 def ground_truth_entry(plan: PlannedDevice) -> GroundTruthEntry:

@@ -8,13 +8,13 @@ only one day's events, so memory stays O(devices + one day) and batches
 can be written straight to JSONL partitions.
 
 Each day's stores come from the batch simulator's column emitter
-(:class:`~repro.mno.simulator.ColumnEmitter`) and are handed out as
-plain row lists.
+(:class:`~repro.mno.simulator.ColumnEmitter`), in process, and are
+handed out as plain row lists.
 
 Determinism note: every device draws each day from its own
 per-(device, day) RNG substream (:func:`_device_day_rng`), so a day's
 batch depends only on the config — not on which days were generated
-before, how often, or on how many workers.  The batch simulator draws
+before or how often.  The batch simulator draws
 every device-day from one shared stream instead, so the two produce
 statistically identical but not bitwise identical datasets for the same
 seed.
@@ -42,8 +42,6 @@ from repro.faults.retry import RetryPolicy, call_with_retry
 from repro.mno.config import MNOConfig
 from repro.mno.population import PlannedDevice, PopulationBuilder
 from repro.mno.simulator import ColumnEmitter, ground_truth_entry
-from repro.parallel.pool import get_context, map_shards
-from repro.parallel.sharding import shard_of
 from repro.signaling.cdr import ServiceRecord
 from repro.signaling.events import RadioEvent
 
@@ -60,26 +58,11 @@ def _device_day_rng(seed: int, day: int, device_id: str) -> np.random.Generator:
 
     Keyed by (config seed, salt, day, CRC-32 of the device ID), so the
     stream a device draws from depends on nothing but the device and the
-    day — not on iteration order, shard assignment, or worker count.
+    day — not on iteration order.
     """
     return np.random.default_rng(
         [seed, _STREAM_DAY_GEN, day, zlib.crc32(device_id.encode("utf-8"))]
     )
-
-
-def _generate_day_shard(
-    payload: Tuple[int, int, int],
-) -> Tuple[List[RadioEvent], List[ServiceRecord]]:
-    """Worker: generate one day's records for one shard of devices."""
-    sim: StreamingMNOSimulator = get_context()
-    day, shard_index, n_shards = payload
-    _ = sim.population  # ensure the per-day index exists in this process
-    emitter = ColumnEmitter(sim.ecosystem)
-    for plan in sim._by_day.get(day, []):
-        if shard_of(plan.device_id, n_shards) == shard_index:
-            emitter.emit(plan, day, _device_day_rng(sim.config.seed, day, plan.device_id))
-    events, records = emitter.finish()
-    return events.to_rows(), records.to_rows()
 
 
 @dataclass
@@ -127,43 +110,33 @@ class StreamingMNOSimulator:
     def generate_day(self, day: int) -> DayBatch:
         """Generate one day's records for every device active that day.
 
-        The in-process case of :meth:`generate_day_sharded`: it starts
-        no pool and returns the batch every worker count returns.
-        """
-        return self.generate_day_sharded(day, n_workers=1)
-
-    def generate_day_sharded(self, day: int, n_workers: int = 1) -> DayBatch:
-        """Generate one day's records sharded by device across workers.
-
         Every device draws from its own per-(device, day) RNG substream
-        (:func:`_device_day_rng`), so the batch is **worker-count
-        invariant**: any ``n_workers`` — including 1, which runs in
-        process — yields the exact same records, however often and in
-        whatever order days are generated.  Records are sorted by
-        ``(timestamp, device_id)`` so even tie order is
-        shard-independent.
+        (:func:`_device_day_rng`), so the batch is the same however
+        often and in whatever order days are generated.  Records are
+        sorted by ``(timestamp, device_id)``, so even tie order does not
+        depend on the order devices are emitted in.
         """
         if not 0 <= day < self.config.window_days:
             raise ValueError(f"day {day} outside the {self.config.window_days}-day window")
-        _ = self.population  # build the index once, before workers fork
-        n_shards = max(n_workers, 1)
-        payloads = [(day, index, n_shards) for index in range(n_shards)]
-        parts = map_shards(_generate_day_shard, payloads, n_workers, context=self)
-        radio = [event for part, _ in parts for event in part]
-        service = [record for _, part in parts for record in part]
+        radio, service = self._day_rows(day)
         radio.sort(key=lambda e: (e.timestamp, e.device_id))
         service.sort(key=lambda r: (r.timestamp, r.device_id))
         return DayBatch(day=day, radio_events=radio, service_records=service)
 
-    def days(self, n_workers: int = 1) -> Iterator[DayBatch]:
-        """Iterate the whole window, one bounded batch at a time.
+    def _day_rows(self, day: int) -> Tuple[List[RadioEvent], List[ServiceRecord]]:
+        """One day's rows, emitted device by device.  The emitter and
+        its stores are freed on return, before the rows are sorted."""
+        _ = self.population  # build the per-day index once
+        emitter = ColumnEmitter(self.ecosystem)
+        for plan in self._by_day.get(day, []):
+            emitter.emit(plan, day, _device_day_rng(self.config.seed, day, plan.device_id))
+        events, records = emitter.finish()
+        return events.to_rows(), records.to_rows()
 
-        ``n_workers > 1`` spreads each day's devices across a pool
-        (:meth:`generate_day_sharded`); the batches are the same at
-        every worker count.
-        """
+    def days(self) -> Iterator[DayBatch]:
+        """Iterate the whole window, one bounded batch at a time."""
         for day in range(self.config.window_days):
-            yield self.generate_day_sharded(day, n_workers=n_workers)
+            yield self.generate_day(day)
 
     def active_devices_on(self, day: int) -> Set[str]:
         """Device IDs scheduled to be active on ``day``."""

@@ -92,9 +92,10 @@ def check_radio_event(
 ) -> None:
     """The invariants of one radio event; raises on the first broken one.
 
-    :class:`RadioEvent` and the column appender
-    (:meth:`repro.columnar.store.ColumnarRadioEvents.append_fields`) run
-    it.  A ``ValueError`` is an ingest *semantic* error; a ``TypeError``
+    :class:`RadioEvent` and the wire's row loop
+    (:func:`repro.service.protocol.parse_batch_rows`) run it;
+    :func:`repro.columnar.store.check_stores` is its whole-store form.
+    A ``ValueError`` is an ingest *semantic* error; a ``TypeError``
     or ``AttributeError``, a wrongly-typed value, is *schema*.  The
     checks after the TAC range keep out what the int64 and interned
     columns cannot hold; they run last, so earlier rejections keep their

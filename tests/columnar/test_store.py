@@ -53,8 +53,7 @@ def test_radio_round_trip(mno_dataset):
     store = ColumnarRadioEvents.from_rows(mno_dataset.radio_events)
     assert len(store) == len(mno_dataset.radio_events)
     assert store.to_rows() == list(mno_dataset.radio_events)
-    assert store.row(0) == mno_dataset.radio_events[0]
-    assert list(store.iter_rows()) == list(mno_dataset.radio_events)
+    assert store.rows_at([0]) == [mno_dataset.radio_events[0]]
 
 
 def test_service_round_trip(mno_dataset):
@@ -66,7 +65,7 @@ def test_service_round_trip(mno_dataset):
         i for i, r in enumerate(mno_dataset.service_records) if r.apn is None
     )
     assert store.apns[voice_idx] == NULL_ID
-    assert store.row(voice_idx).apn is None
+    assert store.rows_at([voice_idx])[0].apn is None
 
 
 def test_from_record_streams_shares_one_pool_set(mno_dataset):
@@ -209,4 +208,4 @@ def test_empty_store_is_valid():
     assert len(store) == 0
     assert store.to_rows() == []
     with pytest.raises(IndexError):
-        store.row(0)
+        store.rows_at([0])

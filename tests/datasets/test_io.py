@@ -189,3 +189,23 @@ class TestValuesTheColumnsCannotHold:
         self._write(path, good, [json.dumps(dict(good, **bad))])
         with pytest.raises(error, match=r"txn\.jsonl:2\]"):
             ingest_transactions(path)
+
+    def test_fractional_integers_are_quarantined_not_truncated(self, tmp_path):
+        radio_path = tmp_path / "radio.jsonl"
+        good = radio_event_to_dict(_event())
+        self._write(radio_path, good, [
+            json.dumps(dict(good, tac=35000001.7)),
+            json.dumps(dict(good, sector=3.9)),
+            json.dumps(dict(good, tac=35000001.0, sector="4")),  # integral: kept
+        ])
+        events, report = ingest_radio_events(radio_path, lenient=True)
+        assert events == [_event(), _event()]
+        assert [(e.line_no, e.kind, e.message) for e in report.errors] == [
+            (2, IngestErrorKind.SCHEMA, "35000001.7 is not an integer"),
+            (3, IngestErrorKind.SCHEMA, "3.9 is not an integer"),
+        ]
+        service_path = tmp_path / "service.jsonl"
+        good = service_record_to_dict(data_xdr("d", 2.0, "21407", "23410", 42, "apn.x"))
+        self._write(service_path, good, [json.dumps(dict(good, bytes=1200.9))])
+        with pytest.raises(ValueError, match=r"1200\.9 is not an integer \[.*service\.jsonl:2\]"):
+            ingest_service_records(service_path)

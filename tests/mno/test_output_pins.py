@@ -52,11 +52,10 @@ def test_simulate_bytes_pinned_denser_world():
     )
 
 
-@pytest.mark.parametrize("n_workers", [1, 2])
-def test_streaming_sharded_day_bytes_pinned(n_workers):
+def test_streaming_day_bytes_pinned():
     eco = build_default_ecosystem(EcosystemConfig(uk_sites=40, seed=11))
     sim = StreamingMNOSimulator(eco, MNOConfig(n_devices=120, seed=9))
-    batch = sim.generate_day_sharded(2, n_workers=n_workers)
+    batch = sim.generate_day(2)
     assert batch.n_records == 1_565
     assert _digest(batch.radio_events, batch.service_records) == (
         "f1e41e4e82e94aa956c47f31fb105be1424a05ca0b012f58aabce78edd06d7de"

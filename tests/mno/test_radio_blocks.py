@@ -168,9 +168,9 @@ def test_batch_stores_do_not_depend_on_the_block_size(world, monkeypatch, block_
 def test_day_shards_do_not_depend_on_the_block_size(monkeypatch, block_rows):
     eco = build_default_ecosystem(EcosystemConfig(uk_sites=40, seed=11))
     config = MNOConfig(n_devices=120, seed=9)
-    expected = StreamingMNOSimulator(eco, config).generate_day_sharded(2, n_workers=1)
+    expected = StreamingMNOSimulator(eco, config).generate_day(2)
     monkeypatch.setattr(simulator_module, "_BLOCK_ROWS", block_rows)
-    got = StreamingMNOSimulator(eco, config).generate_day_sharded(2, n_workers=1)
+    got = StreamingMNOSimulator(eco, config).generate_day(2)
     assert got.radio_events == expected.radio_events
     assert got.service_records == expected.service_records
 

@@ -72,7 +72,6 @@ class TestStreaming:
         assert list(sim.days())[5] == fresh
         assert sim.generate_day(5) == fresh
         assert sim.generate_day(5) == fresh
-        assert sim.generate_day_sharded(5, n_workers=2) == fresh
 
     def test_streaming_is_self_deterministic(self, request):
         eco = request.getfixturevalue("eco")

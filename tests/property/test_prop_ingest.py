@@ -13,8 +13,11 @@ Clean batches take the column pass, so they are drawn on their own too:
 all good (of either kind, both or neither), all good but one damaged
 row, and good rows at the edges of what the checks accept.  The column
 pass's appender, :func:`repro.columnar.store.from_field_columns`, is
-also held directly: it returns nothing, or the reference's stores for a
-batch the reference takes whole.
+also held directly: it returns the reference's stores for a batch the
+reference takes whole, and nothing for any other.  So is the store
+check it runs, :func:`repro.columnar.store.check_stores`, the one the
+simulator runs too: over stores filled with no check, it raises what
+the row checks raise.
 """
 
 import json
@@ -25,7 +28,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.columnar.blocks import pack_columns
-from repro.columnar.store import from_field_columns
+from repro.columnar.store import (
+    ColumnarRadioEvents,
+    ColumnarServiceRecords,
+    ColumnPools,
+    check_stores,
+    from_field_columns,
+)
 from repro.datasets.io import (
     IngestErrorKind,
     decode_radio_columns,
@@ -91,14 +100,14 @@ BAD_VALUES = {
     ],
     "sim_plmn": ["9", "2341a", 23410, None],
     "visited_plmn": ["1234567", None],
-    "tac": [-1, 10**8, json.loads("1e400"), float("nan"), "x"],
-    "sector": [10**20, -(10**20), float("inf"), "x"],
+    "tac": [-1, 10**8, json.loads("1e400"), float("nan"), "x", 86000012.7],
+    "sector": [10**20, -(10**20), float("inf"), "x", 3.9],
     "iface": ["9G", None, ["S1"]],
     "type": ["telepathy", {}],
     "result": ["maybe"],
     "service": ["fax", None],
     "duration_s": [-5.0, 30.0, float("nan"), float("inf"), "x"],
-    "bytes": [-1, 10**20, float("inf"), "x"],
+    "bytes": [-1, 10**20, float("inf"), "x", 1200.9],
     "apn": [7, "iot.a", ["x"]],
 }
 
@@ -189,10 +198,10 @@ edge_rows = st.one_of(
 )
 
 @st.composite
-def bad_values_among_good_rows(draw):
-    """Good and edge rows with up to two rows holding a bad value."""
+def bad_values_among_good_rows(draw, max_bad=2):
+    """Good and edge rows with up to ``max_bad`` rows holding a bad value."""
     batch = draw(st.lists(edge_rows, max_size=20))
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, max_bad))):
         good = draw(st.sampled_from([good_radio(), good_service()]))
         batch.insert(draw(st.integers(0, len(batch))), draw(damaged(good, hows=("value",))))
     return batch
@@ -270,22 +279,78 @@ def test_edge_values_parse_as_the_row_codec(batch):
     assert_parses_as_the_row_codec(batch)
 
 
+def decoded_by_column(batch):
+    """The batch's field columns, or None for a batch the column
+    decoders cannot decode (the row loop's)."""
+    try:
+        return (
+            decode_radio_columns([row for row in batch if row["kind"] == "radio"]),
+            decode_service_columns([row for row in batch if row["kind"] == "service"]),
+        )
+    except (KeyError, TypeError, OverflowError):
+        return None
+
+
 @settings(max_examples=300, deadline=None)
 @given(bad_values_among_good_rows())
 def test_batch_appender_takes_only_batches_the_row_codec_takes(batch):
-    """``from_field_columns`` returns nothing, or the reference's stores
-    for a batch whose every row the reference accepts."""
+    """Over a batch the columns decode, ``from_field_columns`` returns
+    stores exactly when the reference accepts every row: its stores."""
     events, records, errors = reference(batch)
-    try:
-        radio = decode_radio_columns([row for row in batch if row["kind"] == "radio"])
-        service = decode_service_columns([row for row in batch if row["kind"] == "service"])
-    except (KeyError, TypeError, OverflowError):
-        return  # a batch the columns cannot decode is the row loop's
-    stores = from_field_columns(radio, service)
-    if stores is None:
+    columns = decoded_by_column(batch)
+    if columns is None:
         return
-    assert errors == []
-    assert pack_columns(*stores) == pack_day_block(events, records)
+    stores = from_field_columns(*columns)
+    assert (stores is not None) == (errors == [])
+    if stores is not None:
+        assert pack_columns(*stores) == pack_day_block(events, records)
+
+
+def row_check_error(row):
+    """What the row codec raises on ``row``, or None."""
+    from_dict = radio_event_from_dict if row["kind"] == "radio" else service_record_from_dict
+    try:
+        from_dict(row)
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        return exc
+    return None
+
+
+def assert_store_check_raises_what_the_row_checks_raise(batch):
+    """``check_stores`` over a batch's stores, filled with no check,
+    raises exactly when a row check does, and what it raises: the same
+    error for the one bad row (a ``TypeError`` for a PLMN that is not a
+    string, where the row check's ``isdigit`` call raises
+    ``AttributeError``)."""
+    columns = decoded_by_column(batch)
+    if columns is None:
+        return
+    row_errors = [error for error in map(row_check_error, batch) if error is not None]
+    pools = ColumnPools()
+    try:
+        stores = (
+            ColumnarRadioEvents(pools)._filled(columns[0]),
+            ColumnarServiceRecords(pools)._filled(columns[1]),
+        )
+    except TypeError:  # a string column value that cannot be interned
+        assert row_errors
+        return
+    try:
+        check_stores(*stores)
+    except (TypeError, ValueError) as exc:
+        (expected,) = row_errors
+        if isinstance(expected, AttributeError):
+            assert isinstance(exc, TypeError) and "PLMN must be a string" in str(exc)
+        else:
+            assert (type(exc), str(exc)) == (type(expected), str(expected))
+    else:
+        assert row_errors == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(bad_values_among_good_rows(max_bad=1))
+def test_store_check_raises_what_the_row_checks_raise(batch):
+    assert_store_check_raises_what_the_row_checks_raise(batch)
 
 
 #: Each bad value on each row kind that has its field, for the sweep.
@@ -304,3 +369,10 @@ def test_each_bad_value_in_a_good_batch_parses_as_the_row_codec(row, field, valu
     each check of the column pass is reached, whatever hypothesis draws."""
     batch = [GOOD_RADIO, DATA_SERVICE, dict(row, **{field: value}), GOOD_SERVICE]
     assert_parses_as_the_row_codec(batch)
+
+
+@pytest.mark.parametrize("row, field, value", BAD_VALUE_CASES)
+def test_each_bad_value_in_a_good_batch_raises_in_the_store_check(row, field, value):
+    """The same sweep through the store check the simulator runs."""
+    batch = [GOOD_RADIO, DATA_SERVICE, dict(row, **{field: value}), GOOD_SERVICE]
+    assert_store_check_raises_what_the_row_checks_raise(batch)

@@ -27,6 +27,7 @@ from repro.runtime.scrub import (
 from repro.service.wal import BatchLog
 from repro.runtime.serialize import pack_day_block
 from tests.runtime.test_durable_run import _row_list, assert_same_result
+from tests.runtime.test_serialize import drop_tacs, reframe
 from tests.test_golden_catalog import observe
 
 N_SHARDS = 2
@@ -94,6 +95,14 @@ def test_bit_rot_classified(store):
     flip_byte(unit_paths(store)[1])
     report = scrub_store(store)
     assert [u.damage for u in report.damaged] == [DAMAGE_BIT_ROT]
+
+
+def test_unit_with_another_column_layout_classified_bit_rot(store):
+    victim = unit_paths(store)[1]
+    victim.write_bytes(reframe(victim.read_bytes(), drop_tacs))
+    report = scrub_store(store)
+    assert [u.damage for u in report.damaged] == [DAMAGE_BIT_ROT]
+    assert "column layout" in report.damaged[0].detail
 
 
 def test_missing_unit_classified(store):

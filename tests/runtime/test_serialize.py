@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.columnar.blocks import build_block, read_block
 from repro.runtime.serialize import (
     BLOCK_VERSION,
     MAGIC,
+    RADIO_COLUMNS,
+    SERVICE_COLUMNS,
     CheckpointCorruption,
     pack_day_block,
     unpack_day_block,
@@ -22,8 +25,8 @@ def test_round_trip_preserves_rows(small_dataset):
     blob = pack_day_block(radio, service)
     events_c, records_c, quarantine = unpack_day_block(blob)
     assert quarantine == []
-    assert list(events_c.iter_rows()) == radio
-    assert list(records_c.iter_rows()) == service
+    assert events_c.to_rows() == radio
+    assert records_c.to_rows() == service
 
 
 def test_round_trip_preserves_quarantine(small_dataset):
@@ -40,8 +43,8 @@ def test_round_trip_preserves_quarantine(small_dataset):
 def test_empty_block_round_trips():
     blob = pack_day_block([], [])
     events_c, records_c, quarantine = unpack_day_block(blob)
-    assert list(events_c.iter_rows()) == []
-    assert list(records_c.iter_rows()) == []
+    assert events_c.to_rows() == []
+    assert records_c.to_rows() == []
     assert quarantine == []
 
 
@@ -82,3 +85,88 @@ def test_unknown_version_detected(small_dataset):
     blob[4] = 99  # version field follows the 4-byte magic
     with pytest.raises(CheckpointCorruption):
         unpack_day_block(bytes(blob))
+
+
+_SECTIONS = ("radio", "service")
+
+
+def reframe(block, edit, trailing=b""):
+    """``block`` framed again, a valid CRC and all, after ``edit`` changed
+    its columns: a dict of ``[name, typecode, bytes]`` lists per section,
+    radio and service.  ``trailing`` bytes follow the last column."""
+    header, body, offset = read_block(block)
+    columns = {}
+    for section in _SECTIONS:
+        columns[section] = []
+        for name, typecode, nbytes in header[section]:
+            columns[section].append([name, typecode, body[offset:offset + nbytes]])
+            offset += nbytes
+    edit(columns)
+    chunks = []
+    for section in _SECTIONS:
+        header[section] = [[name, code, len(data)] for name, code, data in columns[section]]
+        chunks.extend(data for _, _, data in columns[section])
+    return build_block(header, [*chunks, trailing])
+
+
+def _column(columns, section, name):
+    return next(column for column in columns[section] if column[0] == name)
+
+
+def drop_tacs(columns):
+    columns["radio"].remove(_column(columns, "radio", "tacs"))
+
+
+def _rename(columns):
+    _column(columns, "radio", "tacs")[0] = "tac_codes"
+
+
+def _retype(typecode):
+    def edit(columns):
+        _column(columns, "service", "services")[1] = typecode
+    return edit
+
+
+def _swap(columns):
+    radio = columns["radio"]
+    radio[4], radio[5] = radio[5], radio[4]  # tacs <-> sector_ids, both "q"
+
+
+def _short(columns):
+    tacs = _column(columns, "radio", "tacs")
+    tacs[2] = tacs[2][:-8]
+
+
+def _split_item(columns):
+    timestamps, days = columns["radio"][1:3]
+    timestamps[2], days[2] = timestamps[2][:-1], timestamps[2][-1:] + days[2]
+
+
+LAYOUT_DAMAGE = {
+    "missing-column": (drop_tacs, b""),
+    "renamed-column": (_rename, b""),
+    "foreign-typecode": (_retype("x"), b""),
+    "other-typecode": (_retype("B"), b""),
+    "columns-swapped": (_swap, b""),
+    "short-column": (_short, b""),
+    "partial-item": (_split_item, b""),
+    "trailing-bytes": (lambda columns: None, bytes(8)),
+}
+
+
+def test_reframing_unchanged_columns_gives_the_same_block(small_dataset):
+    blob = pack_day_block(*_day_zero_rows(small_dataset))
+    assert reframe(blob, lambda columns: None) == blob
+    header, _, _ = read_block(blob)
+    assert [spec[0] for spec in header["radio"]] == list(RADIO_COLUMNS)
+    assert [spec[0] for spec in header["service"]] == list(SERVICE_COLUMNS)
+
+
+@pytest.mark.parametrize("damage", sorted(LAYOUT_DAMAGE))
+def test_block_with_another_column_layout_is_corruption(small_dataset, damage):
+    """A CRC-valid block whose columns do not match the stores' schemas
+    is refused as corruption, the one error its readers recover from."""
+    edit, trailing = LAYOUT_DAMAGE[damage]
+    blob = reframe(pack_day_block(*_day_zero_rows(small_dataset)), edit, trailing)
+    with pytest.raises(CheckpointCorruption):
+        unpack_day_block(blob)

@@ -62,6 +62,10 @@ MISTYPED_ROWS = {
     "tac-1e400": dict(GOOD_RADIO, device_id="hostile", tac=json.loads("1e400")),
     "bytes-infinity": dict(DATA_SERVICE, device_id="hostile", bytes=float("inf")),
     "ts-int-past-float": dict(GOOD_RADIO, device_id="hostile", ts=10**400),
+    # A fractional integer field used to be truncated and acked.
+    "tac-fraction": dict(GOOD_RADIO, device_id="hostile", tac=86000012.7),
+    "sector-fraction": dict(GOOD_RADIO, device_id="hostile", sector=3.9),
+    "bytes-fraction": dict(DATA_SERVICE, device_id="hostile", bytes=1200.9),
 }
 
 
@@ -163,6 +167,16 @@ def test_value_the_columns_cannot_hold_is_semantic(name):
 def test_wrongly_typed_value_is_schema(name):
     radio, service, report = parse_batch_rows([GOOD_RADIO, MISTYPED_ROWS[name]])
     assert_only_the_good_row_ingests(radio, service, report, IngestErrorKind.SCHEMA)
+
+
+def test_fractional_integers_are_refused_not_truncated():
+    rows = [dict(GOOD_RADIO, sector=3.9, tac=86000012.7), dict(DATA_SERVICE, bytes=1200.9)]
+    radio, service, report = parse_batch_rows(rows)
+    assert (report.n_ok, len(radio), len(service)) == (0, 0, 0)
+    assert [(e.line_no, e.kind, e.message) for e in report.errors] == [
+        (1, IngestErrorKind.SCHEMA, "86000012.7 is not an integer"),
+        (2, IngestErrorKind.SCHEMA, "1200.9 is not an integer"),
+    ]
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,9 @@ from repro.columnar import from_record_streams
 from repro.runtime.checkpoint import UNITS_DIRNAME, StaleManifestError
 from repro.service import BatchLog
 from repro.service.protocol import parse_batch_rows
+from repro.service.wal import _decode_envelope, _encode_envelope
 
+from tests.runtime.test_serialize import drop_tacs, reframe
 from tests.service.test_protocol import GOOD_RADIO, GOOD_SERVICE
 
 
@@ -80,6 +82,26 @@ def test_torn_unit_is_counted_and_skipped(tmp_path):
     assert resumed.n_torn_units == 1
     # The torn batch id is absent: a re-send re-applies it, never dupes.
     assert resumed.applied_batch_ids == {"b-0", "b-2"}
+    resumed.close()
+
+
+def test_unit_with_another_column_layout_is_counted_torn(tmp_path):
+    log = BatchLog(tmp_path)
+    for seq in range(3):
+        events, records = typed_rows(day_offset=seq)
+        append(log, f"b-{seq}", events, records)
+    log.sync()
+    log.close()
+
+    # A CRC-valid block one column short, behind its intact envelope.
+    unit = tmp_path / UNITS_DIRNAME / "day_001.shard_000.ckpt"
+    header, block = _decode_envelope(unit.read_bytes())
+    damaged = reframe(block, drop_tacs)
+    unit.write_bytes(_encode_envelope(header["batch_id"], header["seq"], damaged))
+
+    resumed = BatchLog(tmp_path, resume=True)
+    assert [b.batch_id for b in resumed.replay()] == ["b-0", "b-2"]
+    assert resumed.n_torn_units == 1
     resumed.close()
 
 
