@@ -10,8 +10,10 @@ chunking, pool encode/decode and the self-contained
 :func:`pack_columns` / :func:`unpack_day_block` pair — so no consumer
 can drift from it.  Columns are packed and unpacked by each store's
 schema (its ``COLUMNS``), and a block whose header lists another column
-layout, or whose chunks do not fill its body with whole rows, is
-refused.  It imports nothing above :mod:`repro.columnar`, so the pool
+layout, whose chunks do not fill its body with whole rows, or whose
+rows no store could hold (an id past its pool, an enum code past its
+order, a day that is not its timestamp's, a row the row checks refuse)
+is refused.  It imports nothing above :mod:`repro.columnar`, so the pool
 seam can use it without pulling in :mod:`repro.runtime`.
 
 Framing (format version |BLOCK_VERSION|)::
@@ -23,7 +25,7 @@ The CRC covers the whole body, so a torn write (truncated file, partial
 rename source) or bit rot is detected before a single row is decoded —
 :class:`CheckpointCorruption` is raised, never a silently-wrong block.
 A CRC-valid block from another writer gets the same error when its
-columns do not match the schema.
+columns do not match the schema or its rows do not decode.
 """
 
 from __future__ import annotations
@@ -34,12 +36,22 @@ import zlib
 from array import array
 from typing import Any, Dict, List, Sequence, Set, Tuple, Union
 
+import numpy as np
+
 from repro.columnar.store import (
+    NULL_ID,
     ColumnPools,
     ColumnarRadioEvents,
     ColumnarServiceRecords,
     StringPool,
+    _days_of,
+    _first,
+    _view,
+    check_stores,
 )
+from repro.signaling.cdr import SERVICE_TYPES
+from repro.signaling.events import RADIO_INTERFACES
+from repro.signaling.procedures import MESSAGE_TYPES, RESULT_CODES
 
 MAGIC = b"RPCK"
 BLOCK_VERSION = 1
@@ -215,13 +227,49 @@ def pack_columns(
     return build_block(header, [*radio_chunks, *service_chunks])
 
 
+def _check_rows(events: ColumnarRadioEvents, records: ColumnarServiceRecords) -> None:
+    """Raise :class:`CheckpointCorruption` unless decoded stores hold rows
+    a store could hold: each id names an entry of its own pool
+    (:data:`NULL_ID` only among APNs), each enum code lies in its
+    canonical order, each day is its timestamp's day, and the pair
+    passes :func:`~repro.columnar.store.check_stores`."""
+    pools = events.pools
+    ranges = (
+        ("radio device_ids", events.device_ids, 0, len(pools.devices)),
+        ("radio sim_plmns", events.sim_plmns, 0, len(pools.plmns)),
+        ("radio interfaces", events.interfaces, 0, len(RADIO_INTERFACES)),
+        ("radio event_types", events.event_types, 0, len(MESSAGE_TYPES)),
+        ("radio results", events.results, 0, len(RESULT_CODES)),
+        ("service device_ids", records.device_ids, 0, len(pools.devices)),
+        ("service sim_plmns", records.sim_plmns, 0, len(pools.plmns)),
+        ("service visited_plmns", records.visited_plmns, 0, len(pools.plmns)),
+        ("service services", records.services, 0, len(SERVICE_TYPES)),
+        ("service apns", records.apns, NULL_ID, len(pools.apns)),
+    )
+    for label, column, low, end in ranges:
+        values = _view(column)
+        outside = (values < low) | (values >= end)
+        if outside.any():
+            raise CheckpointCorruption(
+                f"{label} holds {_first(values, outside)}, outside [{low}, {end})"
+            )
+    for label, store in (("radio", events), ("service", records)):
+        if not np.array_equal(_view(store.days), _view(_days_of(store.timestamps))):
+            raise CheckpointCorruption(f"{label} days are not their timestamps' days")
+    try:
+        check_stores(events, records)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointCorruption(f"decoded rows fail the row checks: {exc}") from None
+
+
 def unpack_day_block(
     data: bytes,
 ) -> Tuple[ColumnarRadioEvents, ColumnarServiceRecords, List[QuarantineEntry]]:
     """Decode a framed block: its checksum and version, then its columns.
 
     The column layout must match the stores' schemas (see
-    :func:`load_column_chunks`), and the columns must fill the body.
+    :func:`load_column_chunks`), the columns must fill the body, and
+    their rows must decode (:func:`_check_rows`).
     """
     header, body, offset = read_block(data)
     pools = pools_from_header(header["pools"])
@@ -233,6 +281,7 @@ def unpack_day_block(
         raise CheckpointCorruption(
             f"column chunks end at byte {offset} of a {len(body)}-byte body"
         )
+    _check_rows(events, records)
     quarantine = [
         (str(device_id), str(stage), str(error))
         for device_id, stage, error in header["quarantine"]

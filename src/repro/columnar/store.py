@@ -237,10 +237,13 @@ def _days_of(timestamps: Column) -> "array[int]":
     return array("q", days.tobytes())
 
 
-def _first_seen(ids: np.ndarray) -> np.ndarray:
-    """The distinct values of ``ids``, in order of first occurrence."""
-    unique, first = np.unique(ids, return_index=True)
-    return unique[np.argsort(first)]
+def _first_seen(ids: np.ndarray, bound: int) -> np.ndarray:
+    """The distinct values of ``ids``, all in [0, ``bound``), in order of
+    first occurrence: one pass over ``ids``, no sort of them."""
+    first = np.full(bound, len(ids))
+    np.minimum.at(first, ids, np.arange(len(ids)))
+    seen = np.flatnonzero(first < len(ids))
+    return seen[np.argsort(first[seen])]
 
 
 def _taken(values: np.ndarray, positions: np.ndarray, typecode: str) -> array:
@@ -670,7 +673,7 @@ def _own_pool(pool: StringPool, *ids: np.ndarray) -> Tuple[StringPool, np.ndarra
     occurrence over ``ids`` in turn, and the table that maps each of
     ``pool``'s ids to its new id (the extra last slot maps
     :data:`NULL_ID` to itself).  Each string is interned once."""
-    order = _first_seen(np.concatenate(ids))
+    order = _first_seen(np.concatenate(ids), len(pool))
     table = np.full(len(pool) + 1, NULL_ID, dtype=np.int64)
     table[order] = np.arange(len(order))
     strings = pool._strings

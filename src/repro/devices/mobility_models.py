@@ -41,8 +41,8 @@ class MobilityModel(abc.ABC):
 
 
 def _jitter(point: GeoPoint, sigma_km: float, rng: np.random.Generator) -> GeoPoint:
-    east, north = rng.normal(0.0, sigma_km, size=2)
-    return offset_km(point, float(east), float(north))
+    east, north = rng.normal(0.0, sigma_km, size=2).tolist()
+    return offset_km(point, east, north)
 
 
 @dataclass

@@ -16,16 +16,21 @@ and, for outbound roamers, emits only CDR/xDRs from the visited network
 (radio signaling for outbound roamers stays in the visited country,
 §4.1).
 
-No row object is built here, and no numpy runs per device-day.
-:class:`ColumnEmitter` makes each device-day's draws as it goes, in the
-order they have always been made: service fields go straight into flat
-columns, while radio draws are buffered and derived one block of rows
-at a time — timestamps sorted within their device-day, visit, RAT,
-plane, nearest sector, interface, event type and result, vectorized
-over every buffered device-day with the arithmetic the per-device-day
-code used.  :meth:`ColumnEmitter.finish` orders each stream by
-timestamp and interns devices, PLMNs and APNs in first-seen order.  The
-resulting stores equal :func:`~repro.columnar.store.from_record_streams`
+No row object is built here.  :class:`ColumnEmitter` makes each
+device-day's draws as it goes, in the order they have always been made,
+and buffers them.  Besides the draws, numpy runs per device-day only in
+the event hours' rejection rounds
+(:func:`~repro.devices.traffic_models.sample_event_hours`), which must
+count each round's accepted candidates before the next draw.  Radio
+draws are derived one block of rows at a time — timestamps sorted
+within their device-day, visit, RAT, plane, nearest sector, interface,
+event type and result, vectorized over every buffered device-day with
+the arithmetic the per-device-day code used — and service draws all at
+once in :meth:`ColumnEmitter.finish`: timestamps, and data sessions'
+bytes (:func:`~repro.devices.traffic_models.session_bytes`).
+:meth:`ColumnEmitter.finish` then orders each stream by timestamp and
+interns devices, PLMNs and APNs in first-seen order.  The resulting
+stores equal :func:`~repro.columnar.store.from_record_streams`
 of the rows those draws describe, column for column and pool for pool,
 and the checks :class:`~repro.signaling.events.RadioEvent` and
 :class:`~repro.signaling.cdr.ServiceRecord` make on construction run
@@ -50,7 +55,13 @@ from repro.columnar.store import (
     check_stores,
 )
 from repro.datasets.containers import GroundTruthEntry, MNODataset
-from repro.devices.traffic_models import sample_event_hours
+from repro.devices.mobility_models import MobilityModel
+from repro.devices.traffic_models import (
+    CALL_MEAN_S,
+    DiurnalShape,
+    sample_event_hours,
+    session_bytes,
+)
 from repro.ecosystem import Ecosystem
 from repro.mno.config import MNOConfig
 from repro.mno.population import PlannedDevice, PopulationBuilder
@@ -129,6 +140,19 @@ def _zeroed(store: _Store, n_rows: int) -> _Store:
     return store
 
 
+def _time_order(timestamps: np.ndarray) -> np.ndarray:
+    """``np.argsort(timestamps, kind="stable")`` from numpy's faster
+    unstable sort: rows of equal timestamps, which it may swap, are put
+    back in position order."""
+    order = np.argsort(timestamps)
+    ordered = timestamps[order]
+    ties = ordered[1:] == ordered[:-1]
+    if ties.any():
+        runs = np.concatenate(([0], np.cumsum(~ties)))
+        order = order[np.lexsort((order, runs))]
+    return order
+
+
 def _fill(column: array, values: np.ndarray) -> None:
     """Write ``values`` over a store column of the same length."""
     np.frombuffer(column, dtype=_DTYPES[column.typecode])[:] = values
@@ -151,17 +175,34 @@ class _RadioBlock(NamedTuple):
         return cls(array("q"), array("d"), array("d"), array("d"))
 
 
+class _DayDraws(NamedTuple):
+    """What a device's day draws read: fixed for the device."""
+
+    #: Poisson means of the day's signaling events, calls and data
+    #: sessions; None when the device draws none (outbound roamers'
+    #: signaling stays abroad; no voice; no data or no APN).
+    signaling: Optional[float]
+    calls: Optional[float]
+    sessions: Optional[float]
+    mobility: Optional[MobilityModel]
+    diurnal: DiurnalShape
+    apns: List[str]
+    #: The lognormal of a data session's megabytes.
+    mb_mu: float
+    mb_sigma: float
+
+
 class ColumnEmitter:
     """Turns device-days of simulator draws into interned column stores.
 
     :meth:`emit` makes one device-day's draws, in the order they have
-    always been made.  Service draws go straight into columns; radio
-    draws are buffered as they come and derived into columns one block
-    of :data:`_BLOCK_ROWS` rows at a time, with the arithmetic the
-    per-device-day code used (:meth:`_derive_block`).  :meth:`finish`
-    orders and interns the columns into stores.  The batch simulator
-    emits every device-day of the window into one emitter; the
-    streaming simulator uses one per day and shard.
+    always been made, and buffers them.  Radio draws are derived into
+    columns one block of :data:`_BLOCK_ROWS` rows at a time, with the
+    arithmetic the per-device-day code used (:meth:`_derive_block`);
+    :meth:`finish` derives the service columns, then orders and interns
+    the columns into stores.  The batch simulator emits every device-day
+    of the window into one emitter; the streaming simulator uses one per
+    day and shard.
     """
 
     def __init__(self, ecosystem: Ecosystem) -> None:
@@ -179,6 +220,7 @@ class ColumnEmitter:
         self._voice_rats = array("b")
         self._voice_fractions = array("d")
         self._failure_probs = array("d")
+        self._day_draws: List[_DayDraws] = []
         self._apns: Dict[str, int] = {}
         # Distinct visit-weight tuples: the mobility models have a few.
         self._weights: Dict[Tuple[float, ...], int] = {}
@@ -192,12 +234,13 @@ class ColumnEmitter:
         self._radio_interfaces = array("b")
         self._radio_types = array("b")
         self._radio_results = array("b")
-        # Service chunks are (device, service, apn, row count); durations
-        # are per voice row, bytes per data row.
+        # Service chunks are (device, day, service, apn, row count).
+        # Each row's uniform draw places it in its day; its duration is
+        # drawn per voice row and its lognormal normal per data row.
         self._service_chunks = array("q")
-        self._service_ts = array("d")
+        self._service_uniforms = array("d")
         self._durations = array("d")
-        self._bytes = array("q")
+        self._normals = array("d")
 
     def _device(self, plan: PlannedDevice) -> int:
         index = self._devices.get(plan.device_id)
@@ -212,36 +255,51 @@ class ColumnEmitter:
             table.extend([_RAT_CODES[rat] for rat in rats] + [-1] * (_N_RATS - len(rats)))
         self._voice_fractions.append(plan.voice_event_fraction)
         self._failure_probs.append(plan.segment.event_failure_prob)
+        traffic = plan.traffic
+        signaling, calls, sessions = traffic.daily_means()
+        self._day_draws.append(
+            _DayDraws(
+                signaling=None if plan.segment.outbound else signaling,
+                calls=calls if plan.uses_voice else None,
+                sessions=sessions if plan.uses_data and plan.apns else None,
+                mobility=plan.mobility,
+                diurnal=traffic.diurnal,
+                apns=plan.apns,
+                mb_mu=traffic.data_mb_mu,
+                mb_sigma=traffic.data_mb_sigma,
+            )
+        )
         return index
 
     def emit(self, plan: PlannedDevice, day: int, rng: np.random.Generator) -> None:
         """Draw one device-day: radio events (none for outbound roamers),
         then service records."""
         device = self._device(plan)
-        if not plan.segment.outbound:
-            self._radio_day(plan, device, day, rng)
-        self._service_day(plan, device, day, rng)
+        draws = self._day_draws[device]
+        self._radio_day(draws, device, day, rng)
+        self._service_day(draws, device, day, rng)
 
     def _radio_day(
-        self, plan: PlannedDevice, device: int, day: int, rng: np.random.Generator
+        self, draws: _DayDraws, device: int, day: int, rng: np.random.Generator
     ) -> None:
         """Make one device-day's radio draws and buffer them."""
-        n = plan.traffic.draw_signaling_count(rng)
-        if n <= 0 or plan.mobility is None:
+        if draws.signaling is None:
             return
-        visits = plan.mobility.visits_for_day(day, rng)
-        hours = sample_event_hours(n, plan.traffic.diurnal, rng)
-        # Plane, visit, type, failure and RAT draws, n of each in turn.
-        draws = rng.random(5 * n)
-        weights = tuple(weight for _, weight in visits)
+        n = int(rng.poisson(draws.signaling))
+        if n <= 0 or draws.mobility is None:
+            return
+        visits = draws.mobility.visits_for_day(day, rng)
+        hours = sample_event_hours(n, draws.diurnal, rng)
         block = self._block
+        block.hours.frombytes(hours.tobytes())
+        # Plane, visit, type, failure and RAT draws, n of each in turn.
+        block.draws.frombytes(rng.random(5 * n).tobytes())
+        weights = tuple(weight for _, weight in visits)
         block.days.extend(
             (device, n, day, self._weights.setdefault(weights, len(self._weights)))
         )
         for position, _ in visits:
             block.visits.extend((position.lat, position.lon))
-        block.hours.frombytes(hours.tobytes())
-        block.draws.frombytes(draws.tobytes())
         if len(block.hours) >= _BLOCK_ROWS:
             self._derive_block()
 
@@ -275,9 +333,13 @@ class ColumnEmitter:
         starts = np.cumsum(counts) - counts
         n = counts[row_day]
 
-        hours = np.frombuffer(block.hours, dtype=np.float64)
-        hours = hours[np.lexsort((hours, row_day))]
-        timestamps = day[row_day] * 86400.0 + hours * 3600.0
+        # Hours sorted within their device-day: numpy sorts complex
+        # numbers by real part, then by imaginary part.
+        by_day = np.empty(len(row_day), dtype=np.complex128)
+        by_day.real = row_day
+        by_day.imag = np.frombuffer(block.hours, dtype=np.float64)
+        by_day.sort()
+        timestamps = day[row_day] * 86400.0 + by_day.imag * 3600.0
 
         # The draws of a device-day's row i sit at i + k * n past its
         # device-day's first draw, 5 * start.
@@ -341,35 +403,34 @@ class ColumnEmitter:
         )
 
     def _service_day(
-        self, plan: PlannedDevice, device: int, day: int, rng: np.random.Generator
+        self, draws: _DayDraws, device: int, day: int, rng: np.random.Generator
     ) -> None:
+        """Make one device-day's service draws and buffer them."""
         # Each row's uniform draw interleaves with a variable-length
         # exponential or normal draw, so these stay scalar and in order.
-        traffic = plan.traffic
         uniform = rng.random
-        base = day * 86400.0
-        timestamps = self._service_ts
-        if plan.uses_voice:
-            calls = traffic.draw_call_count(rng)
-            durations = self._durations
-            draw_duration = traffic.draw_call_duration_s
-            for _ in range(calls):
-                timestamps.append(base + uniform() * 86400.0)
-                durations.append(draw_duration(rng))
+        append_uniform = self._service_uniforms.append
+        if draws.calls is not None:
+            calls = int(rng.poisson(draws.calls))
             if calls > 0:
-                self._service_chunks.extend((device, _VOICE, NULL_ID, calls))
-        if plan.uses_data and plan.apns:
-            sessions = traffic.draw_data_sessions(rng)
+                exponential = rng.exponential
+                append_duration = self._durations.append
+                for _ in range(calls):
+                    append_uniform(uniform())
+                    append_duration(exponential(CALL_MEAN_S))
+                self._service_chunks.extend((device, day, _VOICE, NULL_ID, calls))
+        if draws.sessions is not None:
+            sessions = int(rng.poisson(draws.sessions))
             if sessions <= 0:
                 return
-            apn = plan.apns[int(rng.integers(len(plan.apns)))]
+            apn = draws.apns[int(rng.integers(len(draws.apns)))]
             apn_id = self._apns.setdefault(apn, len(self._apns))
-            sizes = self._bytes
-            draw_bytes = traffic.draw_session_bytes
+            normal, mu, sigma = rng.normal, draws.mb_mu, draws.mb_sigma
+            append_normal = self._normals.append
             for _ in range(sessions):
-                timestamps.append(base + uniform() * 86400.0)
-                sizes.append(draw_bytes(rng))
-            self._service_chunks.extend((device, _DATA, apn_id, sessions))
+                append_uniform(uniform())
+                append_normal(normal(mu, sigma))
+            self._service_chunks.extend((device, day, _DATA, apn_id, sessions))
 
     def finish(self) -> Tuple[ColumnarRadioEvents, ColumnarServiceRecords]:
         """Order by timestamp, intern and check everything emitted.
@@ -387,25 +448,31 @@ class ColumnEmitter:
         pools = ColumnPools()
         n_radio = len(self._radio_ts) + len(self._block.hours)
         events = _zeroed(ColumnarRadioEvents(pools), n_radio)
-        records = _zeroed(ColumnarServiceRecords(pools), len(self._service_ts))
+        records = _zeroed(ColumnarServiceRecords(pools), len(self._service_uniforms))
         self._derive_block()
 
         chunks = np.frombuffer(self._radio_chunks, dtype=np.int64).reshape(-1, 2)
         radio_dev = np.repeat(chunks[:, 0], chunks[:, 1])
         radio_ts = np.frombuffer(self._radio_ts, dtype=np.float64)
-        chunks = np.frombuffer(self._service_chunks, dtype=np.int64).reshape(-1, 4)
+        chunks = np.frombuffer(self._service_chunks, dtype=np.int64).reshape(-1, 5)
         service_dev, services, apns = (
-            np.repeat(chunks[:, i], chunks[:, 3]) for i in range(3)
+            np.repeat(chunks[:, i], chunks[:, 4]) for i in (0, 2, 3)
         )
-        service_ts = np.frombuffer(self._service_ts, dtype=np.float64)
+        # day * 86400.0 + uniform * 86400.0 per row, as the scalar code
+        # summed it, over the uniforms' buffer.
+        service_ts = np.frombuffer(self._service_uniforms, dtype=np.float64)
+        service_ts *= 86400.0
+        service_ts += np.repeat(chunks[:, 1] * 86400.0, chunks[:, 4])
         durations = np.zeros(len(service_ts))
         durations[services == _VOICE] = np.frombuffer(self._durations, dtype=np.float64)
         sizes = np.zeros(len(service_ts), dtype=np.int64)
-        sizes[services == _DATA] = np.frombuffer(self._bytes, dtype=np.int64)
+        sizes[services == _DATA] = session_bytes(
+            np.frombuffer(self._normals, dtype=np.float64)
+        )
 
-        radio_order = np.argsort(radio_ts, kind="stable")
+        radio_order = _time_order(radio_ts)
         radio_dev = radio_dev[radio_order]
-        order = np.argsort(service_ts, kind="stable")
+        order = _time_order(service_ts)
         service_dev, service_ts, services, apns, durations, sizes = (
             column[order]
             for column in (service_dev, service_ts, services, apns, durations, sizes)
@@ -418,17 +485,17 @@ class ColumnEmitter:
         device_ids = np.zeros(n_local, dtype=np.int64)
         sim_ids = np.zeros(n_local, dtype=np.int64)
         visited_ids = np.zeros(n_local, dtype=np.int64)
-        for dev in _first_seen(radio_dev):
+        for dev in _first_seen(radio_dev, n_local):
             device_ids[dev] = pools.devices.intern(self._device_ids[dev])
             sim_ids[dev] = pools.plmns.intern(self._sim_plmns[dev])
-        for dev in _first_seen(service_dev):
+        for dev in _first_seen(service_dev, n_local):
             device_ids[dev] = pools.devices.intern(self._device_ids[dev])
             sim_ids[dev] = pools.plmns.intern(self._sim_plmns[dev])
             visited_ids[dev] = pools.plmns.intern(self._visited_plmns[dev])
         # The extra last slot maps NULL_ID (-1) to itself.
         apn_ids = np.full(len(self._apns) + 1, NULL_ID, dtype=np.int64)
         apn_strings = list(self._apns)
-        for apn in _first_seen(apns[apns != NULL_ID]):
+        for apn in _first_seen(apns[apns != NULL_ID], len(apn_strings)):
             apn_ids[apn] = pools.apns.intern(apn_strings[apn])
 
         radio_ts = radio_ts[radio_order]
@@ -492,8 +559,8 @@ class MNOSimulator:
         emitter = ColumnEmitter(self.ecosystem)
         ground_truth: Dict[str, GroundTruthEntry] = {}
         for plan in population:
-            for day in plan.active_days:
-                emitter.emit(plan, int(day), self._rng)
+            for day in plan.active_days.tolist():
+                emitter.emit(plan, day, self._rng)
             ground_truth[plan.device_id] = ground_truth_entry(plan)
         events, records = emitter.finish()
         return MNODataset(

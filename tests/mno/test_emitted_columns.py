@@ -10,7 +10,10 @@ stream with a list never leaves stale columns behind.
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.columnar.store import (
     ColumnarRadioEvents,
@@ -20,6 +23,7 @@ from repro.columnar.store import (
 )
 from repro.ecosystem import EcosystemConfig, build_default_ecosystem
 from repro.mno import MNOConfig, simulate_mno_dataset
+from repro.mno.simulator import _time_order
 from repro.pipeline import run_pipeline
 from repro.service.daemon import catalog_digest
 from repro.signaling.cdr import ServiceRecord, ServiceType
@@ -143,3 +147,14 @@ def test_replacing_radio_with_its_rows_keeps_the_output(world, dataset):
     assert _digests(run_pipeline(replaced, world, n_workers=1)) == _digests(
         run_pipeline(dataset, world, n_workers=1)
     )
+
+
+@given(hours=st.lists(st.integers(0, 30), max_size=400))
+def test_time_order_is_the_stable_argsort(hours):
+    """The emitter orders rows with numpy's unstable sort and puts rows
+    of equal timestamps back in position order: the stable argsort,
+    ties included."""
+    timestamps = np.array(hours, dtype=float) * 3600.0
+    expected = np.argsort(timestamps, kind="stable")
+    assert _time_order(timestamps).tolist() == expected.tolist()
+

@@ -1,13 +1,15 @@
 """Tests for the MNO event simulator."""
 
+import dataclasses
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
 from repro.cellular.rats import RAT
 from repro.devices.device import Device
-from repro.devices.traffic_models import TrafficModel
 from repro.mno import MNOConfig, MNOSimulator, PopulationBuilder, simulate_mno_dataset
+from repro.mno import simulator as simulator_module
 from repro.signaling.probes import ProbeArray
 
 
@@ -162,12 +164,42 @@ class TestRowChecks:
         with pytest.raises(ValueError, match="TAC must be 8 digits"):
             self._simulate(eco, population)
 
-    def test_negative_call_duration_rejected(self, eco, population, monkeypatch):
-        monkeypatch.setattr(TrafficModel, "draw_call_duration_s", lambda self, rng: -1.0)
+    def test_negative_call_duration_rejected(self, eco, population):
+        """A call's duration is its generator's exponential draw, as drawn."""
+        simulator = MNOSimulator(eco, self.CONFIG)
+        simulator._rng = _Replaced(simulator._rng, exponential=lambda scale: -1.0)
         with pytest.raises(ValueError, match="negative duration"):
-            self._simulate(eco, population)
+            simulator.simulate(population)
 
     def test_negative_byte_count_rejected(self, eco, population, monkeypatch):
-        monkeypatch.setattr(TrafficModel, "draw_session_bytes", lambda self, rng: -1)
+        """Sessions' bytes are derived from their draws in one pass."""
+        monkeypatch.setattr(
+            simulator_module,
+            "session_bytes",
+            lambda normals: np.full(len(normals), -1, dtype=np.int64),
+        )
         with pytest.raises(ValueError, match="negative byte count"):
             self._simulate(eco, population)
+
+    def test_session_bytes_past_int64_rejected(self, eco, population):
+        """A session of more bytes than an int64 column holds is refused,
+        not wrapped in the bulk cast."""
+        heavy = [
+            dataclasses.replace(
+                plan, traffic=dataclasses.replace(plan.traffic, data_mb_mu=40.0)
+            )
+            for plan in population
+        ]
+        with pytest.raises(OverflowError):
+            self._simulate(eco, heavy)
+
+
+class _Replaced:
+    """A generator with some of its draw methods replaced."""
+
+    def __init__(self, rng, **methods):
+        self._rng = rng
+        self._methods = methods
+
+    def __getattr__(self, name):
+        return self._methods.get(name) or getattr(self._rng, name)

@@ -15,7 +15,12 @@ from repro.parallel.sharding import shard_mno_records, shard_of
 from repro.pipeline import run_pipeline
 from repro.runtime import pack_day_block, run_durable_pipeline
 from repro.runtime.checkpoint import JOURNAL_NAME, MANIFEST_NAME, UNITS_DIRNAME
-from tests.runtime.test_serialize import drop_tacs, reframe
+from tests.runtime.test_serialize import (
+    READER_DAMAGE,
+    VALUE_DAMAGE,
+    drop_tacs,
+    reframe,
+)
 
 
 def _day_slices(dataset):
@@ -332,6 +337,32 @@ def test_unit_with_another_column_layout_is_rebuilt_on_resume(
     assert result.health.torn_checkpoints == 1
     torn = [i for i in result.health.incidents if i.kind == TORN_CHECKPOINT]
     assert len(torn) == 1 and "column layout" in torn[0].detail
+
+
+@pytest.mark.parametrize("damage", READER_DAMAGE)
+def test_unit_whose_rows_do_not_decode_is_rebuilt_on_resume(
+    tmp_path, small_eco, small_dataset, plain_result, damage
+):
+    """A CRC-valid unit in the stores' layout whose rows no store holds
+    (device ids past its pool raised IndexError on resume) is a torn
+    checkpoint: rebuilt, not folded."""
+    run_durable_pipeline(
+        small_dataset, small_eco, checkpoint_dir=tmp_path, n_workers=2
+    )
+    unit = tmp_path / UNITS_DIRNAME / "day_001.shard_000.ckpt"
+    edit, words = VALUE_DAMAGE[damage]
+    unit.write_bytes(reframe(unit.read_bytes(), edit))
+    result = run_durable_pipeline(
+        small_dataset,
+        small_eco,
+        checkpoint_dir=tmp_path,
+        resume=True,
+        n_workers=2,
+    )
+    assert_same_result(result, plain_result)
+    assert result.health.torn_checkpoints == 1
+    torn = [i for i in result.health.incidents if i.kind == TORN_CHECKPOINT]
+    assert len(torn) == 1 and words in torn[0].detail
 
 
 def test_torn_journal_tail_resumes_and_reports(

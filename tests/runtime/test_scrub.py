@@ -27,7 +27,12 @@ from repro.runtime.scrub import (
 from repro.service.wal import BatchLog
 from repro.runtime.serialize import pack_day_block
 from tests.runtime.test_durable_run import _row_list, assert_same_result
-from tests.runtime.test_serialize import drop_tacs, reframe
+from tests.runtime.test_serialize import (
+    READER_DAMAGE,
+    VALUE_DAMAGE,
+    drop_tacs,
+    reframe,
+)
 from tests.test_golden_catalog import observe
 
 N_SHARDS = 2
@@ -103,6 +108,16 @@ def test_unit_with_another_column_layout_classified_bit_rot(store):
     report = scrub_store(store)
     assert [u.damage for u in report.damaged] == [DAMAGE_BIT_ROT]
     assert "column layout" in report.damaged[0].detail
+
+
+@pytest.mark.parametrize("damage", READER_DAMAGE)
+def test_unit_whose_rows_do_not_decode_classified_bit_rot(store, damage):
+    victim = unit_paths(store)[1]
+    edit, words = VALUE_DAMAGE[damage]
+    victim.write_bytes(reframe(victim.read_bytes(), edit))
+    report = scrub_store(store)
+    assert [u.damage for u in report.damaged] == [DAMAGE_BIT_ROT]
+    assert words in report.damaged[0].detail
 
 
 def test_missing_unit_classified(store):

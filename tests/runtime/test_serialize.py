@@ -1,5 +1,7 @@
 """Checkpoint block framing: round trips are exact, corruption is loud."""
 
+from array import array
+
 import pytest
 
 from repro.columnar.blocks import build_block, read_block
@@ -169,4 +171,61 @@ def test_block_with_another_column_layout_is_corruption(small_dataset, damage):
     edit, trailing = LAYOUT_DAMAGE[damage]
     blob = reframe(pack_day_block(*_day_zero_rows(small_dataset)), edit, trailing)
     with pytest.raises(CheckpointCorruption):
+        unpack_day_block(blob)
+
+
+def set_values(section, name, value, rows=slice(None)):
+    """An edit that sets ``rows`` of one column to ``value``; the block
+    keeps its layout."""
+
+    def edit(columns):
+        column = _column(columns, section, name)
+        values = array(column[1], column[2])
+        if isinstance(rows, slice):
+            for index in range(*rows.indices(len(values))):
+                values[index] = value
+        else:
+            values[rows] = value
+        column[2] = values.tobytes()
+
+    return edit
+
+
+#: A CRC-valid block in the stores' layout whose rows no store holds:
+#: (edit, the refusal's words).
+VALUE_DAMAGE = {
+    "device-id-past-its-pool": (set_values("radio", "device_ids", 1_000_000), "device_ids"),
+    "null-device-id": (set_values("service", "device_ids", -1, 0), "device_ids"),
+    "visited-plmn-past-its-pool": (
+        set_values("service", "visited_plmns", 10**6, 0),
+        "visited_plmns",
+    ),
+    "apn-below-null": (set_values("service", "apns", -2, 0), "apns"),
+    "event-type-past-its-order": (set_values("radio", "event_types", 99, 0), "event_types"),
+    "negative-interface": (set_values("radio", "interfaces", -1, 0), "interfaces"),
+    "service-past-its-order": (set_values("service", "services", 2, 0), "services"),
+    "radio-day-off-its-timestamp": (set_values("radio", "days", 999_999, 0), "days"),
+    "service-day-off-its-timestamp": (set_values("service", "days", -1, -1), "days"),
+    "row-the-checks-refuse": (set_values("service", "durations", -5.0, 0), "negative duration"),
+}
+
+
+#: The cases the stores' readers (durable resume, WAL replay, scrub)
+#: are held to: an id, an enum code and a day.
+READER_DAMAGE = (
+    "device-id-past-its-pool",
+    "event-type-past-its-order",
+    "radio-day-off-its-timestamp",
+)
+
+
+@pytest.mark.parametrize("damage", sorted(VALUE_DAMAGE))
+def test_block_whose_rows_do_not_decode_is_corruption(small_dataset, damage):
+    """A CRC-valid block in the stores' layout whose rows no store could
+    hold is refused as corruption too: an id past its pool would raise
+    IndexError at the first row read, and a wrong day would fold rows
+    onto another day."""
+    edit, words = VALUE_DAMAGE[damage]
+    blob = reframe(pack_day_block(*_day_zero_rows(small_dataset)), edit)
+    with pytest.raises(CheckpointCorruption, match=words):
         unpack_day_block(blob)

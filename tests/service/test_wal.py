@@ -8,7 +8,12 @@ from repro.service import BatchLog
 from repro.service.protocol import parse_batch_rows
 from repro.service.wal import _decode_envelope, _encode_envelope
 
-from tests.runtime.test_serialize import drop_tacs, reframe
+from tests.runtime.test_serialize import (
+    READER_DAMAGE,
+    VALUE_DAMAGE,
+    drop_tacs,
+    reframe,
+)
 from tests.service.test_protocol import GOOD_RADIO, GOOD_SERVICE
 
 
@@ -97,6 +102,27 @@ def test_unit_with_another_column_layout_is_counted_torn(tmp_path):
     unit = tmp_path / UNITS_DIRNAME / "day_001.shard_000.ckpt"
     header, block = _decode_envelope(unit.read_bytes())
     damaged = reframe(block, drop_tacs)
+    unit.write_bytes(_encode_envelope(header["batch_id"], header["seq"], damaged))
+
+    resumed = BatchLog(tmp_path, resume=True)
+    assert [b.batch_id for b in resumed.replay()] == ["b-0", "b-2"]
+    assert resumed.n_torn_units == 1
+    resumed.close()
+
+
+@pytest.mark.parametrize("damage", READER_DAMAGE)
+def test_unit_whose_rows_do_not_decode_is_counted_torn(tmp_path, damage):
+    log = BatchLog(tmp_path)
+    for seq in range(3):
+        events, records = typed_rows(day_offset=seq)
+        append(log, f"b-{seq}", events, records)
+    log.sync()
+    log.close()
+
+    # A CRC-valid block in the stores' layout, behind its intact envelope.
+    unit = tmp_path / UNITS_DIRNAME / "day_001.shard_000.ckpt"
+    header, block = _decode_envelope(unit.read_bytes())
+    damaged = reframe(block, VALUE_DAMAGE[damage][0])
     unit.write_bytes(_encode_envelope(header["batch_id"], header["seq"], damaged))
 
     resumed = BatchLog(tmp_path, resume=True)
