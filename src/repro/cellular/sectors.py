@@ -81,10 +81,15 @@ class SectorCatalog:
     ) -> np.ndarray:
         """Index into the ``rat`` sectors of the nearest one to each point."""
         coords = self._positions[rat]
-        # Equirectangular approximation is fine for ranking nearby sites.
-        dlat = coords[:, 0] - lats[:, None]
-        dlon = (coords[:, 1] - lons[:, None]) * np.cos(np.radians(lats))[:, None]
-        indices: np.ndarray = np.argmin(dlat * dlat + dlon * dlon, axis=1)
+        # Equirectangular approximation is fine for ranking nearby sites:
+        # dlat * dlat + dlon * dlon, computed in place in two buffers.
+        dlat = np.subtract(coords[:, 0], lats[:, None])
+        dlon = np.subtract(coords[:, 1], lons[:, None])
+        dlon *= np.cos(np.radians(lats))[:, None]
+        dlat *= dlat
+        dlon *= dlon
+        dlat += dlon
+        indices: np.ndarray = np.argmin(dlat, axis=1)
         return indices
 
     def nearest_ids(

@@ -13,8 +13,10 @@ schema (its ``COLUMNS``), and a block whose header lists another column
 layout, whose chunks do not fill its body with whole rows, or whose
 rows no store could hold (an id past its pool, an enum code past its
 order, a day that is not its timestamp's, a row the row checks refuse)
-is refused.  It imports nothing above :mod:`repro.columnar`, so the pool
-seam can use it without pulling in :mod:`repro.runtime`.
+is refused, as is a header in any other shape than the one
+:func:`pack_columns` writes.  It imports nothing above
+:mod:`repro.columnar`, so the pool seam can use it without pulling in
+:mod:`repro.runtime`.
 
 Framing (format version |BLOCK_VERSION|)::
 
@@ -25,7 +27,8 @@ The CRC covers the whole body, so a torn write (truncated file, partial
 rename source) or bit rot is detected before a single row is decoded —
 :class:`CheckpointCorruption` is raised, never a silently-wrong block.
 A CRC-valid block from another writer gets the same error when its
-columns do not match the schema or its rows do not decode.
+header is not a JSON object of the expected shape, its columns do not
+match the schema or its rows do not decode.
 """
 
 from __future__ import annotations
@@ -108,9 +111,16 @@ def read_block(data: bytes) -> Tuple[Dict[str, Any], bytes, int]:
         )
     if zlib.crc32(body) != crc:
         raise CheckpointCorruption("block checksum mismatch")
-    (header_len,) = _HEADER_LEN.unpack_from(body)
     offset = _HEADER_LEN.size
-    header = json.loads(body[offset:offset + header_len].decode("utf-8"))
+    try:
+        (header_len,) = _HEADER_LEN.unpack_from(body)
+        header = json.loads(body[offset:offset + header_len].decode("utf-8"))
+    except (struct.error, ValueError, RecursionError) as exc:
+        raise CheckpointCorruption(f"unreadable block header: {exc}") from None
+    if not isinstance(header, dict):
+        raise CheckpointCorruption(
+            f"block header is a JSON {type(header).__name__}, not an object"
+        )
     return header, body, offset + header_len
 
 
@@ -181,13 +191,36 @@ def pools_header(pools: ColumnPools) -> Dict[str, List[str]]:
     }
 
 
-def pools_from_header(header: Dict[str, List[str]]) -> ColumnPools:
-    """Rebuild a pool set from :func:`pools_header` output."""
-    return ColumnPools(
-        devices=StringPool(header["devices"]),
-        plmns=StringPool(header["plmns"]),
-        apns=StringPool(header["apns"]),
-    )
+def _field(header: Any, name: str, what: str = "block header") -> Any:
+    """``header[name]``, or :class:`CheckpointCorruption` when ``header``
+    is no JSON object holding it."""
+    if not isinstance(header, dict) or name not in header:
+        raise CheckpointCorruption(f"{what} has no {name!r} entry")
+    return header[name]
+
+
+def _strings(value: Any, what: str) -> List[str]:
+    """``value`` if it is a list of strings, else
+    :class:`CheckpointCorruption` naming ``what``."""
+    if not isinstance(value, list) or not all(isinstance(text, str) for text in value):
+        raise CheckpointCorruption(f"{what} is not a list of strings")
+    return value
+
+
+def pools_from_header(header: Any) -> ColumnPools:
+    """Rebuild a pool set from :func:`pools_header` output.
+
+    Raises :class:`CheckpointCorruption` unless each pool is a list of
+    distinct strings, the only vocabulary whose ids are its positions.
+    """
+    pools = []
+    for name in ("devices", "plmns", "apns"):
+        strings = _strings(_field(header, name, "block pools"), f"block pool {name!r}")
+        pool = StringPool(strings)
+        if len(pool) != len(strings):
+            raise CheckpointCorruption(f"block pool {name!r} repeats a string")
+        pools.append(pool)
+    return ColumnPools(*pools)
 
 
 # -- self-contained column blocks --------------------------------------------
@@ -267,23 +300,28 @@ def unpack_day_block(
 ) -> Tuple[ColumnarRadioEvents, ColumnarServiceRecords, List[QuarantineEntry]]:
     """Decode a framed block: its checksum and version, then its columns.
 
-    The column layout must match the stores' schemas (see
-    :func:`load_column_chunks`), the columns must fill the body, and
-    their rows must decode (:func:`_check_rows`).
+    The header must hold its pools, column specs and quarantine in the
+    shapes :func:`pack_columns` writes, the column layout must match
+    the stores' schemas (see :func:`load_column_chunks`), the columns
+    must fill the body, and their rows must decode (:func:`_check_rows`).
     """
     header, body, offset = read_block(data)
-    pools = pools_from_header(header["pools"])
+    pools = pools_from_header(_field(header, "pools"))
     events = ColumnarRadioEvents(pools)
-    offset = load_column_chunks(events, header["radio"], body, offset)
+    offset = load_column_chunks(events, _field(header, "radio"), body, offset)
     records = ColumnarServiceRecords(pools)
-    offset = load_column_chunks(records, header["service"], body, offset)
+    offset = load_column_chunks(records, _field(header, "service"), body, offset)
     if offset != len(body):
         raise CheckpointCorruption(
             f"column chunks end at byte {offset} of a {len(body)}-byte body"
         )
     _check_rows(events, records)
-    quarantine = [
-        (str(device_id), str(stage), str(error))
-        for device_id, stage, error in header["quarantine"]
-    ]
+    entries = _field(header, "quarantine")
+    if not isinstance(entries, list):
+        raise CheckpointCorruption("block quarantine is not a list")
+    quarantine: List[QuarantineEntry] = []
+    for entry in entries:
+        if len(_strings(entry, "block quarantine entry")) != 3:
+            raise CheckpointCorruption(f"block quarantine entry holds {len(entry)} fields, not 3")
+        quarantine.append((entry[0], entry[1], entry[2]))
     return events, records, quarantine

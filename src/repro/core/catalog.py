@@ -21,6 +21,20 @@ voice minutes and mobility with grouped numpy operations, leaving only
 the record objects to Python.  Float sums run left to right
 (``np.bincount``) in that sorted order and transcendentals are
 :mod:`math` calls, so a record is a function of the multiset of rows.
+
+The row order is that of ``np.lexsort((tie, timestamp, day, rank))``,
+derived in three cheaper steps (:func:`_row_order`): a stable sort of
+the timestamps, near linear on the time-sorted streams the simulator,
+the wire batches and the durable units hold; a stable sort of the
+device ranks narrowed to ``uint16``, which numpy runs as a radix sort
+(two 16-bit passes past 65,535 devices); and a ``lexsort`` by the tie
+key of only the rows whose (rank, timestamp) ties.  The day key needs
+no pass of its own: every store holds ``days == timestamps // 86400``
+(its constructors derive the days so, :meth:`CatalogBuilder.update`
+refuses rows of another day and ``unpack_day_block`` refuses a block
+whose days are not its timestamps'), and floor division keeps the
+order of the timestamps, so sorting by timestamp sorts by day too.
+
 The one-shot build runs the kernel over its input; the incremental
 engine keeps each day's rows and each device's identity keys, and a
 snapshot runs the same kernel, once, over the device-days touched
@@ -399,6 +413,28 @@ def _heads(*keys: np.ndarray) -> np.ndarray:
     return head
 
 
+def _row_order(rank: np.ndarray, timestamp: np.ndarray, tie: np.ndarray) -> np.ndarray:
+    """Row indices sorted by (rank, timestamp, tie), equal rows in index
+    order: ``np.lexsort((tie, timestamp, timestamp // 86400, rank))``
+    for ranks in [0, 2**32) and the finite timestamps and ties the
+    stores hold.  Each run of rows whose (rank, timestamp) ties is
+    sorted by ``tie`` in place."""
+    order = np.argsort(timestamp, kind="stable")
+    ranks = rank[order]
+    for shift in (0, 16) if len(ranks) and int(ranks.max()) > 0xFFFF else (0,):
+        by_rank = np.argsort((ranks >> shift).astype(np.uint16), kind="stable")
+        order = order[by_rank]
+        ranks = ranks[by_rank]
+    head = _heads(ranks, timestamp[order])
+    if not head.all():
+        tied = ~head
+        tied[:-1] |= ~head[1:]
+        rows = np.flatnonzero(tied)
+        runs = np.cumsum(head)[rows]
+        order[rows] = order[rows][np.lexsort((tie[order[rows]], runs))]
+    return order
+
+
 def _string_sets(
     cells: np.ndarray, ids: np.ndarray, strings: Sequence[str], n_cells: int
 ) -> List[FrozenSet[str]]:
@@ -748,10 +784,11 @@ class CatalogBuilder:
 
         Device ids are ranked by their strings; rows are sorted once by
         (rank, day, timestamp, sector) and (rank, day, timestamp,
-        duration) and cut into blocks of :data:`_BLOCK_DEVICES` devices,
-        whose cells are derived together.  A device whose records raise
-        propagates the error, unless ``failures`` is given: then it is
-        left out and recorded there at the ``"catalog"`` stage.
+        duration) with :func:`_row_order` and cut into blocks of
+        :data:`_BLOCK_DEVICES` devices, whose cells are derived
+        together.  A device whose records raise propagates the error,
+        unless ``failures`` is given: then it is left out and recorded
+        there at the ``"catalog"`` stage.
         """
         names = pools.devices.strings
         seen = np.zeros(len(names), dtype=bool)
@@ -761,11 +798,9 @@ class CatalogBuilder:
         rank = np.empty(len(names), dtype=np.int32)
         rank[order] = np.arange(len(order))
         radio_rank = rank[radio.device]
-        radio_order = np.lexsort((radio.sector, radio.timestamp, radio.day, radio_rank))
+        radio_order = _row_order(radio_rank, radio.timestamp, radio.sector)
         service_rank = rank[service.device]
-        service_order = np.lexsort(
-            (service.duration, service.timestamp, service.day, service_rank)
-        )
+        service_order = _row_order(service_rank, service.timestamp, service.duration)
         block_firsts = np.arange(0, len(order) + _BLOCK_DEVICES, _BLOCK_DEVICES)
         radio_edges = np.searchsorted(radio_rank[radio_order], block_firsts).tolist()
         service_edges = np.searchsorted(service_rank[service_order], block_firsts).tolist()

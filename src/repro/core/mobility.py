@@ -12,13 +12,25 @@ a floor of ``min_dwell_s`` so isolated events still count.
 
 :func:`batch_daily_mobility` computes many device-days at once over
 sorted numpy columns: the devices-catalog kernel runs it per block of
-devices, and :func:`daily_mobility_from_pairs` is its one-day case.
-Numpy does the grouping and the products; every float sum runs left to
-right (``np.bincount``) and every transcendental is a :mod:`math` call,
-so the batch gives the bits of the per-pair composition
+devices, and :func:`daily_mobility_from_pairs` is its one-day case.  It
+gives the bits of the per-pair composition
 :func:`sector_dwell_weights_from_pairs` ->
 :func:`~repro.cellular.geo.weighted_centroid` ->
-:func:`~repro.cellular.geo.gyration_about_km`.
+:func:`~repro.cellular.geo.gyration_about_km`, with every day's centroid
+and every (day, sector) distance computed at once:
+
+- numpy does the grouping and the ``+ - * /``, ``sqrt``, ``min`` and
+  ``max`` of the scalar code, in its operation order, whose IEEE
+  results do not depend on who computes them;
+- every float sum runs left to right (``np.bincount``);
+- every libm call of the scalar code stays that call, mapped over a
+  list (``map(math.sin, xs)``): ``sin``, ``cos``, ``asin``, ``atan2``,
+  ``degrees`` and ``radians``, whose numpy twins round differently, and
+  the haversine's ``s ** 2``, which CPython computes as libm
+  ``pow(s, 2.0)`` and which is not always ``s * s`` (:func:`_squares`).
+
+Python then builds only the :class:`MobilityMetrics` and
+:class:`~repro.cellular.geo.GeoPoint` objects, with their checks.
 """
 
 from __future__ import annotations
@@ -26,11 +38,12 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cellular.geo import GeoPoint, haversine_radians_km, sequential_sum
+from repro.cellular.geo import EARTH_RADIUS_KM, GeoPoint, sequential_sum
 from repro.cellular.sectors import SectorCatalog
 
 
@@ -69,32 +82,40 @@ def sector_dwell_weights_from_pairs(
     return dict(dwell)
 
 
+def _libm(function: Callable[..., float], *columns: np.ndarray) -> np.ndarray:
+    """``function`` (a :mod:`math` call) mapped over float columns."""
+    return np.fromiter(
+        map(function, *(column.tolist() for column in columns)),
+        dtype=np.float64,
+        count=len(columns[0]),
+    )
+
+
 class SectorTable:
     """Sector positions laid out for :func:`batch_daily_mobility`.
 
     Ids are sorted for ``np.searchsorted``.  Per sector it keeps the
-    radians of its coordinates and their sines and cosines, each
-    computed once with :mod:`math`: the factors
+    coordinates in degrees, their radians and the radians' sines and
+    cosines, each computed once with :mod:`math`: the factors
     :func:`~repro.cellular.geo.weighted_centroid` and
     :func:`~repro.cellular.geo.haversine_km` compute per point.
     """
 
     __slots__ = (
-        "ids", "points", "lat", "lon", "cos_lat",
-        "cos_lat_np", "sin_lat_np", "cos_lon_np", "sin_lon_np",
+        "ids", "lat_deg", "lon_deg", "lat", "lon", "cos_lat", "sin_lat", "cos_lon", "sin_lon",
     )
 
     def __init__(self, positions: Mapping[int, GeoPoint]) -> None:
         ids = sorted(positions)
         self.ids = np.array(ids, dtype=np.int64)
-        self.points = [positions[sector_id] for sector_id in ids]
-        self.lat = [math.radians(point.lat) for point in self.points]
-        self.lon = [math.radians(point.lon) for point in self.points]
-        self.cos_lat = [math.cos(lat) for lat in self.lat]
-        self.cos_lat_np = np.array(self.cos_lat, dtype=np.float64)
-        self.sin_lat_np = np.array([math.sin(lat) for lat in self.lat], dtype=np.float64)
-        self.cos_lon_np = np.array([math.cos(lon) for lon in self.lon], dtype=np.float64)
-        self.sin_lon_np = np.array([math.sin(lon) for lon in self.lon], dtype=np.float64)
+        self.lat_deg = np.array([positions[i].lat for i in ids], dtype=np.float64)
+        self.lon_deg = np.array([positions[i].lon for i in ids], dtype=np.float64)
+        self.lat = _libm(math.radians, self.lat_deg)
+        self.lon = _libm(math.radians, self.lon_deg)
+        self.cos_lat = _libm(math.cos, self.lat)
+        self.sin_lat = _libm(math.sin, self.lat)
+        self.cos_lon = _libm(math.cos, self.lon)
+        self.sin_lon = _libm(math.sin, self.lon)
 
     @classmethod
     def of(cls, catalog: SectorCatalog) -> "SectorTable":
@@ -108,6 +129,14 @@ class SectorTable:
         rows = np.minimum(np.searchsorted(self.ids, sector_ids), len(self.ids) - 1)
         found: np.ndarray = np.where(self.ids[rows] == sector_ids, rows, -1)
         return found
+
+
+def _squares(values: np.ndarray) -> np.ndarray:
+    """``v ** 2`` of each value as CPython computes a float power: libm
+    ``pow(v, 2.0)``, which is not always ``v * v`` (numpy's square)."""
+    return np.fromiter(
+        map(pow, values.tolist(), repeat(2)), dtype=np.float64, count=len(values)
+    )
 
 
 def batch_daily_mobility(
@@ -125,7 +154,9 @@ def batch_daily_mobility(
     entry is that day's :func:`daily_mobility_from_pairs`, bit for bit:
     dwell per sector adds its gaps in row order, sectors keep the order
     they first appear in, unknown ones drop out after the dwell step,
-    and sums over sectors run in that order.
+    and sums over sectors run in that order.  Every day's centroid and
+    every (day, sector) distance are computed at once, in the scalar
+    functions' operation order.
     """
     n_rows = len(timestamps)
     n_days = len(starts)
@@ -165,48 +196,52 @@ def batch_daily_mobility(
     if (total <= 0).any():
         raise ValueError("weights must sum to a positive value")
     w = dwell / total
-    w_cos_lat = w * table.cos_lat_np[sector]
-    x = np.bincount(day, weights=w_cos_lat * table.cos_lon_np[sector], minlength=n_days)
-    y = np.bincount(day, weights=w_cos_lat * table.sin_lon_np[sector], minlength=n_days)
-    z = np.bincount(day, weights=w * table.sin_lat_np[sector], minlength=n_days)
+    w_cos_lat = w * table.cos_lat[sector]
+    x = np.bincount(day, weights=w_cos_lat * table.cos_lon[sector], minlength=n_days)
+    y = np.bincount(day, weights=w_cos_lat * table.sin_lon[sector], minlength=n_days)
+    z = np.bincount(day, weights=w * table.sin_lat[sector], minlength=n_days)
     n_sectors = np.bincount(day, minlength=n_days)
 
-    points = table.points
-    lats = table.lat
-    lons = table.lon
-    cos_lats = table.cos_lat
-    sector_list = sector.tolist()
-    w_list = w.tolist()
-    out: List[Optional[MobilityMetrics]] = []
-    pair = 0
-    for count, xk, yk, zk in zip(n_sectors.tolist(), x.tolist(), y.tolist(), z.tolist()):
-        if not count:
-            out.append(None)
-            continue
-        norm = math.sqrt(xk * xk + yk * yk + zk * zk)
-        if norm < 1e-12:
-            # Perfectly antipodal weighting; fall back to the first point.
-            centroid = points[sector_list[pair]]
-        else:
-            centroid = GeoPoint(
-                lat=math.degrees(math.asin(max(-1.0, min(1.0, zk / norm)))),
-                lon=math.degrees(math.atan2(yk, xk)),
-            )
-        c_lat = math.radians(centroid.lat)
-        c_lon = math.radians(centroid.lon)
-        c_cos = math.cos(c_lat)
-        acc = 0.0
-        for s, weight in zip(sector_list[pair:pair + count], w_list[pair:pair + count]):
-            distance = haversine_radians_km(
-                lats[s], lons[s], cos_lats[s], c_lat, c_lon, c_cos
-            )
-            acc += weight * distance * distance
-        pair += count
-        out.append(
-            MobilityMetrics(
-                centroid=centroid, gyration_km=math.sqrt(acc), n_sectors=count
-            )
-        )
+    # Each day with a known sector is a cell; its pairs are contiguous.
+    cells = np.flatnonzero(n_sectors)
+    counts = n_sectors[cells]
+    x, y, z = x[cells], y[cells], z[cells]
+    norm = np.sqrt(x * x + y * y + z * z)
+    # Perfectly antipodal weighting (norm under 1e-12) falls back to the
+    # cell's first point.
+    first = sector[np.cumsum(counts) - counts]
+    lat = table.lat_deg[first]
+    lon = table.lon_deg[first]
+    fits = norm >= 1e-12
+    # np.fmin(1.0, v) is min(1.0, v) for every float v, NaN included
+    # (np.minimum would give NaN); np.fmax(-1.0, v) likewise.
+    lat[fits] = _libm(
+        math.degrees,
+        _libm(math.asin, np.fmax(-1.0, np.fmin(1.0, z[fits] / norm[fits]))),
+    )
+    lon[fits] = _libm(math.degrees, _libm(math.atan2, y[fits], x[fits]))
+    c_lat = _libm(math.radians, lat)
+    c_lon = _libm(math.radians, lon)
+    c_cos = _libm(math.cos, c_lat)
+
+    # geo.haversine_km from each pair's sector to its cell's centroid.
+    cell = np.repeat(np.arange(len(cells)), counts)
+    sin2_dlat = _squares(_libm(math.sin, (c_lat[cell] - table.lat[sector]) / 2))
+    sin2_dlon = _squares(_libm(math.sin, (c_lon[cell] - table.lon[sector]) / 2))
+    h = sin2_dlat + table.cos_lat[sector] * c_cos[cell] * sin2_dlon
+    distance = 2 * EARTH_RADIUS_KM * _libm(math.asin, np.fmin(1.0, np.sqrt(h)))
+    gyration = np.sqrt(
+        np.bincount(cell, weights=w * distance * distance, minlength=len(cells))
+    )
+
+    out: List[Optional[MobilityMetrics]] = [None] * n_days
+    for k, centroid, gyration_km, count in zip(
+        cells.tolist(),
+        map(GeoPoint, lat.tolist(), lon.tolist()),
+        gyration.tolist(),
+        counts.tolist(),
+    ):
+        out[k] = MobilityMetrics(centroid, gyration_km, count)
     return out
 
 

@@ -16,10 +16,13 @@ from repro.pipeline import run_pipeline
 from repro.runtime import pack_day_block, run_durable_pipeline
 from repro.runtime.checkpoint import JOURNAL_NAME, MANIFEST_NAME, UNITS_DIRNAME
 from tests.runtime.test_serialize import (
+    HEADER_DAMAGE,
     READER_DAMAGE,
+    READER_HEADER_DAMAGE,
     VALUE_DAMAGE,
     drop_tacs,
     reframe,
+    reheader,
 )
 
 
@@ -363,6 +366,29 @@ def test_unit_whose_rows_do_not_decode_is_rebuilt_on_resume(
     assert result.health.torn_checkpoints == 1
     torn = [i for i in result.health.incidents if i.kind == TORN_CHECKPOINT]
     assert len(torn) == 1 and words in torn[0].detail
+
+
+def test_unit_whose_header_has_another_shape_is_rebuilt_on_resume(
+    tmp_path, small_eco, small_dataset, plain_result
+):
+    """A CRC-valid unit whose header lacks its pools (KeyError on
+    resume) is a torn checkpoint: rebuilt, not folded."""
+    run_durable_pipeline(
+        small_dataset, small_eco, checkpoint_dir=tmp_path, n_workers=2
+    )
+    unit = tmp_path / UNITS_DIRNAME / "day_001.shard_000.ckpt"
+    unit.write_bytes(reheader(unit.read_bytes(), HEADER_DAMAGE[READER_HEADER_DAMAGE]))
+    result = run_durable_pipeline(
+        small_dataset,
+        small_eco,
+        checkpoint_dir=tmp_path,
+        resume=True,
+        n_workers=2,
+    )
+    assert_same_result(result, plain_result)
+    assert result.health.torn_checkpoints == 1
+    torn = [i for i in result.health.incidents if i.kind == TORN_CHECKPOINT]
+    assert len(torn) == 1 and "'pools'" in torn[0].detail
 
 
 def test_torn_journal_tail_resumes_and_reports(

@@ -28,10 +28,13 @@ from repro.service.wal import BatchLog
 from repro.runtime.serialize import pack_day_block
 from tests.runtime.test_durable_run import _row_list, assert_same_result
 from tests.runtime.test_serialize import (
+    HEADER_DAMAGE,
     READER_DAMAGE,
+    READER_HEADER_DAMAGE,
     VALUE_DAMAGE,
     drop_tacs,
     reframe,
+    reheader,
 )
 from tests.test_golden_catalog import observe
 
@@ -118,6 +121,16 @@ def test_unit_whose_rows_do_not_decode_classified_bit_rot(store, damage):
     report = scrub_store(store)
     assert [u.damage for u in report.damaged] == [DAMAGE_BIT_ROT]
     assert words in report.damaged[0].detail
+
+
+def test_unit_whose_header_has_another_shape_classified_bit_rot(store):
+    victim = unit_paths(store)[1]
+    victim.write_bytes(reheader(victim.read_bytes(), HEADER_DAMAGE[READER_HEADER_DAMAGE]))
+    report = scrub_store(store)
+    assert [u.damage for u in report.damaged] == [DAMAGE_BIT_ROT]
+    # The decoder's own refusal, not an error escaping it.
+    assert report.damaged[0].detail.startswith("CheckpointCorruption: ")
+    assert "'pools'" in report.damaged[0].detail
 
 
 def test_missing_unit_classified(store):

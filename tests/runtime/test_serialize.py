@@ -1,5 +1,8 @@
 """Checkpoint block framing: round trips are exact, corruption is loud."""
 
+import json
+import struct
+import zlib
 from array import array
 
 import pytest
@@ -229,3 +232,134 @@ def test_block_whose_rows_do_not_decode_is_corruption(small_dataset, damage):
     blob = reframe(pack_day_block(*_day_zero_rows(small_dataset)), edit)
     with pytest.raises(CheckpointCorruption, match=words):
         unpack_day_block(blob)
+
+
+def reheader(block, edit):
+    """``block`` framed again through ``build_block``, a valid CRC and
+    all, with the same columns under the header ``edit`` returns for its
+    JSON header."""
+    header, body, offset = read_block(block)
+    return build_block(edit(header), [body[offset:]])
+
+
+def _frame(body):
+    return struct.pack("<4sIIQ", MAGIC, BLOCK_VERSION, zlib.crc32(body), len(body)) + body
+
+
+def framed(header_bytes):
+    """A block with a valid frame and CRC whose header is
+    ``header_bytes`` as is, which ``build_block`` (JSON, UTF-8) cannot
+    write."""
+    return _frame(struct.pack("<I", len(header_bytes)) + header_bytes)
+
+
+def test_framed_frames_as_build_block_does():
+    header = {"pools": {"devices": []}, "quarantine": []}
+    encoded = json.dumps(header, separators=(",", ":")).encode()
+    assert framed(encoded) == build_block(header, [])
+
+
+def without(*path):
+    """An edit that deletes one entry of the header."""
+
+    def edit(header):
+        entry = header
+        for key in path[:-1]:
+            entry = entry[key]
+        del entry[path[-1]]
+        return header
+
+    return edit
+
+
+def setting(value, *path):
+    """An edit that sets one entry of the header to ``value``."""
+
+    def edit(header):
+        entry = header
+        for key in path[:-1]:
+            entry = entry[key]
+        entry[path[-1]] = value
+        return header
+
+    return edit
+
+
+def _devices_as_letters(header):
+    # One letter per device id: a decoder that iterates a string takes
+    # it for a pool of the right size and reads every row.
+    devices = header["pools"]["devices"]
+    header["pools"]["devices"] = "".join(chr(0x4E00 + i) for i in range(len(devices)))
+    return header
+
+
+def _devices_repeated(header):
+    # Ids are positions: with its first string repeated first, id 1
+    # names that string again, and a pool that drops repeats would
+    # shift every later id onto the next device.
+    devices = header["pools"]["devices"]
+    devices.insert(0, devices[0])
+    return header
+
+
+#: Header edits the decoder cannot read, each with the error the
+#: decoder raised for it before it refused them as corruption.
+HEADER_DAMAGE = {
+    "no-pools": without("pools"),  # KeyError
+    "no-quarantine": without("quarantine"),  # KeyError
+    "no-radio-specs": without("radio"),  # KeyError
+    "no-service-specs": without("service"),  # KeyError
+    "no-devices-pool": without("pools", "devices"),  # KeyError
+    "no-plmns-pool": without("pools", "plmns"),  # KeyError
+    "no-apns-pool": without("pools", "apns"),  # KeyError
+    "pools-a-list": setting([], "pools"),  # TypeError
+    "devices-pool-a-number": setting(5, "pools", "devices"),  # TypeError
+    "devices-pool-a-string": _devices_as_letters,  # none: decoded wrong
+    "devices-pool-repeats-a-string": _devices_repeated,  # none: decoded wrong
+    "pool-entry-not-a-string": setting([["x"]], "pools", "apns"),  # TypeError
+    "quarantine-a-number": setting(7, "quarantine"),  # TypeError
+    "quarantine-entry-of-two": setting([["dev-a", "catalog"]], "quarantine"),  # ValueError
+    "header-a-list": lambda header: list(header),  # TypeError
+    "header-a-number": lambda header: 7,  # TypeError
+    "header-null": lambda header: None,  # TypeError
+}
+
+
+@pytest.mark.parametrize("damage", sorted(HEADER_DAMAGE))
+def test_block_whose_header_has_another_shape_is_corruption(small_dataset, damage):
+    """A CRC-valid block whose header lacks an entry, or holds one in
+    another shape than ``pack_columns`` writes, is refused as corruption,
+    the one error its readers recover from."""
+    blob = reheader(pack_day_block(*_day_zero_rows(small_dataset)), HEADER_DAMAGE[damage])
+    with pytest.raises(CheckpointCorruption):
+        unpack_day_block(blob)
+
+
+#: Header bytes ``read_block`` cannot parse into a JSON object.
+UNREADABLE_HEADERS = {
+    "not-utf8": b'{"pools":"\xff"}',
+    "not-json": b"{pools",
+    "json-array": b"[]",
+    "json-string": b'"pools"',
+    "empty": b"",
+}
+
+
+@pytest.mark.parametrize("damage", sorted(UNREADABLE_HEADERS))
+def test_block_whose_header_is_no_json_object_is_corruption(damage):
+    blob = framed(UNREADABLE_HEADERS[damage])
+    with pytest.raises(CheckpointCorruption):
+        read_block(blob)
+    with pytest.raises(CheckpointCorruption):
+        unpack_day_block(blob)
+
+
+def test_block_too_short_for_its_header_length_is_corruption():
+    # Two of the four bytes of the header length.
+    with pytest.raises(CheckpointCorruption):
+        unpack_day_block(_frame(b"\x01\x00"))
+
+
+#: The case the stores' readers (durable resume, WAL replay, scrub) are
+#: held to.
+READER_HEADER_DAMAGE = "no-pools"

@@ -9,10 +9,13 @@ from repro.service.protocol import parse_batch_rows
 from repro.service.wal import _decode_envelope, _encode_envelope
 
 from tests.runtime.test_serialize import (
+    HEADER_DAMAGE,
     READER_DAMAGE,
+    READER_HEADER_DAMAGE,
     VALUE_DAMAGE,
     drop_tacs,
     reframe,
+    reheader,
 )
 from tests.service.test_protocol import GOOD_RADIO, GOOD_SERVICE
 
@@ -123,6 +126,26 @@ def test_unit_whose_rows_do_not_decode_is_counted_torn(tmp_path, damage):
     unit = tmp_path / UNITS_DIRNAME / "day_001.shard_000.ckpt"
     header, block = _decode_envelope(unit.read_bytes())
     damaged = reframe(block, VALUE_DAMAGE[damage][0])
+    unit.write_bytes(_encode_envelope(header["batch_id"], header["seq"], damaged))
+
+    resumed = BatchLog(tmp_path, resume=True)
+    assert [b.batch_id for b in resumed.replay()] == ["b-0", "b-2"]
+    assert resumed.n_torn_units == 1
+    resumed.close()
+
+
+def test_unit_whose_header_has_another_shape_is_counted_torn(tmp_path):
+    log = BatchLog(tmp_path)
+    for seq in range(3):
+        events, records = typed_rows(day_offset=seq)
+        append(log, f"b-{seq}", events, records)
+    log.sync()
+    log.close()
+
+    # A CRC-valid block without its pools, behind its intact envelope.
+    unit = tmp_path / UNITS_DIRNAME / "day_001.shard_000.ckpt"
+    header, block = _decode_envelope(unit.read_bytes())
+    damaged = reheader(block, HEADER_DAMAGE[READER_HEADER_DAMAGE])
     unit.write_bytes(_encode_envelope(header["batch_id"], header["seq"], damaged))
 
     resumed = BatchLog(tmp_path, resume=True)
