@@ -1,22 +1,24 @@
-"""CRC-framed column blocks: the one codec for columns at rest and in flight.
+"""CRC-framed column blocks: the program's one codec.
 
-Durable checkpoint units and WAL entries
-(:mod:`repro.runtime.serialize`) and the shards the sharded executor
-sends to pool workers (:mod:`repro.parallel.transport`) all move
+Durable checkpoint units (:mod:`repro.runtime`), the daemon's WAL
+entries (:mod:`repro.service.wal`) and the shards the sharded executor
+sends to pool workers (:mod:`repro.parallel.executor`) all move
 columnar stores as one framed byte block: a JSON header holding the
 pool vocabularies and column layout, followed by each column's raw
-``array`` buffer.  This module owns that format — framing, column
-chunking, pool encode/decode and the self-contained
-:func:`pack_columns` / :func:`unpack_day_block` pair — so no consumer
-can drift from it.  Columns are packed and unpacked by each store's
-schema (its ``COLUMNS``), and a block whose header lists another column
-layout, whose chunks do not fill its body with whole rows, or whose
-rows no store could hold (an id past its pool, an enum code past its
-order, a day that is not its timestamp's, a row the row checks refuse)
-is refused, as is a header in any other shape than the one
-:func:`pack_columns` writes.  It imports nothing above
-:mod:`repro.columnar`, so the pool seam can use it without pulling in
-:mod:`repro.runtime`.
+``array`` buffer.  Every other value that crosses a process boundary
+(a worker's day records and summaries) rides the pool's own pickle.
+This module owns the format — framing, column chunking, pool
+encode/decode, the self-contained :func:`pack_columns` /
+:func:`unpack_day_block` pair and :func:`pack_day_block`, its row-list
+reference — so no consumer can drift from it.  Columns are packed and
+unpacked by each store's schema (its ``COLUMNS``), and a block whose
+header lists another column layout, whose chunks do not fill its body
+with whole rows, or whose rows no store could hold (an id past its
+pool, an enum code past its order, a day that is not its timestamp's,
+a row the row checks refuse) is refused, as is a header in any other
+shape than the one :func:`pack_columns` writes.  It imports nothing
+above :mod:`repro.columnar`, so the pool seam can use it without
+pulling in :mod:`repro.runtime`.
 
 Framing (format version |BLOCK_VERSION|)::
 
@@ -51,9 +53,10 @@ from repro.columnar.store import (
     _first,
     _view,
     check_stores,
+    from_record_streams,
 )
-from repro.signaling.cdr import SERVICE_TYPES
-from repro.signaling.events import RADIO_INTERFACES
+from repro.signaling.cdr import SERVICE_TYPES, ServiceRecord
+from repro.signaling.events import RADIO_INTERFACES, RadioEvent
 from repro.signaling.procedures import MESSAGE_TYPES, RESULT_CODES
 
 MAGIC = b"RPCK"
@@ -199,14 +202,6 @@ def _field(header: Any, name: str, what: str = "block header") -> Any:
     return header[name]
 
 
-def _strings(value: Any, what: str) -> List[str]:
-    """``value`` if it is a list of strings, else
-    :class:`CheckpointCorruption` naming ``what``."""
-    if not isinstance(value, list) or not all(isinstance(text, str) for text in value):
-        raise CheckpointCorruption(f"{what} is not a list of strings")
-    return value
-
-
 def pools_from_header(header: Any) -> ColumnPools:
     """Rebuild a pool set from :func:`pools_header` output.
 
@@ -215,7 +210,9 @@ def pools_from_header(header: Any) -> ColumnPools:
     """
     pools = []
     for name in ("devices", "plmns", "apns"):
-        strings = _strings(_field(header, name, "block pools"), f"block pool {name!r}")
+        strings = _field(header, name, "block pools")
+        if not isinstance(strings, list) or not all(isinstance(s, str) for s in strings):
+            raise CheckpointCorruption(f"block pool {name!r} is not a list of strings")
         pool = StringPool(strings)
         if len(pool) != len(strings):
             raise CheckpointCorruption(f"block pool {name!r} repeats a string")
@@ -225,39 +222,39 @@ def pools_from_header(header: Any) -> ColumnPools:
 
 # -- self-contained column blocks --------------------------------------------
 
-#: One device a unit leaves out: (device_id, stage, error text).  Units
-#: are written with none; the list is kept so blocks from an older
-#: per-unit lenient validator, which left such devices' rows out, stay
-#: readable and recognizable.
-QuarantineEntry = Tuple[str, str, str]
-
-
 def pack_columns(
-    events: ColumnarRadioEvents,
-    records: ColumnarServiceRecords,
-    quarantine: Sequence[QuarantineEntry] = (),
+    events: ColumnarRadioEvents, records: ColumnarServiceRecords
 ) -> bytes:
     """Frame two stores sharing one pool set as a checksummed block.
 
     The pools ride in the header whole, so the block decodes with
     nothing else at hand.  Stores that own their pools (a checkpoint
-    unit) give the same bytes as ``pack_day_block`` of the same rows; a
-    shard ``select``-ed from a larger store carries the whole parent
-    vocabulary.
+    unit) give the same bytes as :func:`pack_day_block` of the same
+    rows; a shard ``select``-ed from a larger store carries the whole
+    parent vocabulary.
     """
     if events.pools is not records.pools:
         raise ValueError("columnar streams must share one ColumnPools")
     radio_spec, radio_chunks = column_chunks(events)
     service_spec, service_chunks = column_chunks(records)
-    # Header key order is part of the on-disk byte format (version 1
-    # blocks predate the shared codec); keep it stable.
+    # Header key order and the empty quarantine list are part of the
+    # on-disk byte format (version 1 blocks predate the shared codec);
+    # keep them stable.
     header = {
         "pools": pools_header(events.pools),
         "radio": radio_spec,
         "service": service_spec,
-        "quarantine": [list(entry) for entry in quarantine],
+        "quarantine": [],
     }
     return build_block(header, [*radio_chunks, *service_chunks])
+
+
+def pack_day_block(
+    radio_events: Sequence[RadioEvent], service_records: Sequence[ServiceRecord]
+) -> bytes:
+    """Encode a row slice into a framed block: the row-list reference
+    for :func:`pack_columns` of interned stores."""
+    return pack_columns(*from_record_streams(radio_events, service_records))
 
 
 def _check_rows(events: ColumnarRadioEvents, records: ColumnarServiceRecords) -> None:
@@ -297,16 +294,24 @@ def _check_rows(events: ColumnarRadioEvents, records: ColumnarServiceRecords) ->
 
 def unpack_day_block(
     data: bytes,
-) -> Tuple[ColumnarRadioEvents, ColumnarServiceRecords, List[QuarantineEntry]]:
+) -> Tuple[ColumnarRadioEvents, ColumnarServiceRecords]:
     """Decode a framed block: its checksum and version, then its columns.
 
-    The header must hold its pools, column specs and quarantine in the
-    shapes :func:`pack_columns` writes, the column layout must match
-    the stores' schemas (see :func:`load_column_chunks`), the columns
-    must fill the body, and their rows must decode (:func:`_check_rows`).
+    The header must hold its pools, column specs and an empty
+    quarantine list in the shapes :func:`pack_columns` writes, the
+    column layout must match the stores' schemas (see
+    :func:`load_column_chunks`), the columns must fill the body, and
+    their rows must decode (:func:`_check_rows`).  A block that lists
+    quarantined devices was written by a per-unit validator that left
+    their rows out, so it is refused as corruption too.
     """
     header, body, offset = read_block(data)
     pools = pools_from_header(_field(header, "pools"))
+    if _field(header, "quarantine") != []:
+        raise CheckpointCorruption(
+            "block quarantine is not empty: it lists quarantined devices "
+            "whose rows it leaves out"
+        )
     events = ColumnarRadioEvents(pools)
     offset = load_column_chunks(events, _field(header, "radio"), body, offset)
     records = ColumnarServiceRecords(pools)
@@ -316,12 +321,4 @@ def unpack_day_block(
             f"column chunks end at byte {offset} of a {len(body)}-byte body"
         )
     _check_rows(events, records)
-    entries = _field(header, "quarantine")
-    if not isinstance(entries, list):
-        raise CheckpointCorruption("block quarantine is not a list")
-    quarantine: List[QuarantineEntry] = []
-    for entry in entries:
-        if len(_strings(entry, "block quarantine entry")) != 3:
-            raise CheckpointCorruption(f"block quarantine entry holds {len(entry)} fields, not 3")
-        quarantine.append((entry[0], entry[1], entry[2]))
-    return events, records, quarantine
+    return events, records

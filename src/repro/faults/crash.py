@@ -80,10 +80,11 @@ class KillSwitch:
             self.fire()
 
     def before_replace(self, target: Path) -> None:
+        from repro.runtime.checkpoint import unit_file_name
+
         if self.point != KILL_AT_RENAME:
             return
-        expected = f"day_{self.day:03d}.shard_{self.shard:03d}.ckpt"
-        if target.name == expected:
+        if target.name == unit_file_name(self.day, self.shard):
             self.fire()
 
 
@@ -97,9 +98,9 @@ def tear_day_checkpoint(
     """
     if not 0.0 <= keep_fraction < 1.0:
         raise ValueError(f"keep_fraction must be in [0, 1), got {keep_fraction}")
-    from repro.runtime.checkpoint import UNITS_DIRNAME
+    from repro.runtime.checkpoint import UNITS_DIRNAME, unit_file_name
 
-    ckpt_path = Path(directory) / UNITS_DIRNAME / f"day_{day:03d}.shard_{shard:03d}.ckpt"
+    ckpt_path = Path(directory) / UNITS_DIRNAME / unit_file_name(day, shard)
     data = ckpt_path.read_bytes()
     # A deliberately torn write: the injector models exactly the
     # non-atomic behavior DUR001 bans in production code.

@@ -12,7 +12,7 @@ the interprocedural facts rules query:
 * ``serialized_reachable`` — functions whose results can feed a
   serialized or merged output (transitive callees of *sink* functions:
   anything that calls ``json``/``pickle`` dump APIs, the RPCK codec in
-  :mod:`repro.runtime.serialize`, or is itself named ``merge`` /
+  :mod:`repro.columnar.blocks`, or is itself named ``merge`` /
   ``merge_from`` / ``render_json`` / ``to_json``).
 * ``worker_functions`` — functions shipped across the
   :func:`repro.parallel.pool.map_shards` process seam.
@@ -40,7 +40,7 @@ _SERIALIZE_CALL_PREFIXES: Tuple[str, ...] = (
     "json.dump",
     "pickle.dump",
     "marshal.dump",
-    "repro.runtime.serialize.",
+    "repro.columnar.blocks.",
 )
 
 #: Terminal function names that are sinks by contract: merged or

@@ -1,6 +1,6 @@
 """Deterministic sharded execution of the pipeline's hot stages.
 
-The subsystem has five modules:
+The subsystem has four modules:
 
 - :mod:`repro.parallel.sharding` — pure shard-by-device assignment
   (CRC-32 of the device ID, stable across processes and runs);
@@ -9,12 +9,13 @@ The subsystem has five modules:
   per-shard deadlines, broken-pool recovery and a circuit breaker;
 - :mod:`repro.parallel.health` — the typed :class:`RunHealth` report
   every recovery action is recorded in;
-- :mod:`repro.parallel.transport` — what crosses the pool pipe: each
-  shard as one self-contained column block (the checkpoint codec), each
-  result as a packed day-record/summary block;
 - :mod:`repro.parallel.executor` — the pipeline-specific fan-out and
   the order-normalizing merge that makes sharded output byte-identical
   to a serial :func:`repro.pipeline.run_pipeline` at any worker count.
+  Each shard crosses the pool pipe as one self-contained column block
+  (:func:`publish_shards`, the one codec in :mod:`repro.columnar.blocks`);
+  each worker's day records, summaries and failures come back as one
+  tuple in the pool's own pickle.
 
 Callers normally reach this through ``run_pipeline(..., n_workers=N)``
 or the CLI's ``--jobs``; the pieces are exported for tests, for the
@@ -22,7 +23,7 @@ streaming simulator's per-day sharded generation and for the durable
 runtime's ``(day, shard)`` units.
 """
 
-from repro.parallel.executor import run_stages_sharded
+from repro.parallel.executor import publish_shards, run_stages_sharded
 from repro.parallel.health import RunHealth, ShardIncident
 from repro.parallel.pool import (
     DEFAULT_BREAKER_THRESHOLD,
@@ -37,7 +38,6 @@ from repro.parallel.sharding import (
     shard_mno_records,
     shard_of,
 )
-from repro.parallel.transport import publish_shards
 
 __all__ = [
     "DEFAULT_BREAKER_THRESHOLD",

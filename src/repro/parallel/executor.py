@@ -24,17 +24,22 @@ classification, exactly as the serial run does.
 The parent takes the dataset's interned columns (a simulated dataset
 carries them; any other is dictionary-encoded once), shards them, and
 each shard crosses the pool pipe as one self-contained column block
-(:func:`~repro.parallel.transport.publish_shards`); workers return
-packed day-record/summary blocks that also list the shard's
-failures.  Nothing is pickled per row in either direction.
+(:func:`publish_shards`, the codec checkpoints and the WAL use).  A
+worker returns its day records, summaries and failures as one plain
+tuple, which the pool pickles like any other result (the in-process
+fallback passes it by reference).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.columnar.blocks import unpack_day_block
-from repro.columnar.store import from_record_streams
+from repro.columnar.blocks import pack_columns, unpack_day_block
+from repro.columnar.store import (
+    ColumnarRadioEvents,
+    ColumnarServiceRecords,
+    from_record_streams,
+)
 from repro.core.catalog import (
     CatalogBuilder,
     DeviceDayRecord,
@@ -46,28 +51,34 @@ from repro.datasets.containers import MNODataset
 from repro.parallel.health import RunHealth
 from repro.parallel.pool import DEFAULT_SHARD_DEADLINE_S, get_context, map_shards
 from repro.parallel.sharding import shard_columnar_records
-from repro.parallel.transport import (
-    pack_build_result,
-    publish_shards,
-    unpack_build_result,
-)
 from repro.pipeline import DegradationReport, _lenient_classify
+
+#: One worker's result: its shard's day records, summaries and the
+#: devices a lenient build left out.
+ShardResult = Tuple[List[DeviceDayRecord], Dict[str, DeviceSummary], List[StageFailure]]
+
+
+def publish_shards(
+    shards: Sequence[Tuple[ColumnarRadioEvents, ColumnarServiceRecords]],
+) -> List[bytes]:
+    """Pack each shard into one self-contained column block, in order."""
+    return [pack_columns(events, records) for events, records in shards]
 
 
 # -- worker task (module-level so it pickles by name) ------------------------
 
-def _build_shard_block(block: bytes) -> bytes:
-    """Decode a shard block, build it, pack the result and its failures.
+def _build_shard_block(block: bytes) -> ShardResult:
+    """Decode a shard block, build it, return the result and its failures.
 
     The failures are read right after this build, which replaces the
     builder's :attr:`~repro.core.catalog.CatalogBuilder.quarantined`,
     so shards run in process on one builder never see each other's.
     """
     builder, lenient = get_context()
-    events, services, _ = unpack_day_block(block)
+    events, services = unpack_day_block(block)
     records, summaries = builder.build_from_columns(events, services, lenient=lenient)
     failures = list(builder.quarantined.values()) if lenient else []
-    return pack_build_result(records, summaries, failures)
+    return records, summaries, failures
 
 
 # -- entry point -------------------------------------------------------------
@@ -91,8 +102,8 @@ def run_stages_sharded(
     degradation)`` tuple the serial pipeline builds, byte-identical to
     it.  The dataset is split into ``n_workers`` device shards, each
     packed into a column block for one worker; workers build the
-    catalog and return packed result blocks, and the parent merges them
-    and classifies the merged summaries.
+    catalog and return their results as objects, and the parent merges
+    them and classifies the merged summaries.
 
     Every shard is waited on with the pool seam's default deadline, and
     ``health`` collects any recovery events the seam had to take.
@@ -118,8 +129,7 @@ def run_stages_sharded(
     day_records: List[DeviceDayRecord] = []
     merged: Dict[str, DeviceSummary] = {}
     failures: List[StageFailure] = []
-    for result in results:
-        part_records, part_summaries, part_failures = unpack_build_result(result)
+    for part_records, part_summaries, part_failures in results:
         day_records.extend(part_records)
         merged.update(part_summaries)
         failures.extend(part_failures)

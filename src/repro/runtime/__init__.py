@@ -1,12 +1,14 @@
 """Durable execution for multi-day pipeline runs.
 
-Three layers, lowest first:
+Two layers, lowest first, over the program's one codec
+(:mod:`repro.columnar.blocks`, which frames each ``(day, shard)`` unit
+as one self-contained, CRC-framed column block):
 
-- :mod:`repro.runtime.serialize` — CRC-framed, self-contained
-  serialization of one ``(day, shard)`` columnar block;
 - :mod:`repro.runtime.checkpoint` — the atomic
   :class:`CheckpointStore`: write-temp → fsync → rename publication,
-  versioned run manifest, append-only completion journal;
+  versioned run manifest, append-only completion journal, and the
+  store's on-disk layout, which the scrubber
+  (:mod:`repro.runtime.scrub`) reads too;
 - :mod:`repro.runtime.run` — :func:`run_durable_pipeline`, the
   in-process day loop that builds each day's pending units, persists
   them, and folds them (and, on resume, the units already journaled)
@@ -22,19 +24,19 @@ lint rule ``DUR001`` bans non-atomic writes of such artifacts outside
 this package.
 """
 
+from repro.columnar.blocks import (
+    CheckpointCorruption,
+    CheckpointError,
+    pack_day_block,
+    unpack_day_block,
+)
 from repro.runtime.checkpoint import (
     CheckpointStore,
+    StaleManifestError,
     atomic_write_bytes,
     atomic_write_text,
 )
 from repro.runtime.run import run_durable_pipeline
-from repro.runtime.serialize import (
-    CheckpointCorruption,
-    CheckpointError,
-    StaleManifestError,
-    pack_day_block,
-    unpack_day_block,
-)
 
 __all__ = [
     "CheckpointCorruption",

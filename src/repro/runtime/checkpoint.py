@@ -15,12 +15,19 @@ at *any* instant is therefore always one of three valid states —
   detected by its CRC and everything from it on is discarded — the unit
   simply re-executes, which is safe because units are pure.
 - **units** (``units/day_DDD.shard_SSS.ckpt``): the serialized columnar
-  blocks themselves (:mod:`repro.runtime.serialize`), each internally
+  blocks themselves (:mod:`repro.columnar.blocks`), each internally
   CRC-framed.
 
 A unit counts as complete only when *both* its journal line and its
 block validate; either one failing integrity checks costs exactly one
-unit of recomputation, never a wrong result.
+unit of recomputation, never a wrong result.  A journal line of another
+shape than :meth:`CheckpointStore.mark_complete` writes is torn like a
+CRC mismatch, and a manifest payload without its shard count and
+attempt is :class:`CheckpointCorruption`.  This module is the one home
+of the store's layout: the unit file names (:func:`unit_file_name`),
+the journal's lines (:func:`read_journal`, :func:`write_journal`) and
+the stray-temp sweep (:func:`sweep_temp_files`), which the scrubber
+(:mod:`repro.runtime.scrub`) uses too.
 
 All raw file operations route through :mod:`repro.runtime.fsio` (lint
 rule ``FS001``), which consults the ambient filesystem fault injector
@@ -38,14 +45,10 @@ import contextlib
 import json
 import zlib
 from pathlib import Path
-from typing import Any, Callable, Dict, IO, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, IO, Iterable, List, Optional, Tuple, Union
 
+from repro.columnar.blocks import CheckpointCorruption, CheckpointError
 from repro.runtime import fsio
-from repro.runtime.serialize import (
-    CheckpointCorruption,
-    CheckpointError,
-    StaleManifestError,
-)
 
 PathLike = Union[str, Path]
 
@@ -63,6 +66,10 @@ BeforeReplace = Optional[Callable[[Path], None]]
 #: Kept as the module's name for directory fsync (tests and callers
 #: predating the fsio seam import it from here).
 _fsync_dir = fsio.fsync_dir
+
+
+class StaleManifestError(CheckpointError):
+    """A checkpoint directory's manifest does not match this run."""
 
 
 class StorageAbort(CheckpointError):
@@ -120,12 +127,14 @@ def load_manifest(path: PathLike) -> Dict[str, Any]:
     Shared by :class:`CheckpointStore` resume and the scrubber
     (:mod:`repro.runtime.scrub`), which must read a store's identity
     without instantiating the store (no attempt bump, no fingerprint to
-    compare against).
+    compare against).  A payload that is not an object holding an
+    object ``fingerprint``, an integer ``n_shards >= 1`` and an integer
+    ``attempt >= 0`` is :class:`CheckpointCorruption`.
     """
-    text = fsio.read_file_bytes(path).decode("utf-8")
+    data = fsio.read_file_bytes(path)
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data.decode("utf-8"))
+    except ValueError as exc:
         raise CheckpointCorruption(f"unreadable manifest: {exc}") from exc
     if not isinstance(doc, dict) or "payload" not in doc or "crc32" not in doc:
         raise CheckpointCorruption("manifest missing payload/crc32 envelope")
@@ -139,7 +148,41 @@ def load_manifest(path: PathLike) -> Dict[str, Any]:
         )
     if not isinstance(payload, dict):
         raise CheckpointCorruption("manifest payload must be an object")
+    if not isinstance(payload.get("fingerprint"), dict):
+        raise CheckpointCorruption("manifest fingerprint must be an object")
+    for key, low in (("n_shards", 1), ("attempt", 0)):
+        if not _is_int(payload.get(key), low):
+            raise CheckpointCorruption(
+                f"manifest {key} {payload.get(key)!r} is not an integer >= {low}"
+            )
     return payload
+
+
+def _is_int(value: Any, low: int) -> bool:
+    """True when ``value`` is an int (no bool) of at least ``low``."""
+    return type(value) is int and value >= low
+
+
+def _journal_line(entry: Dict[str, int]) -> str:
+    """One self-checksummed journal line for ``entry``."""
+    return json.dumps(dict(entry, crc=_payload_crc(entry)), sort_keys=True) + "\n"
+
+
+def _journal_entry(line: str) -> Optional[Dict[str, int]]:
+    """The entry a journal line records, or ``None`` for a torn line: one
+    that is no JSON object, fails its CRC, or lacks an integer day,
+    shard or attempt of at least 0."""
+    try:
+        doc = json.loads(line)
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(doc, dict):
+        return None
+    crc = doc.pop("crc", None)
+    entry = {key: doc.get(key) for key in ("day", "shard", "attempt")}
+    if crc != _payload_crc(doc) or not all(_is_int(v, 0) for v in entry.values()):
+        return None
+    return entry
 
 
 def parse_journal_lines(
@@ -147,31 +190,52 @@ def parse_journal_lines(
 ) -> Tuple[List[Dict[str, int]], int]:
     """Validate journal lines: (valid-prefix entries, torn-line count).
 
-    The journal is append-only, so the first line failing its CRC (or
-    failing to parse at all) marks a torn tail: it and everything after
-    it are discarded, and the count of discarded lines is returned so
-    the discard is observable.
+    The journal is append-only, so the first torn line (one failing its
+    CRC, failing to parse at all, or of another shape than
+    :meth:`CheckpointStore.mark_complete` writes) marks a torn tail: it
+    and everything after it are discarded, and the count of discarded
+    lines is returned so the discard is observable.
     """
     entries: List[Dict[str, int]] = []
-    n_torn = 0
     for index, line in enumerate(lines):
-        try:
-            doc = json.loads(line)
-            crc = doc.pop("crc")
-        except (json.JSONDecodeError, KeyError, AttributeError):
-            n_torn = len(lines) - index
-            break
-        if crc != _payload_crc(doc):
-            n_torn = len(lines) - index
-            break
-        entries.append(
-            {
-                "day": int(doc["day"]),
-                "shard": int(doc["shard"]),
-                "attempt": int(doc["attempt"]),
-            }
-        )
-    return entries, n_torn
+        entry = _journal_entry(line)
+        if entry is None:
+            return entries, len(lines) - index
+        entries.append(entry)
+    return entries, 0
+
+
+def read_journal(path: PathLike) -> Tuple[List[Dict[str, int]], int]:
+    """Read a journal through the I/O seam and validate its lines.
+
+    Returns :func:`parse_journal_lines` of its non-blank lines; a line
+    that is not UTF-8 is torn like any other unreadable line.
+    """
+    text = fsio.read_file_bytes(path).decode("utf-8", errors="replace")
+    return parse_journal_lines([line.strip() for line in text.splitlines() if line.strip()])
+
+
+def write_journal(path: PathLike, entries: Iterable[Dict[str, int]]) -> None:
+    """Atomically rewrite a journal to hold exactly ``entries``."""
+    atomic_write_bytes(path, "".join(map(_journal_line, entries)).encode("utf-8"))
+
+
+def unit_file_name(day: int, shard: int) -> str:
+    """The file name of unit ``(day, shard)`` in the units directory."""
+    return f"day_{day:03d}.shard_{shard:03d}.ckpt"
+
+
+def stray_temp_files(directory: PathLike) -> List[Path]:
+    """Staging files under ``directory`` that no publish renamed."""
+    return sorted(Path(directory).rglob(f"*{_TMP_SUFFIX}"))
+
+
+def sweep_temp_files(directory: PathLike) -> int:
+    """Remove every stray staging file under ``directory``; return the count."""
+    strays = stray_temp_files(directory)
+    for stray in strays:
+        stray.unlink()
+    return len(strays)
 
 
 class CheckpointStore:
@@ -212,16 +276,16 @@ class CheckpointStore:
                     f"{self.directory} already holds a run manifest; "
                     "pass resume=True to continue it"
                 )
-            payload = self._read_manifest()
+            payload = load_manifest(self._manifest_path)
             self._validate_manifest(payload)
-            self.n_shards = int(payload["n_shards"])
-            self.attempt = int(payload["attempt"]) + 1
+            self.n_shards = payload["n_shards"]
+            self.attempt = payload["attempt"] + 1
         else:
             self.n_shards = n_shards
             self.attempt = 0
         #: Stray staging files swept on open — observable so resume
         #: tests (and the scrubber) can assert nothing was stranded.
-        self.n_stale_tmp_removed = self._clean_temp_files()
+        self.n_stale_tmp_removed = sweep_temp_files(self.directory)
         self._write_manifest()
         self._completed: Dict[Tuple[int, int], int] = {}
         self._entries: List[Dict[str, int]] = []
@@ -235,11 +299,8 @@ class CheckpointStore:
 
     # -- manifest ------------------------------------------------------------
 
-    def _read_manifest(self) -> Dict[str, Any]:
-        return load_manifest(self._manifest_path)
-
     def _validate_manifest(self, payload: Dict[str, Any]) -> None:
-        recorded = payload.get("fingerprint", {})
+        recorded = payload["fingerprint"]
         if _payload_crc(recorded) != _payload_crc(self.fingerprint):
             differing = sorted(
                 key
@@ -272,12 +333,7 @@ class CheckpointStore:
     def _load_journal(self) -> None:
         if not self._journal_path.exists():
             return
-        lines = [
-            line.strip()
-            for line in self._journal_path.read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
-        self._entries, self.n_torn_journal_lines = parse_journal_lines(lines)
+        self._entries, self.n_torn_journal_lines = read_journal(self._journal_path)
         for entry in self._entries:
             self._completed[(entry["day"], entry["shard"])] = entry["attempt"]
         if self.n_torn_journal_lines:
@@ -285,11 +341,7 @@ class CheckpointStore:
             # reopened for append: a torn line has no trailing newline,
             # so appending to it would glue the *next* completion record
             # onto the garbage and lose it too on the following load.
-            body = "".join(
-                json.dumps(dict(e, crc=_payload_crc(e)), sort_keys=True) + "\n"
-                for e in self._entries
-            )
-            atomic_write_bytes(self._journal_path, body.encode("utf-8"))
+            write_journal(self._journal_path, self._entries)
 
     def mark_complete(self, day: int, shard: int) -> None:
         """Append one completed unit to the journal (flushed, not fsynced).
@@ -299,12 +351,8 @@ class CheckpointStore:
         that recomputation without paying an fsync per unit.
         """
         entry = {"day": day, "shard": shard, "attempt": self.attempt}
-        doc = dict(entry)
-        doc["crc"] = _payload_crc(entry)
         try:
-            fsio.append_text(
-                self._journal, self._journal_path, json.dumps(doc, sort_keys=True) + "\n"
-            )
+            fsio.append_text(self._journal, self._journal_path, _journal_line(entry))
         except OSError:
             # The failed append may have left a torn tail; rewrite the
             # journal from validated in-memory entries so a retried
@@ -319,11 +367,7 @@ class CheckpointStore:
         with contextlib.suppress(OSError):
             self._journal.close()
         try:
-            body = "".join(
-                json.dumps(dict(e, crc=_payload_crc(e)), sort_keys=True) + "\n"
-                for e in self._entries
-            )
-            atomic_write_bytes(self._journal_path, body.encode("utf-8"))
+            write_journal(self._journal_path, self._entries)
         finally:
             self._journal = fsio.open_append(self._journal_path)
 
@@ -339,7 +383,7 @@ class CheckpointStore:
     # -- units ---------------------------------------------------------------
 
     def unit_path(self, day: int, shard: int) -> Path:
-        return self.units_dir / f"day_{day:03d}.shard_{shard:03d}.ckpt"
+        return self.units_dir / unit_file_name(day, shard)
 
     def is_journaled(self, day: int, shard: int) -> bool:
         return (day, shard) in self._completed
@@ -363,13 +407,6 @@ class CheckpointStore:
             ) from exc
 
     # -- lifecycle -----------------------------------------------------------
-
-    def _clean_temp_files(self) -> int:
-        n_removed = 0
-        for stray in self.directory.rglob(f"*{_TMP_SUFFIX}"):
-            stray.unlink()
-            n_removed += 1
-        return n_removed
 
     def close(self) -> None:
         if not self._journal.closed:

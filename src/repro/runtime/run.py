@@ -3,8 +3,8 @@
 The driver folds the window into the catalog one ``(day, shard)`` unit
 at a time, in this process.  For each day it loads the units the
 journal already holds, builds the pending ones, persists each one as a
-self-contained block (:mod:`repro.runtime.serialize`) when there is a
-store, and folds them into the incremental engine
+self-contained block (:func:`repro.columnar.blocks.pack_columns`) when
+there is a store, and folds them into the incremental engine
 (:meth:`repro.core.catalog.CatalogBuilder.update`), whose snapshot
 equals a one-shot
 :meth:`~repro.core.catalog.CatalogBuilder.build_from_columns` over the
@@ -35,9 +35,8 @@ shard or fold order.
 
 Lenient mode changes no unit: the final snapshot quarantines a device
 over its whole window, as every other mode does.  A journaled unit that
-lists quarantined devices was written by an older per-unit validator
-and leaves their rows out, so it is rebuilt from the source like a torn
-one.
+lists quarantined devices leaves their rows out; the codec refuses it
+as corruption, so it is rebuilt from the source like a torn one.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.columnar.blocks import CheckpointCorruption, pack_columns, unpack_day_block
 from repro.columnar.store import (
     ColumnarRadioEvents,
     ColumnarServiceRecords,
@@ -76,11 +76,6 @@ from repro.runtime.checkpoint import (
     CheckpointStore,
     PathLike,
     StorageAbort,
-)
-from repro.runtime.serialize import (
-    CheckpointCorruption,
-    pack_columns,
-    unpack_day_block,
 )
 from repro.signaling.cdr import ServiceRecord
 from repro.signaling.events import RadioEvent
@@ -353,9 +348,8 @@ def run_durable_pipeline(
             for shard in range(n_shards):
                 if store is not None and store.is_journaled(day, shard):
                     try:
-                        events_c, records_c, left_out = unpack_day_block(
-                            store.load_unit(day, shard)
-                        )
+                        units[shard] = unpack_day_block(store.load_unit(day, shard))
+                        continue
                     except CheckpointCorruption as exc:
                         health.record(
                             ShardIncident(
@@ -371,22 +365,6 @@ def run_durable_pipeline(
                                     detail=f"day {day} shard {shard}: {exc}",
                                 )
                             )
-                    else:
-                        if not left_out:
-                            units[shard] = (events_c, records_c)
-                            continue
-                        # Written by a per-unit lenient validator: its
-                        # rows leave out the devices it quarantined.
-                        health.record(
-                            ShardIncident(
-                                shard,
-                                TORN_CHECKPOINT,
-                                0,
-                                f"day {day}: unit leaves out the rows of "
-                                f"{len(left_out)} quarantined device(s); "
-                                "rebuilt from the source",
-                            )
-                        )
                 pending.append(shard)
             if pending:
                 if day_source is not None:

@@ -41,22 +41,23 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.columnar.blocks import _FRAME, _HEADER_LEN
+from repro.columnar.blocks import _FRAME, _HEADER_LEN, pack_columns, unpack_day_block
 from repro.columnar.store import from_record_streams, select_own_pools
 from repro.runtime import fsio
 from repro.runtime.checkpoint import (
     JOURNAL_NAME,
     MANIFEST_NAME,
     UNITS_DIRNAME,
-    _TMP_SUFFIX,
     CheckpointError,
     PathLike,
-    _payload_crc,
     atomic_write_bytes,
     load_manifest,
-    parse_journal_lines,
+    read_journal,
+    stray_temp_files,
+    sweep_temp_files,
+    unit_file_name,
+    write_journal,
 )
-from repro.runtime.serialize import pack_columns, unpack_day_block
 
 __all__ = [
     "DAMAGE_BIT_ROT",
@@ -268,12 +269,8 @@ def scrub_store(
     wal_role = False
     try:
         payload = load_manifest(manifest_path)
-        n_shards = int(payload.get("n_shards", 0))
-        fingerprint = payload.get("fingerprint", {})
-        wal_role = (
-            isinstance(fingerprint, dict)
-            and fingerprint.get("role") == "service-wal"
-        )
+        n_shards = payload["n_shards"]
+        wal_role = payload["fingerprint"].get("role") == "service-wal"
     except CheckpointError as exc:
         report.manifest_error = str(exc)
 
@@ -281,18 +278,16 @@ def scrub_store(
     journal_path = root / JOURNAL_NAME
     if journal_path.exists():
         try:
-            text = fsio.read_file_bytes(journal_path).decode("utf-8")
+            entries, report.n_torn_journal_lines = read_journal(journal_path)
         except OSError as exc:
             raise CheckpointError(f"journal unreadable: {exc}") from exc
-        lines = [line.strip() for line in text.splitlines() if line.strip()]
-        entries, report.n_torn_journal_lines = parse_journal_lines(lines)
 
     units_dir = root / UNITS_DIRNAME
     seen = {(entry["day"], entry["shard"]) for entry in entries}
     report.n_journaled_units = len(seen)
 
     for day, shard in sorted(seen):
-        path = units_dir / f"day_{day:03d}.shard_{shard:03d}.ckpt"
+        path = units_dir / unit_file_name(day, shard)
         if not path.exists():
             report.damaged.append(
                 DamagedUnit(day, shard, DAMAGE_MISSING, detail=str(path.name))
@@ -314,20 +309,18 @@ def scrub_store(
         damage, detail = verdict
         report.damaged.append(DamagedUnit(day, shard, damage, detail=detail))
 
-    strays = sorted(root.rglob(f"*{_TMP_SUFFIX}"))
-    report.n_stray_tmp = len(strays)
+    report.n_stray_tmp = len(stray_temp_files(root))
 
     if not repair:
         return report
 
     # -- repair pass ---------------------------------------------------------
-    for stray in strays:
-        stray.unlink()
+    sweep_temp_files(root)
 
     rerun: List[Tuple[int, int]] = []
     healed: List[DamagedUnit] = []
     for unit in report.damaged:
-        path = units_dir / f"day_{unit.day:03d}.shard_{unit.shard:03d}.ckpt"
+        path = units_dir / unit_file_name(unit.day, unit.shard)
         rebuilt: Optional[bytes] = None
         if recompute is not None and not wal_role:
             rebuilt = recompute(unit.day, unit.shard, n_shards)
@@ -364,16 +357,10 @@ def scrub_store(
 
     if rerun or report.n_torn_journal_lines:
         dropped = set(rerun)
-        kept = [
-            entry
-            for entry in entries
-            if (entry["day"], entry["shard"]) not in dropped
-        ]
-        body = "".join(
-            json.dumps(dict(e, crc=_payload_crc(e)), sort_keys=True) + "\n"
-            for e in kept
+        write_journal(
+            journal_path,
+            (entry for entry in entries if (entry["day"], entry["shard"]) not in dropped),
         )
-        atomic_write_bytes(journal_path, body.encode("utf-8"))
     return report
 
 

@@ -1,8 +1,8 @@
 """The daemon's write-ahead batch log, built on CheckpointStore.
 
 "No lost acknowledged batch" reduces to a classic WAL discipline: a
-batch's interned columns are packed into the runtime's CRC-framed block
-format (:func:`repro.runtime.serialize.pack_columns`), written
+batch's interned columns are packed into the program's CRC-framed block
+format (:func:`repro.columnar.blocks.pack_columns`), written
 atomically as checkpoint unit ``(seq, 0)``, and journaled — and only
 then is the client's ack released.  On restart :meth:`BatchLog.replay`
 walks the journal in sequence order and re-yields every acknowledged
@@ -13,9 +13,11 @@ matter where a SIGKILL landed:
   re-sends it (batch ids make the re-send idempotent);
 * kill after → the batch replays from the WAL.
 
-A torn journal tail or a corrupt unit block is *reported*
-(``n_torn_units``, ``CheckpointStore.n_torn_journal_lines``) and
-skipped, never silently absorbed: the units it named were by definition
+A torn journal tail (a line of another shape included) or a corrupt
+unit block (one that lists quarantined devices included: the WAL never
+writes one) is *reported* (``n_torn_units``,
+``CheckpointStore.n_torn_journal_lines``) and skipped, never silently
+absorbed: the units it named were by definition
 unacknowledged, so dropping them is correct — but the operator gets a
 ``torn-checkpoint`` incident, not a mystery.
 """
@@ -28,13 +30,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Set, Tuple, Union
 
+from repro.columnar.blocks import CheckpointCorruption, pack_columns, unpack_day_block
 from repro.columnar.store import ColumnarRadioEvents, ColumnarServiceRecords
 from repro.runtime.checkpoint import BeforeReplace, CheckpointStore
-from repro.runtime.serialize import (
-    CheckpointCorruption,
-    pack_columns,
-    unpack_day_block,
-)
 
 PathLike = Union[str, Path]
 
@@ -138,7 +136,7 @@ class BatchLog:
         The stores must own their pools (as
         :func:`~repro.service.protocol.parse_batch_rows` leaves them):
         the block is byte-identical to
-        :func:`~repro.runtime.serialize.pack_day_block` of the same rows.
+        :func:`~repro.columnar.blocks.pack_day_block` of the same rows.
         Blocking (file I/O): the daemon calls this via a worker thread,
         never directly on the event loop.
         """
@@ -169,7 +167,7 @@ class BatchLog:
                 header, block = _decode_envelope(
                     self._store.load_unit(seq, _WAL_SHARD)
                 )
-                events_c, records_c, _ = unpack_day_block(block)
+                events_c, records_c = unpack_day_block(block)
             except CheckpointCorruption:
                 self.n_torn_units += 1
                 continue

@@ -58,6 +58,30 @@ class TestCallGraph:
         assert "repro.alpha.gather" in project.serialized_reachable
         assert "repro.alpha.untouched" not in project.serialized_reachable
 
+    def test_feeding_the_block_codec_is_serialized_reachable(self, tmp_path):
+        alpha = _shard(
+            tmp_path,
+            "alpha",
+            "def gather(items):\n"
+            "    return [x for x in items]\n"
+            "\n"
+            "def untouched(items):\n"
+            "    return items\n",
+        )
+        omega = _shard(
+            tmp_path,
+            "omega",
+            "from repro.alpha import gather\n"
+            "from repro.columnar.blocks import pack_columns\n"
+            "\n"
+            "def publish(events, records):\n"
+            "    return pack_columns(gather(events), records)\n",
+        )
+        project = ProjectIndex([alpha, omega])
+        assert "repro.omega.publish" in project.serialized_reachable
+        assert "repro.alpha.gather" in project.serialized_reachable
+        assert "repro.alpha.untouched" not in project.serialized_reachable
+
     def test_worker_discovery_crosses_modules(self, tmp_path):
         alpha = _shard(tmp_path, "alpha", "def work(shard):\n    return len(shard)\n")
         omega = _shard(

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.columnar.blocks import pack_columns
+from repro.columnar.blocks import pack_columns, pack_day_block
 from repro.columnar.store import (
     ColumnarRadioEvents,
     ColumnarServiceRecords,
@@ -44,7 +44,6 @@ from repro.datasets.io import (
     radio_event_from_dict,
     service_record_from_dict,
 )
-from repro.runtime.serialize import pack_day_block
 from repro.service.protocol import parse_batch_rows
 from repro.signaling.cdr import ServiceType
 from repro.signaling.events import RadioInterface

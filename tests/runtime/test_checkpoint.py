@@ -1,6 +1,7 @@
 """CheckpointStore semantics: atomicity, validation, journal recovery."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,14 +9,13 @@ from repro.faults.crash import make_manifest_stale
 from repro.runtime.checkpoint import (
     JOURNAL_NAME,
     MANIFEST_NAME,
-    CheckpointStore,
-    atomic_write_bytes,
-    atomic_write_text,
-)
-from repro.runtime.serialize import (
     CheckpointCorruption,
     CheckpointError,
+    CheckpointStore,
     StaleManifestError,
+    _payload_crc,
+    atomic_write_bytes,
+    atomic_write_text,
 )
 
 FP = {"source": "test", "days": [0, 1], "lenient": False}
@@ -106,6 +106,13 @@ def test_unparseable_manifest_raises_corruption(tmp_path):
         CheckpointStore(tmp_path, FP, n_shards=1, resume=True)
 
 
+def test_manifest_that_is_not_utf8_raises_corruption(tmp_path):
+    CheckpointStore(tmp_path, FP, n_shards=1).close()
+    atomic_write_bytes(tmp_path / MANIFEST_NAME, b'{"payload": "\xff"}')
+    with pytest.raises(CheckpointCorruption, match="unreadable"):
+        CheckpointStore(tmp_path, FP, n_shards=1, resume=True)
+
+
 def test_torn_journal_tail_is_discarded(tmp_path):
     with CheckpointStore(tmp_path, FP, n_shards=2) as store:
         store.save_unit(0, 0, b"a")
@@ -179,3 +186,98 @@ def test_save_unit_write_fault_leaves_no_torn_state(tmp_path):
         assert list(tmp_path.rglob("*.tmp")) == []
         store.save_unit(0, 0, b"payload")
         assert store.load_unit(0, 0) == b"payload"
+
+
+def crc_line(doc):
+    """A journal line holding ``doc`` under a valid CRC, whatever its
+    shape."""
+    return json.dumps(dict(doc, crc=_payload_crc(doc)), sort_keys=True) + "\n"
+
+
+def append_journal_line(directory, line):
+    """Append ``line`` (text, or bytes as they are) to a store's journal."""
+    data = line if isinstance(line, bytes) else line.encode("utf-8")
+    with open(Path(directory) / JOURNAL_NAME, "ab") as journal:
+        journal.write(data)
+
+
+#: Journal lines of another shape than ``mark_complete`` writes, each
+#: with what reading one did before it counted as torn.
+JOURNAL_LINE_DAMAGE = {
+    "empty-object": crc_line({}),  # KeyError
+    "no-attempt": crc_line({"day": 1, "shard": 0}),  # KeyError
+    "day-a-word": crc_line({"day": "a", "shard": 0, "attempt": 0}),  # ValueError
+    "day-null": crc_line({"day": None, "shard": 0, "attempt": 0}),  # TypeError
+    "day-a-numeral": crc_line({"day": "1", "shard": 0, "attempt": 0}),  # none: day 1
+    "day-negative": crc_line({"day": -1, "shard": 0, "attempt": 0}),  # none: day -1
+    "shard-a-bool": crc_line({"day": 1, "shard": True, "attempt": 0}),  # none: shard 1
+    "attempt-a-fraction": crc_line({"day": 1, "shard": 0, "attempt": 0.5}),  # none: attempt 0
+    "a-list": "[1]\n",  # TypeError
+    "not-utf8": b"\xff\xfe\n",  # UnicodeDecodeError
+}
+
+#: The cases the journal's readers (durable resume, WAL start, scrub)
+#: are held to.
+READER_JOURNAL_DAMAGE = ("day-a-word", "day-null", "empty-object")
+
+
+@pytest.mark.parametrize("damage", sorted(JOURNAL_LINE_DAMAGE))
+def test_journal_line_of_another_shape_is_torn(tmp_path, damage):
+    """A CRC-valid line that does not hold an integer day, shard and
+    attempt is torn like a CRC mismatch: it and every later line are
+    discarded, counted, and cut from the journal."""
+    with CheckpointStore(tmp_path, FP, n_shards=2) as store:
+        store.mark_complete(0, 0)
+    append_journal_line(tmp_path, JOURNAL_LINE_DAMAGE[damage])
+    append_journal_line(tmp_path, crc_line({"day": 0, "shard": 1, "attempt": 0}))
+    store = CheckpointStore(tmp_path, FP, n_shards=2, resume=True)
+    assert store.n_torn_journal_lines == 2
+    assert store.journal_entries() == [{"day": 0, "shard": 0, "attempt": 0}]
+    store.close()
+    with CheckpointStore(tmp_path, FP, n_shards=2, resume=True) as store:
+        assert store.n_torn_journal_lines == 0
+
+
+def reshape_manifest(directory, edit):
+    """Rewrite a store's manifest payload through ``edit`` under a valid
+    CRC, so only its shape is wrong."""
+    path = Path(directory) / MANIFEST_NAME
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["payload"] = edit(doc["payload"])
+    doc["crc32"] = _payload_crc(doc["payload"])
+    atomic_write_text(path, json.dumps(doc))
+
+
+def _without(key):
+    return lambda payload: {name: value for name, value in payload.items() if name != key}
+
+
+def _with(key, value):
+    return lambda payload: dict(payload, **{key: value})
+
+
+#: Manifest payloads of another shape than the store writes, each with
+#: what opening one did before it counted as corruption.
+MANIFEST_DAMAGE = {
+    "no-n-shards": _without("n_shards"),  # KeyError
+    "n-shards-a-word": _with("n_shards", "two"),  # ValueError
+    "n-shards-zero": _with("n_shards", 0),  # none: a store of no shards
+    "n-shards-a-bool": _with("n_shards", True),  # none: one shard
+    "no-attempt": _without("attempt"),  # KeyError
+    "attempt-negative": _with("attempt", -2),  # none: attempt -1
+    "attempt-a-fraction": _with("attempt", 1.5),  # none: attempt 2
+    "fingerprint-a-list": _with("fingerprint", []),  # AttributeError
+    "no-fingerprint": _without("fingerprint"),  # StaleManifestError
+}
+
+#: The cases the manifest's readers (durable resume, WAL start, scrub)
+#: are held to.
+READER_MANIFEST_DAMAGE = ("n-shards-a-word", "no-n-shards")
+
+
+@pytest.mark.parametrize("damage", sorted(MANIFEST_DAMAGE))
+def test_manifest_payload_of_another_shape_is_corruption(tmp_path, damage):
+    CheckpointStore(tmp_path, FP, n_shards=2).close()
+    reshape_manifest(tmp_path, MANIFEST_DAMAGE[damage])
+    with pytest.raises(CheckpointCorruption, match="manifest"):
+        CheckpointStore(tmp_path, FP, n_shards=2, resume=True)

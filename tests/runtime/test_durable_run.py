@@ -6,15 +6,25 @@ from collections import defaultdict
 import pytest
 
 from repro.columnar import ColumnarRadioEvents, ColumnarServiceRecords
+from repro.columnar.blocks import build_block, read_block
 from repro.columnar.store import RowSequence
 from repro.datasets.io import IngestReport
 from repro.faults.crash import tear_day_checkpoint, tear_journal_tail
+from repro.faults.fsfault import EIO_READ, FsFault, FsFaultPlan, install
 from repro.mno import MNOConfig, simulate_mno_dataset
 from repro.parallel.health import TORN_CHECKPOINT
 from repro.parallel.sharding import shard_mno_records, shard_of
 from repro.pipeline import run_pipeline
-from repro.runtime import pack_day_block, run_durable_pipeline
-from repro.runtime.checkpoint import JOURNAL_NAME, MANIFEST_NAME, UNITS_DIRNAME
+from repro.runtime import CheckpointCorruption, pack_day_block, run_durable_pipeline
+from repro.runtime.checkpoint import JOURNAL_NAME, MANIFEST_NAME, UNITS_DIRNAME, StorageAbort
+from tests.runtime.test_checkpoint import (
+    JOURNAL_LINE_DAMAGE,
+    MANIFEST_DAMAGE,
+    READER_JOURNAL_DAMAGE,
+    READER_MANIFEST_DAMAGE,
+    append_journal_line,
+    reshape_manifest,
+)
 from tests.runtime.test_serialize import (
     HEADER_DAMAGE,
     READER_DAMAGE,
@@ -194,13 +204,14 @@ def test_unit_left_by_the_per_unit_validator_is_rebuilt(
     radio, service = shard_mno_records(*_day_slices(poisoned_dataset)[0], 2)[shard]
     (failure,) = plain_lenient.degradation.exemplars
     unit = tmp_path / UNITS_DIRNAME / f"day_000.shard_{shard:03d}.ckpt"
-    unit.write_bytes(
+    header, body, offset = read_block(
         pack_day_block(
             [event for event in radio if event.device_id != poison],
             [record for record in service if record.device_id != poison],
-            [(poison, failure.stage, failure.error)],
         )
     )
+    header["quarantine"] = [[poison, failure.stage, failure.error]]
+    unit.write_bytes(build_block(header, [body[offset:]]))
 
     result = run_durable_pipeline(
         poisoned_dataset,
@@ -427,6 +438,50 @@ def test_torn_journal_tail_resumes_and_reports(
     assert len(redone) == 1
     n_days = len(_day_slices(small_dataset))
     assert len(entries) == n_days * 2  # full coverage restored
+
+
+@pytest.mark.parametrize("damage", READER_JOURNAL_DAMAGE)
+def test_journal_line_of_another_shape_resumes_as_a_torn_tail(
+    tmp_path, small_eco, small_dataset, plain_result, damage
+):
+    """A CRC-valid journal line without an integer day, shard and
+    attempt is a torn tail on resume, reported like a CRC mismatch."""
+    run_durable_pipeline(
+        small_dataset, small_eco, checkpoint_dir=tmp_path, n_workers=2
+    )
+    append_journal_line(tmp_path, JOURNAL_LINE_DAMAGE[damage])
+    result = run_durable_pipeline(
+        small_dataset, small_eco, checkpoint_dir=tmp_path, resume=True, n_workers=2
+    )
+    assert_same_result(result, plain_result)
+    torn = [i for i in result.health.incidents if i.kind == TORN_CHECKPOINT]
+    assert len(torn) == 1 and "journal torn tail: 1 line(s)" in torn[0].detail
+
+
+@pytest.mark.parametrize("damage", READER_MANIFEST_DAMAGE)
+def test_manifest_of_another_shape_refuses_resume(tmp_path, small_eco, small_dataset, damage):
+    run_durable_pipeline(
+        small_dataset, small_eco, checkpoint_dir=tmp_path, n_workers=2
+    )
+    reshape_manifest(tmp_path, MANIFEST_DAMAGE[damage])
+    with pytest.raises(CheckpointCorruption, match="n_shards"):
+        run_durable_pipeline(
+            small_dataset, small_eco, checkpoint_dir=tmp_path, resume=True, n_workers=2
+        )
+
+
+def test_unreadable_journal_aborts_resume_typed(tmp_path, small_eco, small_dataset):
+    """The journal is read through the I/O seam: a read fault on it
+    aborts the resume typed, like any other storage fault on open."""
+    run_durable_pipeline(
+        small_dataset, small_eco, checkpoint_dir=tmp_path, n_workers=2
+    )
+    plan = FsFaultPlan(faults=(FsFault(EIO_READ, match=JOURNAL_NAME),))
+    with install(plan) as injector, pytest.raises(StorageAbort):
+        run_durable_pipeline(
+            small_dataset, small_eco, checkpoint_dir=tmp_path, resume=True, n_workers=2
+        )
+    assert injector.fired == [(EIO_READ, JOURNAL_NAME, JOURNAL_NAME)]
 
 
 def test_day_source_feeds_and_reports(tmp_path, small_eco, small_dataset):

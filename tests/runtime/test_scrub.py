@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 from repro.columnar import from_record_streams
+from repro.columnar.blocks import pack_day_block
 from repro.faults.fsfault import EIO_READ, FsFault, FsFaultPlan, install
 from repro.parallel.sharding import shard_of
 from repro.pipeline import run_pipeline
@@ -25,7 +26,14 @@ from repro.runtime.scrub import (
     scrub_store,
 )
 from repro.service.wal import BatchLog
-from repro.runtime.serialize import pack_day_block
+from tests.runtime.test_checkpoint import (
+    JOURNAL_LINE_DAMAGE,
+    MANIFEST_DAMAGE,
+    READER_JOURNAL_DAMAGE,
+    READER_MANIFEST_DAMAGE,
+    append_journal_line,
+    reshape_manifest,
+)
 from tests.runtime.test_durable_run import _row_list, assert_same_result
 from tests.runtime.test_serialize import (
     HEADER_DAMAGE,
@@ -33,6 +41,7 @@ from tests.runtime.test_serialize import (
     READER_HEADER_DAMAGE,
     VALUE_DAMAGE,
     drop_tacs,
+    legacy_unit,
     reframe,
     reheader,
 )
@@ -133,6 +142,16 @@ def test_unit_whose_header_has_another_shape_classified_bit_rot(store):
     assert "'pools'" in report.damaged[0].detail
 
 
+def test_unit_that_lists_quarantined_devices_classified_bit_rot(store):
+    """A unit whose header lists quarantined devices leaves their rows
+    out; no store writes one, so it is rot, not a unit to keep."""
+    victim = unit_paths(store)[1]
+    victim.write_bytes(legacy_unit(victim.read_bytes()))
+    report = scrub_store(store)
+    assert [u.damage for u in report.damaged] == [DAMAGE_BIT_ROT]
+    assert "quarantined" in report.damaged[0].detail
+
+
 def test_missing_unit_classified(store):
     unit_paths(store)[2].unlink()
     report = scrub_store(store)
@@ -175,6 +194,25 @@ def test_torn_journal_tail_counted_and_truncated_on_repair(store):
     assert report.n_torn_journal_lines == 1 and report.healthy_after_scrub
     after = scrub_store(store)
     assert after.ok and after.n_verified_ok == report.n_verified_ok
+
+
+@pytest.mark.parametrize("damage", READER_JOURNAL_DAMAGE)
+def test_journal_line_of_another_shape_counted_torn(store, damage):
+    append_journal_line(store, JOURNAL_LINE_DAMAGE[damage])
+    report = scrub_store(store)
+    assert report.n_torn_journal_lines == 1
+    assert report.n_verified_ok == report.n_journaled_units > 0
+    assert scrub_store(store, repair=True).healthy_after_scrub
+    assert scrub_store(store).ok
+
+
+@pytest.mark.parametrize("damage", READER_MANIFEST_DAMAGE)
+def test_manifest_of_another_shape_reported_walk_continues(store, damage):
+    reshape_manifest(store, MANIFEST_DAMAGE[damage])
+    report = scrub_store(store)
+    assert "n_shards" in report.manifest_error
+    assert not report.ok and not report.healthy_after_scrub
+    assert report.n_verified_ok == report.n_journaled_units > 0
 
 
 def test_repair_recomputes_byte_identical_units(store, small_dataset):

@@ -7,14 +7,15 @@ from array import array
 
 import pytest
 
-from repro.columnar.blocks import build_block, read_block
-from repro.runtime.serialize import (
+from repro.columnar.blocks import (
     BLOCK_VERSION,
     MAGIC,
     RADIO_COLUMNS,
     SERVICE_COLUMNS,
     CheckpointCorruption,
+    build_block,
     pack_day_block,
+    read_block,
     unpack_day_block,
 )
 
@@ -28,29 +29,41 @@ def _day_zero_rows(dataset):
 def test_round_trip_preserves_rows(small_dataset):
     radio, service = _day_zero_rows(small_dataset)
     blob = pack_day_block(radio, service)
-    events_c, records_c, quarantine = unpack_day_block(blob)
-    assert quarantine == []
+    assert read_block(blob)[0]["quarantine"] == []
+    events_c, records_c = unpack_day_block(blob)
     assert events_c.to_rows() == radio
     assert records_c.to_rows() == service
 
 
-def test_round_trip_preserves_quarantine(small_dataset):
-    radio, service = _day_zero_rows(small_dataset)
-    entries = [
-        ("dev-a", "summary", "ValueError: label I:A is unobservable"),
-        ("dev-b", "catalog", "KeyError: 'missing'"),
-    ]
-    blob = pack_day_block(radio, service, entries)
-    _, _, quarantine = unpack_day_block(blob)
-    assert quarantine == entries
+#: What a per-unit lenient validator wrote in a unit's header: each
+#: device it quarantined, whose rows the unit leaves out.
+LEGACY_QUARANTINE = [
+    ["dev-a", "summary", "ValueError: label I:A is unobservable"],
+    ["dev-b", "catalog", "KeyError: 'missing'"],
+]
+
+
+def legacy_unit(block):
+    """``block`` framed again, a valid CRC and all, with
+    :data:`LEGACY_QUARANTINE` in its header, as the per-unit validator
+    wrote units."""
+    return reheader(block, setting(LEGACY_QUARANTINE, "quarantine"))
+
+
+def test_block_that_lists_quarantined_devices_is_corruption(small_dataset):
+    """A block whose quarantine lists devices leaves their rows out, so
+    its readers must rebuild it rather than fold it."""
+    blob = legacy_unit(pack_day_block(*_day_zero_rows(small_dataset)))
+    assert read_block(blob)[0]["quarantine"] == LEGACY_QUARANTINE
+    with pytest.raises(CheckpointCorruption, match="quarantined"):
+        unpack_day_block(blob)
 
 
 def test_empty_block_round_trips():
     blob = pack_day_block([], [])
-    events_c, records_c, quarantine = unpack_day_block(blob)
+    events_c, records_c = unpack_day_block(blob)
     assert events_c.to_rows() == []
     assert records_c.to_rows() == []
-    assert quarantine == []
 
 
 def test_pack_is_deterministic(small_dataset):

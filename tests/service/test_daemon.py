@@ -14,12 +14,12 @@ import json
 import pytest
 
 from repro.columnar import from_record_streams
+from repro.columnar.blocks import pack_day_block
 from repro.columnar.store import _by_day
 from repro.core.catalog import CatalogBuilder
 from repro.core.roaming import RoamingLabeler
 from repro.pipeline import run_pipeline
 from repro.runtime.checkpoint import UNITS_DIRNAME
-from repro.runtime.serialize import pack_day_block
 from repro.service import CatalogDaemon, ServiceConfig, catalog_digest
 from repro.service.protocol import parse_batch_rows
 from repro.service.wal import _encode_envelope

@@ -4,9 +4,8 @@ import json
 
 import pytest
 
-from repro.columnar.blocks import pack_columns
+from repro.columnar.blocks import pack_columns, pack_day_block
 from repro.datasets.io import IngestErrorKind, radio_event_from_dict, service_record_from_dict
-from repro.runtime.serialize import pack_day_block
 from repro.service import parse_batch_rows, protocol
 from repro.service.protocol import report_payload
 from repro.signaling.events import RadioInterface

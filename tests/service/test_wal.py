@@ -3,17 +3,26 @@
 import pytest
 
 from repro.columnar import from_record_streams
-from repro.runtime.checkpoint import UNITS_DIRNAME, StaleManifestError
+from repro.runtime.checkpoint import UNITS_DIRNAME, CheckpointCorruption, StaleManifestError
 from repro.service import BatchLog
 from repro.service.protocol import parse_batch_rows
 from repro.service.wal import _decode_envelope, _encode_envelope
 
+from tests.runtime.test_checkpoint import (
+    JOURNAL_LINE_DAMAGE,
+    MANIFEST_DAMAGE,
+    READER_JOURNAL_DAMAGE,
+    READER_MANIFEST_DAMAGE,
+    append_journal_line,
+    reshape_manifest,
+)
 from tests.runtime.test_serialize import (
     HEADER_DAMAGE,
     READER_DAMAGE,
     READER_HEADER_DAMAGE,
     VALUE_DAMAGE,
     drop_tacs,
+    legacy_unit,
     reframe,
     reheader,
 )
@@ -152,6 +161,51 @@ def test_unit_whose_header_has_another_shape_is_counted_torn(tmp_path):
     assert [b.batch_id for b in resumed.replay()] == ["b-0", "b-2"]
     assert resumed.n_torn_units == 1
     resumed.close()
+
+
+def test_unit_that_lists_quarantined_devices_is_counted_torn(tmp_path):
+    log = BatchLog(tmp_path)
+    for seq in range(3):
+        events, records = typed_rows(day_offset=seq)
+        append(log, f"b-{seq}", events, records)
+    log.sync()
+    log.close()
+
+    # The WAL never writes a quarantine list: a block holding one, behind
+    # its intact envelope, is corrupt.
+    unit = tmp_path / UNITS_DIRNAME / "day_001.shard_000.ckpt"
+    header, block = _decode_envelope(unit.read_bytes())
+    damaged = legacy_unit(block)
+    unit.write_bytes(_encode_envelope(header["batch_id"], header["seq"], damaged))
+
+    resumed = BatchLog(tmp_path, resume=True)
+    assert [b.batch_id for b in resumed.replay()] == ["b-0", "b-2"]
+    assert resumed.n_torn_units == 1
+    resumed.close()
+
+
+@pytest.mark.parametrize("damage", READER_JOURNAL_DAMAGE)
+def test_journal_line_of_another_shape_is_torn_at_start(tmp_path, damage):
+    log = BatchLog(tmp_path)
+    for seq in range(2):
+        events, records = typed_rows(day_offset=seq)
+        append(log, f"b-{seq}", events, records)
+    log.close()
+
+    append_journal_line(tmp_path, JOURNAL_LINE_DAMAGE[damage])
+    resumed = BatchLog(tmp_path, resume=True)
+    assert resumed.n_torn_journal_lines == 1
+    assert [b.batch_id for b in resumed.replay()] == ["b-0", "b-1"]
+    assert resumed.next_seq == 2
+    resumed.close()
+
+
+@pytest.mark.parametrize("damage", READER_MANIFEST_DAMAGE)
+def test_manifest_of_another_shape_refuses_to_start(tmp_path, damage):
+    BatchLog(tmp_path).close()
+    reshape_manifest(tmp_path, MANIFEST_DAMAGE[damage])
+    with pytest.raises(CheckpointCorruption, match="n_shards"):
+        BatchLog(tmp_path, resume=True)
 
 
 def test_wal_directory_is_role_pinned(tmp_path):

@@ -75,7 +75,7 @@ from repro.parallel.sharding import (  # noqa: E402
     shard_columnar_records,
     shard_mno_records,
 )
-from repro.parallel.transport import publish_shards  # noqa: E402
+from repro.parallel.executor import publish_shards  # noqa: E402
 from repro.pipeline import run_pipeline  # noqa: E402
 from repro.runtime import (  # noqa: E402
     atomic_write_text,
