@@ -7,8 +7,8 @@ The subsystem has four modules:
 - :mod:`repro.parallel.pool` — the repository's only process-pool seam
   (:func:`map_shards`), enforced by lint rule ``PERF001``, with
   per-shard deadlines, broken-pool recovery and a circuit breaker;
-- :mod:`repro.parallel.health` — the typed :class:`RunHealth` report
-  every recovery action is recorded in;
+- :mod:`repro.parallel.health` — the :class:`Incident` record and the
+  :class:`RunHealth` report every recovery action is recorded in;
 - :mod:`repro.parallel.executor` — the pipeline-specific fan-out and
   the order-normalizing merge that makes sharded output byte-identical
   to a serial :func:`repro.pipeline.run_pipeline` at any worker count.
@@ -24,7 +24,7 @@ runtime's ``(day, shard)`` units.
 """
 
 from repro.parallel.executor import publish_shards, run_stages_sharded
-from repro.parallel.health import RunHealth, ShardIncident
+from repro.parallel.health import Incident, RunHealth
 from repro.parallel.pool import (
     DEFAULT_BREAKER_THRESHOLD,
     DEFAULT_POOL_RETRY,
@@ -43,8 +43,8 @@ __all__ = [
     "DEFAULT_BREAKER_THRESHOLD",
     "DEFAULT_POOL_RETRY",
     "DEFAULT_SHARD_DEADLINE_S",
+    "Incident",
     "RunHealth",
-    "ShardIncident",
     "get_context",
     "map_shards",
     "publish_shards",

@@ -55,8 +55,8 @@ from repro.parallel.health import (
     DEADLINE,
     IN_PROCESS,
     RETRY,
+    Incident,
     RunHealth,
-    ShardIncident,
 )
 
 S = TypeVar("S")
@@ -145,11 +145,6 @@ def _init_worker(parent_pid: int, context: Any) -> None:
     _install_context(context)
 
 
-def _note(health: Optional[RunHealth], incident: ShardIncident) -> None:
-    if health is not None:
-        health.record(incident)
-
-
 def _run_in_process(
     fn: Callable[[S], R], shard: S, context: Any
 ) -> R:
@@ -215,6 +210,8 @@ def map_shards(
             _install_context(previous)
 
     policy = retry_policy if retry_policy is not None else DEFAULT_POOL_RETRY
+    if health is None:
+        health = RunHealth()
     # Only consulted when the policy jitters; the default is jitter-free
     # so recovery schedules are bit-reproducible.
     rng = np.random.default_rng(0)
@@ -227,11 +224,8 @@ def map_shards(
     while pending:
         if breaker_open:
             for index in pending:
-                _note(
-                    health,
-                    ShardIncident(
-                        index, IN_PROCESS, attempts[index], "circuit breaker open"
-                    ),
+                health.record(
+                    Incident(IN_PROCESS, "circuit breaker open", index, attempts[index])
                 )
                 results[index] = _run_in_process(fn, shards[index], context)
             pending = []
@@ -291,38 +285,27 @@ def map_shards(
         attempt = attempts[index]
         attempts[index] = attempt + 1
         consecutive_failures += 1
-        _note(health, ShardIncident(index, kind, attempt, detail))
+        health.record(Incident(kind, detail, index, attempt))
         if consecutive_failures >= breaker_threshold:
             breaker_open = True
-            _note(
-                health,
-                ShardIncident(
-                    index,
-                    BREAKER_TRIP,
-                    attempt,
-                    f"{consecutive_failures} consecutive pool failures",
-                ),
-            )
+            trip = f"{consecutive_failures} consecutive pool failures"
+            health.record(Incident(BREAKER_TRIP, trip, index, attempt))
         elif attempts[index] >= policy.max_attempts:
             # This one shard is out of pool retries: run it in the
             # parent so a persistent task error surfaces undisturbed.
-            _note(
-                health,
-                ShardIncident(index, IN_PROCESS, attempt, "retry budget exhausted"),
-            )
+            health.record(Incident(IN_PROCESS, "retry budget exhausted", index, attempt))
             results[index] = _run_in_process(fn, shards[index], context)
             consecutive_failures = 0
         else:
             delay = policy.delay_s(attempt, rng)
-            _note(
-                health,
-                ShardIncident(
-                    index,
+            health.record(
+                Incident(
                     RETRY,
-                    attempt,
                     "resubmitting unfinished shards to a fresh pool",
+                    index,
+                    attempt,
                     backoff_s=delay,
-                ),
+                )
             )
         pending = [i for i in pending if i not in results]
 

@@ -11,9 +11,11 @@ at *any* instant is therefore always one of three valid states —
   Rewritten atomically once per attempt with a bumped attempt counter.
 - **journal** (``journal.jsonl``): append-only completion log, one
   self-checksummed line per finished ``(day, shard)`` unit, tagged with
-  the attempt that produced it.  A torn tail line (the crash case) is
-  detected by its CRC and everything from it on is discarded — the unit
-  simply re-executes, which is safe because units are pure.
+  the attempt that produced it and, in the daemon's write-ahead log,
+  the batch id the unit holds (under the line's CRC).  A torn tail line
+  (the crash case) is detected by its CRC and everything from it on is
+  discarded — the unit simply re-executes, which is safe because units
+  are pure.
 - **units** (``units/day_DDD.shard_SSS.ckpt``): the serialized columnar
   blocks themselves (:mod:`repro.columnar.blocks`), each internally
   CRC-framed.
@@ -21,9 +23,10 @@ at *any* instant is therefore always one of three valid states —
 A unit counts as complete only when *both* its journal line and its
 block validate; either one failing integrity checks costs exactly one
 unit of recomputation, never a wrong result.  A journal line of another
-shape than :meth:`CheckpointStore.mark_complete` writes is torn like a
-CRC mismatch, and a manifest payload without its shard count and
-attempt is :class:`CheckpointCorruption`.  This module is the one home
+shape than :meth:`CheckpointStore.mark_complete` writes (a batch id that
+is no string included) is torn like a CRC mismatch, and a manifest
+payload without its shard count and attempt is
+:class:`CheckpointCorruption`.  This module is the one home
 of the store's layout: the unit file names (:func:`unit_file_name`),
 the journal's lines (:func:`read_journal`, :func:`write_journal`) and
 the stray-temp sweep (:func:`sweep_temp_files`), which the scrubber
@@ -62,11 +65,6 @@ _TMP_SUFFIX = ".tmp"
 #: the seam :class:`repro.faults.crash.KillSwitch` uses to model a crash
 #: *during* checkpoint publication.
 BeforeReplace = Optional[Callable[[Path], None]]
-
-#: Kept as the module's name for directory fsync (tests and callers
-#: predating the fsio seam import it from here).
-_fsync_dir = fsio.fsync_dir
-
 
 class StaleManifestError(CheckpointError):
     """A checkpoint directory's manifest does not match this run."""
@@ -163,15 +161,20 @@ def _is_int(value: Any, low: int) -> bool:
     return type(value) is int and value >= low
 
 
-def _journal_line(entry: Dict[str, int]) -> str:
+#: One journal entry: integer ``day``, ``shard`` and ``attempt``, plus a
+#: string ``batch_id`` on the daemon's write-ahead log lines.
+JournalEntry = Dict[str, Any]
+
+
+def _journal_line(entry: JournalEntry) -> str:
     """One self-checksummed journal line for ``entry``."""
     return json.dumps(dict(entry, crc=_payload_crc(entry)), sort_keys=True) + "\n"
 
 
-def _journal_entry(line: str) -> Optional[Dict[str, int]]:
+def _journal_entry(line: str) -> Optional[JournalEntry]:
     """The entry a journal line records, or ``None`` for a torn line: one
-    that is no JSON object, fails its CRC, or lacks an integer day,
-    shard or attempt of at least 0."""
+    that is no JSON object, fails its CRC, lacks an integer day, shard
+    or attempt of at least 0, or holds a batch id that is no string."""
     try:
         doc = json.loads(line)
     except (ValueError, RecursionError):
@@ -182,12 +185,16 @@ def _journal_entry(line: str) -> Optional[Dict[str, int]]:
     entry = {key: doc.get(key) for key in ("day", "shard", "attempt")}
     if crc != _payload_crc(doc) or not all(_is_int(v, 0) for v in entry.values()):
         return None
+    if "batch_id" in doc:
+        if not isinstance(doc["batch_id"], str):
+            return None
+        entry["batch_id"] = doc["batch_id"]
     return entry
 
 
 def parse_journal_lines(
     lines: List[str],
-) -> Tuple[List[Dict[str, int]], int]:
+) -> Tuple[List[JournalEntry], int]:
     """Validate journal lines: (valid-prefix entries, torn-line count).
 
     The journal is append-only, so the first torn line (one failing its
@@ -196,7 +203,7 @@ def parse_journal_lines(
     and everything after it are discarded, and the count of discarded
     lines is returned so the discard is observable.
     """
-    entries: List[Dict[str, int]] = []
+    entries: List[JournalEntry] = []
     for index, line in enumerate(lines):
         entry = _journal_entry(line)
         if entry is None:
@@ -205,7 +212,7 @@ def parse_journal_lines(
     return entries, 0
 
 
-def read_journal(path: PathLike) -> Tuple[List[Dict[str, int]], int]:
+def read_journal(path: PathLike) -> Tuple[List[JournalEntry], int]:
     """Read a journal through the I/O seam and validate its lines.
 
     Returns :func:`parse_journal_lines` of its non-blank lines; a line
@@ -215,7 +222,7 @@ def read_journal(path: PathLike) -> Tuple[List[Dict[str, int]], int]:
     return parse_journal_lines([line.strip() for line in text.splitlines() if line.strip()])
 
 
-def write_journal(path: PathLike, entries: Iterable[Dict[str, int]]) -> None:
+def write_journal(path: PathLike, entries: Iterable[JournalEntry]) -> None:
     """Atomically rewrite a journal to hold exactly ``entries``."""
     atomic_write_bytes(path, "".join(map(_journal_line, entries)).encode("utf-8"))
 
@@ -288,7 +295,7 @@ class CheckpointStore:
         self.n_stale_tmp_removed = sweep_temp_files(self.directory)
         self._write_manifest()
         self._completed: Dict[Tuple[int, int], int] = {}
-        self._entries: List[Dict[str, int]] = []
+        self._entries: List[JournalEntry] = []
         #: Journal lines discarded as a torn tail on load (the crash
         #: case): the units they named simply re-execute, but the
         #: discard must be observable so runs can report it as a
@@ -343,14 +350,18 @@ class CheckpointStore:
             # onto the garbage and lose it too on the following load.
             write_journal(self._journal_path, self._entries)
 
-    def mark_complete(self, day: int, shard: int) -> None:
+    def mark_complete(self, day: int, shard: int, batch_id: Optional[str] = None) -> None:
         """Append one completed unit to the journal (flushed, not fsynced).
 
-        Losing un-fsynced journal lines in a crash is safe — the units
-        merely re-execute; call :meth:`sync` at day boundaries to bound
-        that recomputation without paying an fsync per unit.
+        ``batch_id`` (the daemon's WAL) rides in the line, under its
+        CRC; a line without one is what a batch run writes.  Losing
+        un-fsynced journal lines in a crash is safe — the units merely
+        re-execute; call :meth:`sync` at day boundaries to bound that
+        recomputation without paying an fsync per unit.
         """
-        entry = {"day": day, "shard": shard, "attempt": self.attempt}
+        entry: JournalEntry = {"day": day, "shard": shard, "attempt": self.attempt}
+        if batch_id is not None:
+            entry["batch_id"] = batch_id
         try:
             fsio.append_text(self._journal, self._journal_path, _journal_line(entry))
         except OSError:
@@ -376,7 +387,7 @@ class CheckpointStore:
         self._journal.flush()
         fsio.fsync_handle(self._journal, self._journal_path)
 
-    def journal_entries(self) -> List[Dict[str, int]]:
+    def journal_entries(self) -> List[JournalEntry]:
         """Every valid journal entry, in append order."""
         return [dict(entry) for entry in self._entries]
 

@@ -64,9 +64,8 @@ from repro.parallel.health import (
     STORAGE_FAULT,
     TORN_CHECKPOINT,
     UNIT_QUARANTINED,
+    Incident,
     RunHealth,
-    ShardIncident,
-    StorageIncident,
 )
 from repro.parallel.pool import map_shards
 from repro.parallel.sharding import shard_rows, unit_rows
@@ -119,6 +118,34 @@ def _build_unit(source: UnitSource) -> Unit:
     return select_own_pools(events, records, radio_rows, service_rows)
 
 
+def _retry_storage(
+    action: Callable[[], None],
+    op: str,
+    path: str,
+    detail: str,
+    rng: np.random.Generator,
+    health: RunHealth,
+) -> Optional[RetryError]:
+    """Run one storage action under :data:`STORAGE_RETRY_POLICY`.
+
+    Every failed attempt is a typed ``storage-fault`` incident naming
+    ``op`` and ``path``.  Returns ``None`` once the action succeeds, or
+    the exhausted :class:`RetryError`, so each caller takes its own
+    lenient or strict decision.
+    """
+
+    def on_retry(attempt: int, delay: float, exc: Exception) -> None:
+        health.record(
+            Incident(STORAGE_FAULT, f"{detail}: {exc}", attempt=attempt, op=op, path=path)
+        )
+
+    try:
+        call_with_retry(action, STORAGE_RETRY_POLICY, rng, retry_on=(OSError,), on_retry=on_retry)
+    except RetryError as exc:
+        return exc
+    return None
+
+
 def _persist_unit(
     store: CheckpointStore,
     day: int,
@@ -130,9 +157,8 @@ def _persist_unit(
 ) -> bool:
     """Publish one unit (block file + journal line) under the storage policy.
 
-    Every failed attempt is a typed ``storage-fault`` incident.  On
-    exhaustion: lenient quarantines the unit (``False``; it is left out
-    of this run's fold and re-executes on resume), strict raises
+    On exhaustion: lenient quarantines the unit (``False``; it is left
+    out of this run's fold and re-executes on resume), strict raises
     :class:`StorageAbort` with the store still consistent.
     """
     unit_path = str(store.unit_path(day, shard))
@@ -141,42 +167,26 @@ def _persist_unit(
         store.save_unit(day, shard, blob)
         store.mark_complete(day, shard)
 
-    def on_retry(attempt: int, delay: float, exc: Exception) -> None:
-        health.record_storage(
-            StorageIncident(
-                kind=STORAGE_FAULT,
-                op="write",
-                path=unit_path,
-                detail=f"day {day} shard {shard}: {exc}",
-                attempt=attempt,
-            )
-        )
-
-    try:
-        call_with_retry(
-            publish_once,
-            STORAGE_RETRY_POLICY,
-            rng,
-            retry_on=(OSError,),
-            on_retry=on_retry,
-        )
+    exc = _retry_storage(
+        publish_once, "write", unit_path, f"day {day} shard {shard}", rng, health
+    )
+    if exc is None:
         return True
-    except RetryError as exc:
-        if lenient:
-            health.record_storage(
-                StorageIncident(
-                    kind=UNIT_QUARANTINED,
-                    op="write",
-                    path=unit_path,
-                    detail=(
-                        f"day {day} shard {shard} quarantined after "
-                        f"{exc.attempts} attempt(s): {exc.last_error}"
-                    ),
-                    attempt=exc.attempts - 1,
-                )
-            )
-            return False
+    if not lenient:
         raise StorageAbort(day, shard, exc.attempts, exc.last_error) from exc
+    health.record(
+        Incident(
+            UNIT_QUARANTINED,
+            f"day {day} shard {shard} quarantined after {exc.attempts} "
+            f"attempt(s): {exc.last_error}",
+            attempt=exc.attempts - 1,
+            op="write",
+            path=unit_path,
+        )
+    )
+    return False
+
+
 def _sync_store(
     store: CheckpointStore,
     day: int,
@@ -190,29 +200,11 @@ def _sync_store(
     not power-loss durable yet — the incident trail says so); strict
     aborts typed with the store consistent.
     """
-
-    def on_retry(attempt: int, delay: float, exc: Exception) -> None:
-        health.record_storage(
-            StorageIncident(
-                kind=STORAGE_FAULT,
-                op="fsync",
-                path=str(store.directory),
-                detail=f"journal sync after day {day}: {exc}",
-                attempt=attempt,
-            )
-        )
-
-    try:
-        call_with_retry(
-            store.sync,
-            STORAGE_RETRY_POLICY,
-            rng,
-            retry_on=(OSError,),
-            on_retry=on_retry,
-        )
-    except RetryError as exc:
-        if not lenient:
-            raise StorageAbort(day, -1, exc.attempts, exc.last_error) from exc
+    directory = str(store.directory)
+    detail = f"journal sync after day {day}"
+    exc = _retry_storage(store.sync, "fsync", directory, detail, rng, health)
+    if exc is not None and not lenient:
+        raise StorageAbort(day, -1, exc.attempts, exc.last_error) from exc
 
 
 def run_durable_pipeline(
@@ -317,12 +309,11 @@ def run_durable_pipeline(
             # like a torn unit block: the discarded completions simply
             # re-execute, but never silently.
             health.record(
-                ShardIncident(
-                    0,
+                Incident(
                     TORN_CHECKPOINT,
-                    store.attempt,
                     f"journal torn tail: {store.n_torn_journal_lines} "
                     "line(s) discarded",
+                    attempt=store.attempt,
                 )
             )
 
@@ -352,17 +343,15 @@ def run_durable_pipeline(
                         continue
                     except CheckpointCorruption as exc:
                         health.record(
-                            ShardIncident(
-                                shard, TORN_CHECKPOINT, 0, f"day {day}: {exc}"
-                            )
+                            Incident(TORN_CHECKPOINT, f"day {day}: {exc}", shard)
                         )
                         if isinstance(exc.__cause__, OSError):
-                            health.record_storage(
-                                StorageIncident(
-                                    kind=STORAGE_FAULT,
+                            health.record(
+                                Incident(
+                                    STORAGE_FAULT,
+                                    f"day {day} shard {shard}: {exc}",
                                     op="read",
                                     path=str(store.unit_path(day, shard)),
-                                    detail=f"day {day} shard {shard}: {exc}",
                                 )
                             )
                 pending.append(shard)

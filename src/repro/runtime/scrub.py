@@ -7,7 +7,9 @@ vanished — surfaces only when a resume finally reads the unit, possibly
 weeks later.  :func:`scrub_store` is the proactive half of the
 durability story: walk a store **without opening it as a run** (no
 attempt bump, no fingerprint needed), re-validate every journaled
-unit's framed block CRC end-to-end, and classify what fails:
+unit's framed block CRC end-to-end, and classify what fails.  Every
+unit, the daemon's WAL units included, is one plain block, so it is
+classified from its own bytes, whatever the manifest says:
 
 ``torn-tail``
     The file is shorter than its frame header declares (or too short to
@@ -23,10 +25,13 @@ unit's framed block CRC end-to-end, and classify what fails:
 With ``repair=True`` the scrubber heals what it can: a ``recompute``
 callback re-derives a unit's bytes from the original inputs (units are
 pure, so the rebuilt block is byte-identical) and the unit is
-atomically rewritten and re-verified; units it cannot rebuild are
-**marked for re-execution** — the block file is removed and the unit's
-journal entries are dropped (journal atomically rewritten), so the next
-``resume=True`` run recomputes exactly the damaged units.  Stray
+atomically rewritten and re-verified.  It recomputes only in a batch
+run's store whose manifest reads: the shard count comes from the
+manifest, and the WAL's batches have no inputs to re-derive.  Units it
+cannot rebuild are **marked for re-execution** — the block file is
+removed and the unit's journal entries are dropped (journal atomically
+rewritten), so the next ``resume=True`` run recomputes exactly the
+damaged units.  Stray
 staging temps and a torn journal tail are swept the same way the store
 itself would sweep them on open.
 
@@ -41,7 +46,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.columnar.blocks import _FRAME, _HEADER_LEN, pack_columns, unpack_day_block
+from repro.columnar.blocks import _FRAME, pack_columns, unpack_day_block
 from repro.columnar.store import from_record_streams, select_own_pools
 from repro.runtime import fsio
 from repro.runtime.checkpoint import (
@@ -49,6 +54,7 @@ from repro.runtime.checkpoint import (
     MANIFEST_NAME,
     UNITS_DIRNAME,
     CheckpointError,
+    JournalEntry,
     PathLike,
     atomic_write_bytes,
     load_manifest,
@@ -230,23 +236,6 @@ def _classify_block(data: bytes) -> Optional[Tuple[str, str]]:
     return None
 
 
-def _strip_wal_envelope(data: bytes) -> bytes:
-    """Drop a WAL unit's ``len | header JSON`` prefix, keeping the block.
-
-    The envelope has no checksum of its own (the block's CRC is the
-    integrity bearer); a torn or rotted envelope always leaves the
-    framed block failing validation too, so classification on the
-    stripped bytes is still length-first correct.
-    """
-    if len(data) < _HEADER_LEN.size:
-        return data
-    (header_len,) = _HEADER_LEN.unpack_from(data)
-    offset = _HEADER_LEN.size + header_len
-    if header_len < 0 or offset > len(data):
-        return data
-    return data[offset:]
-
-
 def scrub_store(
     directory: PathLike,
     repair: bool = False,
@@ -265,16 +254,18 @@ def scrub_store(
     if not manifest_path.exists():
         raise CheckpointError(f"{root} holds no {MANIFEST_NAME}; not a store")
 
+    # The shard count a recompute needs; it stays 0, and nothing is
+    # recomputed, when the manifest does not read or names the daemon's
+    # WAL (whose batches have no inputs to recompute from).
     n_shards = 0
-    wal_role = False
     try:
         payload = load_manifest(manifest_path)
-        n_shards = payload["n_shards"]
-        wal_role = payload["fingerprint"].get("role") == "service-wal"
+        if payload["fingerprint"].get("role") != "service-wal":
+            n_shards = payload["n_shards"]
     except CheckpointError as exc:
         report.manifest_error = str(exc)
 
-    entries: List[Dict[str, int]] = []
+    entries: List[JournalEntry] = []
     journal_path = root / JOURNAL_NAME
     if journal_path.exists():
         try:
@@ -300,8 +291,6 @@ def scrub_store(
                 DamagedUnit(day, shard, DAMAGE_READ_ERROR, detail=str(exc))
             )
             continue
-        if wal_role:
-            data = _strip_wal_envelope(data)
         verdict = _classify_block(data)
         if verdict is None:
             report.n_verified_ok += 1
@@ -322,7 +311,7 @@ def scrub_store(
     for unit in report.damaged:
         path = units_dir / unit_file_name(unit.day, unit.shard)
         rebuilt: Optional[bytes] = None
-        if recompute is not None and not wal_role:
+        if recompute is not None and n_shards:
             rebuilt = recompute(unit.day, unit.shard, n_shards)
         if rebuilt is not None and _classify_block(rebuilt) is None:
             atomic_write_bytes(path, rebuilt)

@@ -22,10 +22,10 @@ The robustness contract, end to end:
   :class:`TaskSupervisor`, which retains the task, restarts crashes
   under a :class:`repro.faults.RetryPolicy` and fails loudly (readiness
   drops) once restarts are exhausted.
-* **Observable health** — :class:`ServiceHealth` extends the
-  :class:`repro.parallel.health.RunHealth` incident taxonomy with
-  queue-saturation, shed, restart and snapshot kinds, served over
-  ``healthz``/``readyz`` ops.
+* **Observable health** — :class:`ServiceHealth` records the daemon's
+  queue-saturation, shed, restart, snapshot and storage incidents in
+  the batch runtime's :class:`repro.parallel.health.RunHealth`, served
+  over ``healthz``/``readyz`` ops.
 
 Start one with ``python -m repro serve`` or programmatically via
 :class:`CatalogDaemon`; talk to it with :class:`CatalogClient`.

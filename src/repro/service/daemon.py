@@ -67,7 +67,18 @@ from repro.core.classifier import Classification, DeviceClassifier
 from repro.core.roaming import RoamingLabeler
 from repro.ecosystem import Ecosystem
 from repro.faults.retry import RetryPolicy
-from repro.runtime.checkpoint import BeforeReplace
+from repro.parallel.health import (
+    DEVICE_QUARANTINED,
+    DISK_PRESSURE,
+    OVERLOAD_SHED,
+    QUEUE_SATURATION,
+    SCRUB_DAMAGE,
+    SNAPSHOT,
+    STORAGE_FAULT,
+    TASK_RESTART,
+    TORN_CHECKPOINT,
+)
+from repro.runtime.checkpoint import BeforeReplace, CheckpointError
 from repro.runtime.scrub import scrub_store
 from repro.service.config import ServiceConfig
 from repro.service.health import ServiceHealth
@@ -229,14 +240,16 @@ class CatalogDaemon:
             self._apply_columns(batch.radio_events, batch.service_records)
             self.health.batches_replayed += 1
         if self.wal.n_torn_journal_lines:
-            self.health.note_torn_wal(
+            self.health.note(
+                TORN_CHECKPOINT,
                 f"WAL journal torn tail: {self.wal.n_torn_journal_lines} "
-                "line(s) discarded"
+                "line(s) discarded",
             )
         if self.wal.n_torn_units:
-            self.health.note_torn_wal(
+            self.health.note(
+                TORN_CHECKPOINT,
                 f"{self.wal.n_torn_units} WAL unit(s) failed CRC and were "
-                "discarded (never acknowledged)"
+                "discarded (never acknowledged)",
             )
         self._server = await asyncio.start_server(
             self._handle_connection,
@@ -315,7 +328,7 @@ class CatalogDaemon:
         )
         for device_id, failure in self._builder.quarantined.items():
             if device_id not in before:
-                self.health.note_device_quarantined(str(failure))
+                self.health.note(DEVICE_QUARANTINED, str(failure))
         # Classification is population-wide (property propagation), so
         # the point query's class comes from one full, cached pass.
         self._cached_classes = self._classifier.classify(self._cached_summaries)
@@ -342,8 +355,8 @@ class CatalogDaemon:
                     # torn state (save_unit is atomic; a failed journal
                     # append repairs itself), the batch is never acked,
                     # and the client re-sends under the same id.
-                    self.health.note_storage_fault(
-                        "write", self._checkpoint_dir, repr(exc)
+                    self.health.note(
+                        STORAGE_FAULT, repr(exc), op="write", path=self._checkpoint_dir
                     )
                 if not pending.ack.done():
                     pending.ack.set_exception(exc)
@@ -366,7 +379,7 @@ class CatalogDaemon:
             try:
                 await asyncio.to_thread(self.wal.sync)
             except Exception as exc:  # noqa: BLE001 — report, keep cycling
-                self.health.note_snapshot_failure(repr(exc))
+                self.health.note(SNAPSHOT, f"snapshot cycle failed: {exc!r}")
                 continue
             self.health.note_snapshot(self.wal.next_seq - 1)
 
@@ -387,13 +400,16 @@ class CatalogDaemon:
                 report = await asyncio.to_thread(
                     scrub_store, self._checkpoint_dir
                 )
-            except OSError as exc:
-                self.health.note_storage_fault(
-                    "scrub", self._checkpoint_dir, repr(exc)
+            except (OSError, CheckpointError) as exc:
+                # A store the scrub cannot read (an unreadable journal
+                # is a CheckpointError) is a storage incident, never a
+                # crash that exhausts the task's restart budget.
+                self.health.note(
+                    STORAGE_FAULT, repr(exc), op="scrub", path=self._checkpoint_dir
                 )
                 continue
             for unit in report.damaged:
-                self.health.note_scrub_damage(str(unit))
+                self.health.note(SCRUB_DAMAGE, str(unit), op="scrub")
             self.health.note_scrub(report.n_verified_ok)
 
     def _disk_free_bytes(self) -> int:
@@ -416,8 +432,11 @@ class CatalogDaemon:
             if free >= self.config.disk_min_free_bytes:
                 return None
             self._disk_shedding = True
-            self.health.note_disk_pressure(
-                free, self.config.disk_min_free_bytes
+            self.health.note(
+                DISK_PRESSURE,
+                f"free {free} bytes below watermark "
+                f"{self.config.disk_min_free_bytes}; shedding ingest",
+                op="write",
             )
         elif free >= self.config.disk_resume_free_bytes:
             self._disk_shedding = False
@@ -433,7 +452,7 @@ class CatalogDaemon:
         }
 
     def _record_restart(self, name: str, attempt: int, error: BaseException) -> None:
-        self.health.note_task_restart(name, attempt, repr(error))
+        self.health.note(TASK_RESTART, f"task {name!r}: {error!r}", attempt=attempt)
 
     # -- request handling ------------------------------------------------------
 
@@ -572,7 +591,11 @@ class CatalogDaemon:
             return await self._await_ack(in_flight, duplicate=True)
         pressure = self._check_disk_pressure()
         if pressure is not None:
-            self.health.note_shed(batch_id, self.config.shed_retry_after_s)
+            self.health.note(
+                OVERLOAD_SHED,
+                f"batch {batch_id!r} shed; retry after "
+                f"{self.config.shed_retry_after_s}s",
+            )
             return pressure
 
         radio, service, report = parse_batch_rows(rows, source=batch_id)
@@ -582,8 +605,14 @@ class CatalogDaemon:
             self.queue.put_nowait(pending)
         except OverloadShed as shed:
             if shed.saturation_started:
-                self.health.note_queue_saturation(shed.depth, shed.high_watermark)
-            self.health.note_shed(batch_id, shed.retry_after_s)
+                self.health.note(
+                    QUEUE_SATURATION,
+                    f"ingest queue reached {shed.depth}/{shed.high_watermark}",
+                )
+            self.health.note(
+                OVERLOAD_SHED,
+                f"batch {batch_id!r} shed; retry after {shed.retry_after_s}s",
+            )
             return {
                 "status": "shed",
                 "error": str(shed),

@@ -1,12 +1,14 @@
 """Service-level health: RunHealth incidents plus liveness gauges.
 
-The daemon reuses the batch runtime's incident taxonomy
-(:class:`repro.parallel.health.RunHealth`) so one vocabulary covers
-both execution modes — a torn WAL unit at daemon restart is the same
-``torn-checkpoint`` incident a durable batch run reports.  On top of
-the incident log sit plain gauges (queue depth, acked batches, snapshot
-progress) that describe a *healthy* daemon; gauges never pollute the
-incident list, so ``RunHealth.ok`` still means "nothing went wrong".
+The daemon records each incident once, as the batch runtime's
+:class:`repro.parallel.health.Incident`, in a
+:class:`~repro.parallel.health.RunHealth` (:meth:`ServiceHealth.note`),
+so one vocabulary covers both execution modes — a torn WAL unit at
+daemon restart is the same ``torn-checkpoint`` incident a durable batch
+run reports — and ``healthz`` counts them by kind.  On top of the incident
+log sit plain gauges (queue depth, acked batches, snapshot progress)
+that describe a *healthy* daemon; gauges never pollute the incident
+list, so ``RunHealth.ok`` still means "nothing went wrong".
 
 ``healthz``/``readyz`` follow the usual split: *healthz* is "describe
 yourself" (always answers, degraded or not); *readyz* is the gate ("may
@@ -28,9 +30,21 @@ from repro.parallel.health import (
     STORAGE_FAULT,
     TASK_RESTART,
     TORN_CHECKPOINT,
+    Incident,
     RunHealth,
-    ShardIncident,
-    StorageIncident,
+)
+
+#: ``healthz`` counter key -> the incident kind it counts, in payload order.
+_HEALTHZ_COUNTS = (
+    ("queue_saturations", QUEUE_SATURATION),
+    ("shed_batches", OVERLOAD_SHED),
+    ("task_restarts", TASK_RESTART),
+    ("snapshot_failures", SNAPSHOT),
+    ("devices_quarantined", DEVICE_QUARANTINED),
+    ("torn_checkpoints", TORN_CHECKPOINT),
+    ("storage_faults", STORAGE_FAULT),
+    ("disk_pressure_events", DISK_PRESSURE),
+    ("scrub_damage_events", SCRUB_DAMAGE),
 )
 
 
@@ -54,59 +68,11 @@ class ServiceHealth:
         self.ready = False
         self.shutting_down = False
 
-    # -- incident recording (RunHealth kinds) --------------------------------
-
-    def _record(self, kind: str, detail: str, attempt: int = 0) -> None:
-        self.run_health.record(
-            ShardIncident(shard_index=0, kind=kind, attempt=attempt, detail=detail)
-        )
-
-    def note_queue_saturation(self, depth: int, high_watermark: int) -> None:
-        self._record(
-            QUEUE_SATURATION, f"ingest queue reached {depth}/{high_watermark}"
-        )
-
-    def note_shed(self, batch_id: str, retry_after_s: float) -> None:
-        self._record(
-            OVERLOAD_SHED, f"batch {batch_id!r} shed; retry after {retry_after_s}s"
-        )
-
-    def note_task_restart(self, task_name: str, attempt: int, error: str) -> None:
-        self._record(TASK_RESTART, f"task {task_name!r}: {error}", attempt=attempt)
-
-    def note_snapshot_failure(self, error: str) -> None:
-        self._record(SNAPSHOT, f"snapshot cycle failed: {error}")
-
-    def note_torn_wal(self, detail: str) -> None:
-        self._record(TORN_CHECKPOINT, detail)
-
-    def note_device_quarantined(self, detail: str) -> None:
-        self._record(DEVICE_QUARANTINED, detail)
-
-    # -- storage incidents (StorageIncident kinds) ----------------------------
-
-    def note_storage_fault(self, op: str, path: str, detail: str) -> None:
-        self.run_health.record_storage(
-            StorageIncident(kind=STORAGE_FAULT, op=op, path=path, detail=detail)
-        )
-
-    def note_disk_pressure(self, free_bytes: int, min_free_bytes: int) -> None:
-        """One incident per shedding episode (hysteresis, not per batch)."""
-        self.run_health.record_storage(
-            StorageIncident(
-                kind=DISK_PRESSURE,
-                op="write",
-                detail=(
-                    f"free {free_bytes} bytes below watermark "
-                    f"{min_free_bytes}; shedding ingest"
-                ),
-            )
-        )
-
-    def note_scrub_damage(self, detail: str) -> None:
-        self.run_health.record_storage(
-            StorageIncident(kind=SCRUB_DAMAGE, op="scrub", detail=detail)
-        )
+    def note(
+        self, kind: str, detail: str, attempt: int = 0, op: str = "", path: str = ""
+    ) -> None:
+        """Record one incident; storage kinds name their ``op``."""
+        self.run_health.record(Incident(kind, detail, attempt=attempt, op=op, path=path))
 
     # -- gauges ---------------------------------------------------------------
 
@@ -139,18 +105,10 @@ class ServiceHealth:
             "batches_replayed": self.batches_replayed,
             "snapshots_completed": self.snapshots_completed,
             "last_snapshot_seq": self.last_snapshot_seq,
-            "queue_saturations": rh.queue_saturations,
-            "shed_batches": rh.shed_batches,
-            "task_restarts": rh.task_restarts,
-            "snapshot_failures": rh.snapshots,
-            "devices_quarantined": rh.devices_quarantined,
-            "torn_checkpoints": rh.torn_checkpoints,
-            "storage_faults": rh.storage_faults,
-            "disk_pressure_events": rh.disk_pressure_events,
-            "scrub_damage_events": rh.scrub_damage_events,
+            **{key: rh.count(kind) for key, kind in _HEALTHZ_COUNTS},
             "scrubs_completed": self.scrubs_completed,
             "last_scrub_verified_ok": self.last_scrub_verified_ok,
-            "n_incidents": len(rh.incidents) + len(rh.storage_incidents),
+            "n_incidents": len(rh.incidents),
             "summary": rh.summary(),
         }
 

@@ -3,7 +3,8 @@
 "No lost acknowledged batch" reduces to a classic WAL discipline: a
 batch's interned columns are packed into the program's CRC-framed block
 format (:func:`repro.columnar.blocks.pack_columns`), written
-atomically as checkpoint unit ``(seq, 0)``, and journaled — and only
+atomically, unchanged, as checkpoint unit ``(seq, 0)``, and journaled
+under its batch id, which the journal line's CRC covers — and only
 then is the client's ack released.  On restart :meth:`BatchLog.replay`
 walks the journal in sequence order and re-yields every acknowledged
 batch, so the daemon rebuilds exactly the catalog it acknowledged, no
@@ -17,18 +18,19 @@ A torn journal tail (a line of another shape included) or a corrupt
 unit block (one that lists quarantined devices included: the WAL never
 writes one) is *reported* (``n_torn_units``,
 ``CheckpointStore.n_torn_journal_lines``) and skipped, never silently
-absorbed: the units it named were by definition
-unacknowledged, so dropping them is correct — but the operator gets a
-``torn-checkpoint`` incident, not a mystery.
+absorbed: a crash tears only batches whose acks never went out, which
+their clients re-send, and the operator gets a ``torn-checkpoint``
+incident, not a mystery.  A batch id whose bytes rotted fails its
+line's CRC, so no batch ever replays under another id.  Every unit is
+a plain block, so the scrubber (:mod:`repro.runtime.scrub`) checks it
+from its own bytes.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Set, Tuple, Union
+from typing import List, Set, Union
 
 from repro.columnar.blocks import CheckpointCorruption, pack_columns, unpack_day_block
 from repro.columnar.store import ColumnarRadioEvents, ColumnarServiceRecords
@@ -36,15 +38,15 @@ from repro.runtime.checkpoint import BeforeReplace, CheckpointStore
 
 PathLike = Union[str, Path]
 
-_ENVELOPE_LEN = struct.Struct("<I")
-
 #: WAL units are single-shard: unit key is (seq, _WAL_SHARD).
 _WAL_SHARD = 0
 
 #: The store fingerprint pins the directory to this role and format, so
 #: pointing the daemon at a batch run's checkpoint directory (or vice
-#: versa) fails loudly as a stale manifest instead of mis-decoding.
-_WAL_FINGERPRINT = {"role": "service-wal", "format": 1}
+#: versa), or at a WAL of another unit format, fails loudly as a stale
+#: manifest instead of mis-decoding.  Format 2 keeps batch ids in the
+#: journal; format 1 kept them in an unchecksummed prefix of each unit.
+_WAL_FINGERPRINT = {"role": "service-wal", "format": 2}
 
 
 @dataclass(frozen=True)
@@ -65,35 +67,13 @@ class ReplayedBatch:
     service_records: ColumnarServiceRecords
 
 
-def _encode_envelope(batch_id: str, seq: int, block: bytes) -> bytes:
-    header = json.dumps(
-        {"batch_id": batch_id, "seq": seq}, separators=(",", ":")
-    ).encode("utf-8")
-    return _ENVELOPE_LEN.pack(len(header)) + header + block
-
-
-def _decode_envelope(data: bytes) -> Tuple[Dict[str, Any], bytes]:
-    if len(data) < _ENVELOPE_LEN.size:
-        raise CheckpointCorruption("WAL envelope too short for header frame")
-    (header_len,) = _ENVELOPE_LEN.unpack_from(data)
-    offset = _ENVELOPE_LEN.size
-    raw = data[offset:offset + header_len]
-    if len(raw) != header_len:
-        raise CheckpointCorruption("WAL envelope header torn")
-    try:
-        header = json.loads(raw.decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise CheckpointCorruption(f"WAL envelope header unreadable: {exc}") from exc
-    return header, data[offset + header_len:]
-
-
 class BatchLog:
     """Durable, replayable log of acknowledged ingest batches.
 
-    One :class:`CheckpointStore` unit per batch, keyed ``(seq, 0)``.
-    ``append`` journals with a flush (survives SIGKILL of the daemon);
-    ``sync`` fsyncs (survives power loss) and is the snapshot loop's
-    periodic duty.  ``applied_batch_ids`` carries every batch id ever
+    One :class:`CheckpointStore` unit per batch, keyed ``(seq, 0)``,
+    and one journal line naming its batch id.  ``append`` journals with
+    a flush (survives SIGKILL of the daemon); ``sync`` fsyncs (survives
+    power loss) and is the snapshot loop's periodic duty.  ``applied_batch_ids`` carries every batch id ever
     acknowledged, giving the daemon idempotent re-sends for free.
     """
 
@@ -120,10 +100,6 @@ class BatchLog:
     def n_torn_journal_lines(self) -> int:
         return self._store.n_torn_journal_lines
 
-    @property
-    def attempt(self) -> int:
-        return self._store.attempt
-
     def append(
         self,
         batch_id: str,
@@ -142,8 +118,8 @@ class BatchLog:
         """
         seq = self.next_seq
         block = pack_columns(radio_events, service_records)
-        self._store.save_unit(seq, _WAL_SHARD, _encode_envelope(batch_id, seq, block))
-        self._store.mark_complete(seq, _WAL_SHARD)
+        self._store.save_unit(seq, _WAL_SHARD, block)
+        self._store.mark_complete(seq, _WAL_SHARD, batch_id)
         self.applied_batch_ids.add(batch_id)
         self.next_seq = seq + 1
         return seq
@@ -151,10 +127,9 @@ class BatchLog:
     def replay(self) -> List[ReplayedBatch]:
         """Recover every acknowledged batch, in sequence order.
 
-        Corrupt or missing unit blocks are counted in ``n_torn_units``
-        and skipped — their acks never made it out (the journal line is
-        written strictly after the block), so nothing acknowledged is
-        lost.
+        Corrupt or missing unit blocks, and journal lines that name no
+        batch, are counted in ``n_torn_units`` and skipped, never
+        replayed under an invented id.
         """
         batches: List[ReplayedBatch] = []
         seen: Set[int] = set()
@@ -163,15 +138,16 @@ class BatchLog:
             if seq in seen:
                 continue
             seen.add(seq)
+            batch_id = entry.get("batch_id")
             try:
-                header, block = _decode_envelope(
+                events_c, records_c = unpack_day_block(
                     self._store.load_unit(seq, _WAL_SHARD)
                 )
-                events_c, records_c = unpack_day_block(block)
             except CheckpointCorruption:
+                batch_id = None
+            if batch_id is None:
                 self.n_torn_units += 1
                 continue
-            batch_id = str(header.get("batch_id", f"seq-{seq}"))
             batches.append(
                 ReplayedBatch(
                     seq=seq,
@@ -190,12 +166,3 @@ class BatchLog:
 
     def close(self) -> None:
         self._store.close()
-
-    def manifest_summary(self) -> Dict[str, int]:
-        """Counters for health reporting."""
-        return {
-            "next_seq": self.next_seq,
-            "n_torn_units": self.n_torn_units,
-            "n_torn_journal_lines": self.n_torn_journal_lines,
-            "attempt": self.attempt,
-        }

@@ -34,7 +34,7 @@ from repro.faults.fsfault import (
     install,
 )
 from repro.mno import MNOConfig, simulate_mno_dataset
-from repro.parallel.health import STORAGE_FAULT, UNIT_QUARANTINED
+from repro.parallel.health import STORAGE_FAULT, TORN_CHECKPOINT, UNIT_QUARANTINED
 from repro.pipeline import run_pipeline
 from repro.runtime import run_durable_pipeline
 from repro.runtime.checkpoint import JOURNAL_NAME, StorageAbort, parse_journal_lines
@@ -84,7 +84,7 @@ def test_transient_write_faults_are_absorbed(
     assert injector.n_fired == 2
     assert digest(result) == baseline_digest
     # Every absorbed fault left a typed incident, not silence.
-    kinds = {i.kind for i in result.health.storage_incidents}
+    kinds = {i.kind for i in result.health.incidents if i.op}
     assert kinds == {STORAGE_FAULT}
     assert scrub_store(tmp_path / "ckpt").ok
 
@@ -126,7 +126,7 @@ def test_lenient_quarantines_sick_unit_then_converges(
         degraded = run_durable_pipeline(
             dataset, eco, checkpoint_dir=ckpt, n_workers=1, lenient=True
         )
-    kinds = {i.kind for i in degraded.health.storage_incidents}
+    kinds = {i.kind for i in degraded.health.incidents if i.op}
     assert UNIT_QUARANTINED in kinds
     # The sick unit is absent from the degraded catalog, not wrong.
     assert digest(degraded) != baseline_digest
@@ -187,8 +187,8 @@ def test_read_eio_at_the_resume_seam(
             lenient=lenient,
         )
     assert digest(resumed) == baseline_digest
-    assert resumed.health.torn_checkpoints == 1
-    assert [(i.kind, i.op) for i in resumed.health.storage_incidents] == [
+    assert resumed.health.count(TORN_CHECKPOINT) == 1
+    assert [(i.kind, i.op) for i in resumed.health.incidents if i.op] == [
         (STORAGE_FAULT, "read")
     ]
     lines = (ckpt / JOURNAL_NAME).read_text(encoding="utf-8").splitlines()

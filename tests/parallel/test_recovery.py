@@ -25,9 +25,15 @@ from repro.parallel.health import (
     BREAKER_TRIP,
     BROKEN_POOL,
     DEADLINE,
+    DISK_PRESSURE,
     IN_PROCESS,
+    SCRUB_DAMAGE,
+    STORAGE_FAULT,
+    TASK_RESTART,
+    TORN_CHECKPOINT,
+    UNIT_QUARANTINED,
+    Incident,
     RunHealth,
-    ShardIncident,
 )
 from repro.parallel.pool import get_context, map_shards
 
@@ -80,31 +86,53 @@ def report_pid_and_sleep(seconds: float) -> float:
 
 # -- RunHealth bookkeeping ----------------------------------------------------
 
+def in_process_shards(health):
+    return [i.shard for i in health.incidents if i.kind == IN_PROCESS]
+
+
 def test_incident_kind_is_validated():
     with pytest.raises(ValueError, match="unknown incident kind"):
-        ShardIncident(0, "bogus")
+        Incident("bogus")
+
+
+#: Incidents the record refuses, each with the refusal's message.
+BAD_INCIDENTS = {
+    "unknown-kind": (dict(kind="bogus"), "unknown incident kind"),
+    "unknown-op": (dict(kind=STORAGE_FAULT, op="truncate"), "unknown storage op"),
+    "storage-fault-without-op": (dict(kind=STORAGE_FAULT), "name a storage op"),
+    "unit-quarantined-without-op": (dict(kind=UNIT_QUARANTINED), "name a storage op"),
+    "disk-pressure-without-op": (dict(kind=DISK_PRESSURE), "name a storage op"),
+    "scrub-damage-without-op": (dict(kind=SCRUB_DAMAGE), "name a storage op"),
+    "torn-checkpoint-with-op": (dict(kind=TORN_CHECKPOINT, op="read"), "name a storage op"),
+    "deadline-with-op": (dict(kind=DEADLINE, op="write"), "name a storage op"),
+    "task-restart-with-op": (dict(kind=TASK_RESTART, op="scrub"), "name a storage op"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_INCIDENTS))
+def test_incident_refuses_a_kind_and_op_that_do_not_go_together(bad):
+    fields, message = BAD_INCIDENTS[bad]
+    with pytest.raises(ValueError, match=message):
+        Incident(**fields)
 
 
 def test_health_record_and_summary():
     health = RunHealth()
     assert health.ok
-    assert "healthy" in health.summary()
-    health.record(ShardIncident(0, DEADLINE, 0, "no result within 1s"))
-    health.record(ShardIncident(0, IN_PROCESS, 1, "retry budget exhausted"))
+    assert health.summary() == "healthy: no recovery events"
+    health.record(Incident(DEADLINE, "no result within 1s", 0, 0))
+    health.record(Incident(IN_PROCESS, "retry budget exhausted", 0, 1))
+    health.record(Incident(DEADLINE, "no result within 1s", 2, 0))
+    health.record(Incident(STORAGE_FAULT, "EIO", op="read", path="u.ckpt"))
     assert not health.ok
-    assert health.deadline_hits == 1
-    assert health.in_process_shards == [0]
-    assert "deadline" in health.summary()
-
-
-def test_health_merge_accumulates():
-    a, b = RunHealth(), RunHealth()
-    a.record(ShardIncident(0, BROKEN_POOL, 0, "x"))
-    b.record(ShardIncident(1, BREAKER_TRIP, 2, "y"))
-    merged = a.merge(b)
-    assert merged.broken_pools == 1
-    assert merged.breaker_tripped
-    assert len(merged.incidents) == 2
+    assert health.count(DEADLINE) == 2
+    assert health.count(BROKEN_POOL) == 0
+    assert in_process_shards(health) == [0]
+    assert health.summary() == (
+        "2 deadline hit(s); 1 in-process shard run(s); 1 storage fault(s)"
+    )
+    with pytest.raises(ValueError, match="unknown incident kind"):
+        health.count("bogus")
 
 
 # -- recovery behaviour -------------------------------------------------------
@@ -121,8 +149,8 @@ def test_hung_worker_hits_deadline_and_recovers():
         health=health,
     )
     assert results == [1, 4, 9]
-    assert health.deadline_hits >= 1
-    assert len(health.in_process_shards) >= 1
+    assert health.count(DEADLINE) >= 1
+    assert len(in_process_shards(health)) >= 1
     assert not health.ok
 
 
@@ -130,9 +158,11 @@ _NEVER_RETURNING_SCRIPT = """
 import json
 import os
 
-from repro.parallel.health import RunHealth
+from repro.parallel.health import DEADLINE, RunHealth
 from repro.parallel.pool import map_shards
-from tests.parallel.test_recovery import ONE_SHOT, square_or_never_return
+from tests.parallel.test_recovery import (
+    ONE_SHOT, in_process_shards, square_or_never_return,
+)
 
 health = RunHealth()
 results = map_shards(
@@ -146,8 +176,8 @@ results = map_shards(
 )
 print(json.dumps({
     "results": results,
-    "deadline_hits": health.deadline_hits,
-    "in_process": health.in_process_shards,
+    "deadline_hits": health.count(DEADLINE),
+    "in_process": in_process_shards(health),
 }))
 """
 
@@ -195,8 +225,8 @@ def test_dead_worker_breaks_pool_and_recovers():
         health=health,
     )
     assert results == [1, 4, 9]
-    assert health.broken_pools >= 1
-    assert len(health.in_process_shards) >= 1
+    assert health.count(BROKEN_POOL) >= 1
+    assert len(in_process_shards(health)) >= 1
 
 
 def test_persistent_failures_trip_the_breaker():
@@ -216,10 +246,9 @@ def test_persistent_failures_trip_the_breaker():
         breaker_threshold=3,
     )
     assert results == [1, 4, 9, 16]
-    assert health.breaker_tripped
-    assert any(i.kind == BREAKER_TRIP for i in health.incidents)
+    assert health.count(BREAKER_TRIP) == 1
     # Every shard still unfinished at trip time ran in-process.
-    assert len(health.in_process_shards) >= 1
+    assert len(in_process_shards(health)) >= 1
 
 
 def test_task_exceptions_propagate_unchanged():
@@ -286,7 +315,7 @@ def test_pool_broken_during_submit_recovers(monkeypatch):
         deadline_s=30.0, retry_policy=ONE_SHOT, health=health,
     )
     assert results == [1, 4, 9]
-    assert health.broken_pools == 1
+    assert health.count(BROKEN_POOL) == 1
 
 
 _KILLED_PARENT_SCRIPT = """

@@ -16,6 +16,7 @@ from repro.runtime.checkpoint import (
     _payload_crc,
     atomic_write_bytes,
     atomic_write_text,
+    read_journal,
 )
 
 FP = {"source": "test", "days": [0, 1], "lenient": False}
@@ -214,6 +215,9 @@ JOURNAL_LINE_DAMAGE = {
     "attempt-a-fraction": crc_line({"day": 1, "shard": 0, "attempt": 0.5}),  # none: attempt 0
     "a-list": "[1]\n",  # TypeError
     "not-utf8": b"\xff\xfe\n",  # UnicodeDecodeError
+    "batch-id-a-number": crc_line(
+        {"day": 1, "shard": 0, "attempt": 0, "batch_id": 7}
+    ),  # none: the key was not read
 }
 
 #: The cases the journal's readers (durable resume, WAL start, scrub)
@@ -236,6 +240,26 @@ def test_journal_line_of_another_shape_is_torn(tmp_path, damage):
     store.close()
     with CheckpointStore(tmp_path, FP, n_shards=2, resume=True) as store:
         assert store.n_torn_journal_lines == 0
+
+
+def test_batch_id_rides_the_journal_line_and_its_rewrites(tmp_path):
+    """A batch id is kept under the line's CRC, and the torn-tail
+    rewrite keeps it; a line without one is what a batch run writes."""
+    with CheckpointStore(tmp_path, FP, n_shards=1) as store:
+        store.mark_complete(0, 0, "b-0")
+        store.mark_complete(1, 0)
+    append_journal_line(tmp_path, "torn")
+    entries = [
+        {"day": 0, "shard": 0, "attempt": 0, "batch_id": "b-0"},
+        {"day": 1, "shard": 0, "attempt": 0},
+    ]
+    with CheckpointStore(tmp_path, FP, n_shards=1, resume=True) as store:
+        assert store.n_torn_journal_lines == 1
+        assert store.journal_entries() == entries
+    assert read_journal(tmp_path / JOURNAL_NAME) == (entries, 0)
+    assert (tmp_path / JOURNAL_NAME).read_text(encoding="utf-8").splitlines()[1] == (
+        crc_line({"day": 1, "shard": 0, "attempt": 0}).strip()
+    )
 
 
 def reshape_manifest(directory, edit):

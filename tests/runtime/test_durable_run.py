@@ -223,7 +223,7 @@ def test_unit_left_by_the_per_unit_validator_is_rebuilt(
     )
     assert_same_result(result, plain_lenient)
     assert_same_degradation(result, plain_lenient)
-    assert result.health.torn_checkpoints == 1
+    assert result.health.count(TORN_CHECKPOINT) == 1
     torn = [i for i in result.health.incidents if i.kind == TORN_CHECKPOINT]
     assert len(torn) == 1 and "quarantined" in torn[0].detail
 
@@ -312,7 +312,7 @@ def test_torn_checkpoint_reexecutes_only_that_unit(
         n_workers=2,
     )
     assert_same_result(result, plain_result)
-    assert result.health.torn_checkpoints == 1
+    assert result.health.count(TORN_CHECKPOINT) == 1
     kinds = [i.kind for i in result.health.incidents]
     assert TORN_CHECKPOINT in kinds
 
@@ -348,7 +348,7 @@ def test_unit_with_another_column_layout_is_rebuilt_on_resume(
         n_workers=2,
     )
     assert_same_result(result, plain_result)
-    assert result.health.torn_checkpoints == 1
+    assert result.health.count(TORN_CHECKPOINT) == 1
     torn = [i for i in result.health.incidents if i.kind == TORN_CHECKPOINT]
     assert len(torn) == 1 and "column layout" in torn[0].detail
 
@@ -374,7 +374,7 @@ def test_unit_whose_rows_do_not_decode_is_rebuilt_on_resume(
         n_workers=2,
     )
     assert_same_result(result, plain_result)
-    assert result.health.torn_checkpoints == 1
+    assert result.health.count(TORN_CHECKPOINT) == 1
     torn = [i for i in result.health.incidents if i.kind == TORN_CHECKPOINT]
     assert len(torn) == 1 and words in torn[0].detail
 
@@ -397,7 +397,7 @@ def test_unit_whose_header_has_another_shape_is_rebuilt_on_resume(
         n_workers=2,
     )
     assert_same_result(result, plain_result)
-    assert result.health.torn_checkpoints == 1
+    assert result.health.count(TORN_CHECKPOINT) == 1
     torn = [i for i in result.health.incidents if i.kind == TORN_CHECKPOINT]
     assert len(torn) == 1 and "'pools'" in torn[0].detail
 
@@ -421,7 +421,7 @@ def test_torn_journal_tail_resumes_and_reports(
 
     # The discard is loud, not silent: one TORN_CHECKPOINT incident
     # naming the journal, counted alongside torn unit blocks.
-    assert result.health.torn_checkpoints == 1
+    assert result.health.count(TORN_CHECKPOINT) == 1
     torn = [i for i in result.health.incidents if i.kind == TORN_CHECKPOINT]
     assert len(torn) == 1
     assert "journal torn tail" in torn[0].detail

@@ -321,14 +321,25 @@ def test_repaired_lenient_store_resumes_to_the_uninterrupted_run(
     assert observe(resumed) == observe(uninterrupted)
 
 
-def test_wal_store_scrubs_through_the_envelope(tmp_path, small_dataset):
-    wal_dir = tmp_path / "wal"
-    log = BatchLog(wal_dir)
-    radio = small_dataset.radio_events[:40]
-    service = small_dataset.service_records[:40]
+def three_batch_wal(directory, dataset):
+    log = BatchLog(directory)
+    radio = dataset.radio_events[:40]
+    service = dataset.service_records[:40]
     for i in range(3):
         log.append(f"batch-{i}", *from_record_streams(radio, service))
     log.close()
+    return directory
+
+
+def bump_manifest_crc(directory):
+    path = directory / MANIFEST_NAME
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["crc32"] += 1
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def test_wal_store_scrubs_from_its_units_own_bytes(tmp_path, small_dataset):
+    wal_dir = three_batch_wal(tmp_path / "wal", small_dataset)
     assert scrub_store(wal_dir).n_verified_ok == 3
 
     flip_byte(sorted((wal_dir / UNITS_DIRNAME).glob("*.ckpt"))[1])
@@ -343,6 +354,38 @@ def test_wal_store_scrubs_through_the_envelope(tmp_path, small_dataset):
     assert healed.n_recomputed == 0 and healed.n_marked_for_rerun == 1
     replayed = BatchLog(wal_dir, resume=True).replay()
     assert [b.batch_id for b in replayed] == ["batch-0", "batch-2"]
+
+
+def test_wal_whose_manifest_fails_its_crc_keeps_every_batch(tmp_path, small_dataset):
+    """The manifest does not decide how a unit is read: with it damaged,
+    every WAL unit still verifies and repair keeps every acked batch."""
+    wal_dir = three_batch_wal(tmp_path / "wal", small_dataset)
+    bump_manifest_crc(wal_dir)
+    journal = (wal_dir / JOURNAL_NAME).read_bytes()
+
+    report = scrub_store(wal_dir)
+    assert report.manifest_error == "manifest checksum mismatch"
+    assert (report.n_verified_ok, report.n_journaled_units) == (3, 3)
+    assert report.damaged == []
+
+    repaired = scrub_store(wal_dir, repair=True)
+    assert repaired.manifest_error and not repaired.healthy_after_scrub
+    assert repaired.n_marked_for_rerun == 0
+    assert len(list((wal_dir / UNITS_DIRNAME).glob("*.ckpt"))) == 3
+    assert (wal_dir / JOURNAL_NAME).read_bytes() == journal
+
+
+def test_repair_recomputes_nothing_without_a_readable_manifest(store, small_dataset):
+    """The shard count a recompute needs comes from the manifest: with
+    the manifest damaged a damaged unit is marked for re-execution."""
+    bump_manifest_crc(store)
+    victim = unit_paths(store)[0]
+    flip_byte(victim)
+    report = scrub_store(
+        store, repair=True, recompute=recompute_from_dataset(small_dataset)
+    )
+    assert (report.n_recomputed, report.n_marked_for_rerun) == (0, 1)
+    assert not victim.exists()
 
 
 def test_report_json_payload(store):

@@ -18,11 +18,21 @@ from repro.columnar.blocks import pack_day_block
 from repro.columnar.store import _by_day
 from repro.core.catalog import CatalogBuilder
 from repro.core.roaming import RoamingLabeler
+from repro.parallel.health import (
+    DEVICE_QUARANTINED,
+    DISK_PRESSURE,
+    OVERLOAD_SHED,
+    QUEUE_SATURATION,
+    SCRUB_DAMAGE,
+    SNAPSHOT,
+    STORAGE_FAULT,
+    TASK_RESTART,
+    TORN_CHECKPOINT,
+)
 from repro.pipeline import run_pipeline
 from repro.runtime.checkpoint import UNITS_DIRNAME
-from repro.service import CatalogDaemon, ServiceConfig, catalog_digest
+from repro.service import CatalogDaemon, ServiceConfig, ServiceHealth, catalog_digest
 from repro.service.protocol import parse_batch_rows
-from repro.service.wal import _encode_envelope
 
 from tests.service.test_protocol import (
     GOOD_RADIO,
@@ -156,6 +166,53 @@ def test_row_the_columns_cannot_hold_is_quarantined(tmp_path, svc_eco, name):
             await daemon.stop()
 
     asyncio.run(scenario())
+
+
+#: ``healthz``'s keys, in the order the daemon serves them.
+HEALTHZ_KEYS = [
+    "status",
+    "queue_depth",
+    "batches_acked",
+    "rows_ingested",
+    "batches_replayed",
+    "snapshots_completed",
+    "last_snapshot_seq",
+    "queue_saturations",
+    "shed_batches",
+    "task_restarts",
+    "snapshot_failures",
+    "devices_quarantined",
+    "torn_checkpoints",
+    "storage_faults",
+    "disk_pressure_events",
+    "scrub_damage_events",
+    "scrubs_completed",
+    "last_scrub_verified_ok",
+    "n_incidents",
+    "summary",
+]
+
+
+def test_healthz_counts_each_incident_kind_under_its_key():
+    health = ServiceHealth()
+    assert list(health.healthz()) == HEALTHZ_KEYS
+    for kind, op in (
+        (QUEUE_SATURATION, ""),
+        (OVERLOAD_SHED, ""),
+        (TASK_RESTART, ""),
+        (SNAPSHOT, ""),
+        (DEVICE_QUARANTINED, ""),
+        (TORN_CHECKPOINT, ""),
+        (STORAGE_FAULT, "write"),
+        (DISK_PRESSURE, "write"),
+        (SCRUB_DAMAGE, "scrub"),
+    ):
+        health.note(kind, "detail", op=op)
+    payload = health.healthz()
+    assert list(payload) == HEALTHZ_KEYS
+    counters = HEALTHZ_KEYS[7:16]
+    assert {key: payload[key] for key in counters} == dict.fromkeys(counters, 1)
+    assert (payload["status"], payload["n_incidents"]) == ("degraded", 9)
 
 
 @pytest.mark.parametrize("name", sorted(MISTYPED_ROWS))
@@ -579,7 +636,7 @@ def test_supervisor_failure_drops_readiness(tmp_path, svc_eco):
                 assert response["status"] in ("error", "retry")
             with pytest.raises(RuntimeError, match="drain"):
                 await asyncio.wait_for(serve, timeout=5.0)
-            assert daemon.health.run_health.task_restarts >= 1
+            assert daemon.health.run_health.count(TASK_RESTART) >= 1
             assert not daemon.health.readyz()["ready"]
         finally:
             serve.cancel()
@@ -819,9 +876,7 @@ def test_wal_unit_matches_pack_day_block(tmp_path, svc_eco, svc_batches):
     radio, service, _ = parse_batch_rows(rows, source=batch_id)
     events, records = radio.to_rows(), service.to_rows()
     unit = wal_dir / UNITS_DIRNAME / "day_000.shard_000.ckpt"
-    assert unit.read_bytes() == _encode_envelope(
-        batch_id, 0, pack_day_block(events, records)
-    )
+    assert unit.read_bytes() == pack_day_block(events, records)
 
 
 def test_wal_of_row_packed_blocks_replays(

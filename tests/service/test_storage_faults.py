@@ -8,7 +8,7 @@ is process-global, so faults installed here fire inside the daemon's
 
 import asyncio
 
-from repro.faults.fsfault import ENOSPC, FsFault, FsFaultPlan, install
+from repro.faults.fsfault import EIO_READ, ENOSPC, FsFault, FsFaultPlan, install
 from repro.parallel.health import DISK_PRESSURE, SCRUB_DAMAGE, STORAGE_FAULT
 from repro.service import CatalogDaemon, ServiceConfig
 
@@ -52,7 +52,7 @@ def test_disk_watermarks_shed_with_hysteresis(tmp_path, svc_eco, svc_batches):
             # One incident for the whole episode, one count per shed batch.
             assert health["disk_pressure_events"] == 1
             assert health["shed_batches"] == 2
-            incidents = daemon.health.run_health.storage_incidents
+            incidents = [i for i in daemon.health.run_health.incidents if i.op]
             assert [i.kind for i in incidents] == [DISK_PRESSURE]
         finally:
             await daemon.stop()
@@ -76,7 +76,7 @@ def test_wal_write_fault_is_typed_incident_and_retryable(
             assert failed["status"] != "ok"
             health = daemon.health.healthz()
             assert health["storage_faults"] == 1
-            incidents = daemon.health.run_health.storage_incidents
+            incidents = [i for i in daemon.health.run_health.incidents if i.op]
             assert [i.kind for i in incidents] == [STORAGE_FAULT]
             assert "ENOSPC" in incidents[0].detail or "28" in incidents[0].detail
             # The batch was never acked; the same id re-sends cleanly
@@ -145,7 +145,7 @@ def test_scrub_loop_surfaces_at_rest_rot(tmp_path, svc_eco, svc_batches):
             health = daemon.health.healthz()
             assert health["scrub_damage_events"] >= 1
             kinds = {
-                i.kind for i in daemon.health.run_health.storage_incidents
+                i.kind for i in daemon.health.run_health.incidents if i.op
             }
             assert kinds == {SCRUB_DAMAGE}
             # Verify-only: the scrubber never rewrites the hot store.
@@ -154,6 +154,46 @@ def test_scrub_loop_surfaces_at_rest_rot(tmp_path, svc_eco, svc_batches):
             assert (await request(daemon.port, {"op": "readyz"}))["readyz"][
                 "ready"
             ]
+        finally:
+            await daemon.stop()
+
+    asyncio.run(scenario())
+
+
+def test_scrub_loop_reports_an_unreadable_journal_and_keeps_running(
+    tmp_path, svc_eco, svc_batches
+):
+    """A journal the scrub cannot read is one ``storage-fault`` incident
+    per cycle (op ``scrub``); the scrub task never crashes, so nothing
+    restarts and the supervisor never fails."""
+
+    async def scenario():
+        daemon = CatalogDaemon(
+            svc_eco,
+            str(tmp_path / "wal"),
+            ServiceConfig(scrub_interval_s=0.01, **FAST_CONFIG),
+        )
+        await daemon.start()
+        try:
+            batch_id, rows = svc_batches[0]
+            assert (await ingest(daemon.port, batch_id, rows))["status"] == "ok"
+            plan = FsFaultPlan(
+                faults=(FsFault(EIO_READ, match="journal.jsonl", times=-1),)
+            )
+            with install(plan):
+                # Outlast the scrub task's whole restart budget.
+                for _ in range(250):
+                    await asyncio.sleep(0.02)
+                    if daemon.health.healthz()["storage_faults"] >= 10:
+                        break
+            health = daemon.health.healthz()
+            assert health["storage_faults"] >= 10
+            assert health["task_restarts"] == 0
+            assert not daemon.supervisor.failed.is_set()
+            assert {(i.kind, i.op) for i in daemon.health.run_health.incidents} == {
+                (STORAGE_FAULT, "scrub")
+            }
+            assert (await request(daemon.port, {"op": "readyz"}))["readyz"]["ready"]
         finally:
             await daemon.stop()
 

@@ -3,10 +3,17 @@
 import pytest
 
 from repro.columnar import from_record_streams
-from repro.runtime.checkpoint import UNITS_DIRNAME, CheckpointCorruption, StaleManifestError
+from repro.columnar.blocks import pack_day_block
+from repro.runtime.checkpoint import (
+    JOURNAL_NAME,
+    UNITS_DIRNAME,
+    CheckpointCorruption,
+    StaleManifestError,
+    read_journal,
+)
+from repro.runtime.scrub import scrub_store
 from repro.service import BatchLog
 from repro.service.protocol import parse_batch_rows
-from repro.service.wal import _decode_envelope, _encode_envelope
 
 from tests.runtime.test_checkpoint import (
     JOURNAL_LINE_DAMAGE,
@@ -71,6 +78,57 @@ def test_append_then_replay_round_trips(tmp_path):
     resumed.close()
 
 
+def test_unit_is_the_batch_block_and_the_journal_names_the_batch(tmp_path):
+    log = BatchLog(tmp_path)
+    events, records = typed_rows()
+    append(log, "b-0", events, records)
+    log.close()
+    unit = tmp_path / UNITS_DIRNAME / "day_000.shard_000.ckpt"
+    assert unit.read_bytes() == pack_day_block(events, records)
+    assert read_journal(tmp_path / JOURNAL_NAME) == (
+        [{"day": 0, "shard": 0, "attempt": 0, "batch_id": "b-0"}],
+        0,
+    )
+
+
+def test_every_flipped_bit_of_a_unit_is_damage_never_a_batch(tmp_path):
+    """Every bit of a one-row unit, flipped alone, fails scrub; one bit
+    of every byte, flipped alone, makes replay count the unit torn."""
+    log = BatchLog(tmp_path)
+    append(log, "b-0", *typed_rows(n_radio=1, n_service=0))
+    log.close()
+    unit = tmp_path / UNITS_DIRNAME / "day_000.shard_000.ckpt"
+    pristine = unit.read_bytes()
+    for bit in range(len(pristine) * 8):
+        damaged = bytearray(pristine)
+        damaged[bit // 8] ^= 1 << (bit % 8)
+        unit.write_bytes(bytes(damaged))
+        assert [u.day for u in scrub_store(tmp_path).damaged] == [0], bit
+        if bit % 8 == (bit // 8) % 8:
+            resumed = BatchLog(tmp_path, resume=True)
+            assert resumed.replay() == [] and resumed.n_torn_units == 1, bit
+            resumed.close()
+
+
+def test_rotted_batch_id_is_a_torn_line_never_a_renamed_batch(tmp_path):
+    log = BatchLog(tmp_path)
+    for seq in range(3):
+        append(log, f"b-{seq}", *typed_rows(day_offset=seq))
+    log.close()
+    journal = tmp_path / JOURNAL_NAME
+    text = journal.read_text(encoding="utf-8")
+    assert text.count('"b-1"') == 1
+    journal.write_text(text.replace('"b-1"', '"b-7"'), encoding="utf-8")
+
+    # The line's CRC covers the id: it and the lines after it are torn.
+    assert scrub_store(tmp_path).n_torn_journal_lines == 2
+    resumed = BatchLog(tmp_path, resume=True)
+    assert resumed.n_torn_journal_lines == 2
+    assert [b.batch_id for b in resumed.replay()] == ["b-0"]
+    assert resumed.applied_batch_ids == {"b-0"}
+    resumed.close()
+
+
 def test_fresh_directory_has_nothing_to_replay(tmp_path):
     log = BatchLog(tmp_path)
     assert log.replay() == []
@@ -110,11 +168,9 @@ def test_unit_with_another_column_layout_is_counted_torn(tmp_path):
     log.sync()
     log.close()
 
-    # A CRC-valid block one column short, behind its intact envelope.
+    # A CRC-valid block one column short.
     unit = tmp_path / UNITS_DIRNAME / "day_001.shard_000.ckpt"
-    header, block = _decode_envelope(unit.read_bytes())
-    damaged = reframe(block, drop_tacs)
-    unit.write_bytes(_encode_envelope(header["batch_id"], header["seq"], damaged))
+    unit.write_bytes(reframe(unit.read_bytes(), drop_tacs))
 
     resumed = BatchLog(tmp_path, resume=True)
     assert [b.batch_id for b in resumed.replay()] == ["b-0", "b-2"]
@@ -131,11 +187,9 @@ def test_unit_whose_rows_do_not_decode_is_counted_torn(tmp_path, damage):
     log.sync()
     log.close()
 
-    # A CRC-valid block in the stores' layout, behind its intact envelope.
+    # A CRC-valid block in the stores' layout.
     unit = tmp_path / UNITS_DIRNAME / "day_001.shard_000.ckpt"
-    header, block = _decode_envelope(unit.read_bytes())
-    damaged = reframe(block, VALUE_DAMAGE[damage][0])
-    unit.write_bytes(_encode_envelope(header["batch_id"], header["seq"], damaged))
+    unit.write_bytes(reframe(unit.read_bytes(), VALUE_DAMAGE[damage][0]))
 
     resumed = BatchLog(tmp_path, resume=True)
     assert [b.batch_id for b in resumed.replay()] == ["b-0", "b-2"]
@@ -151,11 +205,9 @@ def test_unit_whose_header_has_another_shape_is_counted_torn(tmp_path):
     log.sync()
     log.close()
 
-    # A CRC-valid block without its pools, behind its intact envelope.
+    # A CRC-valid block without its pools.
     unit = tmp_path / UNITS_DIRNAME / "day_001.shard_000.ckpt"
-    header, block = _decode_envelope(unit.read_bytes())
-    damaged = reheader(block, HEADER_DAMAGE[READER_HEADER_DAMAGE])
-    unit.write_bytes(_encode_envelope(header["batch_id"], header["seq"], damaged))
+    unit.write_bytes(reheader(unit.read_bytes(), HEADER_DAMAGE[READER_HEADER_DAMAGE]))
 
     resumed = BatchLog(tmp_path, resume=True)
     assert [b.batch_id for b in resumed.replay()] == ["b-0", "b-2"]
@@ -171,12 +223,10 @@ def test_unit_that_lists_quarantined_devices_is_counted_torn(tmp_path):
     log.sync()
     log.close()
 
-    # The WAL never writes a quarantine list: a block holding one, behind
-    # its intact envelope, is corrupt.
+    # The WAL never writes a quarantine list: a block holding one is
+    # corrupt.
     unit = tmp_path / UNITS_DIRNAME / "day_001.shard_000.ckpt"
-    header, block = _decode_envelope(unit.read_bytes())
-    damaged = legacy_unit(block)
-    unit.write_bytes(_encode_envelope(header["batch_id"], header["seq"], damaged))
+    unit.write_bytes(legacy_unit(unit.read_bytes()))
 
     resumed = BatchLog(tmp_path, resume=True)
     assert [b.batch_id for b in resumed.replay()] == ["b-0", "b-2"]
@@ -218,12 +268,11 @@ def test_wal_directory_is_role_pinned(tmp_path):
         BatchLog(tmp_path, resume=True)
 
 
-def test_manifest_summary_counters(tmp_path):
-    log = BatchLog(tmp_path)
-    events, records = typed_rows()
-    append(log, "b-0", events, records)
-    summary = log.manifest_summary()
-    assert summary["next_seq"] == 1
-    assert summary["n_torn_units"] == 0
-    assert summary["n_torn_journal_lines"] == 0
-    log.close()
+def test_format_1_wal_refuses_to_resume(tmp_path):
+    """A WAL of the old unit format (batch ids in a prefix of each unit)
+    is refused, not misread."""
+    from repro.runtime.checkpoint import CheckpointStore
+
+    CheckpointStore(tmp_path, {"role": "service-wal", "format": 1}, n_shards=1).close()
+    with pytest.raises(StaleManifestError, match="format"):
+        BatchLog(tmp_path, resume=True)
